@@ -11,6 +11,11 @@ exact.  Gradings of tensor generators live in double cosets: multiplying by
 powers of a fixed g on the left and h on the right zeroes the two middle
 slots, and the surviving first/fourth entries are the normalized pair
 (N, A').
+
+Powers are linear: the determinant term of x * x is b*c - c*b = 0, so
+x^k = (k*a; k*b, k*c; k*d) for every integer k (x^-1 is the negated
+quadruple).  Double-coset normalization therefore reduces to a closed form in
+the doubled integers, which ``normalize_double_coset`` evaluates directly.
 """
 
 from __future__ import annotations
@@ -72,16 +77,8 @@ class GradingElement:
         return GradingElement(-self.a2, -self.b2, -self.c2, -self.d2)
 
     def __pow__(self, k: int) -> "GradingElement":
-        if k < 0:
-            return (self ** (-k)).inverse()
-        out = GradingElement.identity()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        # x * x has a zero determinant term, so powers scale every slot
+        return GradingElement(k * self.a2, k * self.b2, k * self.c2, k * self.d2)
 
     def __str__(self) -> str:
         a, b, c, d = self.halves()
@@ -96,18 +93,6 @@ _RHO_SINGLE = {
     "2": GradingElement(-1, 1, 1, 0),
     "3": GradingElement(-1, -1, 1, 0),
 }
-
-
-def gmul(x: GradingElement, y: GradingElement) -> GradingElement:
-    return x * y
-
-
-def ginv(x: GradingElement) -> GradingElement:
-    return x.inverse()
-
-
-def gpow(x: GradingElement, k: int) -> GradingElement:
-    return x**k
 
 
 def rho_grading(label: str) -> GradingElement:
@@ -138,6 +123,11 @@ def normalize_double_coset(
     left power of g then zeroes the c slot.  Because the first-slot
     determinant corrections depend on order, this order is part of the
     contract; the result is still a well-defined function on double cosets.
+
+    Powers being linear, both steps are closed forms in the doubled ints:
+    with beta = b(x), y = x * h^beta has a zero b slot and a determinant
+    term of quadrupled value beta*(x.b2*h.c2 + 2*x.c2); with alpha = -c(y),
+    z = g^alpha * y has none, so it only adds alpha*g.a2 and alpha*g.d2.
     """
     if (g.b2, g.c2) != (0, 2):
         raise GradingError(f"left normalizer must have middle slots (0, 1), got {g}")
@@ -146,11 +136,14 @@ def normalize_double_coset(
     if x.b2 % 2:
         raise GradingError(f"b slot of {x} admits no integral right power")
     beta = x.b2 // 2
-    y = x * h**beta
-    if y.c2 % 2:
-        raise GradingError(f"c slot of {y} admits no integral left power")
-    alpha = -(y.c2 // 2)
-    z = g**alpha * y
-    if z.a2 % 2 or z.d2 % 2:
-        raise GradingError(f"normalized entries of {z} are not integers")
-    return NormalizedGrading(N=z.a2 // 2, Aprime=z.d2 // 2)
+    det_quadrupled = beta * (x.b2 * h.c2 + 2 * x.c2)
+    if det_quadrupled % 2:
+        raise ArithmeticError("determinant term is not a half-integer")
+    ya2, yc2, yd2 = x.a2 + beta * h.a2 + det_quadrupled // 2, x.c2 + beta * h.c2, x.d2 + beta * h.d2
+    if yc2 % 2:
+        raise GradingError(f"c slot of {GradingElement(ya2, 0, yc2, yd2)} admits no integral left power")
+    alpha = -(yc2 // 2)
+    za2, zd2 = ya2 + alpha * g.a2, yd2 + alpha * g.d2
+    if za2 % 2 or zd2 % 2:
+        raise GradingError(f"normalized entries of {GradingElement(za2, 0, 0, zd2)} are not integers")
+    return NormalizedGrading(N=za2 // 2, Aprime=zd2 // 2)

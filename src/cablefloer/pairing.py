@@ -63,12 +63,11 @@ def shift_constant(l: int, p: int, n: int) -> int:
 
 def tensor_generators(A: TypeAModule, D: TypeDModule) -> list[tuple[str, str]]:
     """Complementary-idempotent pairs, complement-major order."""
-    pairs = []
-    for d_gen in D.generators:
-        for a_name in A.generators:
-            if A.pairs_with(a_name) == d_gen.idempotent:
-                pairs.append((a_name, d_gen.name))
-    return pairs
+    by_idempotent: dict[str, list[str]] = {}
+    for a_name in A.generators:
+        by_idempotent.setdefault(A.pairs_with(a_name), []).append(a_name)
+    return [(a_name, d_gen.name) for d_gen in D.generators
+            for a_name in by_idempotent.get(d_gen.idempotent, ())]
 
 
 def tensor_differential(A: TypeAModule, D: TypeDModule) -> list[tuple[tuple[str, str], tuple[str, str]]]:
@@ -81,21 +80,28 @@ def tensor_differential(A: TypeAModule, D: TypeDModule) -> list[tuple[tuple[str,
     mod 2.
     """
     table = hat_operations(A)
-    outgoing = D.outgoing()
+    # edges reversed so the stack pops them in module order
+    outgoing = {src: edges[::-1] for src, edges in D.outgoing().items()}
 
     def targets(d_name: str, labels: tuple[str, ...]):
-        if not labels:
-            yield d_name
-            return
-        for edge in outgoing.get(d_name, ()):
-            if edge.label == labels[0]:
-                yield from targets(edge.target, labels[1:])
+        stack = [(d_name, 0)]
+        while stack:
+            node, depth = stack.pop()
+            if depth == len(labels):
+                yield node
+                continue
+            label = labels[depth]
+            for edge in outgoing.get(node, ()):
+                if edge.label == label:
+                    stack.append((edge.target, depth + 1))
+
+    by_idempotent: dict[str, list[tuple[str, tuple[str, ...], str]]] = {}
+    for (a_src, labels), a_tgt in table.items():
+        by_idempotent.setdefault(A.pairs_with(a_src), []).append((a_src, labels, a_tgt))
 
     parity: dict[tuple[tuple[str, str], tuple[str, str]], int] = {}
     for d_gen in D.generators:
-        for (a_src, labels), a_tgt in table.items():
-            if A.pairs_with(a_src) != d_gen.idempotent:
-                continue
+        for a_src, labels, a_tgt in by_idempotent.get(d_gen.idempotent, ()):
             for d_tgt in targets(d_gen.name, labels):
                 key = ((a_src, d_gen.name), (a_tgt, d_tgt))
                 parity[key] = parity.get(key, 0) ^ 1
@@ -103,7 +109,7 @@ def tensor_differential(A: TypeAModule, D: TypeDModule) -> list[tuple[tuple[str,
 
 
 def tensor_gradings(A: TypeAModule, D: TypeDModule, c: int) -> dict[tuple[str, str], tuple[int, int, int, int]]:
-    """(N, A', alexander, maslov) for every tensor generator."""
+    """(N, A', alexander, maslov) for every tensor generator, in tensor_generators order."""
     d_grading = {g.name: g.grading for g in D.generators}
     out = {}
     for a_name, d_name in tensor_generators(A, D):
@@ -117,13 +123,11 @@ def tensor_gradings(A: TypeAModule, D: TypeDModule, c: int) -> dict[tuple[str, s
 def pair_modules(A: TypeAModule, D: TypeDModule, l: int, n: int) -> BigradedComplex:
     """Assemble the full bigraded complex of the cable."""
     c = shift_constant(l, A.p, n)
-    gradings = tensor_gradings(A, D, c)
-    order = tensor_generators(A, D)
-    index = {pair: i for i, pair in enumerate(order)}
+    gradings = tensor_gradings(A, D, c)  # keyed in tensor_generators order
+    index = {pair: i for i, pair in enumerate(gradings)}
     generators = tuple(
-        TensorGenerator(a_side=a, d_side=d, N=gradings[(a, d)][0], Aprime=gradings[(a, d)][1],
-                        alexander=gradings[(a, d)][2], maslov=gradings[(a, d)][3])
-        for a, d in order
+        TensorGenerator(a_side=a, d_side=d, N=N, Aprime=Aprime, alexander=alexander, maslov=maslov)
+        for (a, d), (N, Aprime, alexander, maslov) in gradings.items()
     )
     arrows = tuple(sorted((index[src], index[tgt]) for src, tgt in tensor_differential(A, D)))
     return BigradedComplex(generators=generators, arrows=arrows)

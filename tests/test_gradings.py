@@ -124,12 +124,16 @@ def test_lambda_central(x):
     assert LAMBDA * x == x * LAMBDA
 
 
-@given(elements, st.integers(-4, 4))
-def test_power_matches_iterated_product(x, k):
-    expected = GradingElement.identity()
+def iterated_power(x, k):
+    out = GradingElement.identity()
     for _ in range(abs(k)):
-        expected = expected * (x if k > 0 else x.inverse())
-    assert x**k == expected
+        out = out * (x if k > 0 else x.inverse())
+    return out
+
+
+@given(elements, st.integers(-200, 200))
+def test_power_matches_iterated_product(x, k):
+    assert x**k == iterated_power(x, k)
 
 
 # shifts by g and h powers must not change the double-coset coordinates;
@@ -148,3 +152,45 @@ def test_double_coset_invariance(x, j, k):
         assume(False)
     shifted = normalize_double_coset(G_P2**j * x * H_LT**k, G_P2, H_LT)
     assert (base.N, base.Aprime) == (shifted.N, shifted.Aprime)
+
+
+# any valid normalizers: g = (ga; 0, 1; gd) and h = (ha; -1, hc; hd)
+left_normalizers = st.builds(
+    lambda a2, d2: GradingElement(a2, 0, 2, d2), st.integers(-12, 12), st.integers(-12, 12)
+)
+right_normalizers = st.builds(
+    lambda a2, c, d2: GradingElement(a2, -2, 2 * c, d2),
+    st.integers(-12, 12),
+    st.integers(-6, 6),
+    st.integers(-12, 12),
+)
+
+
+def reference_normalize(x, g, h):
+    """Normalization by the group law alone: iterated products of h, then g."""
+    if x.b2 % 2:
+        raise GradingError("b slot")
+    y = x * iterated_power(h, x.b2 // 2)
+    assert y.b2 == 0
+    if y.c2 % 2:
+        raise GradingError("c slot")
+    z = iterated_power(g, -(y.c2 // 2)) * y
+    assert (z.b2, z.c2) == (0, 0)
+    if z.a2 % 2 or z.d2 % 2:
+        raise GradingError("entries")
+    return (z.a2 // 2, z.d2 // 2)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (GradingError, ArithmeticError) as exc:
+        return type(exc)
+
+
+@given(elements, left_normalizers, right_normalizers)
+def test_normalize_matches_group_law(x, g, h):
+    got = outcome(normalize_double_coset, x, g, h)
+    if not isinstance(got, type):
+        got = (got.N, got.Aprime)
+    assert got == outcome(reference_normalize, x, g, h)

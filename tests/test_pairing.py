@@ -1,6 +1,8 @@
 import pytest
 
 from cablefloer import (
+    AOperation,
+    TypeAModule,
     build_model,
     build_typea_minus,
     build_typed,
@@ -14,7 +16,7 @@ from cablefloer import (
     tensor_gradings,
 )
 
-from conftest import DELTA_TREFOIL, thin_grid_cases
+from conftest import DELTA_5_2, DELTA_11N50, DELTA_TREFOIL, thin_grid_cases
 
 
 def modules_for(delta_text, tau, p, n):
@@ -74,6 +76,15 @@ class TestDifferential:
         assert (("a", "u2"), ("b4", "v1")) in arrows         # vertical staircase arrow
         assert (("b4", "v2"), ("b3", "mu1")) in arrows       # rho_2 rho_1 path
 
+    def test_chord_longer_than_recursion_limit(self):
+        # the zero-framed unknot's D_12 self-loop matches rho_12^1500, then no rho_1 follows
+        base = build_typea_minus(2)
+        chord = ("12",) * 1500 + ("1",)
+        A = TypeAModule(p=2, generators=base.generators, gradings=base.gradings,
+                        finite_operations=(AOperation("a", chord, 0, "b2"),), g=base.g)
+        D = build_typed(build_model(synthesize_delta(0, {}), 0), 0)
+        assert tensor_differential(A, D) == []
+
     @pytest.mark.parametrize("n", [-2, 0, 1])
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_tau_zero_arrows_match_printed_lists(self, p, n):
@@ -113,6 +124,19 @@ class TestGradings:
 
         table = rank_table(parse_delta(DELTA_TREFOIL), 1, 2, 1)
         assert sorted(table.alexander_multiset()) == [-3, -2, 0, 2, 3]
+
+    @pytest.mark.parametrize(
+        "delta_text, tau, p, n",
+        [(DELTA_11N50, 0, 5, 3), (DELTA_5_2, 1, 3, 1), (DELTA_5_2, -1, 4, -1)],
+        ids=["golden-11n50", "tau-pos-m-pos", "tau-neg-m-neg"],
+    )
+    def test_pair_modules_matches_tensor_gradings(self, delta_text, tau, p, n):
+        A, D, model = modules_for(delta_text, tau, p, n)
+        complex_ = pair_modules(A, D, model.params.l, n)
+        gradings = tensor_gradings(A, D, shift_constant(model.params.l, p, n))
+        assert [(g.a_side, g.d_side) for g in complex_.generators] == tensor_generators(A, D)
+        for g in complex_.generators:
+            assert (g.N, g.Aprime, g.alexander, g.maslov) == gradings[(g.a_side, g.d_side)]
 
     def test_arrows_preserve_alexander_and_drop_maslov(self):
         for delta_text, tau, p, n in ((DELTA_TREFOIL, 1, 3, 1), ("-1,3,-1", 0, 4, -1)):
