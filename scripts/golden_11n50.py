@@ -25,8 +25,7 @@ def main() -> None:
     print(f"companion delta : {delta}")
     print(f"cable           : (5, 16),  tau = {result.cable_tau}")
     print(f"total rank      : {result.table.total}  (closed form: {result.table_value})")
-    print(f"checks          : symmetry={result.symmetry_ok} euler={result.euler_ok} "
-          f"dropped_arrows={len(result.filter_report.dropped)}")
+    print(f"checks          : symmetry={result.symmetry_ok} euler={result.euler_ok}")
     print(f"elapsed         : {elapsed:.4f}s")
     print()
     print(_poly_text(result.table))

@@ -13,11 +13,10 @@ from .gradings import (
     normalize_double_coset,
     rho_grading,
 )
-from .homology import ComplexError, FilterReport, RankTable, grading_filter, reduce_complex
+from .homology import ComplexError, RankTable, reduce_complex
 from .invariants import (
     TauResult,
     cable_alexander,
-    cable_four_ball_genus,
     check_symmetry,
     euler_characteristic,
     mirror_check,
@@ -61,7 +60,6 @@ __all__ = [
     "ComplexError",
     "DEdge",
     "DGenerator",
-    "FilterReport",
     "GradingElement",
     "GradingError",
     "LAMBDA",
@@ -80,13 +78,11 @@ __all__ = [
     "build_typea_minus",
     "build_typed",
     "cable_alexander",
-    "cable_four_ball_genus",
     "check_symmetry",
     "closed_form_gradings",
     "compute_cable_hfk",
     "euler_characteristic",
     "framing_h",
-    "grading_filter",
     "hat_operations",
     "mirror_check",
     "normalize_double_coset",

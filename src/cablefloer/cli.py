@@ -5,29 +5,24 @@ knot from (delta, tau, p, n), or just tau of a (p, q)-cable, and renders the
 result as JSON, TSV, polynomial text, an SVG scatter or an ASCII grid.
 
 Exit codes: 0 success, 1 invalid input or usage, 2 internal consistency
-failure (a failed symmetry/Euler check or a strict-filter violation signals
-a bug, not bad input).
+failure (a failed symmetry/Euler check, a mis-graded arrow or d^2 != 0
+signals a bug, not bad input).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
 from . import invariants
 from .gradings import GradingError
 from .homology import ComplexError, RankTable
-from .pairing import closed_form_gradings, shift_constant, tensor_gradings
+from .pairing import closed_form_gradings
 from .pipeline import CableHomology, compute_cable_hfk
 from .plot import emit_plot
 from .thin import ThinInputError, build_model, parse_delta, synthesize_delta
-from .type_a import build_typea_minus
-from .type_d import build_typed
-
-FILTER_MODE_ENV = "CABLEFLOER_FILTER_MODE"
 
 
 @dataclass(frozen=True)
@@ -39,7 +34,6 @@ class RunConfig:
     n: int | None = None
     q: int | None = None
     fmt: str = "json"  # json | tsv | poly | svg | ascii
-    filter_mode: str = "repair"  # strict | repair
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,8 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--mode", choices=("hfk", "tau", "selfcheck"), default="hfk")
     parser.add_argument("--format", dest="fmt", choices=("json", "tsv", "poly", "svg", "ascii"),
                         default="json")
-    parser.add_argument("--filter", dest="filter_mode", choices=("strict", "repair"),
-                        help=f"grading filter mode (default repair; env {FILTER_MODE_ENV} overrides)")
     parser.add_argument("--input", help='JSON file with {"delta": [ints], "tau": int}')
     parser.add_argument("--output", help="write to this path instead of stdout")
     return parser
@@ -82,7 +74,7 @@ def _tsv_text(table: RankTable) -> str:
     return "".join(f"{a}\t{m}\t{rank}\n" for a, m, rank in table.entries())
 
 
-def _json_text(result: CableHomology, config: RunConfig) -> str:
+def _json_text(result: CableHomology) -> str:
     delta = result.delta
     g = max(abs(d) for d in delta.support()) if not delta.is_zero() else 0
     payload = {
@@ -92,7 +84,6 @@ def _json_text(result: CableHomology, config: RunConfig) -> str:
             "p": result.p,
             "n": result.n,
             "q": result.q,
-            "filter_mode": config.filter_mode,
         },
         "tau": result.cable_tau,
         "total_rank": result.table.total,
@@ -106,7 +97,6 @@ def _json_text(result: CableHomology, config: RunConfig) -> str:
                 "match": result.table_match,
             },
         },
-        "dropped_arrows": list(result.filter_report.dropped),
     }
     return json.dumps(payload, indent=2) + "\n"
 
@@ -128,8 +118,7 @@ def run(config: RunConfig, stream=None) -> int:
             return 0
         if config.n is None or config.q is not None:
             raise ThinInputError("hfk mode needs --n (the cable is (p, p*n+1))")
-        outcome = compute_cable_hfk(delta, config.tau, config.p, config.n,
-                                    filter_mode=config.filter_mode)
+        outcome = compute_cable_hfk(delta, config.tau, config.p, config.n)
     except (ThinInputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -138,7 +127,7 @@ def run(config: RunConfig, stream=None) -> int:
         return 2
 
     if config.fmt == "json":
-        stream.write(_json_text(outcome, config))
+        stream.write(_json_text(outcome))
     elif config.fmt == "tsv":
         stream.write(_tsv_text(outcome.table))
     elif config.fmt == "poly":
@@ -177,7 +166,6 @@ def _selfcheck(stream) -> int:
 
     check("symmetry", [key for key, r in results.items() if not r.symmetry_ok])
     check("euler characteristic", [key for key, r in results.items() if not r.euler_ok])
-    check("no dropped arrows", [key for key, r in results.items() if r.filter_report.dropped])
     check("total-rank table (non-advisory)",
           [key for key, r in results.items() if not r.table_advisory and not r.table_match])
 
@@ -195,17 +183,13 @@ def _selfcheck(stream) -> int:
                 per_square.append((tau, p, n))
     check("per-square rank contribution", per_square)
 
-    mirrors = []
-    for (delta, tau, p, n), r in results.items():
-        if p != 2:
-            continue
-        partner = results.get((delta, -tau, 2, -n - 1))
-        if partner is None:
-            continue
-        mirrored = {-a: c for a, c in r.table.alexander_multiset().items()}
-        if r.table.total != partner.table.total or mirrored != partner.table.alexander_multiset():
-            mirrors.append((tau, n))
-    check("mirror consistency (p=2)", mirrors)
+    def table_of(delta, tau, p, n):
+        return results[(delta, tau, p, n)].table
+
+    check("mirror consistency (p=2)",
+          [(tau, n) for delta, tau, p, n in results
+           if p == 2 and (delta, -tau, 2, -n - 1) in results
+           and not invariants.mirror_check(delta, tau, n, table_of)])
 
     tau_mismatch = []
     for (_, tau, p, n), r in results.items():
@@ -215,14 +199,9 @@ def _selfcheck(stream) -> int:
 
     grading_mismatch = []
     for (delta, tau, p, n), r in results.items():
-        model = r.model
-        module_d = build_typed(model, n)
-        module_a = build_typea_minus(p)
-        computed = tensor_gradings(module_a, module_d, shift_constant(model.params.l, p, n))
-        oracle = closed_form_gradings(model, p, n)
-        for key, (want_n, want_ap) in oracle.items():
-            got = computed[key]
-            if (got[0], got[1]) != (want_n, want_ap):
+        computed = {(g.a_side, g.d_side): (g.N, g.Aprime) for g in r.complex.generators}
+        for key, want in closed_form_gradings(r.model, p, n).items():
+            if computed[key] != want:
                 grading_mismatch.append((tau, p, n, key))
     check("closed-form gradings agree", grading_mismatch)
 
@@ -234,8 +213,10 @@ def _selfcheck(stream) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error and 0 after --help
+        return 1 if exc.code else 0
 
     delta_text = args.delta
     tau = args.tau
@@ -244,8 +225,10 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.input, encoding="utf-8") as handle:
                 payload = json.load(handle)
             delta_text = ",".join(str(c) for c in payload["delta"])
-            tau = int(payload["tau"])
-        except (OSError, KeyError, TypeError, json.JSONDecodeError) as exc:
+            tau = payload["tau"]
+            if type(tau) is not int:  # bool is an int subclass, and int() would truncate 1.7
+                raise TypeError(f"tau must be a JSON integer, got {tau!r}")
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             print(f"error: cannot read input file: {exc}", file=sys.stderr)
             return 1
 
@@ -256,11 +239,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: missing {', '.join(missing)}", file=sys.stderr)
             return 1
 
-    filter_mode = args.filter_mode or os.environ.get(FILTER_MODE_ENV) or "repair"
-    if filter_mode not in ("strict", "repair"):
-        print(f"error: invalid filter mode {filter_mode!r}", file=sys.stderr)
-        return 1
-
     config = RunConfig(
         delta=delta_text or "",
         tau=tau if tau is not None else 0,
@@ -269,11 +247,15 @@ def main(argv: list[str] | None = None) -> int:
         n=args.n,
         q=args.q,
         fmt=args.fmt,
-        filter_mode=filter_mode,
     )
 
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
+        try:
+            handle = open(args.output, "w", encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write output file: {exc}", file=sys.stderr)
+            return 1
+        with handle:
             return run(config, handle)
     return run(config)
 

@@ -128,6 +128,8 @@ def normalize_double_coset(
     with beta = b(x), y = x * h^beta has a zero b slot and a determinant
     term of quadrupled value beta*(x.b2*h.c2 + 2*x.c2); with alpha = -c(y),
     z = g^alpha * y has none, so it only adds alpha*g.a2 and alpha*g.d2.
+    That quadrupled term is 2*beta*(beta*h.c2 + x.c2) once x.b2 = 2*beta,
+    so it is always even and the determinant needs no parity check here.
     """
     if (g.b2, g.c2) != (0, 2):
         raise GradingError(f"left normalizer must have middle slots (0, 1), got {g}")
@@ -137,8 +139,6 @@ def normalize_double_coset(
         raise GradingError(f"b slot of {x} admits no integral right power")
     beta = x.b2 // 2
     det_quadrupled = beta * (x.b2 * h.c2 + 2 * x.c2)
-    if det_quadrupled % 2:
-        raise ArithmeticError("determinant term is not a half-integer")
     ya2, yc2, yd2 = x.a2 + beta * h.a2 + det_quadrupled // 2, x.c2 + beta * h.c2, x.d2 + beta * h.d2
     if yc2 % 2:
         raise GradingError(f"c slot of {GradingElement(ya2, 0, yc2, yd2)} admits no integral left power")

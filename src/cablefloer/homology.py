@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .pairing import BigradedComplex
 
 
 class ComplexError(RuntimeError):
-    """Structural failure: a mis-graded arrow in strict mode, or d^2 != 0."""
+    """Structural failure: a mis-graded arrow, or d^2 != 0."""
 
 
 @dataclass(frozen=True)
@@ -36,42 +36,6 @@ class RankTable:
         for (a, _), r in self.ranks.items():
             out[a] = out.get(a, 0) + r
         return out
-
-
-@dataclass(frozen=True)
-class FilterReport:
-    mode: str
-    dropped: tuple[dict, ...] = field(default_factory=tuple)
-
-
-def grading_filter(complex_: BigradedComplex, mode: str = "repair") -> tuple[BigradedComplex, FilterReport]:
-    """Enforce that every arrow preserves alexander and drops maslov by one.
-
-    In repair mode offending arrows are dropped and reported; in strict mode
-    any offender raises ComplexError.  A correctly assembled complex never
-    has offenders, so the report doubles as a structural diagnostic.
-    """
-    if mode not in ("strict", "repair"):
-        raise ValueError(f"unknown filter mode {mode!r}")
-    kept = []
-    dropped = []
-    gens = complex_.generators
-    for src, tgt in complex_.arrows:
-        x, y = gens[src], gens[tgt]
-        if x.alexander == y.alexander and x.maslov == y.maslov + 1:
-            kept.append((src, tgt))
-            continue
-        record = {
-            "source": x.name,
-            "target": y.name,
-            "source_bigrading": [x.alexander, x.maslov],
-            "target_bigrading": [y.alexander, y.maslov],
-        }
-        if mode == "strict":
-            raise ComplexError(f"mis-graded arrow {record}")
-        dropped.append(record)
-    filtered = BigradedComplex(generators=gens, arrows=tuple(kept))
-    return filtered, FilterReport(mode=mode, dropped=tuple(dropped))
 
 
 def _check_d_squared(arrows: Iterable[tuple[int, int]]) -> None:
@@ -124,17 +88,21 @@ def _cancel_block(arrows: list[tuple[int, int]]) -> set[int]:
 def reduce_complex(complex_: BigradedComplex) -> RankTable:
     """Full cancellation; surviving generators binned by bigrading.
 
-    Requires a grading-filtered complex, so arrows never cross Alexander
-    gradings and the cancellation splits into independent blocks.  The
-    resulting table does not depend on cancellation order.
+    Every arrow must keep the Alexander grading and lower the Maslov grading
+    by one; a correctly assembled complex always does, so any other arrow
+    raises ComplexError.  Arrows therefore never cross Alexander gradings,
+    the cancellation splits into independent blocks, and the resulting
+    table does not depend on cancellation order.
     """
-    _check_d_squared(complex_.arrows)
     blocks: dict[int, list[tuple[int, int]]] = {}
     gens = complex_.generators
     for src, tgt in complex_.arrows:
-        if gens[src].alexander != gens[tgt].alexander:
-            raise ComplexError("arrow crosses Alexander gradings; run grading_filter first")
-        blocks.setdefault(gens[src].alexander, []).append((src, tgt))
+        x, y = gens[src], gens[tgt]
+        if x.alexander != y.alexander or x.maslov != y.maslov + 1:
+            raise ComplexError(f"mis-graded arrow {x.name} (A={x.alexander}, M={x.maslov}) -> "
+                               f"{y.name} (A={y.alexander}, M={y.maslov})")
+        blocks.setdefault(x.alexander, []).append((src, tgt))
+    _check_d_squared(complex_.arrows)
     killed: set[int] = set()
     for alexander in sorted(blocks):
         killed |= _cancel_block(blocks[alexander])

@@ -58,19 +58,6 @@ def tau_pq(tau: int, p: int, q: int) -> TauResult:
     )
 
 
-def cable_four_ball_genus(tau: int, p: int, q: int, *, genus_equals_tau: bool) -> int:
-    """Four-ball genus of the (p, q)-cable, valid only when g4 = tau and q > 0.
-
-    No genus is computed; the caller asserts the hypothesis and receives
-    tau of the cable under that assumption.
-    """
-    if not genus_equals_tau:
-        raise ValueError("only valid when the companion satisfies g4 = tau")
-    if q <= 0:
-        raise ValueError(f"only valid for q > 0, got q = {q}")
-    return tau_pq(tau, p, q).value
-
-
 # total-rank table, rows indexed by sign(n - 2*tau), columns by sign(tau);
 # two cells are advisory: they disagree with the assembled complex by 2
 # (high for tau > 0 with n < 2*tau, low for tau < 0 with n = 2*tau)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import invariants
-from .homology import FilterReport, RankTable, grading_filter, reduce_complex
+from .homology import RankTable, reduce_complex
 from .laurent import LaurentPolynomial
 from .pairing import BigradedComplex, pair_modules
 from .thin import ThinModel, build_model
@@ -23,7 +23,6 @@ class CableHomology:
     n: int
     model: ThinModel
     complex: BigradedComplex = field(repr=False)
-    filter_report: FilterReport
     table: RankTable
     cable_tau: int
     table_value: int
@@ -45,13 +44,7 @@ class CableHomology:
         return self.symmetry_ok and self.euler_ok and (self.table_match or self.table_advisory)
 
 
-def compute_cable_hfk(
-    delta: LaurentPolynomial,
-    tau: int,
-    p: int,
-    n: int,
-    filter_mode: str = "repair",
-) -> CableHomology:
+def compute_cable_hfk(delta: LaurentPolynomial, tau: int, p: int, n: int) -> CableHomology:
     """Run the full pairing pipeline for the (p, p*n+1)-cable."""
     if p <= 1:
         raise ValueError(f"cable requires p > 1, got {p}")
@@ -59,8 +52,7 @@ def compute_cable_hfk(
     module_d = build_typed(model, n)
     module_a = build_typea_minus(p)
     complex_ = pair_modules(module_a, module_d, model.params.l, n)
-    filtered, report = grading_filter(complex_, mode=filter_mode)
-    table = reduce_complex(filtered)
+    table = reduce_complex(complex_)
 
     table_value, advisory = invariants.table_rank(tau, model.params.s, p, n)
     euler = invariants.euler_characteristic(table)
@@ -76,7 +68,6 @@ def compute_cable_hfk(
         n=n,
         model=model,
         complex=complex_,
-        filter_report=report,
         table=table,
         cable_tau=invariants.tau_cable(tau, p, n).value,
         table_value=table_value,

@@ -1,35 +1,27 @@
-"""The A-side module of the (p,1) pattern in the solid torus.
+"""The A-side module of the (p,1) pattern in the solid torus, hat flavour.
 
 Generators are a and b_1 .. b_{2p-2}; a pairs with i0 generators of the
-complement module and the b_k pair with i1 generators.  Multiplication
-operations are recorded as (source, chord labels, U power, target).  Two of
-the six operation families repeat the chord rho_23 an unbounded number of
-times; those always carry a positive U power, so they are produced lazily
-and the hat-flavor table (U = 0) is finite.
+complement module and the b_k pair with i1 generators.  The full module over
+F2[U] has six operation families; only two carry U power zero, so they are
+the whole operation table of HFK-hat and the only ones built here:
+m(a, rho_12^i, rho_1) and m(b_k, rho_2, rho_12^i, rho_1) for k > p.  No
+hat operation consumes rho_3, rho_23 or rho_123.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from .gradings import GradingElement
 
 
 @dataclass(frozen=True)
 class AOperation:
+    """m(source, inputs...) = target, with U power zero."""
+
     source: str
     inputs: tuple[str, ...]
-    u_power: int
     target: str
-
-    def as_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "inputs": list(self.inputs),
-            "u_power": self.u_power,
-            "target": self.target,
-        }
 
 
 @dataclass(frozen=True)
@@ -37,7 +29,7 @@ class TypeAModule:
     p: int
     generators: tuple[str, ...]
     gradings: dict[str, GradingElement] = field(repr=False)
-    #: the four finite operation families, materialized
+    #: the two U = 0 operation families, materialized
     finite_operations: tuple[AOperation, ...] = field(repr=False)
     #: left normalizer of the coset gradings
     g: GradingElement = field(repr=False)
@@ -46,32 +38,9 @@ class TypeAModule:
         """Idempotent class of complement generators this generator pairs with."""
         return "i0" if name == "a" else "i1"
 
-    def operations(self, rho23_bound: int = 0) -> Iterator[AOperation]:
-        """All operations whose rho_23 repetition count is at most the bound.
-
-        The two unbounded families (the only consumers of rho_3/rho_23)
-        carry U powers p*j + i + 1 and p*(j + 1), so no bound is ever needed
-        for hat-flavor work.
-        """
-        yield from self.finite_operations
-        p = self.p
-        for j in range(rho23_bound + 1):
-            for i in range(p - 1):
-                yield AOperation(
-                    "a", ("3",) + ("23",) * j + ("2",) + ("12",) * i + ("1",), p * j + i + 1, f"b{i + 1}"
-                )
-            yield AOperation("a", ("3",) + ("23",) * j + ("2",), p * (j + 1), "a")
-
-    def as_dict(self, rho23_bound: int = 0) -> dict:
-        return {
-            "p": self.p,
-            "generators": list(self.generators),
-            "operations": [op.as_dict() for op in self.operations(rho23_bound)],
-        }
-
 
 def build_typea_minus(p: int) -> TypeAModule:
-    """Instantiate the pattern module for a given winding number p > 1."""
+    """Instantiate the U = 0 part of the pattern module for winding number p > 1."""
     if p <= 1:
         raise ValueError(f"pattern requires p > 1, got {p}")
     generators = ("a",) + tuple(f"b{k}" for k in range(1, 2 * p - 1))
@@ -85,20 +54,13 @@ def build_typea_minus(p: int) -> TypeAModule:
         gradings[f"b{i}"] = GradingElement(1, 2 * i - 1, -1, 2 * (i - p))
 
     ops: list[AOperation] = []
-    # m_1(b_k) = U^{p-k} b_{2p-k-1},                      1 <= k <= p-1
-    for k in range(1, p):
-        ops.append(AOperation(f"b{k}", (), p - k, f"b{2 * p - k - 1}"))
-    # m(b_k, rho_2, rho_12^i, rho_1) = U^{i+1} b_{k+i+1}, 1 <= k <= p-2, 0 <= i <= p-k-2
-    for k in range(1, p - 1):
-        for i in range(p - k - 1):
-            ops.append(AOperation(f"b{k}", ("2",) + ("12",) * i + ("1",), i + 1, f"b{k + i + 1}"))
     # m(b_k, rho_2, rho_12^i, rho_1) = b_{k-i-1},         p+1 <= k <= 2p-2, 0 <= i <= k-1-p
     for k in range(p + 1, 2 * p - 1):
         for i in range(k - p):
-            ops.append(AOperation(f"b{k}", ("2",) + ("12",) * i + ("1",), 0, f"b{k - i - 1}"))
+            ops.append(AOperation(f"b{k}", ("2",) + ("12",) * i + ("1",), f"b{k - i - 1}"))
     # m(a, rho_12^i, rho_1) = b_{2p-i-2},                 0 <= i <= p-2
     for i in range(p - 1):
-        ops.append(AOperation("a", ("12",) * i + ("1",), 0, f"b{2 * p - i - 2}"))
+        ops.append(AOperation("a", ("12",) * i + ("1",), f"b{2 * p - i - 2}"))
 
     g = GradingElement(-1, 0, 2, 2 * p)
     return TypeAModule(p=p, generators=generators, gradings=gradings,
@@ -106,13 +68,5 @@ def build_typea_minus(p: int) -> TypeAModule:
 
 
 def hat_operations(module: TypeAModule) -> dict[tuple[str, tuple[str, ...]], str]:
-    """Operation table at U = 0, keyed by (source, chord label sequence).
-
-    Exactly the operations with U power zero survive:
-    m(a, rho_12^i, rho_1) and m(b_k, rho_2, rho_12^i, rho_1) with k > p.
-    """
-    table: dict[tuple[str, tuple[str, ...]], str] = {}
-    for op in module.finite_operations:
-        if op.u_power == 0:
-            table[(op.source, op.inputs)] = op.target
-    return table
+    """Operation table keyed by (source, chord label sequence)."""
+    return {(op.source, op.inputs): op.target for op in module.finite_operations}

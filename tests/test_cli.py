@@ -2,7 +2,9 @@ import io
 import json
 import re
 
-from cablefloer.cli import FILTER_MODE_ENV, RunConfig, main, run
+import pytest
+
+from cablefloer.cli import RunConfig, main, run
 
 from conftest import DELTA_11N50, DELTA_TREFOIL, GOLDEN_11N50_5_16
 
@@ -75,14 +77,13 @@ def test_json_schema(capsys):
     payload = json.loads(out)
     assert payload["input"] == {
         "delta": [2, -6, 9, -6, 2], "tau": 0, "p": 5, "n": 3, "q": 16,
-        "filter_mode": "repair",
     }
     assert payload["tau"] == 30
     assert payload["total_rank"] == 181
     assert payload["checks"]["symmetry"] is True
     assert payload["checks"]["euler"] is True
     assert payload["checks"]["table"] == {"value": 181, "advisory": False, "match": True}
-    assert payload["dropped_arrows"] == []
+    assert set(payload) == {"input", "tau", "total_rank", "ranks", "checks"}
     ranks = {(entry["a"], entry["m"]): entry["rank"] for entry in payload["ranks"]}
     assert ranks == GOLDEN_11N50_5_16
     # deterministic ordering: descending alexander, then descending maslov
@@ -116,20 +117,20 @@ def test_validation_errors_exit_one(capsys):
     assert run_main(capsys, "--tau", "0", "--p", "2", "--n", "1")[0] == 1
 
 
-def test_strict_filter_flag_and_env(capsys, monkeypatch):
-    code, out, _ = run_main(capsys, "--delta", DELTA_11N50, "--tau", "0", "--p", "5",
-                            "--n", "3", "--filter", "strict", "--format", "json")
-    assert code == 0
-    assert json.loads(out)["input"]["filter_mode"] == "strict"
+@pytest.mark.parametrize("bad", [("--format", "bogus"), ("--tau", "x"), ("--filter", "strict")])
+def test_usage_errors_exit_one(capsys, bad):
+    args = {"--delta": "1", "--tau": "0", "--p": "2", "--n": "1"}
+    argv = [item for flag, value in args.items() if flag != bad[0] for item in (flag, value)]
+    code, out, err = run_main(capsys, *argv, *bad)
+    assert code == 1
+    assert out == ""
+    assert "error:" in err
 
-    monkeypatch.setenv(FILTER_MODE_ENV, "strict")
-    code, out, _ = run_main(capsys, "--delta", "1", "--tau", "0", "--p", "2", "--n", "1",
-                            "--format", "json")
-    assert code == 0
-    assert json.loads(out)["input"]["filter_mode"] == "strict"
 
-    monkeypatch.setenv(FILTER_MODE_ENV, "bogus")
-    assert run_main(capsys, "--delta", "1", "--tau", "0", "--p", "2", "--n", "1")[0] == 1
+def test_help_exits_zero(capsys):
+    code, out, _ = run_main(capsys, "--help")
+    assert code == 0
+    assert "--format" in out
 
 
 def test_json_input_file(tmp_path, capsys):
@@ -143,12 +144,30 @@ def test_json_input_file(tmp_path, capsys):
     assert run_main(capsys, "--input", str(tmp_path / "absent.json"), "--p", "2", "--n", "1")[0] == 1
 
 
+@pytest.mark.parametrize("tau", ["x", 1.7, True, None])
+def test_input_file_tau_must_be_integer(tmp_path, capsys, tau):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"delta": [1, -1, 1], "tau": tau}))
+    code, out, err = run_main(capsys, "--input", str(path), "--p", "2", "--n", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot read input file")
+
+
 def test_output_file(tmp_path, capsys):
     path = tmp_path / "out.tsv"
     code = main(["--delta", "1", "--tau", "0", "--p", "2", "--n", "1",
                  "--format", "tsv", "--output", str(path)])
     assert code == 0
     assert path.read_text() == "1\t0\t1\n0\t-1\t1\n-1\t-2\t1\n"
+
+
+def test_output_into_missing_directory(tmp_path, capsys):
+    code, out, err = run_main(capsys, "--delta", "1", "--tau", "0", "--p", "2", "--n", "1",
+                              "--output", str(tmp_path / "absent" / "out.json"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot write output file")
 
 
 def test_run_config_stream():

@@ -10,7 +10,6 @@ from cablefloer import (
     build_model,
     build_typea_minus,
     build_typed,
-    grading_filter,
     pair_modules,
     parse_delta,
     reduce_complex,
@@ -41,45 +40,35 @@ class TestRankTable:
 
 
 class TestGradingFilter:
-    def test_empty_complex_unchanged(self):
-        complex_ = BigradedComplex(generators=(), arrows=())
-        filtered, report = grading_filter(complex_)
-        assert filtered == complex_
-        assert report.dropped == ()
+    """reduce_complex refuses any arrow that does not keep the Alexander
+    grading and lower the Maslov grading by one."""
 
-    def test_repair_drops_and_reports(self):
-        bad = BigradedComplex(
-            generators=(gen("a", "u1", 0, 0), gen("b1", "v1", 3, 6)),
-            arrows=((0, 1),),
-        )
-        filtered, report = grading_filter(bad, mode="repair")
-        assert filtered.arrows == ()
-        assert len(report.dropped) == 1
-        assert report.dropped[0]["source"] == "a u1"
-        assert report.dropped[0]["target_bigrading"] == [3, 6]
+    def test_empty_complex_unchanged(self):
+        assert reduce_complex(BigradedComplex(generators=(), arrows=())).ranks == {}
 
     def test_strict_raises(self):
+        # same Alexander grading, Maslov not lowered by one
         bad = BigradedComplex(
             generators=(gen("a", "u1", 0, 0), gen("b1", "v1", 0, 0)),
             arrows=((0, 1),),
         )
-        with pytest.raises(ComplexError):
-            grading_filter(bad, mode="strict")
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            grading_filter(BigradedComplex((), ()), mode="loose")
+        with pytest.raises(ComplexError, match=r"a u1 \(A=0, M=0\) -> b1 v1 \(A=0, M=0\)"):
+            reduce_complex(bad)
 
     def test_left_trefoil_p2_has_no_misfits(self):
         # the long-staircase arrow that would break the bigrading does not
-        # arise at p = 2 (no matching operation), so nothing is dropped
-        filtered, report = grading_filter(complex_for(DELTA_TREFOIL, -1, 2, -2), mode="strict")
-        assert report.dropped == ()
-        assert len(filtered.arrows) == 1
+        # arise at p = 2 (no matching operation), so the check passes
+        complex_ = complex_for(DELTA_TREFOIL, -1, 2, -2)
+        assert len(complex_.arrows) == 1
+        assert reduce_complex(complex_).total == len(complex_.generators) - 2
 
     def test_11n50_strict_clean(self):
-        _, report = grading_filter(complex_for(DELTA_11N50, 0, 5, 3), mode="strict")
-        assert report.dropped == ()
+        complex_ = complex_for(DELTA_11N50, 0, 5, 3)
+        gens = complex_.generators
+        assert complex_.arrows
+        assert all((gens[s].alexander, gens[s].maslov - 1) == (gens[t].alexander, gens[t].maslov)
+                   for s, t in complex_.arrows)
+        reduce_complex(complex_)
 
 
 class TestReduce:
@@ -138,7 +127,7 @@ class TestReduce:
             generators=(gen("a", "g0", 1, 1), gen("b1", "g1", 0, 0)),
             arrows=((0, 1),),
         )
-        with pytest.raises(ComplexError):
+        with pytest.raises(ComplexError, match=r"a g0 \(A=1, M=1\) -> b1 g1 \(A=0, M=0\)"):
             reduce_complex(complex_)
 
 

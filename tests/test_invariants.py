@@ -4,7 +4,6 @@ from cablefloer import (
     LaurentPolynomial,
     RankTable,
     cable_alexander,
-    cable_four_ball_genus,
     check_symmetry,
     euler_characteristic,
     mirror_check,
@@ -62,17 +61,6 @@ class TestTauPQ:
             tau_pq(0, 3, -1)
         assert tau_pq(0, 3, -2).value == -1  # q = 1 - p is covered
         assert tau_pq(1, 3, -1).value == 3 * 1 + (3 - 1) * (-1 - 1) // 2  # nonzero tau is covered
-
-
-class TestFourBallGenus:
-    def test_requires_hypotheses(self):
-        with pytest.raises(ValueError):
-            cable_four_ball_genus(1, 2, 3, genus_equals_tau=False)
-        with pytest.raises(ValueError):
-            cable_four_ball_genus(1, 2, -3, genus_equals_tau=True)
-
-    def test_value_is_cable_tau(self):
-        assert cable_four_ball_genus(1, 2, 3, genus_equals_tau=True) == tau_pq(1, 2, 3).value
 
 
 class TestTableRank:

@@ -81,7 +81,7 @@ class TestDifferential:
         base = build_typea_minus(2)
         chord = ("12",) * 1500 + ("1",)
         A = TypeAModule(p=2, generators=base.generators, gradings=base.gradings,
-                        finite_operations=(AOperation("a", chord, 0, "b2"),), g=base.g)
+                        finite_operations=(AOperation("a", chord, "b2"),), g=base.g)
         D = build_typed(build_model(synthesize_delta(0, {}), 0), 0)
         assert tensor_differential(A, D) == []
 
