@@ -101,6 +101,16 @@ def _json_text(result: CableHomology) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _render(outcome: CableHomology, fmt: str) -> str:
+    if fmt == "json":
+        return _json_text(outcome)
+    if fmt == "tsv":
+        return _tsv_text(outcome.table)
+    if fmt == "poly":
+        return _poly_text(outcome.table) + "\n"
+    return emit_plot(outcome.table, fmt)
+
+
 def run(config: RunConfig, stream=None) -> int:
     """Execute one configured run, writing the rendering to the stream."""
     stream = stream if stream is not None else sys.stdout
@@ -119,22 +129,16 @@ def run(config: RunConfig, stream=None) -> int:
         if config.n is None or config.q is not None:
             raise ThinInputError("hfk mode needs --n (the cable is (p, p*n+1))")
         outcome = compute_cable_hfk(delta, config.tau, config.p, config.n)
-    except (ThinInputError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        text = _render(outcome, config.fmt)
+    # GradingError is a ValueError, so the internal-failure clause comes first
     except (ComplexError, GradingError) as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 2
+    except (ThinInputError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
-    if config.fmt == "json":
-        stream.write(_json_text(outcome))
-    elif config.fmt == "tsv":
-        stream.write(_tsv_text(outcome.table))
-    elif config.fmt == "poly":
-        stream.write(_poly_text(outcome.table) + "\n")
-    else:
-        stream.write(emit_plot(outcome.table, config.fmt))
-
+    stream.write(text)
     if not outcome.consistent:
         print("internal consistency failure: symmetry or Euler check failed", file=sys.stderr)
         return 2

@@ -3,9 +3,12 @@
 Generators pair a with i0 generators and b_k with i1 generators.  An arrow
 a1*d1 -> a2*d2 appears once per parity of matches between directed label
 paths d1 -> ... -> d2 in the complement module and hat operations on a1
-carrying the same chord sequence.  Bigradings come from the grading group:
-gr(x*y) = gr(x)gr(y) normalized to (N, A'), then A = A' + c and M = N + 2A
-with the shift constant c = l*p - n*p*(p-1)/2.
+carrying the same chord sequence.  Every hat operation reads its chord
+prefix (nothing for a, rho_2 for b_k), then rho_12^i, then rho_1, so the
+differential is one walk per complement generator along shared prefixes
+rather than one path match per (generator, operation) pair.  Bigradings come
+from the grading group: gr(x*y) = gr(x)gr(y) normalized to (N, A'), then
+A = A' + c and M = N + 2A with the shift constant c = l*p - n*p*(p-1)/2.
 
 The closed-form grading tables at the bottom repeat the same data as
 explicit polynomials in (k, t, l, n, p); they serve as an independent
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 from .gradings import normalize_double_coset
 from .thin import ThinModel
-from .type_a import TypeAModule, hat_operations
+from .type_a import CHORD_PREFIX, TypeAModule, hat_operations  # noqa: F401 (re-exported)
 from .type_d import TypeDModule, build_typed
 
 
@@ -71,41 +74,45 @@ def tensor_generators(A: TypeAModule, D: TypeDModule) -> list[tuple[str, str]]:
 
 
 def tensor_differential(A: TypeAModule, D: TypeDModule) -> list[tuple[tuple[str, str], tuple[str, str]]]:
-    """Arrows from matching label paths against the hat operation table.
+    """Arrows from walking the complement module along the hat-operation chords.
 
-    Path length is bounded by the longest hat chord sequence (at most p-1),
-    which also cuts off the D_12 self-loop of the zero-framed unknot; only
-    D_1, D_2, D_12 edges can contribute since no hat operation consumes
-    rho_3, rho_23 or rho_123.  Coincident (source, target) matches cancel
-    mod 2.
+    From each complement generator d the walk keeps a frontier of the nodes
+    reached by an odd number of label paths CHORD_PREFIX rho_12^i; every D_1
+    edge out of it closes the operations of family i, and the frontier then
+    steps along D_12.  Distinct i give distinct A-side targets, so frontier
+    parity is path parity and coincident matches cancel mod 2.  The walk
+    stops when the frontier empties or the families run out (i <= p-2), which
+    also bounds the D_12 self-loop of the zero-framed unknot at O(p) steps;
+    no hat operation consumes rho_3, rho_23 or rho_123.
     """
-    table = hat_operations(A)
-    # edges reversed so the stack pops them in module order
-    outgoing = {src: edges[::-1] for src, edges in D.outgoing().items()}
+    step: dict[str, dict[str, list[str]]] = {"1": {}, "2": {}, "12": {}}
+    for edge in D.edges:
+        if edge.label in step:
+            step[edge.label].setdefault(edge.source, []).append(edge.target)
 
-    def targets(d_name: str, labels: tuple[str, ...]):
-        stack = [(d_name, 0)]
-        while stack:
-            node, depth = stack.pop()
-            if depth == len(labels):
-                yield node
-                continue
-            label = labels[depth]
-            for edge in outgoing.get(node, ()):
-                if edge.label == label:
-                    stack.append((edge.target, depth + 1))
+    def advance(frontier: list[str], label: str) -> list[str]:
+        """Nodes one `label` edge past the frontier, reached an odd number of times."""
+        parity: dict[str, int] = {}
+        for node in frontier:
+            for target in step[label].get(node, ()):
+                parity[target] = parity.get(target, 0) ^ 1
+        return [node for node, odd in parity.items() if odd]
 
-    by_idempotent: dict[str, list[tuple[str, tuple[str, ...], str]]] = {}
-    for (a_src, labels), a_tgt in table.items():
-        by_idempotent.setdefault(A.pairs_with(a_src), []).append((a_src, labels, a_tgt))
-
-    parity: dict[tuple[tuple[str, str], tuple[str, str]], int] = {}
+    arrows = []
     for d_gen in D.generators:
-        for a_src, labels, a_tgt in by_idempotent.get(d_gen.idempotent, ()):
-            for d_tgt in targets(d_gen.name, labels):
-                key = ((a_src, d_gen.name), (a_tgt, d_tgt))
-                parity[key] = parity.get(key, 0) ^ 1
-    return [arrow for arrow, odd in parity.items() if odd]
+        d_name, idempotent = d_gen.name, d_gen.idempotent
+        frontier = [d_name]
+        for label in CHORD_PREFIX[idempotent]:
+            frontier = advance(frontier, label)
+        for i in range(A.p - 1):
+            if not frontier:
+                break
+            hits = advance(frontier, "1")
+            if hits:
+                for a_src, a_tgt in A.family(idempotent, i):
+                    arrows.extend(((a_src, d_name), (a_tgt, d_tgt)) for d_tgt in hits)
+            frontier = advance(frontier, "12")
+    return arrows
 
 
 def tensor_gradings(A: TypeAModule, D: TypeDModule, c: int) -> dict[tuple[str, str], tuple[int, int, int, int]]:

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from .homology import RankTable
 
+#: largest Alexander x Maslov bounding box render_ascii draws, one character per cell
+MAX_ASCII_CELLS = 2_000_000
+
 
 def emit_plot(table: RankTable, fmt: str) -> str:
     if not table.ranks:
@@ -20,11 +23,18 @@ def _rank_char(rank: int) -> str:
 
 
 def render_ascii(table: RankTable) -> str:
-    """Character grid; one cell per lattice point, rank digit where nonzero."""
+    """Character grid; one cell per lattice point, rank digit where nonzero.
+
+    Refuses (ValueError) a bounding box of more than MAX_ASCII_CELLS cells.
+    """
     a_values = [a for a, _ in table.ranks]
     m_values = [m for _, m in table.ranks]
     a_min, a_max = min(a_values), max(a_values)
     m_min, m_max = min(m_values), max(m_values)
+    cells = (a_max - a_min + 1) * (m_max - m_min + 1)
+    if cells > MAX_ASCII_CELLS:
+        raise ValueError(f"ascii plot needs {cells} cells, more than {MAX_ASCII_CELLS}; "
+                         "use the svg or tsv format")
     label_width = max(len(str(m_min)), len(str(m_max)))
     lines = []
     for m in range(m_max, m_min - 1, -1):

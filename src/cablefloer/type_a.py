@@ -3,16 +3,27 @@
 Generators are a and b_1 .. b_{2p-2}; a pairs with i0 generators of the
 complement module and the b_k pair with i1 generators.  The full module over
 F2[U] has six operation families; only two carry U power zero, so they are
-the whole operation table of HFK-hat and the only ones built here:
-m(a, rho_12^i, rho_1) and m(b_k, rho_2, rho_12^i, rho_1) for k > p.  No
-hat operation consumes rho_3, rho_23 or rho_123.
+the whole operation table of HFK-hat:
+
+    m(a, rho_12^i, rho_1) = b_{2p-i-2}                0 <= i <= p-2
+    m(b_k, rho_2, rho_12^i, rho_1) = b_{k-i-1}        p+1 <= k <= 2p-2, 0 <= i <= k-1-p
+
+No hat operation consumes rho_3, rho_23 or rho_123.  ``family`` states both
+rules once.  The tensor product walks them chord by chord, so building the
+module is O(p); the explicit table (about p^2/2 operations, p^3/6 chord
+letters) is derived only when ``finite_operations`` is read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .gradings import GradingElement
+
+#: chords a hat operation starts with, by the idempotent its source pairs with;
+#: then come rho_12^i and a closing rho_1
+CHORD_PREFIX = {"i0": (), "i1": ("2",)}
 
 
 @dataclass(frozen=True)
@@ -29,14 +40,27 @@ class TypeAModule:
     p: int
     generators: tuple[str, ...]
     gradings: dict[str, GradingElement] = field(repr=False)
-    #: the two U = 0 operation families, materialized
-    finite_operations: tuple[AOperation, ...] = field(repr=False)
     #: left normalizer of the coset gradings
     g: GradingElement = field(repr=False)
 
     def pairs_with(self, name: str) -> str:
         """Idempotent class of complement generators this generator pairs with."""
         return "i0" if name == "a" else "i1"
+
+    def family(self, idempotent: str, i: int) -> list[tuple[str, str]]:
+        """(source, target) of every hat operation with chords CHORD_PREFIX[idempotent] rho_12^i rho_1."""
+        p = self.p
+        if idempotent == "i0":
+            return [("a", f"b{2 * p - i - 2}")] if i <= p - 2 else []
+        return [(f"b{k}", f"b{k - i - 1}") for k in range(p + 1 + i, 2 * p - 1)]
+
+    @property
+    def finite_operations(self) -> Iterator[AOperation]:
+        """Both U = 0 families spelled out, derived afresh on every read."""
+        for idempotent, prefix in CHORD_PREFIX.items():
+            for i in range(self.p - 1):
+                for source, target in self.family(idempotent, i):
+                    yield AOperation(source, prefix + ("12",) * i + ("1",), target)
 
 
 def build_typea_minus(p: int) -> TypeAModule:
@@ -53,20 +77,10 @@ def build_typea_minus(p: int) -> TypeAModule:
     for i in range(1, p):
         gradings[f"b{i}"] = GradingElement(1, 2 * i - 1, -1, 2 * (i - p))
 
-    ops: list[AOperation] = []
-    # m(b_k, rho_2, rho_12^i, rho_1) = b_{k-i-1},         p+1 <= k <= 2p-2, 0 <= i <= k-1-p
-    for k in range(p + 1, 2 * p - 1):
-        for i in range(k - p):
-            ops.append(AOperation(f"b{k}", ("2",) + ("12",) * i + ("1",), f"b{k - i - 1}"))
-    # m(a, rho_12^i, rho_1) = b_{2p-i-2},                 0 <= i <= p-2
-    for i in range(p - 1):
-        ops.append(AOperation("a", ("12",) * i + ("1",), f"b{2 * p - i - 2}"))
-
     g = GradingElement(-1, 0, 2, 2 * p)
-    return TypeAModule(p=p, generators=generators, gradings=gradings,
-                       finite_operations=tuple(ops), g=g)
+    return TypeAModule(p=p, generators=generators, gradings=gradings, g=g)
 
 
 def hat_operations(module: TypeAModule) -> dict[tuple[str, tuple[str, ...]], str]:
-    """Operation table keyed by (source, chord label sequence)."""
+    """Operation table keyed by (source, chord label sequence); O(p^3) chord letters."""
     return {(op.source, op.inputs): op.target for op in module.finite_operations}

@@ -109,6 +109,29 @@ def test_svg_and_ascii_formats(capsys):
     assert code == 0 and "|" in out
 
 
+def test_ascii_plot_over_cell_limit_refused(capsys):
+    # the chain case of record spans about 5e11 Alexander x Maslov cells
+    code, out, err = run_main(capsys, "--delta", "1,-1,2,-3,2,-1,1", "--tau", "3", "--p", "60",
+                              "--n", "200", "--format", "ascii")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ascii plot needs")
+
+
+def test_grading_error_exits_two(capsys, monkeypatch):
+    from cablefloer import pairing
+    from cablefloer.gradings import GradingError
+
+    def broken(*args):
+        raise GradingError("injected")
+
+    monkeypatch.setattr(pairing, "normalize_double_coset", broken)
+    code, out, err = run_main(capsys, "--delta", "1", "--tau", "0", "--p", "2", "--n", "1")
+    assert code == 2
+    assert out == ""
+    assert "internal consistency failure: injected" in err
+
+
 def test_validation_errors_exit_one(capsys):
     assert run_main(capsys, "--delta", "1,-1", "--tau", "0", "--p", "2", "--n", "1")[0] == 1
     assert run_main(capsys, "--delta", "1,2,1", "--tau", "0", "--p", "2", "--n", "1")[0] == 1

@@ -1,12 +1,16 @@
 import pytest
 
 from cablefloer import (
-    AOperation,
-    TypeAModule,
+    DEdge,
+    DGenerator,
+    GradingElement,
+    TypeDModule,
     build_model,
     build_typea_minus,
     build_typed,
     closed_form_gradings,
+    compute_cable_hfk,
+    hat_operations,
     pair_modules,
     parse_delta,
     shift_constant,
@@ -22,6 +26,23 @@ from conftest import DELTA_5_2, DELTA_11N50, DELTA_TREFOIL, thin_grid_cases
 def modules_for(delta_text, tau, p, n):
     model = build_model(parse_delta(delta_text), tau)
     return build_typea_minus(p), build_typed(model, n), model
+
+
+def reference_differential(A, D):
+    """Generic matcher: every hat operation against every complement label path, mod 2."""
+    outgoing = D.outgoing()
+    parity = {}
+    for (a_src, labels), a_tgt in hat_operations(A).items():
+        for d_gen in D.generators:
+            if d_gen.idempotent != A.pairs_with(a_src):
+                continue
+            ends = [d_gen.name]  # one entry per label path, so parallel paths repeat
+            for label in labels:
+                ends = [e.target for node in ends for e in outgoing.get(node, ()) if e.label == label]
+            for d_tgt in ends:
+                key = ((a_src, d_gen.name), (a_tgt, d_tgt))
+                parity[key] = parity.get(key, 0) ^ 1
+    return {arrow for arrow, odd in parity.items() if odd}
 
 
 class TestTensorGenerators:
@@ -76,14 +97,50 @@ class TestDifferential:
         assert (("a", "u2"), ("b4", "v1")) in arrows         # vertical staircase arrow
         assert (("b4", "v2"), ("b3", "mu1")) in arrows       # rho_2 rho_1 path
 
-    def test_chord_longer_than_recursion_limit(self):
-        # the zero-framed unknot's D_12 self-loop matches rho_12^1500, then no rho_1 follows
-        base = build_typea_minus(2)
-        chord = ("12",) * 1500 + ("1",)
-        A = TypeAModule(p=2, generators=base.generators, gradings=base.gradings,
-                        finite_operations=(AOperation("a", chord, "b2"),), g=base.g)
-        D = build_typed(build_model(synthesize_delta(0, {}), 0), 0)
-        assert tensor_differential(A, D) == []
+    @pytest.mark.parametrize("p", range(2, 9))
+    def test_walk_matches_reference_matcher(self, p):
+        checked = 0
+        for tau in range(-3, 4):
+            for counts in ({}, {1: 1, 0: 2, -1: 1}):
+                model = build_model(synthesize_delta(tau, counts), tau)
+                A = build_typea_minus(p)
+                for m in (-2, 0, 2):  # includes the zero-framed unknot's D_12 self-loop
+                    D = build_typed(model, 2 * tau - m)
+                    arrows = tensor_differential(A, D)
+                    assert len(arrows) == len(set(arrows)), (tau, counts, m)
+                    assert set(arrows) == reference_differential(A, D), (tau, counts, m)
+                    checked += len(arrows)
+        assert checked > 0
+
+    @pytest.mark.parametrize("p", range(2, 9))
+    def test_walk_matches_reference_on_synthetic_paths(self, p):
+        # a D_12 self-loop that feeds D_1 edges at every depth, parallel paths
+        # that cancel mod 2 from depth 1 on (s -> y directly and through t),
+        # and a doubled D_1 edge that always cancels
+        i0, i1 = ("s", "t", "w"), ("y", "z", "q")
+        gens = tuple(DGenerator(name, idem, GradingElement.identity(), "x", j)
+                     for idem, names in (("i0", i0), ("i1", i1)) for j, name in enumerate(names))
+        edges = tuple(DEdge(*e) for e in (
+            ("s", "12", "s"), ("s", "1", "y"), ("s", "12", "t"), ("t", "1", "y"),
+            ("s", "1", "z"), ("s", "1", "z"), ("t", "1", "q"),
+            ("q", "2", "s"), ("z", "2", "w"), ("w", "1", "z"),
+        ))
+        D = TypeDModule(tau=0, framing=0, generators=gens, edges=edges, h=GradingElement.identity())
+        A = build_typea_minus(p)
+        arrows = tensor_differential(A, D)
+        assert len(arrows) == len(set(arrows))
+        assert set(arrows) == reference_differential(A, D)
+        assert arrows
+
+    @pytest.mark.parametrize("tau, n, total", [
+        (0, 0, 1), (0, 1, 2199), (0, -1, 2197), (1, 2, 4397), (-1, -2, 4395),
+    ])
+    def test_p_over_1000_end_to_end(self, tau, n, total):
+        # p = 1100: the zero-framed unknot's D_12 self-loop is walked p - 1
+        # times, and no operation table of about p^3/6 chord letters is built
+        result = compute_cable_hfk(synthesize_delta(tau, {}), tau, 1100, n)
+        assert result.consistent
+        assert result.table.total == total
 
     @pytest.mark.parametrize("n", [-2, 0, 1])
     @pytest.mark.parametrize("p", [2, 3, 4])
