@@ -12,6 +12,7 @@ signals a bug, not bad input).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from dataclasses import dataclass
@@ -253,15 +254,20 @@ def main(argv: list[str] | None = None) -> int:
         fmt=args.fmt,
     )
 
-    if args.output:
+    if not args.output:
+        return run(config)
+    # the file is opened only once there is text for it, so a refused run
+    # neither creates it nor truncates an existing one
+    buffer = io.StringIO()
+    code = run(config, buffer)
+    if buffer.getvalue():
         try:
-            handle = open(args.output, "w", encoding="utf-8")
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(buffer.getvalue())
         except OSError as exc:
             print(f"error: cannot write output file: {exc}", file=sys.stderr)
             return 1
-        with handle:
-            return run(config, handle)
-    return run(config)
+    return code
 
 
 if __name__ == "__main__":

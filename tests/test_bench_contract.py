@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from cablefloer import build_typea_minus, pairing
+from cablefloer import build_model, build_typea_minus, build_typed, pairing, synthesize_delta
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "cablebench" / "tracer.py"
 REMOVED = {("cablefloer.pipeline", "grading_filter")}  # repair mode is gone; its layer reads 0
@@ -41,3 +41,28 @@ def test_counted_names_resolve():
     assert ops and all(isinstance(op.inputs, tuple) for op in ops)
     assert len(pairing.hat_operations(module)) == len(ops)
     assert {module.pairs_with(op.source) for op in ops} == {"i0", "i1"}
+
+
+@pytest.mark.parametrize("tau, counts, p, n", [
+    (0, {1: 2, 0: 2, -1: 2}, 5, 3),        # golden 11n50, m < 0
+    (2, {1: 3, 0: 4, -1: 3}, 4, 1),        # m > 0
+    (-3, {2: 2, 0: 5, -2: 2}, 3, -2),      # tau < 0, m < 0
+    (-1, {0: 3}, 6, -5),                   # tau < 0, m > 0
+    (1, {1: 2, -1: 2}, 3, 2),              # m = 0
+])
+def test_complex_stays_whole(tau, counts, p, n):
+    """Every tensor generator is a record; the benchmark compares this count with its prediction."""
+    s = sum(counts.values())
+    model = build_model(synthesize_delta(tau, counts), tau)
+    complex_ = pairing.pair_modules(build_typea_minus(p), build_typed(model, n), model.params.l, n)
+    predicted = (2 * abs(tau) + 1 + 4 * s) + (2 * p - 2) * (2 * abs(tau) + 4 * s + abs(2 * tau - n))
+    assert len(complex_.generators) == predicted
+
+
+def test_tensor_generator_record():
+    gen = pairing.TensorGenerator(a_side="b3", d_side="y4.s0", N=-1, Aprime=2, alexander=5, maslov=9)
+    assert (gen.a_side, gen.d_side, gen.N, gen.Aprime, gen.alexander, gen.maslov) == (
+        "b3", "y4.s0", -1, 2, 5, 9)
+    assert gen.name == "b3 y4.s0"
+    with pytest.raises(AttributeError):
+        gen.maslov = 0

@@ -193,6 +193,25 @@ def test_output_into_missing_directory(tmp_path, capsys):
     assert err.startswith("error: cannot write output file")
 
 
+def test_refused_run_creates_no_output_file(tmp_path, capsys):
+    path = tmp_path / "out.json"
+    code, out, err = run_main(capsys, "--delta", "1,-1", "--tau", "0", "--p", "2", "--n", "1",
+                              "--output", str(path))
+    assert code == 1
+    assert err.startswith("error:")
+    assert not path.exists()
+
+
+def test_refused_run_keeps_existing_output_file(tmp_path, capsys):
+    path = tmp_path / "out.txt"
+    path.write_text("earlier result\n")
+    code, out, err = run_main(capsys, "--delta", "1", "--tau", "0", "--p", "2", "--n", "1",
+                              "--q", "3", "--output", str(path))
+    assert code == 1
+    assert err.startswith("error:")
+    assert path.read_text() == "earlier result\n"
+
+
 def test_run_config_stream():
     config = RunConfig(delta="1", tau=0, p=2, n=1, fmt="poly")
     stream = io.StringIO()

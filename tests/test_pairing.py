@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from cablefloer import (
@@ -11,6 +13,7 @@ from cablefloer import (
     closed_form_gradings,
     compute_cable_hfk,
     hat_operations,
+    normalize_double_coset,
     pair_modules,
     parse_delta,
     shift_constant,
@@ -43,6 +46,23 @@ def reference_differential(A, D):
                 key = ((a_src, d_gen.name), (a_tgt, d_tgt))
                 parity[key] = parity.get(key, 0) ^ 1
     return {arrow for arrow, odd in parity.items() if odd}
+
+
+def reference_gradings(A, D, c):
+    """Every tensor generator normalized on its own, complement-major order."""
+    out = {}
+    for d_gen in D.generators:
+        for a_name in A.generators:
+            if A.pairs_with(a_name) != d_gen.idempotent:
+                continue
+            norm = normalize_double_coset(A.gradings[a_name] * d_gen.grading, A.g, D.h)
+            alexander = norm.Aprime + c
+            out[(a_name, d_gen.name)] = (norm.N, norm.Aprime, alexander, norm.N + 2 * alexander)
+    return out
+
+
+# 55 squares over the 21 levels -10..10, up to three per level
+SPREAD_55 = {0: 1, **{i: 3 for i in range(-8, 9) if i}, 9: 2, -9: 2, 10: 1, -10: 1}
 
 
 class TestTensorGenerators:
@@ -194,6 +214,40 @@ class TestGradings:
         assert [(g.a_side, g.d_side) for g in complex_.generators] == tensor_generators(A, D)
         for g in complex_.generators:
             assert (g.N, g.Aprime, g.alexander, g.maslov) == gradings[(g.a_side, g.d_side)]
+
+    @pytest.mark.parametrize("tau, counts, p, n", [
+        (0, {1: 2, 0: 2, -1: 2}, 5, 3),    # golden 11n50: two squares per level
+        (10, SPREAD_55, 10, 30),           # 55 squares spread over 21 levels
+        (-2, {1: 2, 0: 3, -1: 2}, 3, -1),  # tau < 0, m < 0
+        (0, {}, 4, 0),                     # the zero-framed unknot
+    ], ids=["golden-11n50", "spread-55", "tau-neg-m-neg", "unknot-n0"])
+    def test_shared_rows_match_per_generator_reference(self, tau, counts, p, n):
+        model = build_model(synthesize_delta(tau, counts), tau)
+        assert model.params.s == sum(counts.values())
+        A, D = build_typea_minus(p), build_typed(model, n)
+        c = shift_constant(model.params.l, p, n)
+        gradings = tensor_gradings(A, D, c)
+        want = reference_gradings(A, D, c)
+        assert list(gradings.items()) == list(want.items())
+
+    def test_rows_keyed_by_idempotent_and_grading(self):
+        # s and y share a grading but pair with different A generators, and
+        # t repeats s; a row keyed on the grading alone would give y the
+        # single-entry row of s.  The pattern gradings are hand-picked so
+        # that one D grading normalizes against both a and the b's.
+        A = replace(build_typea_minus(2), gradings={
+            "a": GradingElement.identity(),
+            "b1": GradingElement(2, 2, 0, 2),
+            "b2": GradingElement(0, 0, 4, -2),
+        })
+        shared, other = GradingElement.identity(), GradingElement(0, 2, 0, 4)
+        gens = tuple(DGenerator(name, idem, grading, "x", j) for j, (name, idem, grading) in enumerate((
+            ("s", "i0", shared), ("y", "i1", shared), ("t", "i0", shared), ("z", "i1", other))))
+        D = TypeDModule(tau=0, framing=0, generators=gens, edges=(), h=GradingElement(0, -2, 0, 0))
+        gradings = tensor_gradings(A, D, 7)
+        assert list(gradings.items()) == list(reference_gradings(A, D, 7).items())
+        assert list(gradings) == [("a", "s"), ("b1", "y"), ("b2", "y"), ("a", "t"), ("b1", "z"), ("b2", "z")]
+        assert gradings[("a", "s")] != gradings[("b1", "y")]
 
     def test_arrows_preserve_alexander_and_drop_maslov(self):
         for delta_text, tau, p, n in ((DELTA_TREFOIL, 1, 3, 1), ("-1,3,-1", 0, 4, -1)):
