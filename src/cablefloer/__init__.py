@@ -18,6 +18,7 @@ from .invariants import (
     TauResult,
     cable_alexander,
     check_symmetry,
+    closed_form_gradings,
     euler_characteristic,
     mirror_check,
     table_rank,
@@ -29,14 +30,13 @@ from .laurent import LaurentPolynomial
 from .pairing import (
     BigradedComplex,
     TensorGenerator,
-    closed_form_gradings,
     pair_modules,
     shift_constant,
     tensor_differential,
     tensor_generators,
     tensor_gradings,
 )
-from .pipeline import CableHomology, compute_cable_hfk, rank_table
+from .pipeline import CableHomology, compute_cable_hfk
 from .thin import (
     ThinInputError,
     ThinModel,
@@ -88,7 +88,6 @@ __all__ = [
     "normalize_double_coset",
     "pair_modules",
     "parse_delta",
-    "rank_table",
     "reduce_complex",
     "rho_grading",
     "shift_constant",

@@ -5,8 +5,8 @@ knot from (delta, tau, p, n), or just tau of a (p, q)-cable, and renders the
 result as JSON, TSV, polynomial text, an SVG scatter or an ASCII grid.
 
 Exit codes: 0 success, 1 invalid input or usage, 2 internal consistency
-failure (a failed symmetry/Euler check, a mis-graded arrow or d^2 != 0
-signals a bug, not bad input).
+failure (a failed symmetry, Euler or total-rank table check, a mis-graded
+arrow or d^2 != 0 signals a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from . import invariants
 from .gradings import GradingError
 from .homology import ComplexError, RankTable
-from .pairing import closed_form_gradings
 from .pipeline import CableHomology, compute_cable_hfk
 from .plot import emit_plot
 from .thin import ThinInputError, build_model, parse_delta, synthesize_delta
@@ -92,11 +91,7 @@ def _json_text(result: CableHomology) -> str:
         "checks": {
             "symmetry": result.symmetry_ok,
             "euler": result.euler_ok,
-            "table": {
-                "value": result.table_value,
-                "advisory": result.table_advisory,
-                "match": result.table_match,
-            },
+            "table": {"value": result.table_value, "match": result.table_match},
         },
     }
     return json.dumps(payload, indent=2) + "\n"
@@ -141,7 +136,8 @@ def run(config: RunConfig, stream=None) -> int:
 
     stream.write(text)
     if not outcome.consistent:
-        print("internal consistency failure: symmetry or Euler check failed", file=sys.stderr)
+        print(f"internal consistency failure: {', '.join(outcome.failed_checks)} check failed",
+              file=sys.stderr)
         return 2
     return 0
 
@@ -171,13 +167,7 @@ def _selfcheck(stream) -> int:
 
     check("symmetry", [key for key, r in results.items() if not r.symmetry_ok])
     check("euler characteristic", [key for key, r in results.items() if not r.euler_ok])
-    check("total-rank table (non-advisory)",
-          [key for key, r in results.items() if not r.table_advisory and not r.table_match])
-
-    advisory = [(key, r.table.total, r.table_value)
-                for key, r in results.items() if r.table_advisory and not r.table_match]
-    stream.write(f"note advisory table cells differing: {len(advisory)} (expected for "
-                 f"tau>0 with n<2tau and tau<0 with n=2tau)\n")
+    check("total-rank table", [key for key, r in results.items() if not r.table_match])
 
     per_square = []
     for (delta, tau, p, n), r in results.items():
@@ -188,13 +178,10 @@ def _selfcheck(stream) -> int:
                 per_square.append((tau, p, n))
     check("per-square rank contribution", per_square)
 
-    def table_of(delta, tau, p, n):
-        return results[(delta, tau, p, n)].table
-
     check("mirror consistency (p=2)",
-          [(tau, n) for delta, tau, p, n in results
-           if p == 2 and (delta, -tau, 2, -n - 1) in results
-           and not invariants.mirror_check(delta, tau, n, table_of)])
+          [(tau, n) for (delta, tau, p, n), r in results.items()
+           if p == 2 and (mirror := results.get((delta, -tau, 2, -n - 1)))
+           and not invariants.mirror_check(r.table, mirror.table)])
 
     tau_mismatch = []
     for (_, tau, p, n), r in results.items():
@@ -205,7 +192,7 @@ def _selfcheck(stream) -> int:
     grading_mismatch = []
     for (delta, tau, p, n), r in results.items():
         computed = {(g.a_side, g.d_side): (g.N, g.Aprime) for g in r.complex.generators}
-        for key, want in closed_form_gradings(r.model, p, n).items():
+        for key, want in invariants.closed_form_gradings(r.model, p, n).items():
             if computed[key] != want:
                 grading_mismatch.append((tau, p, n, key))
     check("closed-form gradings agree", grading_mismatch)

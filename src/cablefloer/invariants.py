@@ -1,19 +1,21 @@
 """Closed-form cable invariants and independent consistency oracles.
 
-The tau formulas and the total-rank table are closed forms in (tau, p, n);
-the remaining functions (bigraded symmetry, graded Euler characteristic,
-the classical satellite formula for the cable Alexander polynomial, the
-p = 2 mirror comparison) are pipeline-independent checks.
+Every check that does not depend on the pairing pipeline lives here: the
+tau formulas and the total-rank table (closed forms in tau, s, p, n), the
+bigraded symmetry, the graded Euler characteristic against the classical
+satellite formula for the cable Alexander polynomial, the p = 2 mirror
+comparison, and the closed-form (N, A') grading tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable
 
 from .homology import RankTable
 from .laurent import LaurentPolynomial
+from .thin import ThinModel
+from .type_d import build_typed
 
 
 @dataclass(frozen=True)
@@ -58,23 +60,26 @@ def tau_pq(tau: int, p: int, q: int) -> TauResult:
     )
 
 
-# total-rank table, rows indexed by sign(n - 2*tau), columns by sign(tau);
-# two cells are advisory: they disagree with the assembled complex by 2
-# (high for tau > 0 with n < 2*tau, low for tau < 0 with n = 2*tau)
-def table_rank(tau: int, s: int, p: int, n: int) -> tuple[int, bool]:
-    """Predicted total rank s*(6p-4) + cell, plus an advisory flag."""
+# total-rank table, rows indexed by sign(n - 2*tau), columns by sign(tau)
+def table_rank(tau: int, s: int, p: int, n: int) -> int:
+    """Predicted total rank s*(6p-4) + cell.
+
+    In the n = 2*tau, tau < 0 cell the rank is 2 higher at p = 2: the long
+    staircase arrow that cancels two generators needs the chord sequence
+    (rho_12, rho_1), which only hat operations with p >= 3 carry.
+    """
     if p <= 1:
         raise ValueError(f"cable requires p > 1, got {p}")
     if n < 2 * tau:
         if tau > 0:
-            cell = 8 * p * tau - 8 * tau - 2 * n * p + 2 * n - 2 * p + 5
+            cell = 8 * p * tau - 8 * tau - 2 * n * p + 2 * n - 2 * p + 3
         else:
             cell = -2 * n * p + 2 * n - 1
     elif n == 2 * tau:
         if tau > 0:
             cell = 4 * p * tau - 4 * tau + 1
         elif tau < 0:
-            cell = -4 * p * tau + 4 * tau - 1
+            cell = -4 * p * tau + 4 * tau - 1 + (2 if p == 2 else 0)
         else:
             cell = 1
     else:
@@ -82,8 +87,7 @@ def table_rank(tau: int, s: int, p: int, n: int) -> tuple[int, bool]:
             cell = -8 * p * tau + 8 * tau + 2 * n * p - 2 * n - 2 * p + 5
         else:
             cell = 2 * n * p - 2 * n + 1
-    advisory = (tau > 0 and n < 2 * tau) or (tau < 0 and n == 2 * tau)
-    return s * (6 * p - 4) + cell, advisory
+    return s * (6 * p - 4) + cell
 
 
 def check_symmetry(table: RankTable) -> bool:
@@ -99,47 +103,31 @@ def euler_characteristic(table: RankTable) -> LaurentPolynomial:
     return LaurentPolynomial(coeffs)
 
 
-def _poly_div_exact(num: dict[int, int], den: dict[int, int]) -> dict[int, int]:
-    """Exact division of ordinary polynomials held as degree -> coeff dicts."""
-    num = dict(num)
-    quot: dict[int, int] = {}
-    deg_den = max(den)
-    lead = den[deg_den]
-    while num:
-        deg = max(num)
-        q, r = divmod(num[deg], lead)
-        if r:
-            raise ArithmeticError("polynomial division is not exact")
-        shift = deg - deg_den
-        quot[shift] = q
-        for d, c in den.items():
-            val = num.get(shift + d, 0) - q * c
-            if val:
-                num[shift + d] = val
-            else:
-                num.pop(shift + d, None)
-    return quot
-
-
 def torus_knot_delta(p: int, q: int) -> LaurentPolynomial:
     """Symmetrized Alexander polynomial of the (p, q) torus knot.
 
-    (t^{pq/2} - t^{-pq/2})(t^{1/2} - t^{-1/2}) over
-    (t^{p/2} - t^{-p/2})(t^{q/2} - t^{-q/2}), computed as exact integer
-    division of (t^{pq}-1)(t-1) by (t^p-1)(t^q-1) recentered by
-    (p-1)(q-1)/2.  Mirrors (q < 0) share the polynomial of |q|.
+    Delta = (1 - t) * sum of t^s over the semigroup S = <p, |q|>, recentred
+    by (p-1)(q-1)/2.  The coefficient at k is [k in S] - [k-1 in S].  In the
+    residue class of b*q mod p (0 <= b < p), S holds exactly the integers
+    >= b*q, and k-1 lies in the class of b'*q with b' = b - q^-1 mod p, so
+    the class contributes +1 at each of its points in [b*q, b'*q + 1) and
+    -1 at each in [b'*q + 1, b*q).  Mirrors (q < 0) share the polynomial of
+    |q|.
     """
     if p <= 1:
         raise ValueError(f"torus knot requires p > 1, got {p}")
     q = abs(q)
     if gcd(p, q) != 1:
         raise ValueError(f"torus knot parameters must be coprime, got ({p}, {q})")
-    if q == 1:
-        return LaurentPolynomial.one()
-    num = LaurentPolynomial({p * q: 1, 0: -1}) * LaurentPolynomial({1: 1, 0: -1})
-    den = LaurentPolynomial({p: 1, 0: -1}) * LaurentPolynomial({q: 1, 0: -1})
-    quot = _poly_div_exact(dict(num.items()), dict(den.items()))
-    return LaurentPolynomial(quot).shifted(-(p - 1) * (q - 1) // 2)
+    shift = (p - 1) * (q - 1) // 2
+    step = pow(q, -1, p)
+    coeffs: dict[int, int] = {}
+    for b in range(p):
+        start, below = b * q, (b - step) % p * q + 1
+        sign = 1 if start < below else -1
+        for k in range(min(start, below), max(start, below), p):
+            coeffs[k - shift] = sign
+    return LaurentPolynomial(coeffs)
 
 
 def cable_alexander(delta: LaurentPolynomial, p: int, q: int) -> LaurentPolynomial:
@@ -147,20 +135,163 @@ def cable_alexander(delta: LaurentPolynomial, p: int, q: int) -> LaurentPolynomi
     return delta.inflate(p) * torus_knot_delta(p, q)
 
 
-def mirror_check(
-    delta: LaurentPolynomial,
-    tau: int,
-    n: int,
-    ranktable_fn: Callable[[LaurentPolynomial, int, int, int], RankTable],
-) -> bool:
-    """Compare the p = 2 cable against its mirror, (tau, n) vs (-tau, -n-1).
+def mirror_check(this: RankTable, that: RankTable) -> bool:
+    """Compare the p = 2 cable at (tau, n) with its mirror at (-tau, -n-1).
 
     Valid only at p = 2, where -(2n+1) = 2(-n-1)+1.  Totals must agree and
     the Alexander multisets must be negatives of each other.
     """
-    this = ranktable_fn(delta, tau, 2, n)
-    that = ranktable_fn(delta, -tau, 2, -n - 1)
     if this.total != that.total:
         return False
     mirrored = {-a: r for a, r in this.alexander_multiset().items()}
     return mirrored == that.alexander_multiset()
+
+
+# ---------------------------------------------------------------------------
+# closed-form (N, A') tables, used as an oracle against the group arithmetic
+# ---------------------------------------------------------------------------
+
+def _square_even(corner: str, k: int, t: int, l: int, n: int, p: int) -> tuple[int, int] | None:
+    """Level 2t square formulas; k is the b index (0 means the a generator)."""
+    if corner == "x1" or corner == "x3":
+        return (2 * t, -2 * p * t)
+    if corner == "x4":
+        return (2 * t + 1, -2 * p * t - p)
+    if corner == "x2":
+        return None
+    i = 2 * p - 2 - k
+    if corner == "y1":
+        if 1 <= k <= p - 1:
+            return (4 * k * t + 2 * t - 2 * k - k * k * n - 2 * k * l - k * n,
+                    -2 * p * t + k + k * n * p)
+        if k == p:
+            return (4 * p * t - 2 * t - 2 * p + 1 - n * p * p + n * p + 2 * l - 2 * l * p,
+                    -2 * p * t + p + n * p * p - n * p)
+        return None
+    if corner == "y4":
+        if 1 <= k <= p - 1:
+            return (4 * k * t - 2 * t - k * k * n + k * n - 2 * k * l + 2 * l,
+                    -2 * p * t - p + k + k * n * p - n * p)
+        return (4 * i * t + 2 * t - 1 - i * i * n - 2 * i * l - i * n,
+                -2 * p * t + i * n * p)
+    if corner == "y2":
+        if 1 <= k <= p - 1:
+            return (4 * k * t - 2 * t - 2 * k + 1 - k * k * n + k * n - 2 * k * l + 2 * l,
+                    -2 * p * t + k + k * n * p - n * p)
+        return None
+    if corner == "y3":
+        if 1 <= k <= p - 1:
+            return (4 * k * t + 2 * t + 1 - k * k * n - 2 * k * l - k * n,
+                    -2 * p * t + k - p + k * n * p)
+        return (4 * i * t + 6 * t - i * i * n - 3 * i * n - 2 * i * l - 2 * n - 2 * l,
+                -2 * p * t + i * n * p + n * p)
+    raise ValueError(corner)
+
+
+def _square_odd(corner: str, k: int, t: int, l: int, n: int, p: int) -> tuple[int, int] | None:
+    """Level 2t-1 square formulas."""
+    if corner == "x1" or corner == "x3":
+        return (2 * t - 1, -2 * p * t + p)
+    if corner == "x4":
+        return (2 * t, -2 * p * t)
+    if corner == "x2":
+        return None
+    i = 2 * p - 2 - k
+    if corner == "y1":
+        if 1 <= k <= p - 1:
+            return (4 * k * t + 2 * t - 4 * k - 1 - k * k * n - k * n - 2 * k * l,
+                    -2 * p * t + k + p + k * n * p)
+        if k == p:
+            return (4 * p * t - 2 * t - 4 * p + 2 - n * p * p + n * p - 2 * l * p + 2 * l,
+                    -2 * p * t + 2 * p + n * p * p - n * p)
+        return None
+    if corner == "y4":
+        if 1 <= k <= p - 1:
+            return (4 * k * t - 2 * t - 2 * k + 1 - k * k * n + k * n - 2 * k * l + 2 * l,
+                    -2 * p * t + k + k * n * p - n * p)
+        return (4 * i * t + 2 * t - 2 * i - 2 - i * i * n - 2 * i * l - i * n,
+                -2 * t * p + p + i * n * p)
+    if corner == "y2":
+        if 1 <= k <= p - 1:
+            return (4 * k * t - 2 * t - 4 * k + 2 - k * k * n + k * n - 2 * k * l + 2 * l,
+                    -2 * p * t + k + p + k * n * p - n * p)
+        return None
+    if corner == "y3":
+        if 1 <= k <= p - 1:
+            return (4 * k * t + 2 * t - 2 * k - k * k * n - 2 * k * l - k * n,
+                    -2 * p * t + k + k * n * p)
+        return (4 * i * t + 6 * t - 2 * i - 3 - i * i * n - 3 * i * n - 2 * i * l - 2 * n - 2 * l,
+                -2 * p * t + p + i * n * p + n * p)
+    raise ValueError(corner)
+
+
+def _square_at_level(corner: str, k: int, level: int, l: int, n: int, p: int) -> tuple[int, int] | None:
+    if level % 2 == 0:
+        return _square_even(corner, k, level // 2, l, n, p)
+    return _square_odd(corner, k, (level + 1) // 2, l, n, p)
+
+
+def _mu_grading(k: int, j: int, m: int, l: int, n: int, p: int) -> tuple[int, int]:
+    """(N, A') of b_k mu_{j+1}; separate displays for m > 0 and m < 0."""
+    i = 2 * p - 2 - k
+    if m > 0:
+        if 1 <= k <= p - 1:
+            return (2 * j * k - k * k * n + k * n + 2 * k * l,
+                    -j * p + k - p + k * n * p - 2 * l * p - n * p)
+        return (2 * i * j + 2 * j - 1 + 2 * i * l + 2 * l - i * i * n - i * n,
+                -j * p - 2 * l * p + i * n * p)
+    if 1 <= k <= p - 1:
+        return (-2 * j * k - 2 * k + 1 - k * k * n + k * n + 2 * k * l,
+                j * p + k + k * n * p - n * p - 2 * l * p)
+    return (-2 * i * j - 2 * i - 2 * j - 2 + 2 * i * l + 2 * l - i * i * n - i * n,
+            j * p + p - 2 * l * p + i * n * p)
+
+
+def closed_form_gradings(model: ThinModel, p: int, n: int) -> dict[tuple[str, str], tuple[int, int]]:
+    """(N, A') for every tensor generator family covered by the closed forms.
+
+    Staircase generators borrow square formulas: for tau <= 0, u_{2t+1} and
+    u_{2t+2} read off a*x3 in levels 2t and 2t+1, v_{2t+1} off b*y4 in level
+    2t and v_{2t+2} off b*y3 in level 2t+1; for tau > 0 the sources are a*x4,
+    a*x3 in level -2t-1 and b*y4 in level -2t-1, b*y3 in level -2t-2.  The
+    uncovered families (a*x2 and the high-index b*y1, b*y2) die in homology.
+    """
+    tau = model.params.tau
+    l = model.params.l
+    module = build_typed(model, n)
+    m = 2 * tau - n
+    out: dict[tuple[str, str], tuple[int, int]] = {}
+
+    def put(a_name: str, d_name: str, value: tuple[int, int] | None) -> None:
+        if value is not None:
+            out[(a_name, d_name)] = value
+
+    for gen in module.generators:
+        if gen.kind in ("x", "y"):
+            corner = f"{gen.kind}{gen.index}"
+            if gen.kind == "x":
+                put("a", gen.name, _square_at_level(corner, 0, gen.level, l, n, p))
+            else:
+                for k in range(1, 2 * p - 1):
+                    put(f"b{k}", gen.name, _square_at_level(corner, k, gen.level, l, n, p))
+        elif gen.kind == "u":
+            if tau <= 0:
+                t, odd = divmod(gen.index - 1, 2)
+                corner, level = ("x3", 2 * t) if not odd else ("x3", 2 * t + 1)
+            else:
+                t, odd = divmod(gen.index - 1, 2)
+                corner, level = ("x4", -2 * t - 1) if not odd else ("x3", -2 * t - 1)
+            put("a", gen.name, _square_at_level(corner, 0, level, l, n, p))
+        elif gen.kind == "v":
+            if tau <= 0:
+                t, odd = divmod(gen.index - 1, 2)
+                corner, level = ("y4", 2 * t) if not odd else ("y3", 2 * t + 1)
+            else:
+                t, odd = divmod(gen.index - 1, 2)
+                corner, level = ("y4", -2 * t - 1) if not odd else ("y3", -2 * t - 2)
+            for k in range(1, 2 * p - 1):
+                put(f"b{k}", gen.name, _square_at_level(corner, k, level, l, n, p))
+        else:  # mu
+            for k in range(1, 2 * p - 1):
+                put(f"b{k}", gen.name, _mu_grading(k, gen.index - 1, m, l, n, p))
+    return out

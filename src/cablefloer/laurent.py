@@ -40,10 +40,6 @@ class LaurentPolynomial:
         return cls({0: 1})
 
     @classmethod
-    def monomial(cls, degree: int, coeff: int = 1) -> "LaurentPolynomial":
-        return cls({degree: coeff})
-
-    @classmethod
     def from_centered_list(cls, coeffs: Iterable[int]) -> "LaurentPolynomial":
         """Build from an odd-length coefficient list centered at degree 0.
 

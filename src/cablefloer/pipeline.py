@@ -26,7 +26,6 @@ class CableHomology:
     table: RankTable
     cable_tau: int
     table_value: int
-    table_advisory: bool
     symmetry_ok: bool
     euler_ok: bool
 
@@ -39,9 +38,14 @@ class CableHomology:
         return self.table.total == self.table_value
 
     @property
+    def failed_checks(self) -> list[str]:
+        """Names of the internal checks that failed: symmetry, euler, table."""
+        return [name for name, ok in (("symmetry", self.symmetry_ok), ("euler", self.euler_ok),
+                                      ("table", self.table_match)) if not ok]
+
+    @property
     def consistent(self) -> bool:
-        """Internal checks only; an advisory table mismatch is not a failure."""
-        return self.symmetry_ok and self.euler_ok and (self.table_match or self.table_advisory)
+        return not self.failed_checks
 
 
 def compute_cable_hfk(delta: LaurentPolynomial, tau: int, p: int, n: int) -> CableHomology:
@@ -54,7 +58,6 @@ def compute_cable_hfk(delta: LaurentPolynomial, tau: int, p: int, n: int) -> Cab
     complex_ = pair_modules(module_a, module_d, model.params.l, n)
     table = reduce_complex(complex_)
 
-    table_value, advisory = invariants.table_rank(tau, model.params.s, p, n)
     euler = invariants.euler_characteristic(table)
     # the homology is built from coefficient magnitudes, so its Euler
     # characteristic carries the delta(1) = +1 normalization even when the
@@ -70,13 +73,8 @@ def compute_cable_hfk(delta: LaurentPolynomial, tau: int, p: int, n: int) -> Cab
         complex=complex_,
         table=table,
         cable_tau=invariants.tau_cable(tau, p, n).value,
-        table_value=table_value,
-        table_advisory=advisory,
+        table_value=invariants.table_rank(tau, model.params.s, p, n),
         symmetry_ok=invariants.check_symmetry(table),
         euler_ok=euler == expected_euler,
     )
 
-
-def rank_table(delta: LaurentPolynomial, tau: int, p: int, n: int) -> RankTable:
-    """Just the reduced table; convenience entry point for oracles."""
-    return compute_cable_hfk(delta, tau, p, n).table

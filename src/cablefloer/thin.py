@@ -61,10 +61,6 @@ class ThinModel:
     params: ThinParams
     square_counts: dict[int, int]
 
-    @property
-    def staircase_length(self) -> int:
-        return 2 * abs(self.params.tau) + 1
-
 
 def validate_thin(delta: LaurentPolynomial, tau: int) -> ThinParams:
     """Check symmetry and the rank constraint; derive (a, s, l, g).

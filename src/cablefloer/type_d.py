@@ -51,12 +51,6 @@ class TypeDModule:
                 return gen
         raise KeyError(name)
 
-    def outgoing(self) -> dict[str, list[DEdge]]:
-        out: dict[str, list[DEdge]] = {}
-        for edge in self.edges:
-            out.setdefault(edge.source, []).append(edge)
-        return out
-
     def as_dict(self) -> dict:
         return {
             "tau": self.tau,

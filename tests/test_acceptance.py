@@ -133,28 +133,21 @@ def test_criterion_5_tau_consistency():
 
 
 def test_criterion_6_rank_table():
-    """Non-advisory table cells match; advisory cells are logged, with the
-    trefoil (2,3)-cable pinned against the satellite-polynomial support."""
-    advisory_log = []
+    """The total-rank table matches in every cell, with the trefoil
+    (2,3)-cable pinned against the satellite-polynomial support."""
+    checked = 0
     for delta, tau, p, n in thin_grid_cases():
         result = compute_cable_hfk(delta, tau, p, n)
-        value, advisory = table_rank(tau, result.model.params.s, p, n)
-        if advisory:
-            advisory_log.append((tau, p, n, result.table.total, value))
-        else:
-            assert result.table.total == value, (tau, p, n)
+        assert result.table.total == table_rank(tau, result.model.params.s, p, n), (tau, p, n)
+        checked += 1
 
     trefoil = synthesize_delta(1)
     result = compute_cable_hfk(trefoil, 1, 2, 1)
     support = sorted(d for d, c in oracle_cable_delta(trefoil, 2, 3).items() if c)
     assert result.table.total == 5
     assert sorted(result.table.alexander_multiset()) == support == [-3, -2, 0, 2, 3]
-    value, advisory = table_rank(1, 0, 2, 1)
-    assert advisory and value == 7 and result.table.total != value
-    mismatched = sum(1 for _, _, _, got, want in advisory_log if got != want)
-    print(f"     advisory cells logged: {len(advisory_log)} comparisons, "
-          f"{mismatched} differ from the table (trefoil case: computed 5 vs table 7)")
-    report(6, "table matches on all non-advisory cells; advisory cells reported")
+    assert table_rank(1, 0, 2, 1) == 5
+    report(6, f"table matches the assembled complex on all {checked} grid cables")
 
 
 def test_criterion_7_grading_check_every_run():
@@ -177,7 +170,8 @@ def test_criterion_7_grading_check_every_run():
 def test_criterion_8_lspace_cables():
     """Cables of T(2, 2tau+1) with n >= 2tau-1 are L-space knots, so their
     homology is the staircase of the cable polynomial; mirrors likewise for
-    tau < 0 with n <= 2tau.  This covers both advisory table cells."""
+    tau < 0 with n <= 2tau.  This covers the tau > 0, n < 2tau and the
+    tau < 0, n = 2tau table cells."""
     cases = 0
     for tau in (1, 2, 3, 4):
         delta = synthesize_delta(tau)

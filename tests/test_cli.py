@@ -82,7 +82,7 @@ def test_json_schema(capsys):
     assert payload["total_rank"] == 181
     assert payload["checks"]["symmetry"] is True
     assert payload["checks"]["euler"] is True
-    assert payload["checks"]["table"] == {"value": 181, "advisory": False, "match": True}
+    assert payload["checks"]["table"] == {"value": 181, "match": True}
     assert set(payload) == {"input", "tau", "total_rank", "ranks", "checks"}
     ranks = {(entry["a"], entry["m"]): entry["rank"] for entry in payload["ranks"]}
     assert ranks == GOLDEN_11N50_5_16
@@ -91,13 +91,24 @@ def test_json_schema(capsys):
     assert keys == sorted(keys, key=lambda am: (-am[0], -am[1]))
 
 
-def test_advisory_table_reported(capsys):
+def test_trefoil_cable_table_matches(capsys):
     code, out, _ = run_main(capsys, "--delta", DELTA_TREFOIL, "--tau", "1", "--p", "2",
                             "--n", "1", "--format", "json")
     assert code == 0
     payload = json.loads(out)
     assert payload["total_rank"] == 5
-    assert payload["checks"]["table"] == {"value": 7, "advisory": True, "match": False}
+    assert payload["checks"]["table"] == {"value": 5, "match": True}
+
+
+def test_table_mismatch_exits_two(capsys, monkeypatch):
+    from cablefloer import invariants
+
+    table_rank = invariants.table_rank
+    monkeypatch.setattr(invariants, "table_rank", lambda *args: table_rank(*args) + 1)
+    code, out, err = run_main(capsys, "--delta", "1", "--tau", "0", "--p", "2", "--n", "1")
+    assert code == 2
+    assert json.loads(out)["checks"]["table"] == {"value": 4, "match": False}
+    assert "internal consistency failure: table check failed" in err
 
 
 def test_svg_and_ascii_formats(capsys):

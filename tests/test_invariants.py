@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from cablefloer import (
@@ -5,17 +7,18 @@ from cablefloer import (
     RankTable,
     cable_alexander,
     check_symmetry,
+    compute_cable_hfk,
     euler_characteristic,
     mirror_check,
     parse_delta,
-    rank_table,
+    synthesize_delta,
     table_rank,
     tau_cable,
     tau_pq,
     torus_knot_delta,
 )
 
-from conftest import DELTA_11N50, DELTA_FIG8, DELTA_TREFOIL, GOLDEN_11N50_5_16
+from conftest import DELTA_11N50, DELTA_FIG8, DELTA_TREFOIL, GOLDEN_11N50_5_16, oracle_torus_delta
 
 
 class TestTauCable:
@@ -65,20 +68,28 @@ class TestTauPQ:
 
 class TestTableRank:
     def test_golden_cell(self):
-        assert table_rank(0, 6, 5, 3) == (181, False)
+        assert table_rank(0, 6, 5, 3) == 181
 
     def test_negative_torus_cell(self):
-        assert table_rank(0, 0, 2, -2) == (3, False)
+        assert table_rank(0, 0, 2, -2) == 3
 
-    def test_advisory_cell(self):
-        value, advisory = table_rank(1, 0, 2, 1)
-        assert value == 7 and advisory
+    def test_trefoil_cable_cell(self):
+        assert table_rank(1, 0, 2, 1) == 5      # tau > 0, n < 2 tau
 
-    def test_advisory_flags(self):
-        assert table_rank(-1, 0, 2, -2)[1]      # tau < 0, n = 2 tau
-        assert table_rank(2, 0, 3, 1)[1]        # tau > 0, n < 2 tau
-        assert not table_rank(-1, 0, 2, 0)[1]   # n > 2 tau, tau < 0
-        assert not table_rank(0, 0, 2, 0)[1]    # tau = 0 diagonal
+    def test_corrected_cells(self):
+        assert table_rank(-1, 0, 2, -2) == 5    # tau < 0, n = 2 tau, p = 2
+        assert table_rank(-1, 0, 3, -2) == 7    # the same cell at p = 3 gains nothing
+        assert table_rank(2, 0, 3, 1) == 25     # tau > 0, n < 2 tau
+
+    def test_matches_pipeline_in_every_cell(self):
+        for tau in (-2, -1, 0, 1, 2):
+            for counts in ({}, {0: 1}):
+                delta = synthesize_delta(tau, counts)
+                for p in (2, 3, 4, 5):
+                    for n in range(-4, 5):
+                        result = compute_cable_hfk(delta, tau, p, n)
+                        expected = table_rank(tau, result.model.params.s, p, n)
+                        assert result.table.total == expected, (tau, counts, p, n)
 
 
 class TestChecks:
@@ -128,22 +139,37 @@ class TestCableAlexander:
         with pytest.raises(ValueError):
             torus_knot_delta(2, 4)
 
+    def test_semigroup_matches_long_division(self):
+        for p in range(2, 13):
+            for q in range(1, 201):
+                if gcd(p, q) == 1:
+                    expected = LaurentPolynomial(oracle_torus_delta(p, q))
+                    assert torus_knot_delta(p, q) == expected, (p, q)
+                    assert torus_knot_delta(p, -q) == expected, (p, -q)
+
+    @pytest.mark.parametrize("p, q", [(60, 12001), (20, 4881)])
+    def test_semigroup_large(self, p, q):
+        assert torus_knot_delta(p, q) == LaurentPolynomial(oracle_torus_delta(p, q))
+
+
+def p2_pair(delta_text, tau, n):
+    """Tables of the p = 2 cable at (tau, n) and of its mirror at (-tau, -n-1)."""
+    delta = parse_delta(delta_text)
+    return (compute_cable_hfk(delta, tau, 2, n).table,
+            compute_cable_hfk(delta, -tau, 2, -n - 1).table)
+
 
 class TestMirror:
     def test_trefoil(self):
-        assert mirror_check(parse_delta(DELTA_TREFOIL), 1, 1, rank_table)
+        assert mirror_check(*p2_pair(DELTA_TREFOIL, 1, 1))
 
     def test_unknot(self):
-        assert mirror_check(LaurentPolynomial.one(), 0, 1, rank_table)
+        assert mirror_check(*p2_pair("1", 0, 1))
 
     def test_figure_eight(self):
-        assert mirror_check(parse_delta(DELTA_FIG8), 0, 0, rank_table)
+        assert mirror_check(*p2_pair(DELTA_FIG8, 0, 0))
 
     def test_detects_mismatch(self):
-        def wrong(delta, tau, p, n):
-            table = rank_table(delta, tau, p, n)
-            if tau < 0:
-                return RankTable({(0, 0): table.total + 1})
-            return table
-
-        assert not mirror_check(parse_delta(DELTA_TREFOIL), 1, 1, wrong)
+        this, that = p2_pair(DELTA_TREFOIL, 1, 1)
+        assert not mirror_check(this, RankTable({(0, 0): that.total + 1}))
+        assert not mirror_check(this, RankTable({(a + 1, m): r for (a, m), r in that.ranks.items()}))

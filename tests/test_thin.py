@@ -116,17 +116,17 @@ class TestSquareCounts:
 class TestBuildModel:
     def test_figure_eight(self):
         model = build_model(parse_delta(DELTA_FIG8), 0)
-        assert model.staircase_length == 1
+        assert model.params.a - 4 * model.params.s == 1  # staircase length
         assert model.square_counts == {0: 1}
 
     def test_trefoil(self):
         model = build_model(parse_delta(DELTA_TREFOIL), 1)
-        assert model.staircase_length == 3
+        assert model.params.a - 4 * model.params.s == 3
         assert model.square_counts == {}
 
     def test_11n50(self):
         model = build_model(parse_delta(DELTA_11N50), 0)
-        assert model.staircase_length == 1
+        assert model.params.a - 4 * model.params.s == 1
         assert model.square_counts == {1: 2, 0: 2, -1: 2}
 
 
