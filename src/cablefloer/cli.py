@@ -6,7 +6,7 @@ result as JSON, TSV, polynomial text, an SVG scatter or an ASCII grid.
 
 Exit codes: 0 success, 1 invalid input or usage, 2 internal consistency
 failure (a failed symmetry, Euler or total-rank table check, a mis-graded
-arrow or d^2 != 0 signals a bug, not bad input).
+arrow, d^2 != 0 or any other exception signals a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -133,6 +133,9 @@ def run(config: RunConfig, stream=None) -> int:
     except (ThinInputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # any other failure is a bug: exit 2, never a traceback
+        print(f"internal consistency failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
     stream.write(text)
     if not outcome.consistent:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -86,29 +86,34 @@ def _cancel_block(arrows: list[tuple[int, int]]) -> set[int]:
 
 
 def reduce_complex(complex_: BigradedComplex) -> RankTable:
-    """Full cancellation; surviving generators binned by bigrading.
+    """Full cancellation; the bigrading counts minus the killed generators.
 
     Every arrow must keep the Alexander grading and lower the Maslov grading
     by one; a correctly assembled complex always does, so any other arrow
     raises ComplexError.  Arrows therefore never cross Alexander gradings,
     the cancellation splits into independent blocks, and the resulting
-    table does not depend on cancellation order.
+    table does not depend on cancellation order.  Only arrow endpoints can
+    be killed, so gradings are read for those alone; a count that would go
+    below zero means the counts and the generators disagree, and raises.
     """
     blocks: dict[int, list[tuple[int, int]]] = {}
+    maslov: dict[int, int] = {}  # arrow endpoint -> Maslov grading
     gens = complex_.generators
     for src, tgt in complex_.arrows:
         x, y = gens[src], gens[tgt]
         if x.alexander != y.alexander or x.maslov != y.maslov + 1:
             raise ComplexError(f"mis-graded arrow {x.name} (A={x.alexander}, M={x.maslov}) -> "
                                f"{y.name} (A={y.alexander}, M={y.maslov})")
+        maslov[src], maslov[tgt] = x.maslov, y.maslov
         blocks.setdefault(x.alexander, []).append((src, tgt))
     _check_d_squared(complex_.arrows)
-    killed: set[int] = set()
+    ranks = dict(complex_.bigradings)
     for alexander in sorted(blocks):
-        killed |= _cancel_block(blocks[alexander])
-    ranks: dict[tuple[int, int], int] = {}
-    for i, gen in enumerate(gens):
-        if i not in killed:
-            key = (gen.alexander, gen.maslov)
-            ranks[key] = ranks.get(key, 0) + 1
+        killed = Counter(maslov[i] for i in _cancel_block(blocks[alexander]))
+        for m, count in killed.items():
+            counted = ranks.get((alexander, m), 0)
+            if count > counted:
+                raise ComplexError(f"bigrading (A={alexander}, M={m}) loses {count} generators "
+                                   f"to cancellation but counts {counted}")
+            ranks[alexander, m] = counted - count
     return RankTable(ranks)

@@ -14,21 +14,32 @@ A tensor grading therefore depends only on the A generator, the idempotent
 and the grading of the complement generator, so each distinct (idempotent,
 D grading) row is normalized once and shared: all squares at one level carry
 the same gradings (the box tensor product is additive over those summands),
-and so do the x1 and x3 corners of every square.  The complex itself stays
-whole, one record per tensor generator, since the benchmark's generator
-count and the selfcheck's closed-form comparison read every generator.
+and so do the x1 and x3 corners of every square.  The complex is therefore
+columnar: each complement generator points at its shared row, bigrading
+counts are rows times multiplicities, and a TensorGenerator record is built
+only when someone reads it.  The view still has every generator, in order,
+for the benchmark's generator count and the selfcheck's closed-form
+comparison.
 The closed-form grading tables that cross-check this group arithmetic live
 in invariants.py with the other pipeline-independent oracles.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 from .gradings import GradingElement, normalize_double_coset
 from .type_a import CHORD_PREFIX, TypeAModule, hat_operations  # noqa: F401 (re-exported)
 from .type_d import TypeDModule
+
+# A shared row: the (N, A', alexander, maslov) of each A generator of one
+# idempotent group, in A order
+Row = tuple[tuple[int, int, int, int], ...]
 
 
 class TensorGenerator(NamedTuple):
@@ -44,10 +55,52 @@ class TensorGenerator(NamedTuple):
         return f"{self.a_side} {self.d_side}"
 
 
+class TensorGenerators(Sequence):
+    """Read-only view of the tensor generators in complement-major order.
+
+    Complement generator j pairs with the A generators a_names[j] and owns
+    the indices starts[j] .. starts[j] + len(a_names[j]) - 1; the k-th of
+    them reads its gradings at rows[j][k].  A record is built each time an
+    index is read.
+    """
+
+    def __init__(self, d_names: tuple[str, ...], a_names: tuple[tuple[str, ...], ...],
+                 rows: tuple[Row, ...]):
+        self.d_names = d_names
+        self.a_names = a_names
+        self.rows = rows
+        self.starts = list(accumulate(map(len, a_names), initial=0))
+        self._len = self.starts.pop()
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i: int) -> TensorGenerator:
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("tensor generator index out of range")
+        j = bisect_right(self.starts, i) - 1
+        k = i - self.starts[j]
+        return TensorGenerator._make((self.a_names[j][k], self.d_names[j]) + self.rows[j][k])
+
+    def __iter__(self):
+        for d_name, a_names, row in zip(self.d_names, self.a_names, self.rows):
+            for a_name, value in zip(a_names, row):
+                yield TensorGenerator._make((a_name, d_name) + value)
+
+
 @dataclass(frozen=True)
 class BigradedComplex:
-    generators: tuple[TensorGenerator, ...]
+    generators: Sequence[TensorGenerator]
     arrows: tuple[tuple[int, int], ...]  # (source index, target index)
+    # generator count per (alexander, maslov); counted over generators when not given
+    bigradings: Mapping[tuple[int, int], int] | None = None
+
+    def __post_init__(self):
+        if self.bigradings is None:
+            object.__setattr__(self, "bigradings",
+                               dict(Counter((g.alexander, g.maslov) for g in self.generators)))
 
     def as_dict(self) -> dict:
         return {
@@ -69,12 +122,12 @@ def shift_constant(l: int, p: int, n: int) -> int:
     return l * p - n * p * (p - 1) // 2
 
 
-def _by_idempotent(A: TypeAModule) -> dict[str, list[str]]:
+def _by_idempotent(A: TypeAModule) -> dict[str, tuple[str, ...]]:
     """A generators by the complement idempotent they pair with, in A order."""
     by_idempotent: dict[str, list[str]] = {}
     for a_name in A.generators:
         by_idempotent.setdefault(A.pairs_with(a_name), []).append(a_name)
-    return by_idempotent
+    return {idempotent: tuple(group) for idempotent, group in by_idempotent.items()}
 
 
 def tensor_generators(A: TypeAModule, D: TypeDModule) -> list[tuple[str, str]]:
@@ -126,8 +179,10 @@ def tensor_differential(A: TypeAModule, D: TypeDModule) -> list[tuple[tuple[str,
     return arrows
 
 
-def tensor_gradings(A: TypeAModule, D: TypeDModule, c: int) -> dict[tuple[str, str], tuple[int, int, int, int]]:
-    """(N, A', alexander, maslov) for every tensor generator, in tensor_generators order.
+def _shared_rows(A: TypeAModule, D: TypeDModule, c: int
+                 ) -> tuple[list[tuple[str, ...]], list[Row], list[tuple[Row, int]]]:
+    """Per complement generator in D order, its A generators and its row; and
+    each distinct row with its multiplicity.
 
     With D.h, A.g and c fixed, a tensor grading depends only on the A
     generator, the idempotent and the D grading, so the row of an
@@ -137,26 +192,49 @@ def tensor_gradings(A: TypeAModule, D: TypeDModule, c: int) -> dict[tuple[str, s
     different A generators.
     """
     by_idempotent = _by_idempotent(A)
-    rows: dict[tuple[str, GradingElement], list[tuple[str, tuple[int, int, int, int]]]] = {}
-    out = {}
+    counted: dict[tuple[str, GradingElement], list] = {}  # key -> [row, multiplicity]
+    groups, row_of = [], []
     for d_gen in D.generators:
-        key = (d_gen.idempotent, d_gen.grading)
-        row = rows.get(key)
-        if row is None:
-            row = rows[key] = []
-            for a_name in by_idempotent.get(d_gen.idempotent, ()):
+        key = (d_gen.idempotent, d_gen.grading)  # hashed once: GradingElement hashes in Python
+        group = by_idempotent.get(d_gen.idempotent, ())
+        entry = counted.get(key)
+        if entry is None:
+            values = []
+            for a_name in group:
                 norm = normalize_double_coset(A.gradings[a_name] * d_gen.grading, A.g, D.h)
                 alexander = norm.Aprime + c
-                row.append((a_name, (norm.N, norm.Aprime, alexander, norm.N + 2 * alexander)))
-        for a_name, value in row:
-            out[(a_name, d_gen.name)] = value
-    return out
+                values.append((norm.N, norm.Aprime, alexander, norm.N + 2 * alexander))
+            entry = counted[key] = [tuple(values), 0]
+        entry[1] += 1
+        groups.append(group)
+        row_of.append(entry[0])
+    return groups, row_of, [(row, count) for row, count in counted.values()]
+
+
+def tensor_gradings(A: TypeAModule, D: TypeDModule, c: int) -> dict[tuple[str, str], tuple[int, int, int, int]]:
+    """(N, A', alexander, maslov) for every tensor generator, in tensor_generators order."""
+    groups, row_of, _ = _shared_rows(A, D, c)
+    return {(a_name, d_gen.name): value
+            for d_gen, group, row in zip(D.generators, groups, row_of) for a_name, value in zip(group, row)}
 
 
 def pair_modules(A: TypeAModule, D: TypeDModule, l: int, n: int) -> BigradedComplex:
-    """Assemble the full bigraded complex of the cable, one record per tensor generator."""
-    gradings = tensor_gradings(A, D, shift_constant(l, A.p, n))  # keyed in tensor_generators order
-    index = {pair: i for i, pair in enumerate(gradings)}
-    generators = tuple(TensorGenerator(a, d, *value) for (a, d), value in gradings.items())
-    arrows = tuple(sorted((index[src], index[tgt]) for src, tgt in tensor_differential(A, D)))
-    return BigradedComplex(generators=generators, arrows=arrows)
+    """Assemble the bigraded complex of the cable from the shared rows.
+
+    No per-generator record or index is built: generators is a view over
+    (complement generator, its A generators, its row, start offset), the
+    index of a*d is the start of d plus the position of a in its idempotent
+    group, and the bigrading counts are each distinct row times its
+    multiplicity.
+    """
+    groups, row_of, counted = _shared_rows(A, D, shift_constant(l, A.p, n))
+    generators = TensorGenerators(tuple(d_gen.name for d_gen in D.generators), tuple(groups), tuple(row_of))
+    start = dict(zip(generators.d_names, generators.starts))
+    position = {a_name: k for group in _by_idempotent(A).values() for k, a_name in enumerate(group)}
+    arrows = tuple(sorted((start[d_src] + position[a_src], start[d_tgt] + position[a_tgt])
+                          for (a_src, d_src), (a_tgt, d_tgt) in tensor_differential(A, D)))
+    bigradings: dict[tuple[int, int], int] = {}
+    for row, count in counted:
+        for _, _, alexander, maslov in row:
+            bigradings[alexander, maslov] = bigradings.get((alexander, maslov), 0) + count
+    return BigradedComplex(generators=generators, arrows=arrows, bigradings=bigradings)

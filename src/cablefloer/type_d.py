@@ -45,12 +45,6 @@ class TypeDModule:
     def m(self) -> int:
         return 2 * self.tau - self.framing
 
-    def generator(self, name: str) -> DGenerator:
-        for gen in self.generators:
-            if gen.name == name:
-                return gen
-        raise KeyError(name)
-
     def as_dict(self) -> dict:
         return {
             "tau": self.tau,

@@ -51,7 +51,8 @@ def test_counted_names_resolve():
     (1, {1: 2, -1: 2}, 3, 2),              # m = 0
 ])
 def test_complex_stays_whole(tau, counts, p, n):
-    """Every tensor generator is a record; the benchmark compares this count with its prediction."""
+    """The generator view, built on demand from shared rows, still counts every
+    tensor generator; the benchmark compares this count with its prediction."""
     s = sum(counts.values())
     model = build_model(synthesize_delta(tau, counts), tau)
     complex_ = pairing.pair_modules(build_typea_minus(p), build_typed(model, n), model.params.l, n)

@@ -143,6 +143,20 @@ def test_grading_error_exits_two(capsys, monkeypatch):
     assert "internal consistency failure: injected" in err
 
 
+def test_unexpected_exception_exits_two(capsys, monkeypatch):
+    """Any exception outside the named clauses is a bug: exit 2, no traceback."""
+    from cablefloer import pipeline
+
+    def broken(complex_):
+        raise KeyError("injected")
+
+    monkeypatch.setattr(pipeline, "reduce_complex", broken)
+    code, out, err = run_main(capsys, "--delta", "1", "--tau", "0", "--p", "2", "--n", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "internal consistency failure: KeyError: 'injected'\n"
+
+
 def test_validation_errors_exit_one(capsys):
     assert run_main(capsys, "--delta", "1,-1", "--tau", "0", "--p", "2", "--n", "1")[0] == 1
     assert run_main(capsys, "--delta", "1,2,1", "--tau", "0", "--p", "2", "--n", "1")[0] == 1

@@ -122,6 +122,24 @@ class TestReduce:
         with pytest.raises(ComplexError):
             reduce_complex(complex_)
 
+    def test_bigradings_default_to_generator_count(self):
+        complex_ = BigradedComplex(
+            generators=(gen("a", "g0", 0, 1), gen("b1", "g1", 0, 0), gen("b2", "g2", 0, 0)),
+            arrows=((0, 1),),
+        )
+        assert complex_.bigradings == {(0, 1): 1, (0, 0): 2}
+        assert reduce_complex(complex_).ranks == {(0, 0): 1}
+
+    def test_undercounted_bigrading_raises(self):
+        # the arrow cancels both generators, but the counts hold none at (0, 0)
+        complex_ = BigradedComplex(
+            generators=(gen("a", "g0", 0, 1), gen("b1", "g1", 0, 0)),
+            arrows=((0, 1),),
+            bigradings={(0, 1): 1},
+        )
+        with pytest.raises(ComplexError, match=r"bigrading \(A=0, M=0\)"):
+            reduce_complex(complex_)
+
     def test_unfiltered_cross_grading_arrow_raises(self):
         complex_ = BigradedComplex(
             generators=(gen("a", "g0", 1, 1), gen("b1", "g1", 0, 0)),

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -6,6 +7,7 @@ from cablefloer import (
     DEdge,
     DGenerator,
     GradingElement,
+    TensorGenerator,
     TypeDModule,
     build_model,
     build_typea_minus,
@@ -65,6 +67,13 @@ def reference_gradings(A, D, c):
 
 # 55 squares over the 21 levels -10..10, up to three per level
 SPREAD_55 = {0: 1, **{i: 3 for i in range(-8, 9) if i}, 9: 2, -9: 2, 10: 1, -10: 1}
+
+ROW_CASES = pytest.mark.parametrize("tau, counts, p, n", [
+    (0, {1: 2, 0: 2, -1: 2}, 5, 3),    # golden 11n50: two squares per level
+    (10, SPREAD_55, 10, 30),           # 55 squares spread over 21 levels
+    (-2, {1: 2, 0: 3, -1: 2}, 3, -1),  # tau < 0, m < 0
+    (0, {}, 4, 0),                     # the zero-framed unknot
+], ids=["golden-11n50", "spread-55", "tau-neg-m-neg", "unknot-n0"])
 
 
 class TestTensorGenerators:
@@ -217,12 +226,7 @@ class TestGradings:
         for g in complex_.generators:
             assert (g.N, g.Aprime, g.alexander, g.maslov) == gradings[(g.a_side, g.d_side)]
 
-    @pytest.mark.parametrize("tau, counts, p, n", [
-        (0, {1: 2, 0: 2, -1: 2}, 5, 3),    # golden 11n50: two squares per level
-        (10, SPREAD_55, 10, 30),           # 55 squares spread over 21 levels
-        (-2, {1: 2, 0: 3, -1: 2}, 3, -1),  # tau < 0, m < 0
-        (0, {}, 4, 0),                     # the zero-framed unknot
-    ], ids=["golden-11n50", "spread-55", "tau-neg-m-neg", "unknot-n0"])
+    @ROW_CASES
     def test_shared_rows_match_per_generator_reference(self, tau, counts, p, n):
         model = build_model(synthesize_delta(tau, counts), tau)
         assert model.params.s == sum(counts.values())
@@ -231,6 +235,29 @@ class TestGradings:
         gradings = tensor_gradings(A, D, c)
         want = reference_gradings(A, D, c)
         assert list(gradings.items()) == list(want.items())
+
+    @ROW_CASES
+    def test_generator_view_matches_eager_records(self, tau, counts, p, n):
+        """The lazy view, the row-times-multiplicity counts and the offset
+        arrow indices against one record per generator and an index dict."""
+        model = build_model(synthesize_delta(tau, counts), tau)
+        A, D = build_typea_minus(p), build_typed(model, n)
+        gradings = tensor_gradings(A, D, shift_constant(model.params.l, p, n))
+        want = [TensorGenerator(a, d, *gradings[(a, d)]) for a, d in tensor_generators(A, D)]
+        complex_ = pair_modules(A, D, model.params.l, n)
+        generators = complex_.generators
+        assert list(generators) == want
+        assert len(generators) == len(want)
+        assert [generators[i] for i in range(len(want))] == want
+        assert generators[-1] == want[-1]
+        assert generators[-len(want)] == want[0]
+        for i in (len(want), -len(want) - 1):
+            with pytest.raises(IndexError):
+                generators[i]
+        assert complex_.bigradings == Counter((g.alexander, g.maslov) for g in want)
+        index = {(g.a_side, g.d_side): i for i, g in enumerate(want)}
+        assert complex_.arrows == tuple(sorted((index[src], index[tgt])
+                                               for src, tgt in tensor_differential(A, D)))
 
     def test_rows_keyed_by_idempotent_and_grading(self):
         # s and y share a grading but pair with different A generators, and

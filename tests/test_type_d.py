@@ -62,12 +62,14 @@ class TestBuild:
 
     def test_left_trefoil(self):
         module = module_for(DELTA_TREFOIL, -1, -2)
+        names = {g.name: g for g in module.generators}
         assert module.h == GradingElement.of(-Fraction(3, 2), -1, 2, 0)
-        assert module.generator("u3").grading == GradingElement.of(1, 0, 2, 0)
+        assert names["u3"].grading == GradingElement.of(1, 0, 2, 0)
 
     def test_right_trefoil(self):
         module = module_for(DELTA_TREFOIL, 1, 1)
-        assert module.generator("u3").grading == GradingElement.of(-1, 0, -2, 0)
+        names = {g.name: g for g in module.generators}
+        assert names["u3"].grading == GradingElement.of(-1, 0, -2, 0)
 
     def test_degenerate_staircase_self_loop(self):
         module = module_for("1", 0, 0)
@@ -116,12 +118,12 @@ class TestBuild:
                 assert gen.grading == GradingElement.identity() * shift
 
     def test_staircase_and_square_gradings_differ_by_case(self):
-        case1 = module_for(DELTA_TREFOIL, -1, 0)
-        case2 = module_for(DELTA_TREFOIL, 1, 0)
-        assert case1.generator("v1").grading == GradingElement.of(-half, -half, half, 0)
-        assert case2.generator("v1").grading == GradingElement.of(-half, -half, -half, 0)
-        assert case1.generator("v2").grading == GradingElement.of(Fraction(3, 2), half, Fraction(3, 2), 0)
-        assert case2.generator("v2").grading == GradingElement.of(-Fraction(3, 2), half, -Fraction(3, 2), 0)
+        case1 = {g.name: g for g in module_for(DELTA_TREFOIL, -1, 0).generators}
+        case2 = {g.name: g for g in module_for(DELTA_TREFOIL, 1, 0).generators}
+        assert case1["v1"].grading == GradingElement.of(-half, -half, half, 0)
+        assert case2["v1"].grading == GradingElement.of(-half, -half, -half, 0)
+        assert case1["v2"].grading == GradingElement.of(Fraction(3, 2), half, Fraction(3, 2), 0)
+        assert case2["v2"].grading == GradingElement.of(-Fraction(3, 2), half, -Fraction(3, 2), 0)
 
 
 def test_h_specialization_at_m_zero():
