@@ -9,13 +9,11 @@ from .gradings import (
     LAMBDA,
     GradingElement,
     GradingError,
-    NormalizedGrading,
     normalize_double_coset,
     rho_grading,
 )
 from .homology import ComplexError, RankTable, reduce_complex
 from .invariants import (
-    TauResult,
     cable_alexander,
     check_symmetry,
     closed_form_gradings,
@@ -33,7 +31,6 @@ from .pairing import (
     pair_modules,
     shift_constant,
     tensor_differential,
-    tensor_generators,
     tensor_gradings,
 )
 from .pipeline import CableHomology, compute_cable_hfk
@@ -64,9 +61,7 @@ __all__ = [
     "GradingError",
     "LAMBDA",
     "LaurentPolynomial",
-    "NormalizedGrading",
     "RankTable",
-    "TauResult",
     "TensorGenerator",
     "ThinInputError",
     "ThinModel",
@@ -97,7 +92,6 @@ __all__ = [
     "tau_cable",
     "tau_pq",
     "tensor_differential",
-    "tensor_generators",
     "tensor_gradings",
     "torus_knot_delta",
     "unstable_chain",

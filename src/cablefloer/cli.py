@@ -4,9 +4,10 @@ Computes the bigraded knot Floer homology of the (p, p*n+1)-cable of a thin
 knot from (delta, tau, p, n), or just tau of a (p, q)-cable, and renders the
 result as JSON, TSV, polynomial text, an SVG scatter or an ASCII grid.
 
-Exit codes: 0 success, 1 invalid input or usage, 2 internal consistency
-failure (a failed symmetry, Euler or total-rank table check, a mis-graded
-arrow, d^2 != 0 or any other exception signals a bug, not bad input).
+Exit codes: 0 success, 1 invalid input, usage or a cable over the size
+budget, 2 internal consistency failure (a failed symmetry, Euler or
+total-rank table check, a mis-graded arrow, d^2 != 0 or any other exception
+signals a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -88,11 +89,9 @@ def _json_text(result: CableHomology) -> str:
         "tau": result.cable_tau,
         "total_rank": result.table.total,
         "ranks": [{"a": a, "m": m, "rank": rank} for a, m, rank in result.table.entries()],
-        "checks": {
-            "symmetry": result.symmetry_ok,
-            "euler": result.euler_ok,
-            "table": {"value": result.table_value, "match": result.table_match},
-        },
+        # symmetry, euler, table in that order; table also carries its closed form
+        "checks": {**result.checks,
+                   "table": {"value": result.table_value, "match": result.checks["table"]}},
     }
     return json.dumps(payload, indent=2) + "\n"
 
@@ -119,8 +118,7 @@ def run(config: RunConfig, stream=None) -> int:
                 raise ThinInputError("tau mode needs exactly one of --q / --n")
             build_model(delta, config.tau)  # reject non-thin input early
             q = config.q if config.q is not None else config.p * config.n + 1
-            result = invariants.tau_pq(config.tau, config.p, q)
-            stream.write(f"{result.value}\n")
+            stream.write(f"{invariants.tau_pq(config.tau, config.p, q)}\n")
             return 0
         if config.n is None or config.q is not None:
             raise ThinInputError("hfk mode needs --n (the cable is (p, p*n+1))")
@@ -168,9 +166,9 @@ def _selfcheck(stream) -> int:
         else:
             stream.write(f"ok   {name} ({len(grid)} runs)\n")
 
-    check("symmetry", [key for key, r in results.items() if not r.symmetry_ok])
-    check("euler characteristic", [key for key, r in results.items() if not r.euler_ok])
-    check("total-rank table", [key for key, r in results.items() if not r.table_match])
+    for name, label in (("symmetry", "symmetry"), ("euler", "euler characteristic"),
+                        ("table", "total-rank table")):
+        check(label, [key for key, r in results.items() if not r.checks[name]])
 
     per_square = []
     for (delta, tau, p, n), r in results.items():
@@ -188,7 +186,7 @@ def _selfcheck(stream) -> int:
 
     tau_mismatch = []
     for (_, tau, p, n), r in results.items():
-        if invariants.tau_pq(tau, p, p * n + 1).value != r.cable_tau:
+        if invariants.tau_pq(tau, p, p * n + 1) != r.cable_tau:
             tau_mismatch.append((tau, p, n))
     check("tau closed forms agree", tau_mismatch)
 

@@ -105,18 +105,11 @@ def rho_grading(label: str) -> GradingElement:
     return out
 
 
-@dataclass(frozen=True)
-class NormalizedGrading:
-    """Double-coset representative with zeroed middle slots: the pair (N, A')."""
-
-    N: int
-    Aprime: int
-
-
 def normalize_double_coset(
     x: GradingElement, g: GradingElement, h: GradingElement
-) -> NormalizedGrading:
-    """Reduce x to its (N, A') double-coset coordinates.
+) -> tuple[int, int]:
+    """Reduce x to its (N, A') double-coset coordinates, the first and fourth
+    entries of the representative whose middle slots are zero.
 
     Requires middle slots (0, 1) for g and (-1, *) for h.  The right power
     of h is folded in first (it is the unique one zeroing the b slot); the
@@ -146,4 +139,4 @@ def normalize_double_coset(
     za2, zd2 = ya2 + alpha * g.a2, yd2 + alpha * g.d2
     if za2 % 2 or zd2 % 2:
         raise GradingError(f"normalized entries of {GradingElement(za2, 0, 0, zd2)} are not integers")
-    return NormalizedGrading(N=za2 // 2, Aprime=zd2 // 2)
+    return za2 // 2, zd2 // 2

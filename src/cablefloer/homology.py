@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .pairing import BigradedComplex
 
@@ -38,26 +38,20 @@ class RankTable:
         return out
 
 
-def _check_d_squared(arrows: Iterable[tuple[int, int]]) -> None:
-    outgoing: dict[int, set[int]] = {}
-    for src, tgt in arrows:
-        outgoing.setdefault(src, set()).add(tgt)
-    for src, targets in outgoing.items():
-        acc: dict[int, int] = {}
-        for mid in targets:
-            for tgt in outgoing.get(mid, ()):
-                acc[tgt] = acc.get(tgt, 0) ^ 1
-        if any(acc.values()):
-            raise ComplexError(f"d^2 != 0 at generator index {src}")
-
-
 def _cancel_block(arrows: list[tuple[int, int]]) -> set[int]:
-    """Cancel arrows over GF(2) until none remain; return killed generators."""
+    """Check d^2 = 0, then cancel arrows over GF(2) until none remain; return
+    killed generators."""
     outgoing: dict[int, set[int]] = {}
     incoming: dict[int, set[int]] = {}
     for src, tgt in arrows:
         outgoing.setdefault(src, set()).add(tgt)
         incoming.setdefault(tgt, set()).add(src)
+    for src, targets in outgoing.items():
+        two_step: set[int] = set()  # ends of an odd number of 2-paths from src
+        for mid in targets:
+            two_step.symmetric_difference_update(outgoing.get(mid, ()))
+        if two_step:
+            raise ComplexError(f"d^2 != 0 at generator index {src}")
     killed: set[int] = set()
     queue = deque(arrows)
     while queue:
@@ -90,9 +84,10 @@ def reduce_complex(complex_: BigradedComplex) -> RankTable:
 
     Every arrow must keep the Alexander grading and lower the Maslov grading
     by one; a correctly assembled complex always does, so any other arrow
-    raises ComplexError.  Arrows therefore never cross Alexander gradings,
-    the cancellation splits into independent blocks, and the resulting
-    table does not depend on cancellation order.  Only arrow endpoints can
+    raises ComplexError.  Arrows therefore never cross Alexander gradings, so
+    every 2-path stays inside one block: d^2 = 0 is checked and the
+    cancellation runs block by block, and the resulting table does not
+    depend on cancellation order.  Only arrow endpoints can
     be killed, so gradings are read for those alone; a count that would go
     below zero means the counts and the generators disagree, and raises.
     """
@@ -106,7 +101,6 @@ def reduce_complex(complex_: BigradedComplex) -> RankTable:
                                f"{y.name} (A={y.alexander}, M={y.maslov})")
         maslov[src], maslov[tgt] = x.maslov, y.maslov
         blocks.setdefault(x.alexander, []).append((src, tgt))
-    _check_d_squared(complex_.arrows)
     ranks = dict(complex_.bigradings)
     for alexander in sorted(blocks):
         killed = Counter(maslov[i] for i in _cancel_block(blocks[alexander]))

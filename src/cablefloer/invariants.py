@@ -9,7 +9,6 @@ comparison, and the closed-form (N, A') grading tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .homology import RankTable
@@ -18,13 +17,7 @@ from .thin import ThinModel
 from .type_d import build_typed
 
 
-@dataclass(frozen=True)
-class TauResult:
-    value: int
-    branch: str  # "nonneg_case" or "shifted_case"
-
-
-def tau_cable(tau: int, p: int, n: int) -> TauResult:
+def tau_cable(tau: int, p: int, n: int) -> int:
     """tau of the (p, p*n+1)-cable of a thin knot with invariant tau.
 
     p*tau + n*p*(p-1)/2 when tau = 0 with n >= 0 or tau > 0; the same plus
@@ -34,11 +27,11 @@ def tau_cable(tau: int, p: int, n: int) -> TauResult:
         raise ValueError(f"cable requires p > 1, got {p}")
     base = p * tau + n * p * (p - 1) // 2
     if (tau == 0 and n >= 0) or tau > 0:
-        return TauResult(base, "nonneg_case")
-    return TauResult(base + p - 1, "shifted_case")
+        return base
+    return base + p - 1
 
 
-def tau_pq(tau: int, p: int, q: int) -> TauResult:
+def tau_pq(tau: int, p: int, q: int) -> int:
     """tau of the (p, q)-cable for coprime p > 1, q.
 
     p*tau + (p-1)(q-1)/2 when tau = 0 with q >= 1 or tau > 0;
@@ -51,9 +44,9 @@ def tau_pq(tau: int, p: int, q: int) -> TauResult:
     if gcd(p, q) != 1:
         raise ValueError(f"cable parameters must be coprime, got ({p}, {q})")
     if (tau == 0 and q >= 1) or tau > 0:
-        return TauResult(p * tau + (p - 1) * (q - 1) // 2, "nonneg_case")
+        return p * tau + (p - 1) * (q - 1) // 2
     if (tau == 0 and q <= 1 - p) or tau < 0:
-        return TauResult(p * tau + (p - 1) * (q + 1) // 2, "shifted_case")
+        return p * tau + (p - 1) * (q + 1) // 2
     raise ValueError(
         f"tau of the ({p}, {q})-cable with tau = 0 is outside the known range "
         f"(1 - p < q < 1)"

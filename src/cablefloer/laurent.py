@@ -32,14 +32,6 @@ class LaurentPolynomial:
         self._coeffs = clean
 
     @classmethod
-    def zero(cls) -> "LaurentPolynomial":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPolynomial":
-        return cls({0: 1})
-
-    @classmethod
     def from_centered_list(cls, coeffs: Iterable[int]) -> "LaurentPolynomial":
         """Build from an odd-length coefficient list centered at degree 0.
 
@@ -118,10 +110,6 @@ class LaurentPolynomial:
     def inflate(self, p: int) -> "LaurentPolynomial":
         """Substitute t -> t**p."""
         return LaurentPolynomial({p * d: c for d, c in self._coeffs.items()})
-
-    def shifted(self, k: int) -> "LaurentPolynomial":
-        """Multiply by t**k."""
-        return LaurentPolynomial({d + k: c for d, c in self._coeffs.items()})
 
     # -- comparisons / display -----------------------------------------
 

@@ -130,13 +130,6 @@ def _by_idempotent(A: TypeAModule) -> dict[str, tuple[str, ...]]:
     return {idempotent: tuple(group) for idempotent, group in by_idempotent.items()}
 
 
-def tensor_generators(A: TypeAModule, D: TypeDModule) -> list[tuple[str, str]]:
-    """Complementary-idempotent pairs, complement-major order."""
-    by_idempotent = _by_idempotent(A)
-    return [(a_name, d_gen.name) for d_gen in D.generators
-            for a_name in by_idempotent.get(d_gen.idempotent, ())]
-
-
 def tensor_differential(A: TypeAModule, D: TypeDModule) -> list[tuple[tuple[str, str], tuple[str, str]]]:
     """Arrows from walking the complement module along the hat-operation chords.
 
@@ -201,9 +194,9 @@ def _shared_rows(A: TypeAModule, D: TypeDModule, c: int
         if entry is None:
             values = []
             for a_name in group:
-                norm = normalize_double_coset(A.gradings[a_name] * d_gen.grading, A.g, D.h)
-                alexander = norm.Aprime + c
-                values.append((norm.N, norm.Aprime, alexander, norm.N + 2 * alexander))
+                N, Aprime = normalize_double_coset(A.gradings[a_name] * d_gen.grading, A.g, D.h)
+                alexander = Aprime + c
+                values.append((N, Aprime, alexander, N + 2 * alexander))
             entry = counted[key] = [tuple(values), 0]
         entry[1] += 1
         groups.append(group)
@@ -212,7 +205,7 @@ def _shared_rows(A: TypeAModule, D: TypeDModule, c: int
 
 
 def tensor_gradings(A: TypeAModule, D: TypeDModule, c: int) -> dict[tuple[str, str], tuple[int, int, int, int]]:
-    """(N, A', alexander, maslov) for every tensor generator, in tensor_generators order."""
+    """(N, A', alexander, maslov) for every tensor generator, complement-major order."""
     groups, row_of, _ = _shared_rows(A, D, c)
     return {(a_name, d_gen.name): value
             for d_gen, group, row in zip(D.generators, groups, row_of) for a_name, value in zip(group, row)}

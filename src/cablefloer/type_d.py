@@ -41,10 +41,6 @@ class TypeDModule:
     edges: tuple[DEdge, ...]
     h: GradingElement = field(repr=False)
 
-    @property
-    def m(self) -> int:
-        return 2 * self.tau - self.framing
-
     def as_dict(self) -> dict:
         return {
             "tau": self.tau,

@@ -58,7 +58,7 @@ def test_criterion_2_torus_knot_oracle(p, n):
     """Unknot cables are torus knots; compare with the staircase oracle."""
     q = p * n + 1
     expected = oracle_staircase(oracle_torus_delta(p, q), mirror=q < 0)
-    result = compute_cable_hfk(LaurentPolynomial.one(), 0, p, n)
+    result = compute_cable_hfk(LaurentPolynomial({0: 1}), 0, p, n)
     assert dict(result.table.ranks) == expected
     report(2, f"T({p},{q}) staircase reproduced exactly ({len(expected)} generators)")
 
@@ -122,13 +122,13 @@ def test_criterion_5_tau_consistency():
     for tau in (-2, -1, 0, 1, 2):
         for p in (2, 3, 4, 5):
             for n in range(-4, 5):
-                assert tau_cable(tau, p, n).value == tau_pq(tau, p, p * n + 1).value
+                assert tau_cable(tau, p, n) == tau_pq(tau, p, p * n + 1)
                 checked += 1
     for p in (2, 3, 4, 5):
         for q in range(1, 12):
             if q % p == 0 or (p % 2 == 0 and q % 2 == 0):
                 continue
-            assert tau_pq(0, p, q).value == (p - 1) * (q - 1) // 2
+            assert tau_pq(0, p, q) == (p - 1) * (q - 1) // 2
     report(5, f"tau formulas consistent on {checked} parameter triples")
 
 

@@ -7,11 +7,22 @@ per-layer metric instead of breaking the benchmark.
 
 import importlib
 import importlib.util
+import io
+import json
 from pathlib import Path
 
 import pytest
 
-from cablefloer import build_model, build_typea_minus, build_typed, pairing, synthesize_delta
+from cablefloer import (
+    LaurentPolynomial,
+    build_model,
+    build_typea_minus,
+    build_typed,
+    cli,
+    compute_cable_hfk,
+    pairing,
+    synthesize_delta,
+)
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "cablebench" / "tracer.py"
 REMOVED = {("cablefloer.pipeline", "grading_filter")}  # repair mode is gone; its layer reads 0
@@ -67,3 +78,28 @@ def test_tensor_generator_record():
     assert gen.name == "b3 y4.s0"
     with pytest.raises(AttributeError):
         gen.maslov = 0
+
+
+def test_result_surface_resolves():
+    """What cablebench/run.py reads from a run, its stages and the CLI."""
+    delta = LaurentPolynomial.from_centered_list([2, -6, 9, -6, 2])
+    result = compute_cable_hfk(delta, 0, 5, 3)
+    assert type(result.cable_tau) is int and result.cable_tau == 30
+    assert sum(result.table.ranks.values()) == result.table.total == 181
+    model = result.model
+    assert (model.params.s, model.params.l) == (6, 0)
+    assert sum(model.square_counts.values()) == 6
+    module_d = build_typed(model, 3)
+    assert len(module_d.edges) > 0
+    assert {(g.kind, g.idempotent) for g in module_d.generators} == {
+        ("u", "i0"), ("x", "i0"), ("y", "i1"), ("mu", "i1")}
+    complex_ = result.complex
+    assert complex_.arrows
+    assert all(type(complex_.generators[src].alexander) is int for src, _ in complex_.arrows)
+
+    config = cli.RunConfig(delta="2,-6,9,-6,2", tau=0, p=5, n=3, fmt="json")
+    out = io.StringIO()
+    assert cli.run(config, out) == 0
+    doc = json.loads(out.getvalue())
+    assert {(e["a"], e["m"]): e["rank"] for e in doc["ranks"]} == result.table.ranks
+    assert doc["tau"] == result.cable_tau

@@ -100,15 +100,66 @@ def test_trefoil_cable_table_matches(capsys):
     assert payload["checks"]["table"] == {"value": 5, "match": True}
 
 
-def test_table_mismatch_exits_two(capsys, monkeypatch):
+@pytest.mark.parametrize("name, stage, broken", [
+    ("symmetry", "check_symmetry", lambda real: lambda table: False),
+    ("euler", "euler_characteristic", lambda real: lambda table: -real(table)),
+    ("table", "table_rank", lambda real: lambda *args: real(*args) + 1),
+], ids=["symmetry", "euler", "table"])
+def test_failed_check_exits_two(capsys, monkeypatch, name, stage, broken):
+    """Each of the three checks, failing alone, exits 2 and is the one named,
+    by a single run and by the selfcheck."""
     from cablefloer import invariants
 
-    table_rank = invariants.table_rank
-    monkeypatch.setattr(invariants, "table_rank", lambda *args: table_rank(*args) + 1)
+    monkeypatch.setattr(invariants, stage, broken(getattr(invariants, stage)))
     code, out, err = run_main(capsys, "--delta", "1", "--tau", "0", "--p", "2", "--n", "1")
     assert code == 2
-    assert json.loads(out)["checks"]["table"] == {"value": 4, "match": False}
-    assert "internal consistency failure: table check failed" in err
+    checks = json.loads(out)["checks"]
+    assert list(checks) == ["symmetry", "euler", "table"]
+    assert checks["table"]["value"] == (4 if name == "table" else 3)
+    verdicts = {**checks, "table": checks["table"]["match"]}
+    assert verdicts == {"symmetry": name != "symmetry", "euler": name != "euler", "table": name != "table"}
+    assert err == f"internal consistency failure: {name} check failed\n"
+
+    code, out, _ = run_main(capsys, "--mode", "selfcheck")
+    assert code == 2
+    label = {"symmetry": "symmetry", "euler": "euler characteristic", "table": "total-rank table"}[name]
+    assert [line[5:line.index(":")] for line in out.splitlines() if line.startswith("FAIL ")] == [label]
+
+
+@pytest.mark.parametrize("p, n, message", [
+    ("2", "100000000", "the (2, 200000001)-cable needs 200000004 generators, over the budget of 1000000"),
+    ("2000", "3", "the (2000, 6001)-cable's satellite polynomial spans 11994000 degrees, "
+                  "over the budget of 10000000"),
+], ids=["generators", "satellite-degrees"])
+def test_oversized_cable_refused_before_building(capsys, monkeypatch, p, n, message):
+    from cablefloer import pipeline
+
+    def unreachable(*args):
+        raise AssertionError("a module was built for a refused cable")
+
+    monkeypatch.setattr(pipeline, "build_typed", unreachable)
+    code, out, err = run_main(capsys, "--delta", "1", "--tau", "0", "--p", p, "--n", n)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_budget_counts_every_generator_and_degree(monkeypatch):
+    """At its exact predicted size a cable runs; one below, it is refused."""
+    from cablefloer import cable_alexander, compute_cable_hfk, parse_delta, pipeline
+
+    delta, tau, p, n = parse_delta(DELTA_11N50), 0, 5, 3
+    generators = len(compute_cable_hfk(delta, tau, p, n).complex.generators) + 2 * p - 1
+    degrees = cable_alexander(delta, p, p * n + 1).support()
+    degrees = degrees[-1] - degrees[0]
+    for name, size, word in (("MAX_GENERATORS", generators, "generators"),
+                             ("MAX_SATELLITE_DEGREES", degrees, "degrees")):
+        monkeypatch.setattr(pipeline, name, size)
+        assert compute_cable_hfk(delta, tau, p, n).table.total == 181
+        monkeypatch.setattr(pipeline, name, size - 1)
+        with pytest.raises(ValueError, match=f" {size} {word}, over the budget of {size - 1}$"):
+            compute_cable_hfk(delta, tau, p, n)
+        monkeypatch.undo()
 
 
 def test_svg_and_ascii_formats(capsys):

@@ -119,8 +119,27 @@ class TestReduce:
             generators=(gen("a", "g0", 0, 2), gen("b1", "g1", 0, 1), gen("b1", "g2", 0, 0)),
             arrows=((0, 1), (1, 2)),
         )
-        with pytest.raises(ComplexError):
+        with pytest.raises(ComplexError, match=r"^d\^2 != 0 at generator index 0$"):
             reduce_complex(complex_)
+
+    def test_d_squared_violation_in_second_block_raises(self):
+        # Alexander block 0 is one clean arrow; a -> b -> c sits in block 1
+        complex_ = BigradedComplex(
+            generators=(gen("a", "g0", 0, 1), gen("b1", "g1", 0, 0),
+                        gen("a", "g2", 1, 2), gen("b1", "g3", 1, 1), gen("b2", "g4", 1, 0)),
+            arrows=((0, 1), (2, 3), (3, 4)),
+        )
+        with pytest.raises(ComplexError, match=r"^d\^2 != 0 at generator index 2$"):
+            reduce_complex(complex_)
+
+    def test_d_squared_paths_cancel_mod_two(self):
+        # da = b + c, db = dc = d: the two 2-paths a -> d cancel over F2
+        complex_ = BigradedComplex(
+            generators=(gen("a", "g0", 0, 2), gen("b1", "g1", 0, 1),
+                        gen("b1", "g2", 0, 1), gen("b2", "g3", 0, 0)),
+            arrows=((0, 1), (0, 2), (1, 3), (2, 3)),
+        )
+        assert reduce_complex(complex_).total == 0
 
     def test_bigradings_default_to_generator_count(self):
         complex_ = BigradedComplex(

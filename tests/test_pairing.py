@@ -21,7 +21,6 @@ from cablefloer import (
     shift_constant,
     synthesize_delta,
     tensor_differential,
-    tensor_generators,
     tensor_gradings,
 )
 
@@ -52,16 +51,20 @@ def reference_differential(A, D):
     return {arrow for arrow, odd in parity.items() if odd}
 
 
+def reference_pairs(A, D):
+    """Complementary-idempotent (A generator, D generator) pairs, complement-major order."""
+    return [(a_name, d_gen.name) for d_gen in D.generators for a_name in A.generators
+            if A.pairs_with(a_name) == d_gen.idempotent]
+
+
 def reference_gradings(A, D, c):
     """Every tensor generator normalized on its own, complement-major order."""
     out = {}
-    for d_gen in D.generators:
-        for a_name in A.generators:
-            if A.pairs_with(a_name) != d_gen.idempotent:
-                continue
-            norm = normalize_double_coset(A.gradings[a_name] * d_gen.grading, A.g, D.h)
-            alexander = norm.Aprime + c
-            out[(a_name, d_gen.name)] = (norm.N, norm.Aprime, alexander, norm.N + 2 * alexander)
+    grading = {d_gen.name: d_gen.grading for d_gen in D.generators}
+    for a_name, d_name in reference_pairs(A, D):
+        N, Aprime = normalize_double_coset(A.gradings[a_name] * grading[d_name], A.g, D.h)
+        alexander = Aprime + c
+        out[(a_name, d_name)] = (N, Aprime, alexander, N + 2 * alexander)
     return out
 
 
@@ -76,20 +79,26 @@ ROW_CASES = pytest.mark.parametrize("tau, counts, p, n", [
 ], ids=["golden-11n50", "spread-55", "tau-neg-m-neg", "unknot-n0"])
 
 
+def generator_pairs(delta_text, tau, p, n):
+    """(A side, D side) of every generator of the paired complex, with the
+    reference loop checked to list the same pairs."""
+    A, D, model = modules_for(delta_text, tau, p, n)
+    pairs = [(g.a_side, g.d_side) for g in pair_modules(A, D, model.params.l, n).generators]
+    assert pairs == reference_pairs(A, D)
+    return pairs
+
+
 class TestTensorGenerators:
     def test_unknot_p2(self):
-        A, D, _ = modules_for("1", 0, 2, 1)
-        assert tensor_generators(A, D) == [("a", "u1"), ("b1", "mu1"), ("b2", "mu1")]
+        assert generator_pairs("1", 0, 2, 1) == [("a", "u1"), ("b1", "mu1"), ("b2", "mu1")]
 
     def test_right_trefoil_count(self):
-        A, D, _ = modules_for(DELTA_TREFOIL, 1, 2, 1)
-        pairs = tensor_generators(A, D)
+        pairs = generator_pairs(DELTA_TREFOIL, 1, 2, 1)
         assert len(pairs) == 9
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_square_block_size(self, p):
-        A, D, model = modules_for("-1,3,-1", 0, p, 1)  # figure-eight: one square
-        pairs = tensor_generators(A, D)
+        pairs = generator_pairs("-1,3,-1", 0, p, 1)  # figure-eight: one square
         square_pairs = [pair for pair in pairs if "." in pair[1]]
         assert len(square_pairs) == 4 + 4 * (2 * p - 2)
 
@@ -222,7 +231,7 @@ class TestGradings:
         A, D, model = modules_for(delta_text, tau, p, n)
         complex_ = pair_modules(A, D, model.params.l, n)
         gradings = tensor_gradings(A, D, shift_constant(model.params.l, p, n))
-        assert [(g.a_side, g.d_side) for g in complex_.generators] == tensor_generators(A, D)
+        assert [(g.a_side, g.d_side) for g in complex_.generators] == reference_pairs(A, D)
         for g in complex_.generators:
             assert (g.N, g.Aprime, g.alexander, g.maslov) == gradings[(g.a_side, g.d_side)]
 
@@ -243,7 +252,7 @@ class TestGradings:
         model = build_model(synthesize_delta(tau, counts), tau)
         A, D = build_typea_minus(p), build_typed(model, n)
         gradings = tensor_gradings(A, D, shift_constant(model.params.l, p, n))
-        want = [TensorGenerator(a, d, *gradings[(a, d)]) for a, d in tensor_generators(A, D)]
+        want = [TensorGenerator(a, d, *gradings[(a, d)]) for a, d in reference_pairs(A, D)]
         complex_ = pair_modules(A, D, model.params.l, n)
         generators = complex_.generators
         assert list(generators) == want
@@ -313,7 +322,7 @@ def test_closed_forms_cover_every_survivor():
     A = build_typea_minus(p)
     D = build_typed(model, n)
     oracle = closed_form_gradings(model, p, n)
-    missing = {pair for pair in tensor_generators(A, D) if pair not in oracle}
+    missing = {pair for pair in reference_pairs(A, D) if pair not in oracle}
     for a_name, d_name in missing:
         corner = d_name.split(".")[0]
         assert corner in ("x2", "y1", "y2")
