@@ -93,7 +93,7 @@ def euler_characteristic(table: RankTable) -> LaurentPolynomial:
     coeffs: dict[int, int] = {}
     for (a, m), r in table.ranks.items():
         coeffs[a] = coeffs.get(a, 0) + (r if m % 2 == 0 else -r)
-    return LaurentPolynomial(coeffs)
+    return LaurentPolynomial._trusted(coeffs)  # sums of int ranks
 
 
 def torus_knot_delta(p: int, q: int) -> LaurentPolynomial:
@@ -120,7 +120,7 @@ def torus_knot_delta(p: int, q: int) -> LaurentPolynomial:
         sign = 1 if start < below else -1
         for k in range(min(start, below), max(start, below), p):
             coeffs[k - shift] = sign
-    return LaurentPolynomial(coeffs)
+    return LaurentPolynomial._trusted(coeffs)  # every coefficient is +1 or -1
 
 
 def cable_alexander(delta: LaurentPolynomial, p: int, q: int) -> LaurentPolynomial:

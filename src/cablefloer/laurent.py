@@ -32,6 +32,14 @@ class LaurentPolynomial:
         self._coeffs = clean
 
     @classmethod
+    def _trusted(cls, coeffs: dict[int, int]) -> "LaurentPolynomial":
+        """Wrap coefficients already known to be ints, such as results of this
+        class's own arithmetic, skipping the type checks; zeros are dropped."""
+        out = cls.__new__(cls)
+        out._coeffs = {deg: coeff for deg, coeff in coeffs.items() if coeff}
+        return out
+
+    @classmethod
     def from_centered_list(cls, coeffs: Iterable[int]) -> "LaurentPolynomial":
         """Build from an odd-length coefficient list centered at degree 0.
 
@@ -92,10 +100,10 @@ class LaurentPolynomial:
         out = dict(self._coeffs)
         for deg, coeff in other._coeffs.items():
             out[deg] = out.get(deg, 0) + coeff
-        return LaurentPolynomial(out)
+        return LaurentPolynomial._trusted(out)
 
     def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial({d: -c for d, c in self._coeffs.items()})
+        return LaurentPolynomial._trusted({d: -c for d, c in self._coeffs.items()})
 
     def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         return self + (-other)
@@ -105,11 +113,11 @@ class LaurentPolynomial:
         for d1, c1 in self._coeffs.items():
             for d2, c2 in other._coeffs.items():
                 out[d1 + d2] = out.get(d1 + d2, 0) + c1 * c2
-        return LaurentPolynomial(out)
+        return LaurentPolynomial._trusted(out)
 
     def inflate(self, p: int) -> "LaurentPolynomial":
         """Substitute t -> t**p."""
-        return LaurentPolynomial({p * d: c for d, c in self._coeffs.items()})
+        return LaurentPolynomial._trusted({p * d: c for d, c in self._coeffs.items()})
 
     # -- comparisons / display -----------------------------------------
 

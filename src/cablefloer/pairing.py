@@ -12,14 +12,20 @@ A = A' + c and M = N + 2A with the shift constant c = l*p - n*p*(p-1)/2.
 
 A tensor grading therefore depends only on the A generator, the idempotent
 and the grading of the complement generator, so each distinct (idempotent,
-D grading) row is normalized once and shared: all squares at one level carry
-the same gradings (the box tensor product is additive over those summands),
-and so do the x1 and x3 corners of every square.  The complex is therefore
-columnar: each complement generator points at its shared row, bigrading
-counts are rows times multiplicities, and a TensorGenerator record is built
-only when someone reads it.  The view still has every generator, in order,
-for the benchmark's generator count and the selfcheck's closed-form
-comparison.
+D grading) row is built once and shared: all squares at one level carry the
+same gradings (the box tensor product is additive over those summands), and
+so do the x1 and x3 corners of every square.  A new row needs no group
+arithmetic per generator either: with the A generator and the D grading's b
+slot fixed (the doubled b slot is -1, 0 or 1), the power of h is fixed and
+every later step of normalize_double_coset(gr(a) * x) is linear in x's
+doubled (a, c, d) slots.  One normalization per (A generator, b slot), at
+the first row with that b slot, gives that affine map's integer constants,
+and each row entry is two integer dot products plus the group law's parity
+checks.  The complex is columnar: each complement generator points at its
+shared row, bigrading counts are rows times multiplicities, and a
+TensorGenerator record is built only when someone reads it.  The view still
+has every generator, in order, for the benchmark's generator count and the
+selfcheck's closed-form comparison.
 The closed-form grading tables that cross-check this group arithmetic live
 in invariants.py with the other pipeline-independent oracles.
 """
@@ -33,7 +39,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
 
-from .gradings import GradingElement, normalize_double_coset
+from .gradings import GradingElement, GradingError, affine_normalization, normalize_double_coset
 from .type_a import CHORD_PREFIX, TypeAModule, hat_operations  # noqa: F401 (re-exported)
 from .type_d import TypeDModule
 
@@ -172,6 +178,14 @@ def tensor_differential(A: TypeAModule, D: TypeDModule) -> list[tuple[tuple[str,
     return arrows
 
 
+def _refusal(y: GradingElement, x: GradingElement) -> Exception:
+    """The group law's error for a y * x that does not normalize: an odd
+    determinant term fails the product, before any normalization check."""
+    if (y.b2 * x.c2 - y.c2 * x.b2) % 2:
+        return ArithmeticError(f"determinant term of {y} * {x} is not a half-integer")
+    return GradingError(f"{y} * {x} does not normalize to integers")
+
+
 def _shared_rows(A: TypeAModule, D: TypeDModule, c: int
                  ) -> tuple[list[tuple[str, ...]], list[Row], list[tuple[Row, int]]]:
     """Per complement generator in D order, its A generators and its row; and
@@ -179,22 +193,37 @@ def _shared_rows(A: TypeAModule, D: TypeDModule, c: int
 
     With D.h, A.g and c fixed, a tensor grading depends only on the A
     generator, the idempotent and the D grading, so the row of an
-    (idempotent, D grading) key is normalized once and reused: squares at one
+    (idempotent, D grading) key is built once and reused: squares at one
     level share their rows, and so do the x1 and x3 corners of every square.
     The idempotent belongs in the key because i0 and i1 rows run over
-    different A generators.
+    different A generators.  A row is two integer dot products per A
+    generator, with the affine constants of each (A generator, b slot)
+    normalized once.
     """
     by_idempotent = _by_idempotent(A)
+    # (idempotent, b slot) -> c parity of its anchor, constants per A generator
+    affine: dict[tuple[str, int], tuple[int, list]] = {}
     counted: dict[tuple[str, GradingElement], list] = {}  # key -> [row, multiplicity]
     groups, row_of = [], []
     for d_gen in D.generators:
-        key = (d_gen.idempotent, d_gen.grading)  # hashed once: GradingElement hashes in Python
-        group = by_idempotent.get(d_gen.idempotent, ())
+        idempotent, x = d_gen.idempotent, d_gen.grading
+        key = (idempotent, x)  # hashed once: GradingElement hashes in Python
+        group = by_idempotent.get(idempotent, ())
         entry = counted.get(key)
         if entry is None:
+            slot = affine.get((idempotent, x.b2))
+            if slot is None:  # the first row of this b slot anchors its maps
+                slot = affine[idempotent, x.b2] = (x.c2 % 2, [
+                    affine_normalization(A.gradings[a_name], x, A.g, D.h, normalize_double_coset)
+                    for a_name in group])
+            c_parity, maps = slot
+            a2, c2, d2, parity = 2 * x.a2, x.c2, 2 * x.d2, x.c2 % 2
             values = []
-            for a_name in group:
-                N, Aprime = normalize_double_coset(A.gradings[a_name] * d_gen.grading, A.g, D.h)
+            for a_name, (n0, nc, m0, mc) in zip(group, maps):
+                n, m = n0 + a2 + nc * c2, m0 + d2 + mc * c2
+                if parity != c_parity or n % 4 or m % 4:
+                    raise _refusal(A.gradings[a_name], x)
+                N, Aprime = n // 4, m // 4
                 alexander = Aprime + c
                 values.append((N, Aprime, alexander, N + 2 * alexander))
             entry = counted[key] = [tuple(values), 0]

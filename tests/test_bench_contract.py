@@ -45,7 +45,8 @@ def test_traced_name_resolves(module_name, attr, layer):
 
 
 def test_counted_names_resolve():
-    for attr in ("hat_operations", "shift_constant", "tensor_gradings", "tensor_differential"):
+    for attr in ("hat_operations", "normalize_double_coset", "shift_constant", "tensor_gradings",
+                 "tensor_differential"):
         assert callable(getattr(pairing, attr, None)), attr
     module = build_typea_minus(4)
     ops = list(module.finite_operations)
@@ -69,6 +70,26 @@ def test_complex_stays_whole(tau, counts, p, n):
     complex_ = pairing.pair_modules(build_typea_minus(p), build_typed(model, n), model.params.l, n)
     predicted = (2 * abs(tau) + 1 + 4 * s) + (2 * p - 2) * (2 * abs(tau) + 4 * s + abs(2 * tau - n))
     assert len(complex_.generators) == predicted
+
+
+def test_gradings_rollup_sees_every_normalization(monkeypatch):
+    """The tracer's gradings rollup wraps normalize_double_coset on
+    cablefloer.pairing: the rows must call it through that name, once per
+    (A generator, b slot) of the complement module."""
+    calls = []
+    real = pairing.normalize_double_coset
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(pairing, "normalize_double_coset", counted)
+    p, n = 7, -100
+    model = build_model(synthesize_delta(3, {0: 1}), 3)
+    module_d = build_typed(model, n)
+    pairing.pair_modules(build_typea_minus(p), module_d, model.params.l, n)
+    slots = {(g.idempotent, g.grading.b2) for g in module_d.generators}
+    assert len(calls) == sum(1 if idempotent == "i0" else 2 * p - 2 for idempotent, _ in slots)
 
 
 def test_tensor_generator_record():

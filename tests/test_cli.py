@@ -194,6 +194,30 @@ def test_grading_error_exits_two(capsys, monkeypatch):
     assert "internal consistency failure: injected" in err
 
 
+def test_complement_grading_error_exits_two(capsys, monkeypatch):
+    """A complement grading that does not normalize fails in the pairing
+    itself, not in an injected normalization, and still exits 2."""
+    from dataclasses import replace
+
+    from cablefloer import (GradingElement, GradingError, build_model, build_typea_minus, pair_modules,
+                            parse_delta, pipeline)
+
+    real = pipeline.build_typed
+
+    def odd_c_slot(model, n):
+        module = real(model, n)
+        first = replace(module.generators[0], grading=GradingElement(0, 0, 1, 0))
+        return replace(module, generators=(first,) + module.generators[1:])
+
+    with pytest.raises(GradingError) as raised:
+        pair_modules(build_typea_minus(2), odd_c_slot(build_model(parse_delta("1"), 0), 1), 0, 1)
+    monkeypatch.setattr(pipeline, "build_typed", odd_c_slot)
+    code, out, err = run_main(capsys, "--delta", "1", "--tau", "0", "--p", "2", "--n", "1")
+    assert code == 2
+    assert out == ""
+    assert err == f"internal consistency failure: {raised.value}\n"
+
+
 def test_unexpected_exception_exits_two(capsys, monkeypatch):
     """Any exception outside the named clauses is a bug: exit 2, no traceback."""
     from cablefloer import pipeline

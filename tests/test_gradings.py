@@ -1,15 +1,20 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cablefloer import (
     LAMBDA,
+    DGenerator,
     GradingElement,
     GradingError,
+    TypeDModule,
+    build_typea_minus,
     normalize_double_coset,
     rho_grading,
+    tensor_gradings,
 )
 
 F = Fraction
@@ -188,3 +193,57 @@ def outcome(fn, *args):
 @given(elements, left_normalizers, right_normalizers)
 def test_normalize_matches_group_law(x, g, h):
     assert outcome(normalize_double_coset, x, g, h) == outcome(reference_normalize, x, g, h)
+
+
+# complement gradings: b slot -1, 0 or 1, and a c slot of either parity, so
+# the determinant and c-slot failures both occur
+d_gradings = st.builds(
+    GradingElement,
+    st.integers(-12, 12),
+    st.sampled_from((-1, 0, 1)),
+    st.integers(-12, 12),
+    st.integers(-12, 12),
+)
+
+
+def affine_rows(ys, xs, g, h):
+    """(N, A') of every tensor generator of a pattern with A gradings ys
+    (a, b1, b2) and complement generators xs of (idempotent, grading)."""
+    A = replace(build_typea_minus(2), gradings=dict(zip(("a", "b1", "b2"), ys)), g=g)
+    gens = tuple(DGenerator(f"x{j}", idem, x, "x", j) for j, (idem, x) in enumerate(xs))
+    D = TypeDModule(tau=0, framing=0, generators=gens, edges=(), h=h)
+    return [value[:2] for value in tensor_gradings(A, D, 0).values()]
+
+
+@settings(max_examples=300)
+@given(st.lists(elements, min_size=3, max_size=3),
+       st.lists(st.tuples(st.sampled_from(("i0", "i1")), d_gradings), min_size=1, max_size=4),
+       left_normalizers, right_normalizers)
+def test_affine_rows_match_group_law(ys, xs, g, h):
+    """Rows from the affine maps of each (A generator, b slot) against one
+    normalize_double_coset(y * x, g, h) per generator, values and first error."""
+
+    def reference():
+        return [normalize_double_coset(y * x, g, h)
+                for idem, x in xs for y in (ys[:1] if idem == "i0" else ys[1:])]
+
+    assert outcome(affine_rows, ys, xs, g, h) == outcome(reference)
+
+
+shifts = st.lists(st.tuples(*(st.integers(-2, 2) for _ in range(3))), max_size=4)
+
+
+@given(elements, st.integers(-6, 6), st.integers(-6, 6), st.integers(-3, 3), st.sampled_from((-1, 1)),
+       left_normalizers, right_normalizers, shifts)
+def test_affine_rows_near_a_double_coset(y, N, Aprime, k, sign, g, h, shifts):
+    """An anchor x with y * x = g^k (N; 0, 0; A') h^j normalizes to (N, A');
+    gradings shifted from it in the a, c and d slots then meet its maps and
+    hit every outcome: values, entries that are not integers, and c slots of
+    the wrong parity."""
+    b2 = sign * (y.b2 % 2)
+    x = y.inverse() * g**k * GradingElement(2 * N, 0, 0, 2 * Aprime) * h ** ((-y.b2 - b2) // 2)
+    assert x.b2 == b2
+    assert affine_rows([y, y, y], [("i0", x)], g, h) == [normalize_double_coset(y * x, g, h)] == [(N, Aprime)]
+    xs = [x] + [GradingElement(x.a2 + da, b2, x.c2 + dc, x.d2 + dd) for da, dc, dd in shifts]
+    assert outcome(affine_rows, [y, y, y], [("i0", x) for x in xs], g, h) == outcome(
+        lambda: [normalize_double_coset(y * x, g, h) for x in xs])

@@ -92,3 +92,13 @@ def test_inflate_multiplicative(a, p):
     f = poly(a)
     assert (f * f).inflate(p) == f.inflate(p) * f.inflate(p)
     assert f.inflate(p)(1) == f(1)
+
+
+@given(coeff_dicts, coeff_dicts)
+def test_arithmetic_stores_no_zero_coefficients(a, b):
+    """Results of arithmetic skip the public constructor's checks but keep its
+    invariant, so equality stays dict equality."""
+    f, g = poly(a), poly(b)
+    for result in (f + g, -f, f - g, f * g, f.inflate(3), f * -f):
+        assert 0 not in dict(result.items()).values()
+        assert result == LaurentPolynomial(dict(result.items()))

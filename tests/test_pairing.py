@@ -7,6 +7,7 @@ from cablefloer import (
     DEdge,
     DGenerator,
     GradingElement,
+    GradingError,
     TensorGenerator,
     TypeDModule,
     build_model,
@@ -76,7 +77,9 @@ ROW_CASES = pytest.mark.parametrize("tau, counts, p, n", [
     (10, SPREAD_55, 10, 30),           # 55 squares spread over 21 levels
     (-2, {1: 2, 0: 3, -1: 2}, 3, -1),  # tau < 0, m < 0
     (0, {}, 4, 0),                     # the zero-framed unknot
-], ids=["golden-11n50", "spread-55", "tau-neg-m-neg", "unknot-n0"])
+    (3, {0: 1}, 7, -100),              # long unstable chain, m = 106
+    (-2, {}, 6, 96),                   # long unstable chain, m = -100
+], ids=["golden-11n50", "spread-55", "tau-neg-m-neg", "unknot-n0", "chain-m106", "chain-m-100"])
 
 
 def generator_pairs(delta_text, tau, p, n):
@@ -286,6 +289,25 @@ class TestGradings:
         assert list(gradings.items()) == list(reference_gradings(A, D, 7).items())
         assert list(gradings) == [("a", "s"), ("b1", "y"), ("b2", "y"), ("a", "t"), ("b1", "z"), ("b2", "z")]
         assert gradings[("a", "s")] != gradings[("b1", "y")]
+
+    @pytest.mark.parametrize("idempotent, grading, error", [
+        ("i0", GradingElement(0, 0, 1, 0), GradingError),       # odd doubled c slot
+        ("i1", GradingElement(0, 1, 0, 0), ArithmeticError),    # b and c half-parts differ
+    ], ids=["odd-c-slot", "odd-determinant"])
+    @pytest.mark.parametrize("first", [True, False], ids=["anchor", "later-row"])
+    def test_grading_that_does_not_normalize_raises(self, idempotent, grading, error, first):
+        """One hand-made complement grading outside the group's half-integer
+        lattice fails the pairing with the group law's own error, whether it
+        anchors its b slot's affine maps or meets maps anchored before it."""
+        A, D, model = modules_for(DELTA_11N50, 0, 5, 3)
+        ks = [j for j, g in enumerate(D.generators) if g.idempotent == idempotent]
+        k = ks[0] if first else ks[-1]
+        D = replace(D, generators=D.generators[:k] + (replace(D.generators[k], grading=grading),)
+                    + D.generators[k + 1:])
+        with pytest.raises(error):
+            reference_gradings(A, D, 0)
+        with pytest.raises(error):
+            pair_modules(A, D, model.params.l, 3)
 
     def test_arrows_preserve_alexander_and_drop_maslov(self):
         for delta_text, tau, p, n in ((DELTA_TREFOIL, 1, 3, 1), ("-1,3,-1", 0, 4, -1)):
