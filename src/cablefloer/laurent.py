@@ -110,9 +110,12 @@ class LaurentPolynomial:
 
     def __mul__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         out: dict[int, int] = {}
+        get = out.get
+        terms = other._coeffs.items()
         for d1, c1 in self._coeffs.items():
-            for d2, c2 in other._coeffs.items():
-                out[d1 + d2] = out.get(d1 + d2, 0) + c1 * c2
+            for d2, c2 in terms:
+                d = d1 + d2
+                out[d] = get(d, 0) + c1 * c2
         return LaurentPolynomial._trusted(out)
 
     def inflate(self, p: int) -> "LaurentPolynomial":

@@ -25,7 +25,12 @@ checks.  The complex is columnar: each complement generator points at its
 shared row, bigrading counts are rows times multiplicities, and a
 TensorGenerator record is built only when someone reads it.  The view still
 has every generator, in order, for the benchmark's generator count and the
-selfcheck's closed-form comparison.
+selfcheck's closed-form comparison.  The squares at one level are
+isomorphic direct summands, so the complex also records each level with
+two or more squares as one run of copies, checked to share their rows;
+homology.reduce_complex checks their arrows, cancels the first copy alone
+and scales its kills by the number of copies, while generators and arrows
+stay whole.
 The closed-form grading tables that cross-check this group arithmetic live
 in invariants.py with the other pipeline-independent oracles.
 """
@@ -46,6 +51,11 @@ from .type_d import TypeDModule
 # A shared row: the (N, A', alexander, maslov) of each A generator of one
 # idempotent group, in A order
 Row = tuple[tuple[int, int, int, int], ...]
+
+
+class ComplexError(RuntimeError):
+    """Structural failure: a mis-graded arrow, d^2 != 0, or summands recorded
+    as copies that are not."""
 
 
 class TensorGenerator(NamedTuple):
@@ -102,6 +112,10 @@ class BigradedComplex:
     arrows: tuple[tuple[int, int], ...]  # (source index, target index)
     # generator count per (alexander, maslov); counted over generators when not given
     bigradings: Mapping[tuple[int, int], int] | None = None
+    # (first index, copy length, copies) per run of isomorphic direct summands:
+    # copy k spans first + k*length .. first + (k+1)*length - 1 and has the
+    # gradings of copy 0; reduce_complex checks the arrows and reduces copy 0
+    summands: tuple[tuple[int, int, int], ...] = ()
 
     def __post_init__(self):
         if self.bigradings is None:
@@ -240,6 +254,30 @@ def tensor_gradings(A: TypeAModule, D: TypeDModule, c: int) -> dict[tuple[str, s
             for d_gen, group, row in zip(D.generators, groups, row_of) for a_name, value in zip(group, row)}
 
 
+def _square_summands(D: TypeDModule, generators: TensorGenerators) -> tuple[tuple[int, int, int], ...]:
+    """(first index, copy length, copies) of each level with two or more squares.
+
+    build_typed emits one level's squares consecutively, each from its x1
+    corner on, so the squares of a level are equal runs of complement
+    generators.  Every copy must point at the representative's very row
+    objects, which makes its idempotents, A generators and bigradings equal.
+    """
+    firsts: dict[int, list[int]] = {}  # level -> complement index of each square's x1
+    for j, d_gen in enumerate(D.generators):
+        if d_gen.level is not None and d_gen.kind == "x" and d_gen.index == 1:
+            firsts.setdefault(d_gen.level, []).append(j)
+    rows, starts, out = generators.rows, generators.starts, []
+    for level, js in firsts.items():
+        if len(js) < 2:
+            continue
+        j0, period = js[0], js[1] - js[0]
+        if js != list(range(j0, j0 + len(js) * period, period)) or js[-1] + period > len(rows) or any(
+                rows[j + i] is not rows[j0 + i] for j in js[1:] for i in range(period)):
+            raise ComplexError(f"the squares at level {level} are not copies of one another")
+        out.append((starts[j0], starts[js[1]] - starts[j0], len(js)))
+    return tuple(out)
+
+
 def pair_modules(A: TypeAModule, D: TypeDModule, l: int, n: int) -> BigradedComplex:
     """Assemble the bigraded complex of the cable from the shared rows.
 
@@ -247,7 +285,10 @@ def pair_modules(A: TypeAModule, D: TypeDModule, l: int, n: int) -> BigradedComp
     (complement generator, its A generators, its row, start offset), the
     index of a*d is the start of d plus the position of a in its idempotent
     group, and the bigrading counts are each distinct row times its
-    multiplicity.
+    multiplicity.  The squares at one level are isomorphic direct summands
+    of the complex (the box tensor product is additive), so each level with
+    c_t > 1 squares is recorded as one run of c_t copies in summands, and
+    reduce_complex cancels its first square only.
     """
     groups, row_of, counted = _shared_rows(A, D, shift_constant(l, A.p, n))
     generators = TensorGenerators(tuple(d_gen.name for d_gen in D.generators), tuple(groups), tuple(row_of))
@@ -259,4 +300,5 @@ def pair_modules(A: TypeAModule, D: TypeDModule, l: int, n: int) -> BigradedComp
     for row, count in counted:
         for _, _, alexander, maslov in row:
             bigradings[alexander, maslov] = bigradings.get((alexander, maslov), 0) + count
-    return BigradedComplex(generators=generators, arrows=arrows, bigradings=bigradings)
+    return BigradedComplex(generators=generators, arrows=arrows, bigradings=bigradings,
+                           summands=_square_summands(D, generators))

@@ -169,18 +169,19 @@ def build_typed(model: ThinModel, n: int) -> TypeDModule:
     edges.extend(chain_edges)
 
     # a square whose corner count is c_i lies at level t = i - tau; its
-    # gradings are the base square right-multiplied by (t/2; 0, t; 0)
+    # gradings are the base square right-multiplied by (t/2; 0, t; 0), so
+    # the squares of one level share their corner gradings.  Each square
+    # emits its corners from x1 on, and one level's squares are consecutive.
     serial = 0
     for i in sorted(model.square_counts):
         t = i - tau
         shift = GradingElement(t, 0, 2 * t, 0)
+        corners = [(corner, idem, base * shift) for corner, (idem, base) in _SQUARE_BASE.items()]
         for _ in range(model.square_counts[i]):
             tag = f"s{serial}"
             serial += 1
-            for corner, (idem, base) in _SQUARE_BASE.items():
-                gens.append(
-                    DGenerator(f"{corner}.{tag}", idem, base * shift, corner[0], int(corner[1]), level=t)
-                )
+            for corner, idem, grading in corners:
+                gens.append(DGenerator(f"{corner}.{tag}", idem, grading, corner[0], int(corner[1]), level=t))
             for src, label, tgt in _SQUARE_EDGES:
                 edges.append(DEdge(f"{src}.{tag}", label, f"{tgt}.{tag}"))
 

@@ -40,6 +40,9 @@ DELTA_TREFOIL = "1,-1,1"
 DELTA_FIG8 = "-1,3,-1"
 DELTA_5_2 = "2,-3,2"
 
+# 55 squares over the 21 levels -10..10, up to three per level
+SPREAD_55 = {0: 1, **{i: 3 for i in range(-8, 9) if i}, 9: 2, -9: 2, 10: 1, -10: 1}
+
 
 # ---------------------------------------------------------------------------
 # independent polynomial arithmetic (dict degree -> coeff, local to tests)

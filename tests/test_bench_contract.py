@@ -64,12 +64,16 @@ def test_counted_names_resolve():
 ])
 def test_complex_stays_whole(tau, counts, p, n):
     """The generator view, built on demand from shared rows, still counts every
-    tensor generator; the benchmark compares this count with its prediction."""
+    tensor generator, and the arrows stay whole although only one square per
+    level is reduced; the benchmark compares the generator count with its
+    prediction and reads its arrow and block counts off the arrows."""
     s = sum(counts.values())
     model = build_model(synthesize_delta(tau, counts), tau)
-    complex_ = pairing.pair_modules(build_typea_minus(p), build_typed(model, n), model.params.l, n)
+    A, D = build_typea_minus(p), build_typed(model, n)
+    complex_ = pairing.pair_modules(A, D, model.params.l, n)
     predicted = (2 * abs(tau) + 1 + 4 * s) + (2 * p - 2) * (2 * abs(tau) + 4 * s + abs(2 * tau - n))
     assert len(complex_.generators) == predicted
+    assert len(complex_.arrows) == len(pairing.tensor_differential(A, D))
 
 
 def test_gradings_rollup_sees_every_normalization(monkeypatch):

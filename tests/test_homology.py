@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -13,9 +14,10 @@ from cablefloer import (
     pair_modules,
     parse_delta,
     reduce_complex,
+    synthesize_delta,
 )
 
-from conftest import DELTA_11N50, DELTA_TREFOIL
+from conftest import DELTA_11N50, DELTA_TREFOIL, SPREAD_55
 
 
 def gen(a_side, d_side, alexander, maslov):
@@ -183,3 +185,46 @@ def test_reduction_order_invariance(seed):
 def test_symmetry_of_reduced_output():
     table = reduce_complex(complex_for(DELTA_11N50, 0, 2, -1))
     assert all(table.ranks.get((-a, m - 2 * a)) == r for (a, m), r in table.ranks.items())
+
+
+@pytest.mark.parametrize("tau, counts, p, n", [
+    (0, {1: 2, 0: 2, -1: 2}, 5, 3),                        # golden 11n50
+    (10, SPREAD_55, 10, 30),                               # 55 squares over 21 levels
+    (-2, {1: 2, 0: 3, -1: 2}, 3, -1),                      # tau < 0, m < 0
+    (-3, {3: 2, 2: 4, 1: 3, 0: 5, -1: 3, -2: 4, -3: 2}, 4, -4),  # tau < 0, m < 0, seven runs
+], ids=["golden-11n50", "spread-55", "tau-neg-m-neg", "tau-neg-m-neg-7-runs"])
+def test_summand_wise_reduction_equals_whole_reduction(tau, counts, p, n):
+    model = build_model(synthesize_delta(tau, counts), tau)
+    complex_ = pair_modules(build_typea_minus(p), build_typed(model, n), model.params.l, n)
+    assert [copies for _, _, copies in complex_.summands] == [c for _, c in sorted(counts.items()) if c > 1]
+    whole = reduce_complex(replace(complex_, summands=()))
+    assert reduce_complex(complex_).ranks == whole.ranks
+
+
+class TestSummands:
+    """A hand-built run of two copies of (a, b1, b2) at generators 0-2 and
+    3-5, with generators 6 and 7 outside the run."""
+
+    GENERATORS = tuple(gen(a, f"g{j}", 0, m) for j, (a, m) in enumerate(
+        (("a", 1), ("b1", 0), ("b2", 0)) * 2 + (("a", 1), ("b1", 0))))
+
+    def complex_with(self, arrows):
+        return BigradedComplex(generators=self.GENERATORS, arrows=arrows, summands=((0, 3, 2),))
+
+    def test_copies_reduce_once_and_scale(self):
+        complex_ = self.complex_with(((0, 1), (3, 4), (6, 7)))
+        assert reduce_complex(complex_).ranks == {(0, 0): 2} == reduce_complex(
+            replace(complex_, summands=())).ranks
+
+    @pytest.mark.parametrize("arrows, message", [
+        (((0, 1), (3, 5)), "generator index 3 is not a copy of the one at 0"),  # second copy's arrow moved
+        (((0, 1), (3, 4), (6, 4)), "arrow 6 -> 4 touches a run"),              # an arrow into a copy
+        (((0, 1), (0, 7), (3, 4)), "an arrow leaves the summand"),              # an arrow out of copy 0
+        (((0, 1),), "generator index 3 is not a copy"),                         # second copy's arrow missing
+        (((0, 1), (3, 4), (3, 5)), "touches a run"),                            # second copy's extra arrow
+    ], ids=["moved", "into-copy", "out-of-copy", "missing", "extra"])
+    def test_copies_that_differ_raise(self, arrows, message):
+        complex_ = self.complex_with(arrows)
+        reduce_complex(replace(complex_, summands=()))  # a valid complex as a whole
+        with pytest.raises(ComplexError, match=message):
+            reduce_complex(complex_)

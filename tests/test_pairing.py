@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from cablefloer import (
+    ComplexError,
     DEdge,
     DGenerator,
     GradingElement,
@@ -25,7 +26,7 @@ from cablefloer import (
     tensor_gradings,
 )
 
-from conftest import DELTA_5_2, DELTA_11N50, DELTA_TREFOIL, thin_grid_cases
+from conftest import DELTA_5_2, DELTA_11N50, DELTA_TREFOIL, SPREAD_55, thin_grid_cases
 
 
 def modules_for(delta_text, tau, p, n):
@@ -68,9 +69,6 @@ def reference_gradings(A, D, c):
         out[(a_name, d_name)] = (N, Aprime, alexander, N + 2 * alexander)
     return out
 
-
-# 55 squares over the 21 levels -10..10, up to three per level
-SPREAD_55 = {0: 1, **{i: 3 for i in range(-8, 9) if i}, 9: 2, -9: 2, 10: 1, -10: 1}
 
 ROW_CASES = pytest.mark.parametrize("tau, counts, p, n", [
     (0, {1: 2, 0: 2, -1: 2}, 5, 3),    # golden 11n50: two squares per level
@@ -270,6 +268,31 @@ class TestGradings:
         index = {(g.a_side, g.d_side): i for i, g in enumerate(want)}
         assert complex_.arrows == tuple(sorted((index[src], index[tgt])
                                                for src, tgt in tensor_differential(A, D)))
+
+    @ROW_CASES
+    def test_square_summands_follow_square_counts(self, tau, counts, p, n):
+        """One run per level with c_t > 1 squares: c_t copies of 8p - 4
+        generators, starting at a*x1 of the level's first square."""
+        model = build_model(synthesize_delta(tau, counts), tau)
+        complex_ = pair_modules(build_typea_minus(p), build_typed(model, n), model.params.l, n)
+        want, serial = [], 0
+        for i in sorted(model.square_counts):
+            if model.square_counts[i] > 1:
+                want.append((f"x1.s{serial}", 8 * p - 4, model.square_counts[i]))
+            serial += model.square_counts[i]
+        got = [(complex_.generators[first], length, copies) for first, length, copies in complex_.summands]
+        assert [(g.d_side, length, copies) for g, length, copies in got] == want
+        assert all(g.a_side == "a" for g, _, _ in got)
+
+    def test_squares_that_are_not_copies_raise(self):
+        # the second square at level 0 with one corner regraded: its rows differ
+        A, D, model = modules_for(DELTA_11N50, 0, 5, 3)
+        k = next(j for j, g in enumerate(D.generators) if g.name == "x2.s3")
+        assert D.generators[k].grading == D.generators[k - 8].grading
+        regraded = replace(D.generators[k], grading=D.generators[k - 1].grading)
+        D = replace(D, generators=D.generators[:k] + (regraded,) + D.generators[k + 1:])
+        with pytest.raises(ComplexError, match="not copies"):
+            pair_modules(A, D, model.params.l, 3)
 
     def test_rows_keyed_by_idempotent_and_grading(self):
         # s and y share a grading but pair with different A generators, and
