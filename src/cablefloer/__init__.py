@@ -38,10 +38,8 @@ from .thin import (
     ThinInputError,
     ThinModel,
     ThinParams,
-    a_prime,
     build_model,
     parse_delta,
-    square_counts,
     synthesize_delta,
     validate_thin,
 )
@@ -68,7 +66,6 @@ __all__ = [
     "ThinParams",
     "TypeAModule",
     "TypeDModule",
-    "a_prime",
     "build_model",
     "build_typea_minus",
     "build_typed",
@@ -86,7 +83,6 @@ __all__ = [
     "reduce_complex",
     "rho_grading",
     "shift_constant",
-    "square_counts",
     "synthesize_delta",
     "table_rank",
     "tau_cable",

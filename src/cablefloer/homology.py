@@ -1,19 +1,18 @@
 """Reduction of the bigraded complex over the two-element field.
 
-Cancellation runs once per run of isomorphic summands (the squares of one
-level) and scales the first copy's killed generators by the number of
-copies, after checking that every later copy's arrows are the first copy's
-shifted and that no other arrow touches the run.
+The staircase and chain arrows are cancelled per Alexander block; the
+square template is cancelled once, and its killed generators are read at
+each square level's gradings and scaled by that level's square count.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from .pairing import BigradedComplex, ComplexError
+from .pairing import BigradedComplex, ComplexError, TensorGenerator
 
 
 @dataclass(frozen=True)
@@ -41,7 +40,7 @@ class RankTable:
         return out
 
 
-def _cancel_block(arrows: list[tuple[int, int]]) -> set[int]:
+def _cancel_block(arrows: Sequence[tuple[int, int]]) -> set[int]:
     """Check d^2 = 0, then cancel arrows over GF(2) until none remain; return
     killed generators."""
     outgoing: dict[int, set[int]] = {}
@@ -82,45 +81,21 @@ def _cancel_block(arrows: list[tuple[int, int]]) -> set[int]:
     return killed
 
 
-def _representatives(complex_: BigradedComplex
-                     ) -> tuple[list[tuple[int, int]], list[tuple[int, tuple[tuple[int, int], ...]]]]:
-    """The arrows outside every run of copies, and each run's copies with the
-    arrows of its first copy.
+def _endpoint_gradings(gens: Sequence[TensorGenerator], arrows: Sequence[tuple[int, int]],
+                       base: int = 0) -> dict[int, tuple[int, int]]:
+    """(alexander, maslov) of each arrow endpoint, read at generator base + endpoint.
 
-    Arrows are sorted, so the arrows leaving one copy are a slice; each
-    later copy's slice must equal the first copy's shifted by k * length,
-    the first copy's arrows must stay inside it, and no remaining arrow
-    may touch a run.  Anything else raises ComplexError.
+    An arrow that does not keep the Alexander grading and lower the Maslov
+    grading by one raises ComplexError.
     """
-    arrows = complex_.arrows
-    outside: list[tuple[int, int]] = []
-    runs = []
-    bounds: list[int] = []  # index ranges of the runs, flattened: inside iff an odd count <= index
-    pos = 0
-    for first, length, copies in sorted(complex_.summands):
-        lo, hi = bisect_left(arrows, (first,)), bisect_left(arrows, (first + length,))
-        if (bounds and first < bounds[-1]) or lo < pos:
-            raise ComplexError(f"the run of copies at generator index {first} overlaps another "
-                               f"or its arrows are out of order")
-        rep = arrows[lo:hi]
-        if any(not (first <= src < first + length and first <= tgt < first + length) for src, tgt in rep):
-            raise ComplexError(f"an arrow leaves the summand at generator index {first}")
-        size = hi - lo
-        for k in range(1, copies):
-            shift = k * length
-            shifted = tuple((src + shift, tgt + shift) for src, tgt in rep)
-            if arrows[lo + k * size:lo + (k + 1) * size] != shifted:
-                raise ComplexError(f"the summand at generator index {first + shift} is not a copy "
-                                   f"of the one at {first}")
-        outside.extend(arrows[pos:lo])
-        pos = lo + copies * size
-        runs.append((copies, rep))
-        bounds += (first, first + copies * length)
-    outside.extend(arrows[pos:])
-    for src, tgt in outside:
-        if bisect_right(bounds, src) % 2 or bisect_right(bounds, tgt) % 2:
-            raise ComplexError(f"arrow {src} -> {tgt} touches a run of copies")
-    return outside, runs
+    out: dict[int, tuple[int, int]] = {}
+    for src, tgt in arrows:
+        x, y = gens[base + src], gens[base + tgt]
+        if x.alexander != y.alexander or x.maslov != y.maslov + 1:
+            raise ComplexError(f"mis-graded arrow {x.name} (A={x.alexander}, M={x.maslov}) -> "
+                               f"{y.name} (A={y.alexander}, M={y.maslov})")
+        out[src], out[tgt] = (x.alexander, x.maslov), (y.alexander, y.maslov)
+    return out
 
 
 def reduce_complex(complex_: BigradedComplex) -> RankTable:
@@ -135,33 +110,30 @@ def reduce_complex(complex_: BigradedComplex) -> RankTable:
     be killed, so gradings are read for those alone; a count that would go
     below zero means the counts and the generators disagree, and raises.
 
-    A run of copies in complex_.summands is reduced through its first copy
-    alone, and each generator that copy kills is subtracted once per copy.
-    This weakens no check: the pairing recorded the run only after finding
-    every copy's generators on the first copy's very rows, so copy k's
-    generators have the gradings of copy 0 index for index, and here every
-    copy's arrows are checked to be copy 0's shifted by k * length, with no
-    other arrow touching the run.  Copy k is then copy 0 relabelled, a
-    direct summand with the same graded arrows: the mis-graded-arrow check,
-    the d^2 check and the cancellation of copy 0 hold for it verbatim.
+    From the first square on, the arrows are the template shifted to every
+    square (pair_modules found each square to be the first one relabelled),
+    so they are not read.  The template is checked against the gradings of
+    every level's first square, cancelled once with its d^2 check, and each
+    generator it kills is subtracted c_t times at that level's bigrading.
+    Cancellation reads only arrows, so the template's kills cancel every
+    square, and the per-level check makes them a graded cancellation there.
     """
-    arrows, runs = _representatives(complex_) if complex_.summands else (complex_.arrows, [])
-    blocks: dict[tuple[int, int], list[tuple[int, int]]] = {}  # (alexander, copies) -> arrows
-    maslov: dict[int, int] = {}  # arrow endpoint -> Maslov grading
-    gens = complex_.generators
-    for copies, group in ((1, arrows), *runs):
-        for src, tgt in group:
-            x, y = gens[src], gens[tgt]
-            if x.alexander != y.alexander or x.maslov != y.maslov + 1:
-                raise ComplexError(f"mis-graded arrow {x.name} (A={x.alexander}, M={x.maslov}) -> "
-                                   f"{y.name} (A={y.alexander}, M={y.maslov})")
-            maslov[src], maslov[tgt] = x.maslov, y.maslov
-            blocks.setdefault((x.alexander, copies), []).append((src, tgt))
+    gens, arrows, levels = complex_.generators, complex_.arrows, complex_.levels
+    if levels:
+        arrows = arrows[:bisect_left(arrows, (min(levels)[0],))]
+    head = _endpoint_gradings(gens, arrows)
+    per_level = [(count, _endpoint_gradings(gens, complex_.template, first)) for first, count in levels]
+    blocks: dict[int, list[tuple[int, int]]] = {}  # alexander -> arrows
+    for src, tgt in arrows:
+        blocks.setdefault(head[src][0], []).append((src, tgt))
+    kills = [(1, head, _cancel_block(blocks[alexander])) for alexander in sorted(blocks)]
+    if levels:
+        killed = _cancel_block(complex_.template)
+        kills += [(count, graded, killed) for count, graded in per_level]
     ranks = dict(complex_.bigradings)
-    for alexander, copies in sorted(blocks):
-        killed = Counter(maslov[i] for i in _cancel_block(blocks[alexander, copies]))
-        for m, count in killed.items():
-            counted, count = ranks.get((alexander, m), 0), copies * count
+    for scale, graded, killed in kills:
+        for (alexander, m), count in Counter(map(graded.__getitem__, killed)).items():
+            counted, count = ranks.get((alexander, m), 0), scale * count
             if count > counted:
                 raise ComplexError(f"bigrading (A={alexander}, M={m}) loses {count} generators "
                                    f"to cancellation but counts {counted}")

@@ -25,22 +25,24 @@ checks.  The complex is columnar: each complement generator points at its
 shared row, bigrading counts are rows times multiplicities, and a
 TensorGenerator record is built only when someone reads it.  The view still
 has every generator, in order, for the benchmark's generator count and the
-selfcheck's closed-form comparison.  The squares at one level are
-isomorphic direct summands, so the complex also records each level with
-two or more squares as one run of copies, checked to share their rows;
-homology.reduce_complex checks their arrows, cancels the first copy alone
-and scales its kills by the number of copies, while generators and arrows
-stay whole.
+selfcheck's closed-form comparison.
+
+The differential reads only edges and idempotents, and every square has
+the same corners and edges, so one square's arrows, taken relative to its
+first generator, are the arrows of every square at every level.  The
+pairing walks the staircase, the chain and the first square, checks that
+each later square is that template relabelled, and shifts the template to
+every square; homology.reduce_complex cancels the template once per run.
 The closed-form grading tables that cross-check this group arithmetic live
 in invariants.py with the other pipeline-independent oracles.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -54,8 +56,8 @@ Row = tuple[tuple[int, int, int, int], ...]
 
 
 class ComplexError(RuntimeError):
-    """Structural failure: a mis-graded arrow, d^2 != 0, or summands recorded
-    as copies that are not."""
+    """Structural failure: a mis-graded arrow, d^2 != 0, or a square that is
+    not the template relabelled."""
 
 
 class TensorGenerator(NamedTuple):
@@ -112,29 +114,16 @@ class BigradedComplex:
     arrows: tuple[tuple[int, int], ...]  # (source index, target index)
     # generator count per (alexander, maslov); counted over generators when not given
     bigradings: Mapping[tuple[int, int], int] | None = None
-    # (first index, copy length, copies) per run of isomorphic direct summands:
-    # copy k spans first + k*length .. first + (k+1)*length - 1 and has the
-    # gradings of copy 0; reduce_complex checks the arrows and reduces copy 0
-    summands: tuple[tuple[int, int, int], ...] = ()
+    # the first square's arrows relative to its first generator, and
+    # (first generator of the level's first square, c_t) per square level:
+    # reduce_complex reads the arrows from the first square on through these
+    template: tuple[tuple[int, int], ...] = ()
+    levels: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
         if self.bigradings is None:
             object.__setattr__(self, "bigradings",
                                dict(Counter((g.alexander, g.maslov) for g in self.generators)))
-
-    def as_dict(self) -> dict:
-        return {
-            "generators": [
-                {
-                    "a_side": g.a_side,
-                    "d_side": g.d_side,
-                    "alexander": g.alexander,
-                    "maslov": g.maslov,
-                }
-                for g in self.generators
-            ],
-            "arrows": [list(pair) for pair in self.arrows],
-        }
 
 
 def shift_constant(l: int, p: int, n: int) -> int:
@@ -200,7 +189,7 @@ def _refusal(y: GradingElement, x: GradingElement) -> Exception:
     return GradingError(f"{y} * {x} does not normalize to integers")
 
 
-def _shared_rows(A: TypeAModule, D: TypeDModule, c: int
+def _shared_rows(A: TypeAModule, D: TypeDModule, c: int, by_idempotent: dict[str, tuple[str, ...]]
                  ) -> tuple[list[tuple[str, ...]], list[Row], list[tuple[Row, int]]]:
     """Per complement generator in D order, its A generators and its row; and
     each distinct row with its multiplicity.
@@ -214,7 +203,6 @@ def _shared_rows(A: TypeAModule, D: TypeDModule, c: int
     generator, with the affine constants of each (A generator, b slot)
     normalized once.
     """
-    by_idempotent = _by_idempotent(A)
     # (idempotent, b slot) -> c parity of its anchor, constants per A generator
     affine: dict[tuple[str, int], tuple[int, list]] = {}
     counted: dict[tuple[str, GradingElement], list] = {}  # key -> [row, multiplicity]
@@ -249,33 +237,57 @@ def _shared_rows(A: TypeAModule, D: TypeDModule, c: int
 
 def tensor_gradings(A: TypeAModule, D: TypeDModule, c: int) -> dict[tuple[str, str], tuple[int, int, int, int]]:
     """(N, A', alexander, maslov) for every tensor generator, complement-major order."""
-    groups, row_of, _ = _shared_rows(A, D, c)
+    groups, row_of, _ = _shared_rows(A, D, c, _by_idempotent(A))
     return {(a_name, d_gen.name): value
             for d_gen, group, row in zip(D.generators, groups, row_of) for a_name, value in zip(group, row)}
 
 
-def _square_summands(D: TypeDModule, generators: TensorGenerators) -> tuple[tuple[int, int, int], ...]:
-    """(first index, copy length, copies) of each level with two or more squares.
+def _one_square(D: TypeDModule) -> tuple[TypeDModule, list[int], list[tuple[int, int]]]:
+    """D cut down to the staircase, the chain and the first square; the
+    complement index of each square's x1; and (index of the level's first
+    x1, c_t) per square level.
 
-    build_typed emits one level's squares consecutively, each from its x1
-    corner on, so the squares of a level are equal runs of complement
-    generators.  Every copy must point at the representative's very row
-    objects, which makes its idempotents, A generators and bigradings equal.
+    build_typed emits the squares last, each from its x1 corner on.  Every
+    later square must be the first one relabelled: the same corner kinds and
+    idempotents, the corner gradings of the first square at its level, and
+    D edges that are the first square's between the corresponding corners,
+    with no edge leaving a square.  Anything else raises ComplexError.
     """
-    firsts: dict[int, list[int]] = {}  # level -> complement index of each square's x1
-    for j, d_gen in enumerate(D.generators):
-        if d_gen.level is not None and d_gen.kind == "x" and d_gen.index == 1:
-            firsts.setdefault(d_gen.level, []).append(j)
-    rows, starts, out = generators.rows, generators.starts, []
-    for level, js in firsts.items():
-        if len(js) < 2:
-            continue
-        j0, period = js[0], js[1] - js[0]
-        if js != list(range(j0, j0 + len(js) * period, period)) or js[-1] + period > len(rows) or any(
-                rows[j + i] is not rows[j0 + i] for j in js[1:] for i in range(period)):
-            raise ComplexError(f"the squares at level {level} are not copies of one another")
-        out.append((starts[j0], starts[js[1]] - starts[j0], len(js)))
-    return tuple(out)
+    gens = D.generators
+    firsts = [j for j, g in enumerate(gens) if g.level is not None and g.kind == "x" and g.index == 1]
+    if not firsts:
+        return D, [], []
+    ends = firsts[1:] + [len(gens)]  # the last square runs to the end, so nothing may follow it
+    shape = [(g.kind, g.index, g.idempotent) for g in gens[firsts[0]:ends[0]]]
+    levels: dict[int, list] = {}  # level -> [its first x1, that square's corner gradings, c_t]
+    square_of: dict[str, tuple[int, int]] = {}  # corner name -> (square, corner)
+    for k, (j, end) in enumerate(zip(firsts, ends)):
+        square = gens[j:end]
+        gradings = [g.grading for g in square]
+        level = levels.setdefault(square[0].level, [j, gradings, 0])
+        if [(g.kind, g.index, g.idempotent) for g in square] != shape or gradings != level[1]:
+            raise ComplexError(f"the square at complement index {j} is not the template relabelled: "
+                               f"its corners differ")
+        level[2] += 1
+        square_of.update((g.name, (k, corner)) for corner, g in enumerate(square))
+    kept, relabelled = [], [[] for _ in firsts]  # edges walked; (corner, label, corner) per square
+    for edge in D.edges:
+        src, tgt = square_of.get(edge.source), square_of.get(edge.target)
+        if src is None and tgt is None:
+            kept.append(edge)
+        elif src is None or tgt is None or src[0] != tgt[0]:
+            raise ComplexError(f"D edge {edge.source} -{edge.label}-> {edge.target} leaves a square")
+        else:
+            relabelled[src[0]].append((src[1], edge.label, tgt[1]))
+            if src[0] == 0:
+                kept.append(edge)
+    template = sorted(relabelled[0])
+    for j, edges in zip(firsts, relabelled):
+        if sorted(edges) != template:
+            raise ComplexError(f"the square at complement index {j} is not the template relabelled: "
+                               f"its D edges differ")
+    cut = replace(D, generators=gens[:ends[0]], edges=tuple(kept))
+    return cut, firsts, [(j, count) for j, _, count in levels.values()]
 
 
 def pair_modules(A: TypeAModule, D: TypeDModule, l: int, n: int) -> BigradedComplex:
@@ -285,20 +297,28 @@ def pair_modules(A: TypeAModule, D: TypeDModule, l: int, n: int) -> BigradedComp
     (complement generator, its A generators, its row, start offset), the
     index of a*d is the start of d plus the position of a in its idempotent
     group, and the bigrading counts are each distinct row times its
-    multiplicity.  The squares at one level are isomorphic direct summands
-    of the complex (the box tensor product is additive), so each level with
-    c_t > 1 squares is recorded as one run of c_t copies in summands, and
-    reduce_complex cancels its first square only.
+    multiplicity.  The differential walks the staircase, the chain and the
+    first square; every later square gets the first square's arrows
+    shifted by its start, and since squares come last the arrows stay
+    sorted.
     """
-    groups, row_of, counted = _shared_rows(A, D, shift_constant(l, A.p, n))
+    by_idempotent = _by_idempotent(A)
+    groups, row_of, counted = _shared_rows(A, D, shift_constant(l, A.p, n), by_idempotent)
     generators = TensorGenerators(tuple(d_gen.name for d_gen in D.generators), tuple(groups), tuple(row_of))
+    cut, firsts, levels = _one_square(D)
     start = dict(zip(generators.d_names, generators.starts))
-    position = {a_name: k for group in _by_idempotent(A).values() for k, a_name in enumerate(group)}
-    arrows = tuple(sorted((start[d_src] + position[a_src], start[d_tgt] + position[a_tgt])
-                          for (a_src, d_src), (a_tgt, d_tgt) in tensor_differential(A, D)))
+    position = {a_name: k for group in by_idempotent.values() for k, a_name in enumerate(group)}
+    arrows = sorted((start[d_src] + position[a_src], start[d_tgt] + position[a_tgt])
+                    for (a_src, d_src), (a_tgt, d_tgt) in tensor_differential(A, cut))
+    template: tuple[tuple[int, int], ...] = ()
+    if firsts:
+        base = generators.starts[firsts[0]]
+        template = tuple((src - base, tgt - base) for src, tgt in arrows[bisect_left(arrows, (base,)):])
+        arrows.extend((first + src, first + tgt)
+                      for first in map(generators.starts.__getitem__, firsts[1:]) for src, tgt in template)
     bigradings: dict[tuple[int, int], int] = {}
     for row, count in counted:
         for _, _, alexander, maslov in row:
             bigradings[alexander, maslov] = bigradings.get((alexander, maslov), 0) + count
-    return BigradedComplex(generators=generators, arrows=arrows, bigradings=bigradings,
-                           summands=_square_summands(D, generators))
+    return BigradedComplex(generators=generators, arrows=tuple(arrows), bigradings=bigradings,
+                           template=template, levels=tuple((generators.starts[j], count) for j, count in levels))

@@ -82,15 +82,22 @@ def validate_thin(delta: LaurentPolynomial, tau: int) -> ThinParams:
     return ThinParams(tau=tau, l=-tau, a=a, s=quarters // 4, g=delta.top_degree)
 
 
-def a_prime(delta: LaurentPolynomial, tau: int) -> dict[int, int]:
-    """Per-degree coefficient magnitudes with the staircase contribution removed.
+def build_model(delta: LaurentPolynomial, tau: int) -> ThinModel:
+    """Validate the input and derive c_i, the number of squares whose corner
+    generator sits in Alexander grading i.
 
-    a'_i = |a_i| for |i| > |tau| and |a_i| - 1 otherwise; a negative value
-    means the staircase does not fit inside delta.
+    Removing the staircase leaves magnitudes a'_i = |a_i| for |i| > |tau|
+    and |a_i| - 1 otherwise; a square at grading i covers gradings i-1, i,
+    i+1 with multiplicities 1, 2, 1, so c_i = a'_{i+1} - 2 c_{i+1} - c_{i+2}
+    runs downward from c_{g-1} = a'_g.  A negative a'_i or c_i rejects the
+    input.  The bottom half is not recomputed: c_i = c_{-i} is checked
+    afterwards as an independent consistency condition, as is the total
+    count against s.
     """
     params = validate_thin(delta, tau)
-    out: dict[int, int] = {}
-    for i in range(-params.g, params.g + 1):
+    g = params.g
+    removed: dict[int, int] = {}
+    for i in range(-g, g + 1):
         value = abs(delta.coeff(i))
         if abs(i) <= abs(tau):
             value -= 1
@@ -98,25 +105,10 @@ def a_prime(delta: LaurentPolynomial, tau: int) -> dict[int, int]:
             raise ThinInputError(
                 f"staircase removal gives a'_{i} = {value} < 0; input is not thin-realizable"
             )
-        out[i] = value
-    return out
-
-
-def square_counts(delta: LaurentPolynomial, tau: int) -> dict[int, int]:
-    """Number of squares c_i whose corner generator sits in Alexander grading i.
-
-    Runs c_i = a'_{i+1} - 2 c_{i+1} - c_{i+2} downward from c_{g-1} = a'_g
-    (a square at grading i covers gradings i-1, i, i+1 with multiplicities
-    1, 2, 1).  The bottom half is not recomputed: c_i = c_{-i} is checked
-    afterwards as an independent consistency condition, as is the total
-    count against s.
-    """
-    params = validate_thin(delta, tau)
-    removed = a_prime(delta, tau)
-    g = params.g
+        removed[i] = value
     counts: dict[int, int] = {}
     for i in range(g - 1, -g - 1, -1):
-        value = removed.get(i + 1, 0) - 2 * counts.get(i + 1, 0) - counts.get(i + 2, 0)
+        value = removed[i + 1] - 2 * counts.get(i + 1, 0) - counts.get(i + 2, 0)
         if value < 0:
             raise ThinInputError(
                 f"square count c_{i} = {value} < 0; input is not thin-realizable"
@@ -133,18 +125,12 @@ def square_counts(delta: LaurentPolynomial, tau: int) -> dict[int, int]:
         raise ThinInputError(
             f"square counts sum to {total}, expected s = {params.s}; input is not thin-realizable"
         )
-    return {i: c for i, c in counts.items() if c}
-
-
-def build_model(delta: LaurentPolynomial, tau: int) -> ThinModel:
-    """Validate and package the full model descriptor."""
-    params = validate_thin(delta, tau)
-    return ThinModel(delta=delta, params=params, square_counts=square_counts(delta, tau))
+    return ThinModel(delta=delta, params=params, square_counts={i: c for i, c in counts.items() if c})
 
 
 def synthesize_delta(tau: int, counts: dict[int, int] | None = None) -> LaurentPolynomial:
-    """Inverse of :func:`square_counts`: the polynomial of a thin knot with
-    the given tau and square multiset.
+    """Inverse of :func:`build_model`'s square counts: the polynomial of a
+    thin knot with the given tau and square multiset.
 
     The staircase alone contributes alternating +-1 coefficients on
     [-|tau|, |tau|]; each square at grading i adds magnitudes (1, 2, 1) on

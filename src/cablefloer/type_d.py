@@ -41,25 +41,6 @@ class TypeDModule:
     edges: tuple[DEdge, ...]
     h: GradingElement = field(repr=False)
 
-    def as_dict(self) -> dict:
-        return {
-            "tau": self.tau,
-            "framing": self.framing,
-            "h": str(self.h),
-            "generators": [
-                {
-                    "name": g.name,
-                    "idempotent": g.idempotent,
-                    "grading": str(g.grading),
-                    "kind": g.kind,
-                    "index": g.index,
-                    "level": g.level,
-                }
-                for g in self.generators
-            ],
-            "edges": [list(e) for e in self.edges],
-        }
-
 
 def framing_h(l: int, m: int) -> GradingElement:
     """Right coset normalizer (m/2 - 1/2 - l; -1, m + 2l; 0); valid for every m."""

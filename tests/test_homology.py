@@ -196,35 +196,47 @@ def test_symmetry_of_reduced_output():
 def test_summand_wise_reduction_equals_whole_reduction(tau, counts, p, n):
     model = build_model(synthesize_delta(tau, counts), tau)
     complex_ = pair_modules(build_typea_minus(p), build_typed(model, n), model.params.l, n)
-    assert [copies for _, _, copies in complex_.summands] == [c for _, c in sorted(counts.items()) if c > 1]
-    whole = reduce_complex(replace(complex_, summands=()))
+    assert [count for _, count in complex_.levels] == [c for _, c in sorted(counts.items()) if c]
+    whole = reduce_complex(replace(complex_, levels=()))
     assert reduce_complex(complex_).ranks == whole.ranks
 
 
 class TestSummands:
-    """A hand-built run of two copies of (a, b1, b2) at generators 0-2 and
-    3-5, with generators 6 and 7 outside the run."""
+    """A hand-built complex: one arrow at Alexander grading 5 on generators
+    0-1, then squares of (a, b1, b2) under one template: one square at
+    level 0 (generators 2-4) and two at level 1 (5-7 and 8-10)."""
 
-    GENERATORS = tuple(gen(a, f"g{j}", 0, m) for j, (a, m) in enumerate(
-        (("a", 1), ("b1", 0), ("b2", 0)) * 2 + (("a", 1), ("b1", 0))))
-
-    def complex_with(self, arrows):
-        return BigradedComplex(generators=self.GENERATORS, arrows=arrows, summands=((0, 3, 2),))
+    def complex_with(self, template, low=(1, 0, 0), top=(2, 1, 1), bigradings=None):
+        """low and top are the Maslov gradings of a, b1, b2 at levels 0 and 1."""
+        rows = [("a", 5, 1), ("b1", 5, 0)]
+        for alexander, maslovs in ((0, low), (1, top), (1, top)):
+            rows += [(a, alexander, m) for a, m in zip(("a", "b1", "b2"), maslovs)]
+        arrows = [(0, 1)] + [(first + src, first + tgt) for first in (2, 5, 8) for src, tgt in template]
+        gens = tuple(gen(a, f"g{j}", alexander, m) for j, (a, alexander, m) in enumerate(rows))
+        return BigradedComplex(generators=gens, arrows=tuple(sorted(arrows)), bigradings=bigradings,
+                               template=template, levels=((2, 1), (5, 2)))
 
     def test_copies_reduce_once_and_scale(self):
-        complex_ = self.complex_with(((0, 1), (3, 4), (6, 7)))
-        assert reduce_complex(complex_).ranks == {(0, 0): 2} == reduce_complex(
-            replace(complex_, summands=())).ranks
+        complex_ = self.complex_with(((0, 1),))
+        assert reduce_complex(complex_).ranks == {(0, 0): 1, (1, 1): 2} == reduce_complex(
+            replace(complex_, levels=())).ranks
 
-    @pytest.mark.parametrize("arrows, message", [
-        (((0, 1), (3, 5)), "generator index 3 is not a copy of the one at 0"),  # second copy's arrow moved
-        (((0, 1), (3, 4), (6, 4)), "arrow 6 -> 4 touches a run"),              # an arrow into a copy
-        (((0, 1), (0, 7), (3, 4)), "an arrow leaves the summand"),              # an arrow out of copy 0
-        (((0, 1),), "generator index 3 is not a copy"),                         # second copy's arrow missing
-        (((0, 1), (3, 4), (3, 5)), "touches a run"),                            # second copy's extra arrow
-    ], ids=["moved", "into-copy", "out-of-copy", "missing", "extra"])
-    def test_copies_that_differ_raise(self, arrows, message):
-        complex_ = self.complex_with(arrows)
-        reduce_complex(replace(complex_, summands=()))  # a valid complex as a whole
-        with pytest.raises(ComplexError, match=message):
+    def test_template_misgraded_at_second_level_raises(self):
+        # a -> b2 lowers the Maslov grading by one at level 0 and by two at level 1
+        complex_ = self.complex_with(((0, 2),), top=(2, 1, 0))
+        for reduced in (complex_, replace(complex_, levels=())):
+            with pytest.raises(ComplexError,
+                               match=r"^mis-graded arrow a g5 \(A=1, M=2\) -> b2 g7 \(A=1, M=0\)$"):
+                reduce_complex(reduced)
+
+    def test_template_d_squared_violation_raises(self):
+        complex_ = self.complex_with(((0, 1), (1, 2)), low=(2, 1, 0), top=(3, 2, 1))
+        with pytest.raises(ComplexError, match=r"^d\^2 != 0 at generator index 0$"):
             reduce_complex(complex_)
+
+    def test_template_kills_over_a_level_count_raise(self):
+        # level 1's two squares kill two generators at (1, 1), which counts one
+        complex_ = self.complex_with(((0, 1),))
+        bigradings = dict(complex_.bigradings) | {(1, 1): 1}
+        with pytest.raises(ComplexError, match=r"bigrading \(A=1, M=1\) loses 2 generators"):
+            reduce_complex(replace(complex_, bigradings=bigradings))

@@ -77,7 +77,10 @@ ROW_CASES = pytest.mark.parametrize("tau, counts, p, n", [
     (0, {}, 4, 0),                     # the zero-framed unknot
     (3, {0: 1}, 7, -100),              # long unstable chain, m = 106
     (-2, {}, 6, 96),                   # long unstable chain, m = -100
-], ids=["golden-11n50", "spread-55", "tau-neg-m-neg", "unknot-n0", "chain-m106", "chain-m-100"])
+    (-1, {1: 1, 0: 2, -1: 1}, 2, 1),   # p = 2: a square of 12 generators
+    (2, {1: 1, 0: 2, -1: 1}, 4, 4),    # m = 0: one D_12 edge joins the staircase ends
+], ids=["golden-11n50", "spread-55", "tau-neg-m-neg", "unknot-n0", "chain-m106", "chain-m-100",
+        "p2-squares", "m0-squares"])
 
 
 def generator_pairs(delta_text, tau, p, n):
@@ -271,28 +274,41 @@ class TestGradings:
 
     @ROW_CASES
     def test_square_summands_follow_square_counts(self, tau, counts, p, n):
-        """One run per level with c_t > 1 squares: c_t copies of 8p - 4
-        generators, starting at a*x1 of the level's first square."""
+        """One (first generator, c_t) entry per level, at a*x1 of the level's
+        first square, and a template inside one square of 8p - 4 generators."""
         model = build_model(synthesize_delta(tau, counts), tau)
         complex_ = pair_modules(build_typea_minus(p), build_typed(model, n), model.params.l, n)
         want, serial = [], 0
         for i in sorted(model.square_counts):
-            if model.square_counts[i] > 1:
-                want.append((f"x1.s{serial}", 8 * p - 4, model.square_counts[i]))
+            want.append((f"x1.s{serial}", model.square_counts[i]))
             serial += model.square_counts[i]
-        got = [(complex_.generators[first], length, copies) for first, length, copies in complex_.summands]
-        assert [(g.d_side, length, copies) for g, length, copies in got] == want
-        assert all(g.a_side == "a" for g, _, _ in got)
+        got = [(complex_.generators[first], count) for first, count in complex_.levels]
+        assert [(g.d_side, count) for g, count in got] == want
+        assert all(g.a_side == "a" for g, _ in got)
+        assert all(0 <= i < 8 * p - 4 for arrow in complex_.template for i in arrow)
+        assert bool(complex_.template) == bool(counts)
 
     def test_squares_that_are_not_copies_raise(self):
-        # the second square at level 0 with one corner regraded: its rows differ
+        """A later square that is not the first one relabelled fails the
+        pairing: a regraded corner, or a relabelled, missing, extra or
+        escaping D edge."""
         A, D, model = modules_for(DELTA_11N50, 0, 5, 3)
+        pair_modules(A, D, model.params.l, 3)
         k = next(j for j, g in enumerate(D.generators) if g.name == "x2.s3")
-        assert D.generators[k].grading == D.generators[k - 8].grading
+        assert D.generators[k].grading == D.generators[k - 8].grading  # x2.s2, same level
         regraded = replace(D.generators[k], grading=D.generators[k - 1].grading)
-        D = replace(D, generators=D.generators[:k] + (regraded,) + D.generators[k + 1:])
-        with pytest.raises(ComplexError, match="not copies"):
-            pair_modules(A, D, model.params.l, 3)
+        edge = DEdge("x1.s5", "1", "y4.s5")
+        assert edge in D.edges
+        for module, message in (
+            (replace(D, generators=D.generators[:k] + (regraded,) + D.generators[k + 1:]), "corners differ"),
+            (replace(D, edges=tuple(e._replace(target="y2.s5") if e == edge else e for e in D.edges)),
+             "D edges differ"),
+            (replace(D, edges=tuple(e for e in D.edges if e != edge)), "D edges differ"),
+            (replace(D, edges=D.edges + (DEdge("x3.s5", "1", "y2.s5"),)), "D edges differ"),
+            (replace(D, edges=D.edges + (DEdge("u1", "1", "y4.s3"),)), "leaves a square"),
+        ):
+            with pytest.raises(ComplexError, match=message):
+                pair_modules(A, module, model.params.l, 3)
 
     def test_rows_keyed_by_idempotent_and_grading(self):
         # s and y share a grading but pair with different A generators, and
@@ -374,11 +390,3 @@ def test_closed_forms_cover_every_survivor():
         if corner.startswith("y"):
             k = int(a_name[1:])
             assert k > p if corner == "y1" else k >= p
-
-
-def test_complex_json_dump():
-    A, D, model = modules_for(DELTA_TREFOIL, 1, 2, 1)
-    payload = pair_modules(A, D, model.params.l, 1).as_dict()
-    assert len(payload["generators"]) == 9
-    assert {"a_side": "a", "d_side": "u1", "alexander": -3, "maslov": -6} in payload["generators"]
-    assert len(payload["arrows"]) == 2

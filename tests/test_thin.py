@@ -5,10 +5,8 @@ from hypothesis import strategies as st
 from cablefloer import (
     LaurentPolynomial,
     ThinInputError,
-    a_prime,
     build_model,
     parse_delta,
-    square_counts,
     synthesize_delta,
     validate_thin,
 )
@@ -74,43 +72,52 @@ class TestValidateThin:
             validate_thin(LaurentPolynomial({0: 1}), 1)
 
 
+def covered(model):
+    """Magnitude per degree that the model's squares cover: c_{i+1} + 2 c_i + c_{i-1}."""
+    c, g = model.square_counts, model.params.g
+    return {i: c.get(i + 1, 0) + 2 * c.get(i, 0) + c.get(i - 1, 0) for i in range(-g, g + 1)}
+
+
 class TestAPrime:
+    """build_model removes the staircase, a'_i = |a_i| - 1 for |i| <= |tau|,
+    and its squares cover exactly what is left."""
+
     def test_11n50(self):
-        removed = a_prime(parse_delta(DELTA_11N50), 0)
+        removed = covered(build_model(parse_delta(DELTA_11N50), 0))
         assert removed[2] == 2 and removed[1] == 6 and removed[0] == 8
 
     def test_unknot(self):
-        assert a_prime(LaurentPolynomial({0: 1}), 0) == {0: 0}
+        assert covered(build_model(LaurentPolynomial({0: 1}), 0)) == {0: 0}
 
     def test_5_2(self):
-        removed = a_prime(parse_delta(DELTA_5_2), 1)
+        removed = covered(build_model(parse_delta(DELTA_5_2), 1))
         assert removed[1] == 1 and removed[0] == 2
         assert removed.get(2, 0) == 0
 
     def test_negative_rejected(self):
         # vanishing coefficient strictly inside the staircase span
-        with pytest.raises(ThinInputError):
-            a_prime(LaurentPolynomial({-2: 3, 0: -5, 2: 3}), 1)
+        with pytest.raises(ThinInputError, match="staircase removal"):
+            build_model(LaurentPolynomial({-2: 3, 0: -5, 2: 3}), 1)
 
 
 class TestSquareCounts:
     def test_11n50(self):
-        counts = square_counts(parse_delta(DELTA_11N50), 0)
+        counts = build_model(parse_delta(DELTA_11N50), 0).square_counts
         assert counts == {1: 2, 0: 2, -1: 2}
 
     def test_unknot(self):
-        assert square_counts(LaurentPolynomial({0: 1}), 0) == {}
+        assert build_model(LaurentPolynomial({0: 1}), 0).square_counts == {}
 
     def test_5_2(self):
-        assert square_counts(parse_delta(DELTA_5_2), 1) == {0: 1}
+        assert build_model(parse_delta(DELTA_5_2), 1).square_counts == {0: 1}
 
     def test_figure_eight(self):
-        assert square_counts(parse_delta(DELTA_FIG8), 0) == {0: 1}
+        assert build_model(parse_delta(DELTA_FIG8), 0).square_counts == {0: 1}
 
     def test_negative_count_rejected(self):
         # symmetric, determinant 1, but no consistent square layout
-        with pytest.raises(ThinInputError):
-            square_counts(LaurentPolynomial({-2: 1, -1: -1, 0: 1, 1: -1, 2: 1}), 0)
+        with pytest.raises(ThinInputError, match="square count c_0"):
+            build_model(LaurentPolynomial({-2: 1, -1: -1, 0: 1, 1: -1, 2: 1}), 0)
 
 
 class TestBuildModel:
@@ -138,7 +145,7 @@ square_configs = st.dictionaries(st.integers(0, 3), st.integers(1, 3), max_size=
 
 @given(st.integers(-3, 3), square_configs)
 def test_synthesize_roundtrip(tau, counts):
-    """square_counts inverts synthesize_delta, and the rank count adds up."""
+    """build_model's square counts invert synthesize_delta, and the rank count adds up."""
     delta = synthesize_delta(tau, counts)
     model = build_model(delta, tau)
     assert model.square_counts == {i: c for i, c in counts.items() if c}

@@ -130,11 +130,3 @@ def test_h_specialization_at_m_zero():
     # the listed m = 0 value (-l - 1/2; -1, 2l; 0) is the general formula at m = 0
     for l in range(-3, 4):
         assert framing_h(l, 0) == GradingElement.of(-l - half, -1, 2 * l, 0)
-
-
-def test_json_dump_round_trips_names():
-    module = module_for(DELTA_TREFOIL, 1, 1)
-    payload = module.as_dict()
-    assert payload["tau"] == 1 and payload["framing"] == 1
-    assert {g["name"] for g in payload["generators"]} == {g.name for g in module.generators}
-    assert ["u3", "1", "mu1"] in payload["edges"]
