@@ -217,10 +217,14 @@ def main(argv: list[str] | None = None) -> int:
         try:
             with open(args.input, encoding="utf-8") as handle:
                 payload = json.load(handle)
-            delta_text = ",".join(str(c) for c in payload["delta"])
-            tau = payload["tau"]
-            if type(tau) is not int:  # bool is an int subclass, and int() would truncate 1.7
+            delta, tau = payload["delta"], payload["tau"]
+            # bool is an int subclass, int() would truncate 1.7, and a string
+            # element would be split at its commas by parse_delta
+            if type(delta) is not list or any(type(c) is not int for c in delta):
+                raise TypeError(f"delta must be a JSON list of integers, got {delta!r}")
+            if type(tau) is not int:
                 raise TypeError(f"tau must be a JSON integer, got {tau!r}")
+            delta_text = ",".join(map(str, delta))
         except (OSError, KeyError, TypeError, ValueError) as exc:
             print(f"error: cannot read input file: {exc}", file=sys.stderr)
             return 1

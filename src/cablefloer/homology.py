@@ -1,13 +1,12 @@
 """Reduction of the bigraded complex over the two-element field.
 
-The staircase and chain arrows are cancelled per Alexander block; the
-square template is cancelled once, and its killed generators are read at
-each square level's gradings and scaled by that level's square count.
+The staircase and chain arrows are cancelled per Alexander block; each
+square level's first copy is cancelled once, and its killed generators are
+scaled by that level's square count.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -43,6 +42,9 @@ class RankTable:
 def _cancel_block(arrows: Sequence[tuple[int, int]]) -> set[int]:
     """Check d^2 = 0, then cancel arrows over GF(2) until none remain; return
     killed generators."""
+    ends = {i for arrow in arrows for i in arrow}
+    if len(ends) == 2 * len(arrows):  # no shared generator: no 2-path, every arrow cancels alone
+        return ends
     outgoing: dict[int, set[int]] = {}
     incoming: dict[int, set[int]] = {}
     for src, tgt in arrows:
@@ -81,16 +83,16 @@ def _cancel_block(arrows: Sequence[tuple[int, int]]) -> set[int]:
     return killed
 
 
-def _endpoint_gradings(gens: Sequence[TensorGenerator], arrows: Sequence[tuple[int, int]],
-                       base: int = 0) -> dict[int, tuple[int, int]]:
-    """(alexander, maslov) of each arrow endpoint, read at generator base + endpoint.
+def _endpoint_gradings(gens: Sequence[TensorGenerator], arrows: Sequence[tuple[int, int]]
+                       ) -> dict[int, tuple[int, int]]:
+    """(alexander, maslov) of each arrow endpoint.
 
     An arrow that does not keep the Alexander grading and lower the Maslov
     grading by one raises ComplexError.
     """
     out: dict[int, tuple[int, int]] = {}
     for src, tgt in arrows:
-        x, y = gens[base + src], gens[base + tgt]
+        x, y = gens[src], gens[tgt]
         if x.alexander != y.alexander or x.maslov != y.maslov + 1:
             raise ComplexError(f"mis-graded arrow {x.name} (A={x.alexander}, M={x.maslov}) -> "
                                f"{y.name} (A={y.alexander}, M={y.maslov})")
@@ -110,26 +112,22 @@ def reduce_complex(complex_: BigradedComplex) -> RankTable:
     be killed, so gradings are read for those alone; a count that would go
     below zero means the counts and the generators disagree, and raises.
 
-    From the first square on, the arrows are the template shifted to every
-    square (pair_modules found each square to be the first one relabelled),
-    so they are not read.  The template is checked against the gradings of
-    every level's first square, cancelled once with its d^2 check, and each
-    generator it kills is subtracted c_t times at that level's bigrading.
-    Cancellation reads only arrows, so the template's kills cancel every
-    square, and the per-level check makes them a graded cancellation there.
+    From the first square on, each level's first-copy arrows are read and
+    its other copies' arrows are not: pair_modules shifted the first copy's
+    arrows to them, since the copies are one stored square.  The first copy
+    is checked, cancelled with its d^2 check, and each generator it kills is
+    subtracted c_t times at its bigrading.
     """
     gens, arrows, levels = complex_.generators, complex_.arrows, complex_.levels
-    if levels:
-        arrows = arrows[:bisect_left(arrows, (min(levels)[0],))]
-    head = _endpoint_gradings(gens, arrows)
-    per_level = [(count, _endpoint_gradings(gens, complex_.template, first)) for first, count in levels]
+    head_arrows = arrows[:levels[0][0]] if levels else arrows
+    head = _endpoint_gradings(gens, head_arrows)
     blocks: dict[int, list[tuple[int, int]]] = {}  # alexander -> arrows
-    for src, tgt in arrows:
+    for src, tgt in head_arrows:
         blocks.setdefault(head[src][0], []).append((src, tgt))
     kills = [(1, head, _cancel_block(blocks[alexander])) for alexander in sorted(blocks)]
-    if levels:
-        killed = _cancel_block(complex_.template)
-        kills += [(count, graded, killed) for count, graded in per_level]
+    for start, stop, count in levels:
+        own = arrows[start:stop]
+        kills.append((count, _endpoint_gradings(gens, own), _cancel_block(own)))
     ranks = dict(complex_.bigradings)
     for scale, graded, killed in kills:
         for (alexander, m), count in Counter(map(graded.__getitem__, killed)).items():

@@ -10,29 +10,27 @@ rather than one path match per (generator, operation) pair.  Bigradings come
 from the grading group: gr(x*y) = gr(x)gr(y) normalized to (N, A'), then
 A = A' + c and M = N + 2A with the shift constant c = l*p - n*p*(p-1)/2.
 
-A tensor grading therefore depends only on the A generator, the idempotent
-and the grading of the complement generator, so each distinct (idempotent,
-D grading) row is built once and shared: all squares at one level carry the
-same gradings (the box tensor product is additive over those summands), and
-so do the x1 and x3 corners of every square.  A new row needs no group
-arithmetic per generator either: with the A generator and the D grading's b
-slot fixed (the doubled b slot is -1, 0 or 1), the power of h is fixed and
-every later step of normalize_double_coset(gr(a) * x) is linear in x's
-doubled (a, c, d) slots.  One normalization per (A generator, b slot), at
-the first row with that b slot, gives that affine map's integer constants,
-and each row entry is two integer dot products plus the group law's parity
-checks.  The complex is columnar: each complement generator points at its
-shared row, bigrading counts are rows times multiplicities, and a
-TensorGenerator record is built only when someone reads it.  The view still
-has every generator, in order, for the benchmark's generator count and the
-selfcheck's closed-form comparison.
+The complement module stores one square per level with its count c_t.  The
+box tensor product is additive over direct summands, so each level's c_t
+squares pair to c_t copies of that square's part of the complex: the
+generator view lists it c_t times in a row, each copy under the stored
+square's D names, and the arrows of the other copies are the first copy's
+shifted by whole squares.  No output names a copy.  A tensor grading
+depends only on the A generator, the idempotent and the grading of the
+complement generator, and a row needs no group arithmetic per generator:
+with the A generator and the D grading's b slot fixed (the doubled b slot is
+-1, 0 or 1), the power of h is fixed and every later step of
+normalize_double_coset(gr(a) * x) is linear in x's doubled (a, c, d) slots.
+One normalization per (A generator, b slot), at the first row with that b
+slot, gives that affine map's integer constants, and each row entry is two
+integer dot products plus the group law's parity checks.  The complex is
+columnar: each complement generator points at its row, bigrading counts are
+rows times copies, and a TensorGenerator record is built only when someone
+reads it.  The view still has every generator, in order, for the benchmark's
+generator count and the selfcheck's closed-form comparison, and the arrows
+stay whole and sorted; homology.reduce_complex cancels each level's first
+copy and scales its kills by c_t.
 
-The differential reads only edges and idempotents, and every square has
-the same corners and edges, so one square's arrows, taken relative to its
-first generator, are the arrows of every square at every level.  The
-pairing walks the staircase, the chain and the first square, checks that
-each later square is that template relabelled, and shifts the template to
-every square; homology.reduce_complex cancels the template once per run.
 The closed-form grading tables that cross-check this group arithmetic live
 in invariants.py with the other pipeline-independent oracles.
 """
@@ -42,22 +40,22 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, replace
-from itertools import accumulate
+from dataclasses import dataclass
+from itertools import accumulate, groupby
 from typing import NamedTuple
 
 from .gradings import GradingElement, GradingError, affine_normalization, normalize_double_coset
 from .type_a import CHORD_PREFIX, TypeAModule, hat_operations  # noqa: F401 (re-exported)
 from .type_d import TypeDModule
 
-# A shared row: the (N, A', alexander, maslov) of each A generator of one
+# A row: the (N, A', alexander, maslov) of each A generator of one
 # idempotent group, in A order
 Row = tuple[tuple[int, int, int, int], ...]
 
 
 class ComplexError(RuntimeError):
-    """Structural failure: a mis-graded arrow, d^2 != 0, or a square that is
-    not the template relabelled."""
+    """Structural failure: a mis-graded arrow, d^2 != 0, or cancellation
+    killing more generators of a bigrading than it counts."""
 
 
 class TensorGenerator(NamedTuple):
@@ -114,11 +112,9 @@ class BigradedComplex:
     arrows: tuple[tuple[int, int], ...]  # (source index, target index)
     # generator count per (alexander, maslov); counted over generators when not given
     bigradings: Mapping[tuple[int, int], int] | None = None
-    # the first square's arrows relative to its first generator, and
-    # (first generator of the level's first square, c_t) per square level:
-    # reduce_complex reads the arrows from the first square on through these
-    template: tuple[tuple[int, int], ...] = ()
-    levels: tuple[tuple[int, int], ...] = ()
+    # (start, stop, c_t) per square level: arrows[start:stop] are the arrows
+    # of the level's first copy, and its other copies' arrows follow them
+    levels: tuple[tuple[int, int, int], ...] = ()
 
     def __post_init__(self):
         if self.bigradings is None:
@@ -189,136 +185,91 @@ def _refusal(y: GradingElement, x: GradingElement) -> Exception:
     return GradingError(f"{y} * {x} does not normalize to integers")
 
 
-def _shared_rows(A: TypeAModule, D: TypeDModule, c: int, by_idempotent: dict[str, tuple[str, ...]]
-                 ) -> tuple[list[tuple[str, ...]], list[Row], list[tuple[Row, int]]]:
-    """Per complement generator in D order, its A generators and its row; and
-    each distinct row with its multiplicity.
+def _rows(A: TypeAModule, D: TypeDModule, c: int, by_idempotent: dict[str, tuple[str, ...]]
+          ) -> tuple[list[tuple[str, ...]], list[Row]]:
+    """Per complement generator in D order, its A generators and its row.
 
-    With D.h, A.g and c fixed, a tensor grading depends only on the A
-    generator, the idempotent and the D grading, so the row of an
-    (idempotent, D grading) key is built once and reused: squares at one
-    level share their rows, and so do the x1 and x3 corners of every square.
-    The idempotent belongs in the key because i0 and i1 rows run over
-    different A generators.  A row is two integer dot products per A
+    With D.h, A.g and c fixed, a row is two integer dot products per A
     generator, with the affine constants of each (A generator, b slot)
     normalized once.
     """
     # (idempotent, b slot) -> c parity of its anchor, constants per A generator
     affine: dict[tuple[str, int], tuple[int, list]] = {}
-    counted: dict[tuple[str, GradingElement], list] = {}  # key -> [row, multiplicity]
-    groups, row_of = [], []
+    groups, rows = [], []
     for d_gen in D.generators:
         idempotent, x = d_gen.idempotent, d_gen.grading
-        key = (idempotent, x)  # hashed once: GradingElement hashes in Python
         group = by_idempotent.get(idempotent, ())
-        entry = counted.get(key)
-        if entry is None:
-            slot = affine.get((idempotent, x.b2))
-            if slot is None:  # the first row of this b slot anchors its maps
-                slot = affine[idempotent, x.b2] = (x.c2 % 2, [
-                    affine_normalization(A.gradings[a_name], x, A.g, D.h, normalize_double_coset)
-                    for a_name in group])
-            c_parity, maps = slot
-            a2, c2, d2, parity = 2 * x.a2, x.c2, 2 * x.d2, x.c2 % 2
-            values = []
-            for a_name, (n0, nc, m0, mc) in zip(group, maps):
-                n, m = n0 + a2 + nc * c2, m0 + d2 + mc * c2
-                if parity != c_parity or n % 4 or m % 4:
-                    raise _refusal(A.gradings[a_name], x)
-                N, Aprime = n // 4, m // 4
-                alexander = Aprime + c
-                values.append((N, Aprime, alexander, N + 2 * alexander))
-            entry = counted[key] = [tuple(values), 0]
-        entry[1] += 1
+        slot = affine.get((idempotent, x.b2))
+        if slot is None:  # the first row of this b slot anchors its maps
+            slot = affine[idempotent, x.b2] = (x.c2 % 2, [
+                affine_normalization(A.gradings[a_name], x, A.g, D.h, normalize_double_coset)
+                for a_name in group])
+        c_parity, maps = slot
+        a2, c2, d2, parity = 2 * x.a2, x.c2, 2 * x.d2, x.c2 % 2
+        values = []
+        for a_name, (n0, nc, m0, mc) in zip(group, maps):
+            n, m = n0 + a2 + nc * c2, m0 + d2 + mc * c2
+            if parity != c_parity or n % 4 or m % 4:
+                raise _refusal(A.gradings[a_name], x)
+            N, Aprime = n // 4, m // 4
+            alexander = Aprime + c
+            values.append((N, Aprime, alexander, N + 2 * alexander))
         groups.append(group)
-        row_of.append(entry[0])
-    return groups, row_of, [(row, count) for row, count in counted.values()]
+        rows.append(tuple(values))
+    return groups, rows
 
 
 def tensor_gradings(A: TypeAModule, D: TypeDModule, c: int) -> dict[tuple[str, str], tuple[int, int, int, int]]:
     """(N, A', alexander, maslov) for every tensor generator, complement-major order."""
-    groups, row_of, _ = _shared_rows(A, D, c, _by_idempotent(A))
+    groups, rows = _rows(A, D, c, _by_idempotent(A))
     return {(a_name, d_gen.name): value
-            for d_gen, group, row in zip(D.generators, groups, row_of) for a_name, value in zip(group, row)}
-
-
-def _one_square(D: TypeDModule) -> tuple[TypeDModule, list[int], list[tuple[int, int]]]:
-    """D cut down to the staircase, the chain and the first square; the
-    complement index of each square's x1; and (index of the level's first
-    x1, c_t) per square level.
-
-    build_typed emits the squares last, each from its x1 corner on.  Every
-    later square must be the first one relabelled: the same corner kinds and
-    idempotents, the corner gradings of the first square at its level, and
-    D edges that are the first square's between the corresponding corners,
-    with no edge leaving a square.  Anything else raises ComplexError.
-    """
-    gens = D.generators
-    firsts = [j for j, g in enumerate(gens) if g.level is not None and g.kind == "x" and g.index == 1]
-    if not firsts:
-        return D, [], []
-    ends = firsts[1:] + [len(gens)]  # the last square runs to the end, so nothing may follow it
-    shape = [(g.kind, g.index, g.idempotent) for g in gens[firsts[0]:ends[0]]]
-    levels: dict[int, list] = {}  # level -> [its first x1, that square's corner gradings, c_t]
-    square_of: dict[str, tuple[int, int]] = {}  # corner name -> (square, corner)
-    for k, (j, end) in enumerate(zip(firsts, ends)):
-        square = gens[j:end]
-        gradings = [g.grading for g in square]
-        level = levels.setdefault(square[0].level, [j, gradings, 0])
-        if [(g.kind, g.index, g.idempotent) for g in square] != shape or gradings != level[1]:
-            raise ComplexError(f"the square at complement index {j} is not the template relabelled: "
-                               f"its corners differ")
-        level[2] += 1
-        square_of.update((g.name, (k, corner)) for corner, g in enumerate(square))
-    kept, relabelled = [], [[] for _ in firsts]  # edges walked; (corner, label, corner) per square
-    for edge in D.edges:
-        src, tgt = square_of.get(edge.source), square_of.get(edge.target)
-        if src is None and tgt is None:
-            kept.append(edge)
-        elif src is None or tgt is None or src[0] != tgt[0]:
-            raise ComplexError(f"D edge {edge.source} -{edge.label}-> {edge.target} leaves a square")
-        else:
-            relabelled[src[0]].append((src[1], edge.label, tgt[1]))
-            if src[0] == 0:
-                kept.append(edge)
-    template = sorted(relabelled[0])
-    for j, edges in zip(firsts, relabelled):
-        if sorted(edges) != template:
-            raise ComplexError(f"the square at complement index {j} is not the template relabelled: "
-                               f"its D edges differ")
-    cut = replace(D, generators=gens[:ends[0]], edges=tuple(kept))
-    return cut, firsts, [(j, count) for j, _, count in levels.values()]
+            for d_gen, group, row in zip(D.generators, groups, rows) for a_name, value in zip(group, row)}
 
 
 def pair_modules(A: TypeAModule, D: TypeDModule, l: int, n: int) -> BigradedComplex:
-    """Assemble the bigraded complex of the cable from the shared rows.
+    """Assemble the bigraded complex of the cable from the rows.
 
     No per-generator record or index is built: generators is a view over
-    (complement generator, its A generators, its row, start offset), the
-    index of a*d is the start of d plus the position of a in its idempotent
-    group, and the bigrading counts are each distinct row times its
-    multiplicity.  The differential walks the staircase, the chain and the
-    first square; every later square gets the first square's arrows
-    shifted by its start, and since squares come last the arrows stay
-    sorted.
+    (complement generator, its A generators, its row, start offset) that
+    lists each level's square D.copies[t] times in a row, the index of a*d
+    in the first copy is the start of d plus the position of a in its
+    idempotent group, and the bigrading counts are each row times its
+    copies.  The differential walks D once; each level's first-copy arrows
+    are followed by the same arrows shifted by whole squares for its other
+    copies, and since squares come last the arrows stay sorted.
     """
     by_idempotent = _by_idempotent(A)
-    groups, row_of, counted = _shared_rows(A, D, shift_constant(l, A.p, n), by_idempotent)
-    generators = TensorGenerators(tuple(d_gen.name for d_gen in D.generators), tuple(groups), tuple(row_of))
-    cut, firsts, levels = _one_square(D)
-    start = dict(zip(generators.d_names, generators.starts))
+    groups, rows = _rows(A, D, shift_constant(l, A.p, n), by_idempotent)
+    gens = D.generators
+    layout: list[int] = []  # D index of each complement generator in the view
+    first = [0] * len(gens)  # view position of each D generator's first copy
+    squares = []  # (view position of the first copy, of its end, c_t) per level
+    for level, run in groupby(range(len(gens)), key=lambda j: gens[j].level):
+        run, count = list(run), D.copies.get(level, 1)
+        for position, j in enumerate(run, len(layout)):
+            first[j] = position
+        if level is not None:
+            squares.append((len(layout), len(layout) + len(run), count))
+        layout += run * count
+    generators = TensorGenerators(tuple(gens[j].name for j in layout), tuple(groups[j] for j in layout),
+                                  tuple(rows[j] for j in layout))
+    starts = generators.starts + [len(generators)]
+    start = {d_gen.name: starts[k] for d_gen, k in zip(gens, first)}
     position = {a_name: k for group in by_idempotent.values() for k, a_name in enumerate(group)}
     arrows = sorted((start[d_src] + position[a_src], start[d_tgt] + position[a_tgt])
-                    for (a_src, d_src), (a_tgt, d_tgt) in tensor_differential(A, cut))
-    template: tuple[tuple[int, int], ...] = ()
-    if firsts:
-        base = generators.starts[firsts[0]]
-        template = tuple((src - base, tgt - base) for src, tgt in arrows[bisect_left(arrows, (base,)):])
-        arrows.extend((first + src, first + tgt)
-                      for first in map(generators.starts.__getitem__, firsts[1:]) for src, tgt in template)
+                    for (a_src, d_src), (a_tgt, d_tgt) in tensor_differential(A, D))
+    whole = arrows[:bisect_left(arrows, (starts[squares[0][0]],))] if squares else arrows
+    levels = []
+    for begin, end, count in squares:
+        lo, size = starts[begin], starts[end] - starts[begin]
+        own = arrows[bisect_left(arrows, (lo,)):bisect_left(arrows, (lo + size,))]
+        levels.append((len(whole), len(whole) + len(own), count))
+        whole += own
+        whole.extend((src + k * size, tgt + k * size) for k in range(1, count) for src, tgt in own)
     bigradings: dict[tuple[int, int], int] = {}
-    for row, count in counted:
+    for d_gen, row in zip(gens, rows):
+        count = D.copies.get(d_gen.level, 1)
         for _, _, alexander, maslov in row:
             bigradings[alexander, maslov] = bigradings.get((alexander, maslov), 0) + count
-    return BigradedComplex(generators=generators, arrows=tuple(arrows), bigradings=bigradings,
-                           template=template, levels=tuple((generators.starts[j], count) for j, count in levels))
+    return BigradedComplex(generators=generators, arrows=tuple(whole), bigradings=bigradings,
+                           levels=tuple(levels))

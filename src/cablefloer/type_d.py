@@ -2,9 +2,10 @@
 
 Built directly from a :class:`~cablefloer.thin.ThinModel`: the staircase
 contributes generators u_1 .. u_{2|tau|+1} (idempotent i0) and v_1 .. v_{2|tau|}
-(idempotent i1), each square summand contributes corners x_1 .. x_4 (i0) and
-y_1 .. y_4 (i1), and the framing-dependent unstable chain joins the two
-staircase ends through extra i1 generators mu_j.  Every generator carries a
+(idempotent i1), the c_t square summands at level t are one square of corners
+x_1 .. x_4 (i0) and y_1 .. y_4 (i1) counted c_t times, and the
+framing-dependent unstable chain joins the two staircase ends through extra
+i1 generators mu_j.  Every generator carries a
 right-coset grading; the coset normalizer h depends on m = 2*tau - n.
 """
 
@@ -40,6 +41,9 @@ class TypeDModule:
     generators: tuple[DGenerator, ...]
     edges: tuple[DEdge, ...]
     h: GradingElement = field(repr=False)
+    # square count c_t per level t; a level's square is stored once and
+    # stands for its c_t isomorphic copies
+    copies: dict[int, int] = field(default_factory=dict)
 
 
 def framing_h(l: int, m: int) -> GradingElement:
@@ -150,21 +154,19 @@ def build_typed(model: ThinModel, n: int) -> TypeDModule:
     edges.extend(chain_edges)
 
     # a square whose corner count is c_i lies at level t = i - tau; its
-    # gradings are the base square right-multiplied by (t/2; 0, t; 0), so
-    # the squares of one level share their corner gradings.  Each square
-    # emits its corners from x1 on, and one level's squares are consecutive.
-    serial = 0
-    for i in sorted(model.square_counts):
+    # gradings are the base square right-multiplied by (t/2; 0, t; 0).  The
+    # c_i squares of one level are isomorphic summands, so one square per
+    # level is emitted, from its x1 corner on, and copies[t] counts them.
+    copies: dict[int, int] = {}
+    for serial, i in enumerate(sorted(model.square_counts)):
         t = i - tau
         shift = GradingElement(t, 0, 2 * t, 0)
-        corners = [(corner, idem, base * shift) for corner, (idem, base) in _SQUARE_BASE.items()]
-        for _ in range(model.square_counts[i]):
-            tag = f"s{serial}"
-            serial += 1
-            for corner, idem, grading in corners:
-                gens.append(DGenerator(f"{corner}.{tag}", idem, grading, corner[0], int(corner[1]), level=t))
-            for src, label, tgt in _SQUARE_EDGES:
-                edges.append(DEdge(f"{src}.{tag}", label, f"{tgt}.{tag}"))
+        tag = f"s{serial}"
+        for corner, (idem, base) in _SQUARE_BASE.items():
+            gens.append(DGenerator(f"{corner}.{tag}", idem, base * shift, corner[0], int(corner[1]), level=t))
+        for src, label, tgt in _SQUARE_EDGES:
+            edges.append(DEdge(f"{src}.{tag}", label, f"{tgt}.{tag}"))
+        copies[t] = model.square_counts[i]
 
     return TypeDModule(
         tau=tau,
@@ -172,4 +174,5 @@ def build_typed(model: ThinModel, n: int) -> TypeDModule:
         generators=tuple(gens),
         edges=tuple(edges),
         h=framing_h(l, m),
+        copies=copies,
     )

@@ -9,10 +9,12 @@ read off the polynomial alone.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
+from itertools import groupby
 
 import pytest
 
-from cablefloer import LaurentPolynomial, synthesize_delta
+from cablefloer import DEdge, LaurentPolynomial, TypeDModule, synthesize_delta
 
 # rank of the (5,16)-cable of 11n50 per (alexander, maslov), transcribed
 # from the published listing; totals 181 over 60 lattice points
@@ -113,6 +115,35 @@ def oracle_staircase(delta: dict, mirror: bool = False) -> dict:
     if mirror:
         table = {(-a, -m): r for (a, m), r in table.items()}
     return table
+
+
+# ---------------------------------------------------------------------------
+# complement module with every square copy written out
+# ---------------------------------------------------------------------------
+
+def expand_squares(D: TypeDModule) -> TypeDModule:
+    """D with each level's square written out D.copies[t] times in a row,
+    every copy its own relabelled square: copy k > 0 of a corner named
+    "x1.s0" is "x1.s0#k".  The generic matcher walks this module in full,
+    as an independent reference for the pairing's shifted copies."""
+    copies = {g.name: D.copies.get(g.level, 1) for g in D.generators}
+    gens = []
+    for _, run in groupby(D.generators, key=lambda g: g.level):
+        run = list(run)
+        for k in range(copies[run[0].name]):
+            gens += [replace(g, name=copy_name(g.name, k)) for g in run]
+    edges = [DEdge(copy_name(e.source, k), e.label, copy_name(e.target, k))
+             for e in D.edges for k in range(copies[e.source])]
+    return replace(D, generators=tuple(gens), edges=tuple(edges), copies={})
+
+
+def copy_name(name: str, k: int) -> str:
+    return f"{name}#{k}" if k else name
+
+
+def stored_name(name: str) -> str:
+    """The D name that copy `name` of expand_squares shares in the pairing."""
+    return name.split("#")[0]
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,8 @@ from cablefloer import (
     synthesize_delta,
 )
 
+from conftest import expand_squares
+
 TRACER_PATH = Path(__file__).resolve().parents[1] / "cablebench" / "tracer.py"
 REMOVED = {("cablefloer.pipeline", "grading_filter")}  # repair mode is gone; its layer reads 0
 
@@ -63,17 +65,18 @@ def test_counted_names_resolve():
     (1, {1: 2, -1: 2}, 3, 2),              # m = 0
 ])
 def test_complex_stays_whole(tau, counts, p, n):
-    """The generator view, built on demand from shared rows, still counts every
-    tensor generator, and the arrows stay whole although only one square per
-    level is reduced; the benchmark compares the generator count with its
-    prediction and reads its arrow and block counts off the arrows."""
+    """The generator view, built on demand from the rows, still counts every
+    tensor generator, and the arrows stay whole although the complement
+    module stores one square per level; the benchmark compares the generator
+    count with its prediction and reads its arrow and block counts off the
+    arrows.  The reference walks every square copy written out."""
     s = sum(counts.values())
     model = build_model(synthesize_delta(tau, counts), tau)
     A, D = build_typea_minus(p), build_typed(model, n)
     complex_ = pairing.pair_modules(A, D, model.params.l, n)
     predicted = (2 * abs(tau) + 1 + 4 * s) + (2 * p - 2) * (2 * abs(tau) + 4 * s + abs(2 * tau - n))
     assert len(complex_.generators) == predicted
-    assert len(complex_.arrows) == len(pairing.tensor_differential(A, D))
+    assert len(complex_.arrows) == len(pairing.tensor_differential(A, expand_squares(D)))
 
 
 def test_gradings_rollup_sees_every_normalization(monkeypatch):

@@ -277,6 +277,17 @@ def test_input_file_tau_must_be_integer(tmp_path, capsys, tau):
     assert err.startswith("error: cannot read input file")
 
 
+@pytest.mark.parametrize("delta", ["1", ["1", "-1", "1"], ["1,-1", 1], [1, True, 1], [1, -1.0, 1],
+                                   {"0": 1}, None])
+def test_input_file_delta_must_be_integer_list(tmp_path, capsys, delta):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"delta": delta, "tau": 0}))
+    code, out, err = run_main(capsys, "--input", str(path), "--p", "2", "--n", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot read input file")
+
+
 def test_output_file(tmp_path, capsys):
     path = tmp_path / "out.tsv"
     code = main(["--delta", "1", "--tau", "0", "--p", "2", "--n", "1",

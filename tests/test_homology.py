@@ -196,25 +196,26 @@ def test_symmetry_of_reduced_output():
 def test_summand_wise_reduction_equals_whole_reduction(tau, counts, p, n):
     model = build_model(synthesize_delta(tau, counts), tau)
     complex_ = pair_modules(build_typea_minus(p), build_typed(model, n), model.params.l, n)
-    assert [count for _, count in complex_.levels] == [c for _, c in sorted(counts.items()) if c]
+    assert [count for _, _, count in complex_.levels] == [c for _, c in sorted(counts.items()) if c]
     whole = reduce_complex(replace(complex_, levels=()))
     assert reduce_complex(complex_).ranks == whole.ranks
 
 
 class TestSummands:
     """A hand-built complex: one arrow at Alexander grading 5 on generators
-    0-1, then squares of (a, b1, b2) under one template: one square at
-    level 0 (generators 2-4) and two at level 1 (5-7 and 8-10)."""
+    0-1, then squares of (a, b1, b2) with the same arrows: one square at
+    level 0 (generators 2-4) and two copies at level 1 (5-7 and 8-10)."""
 
-    def complex_with(self, template, low=(1, 0, 0), top=(2, 1, 1), bigradings=None):
+    def complex_with(self, square, low=(1, 0, 0), top=(2, 1, 1), bigradings=None):
         """low and top are the Maslov gradings of a, b1, b2 at levels 0 and 1."""
         rows = [("a", 5, 1), ("b1", 5, 0)]
         for alexander, maslovs in ((0, low), (1, top), (1, top)):
             rows += [(a, alexander, m) for a, m in zip(("a", "b1", "b2"), maslovs)]
-        arrows = [(0, 1)] + [(first + src, first + tgt) for first in (2, 5, 8) for src, tgt in template]
+        arrows = [(0, 1)] + [(first + src, first + tgt) for first in (2, 5, 8) for src, tgt in square]
         gens = tuple(gen(a, f"g{j}", alexander, m) for j, (a, alexander, m) in enumerate(rows))
+        k = len(square)
         return BigradedComplex(generators=gens, arrows=tuple(sorted(arrows)), bigradings=bigradings,
-                               template=template, levels=((2, 1), (5, 2)))
+                               levels=((1, 1 + k, 1), (1 + k, 1 + 2 * k, 2)))
 
     def test_copies_reduce_once_and_scale(self):
         complex_ = self.complex_with(((0, 1),))
@@ -231,7 +232,7 @@ class TestSummands:
 
     def test_template_d_squared_violation_raises(self):
         complex_ = self.complex_with(((0, 1), (1, 2)), low=(2, 1, 0), top=(3, 2, 1))
-        with pytest.raises(ComplexError, match=r"^d\^2 != 0 at generator index 0$"):
+        with pytest.raises(ComplexError, match=r"^d\^2 != 0 at generator index 2$"):
             reduce_complex(complex_)
 
     def test_template_kills_over_a_level_count_raise(self):

@@ -26,7 +26,15 @@ from cablefloer import (
     tensor_gradings,
 )
 
-from conftest import DELTA_5_2, DELTA_11N50, DELTA_TREFOIL, SPREAD_55, thin_grid_cases
+from conftest import (
+    DELTA_5_2,
+    DELTA_11N50,
+    DELTA_TREFOIL,
+    SPREAD_55,
+    expand_squares,
+    stored_name,
+    thin_grid_cases,
+)
 
 
 def modules_for(delta_text, tau, p, n):
@@ -85,10 +93,10 @@ ROW_CASES = pytest.mark.parametrize("tau, counts, p, n", [
 
 def generator_pairs(delta_text, tau, p, n):
     """(A side, D side) of every generator of the paired complex, with the
-    reference loop checked to list the same pairs."""
+    reference loop over every square copy checked to list the same pairs."""
     A, D, model = modules_for(delta_text, tau, p, n)
     pairs = [(g.a_side, g.d_side) for g in pair_modules(A, D, model.params.l, n).generators]
-    assert pairs == reference_pairs(A, D)
+    assert pairs == [(a, stored_name(d)) for a, d in reference_pairs(A, expand_squares(D))]
     return pairs
 
 
@@ -235,7 +243,8 @@ class TestGradings:
         A, D, model = modules_for(delta_text, tau, p, n)
         complex_ = pair_modules(A, D, model.params.l, n)
         gradings = tensor_gradings(A, D, shift_constant(model.params.l, p, n))
-        assert [(g.a_side, g.d_side) for g in complex_.generators] == reference_pairs(A, D)
+        assert [(g.a_side, g.d_side) for g in complex_.generators] == [
+            (a, stored_name(d)) for a, d in reference_pairs(A, expand_squares(D))]
         for g in complex_.generators:
             assert (g.N, g.Aprime, g.alexander, g.maslov) == gradings[(g.a_side, g.d_side)]
 
@@ -251,12 +260,15 @@ class TestGradings:
 
     @ROW_CASES
     def test_generator_view_matches_eager_records(self, tau, counts, p, n):
-        """The lazy view, the row-times-multiplicity counts and the offset
-        arrow indices against one record per generator and an index dict."""
+        """The lazy view, the row-times-copies counts and the offset arrow
+        indices against one record per generator and an index dict, with
+        every square copy written out and walked by the generic matcher."""
         model = build_model(synthesize_delta(tau, counts), tau)
         A, D = build_typea_minus(p), build_typed(model, n)
-        gradings = tensor_gradings(A, D, shift_constant(model.params.l, p, n))
-        want = [TensorGenerator(a, d, *gradings[(a, d)]) for a, d in reference_pairs(A, D)]
+        expanded = expand_squares(D)
+        gradings = reference_gradings(A, expanded, shift_constant(model.params.l, p, n))
+        pairs = reference_pairs(A, expanded)
+        want = [TensorGenerator(a, stored_name(d), *gradings[(a, d)]) for a, d in pairs]
         complex_ = pair_modules(A, D, model.params.l, n)
         generators = complex_.generators
         assert list(generators) == want
@@ -268,47 +280,34 @@ class TestGradings:
             with pytest.raises(IndexError):
                 generators[i]
         assert complex_.bigradings == Counter((g.alexander, g.maslov) for g in want)
-        index = {(g.a_side, g.d_side): i for i, g in enumerate(want)}
+        index = {pair: i for i, pair in enumerate(pairs)}
         assert complex_.arrows == tuple(sorted((index[src], index[tgt])
-                                               for src, tgt in tensor_differential(A, D)))
+                                               for src, tgt in reference_differential(A, expanded)))
 
     @ROW_CASES
     def test_square_summands_follow_square_counts(self, tau, counts, p, n):
-        """One (first generator, c_t) entry per level, at a*x1 of the level's
-        first square, and a template inside one square of 8p - 4 generators."""
+        """One (start, stop, c_t) entry per level: its first copy's arrows lie
+        in that copy's 8p - 4 generators, under the level's stored square,
+        and the next c_t - 1 blocks of arrows are them shifted by whole
+        squares."""
         model = build_model(synthesize_delta(tau, counts), tau)
         complex_ = pair_modules(build_typea_minus(p), build_typed(model, n), model.params.l, n)
-        want, serial = [], 0
-        for i in sorted(model.square_counts):
-            want.append((f"x1.s{serial}", model.square_counts[i]))
-            serial += model.square_counts[i]
-        got = [(complex_.generators[first], count) for first, count in complex_.levels]
-        assert [(g.d_side, count) for g, count in got] == want
-        assert all(g.a_side == "a" for g, _ in got)
-        assert all(0 <= i < 8 * p - 4 for arrow in complex_.template for i in arrow)
-        assert bool(complex_.template) == bool(counts)
-
-    def test_squares_that_are_not_copies_raise(self):
-        """A later square that is not the first one relabelled fails the
-        pairing: a regraded corner, or a relabelled, missing, extra or
-        escaping D edge."""
-        A, D, model = modules_for(DELTA_11N50, 0, 5, 3)
-        pair_modules(A, D, model.params.l, 3)
-        k = next(j for j, g in enumerate(D.generators) if g.name == "x2.s3")
-        assert D.generators[k].grading == D.generators[k - 8].grading  # x2.s2, same level
-        regraded = replace(D.generators[k], grading=D.generators[k - 1].grading)
-        edge = DEdge("x1.s5", "1", "y4.s5")
-        assert edge in D.edges
-        for module, message in (
-            (replace(D, generators=D.generators[:k] + (regraded,) + D.generators[k + 1:]), "corners differ"),
-            (replace(D, edges=tuple(e._replace(target="y2.s5") if e == edge else e for e in D.edges)),
-             "D edges differ"),
-            (replace(D, edges=tuple(e for e in D.edges if e != edge)), "D edges differ"),
-            (replace(D, edges=D.edges + (DEdge("x3.s5", "1", "y2.s5"),)), "D edges differ"),
-            (replace(D, edges=D.edges + (DEdge("u1", "1", "y4.s3"),)), "leaves a square"),
-        ):
-            with pytest.raises(ComplexError, match=message):
-                pair_modules(A, module, model.params.l, 3)
+        gens, arrows, size = complex_.generators, complex_.arrows, 8 * p - 4
+        assert [count for _, _, count in complex_.levels] == [model.square_counts[i]
+                                                              for i in sorted(model.square_counts)]
+        end = complex_.levels[0][0] if complex_.levels else len(arrows)
+        assert all("." not in gens[i].d_side for arrow in arrows[:end] for i in arrow)
+        d_sides = [g.d_side for g in gens]
+        for serial, (start, stop, count) in enumerate(complex_.levels):
+            assert start == end
+            first = d_sides.index(f"x1.s{serial}")
+            own = arrows[start:stop]
+            assert own and all(first <= i < first + size for arrow in own for i in arrow)
+            assert all(d_sides[i].endswith(f".s{serial}") for i in range(first, first + count * size))
+            end = stop + (count - 1) * len(own)
+            assert arrows[stop:end] == tuple((src + k * size, tgt + k * size)
+                                             for k in range(1, count) for src, tgt in own)
+        assert end == len(arrows)
 
     def test_rows_keyed_by_idempotent_and_grading(self):
         # s and y share a grading but pair with different A generators, and

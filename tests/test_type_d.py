@@ -77,16 +77,21 @@ class TestBuild:
         assert list(module.edges) == [("u1", "12", "u1")]
 
     @pytest.mark.parametrize("tau,n", [(0, 0), (0, 2), (-1, -2), (-2, 1), (1, 1), (2, -3)])
-    @pytest.mark.parametrize("counts", [{}, {0: 1}, {1: 1, -1: 1}])
+    @pytest.mark.parametrize("counts", [{}, {0: 1}, {1: 1, -1: 1}, {1: 2, 0: 3, -1: 2}])
     def test_generator_counts(self, tau, n, counts):
+        """One square of 8 generators and 8 edges per level, whatever its
+        count, and the counts keyed by level t = i - tau."""
         model = build_model(synthesize_delta(tau, counts), tau)
         module = build_typed(model, n)
-        s = model.params.s
+        levels = len(model.square_counts)
         m = 2 * tau - n
         i0 = [g for g in module.generators if g.idempotent == "i0"]
         i1 = [g for g in module.generators if g.idempotent == "i1"]
-        assert len(i0) == 2 * abs(tau) + 1 + 4 * s
-        assert len(i1) == 2 * abs(tau) + abs(m) + 4 * s
+        assert len(i0) == 2 * abs(tau) + 1 + 4 * levels
+        assert len(i1) == 2 * abs(tau) + abs(m) + 4 * levels
+        assert sum(g.level is not None for g in module.generators) == 8 * levels
+        assert sum("." in e.source for e in module.edges) == 8 * levels
+        assert module.copies == {i - tau: c for i, c in model.square_counts.items()}
 
     @pytest.mark.parametrize("tau,n", [(0, 1), (0, -2), (-1, -2), (1, 1), (2, 0), (-2, -1)])
     def test_gadget_well_formed(self, tau, n):
@@ -104,18 +109,20 @@ class TestBuild:
             assert len(into_123) + len(out_2) == 1
 
     def test_square_level_shift(self):
-        # 11n50 has two squares in each level -1, 0, 1; corner gradings are
-        # the base square times (t/2; 0, t; 0)
+        # 11n50 has two squares in each level -1, 0, 1, stored as one square
+        # per level; corner gradings are the base square times (t/2; 0, t; 0)
         module = module_for(DELTA_11N50, 0, 3)
         squares = {}
         for gen in module.generators:
-            if gen.kind == "x" and gen.index == 1:
+            if gen.level is not None:
                 squares.setdefault(gen.level, []).append(gen)
-        assert {level: len(gens) for level, gens in squares.items()} == {-1: 2, 0: 2, 1: 2}
+        assert {level: len(gens) for level, gens in squares.items()} == {-1: 8, 0: 8, 1: 8}
+        assert module.copies == {-1: 2, 0: 2, 1: 2}
         for level, gens in squares.items():
             shift = GradingElement(level, 0, 2 * level, 0)
-            for gen in gens:
-                assert gen.grading == GradingElement.identity() * shift
+            x1 = next(gen for gen in gens if gen.kind == "x" and gen.index == 1)
+            assert x1.grading == GradingElement.identity() * shift
+            assert [gen.name.split(".")[0] for gen in gens] == ["x1", "x2", "x3", "x4", "y1", "y2", "y3", "y4"]
 
     def test_staircase_and_square_gradings_differ_by_case(self):
         case1 = {g.name: g for g in module_for(DELTA_TREFOIL, -1, 0).generators}
