@@ -1,17 +1,16 @@
 """Reduction of the bigraded complex over the two-element field.
 
-The staircase and chain arrows are cancelled per Alexander block; each
-square level's first copy is cancelled once, and its killed generators are
-scaled by that level's square count.
+The arrows are cancelled once, and each killed generator is subtracted at
+its bigrading as many times as the generator view lists copies of it.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .pairing import BigradedComplex, ComplexError, TensorGenerator
+from .pairing import BigradedComplex, ComplexError, TensorGenerator, TensorGenerators
 
 
 @dataclass(frozen=True)
@@ -39,7 +38,7 @@ class RankTable:
         return out
 
 
-def _cancel_block(arrows: Sequence[tuple[int, int]]) -> set[int]:
+def _cancel(arrows: Sequence[tuple[int, int]]) -> set[int]:
     """Check d^2 = 0, then cancel arrows over GF(2) until none remain; return
     killed generators."""
     ends = {i for arrow in arrows for i in arrow}
@@ -105,35 +104,28 @@ def reduce_complex(complex_: BigradedComplex) -> RankTable:
 
     Every arrow must keep the Alexander grading and lower the Maslov grading
     by one; a correctly assembled complex always does, so any other arrow
-    raises ComplexError.  Arrows therefore never cross Alexander gradings, so
-    every 2-path stays inside one block: d^2 = 0 is checked and the
-    cancellation runs block by block, and the resulting table does not
-    depend on cancellation order.  Only arrow endpoints can
-    be killed, so gradings are read for those alone; a count that would go
-    below zero means the counts and the generators disagree, and raises.
-
-    From the first square on, each level's first-copy arrows are read and
-    its other copies' arrows are not: pair_modules shifted the first copy's
-    arrows to them, since the copies are one stored square.  The first copy
-    is checked, cancelled with its d^2 check, and each generator it kills is
-    subtracted c_t times at its bigrading.
+    raises ComplexError.  d^2 = 0 is checked on the whole arrow graph before
+    cancelling, and the resulting table does not depend on cancellation
+    order.  Only arrow endpoints can be killed, so gradings are read for
+    those alone.  A TensorGenerators view lists a square's generator once
+    per copy but its arrows on copy 0 only, since the box tensor product is
+    additive over the square summands: a killed generator is subtracted as
+    many times as the view lists it (once for any other sequence of
+    records).  A count that would go below zero means the counts and the
+    generators disagree, and raises.
     """
-    gens, arrows, levels = complex_.generators, complex_.arrows, complex_.levels
-    head_arrows = arrows[:levels[0][0]] if levels else arrows
-    head = _endpoint_gradings(gens, head_arrows)
-    blocks: dict[int, list[tuple[int, int]]] = {}  # alexander -> arrows
-    for src, tgt in head_arrows:
-        blocks.setdefault(head[src][0], []).append((src, tgt))
-    kills = [(1, head, _cancel_block(blocks[alexander])) for alexander in sorted(blocks)]
-    for start, stop, count in levels:
-        own = arrows[start:stop]
-        kills.append((count, _endpoint_gradings(gens, own), _cancel_block(own)))
+    gens, arrows = complex_.generators, complex_.arrows
+    graded = _endpoint_gradings(gens, arrows)
+    killed = _cancel(arrows)
+    weight = gens.copy_count if isinstance(gens, TensorGenerators) else lambda i: 1
+    lost: dict[tuple[int, int], int] = {}
+    for i in killed:
+        lost[graded[i]] = lost.get(graded[i], 0) + weight(i)
     ranks = dict(complex_.bigradings)
-    for scale, graded, killed in kills:
-        for (alexander, m), count in Counter(map(graded.__getitem__, killed)).items():
-            counted, count = ranks.get((alexander, m), 0), scale * count
-            if count > counted:
-                raise ComplexError(f"bigrading (A={alexander}, M={m}) loses {count} generators "
-                                   f"to cancellation but counts {counted}")
-            ranks[alexander, m] = counted - count
+    for (alexander, m), count in lost.items():
+        counted = ranks.get((alexander, m), 0)
+        if count > counted:
+            raise ComplexError(f"bigrading (A={alexander}, M={m}) loses {count} generators "
+                               f"to cancellation but counts {counted}")
+        ranks[alexander, m] = counted - count
     return RankTable(ranks)

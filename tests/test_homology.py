@@ -16,8 +16,9 @@ from cablefloer import (
     reduce_complex,
     synthesize_delta,
 )
+from cablefloer.pairing import TensorGenerators
 
-from conftest import DELTA_11N50, DELTA_TREFOIL, SPREAD_55
+from conftest import DELTA_11N50, DELTA_TREFOIL, ROW_PARAMS, expand_squares
 
 
 def gen(a_side, d_side, alexander, maslov):
@@ -187,47 +188,53 @@ def test_symmetry_of_reduced_output():
     assert all(table.ranks.get((-a, m - 2 * a)) == r for (a, m), r in table.ranks.items())
 
 
-@pytest.mark.parametrize("tau, counts, p, n", [
-    (0, {1: 2, 0: 2, -1: 2}, 5, 3),                        # golden 11n50
-    (10, SPREAD_55, 10, 30),                               # 55 squares over 21 levels
-    (-2, {1: 2, 0: 3, -1: 2}, 3, -1),                      # tau < 0, m < 0
-    (-3, {3: 2, 2: 4, 1: 3, 0: 5, -1: 3, -2: 4, -3: 2}, 4, -4),  # tau < 0, m < 0, seven runs
-], ids=["golden-11n50", "spread-55", "tau-neg-m-neg", "tau-neg-m-neg-7-runs"])
+@pytest.mark.parametrize("tau, counts, p, n", ROW_PARAMS + [
+    pytest.param(-3, {3: 2, 2: 4, 1: 3, 0: 5, -1: 3, -2: 4, -3: 2}, 4, -4,  # seven runs
+                 id="tau-neg-m-neg-7-runs"),
+])
 def test_summand_wise_reduction_equals_whole_reduction(tau, counts, p, n):
+    """Cancelling each stored square once and weighting its kills by the
+    square count equals cancelling every copy written out."""
     model = build_model(synthesize_delta(tau, counts), tau)
-    complex_ = pair_modules(build_typea_minus(p), build_typed(model, n), model.params.l, n)
-    assert [count for _, _, count in complex_.levels] == [c for _, c in sorted(counts.items()) if c]
-    whole = reduce_complex(replace(complex_, levels=()))
-    assert reduce_complex(complex_).ranks == whole.ranks
+    A, D = build_typea_minus(p), build_typed(model, n)
+    whole = reduce_complex(pair_modules(A, expand_squares(D), model.params.l, n))
+    assert reduce_complex(pair_modules(A, D, model.params.l, n)).ranks == whole.ranks
+
+
+def row(alexander, maslovs):
+    return tuple((m - 2 * alexander, alexander, alexander, m) for m in maslovs)
 
 
 class TestSummands:
-    """A hand-built complex: one arrow at Alexander grading 5 on generators
-    0-1, then squares of (a, b1, b2) with the same arrows: one square at
-    level 0 (generators 2-4) and two copies at level 1 (5-7 and 8-10)."""
+    """A hand-built view: one arrow at Alexander grading 5 on generators
+    0-1, then a square of (a, b1, b2) listed once at level 0 (generators
+    2-4) and twice at level 1 (5-7 and 8-10), its arrows on the first copy
+    only."""
 
     def complex_with(self, square, low=(1, 0, 0), top=(2, 1, 1), bigradings=None):
         """low and top are the Maslov gradings of a, b1, b2 at levels 0 and 1."""
-        rows = [("a", 5, 1), ("b1", 5, 0)]
-        for alexander, maslovs in ((0, low), (1, top), (1, top)):
-            rows += [(a, alexander, m) for a, m in zip(("a", "b1", "b2"), maslovs)]
-        arrows = [(0, 1)] + [(first + src, first + tgt) for first in (2, 5, 8) for src, tgt in square]
-        gens = tuple(gen(a, f"g{j}", alexander, m) for j, (a, alexander, m) in enumerate(rows))
-        k = len(square)
-        return BigradedComplex(generators=gens, arrows=tuple(sorted(arrows)), bigradings=bigradings,
-                               levels=((1, 1 + k, 1), (1 + k, 1 + 2 * k, 2)))
+        gens = TensorGenerators(("g0", "g1", "s0", "s1"), (("a",), ("b1",)) + (("a", "b1", "b2"),) * 2,
+                                (row(5, (1,)), row(5, (0,)), row(0, low), row(1, top)), (1, 1, 1, 2))
+        arrows = [(0, 1)] + [(first + src, first + tgt) for first in (2, 5) for src, tgt in square]
+        return BigradedComplex(generators=gens, arrows=tuple(sorted(arrows)), bigradings=bigradings)
+
+    def written_out(self, complex_):
+        """The same complex as plain records, with the second copy's arrows."""
+        copy = tuple((src + 3, tgt + 3) for src, tgt in complex_.arrows if src >= 5)
+        return BigradedComplex(generators=tuple(complex_.generators), arrows=complex_.arrows + copy)
 
     def test_copies_reduce_once_and_scale(self):
         complex_ = self.complex_with(((0, 1),))
+        assert [complex_.generators.copy_count(i) for i in range(11)] == [1] * 5 + [2] * 6
         assert reduce_complex(complex_).ranks == {(0, 0): 1, (1, 1): 2} == reduce_complex(
-            replace(complex_, levels=())).ranks
+            self.written_out(complex_)).ranks
 
     def test_template_misgraded_at_second_level_raises(self):
         # a -> b2 lowers the Maslov grading by one at level 0 and by two at level 1
         complex_ = self.complex_with(((0, 2),), top=(2, 1, 0))
-        for reduced in (complex_, replace(complex_, levels=())):
+        for reduced in (complex_, self.written_out(complex_)):
             with pytest.raises(ComplexError,
-                               match=r"^mis-graded arrow a g5 \(A=1, M=2\) -> b2 g7 \(A=1, M=0\)$"):
+                               match=r"^mis-graded arrow a s1 \(A=1, M=2\) -> b2 s1 \(A=1, M=0\)$"):
                 reduce_complex(reduced)
 
     def test_template_d_squared_violation_raises(self):
