@@ -25,7 +25,7 @@ def main() -> None:
     print(f"companion delta : {delta}")
     print(f"cable           : (5, 16),  tau = {result.cable_tau}")
     print(f"total rank      : {result.table.total}  (closed form: {result.table_value})")
-    print(f"checks          : symmetry={result.checks['symmetry']} euler={result.checks['euler']}")
+    print(f"checks          : {' '.join(f'{name}={ok}' for name, ok in result.checks.items())}")
     print(f"elapsed         : {elapsed:.4f}s")
     print()
     print(_poly_text(result.table))

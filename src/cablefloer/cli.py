@@ -6,8 +6,9 @@ result as JSON, TSV, polynomial text, an SVG scatter or an ASCII grid.
 
 Exit codes: 0 success, 1 invalid input, usage or a cable over the size
 budget, 2 internal consistency failure (a failed symmetry, Euler or
-total-rank table check, a mis-graded arrow, d^2 != 0 or any other exception
-signals a bug, not bad input).
+total-rank table check, a complement generator with two edges of one label,
+a mis-graded arrow, a generator on two arrows or any other exception signals
+a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -76,8 +77,7 @@ def _tsv_text(table: RankTable) -> str:
 
 
 def _json_text(result: CableHomology) -> str:
-    delta = result.delta
-    g = max(abs(d) for d in delta.support()) if not delta.is_zero() else 0
+    delta, g = result.delta, result.model.params.g
     payload = {
         "input": {
             "delta": [delta.coeff(d) for d in range(-g, g + 1)],

@@ -69,9 +69,6 @@ class LaurentPolynomial:
         """Largest degree with a nonzero coefficient (0 for the zero polynomial)."""
         return max(self._coeffs, default=0)
 
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
     def is_symmetric(self) -> bool:
         """True when coeff(d) == coeff(-d) for every degree."""
         return all(self._coeffs.get(-d) == c for d, c in self._coeffs.items())

@@ -1,14 +1,16 @@
 """Box tensor product of the pattern and complement modules.
 
 Generators pair a with i0 generators and b_k with i1 generators.  An arrow
-a1*d1 -> a2*d2 appears once per parity of matches between directed label
-paths d1 -> ... -> d2 in the complement module and hat operations on a1
-carrying the same chord sequence.  Every hat operation reads its chord
-prefix (nothing for a, rho_2 for b_k), then rho_12^i, then rho_1, so the
-differential is one walk per complement generator along shared prefixes
-rather than one path match per (generator, operation) pair.  Bigradings come
-from the grading group: gr(x*y) = gr(x)gr(y) normalized to (N, A'), then
-A = A' + c and M = N + 2A with the shift constant c = l*p - n*p*(p-1)/2.
+a1*d1 -> a2*d2 appears for each hat operation on a1 whose chord sequence is
+a label path d1 -> ... -> d2 in the complement module.  Every hat operation
+reads its chord prefix (nothing for a, rho_2 for b_k), then rho_12^i, then
+rho_1, and every complement generator has at most one edge of each of those
+labels, so each chord sequence leads along at most one path and the
+differential is one walk per complement generator along shared prefixes.
+The arrows form a matching, no generator on two of them, which
+homology.reduce_complex checks.  Bigradings come from the grading group:
+gr(x*y) = gr(x)gr(y) normalized to (N, A'), then A = A' + c and M = N + 2A
+with the shift constant c = l*p - n*p*(p-1)/2.
 
 The complement module stores one square per level with its count c_t.  The
 box tensor product is additive over direct summands, so each level's c_t
@@ -53,7 +55,8 @@ Row = tuple[tuple[int, int, int, int], ...]
 
 
 class ComplexError(RuntimeError):
-    """Structural failure: a mis-graded arrow, d^2 != 0, or cancellation
+    """Structural failure: a complement generator with two edges of one
+    label, a mis-graded arrow, a generator on two arrows, or cancellation
     killing more generators of a bigrading than it counts."""
 
 
@@ -143,42 +146,36 @@ def _by_idempotent(A: TypeAModule) -> dict[str, tuple[str, ...]]:
 def tensor_differential(A: TypeAModule, D: TypeDModule) -> list[tuple[tuple[str, str], tuple[str, str]]]:
     """Arrows from walking the complement module along the hat-operation chords.
 
-    From each complement generator d the walk keeps a frontier of the nodes
-    reached by an odd number of label paths CHORD_PREFIX rho_12^i; every D_1
-    edge out of it closes the operations of family i, and the frontier then
-    steps along D_12.  Distinct i give distinct A-side targets, so frontier
-    parity is path parity and coincident matches cancel mod 2.  The walk
-    stops when the frontier empties or the families run out (i <= p-2), which
-    also bounds the D_12 self-loop of the zero-framed unknot at O(p) steps;
-    no hat operation consumes rho_3, rho_23 or rho_123.
+    From each complement generator d the walk follows the label path
+    CHORD_PREFIX rho_12^i one node at a time; the D_1 edge out of that node,
+    if any, closes the operations of family i, and the walk then steps along
+    D_12.  It stops when the path ends or the families run out (i <= p-2),
+    which also bounds the D_12 self-loop of the zero-framed unknot at O(p)
+    steps; no hat operation consumes rho_3, rho_23 or rho_123.  A complement
+    generator with two D_1, D_2 or D_12 edges raises ComplexError.
     """
-    step: dict[str, dict[str, list[str]]] = {"1": {}, "2": {}, "12": {}}
-    for edge in D.edges:
-        if edge.label in step:
-            step[edge.label].setdefault(edge.source, []).append(edge.target)
-
-    def advance(frontier: list[str], label: str) -> list[str]:
-        """Nodes one `label` edge past the frontier, reached an odd number of times."""
-        parity: dict[str, int] = {}
-        for node in frontier:
-            for target in step[label].get(node, ()):
-                parity[target] = parity.get(target, 0) ^ 1
-        return [node for node, odd in parity.items() if odd]
+    step: dict[str, dict[str, str]] = {"1": {}, "2": {}, "12": {}}
+    for source, label, target in D.edges:
+        out = step.get(label)
+        if out is None:
+            continue
+        if source in out:
+            raise ComplexError(f"complement generator {source} has two D_{label} edges")
+        out[source] = target
 
     arrows = []
     for d_gen in D.generators:
         d_name, idempotent = d_gen.name, d_gen.idempotent
-        frontier = [d_name]
+        node = d_name
         for label in CHORD_PREFIX[idempotent]:
-            frontier = advance(frontier, label)
+            node = step[label].get(node)
         for i in range(A.p - 1):
-            if not frontier:
+            if node is None:
                 break
-            hits = advance(frontier, "1")
-            if hits:
-                for a_src, a_tgt in A.family(idempotent, i):
-                    arrows.extend(((a_src, d_name), (a_tgt, d_tgt)) for d_tgt in hits)
-            frontier = advance(frontier, "12")
+            hit = step["1"].get(node)
+            if hit is not None:
+                arrows.extend(((a_src, d_name), (a_tgt, hit)) for a_src, a_tgt in A.family(idempotent, i))
+            node = step["12"].get(node)
     return arrows
 
 

@@ -36,8 +36,6 @@ class DGenerator:
 
 @dataclass(frozen=True)
 class TypeDModule:
-    tau: int
-    framing: int
     generators: tuple[DGenerator, ...]
     edges: tuple[DEdge, ...]
     h: GradingElement = field(repr=False)
@@ -169,8 +167,6 @@ def build_typed(model: ThinModel, n: int) -> TypeDModule:
         copies[t] = model.square_counts[i]
 
     return TypeDModule(
-        tau=tau,
-        framing=n,
         generators=tuple(gens),
         edges=tuple(edges),
         h=framing_h(l, m),

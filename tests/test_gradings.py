@@ -211,7 +211,7 @@ def affine_rows(ys, xs, g, h):
     (a, b1, b2) and complement generators xs of (idempotent, grading)."""
     A = replace(build_typea_minus(2), gradings=dict(zip(("a", "b1", "b2"), ys)), g=g)
     gens = tuple(DGenerator(f"x{j}", idem, x, "x", j) for j, (idem, x) in enumerate(xs))
-    D = TypeDModule(tau=0, framing=0, generators=gens, edges=(), h=h)
+    D = TypeDModule(generators=gens, edges=(), h=h)
     return [value[:2] for value in tensor_gradings(A, D, 0).values()]
 
 

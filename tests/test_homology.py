@@ -93,56 +93,30 @@ class TestReduce:
     def test_11n50_total(self):
         assert reduce_complex(complex_for(DELTA_11N50, 0, 5, 3)).total == 181
 
-    def test_acyclic_chain(self):
-        # da = b, dc = b + d: full rank, nothing survives
-        complex_ = BigradedComplex(
-            generators=(gen("a", "g0", 0, 1), gen("b1", "g1", 0, 0),
-                        gen("b1", "g2", 0, 1), gen("b2", "g3", 0, 0)),
-            arrows=((0, 1), (2, 1), (2, 3)),
-        )
-        assert reduce_complex(complex_).total == 0
-
-    def test_zigzag_composition(self):
-        # da = b + d, dc = b, de = d: rank 2 differential on 5 generators,
-        # so exactly one class survives; cancelling (a, b) must toggle the
-        # composite arrow c -> d for the count to come out right
-        complex_ = BigradedComplex(
-            generators=(gen("a", "g0", 0, 1), gen("b1", "g1", 0, 0),
-                        gen("b1", "g2", 0, 0), gen("b2", "g3", 0, 1),
-                        gen("b2", "g4", 0, 1)),
-            arrows=((0, 1), (0, 2), (3, 1), (4, 2)),
-        )
-        table = reduce_complex(complex_)
-        assert table.total == 1
-        assert table.ranks == {(0, 1): 1}
-
-    def test_d_squared_violation_raises(self):
-        # a -> b -> c is not a differential
-        complex_ = BigradedComplex(
-            generators=(gen("a", "g0", 0, 2), gen("b1", "g1", 0, 1), gen("b1", "g2", 0, 0)),
-            arrows=((0, 1), (1, 2)),
-        )
-        with pytest.raises(ComplexError, match=r"^d\^2 != 0 at generator index 0$"):
-            reduce_complex(complex_)
-
-    def test_d_squared_violation_in_second_block_raises(self):
-        # Alexander block 0 is one clean arrow; a -> b -> c sits in block 1
-        complex_ = BigradedComplex(
-            generators=(gen("a", "g0", 0, 1), gen("b1", "g1", 0, 0),
-                        gen("a", "g2", 1, 2), gen("b1", "g3", 1, 1), gen("b2", "g4", 1, 0)),
-            arrows=((0, 1), (2, 3), (3, 4)),
-        )
-        with pytest.raises(ComplexError, match=r"^d\^2 != 0 at generator index 2$"):
-            reduce_complex(complex_)
-
-    def test_d_squared_paths_cancel_mod_two(self):
+    @pytest.mark.parametrize("generators, arrows, shared", [
+        # da = b, dc = b + d
+        pytest.param(((0, 1), (0, 0), (0, 1), (0, 0)), ((0, 1), (2, 1), (2, 3)), 1,
+                     id="acyclic_chain"),
+        # da = b + d, dc = b, de = d
+        pytest.param(((0, 1), (0, 0), (0, 0), (0, 1), (0, 1)), ((0, 1), (0, 2), (3, 1), (4, 2)), 0,
+                     id="zigzag_composition"),
+        # a -> b -> c
+        pytest.param(((0, 2), (0, 1), (0, 0)), ((0, 1), (1, 2)), 1, id="d_squared_violation"),
+        # Alexander grading 0 is one clean arrow; a -> b -> c sits at grading 1
+        pytest.param(((0, 1), (0, 0), (1, 2), (1, 1), (1, 0)), ((0, 1), (2, 3), (3, 4)), 3,
+                     id="d_squared_violation_in_second_block"),
         # da = b + c, db = dc = d: the two 2-paths a -> d cancel over F2
+        pytest.param(((0, 2), (0, 1), (0, 1), (0, 0)), ((0, 1), (0, 2), (1, 3), (2, 3)), 0,
+                     id="d_squared_paths_cancel_mod_two"),
+    ])
+    def test_shared_generator_raises(self, generators, arrows, shared):
+        # a differential that is not a matching is refused, d^2 = 0 or not
         complex_ = BigradedComplex(
-            generators=(gen("a", "g0", 0, 2), gen("b1", "g1", 0, 1),
-                        gen("b1", "g2", 0, 1), gen("b2", "g3", 0, 0)),
-            arrows=((0, 1), (0, 2), (1, 3), (2, 3)),
+            generators=tuple(gen("a", f"g{k}", a, m) for k, (a, m) in enumerate(generators)),
+            arrows=arrows,
         )
-        assert reduce_complex(complex_).total == 0
+        with pytest.raises(ComplexError, match=rf"^generator a g{shared} \(index {shared}\) lies on two arrows$"):
+            reduce_complex(complex_)
 
     def test_bigradings_default_to_generator_count(self):
         complex_ = BigradedComplex(
@@ -238,8 +212,9 @@ class TestSummands:
                 reduce_complex(reduced)
 
     def test_template_d_squared_violation_raises(self):
+        # a -> b1 -> b2 is refused as a generator on two arrows, stronger than d^2 != 0
         complex_ = self.complex_with(((0, 1), (1, 2)), low=(2, 1, 0), top=(3, 2, 1))
-        with pytest.raises(ComplexError, match=r"^d\^2 != 0 at generator index 2$"):
+        with pytest.raises(ComplexError, match=r"^generator b1 s0 \(index 3\) lies on two arrows$"):
             reduce_complex(complex_)
 
     def test_template_kills_over_a_level_count_raise(self):

@@ -156,23 +156,26 @@ class TestDifferential:
 
     @pytest.mark.parametrize("p", range(2, 9))
     def test_walk_matches_reference_on_synthetic_paths(self, p):
-        # a D_12 self-loop that feeds D_1 edges at every depth, parallel paths
-        # that cancel mod 2 from depth 1 on (s -> y directly and through t),
-        # and a doubled D_1 edge that always cancels
+        # a D_12 self-loop that feeds a D_1 edge at every depth, and rho_2
+        # entries into it (from q) and into a D_1 edge back (z -> w -> z);
+        # a second D_1 or D_12 edge out of s is refused
         i0, i1 = ("s", "t", "w"), ("y", "z", "q")
         gens = tuple(DGenerator(name, idem, GradingElement.identity(), "x", j)
                      for idem, names in (("i0", i0), ("i1", i1)) for j, name in enumerate(names))
         edges = tuple(DEdge(*e) for e in (
-            ("s", "12", "s"), ("s", "1", "y"), ("s", "12", "t"), ("t", "1", "y"),
-            ("s", "1", "z"), ("s", "1", "z"), ("t", "1", "q"),
+            ("s", "12", "s"), ("s", "1", "y"), ("t", "1", "q"),
             ("q", "2", "s"), ("z", "2", "w"), ("w", "1", "z"),
         ))
-        D = TypeDModule(tau=0, framing=0, generators=gens, edges=edges, h=GradingElement.identity())
+        D = TypeDModule(generators=gens, edges=edges, h=GradingElement.identity())
         A = build_typea_minus(p)
         arrows = tensor_differential(A, D)
         assert len(arrows) == len(set(arrows))
         assert set(arrows) == reference_differential(A, D)
         assert arrows
+        for label, extra in (("1", [("s", "1", "z"), ("s", "1", "z")]), ("12", [("s", "12", "t")])):
+            doubled = replace(D, edges=edges + tuple(DEdge(*e) for e in extra))
+            with pytest.raises(ComplexError, match=rf"^complement generator s has two D_{label} edges$"):
+                tensor_differential(A, doubled)
 
     @pytest.mark.parametrize("tau, n, total", [
         (0, 0, 1), (0, 1, 2199), (0, -1, 2197), (1, 2, 4397), (-1, -2, 4395),
@@ -289,7 +292,7 @@ class TestGradings:
         shared, other = GradingElement.identity(), GradingElement(0, 2, 0, 4)
         gens = tuple(DGenerator(name, idem, grading, "x", j) for j, (name, idem, grading) in enumerate((
             ("s", "i0", shared), ("y", "i1", shared), ("t", "i0", shared), ("z", "i1", other))))
-        D = TypeDModule(tau=0, framing=0, generators=gens, edges=(), h=GradingElement(0, -2, 0, 0))
+        D = TypeDModule(generators=gens, edges=(), h=GradingElement(0, -2, 0, 0))
         gradings = tensor_gradings(A, D, 7)
         assert list(gradings.items()) == list(reference_gradings(A, D, 7).items())
         assert list(gradings) == [("a", "s"), ("b1", "y"), ("b2", "y"), ("a", "t"), ("b1", "z"), ("b2", "z")]
