@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .pairing import BigradedComplex, ComplexError, TensorGenerators
+from .pairing import BigradedComplex, ComplexError
 
 
 @dataclass(frozen=True)
@@ -45,24 +45,25 @@ def reduce_complex(complex_: BigradedComplex) -> RankTable:
     by one, and no generator may lie on two arrows; a correctly assembled
     complex always does both, so any other arrow raises ComplexError.  A
     matching has no 2-path, so d^2 = 0, and each arrow cancels on its own:
-    the table does not depend on arrow order.  A TensorGenerators view lists
-    a square's generator once per copy but its arrows on copy 0 only, since
+    the table does not depend on arrow order.  The generator view lists a
+    square's generator once per copy but its arrows on copy 0 only, since
     the box tensor product is additive over the square summands: an arrow's
-    ends are subtracted as many times as the view lists them (once for any
-    other sequence of records).  A count that would go below zero means the
-    counts and the generators disagree, and raises.
+    ends are read from the view's cells and subtracted as many times as the
+    view lists them.  A count that would go below zero means the counts and
+    the generators disagree, and raises.
     """
     gens, arrows = complex_.generators, complex_.arrows
-    weight = gens.copy_count if isinstance(gens, TensorGenerators) else lambda i: 1
     lost: dict[tuple[int, int], int] = {}
     for src, tgt in arrows:
-        x, y = gens[src], gens[tgt]
-        if x.alexander != y.alexander or x.maslov != y.maslov + 1:
+        alexander, maslov, copies = gens.cell(src)
+        target_alexander, target_maslov, target_copies = gens.cell(tgt)
+        if alexander != target_alexander or maslov != target_maslov + 1:
+            x, y = gens[src], gens[tgt]
             raise ComplexError(f"mis-graded arrow {x.name} (A={x.alexander}, M={x.maslov}) -> "
                                f"{y.name} (A={y.alexander}, M={y.maslov})")
-        source, target = (x.alexander, x.maslov), (y.alexander, y.maslov)
-        lost[source] = lost.get(source, 0) + weight(src)
-        lost[target] = lost.get(target, 0) + weight(tgt)
+        source, target = (alexander, maslov), (target_alexander, target_maslov)
+        lost[source] = lost.get(source, 0) + copies
+        lost[target] = lost.get(target, 0) + target_copies
     ends = [i for arrow in arrows for i in arrow]
     if len(set(ends)) != len(ends):  # not a matching: name the first shared generator
         seen: set[int] = set()

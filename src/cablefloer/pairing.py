@@ -19,8 +19,9 @@ complex is built on the stored module as it is: the differential walks it
 once, so the arrows join first copies only, and the generator view lists
 each complement generator's A group c_t times in a row, every copy under the
 stored D name, so it still counts every tensor generator.  No output names
-a copy; homology.reduce_complex weights each killed generator by the view's
-copy count.  A tensor grading depends only on the A generator, the
+a copy, and the view is the only place that knows the copy layout:
+homology.reduce_complex reads each arrow end's bigrading and copy count
+from the view's cell.  A tensor grading depends only on the A generator, the
 idempotent and the grading of the complement generator, and a row needs no
 group arithmetic per generator: with the A generator and the D grading's b
 slot fixed (the doubled b slot is -1, 0 or 1), the power of h is fixed and
@@ -39,7 +40,6 @@ in invariants.py with the other pipeline-independent oracles.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from itertools import accumulate
@@ -81,7 +81,9 @@ class TensorGenerators(Sequence):
     squares): the view lists its A group copies[j] times in a row from
     starts[j] on, and every copy reads its gradings at rows[j].  Copy 0 of
     a*d sits at starts[j] plus the position of a in the group.  A record is
-    built each time an index is read.
+    built each time an index is read; cell(i) reads generator i's bigrading
+    and copy count without one.  It is the only generator sequence a
+    BigradedComplex holds.
     """
 
     def __init__(self, d_names: tuple[str, ...], a_names: tuple[tuple[str, ...], ...],
@@ -97,37 +99,35 @@ class TensorGenerators(Sequence):
     def __len__(self) -> int:
         return self._len
 
-    def __getitem__(self, i: int) -> TensorGenerator:
+    def _locate(self, i: int) -> tuple[int, int]:
+        """(complement generator j, position k in its A group) of index i."""
         if i < 0:
             i += self._len
         if not 0 <= i < self._len:
             raise IndexError("tensor generator index out of range")
         j = bisect_right(self.starts, i) - 1
-        k = (i - self.starts[j]) % len(self.a_names[j])
+        return j, (i - self.starts[j]) % len(self.a_names[j])
+
+    def __getitem__(self, i: int) -> TensorGenerator:
+        j, k = self._locate(i)
         return TensorGenerator._make((self.a_names[j][k], self.d_names[j]) + self.rows[j][k])
 
-    def __iter__(self):
-        for d_name, a_names, row, count in zip(self.d_names, self.a_names, self.rows, self.copies):
-            records = [TensorGenerator._make((a_name, d_name) + value) for a_name, value in zip(a_names, row)]
-            for _ in range(count):
-                yield from records
-
-    def copy_count(self, i: int) -> int:
-        """How many copies of generator i (0 <= i < len) the view lists."""
-        return self.copies[bisect_right(self.starts, i) - 1]
+    def cell(self, i: int) -> tuple[int, int, int]:
+        """(alexander, maslov, copies) of generator i: its bigrading and how
+        many copies of it the view lists, without building its record."""
+        j, k = self._locate(i)
+        _, _, alexander, maslov = self.rows[j][k]
+        return alexander, maslov, self.copies[j]
 
 
 @dataclass(frozen=True)
 class BigradedComplex:
-    generators: Sequence[TensorGenerator]
-    arrows: tuple[tuple[int, int], ...]  # (source index, target index)
-    # generator count per (alexander, maslov); counted over generators when not given
-    bigradings: Mapping[tuple[int, int], int] | None = None
+    """The paired complex: the generator view, the arrows on its copy-0
+    generators and the generator count per bigrading, copies included."""
 
-    def __post_init__(self):
-        if self.bigradings is None:
-            object.__setattr__(self, "bigradings",
-                               dict(Counter((g.alexander, g.maslov) for g in self.generators)))
+    generators: TensorGenerators
+    arrows: tuple[tuple[int, int], ...]  # (source index, target index)
+    bigradings: Mapping[tuple[int, int], int]  # generator count per (alexander, maslov)
 
 
 def shift_constant(l: int, p: int, n: int) -> int:
@@ -203,9 +203,9 @@ def _rows(A: TypeAModule, D: TypeDModule, c: int, by_idempotent: dict[str, tuple
         group = by_idempotent.get(idempotent, ())
         slot = affine.get((idempotent, x.b2))
         if slot is None:  # the first row of this b slot anchors its maps
+            ys = [A.gradings[a_name] for a_name in group]
             slot = affine[idempotent, x.b2] = (x.c2 % 2, [
-                affine_normalization(A.gradings[a_name], x, A.g, D.h, normalize_double_coset)
-                for a_name in group])
+                affine_normalization(y, x, A.g, *normalize_double_coset(y * x, A.g, D.h)) for y in ys])
         c_parity, maps = slot
         a2, c2, d2, parity = 2 * x.a2, x.c2, 2 * x.d2, x.c2 % 2
         values = []
@@ -238,7 +238,7 @@ def pair_modules(A: TypeAModule, D: TypeDModule, l: int, n: int) -> BigradedComp
     bigrading counts are each row times its copies.  The differential walks
     D once, so every arrow joins copy-0 generators; the other copies' arrows
     are the same arrows, which homology.reduce_complex counts through the
-    view's copy counts instead of reading them.
+    copy counts of the view's cells instead of reading them.
     """
     by_idempotent = _by_idempotent(A)
     groups, rows = _rows(A, D, shift_constant(l, A.p, n), by_idempotent)

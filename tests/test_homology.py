@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -26,6 +27,15 @@ def gen(a_side, d_side, alexander, maslov):
                            Aprime=alexander, alexander=alexander, maslov=maslov)
 
 
+def complex_of(records, arrows):
+    """A complex whose view holds one complement generator per record, each
+    listed once, with the records' bigradings counted."""
+    generators = TensorGenerators(tuple(g.d_side for g in records), tuple((g.a_side,) for g in records),
+                                  tuple((g[2:],) for g in records), (1,) * len(records))
+    return BigradedComplex(generators=generators, arrows=tuple(arrows),
+                           bigradings=Counter((g.alexander, g.maslov) for g in records))
+
+
 def complex_for(delta_text, tau, p, n):
     model = build_model(parse_delta(delta_text), tau)
     return pair_modules(build_typea_minus(p), build_typed(model, n), model.params.l, n)
@@ -47,14 +57,11 @@ class TestGradingFilter:
     grading and lower the Maslov grading by one."""
 
     def test_empty_complex_unchanged(self):
-        assert reduce_complex(BigradedComplex(generators=(), arrows=())).ranks == {}
+        assert reduce_complex(complex_of((), ())).ranks == {}
 
     def test_strict_raises(self):
         # same Alexander grading, Maslov not lowered by one
-        bad = BigradedComplex(
-            generators=(gen("a", "u1", 0, 0), gen("b1", "v1", 0, 0)),
-            arrows=((0, 1),),
-        )
+        bad = complex_of((gen("a", "u1", 0, 0), gen("b1", "v1", 0, 0)), ((0, 1),))
         with pytest.raises(ComplexError, match=r"a u1 \(A=0, M=0\) -> b1 v1 \(A=0, M=0\)"):
             reduce_complex(bad)
 
@@ -76,10 +83,7 @@ class TestGradingFilter:
 
 class TestReduce:
     def test_no_arrows(self):
-        complex_ = BigradedComplex(
-            generators=(gen("a", "u1", 0, 0), gen("b1", "v1", 1, 1), gen("b2", "v1", 1, 3)),
-            arrows=(),
-        )
+        complex_ = complex_of((gen("a", "u1", 0, 0), gen("b1", "v1", 1, 1), gen("b2", "v1", 1, 3)), ())
         assert reduce_complex(complex_).total == 3
 
     def test_right_trefoil_cable(self):
@@ -111,36 +115,19 @@ class TestReduce:
     ])
     def test_shared_generator_raises(self, generators, arrows, shared):
         # a differential that is not a matching is refused, d^2 = 0 or not
-        complex_ = BigradedComplex(
-            generators=tuple(gen("a", f"g{k}", a, m) for k, (a, m) in enumerate(generators)),
-            arrows=arrows,
-        )
+        complex_ = complex_of([gen("a", f"g{k}", a, m) for k, (a, m) in enumerate(generators)], arrows)
         with pytest.raises(ComplexError, match=rf"^generator a g{shared} \(index {shared}\) lies on two arrows$"):
             reduce_complex(complex_)
 
-    def test_bigradings_default_to_generator_count(self):
-        complex_ = BigradedComplex(
-            generators=(gen("a", "g0", 0, 1), gen("b1", "g1", 0, 0), gen("b2", "g2", 0, 0)),
-            arrows=((0, 1),),
-        )
-        assert complex_.bigradings == {(0, 1): 1, (0, 0): 2}
-        assert reduce_complex(complex_).ranks == {(0, 0): 1}
-
     def test_undercounted_bigrading_raises(self):
         # the arrow cancels both generators, but the counts hold none at (0, 0)
-        complex_ = BigradedComplex(
-            generators=(gen("a", "g0", 0, 1), gen("b1", "g1", 0, 0)),
-            arrows=((0, 1),),
-            bigradings={(0, 1): 1},
-        )
+        complex_ = replace(complex_of((gen("a", "g0", 0, 1), gen("b1", "g1", 0, 0)), ((0, 1),)),
+                           bigradings={(0, 1): 1})
         with pytest.raises(ComplexError, match=r"bigrading \(A=0, M=0\)"):
             reduce_complex(complex_)
 
     def test_unfiltered_cross_grading_arrow_raises(self):
-        complex_ = BigradedComplex(
-            generators=(gen("a", "g0", 1, 1), gen("b1", "g1", 0, 0)),
-            arrows=((0, 1),),
-        )
+        complex_ = complex_of((gen("a", "g0", 1, 1), gen("b1", "g1", 0, 0)), ((0, 1),))
         with pytest.raises(ComplexError, match=r"a g0 \(A=1, M=1\) -> b1 g1 \(A=0, M=0\)"):
             reduce_complex(complex_)
 
@@ -153,7 +140,7 @@ def test_reduction_order_invariance(seed):
     rng = random.Random(seed)
     arrows = list(base.arrows)
     rng.shuffle(arrows)
-    shuffled = BigradedComplex(generators=base.generators, arrows=tuple(arrows))
+    shuffled = replace(base, arrows=tuple(arrows))
     assert reduce_complex(shuffled).ranks == reference.ranks
 
 
@@ -185,21 +172,23 @@ class TestSummands:
     2-4) and twice at level 1 (5-7 and 8-10), its arrows on the first copy
     only."""
 
-    def complex_with(self, square, low=(1, 0, 0), top=(2, 1, 1), bigradings=None):
+    def complex_with(self, square, low=(1, 0, 0), top=(2, 1, 1)):
         """low and top are the Maslov gradings of a, b1, b2 at levels 0 and 1."""
         gens = TensorGenerators(("g0", "g1", "s0", "s1"), (("a",), ("b1",)) + (("a", "b1", "b2"),) * 2,
                                 (row(5, (1,)), row(5, (0,)), row(0, low), row(1, top)), (1, 1, 1, 2))
         arrows = [(0, 1)] + [(first + src, first + tgt) for first in (2, 5) for src, tgt in square]
-        return BigradedComplex(generators=gens, arrows=tuple(sorted(arrows)), bigradings=bigradings)
+        return BigradedComplex(generators=gens, arrows=tuple(sorted(arrows)),
+                               bigradings=Counter((g.alexander, g.maslov) for g in gens))
 
     def written_out(self, complex_):
-        """The same complex as plain records, with the second copy's arrows."""
+        """The same complex with each copy its own complement generator, every
+        count 1, and the second copy's arrows."""
         copy = tuple((src + 3, tgt + 3) for src, tgt in complex_.arrows if src >= 5)
-        return BigradedComplex(generators=tuple(complex_.generators), arrows=complex_.arrows + copy)
+        return complex_of(list(complex_.generators), complex_.arrows + copy)
 
     def test_copies_reduce_once_and_scale(self):
         complex_ = self.complex_with(((0, 1),))
-        assert [complex_.generators.copy_count(i) for i in range(11)] == [1] * 5 + [2] * 6
+        assert [complex_.generators.cell(i)[2] for i in range(11)] == [1] * 5 + [2] * 6
         assert reduce_complex(complex_).ranks == {(0, 0): 1, (1, 1): 2} == reduce_complex(
             self.written_out(complex_)).ranks
 

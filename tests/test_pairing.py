@@ -274,6 +274,9 @@ class TestGradings:
             with pytest.raises(IndexError):
                 generators[i]
         assert complex_.bigradings == Counter((g.alexander, g.maslov) for g in want)
+        copies = {d_gen.name: D.copies.get(d_gen.level, 1) for d_gen in D.generators}
+        assert [generators.cell(i) for i in range(len(want))] == [
+            (g.alexander, g.maslov, copies[g.d_side]) for g in want]
         index = {pair: i for i, pair in enumerate(pairs)}
         assert complex_.arrows == tuple(sorted(
             (index[src], index[tgt]) for src, tgt in reference_differential(A, expanded)
