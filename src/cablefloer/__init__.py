@@ -18,6 +18,7 @@ from .invariants import (
     check_symmetry,
     closed_form_gradings,
     euler_characteristic,
+    euler_matches_cable,
     mirror_check,
     table_rank,
     tau_cable,
@@ -74,6 +75,7 @@ __all__ = [
     "closed_form_gradings",
     "compute_cable_hfk",
     "euler_characteristic",
+    "euler_matches_cable",
     "framing_h",
     "hat_operations",
     "mirror_check",

@@ -20,7 +20,7 @@ class RankTable:
     ranks: Mapping[tuple[int, int], int]
 
     def __post_init__(self):
-        object.__setattr__(self, "ranks", {k: v for k, v in dict(self.ranks).items() if v})
+        object.__setattr__(self, "ranks", {k: v for k, v in self.ranks.items() if v})
 
     @property
     def total(self) -> int:

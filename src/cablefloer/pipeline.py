@@ -15,7 +15,9 @@ from .type_d import build_typed
 
 # work budget, checked before any module is built
 MAX_GENERATORS = 10**6  # tensor generators plus the pattern module's 2p - 1
-MAX_SATELLITE_DEGREES = 10**7  # degree span of the satellite Alexander polynomial
+# degree span of the satellite Alexander polynomial; no run forms that
+# polynomial, but this bound fixes the accepted domain
+MAX_SATELLITE_DEGREES = 10**7
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,9 @@ def _check_budget(params: ThinParams, p: int, n: int) -> None:
     The complement module has 2|tau|+1+4s generators pairing with a and
     2|tau|+4s+|2tau-n| pairing with each of the 2p-2 generators b_k; the
     satellite polynomial delta(t^p) * Delta_T(p,q) spans 2gp + (p-1)(|q|-1)
-    degrees.
+    degrees.  The Euler check cross-multiplies binomials rather than forming
+    that polynomial, but the degree bound still decides which cables are
+    accepted, and its refusal names the degree span.
     """
     tau, s, q = params.tau, params.s, p * n + 1
     generators = (2 * abs(tau) + 1 + 4 * s) + (2 * p - 2) * (2 * abs(tau) + 4 * s + abs(2 * tau - n))
@@ -94,8 +98,8 @@ def compute_cable_hfk(delta: LaurentPolynomial, tau: int, p: int, n: int) -> Cab
         table_value=table_value,
         checks={
             "symmetry": invariants.check_symmetry(table),
-            "euler": invariants.euler_characteristic(table)
-            == invariants.cable_alexander(normalized, p, p * n + 1),
+            "euler": invariants.euler_matches_cable(invariants.euler_characteristic(table),
+                                                    normalized, p, p * n + 1),
             "table": table.total == table_value,
         },
     )

@@ -126,6 +126,26 @@ def test_failed_check_exits_two(capsys, monkeypatch, name, stage, broken):
     assert [line[5:line.index(":")] for line in out.splitlines() if line.startswith("FAIL ")] == [label]
 
 
+def test_run_path_forms_no_satellite_product(monkeypatch):
+    """The Euler check cross-multiplies binomials: neither the CLI nor the
+    pipeline forms the satellite polynomial or any polynomial product."""
+    from cablefloer import LaurentPolynomial, compute_cable_hfk, invariants, synthesize_delta
+
+    def unreachable(*args):
+        raise AssertionError("a polynomial product was formed on the run path")
+
+    for owner, name in ((invariants, "cable_alexander"), (invariants, "torus_knot_delta"),
+                        (LaurentPolynomial, "__mul__")):
+        monkeypatch.setattr(owner, name, unreachable)
+    stream = io.StringIO()
+    assert run(RunConfig(delta=DELTA_11N50, tau=0, p=5, n=3), stream) == 0
+    checks = json.loads(stream.getvalue())["checks"]
+    assert checks == {"symmetry": True, "euler": True, "table": {"value": 181, "match": True}}
+    # the chain case of record: one square at level 0, tau = 3, |q| = 12001
+    result = compute_cable_hfk(synthesize_delta(3, {0: 1}), 3, 60, 200)
+    assert result.checks == {"symmetry": True, "euler": True, "table": True}
+
+
 @pytest.mark.parametrize("p, n, message", [
     ("2", "100000000", "the (2, 200000001)-cable needs 200000004 generators, over the budget of 1000000"),
     ("2000", "3", "the (2000, 6001)-cable's satellite polynomial spans 11994000 degrees, "

@@ -1,6 +1,8 @@
 from math import gcd
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cablefloer import (
     LaurentPolynomial,
@@ -9,6 +11,7 @@ from cablefloer import (
     check_symmetry,
     compute_cable_hfk,
     euler_characteristic,
+    euler_matches_cable,
     mirror_check,
     parse_delta,
     synthesize_delta,
@@ -18,7 +21,14 @@ from cablefloer import (
     torus_knot_delta,
 )
 
-from conftest import DELTA_11N50, DELTA_FIG8, DELTA_TREFOIL, GOLDEN_11N50_5_16, oracle_torus_delta
+from conftest import (
+    DELTA_11N50,
+    DELTA_FIG8,
+    DELTA_TREFOIL,
+    GOLDEN_11N50_5_16,
+    oracle_cable_delta,
+    oracle_torus_delta,
+)
 
 
 class TestTauCable:
@@ -112,6 +122,29 @@ class TestChecks:
     def test_euler_golden_is_cable_polynomial(self):
         golden = euler_characteristic(RankTable(GOLDEN_11N50_5_16))
         assert golden == cable_alexander(parse_delta(DELTA_11N50), 5, 16)
+
+
+class TestEulerMatchesCable:
+    def test_golden(self):
+        golden = euler_characteristic(RankTable(GOLDEN_11N50_5_16))
+        assert euler_matches_cable(golden, parse_delta(DELTA_11N50), 5, 16)
+        assert not euler_matches_cable(-golden, parse_delta(DELTA_11N50), 5, 16)
+
+    @given(center=st.integers(-5, 5).filter(bool), sides=st.lists(st.integers(-5, 5), max_size=4),
+           p=st.integers(2, 12), n=st.integers(-6, 6), k=st.integers(-500, 500),
+           sign=st.sampled_from((1, -1)), flip=st.integers(0, 10**6))
+    @example(center=1, sides=[], p=2, n=-1, k=0, sign=1, flip=0)    # q = -1
+    @example(center=3, sides=[-1], p=7, n=0, k=1, sign=-1, flip=2)  # q = 1
+    def test_against_oracle(self, center, sides, p, n, k, sign, flip):
+        """The exact satellite polynomial passes; one term more or less, or
+        one coefficient's sign flipped, fails."""
+        delta = LaurentPolynomial({0: center, **{d: c for i, c in enumerate(sides, 1) for d in (i, -i)}})
+        q = p * n + 1
+        exact = LaurentPolynomial(oracle_cable_delta(delta, p, q))
+        assert euler_matches_cable(exact, delta, p, q)
+        assert not euler_matches_cable(exact + LaurentPolynomial({k: sign}), delta, p, q)
+        degree, coeff = list(exact.items())[flip % len(exact.support())]
+        assert not euler_matches_cable(exact - LaurentPolynomial({degree: 2 * coeff}), delta, p, q)
 
 
 class TestCableAlexander:

@@ -102,3 +102,9 @@ def test_arithmetic_stores_no_zero_coefficients(a, b):
     for result in (f + g, -f, f - g, f * g, f.inflate(3), f * -f):
         assert 0 not in dict(result.items()).values()
         assert result == LaurentPolynomial(dict(result.items()))
+
+
+@given(coeff_dicts, st.integers(-7, 7))
+def test_times_binomial_is_product(a, k):
+    f = poly(a)
+    assert f.times_binomial(k) == f * (poly({k: 1}) - poly({0: 1}))
