@@ -77,8 +77,17 @@ def _tsv_text(table: RankTable) -> str:
 
 
 def _json_text(result: CableHomology) -> str:
+    """The JSON schema of the README, byte-identical to `json.dumps(payload,
+    indent=2) + "\n"` of its dict payload.
+
+    With `indent`, CPython's encoder runs in pure Python, so only the head
+    (`input`, `tau`, `total_rank`) and the `checks` block go through it.
+    The rank cells are nearly all of the text and are written one f-string
+    each, in the layout indent=2 gives an object two levels deep; an empty
+    table is written `[]`, as json.dumps writes an empty list.
+    """
     delta, g = result.delta, result.model.params.g
-    payload = {
+    head = json.dumps({
         "input": {
             "delta": [delta.coeff(d) for d in range(-g, g + 1)],
             "tau": result.tau,
@@ -88,12 +97,15 @@ def _json_text(result: CableHomology) -> str:
         },
         "tau": result.cable_tau,
         "total_rank": result.table.total,
-        "ranks": [{"a": a, "m": m, "rank": rank} for a, m, rank in result.table.entries()],
-        # symmetry, euler, table in that order; table also carries its closed form
-        "checks": {**result.checks,
-                   "table": {"value": result.table_value, "match": result.checks["table"]}},
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    }, indent=2)
+    # symmetry, euler, table in that order; table also carries its closed form
+    checks = {**result.checks, "table": {"value": result.table_value, "match": result.checks["table"]}}
+    tail = json.dumps({"checks": checks}, indent=2)
+    cells = ",\n".join([f'    {{\n      "a": {a},\n      "m": {m},\n      "rank": {rank}\n    }}'
+                        for a, m, rank in result.table.entries()])
+    ranks = f"[\n{cells}\n  ]" if cells else "[]"
+    # head ends "\n}" and tail opens "{\n": the ranks member goes between them
+    return f'{head[:-2]},\n  "ranks": {ranks},\n{tail[2:]}\n'
 
 
 def _render(outcome: CableHomology, fmt: str) -> str:
@@ -252,10 +264,11 @@ def main(argv: list[str] | None = None) -> int:
     # neither creates it nor truncates an existing one
     buffer = io.StringIO()
     code = run(config, buffer)
-    if buffer.getvalue():
+    text = buffer.getvalue()  # each getvalue() copies the whole text
+    if text:
         try:
             with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(buffer.getvalue())
+                handle.write(text)
         except OSError as exc:
             print(f"error: cannot write output file: {exc}", file=sys.stderr)
             return 1

@@ -28,8 +28,7 @@ class RankTable:
 
     def entries(self) -> list[tuple[int, int, int]]:
         """(alexander, maslov, rank) triples, descending alexander then maslov."""
-        return [(a, m, self.ranks[(a, m)])
-                for a, m in sorted(self.ranks, key=lambda am: (-am[0], -am[1]))]
+        return [(a, m, self.ranks[(a, m)]) for a, m in sorted(self.ranks, reverse=True)]
 
     def alexander_multiset(self) -> dict[int, int]:
         out: dict[int, int] = {}

@@ -3,11 +3,13 @@
 The oracles here deliberately avoid the library's own code paths: torus-knot
 Alexander polynomials are recomputed with local dict arithmetic, and
 staircase bigradings follow the standard positive-coefficient-knot pattern
-read off the polynomial alone.
+read off the polynomial alone.  The CLI's JSON text is its dict payload
+through the standard library's encoder.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import replace
 
@@ -126,6 +128,33 @@ def oracle_staircase(delta: dict, mirror: bool = False) -> dict:
     if mirror:
         table = {(-a, -m): r for (a, m), r in table.items()}
     return table
+
+
+# ---------------------------------------------------------------------------
+# CLI JSON text through the standard library encoder
+# ---------------------------------------------------------------------------
+
+def oracle_json_text(result) -> str:
+    """The README's JSON schema for one CableHomology, as its dict payload
+    through `json.dumps(payload, indent=2)`: the reference the CLI's writer
+    must equal byte for byte."""
+    delta, g = result.delta, result.model.params.g
+    cells = sorted(result.table.ranks.items(), key=lambda cell: (-cell[0][0], -cell[0][1]))
+    payload = {
+        "input": {
+            "delta": [delta.coeff(d) for d in range(-g, g + 1)],
+            "tau": result.tau,
+            "p": result.p,
+            "n": result.n,
+            "q": result.q,
+        },
+        "tau": result.cable_tau,
+        "total_rank": result.table.total,
+        "ranks": [{"a": a, "m": m, "rank": rank} for (a, m), rank in cells],
+        "checks": {**result.checks,
+                   "table": {"value": result.table_value, "match": result.checks["table"]}},
+    }
+    return json.dumps(payload, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,26 @@
+import hashlib
 import io
 import json
+import random
 import re
+from dataclasses import replace
 
 import pytest
 
-from cablefloer.cli import RunConfig, main, run
+from cablefloer import RankTable, compute_cable_hfk, parse_delta, synthesize_delta
+from cablefloer.cli import RunConfig, _json_text, main, run
 
-from conftest import DELTA_11N50, DELTA_TREFOIL, GOLDEN_11N50_5_16
+from conftest import DELTA_11N50, DELTA_TREFOIL, GOLDEN_11N50_5_16, oracle_json_text
+
+# sha256 of golden 11n50's (5,16) CLI output in each format; any change to a
+# renderer that is not byte-identical shows here
+GOLDEN_DIGESTS = {
+    "json": "f4a7c46ae902f0f8b9934fba1f8bfe7b4449c9161f5e196197454f02324c2df9",
+    "tsv": "47dd697f2608f792c062461a5cc4d7d202816cc59b3ba61dd44271d4a1eb08c1",
+    "poly": "732741d4d520d32eb7803c7d61b8d7045d73d7b9f08dc226d2c6c38bb1a0f69e",
+    "svg": "75d7d23eff2de8aedf018f50eeae8d76a3db81b93e7faabbe95c781d790cd7cb",
+    "ascii": "7979d910aaeb593d4598aa03e709d9cb8e801f98b3f3b383c66892e60f5d4298",
+}
 
 
 def run_main(capsys, *args):
@@ -89,6 +103,54 @@ def test_json_schema(capsys):
     # deterministic ordering: descending alexander, then descending maslov
     keys = [(entry["a"], entry["m"]) for entry in payload["ranks"]]
     assert keys == sorted(keys, key=lambda am: (-am[0], -am[1]))
+
+
+@pytest.mark.parametrize("fmt", GOLDEN_DIGESTS)
+def test_golden_output_digest(capsys, fmt):
+    code, out, _ = run_main(capsys, "--delta", DELTA_11N50, "--tau", "0", "--p", "5",
+                            "--n", "3", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS[fmt]
+
+
+def grid_sample():
+    """48 fixed grid-domain cables: |tau| <= 4, p 2..6, |n| <= 8, with and
+    without squares, some with delta negated."""
+    rng = random.Random(2009)
+    cases = []
+    for _ in range(48):
+        tau = rng.randint(-4, 4)
+        counts = rng.choice(({}, {0: 1}, {1: 1, -1: 1}, {2: 1, -2: 1, 1: 1, -1: 1}))
+        delta = synthesize_delta(tau, counts)
+        cases.append((delta if rng.random() < 0.5 else -delta, tau, rng.randint(2, 6), rng.randint(-8, 8)))
+    return cases
+
+
+def test_json_writer_matches_json_dumps():
+    """The writer equals json.dumps(payload, indent=2) byte for byte on golden
+    11n50 and the grid sample, each also with an empty table and with every
+    check false."""
+    cases = [(parse_delta(DELTA_11N50), 0, 5, 3)] + grid_sample()
+    for result in (compute_cable_hfk(*case) for case in cases):
+        for variant in (result, replace(result, table=RankTable({})),
+                        replace(result, checks=dict.fromkeys(result.checks, False))):
+            assert _json_text(variant) == oracle_json_text(variant)
+
+
+def test_json_writer_chain_record():
+    # one square at level 0, tau = 3, p = 60, n = 200: a 1.6 MB text
+    result = compute_cable_hfk(synthesize_delta(3, {0: 1}), 3, 60, 200)
+    assert _json_text(result) == oracle_json_text(result)
+
+
+def test_failed_check_still_writes_json(monkeypatch):
+    """A run that exits 2 writes the same bytes the encoder would."""
+    from cablefloer import invariants
+
+    monkeypatch.setattr(invariants, "check_symmetry", lambda table: False)
+    stream = io.StringIO()
+    assert run(RunConfig(delta=DELTA_11N50, tau=0, p=5, n=3), stream) == 2
+    assert stream.getvalue() == oracle_json_text(compute_cable_hfk(parse_delta(DELTA_11N50), 0, 5, 3))
 
 
 def test_trefoil_cable_table_matches(capsys):
