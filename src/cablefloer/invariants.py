@@ -172,115 +172,71 @@ def mirror_check(this: RankTable, that: RankTable) -> bool:
 # closed-form (N, A') tables, used as an oracle against the group arithmetic
 # ---------------------------------------------------------------------------
 
-def _square_even(corner: str, k: int, t: int, l: int, n: int, p: int) -> tuple[int, int] | None:
-    """Level 2t square formulas; k is the b index (0 means the a generator)."""
+def _square(corner: str, k: int, t: int, l: int, n: int, p: int) -> tuple[int, int] | None:
+    """(N, A') of a level-t square corner; k is the b index (0 means the a generator)."""
     if corner == "x1" or corner == "x3":
-        return (2 * t, -2 * p * t)
+        return (t, -p * t)
     if corner == "x4":
-        return (2 * t + 1, -2 * p * t - p)
+        return (t + 1, -p * t - p)
     if corner == "x2":
         return None
     i = 2 * p - 2 - k
     if corner == "y1":
         if 1 <= k <= p - 1:
-            return (4 * k * t + 2 * t - 2 * k - k * k * n - 2 * k * l - k * n,
-                    -2 * p * t + k + k * n * p)
+            return (2 * k * t + t - 2 * k - k * k * n - 2 * k * l - k * n,
+                    -p * t + k + k * n * p)
         if k == p:
-            return (4 * p * t - 2 * t - 2 * p + 1 - n * p * p + n * p + 2 * l - 2 * l * p,
-                    -2 * p * t + p + n * p * p - n * p)
+            return (2 * p * t - t - 2 * p + 1 - n * p * p + n * p + 2 * l - 2 * l * p,
+                    -p * t + p + n * p * p - n * p)
         return None
     if corner == "y4":
         if 1 <= k <= p - 1:
-            return (4 * k * t - 2 * t - k * k * n + k * n - 2 * k * l + 2 * l,
-                    -2 * p * t - p + k + k * n * p - n * p)
-        return (4 * i * t + 2 * t - 1 - i * i * n - 2 * i * l - i * n,
-                -2 * p * t + i * n * p)
+            return (2 * k * t - t - k * k * n + k * n - 2 * k * l + 2 * l,
+                    -p * t - p + k + k * n * p - n * p)
+        return (2 * i * t + t - 1 - i * i * n - 2 * i * l - i * n,
+                -p * t + i * n * p)
     if corner == "y2":
         if 1 <= k <= p - 1:
-            return (4 * k * t - 2 * t - 2 * k + 1 - k * k * n + k * n - 2 * k * l + 2 * l,
-                    -2 * p * t + k + k * n * p - n * p)
+            return (2 * k * t - t - 2 * k + 1 - k * k * n + k * n - 2 * k * l + 2 * l,
+                    -p * t + k + k * n * p - n * p)
         return None
     if corner == "y3":
         if 1 <= k <= p - 1:
-            return (4 * k * t + 2 * t + 1 - k * k * n - 2 * k * l - k * n,
-                    -2 * p * t + k - p + k * n * p)
-        return (4 * i * t + 6 * t - i * i * n - 3 * i * n - 2 * i * l - 2 * n - 2 * l,
-                -2 * p * t + i * n * p + n * p)
+            return (2 * k * t + t + 1 - k * k * n - 2 * k * l - k * n,
+                    -p * t + k - p + k * n * p)
+        return (2 * i * t + 3 * t - i * i * n - 3 * i * n - 2 * i * l - 2 * n - 2 * l,
+                -p * t + i * n * p + n * p)
     raise ValueError(corner)
-
-
-def _square_odd(corner: str, k: int, t: int, l: int, n: int, p: int) -> tuple[int, int] | None:
-    """Level 2t-1 square formulas."""
-    if corner == "x1" or corner == "x3":
-        return (2 * t - 1, -2 * p * t + p)
-    if corner == "x4":
-        return (2 * t, -2 * p * t)
-    if corner == "x2":
-        return None
-    i = 2 * p - 2 - k
-    if corner == "y1":
-        if 1 <= k <= p - 1:
-            return (4 * k * t + 2 * t - 4 * k - 1 - k * k * n - k * n - 2 * k * l,
-                    -2 * p * t + k + p + k * n * p)
-        if k == p:
-            return (4 * p * t - 2 * t - 4 * p + 2 - n * p * p + n * p - 2 * l * p + 2 * l,
-                    -2 * p * t + 2 * p + n * p * p - n * p)
-        return None
-    if corner == "y4":
-        if 1 <= k <= p - 1:
-            return (4 * k * t - 2 * t - 2 * k + 1 - k * k * n + k * n - 2 * k * l + 2 * l,
-                    -2 * p * t + k + k * n * p - n * p)
-        return (4 * i * t + 2 * t - 2 * i - 2 - i * i * n - 2 * i * l - i * n,
-                -2 * t * p + p + i * n * p)
-    if corner == "y2":
-        if 1 <= k <= p - 1:
-            return (4 * k * t - 2 * t - 4 * k + 2 - k * k * n + k * n - 2 * k * l + 2 * l,
-                    -2 * p * t + k + p + k * n * p - n * p)
-        return None
-    if corner == "y3":
-        if 1 <= k <= p - 1:
-            return (4 * k * t + 2 * t - 2 * k - k * k * n - 2 * k * l - k * n,
-                    -2 * p * t + k + k * n * p)
-        return (4 * i * t + 6 * t - 2 * i - 3 - i * i * n - 3 * i * n - 2 * i * l - 2 * n - 2 * l,
-                -2 * p * t + p + i * n * p + n * p)
-    raise ValueError(corner)
-
-
-def _square_at_level(corner: str, k: int, level: int, l: int, n: int, p: int) -> tuple[int, int] | None:
-    if level % 2 == 0:
-        return _square_even(corner, k, level // 2, l, n, p)
-    return _square_odd(corner, k, (level + 1) // 2, l, n, p)
 
 
 def _mu_grading(k: int, j: int, m: int, l: int, n: int, p: int) -> tuple[int, int]:
-    """(N, A') of b_k mu_{j+1}; separate displays for m > 0 and m < 0."""
+    """(N, A') of b_k mu_{j+1}; the m < 0 chain reads the m > 0 display at -j-1, one higher in N."""
+    up = int(m < 0)
+    if up:
+        j = -j - 1
     i = 2 * p - 2 - k
-    if m > 0:
-        if 1 <= k <= p - 1:
-            return (2 * j * k - k * k * n + k * n + 2 * k * l,
-                    -j * p + k - p + k * n * p - 2 * l * p - n * p)
-        return (2 * i * j + 2 * j - 1 + 2 * i * l + 2 * l - i * i * n - i * n,
-                -j * p - 2 * l * p + i * n * p)
     if 1 <= k <= p - 1:
-        return (-2 * j * k - 2 * k + 1 - k * k * n + k * n + 2 * k * l,
-                j * p + k + k * n * p - n * p - 2 * l * p)
-    return (-2 * i * j - 2 * i - 2 * j - 2 + 2 * i * l + 2 * l - i * i * n - i * n,
-            j * p + p - 2 * l * p + i * n * p)
+        return (2 * j * k - k * k * n + k * n + 2 * k * l + up,
+                -j * p + k - p + k * n * p - 2 * l * p - n * p)
+    return (2 * i * j + 2 * j - 1 + 2 * i * l + 2 * l - i * i * n - i * n + up,
+            -j * p - 2 * l * p + i * n * p)
 
 
 def closed_form_gradings(model: ThinModel, p: int, n: int) -> dict[tuple[str, str], tuple[int, int]]:
     """(N, A') for every tensor generator family covered by the closed forms.
 
-    Staircase generators borrow square formulas: for tau <= 0, u_{2t+1} and
-    u_{2t+2} read off a*x3 in levels 2t and 2t+1, v_{2t+1} off b*y4 in level
-    2t and v_{2t+2} off b*y3 in level 2t+1; for tau > 0 the sources are a*x4,
-    a*x3 in level -2t-1 and b*y4 in level -2t-1, b*y3 in level -2t-2.  The
-    uncovered families (a*x2 and the high-index b*y1, b*y2) die in homology.
+    Staircase generators borrow square formulas: every staircase generator is
+    a square corner at an Alexander level.  With sigma = 1 for tau <= 0 and
+    -1 for tau > 0, u_i reads off a*x3 at level sigma*(i-1); v_i reads off
+    b*y4 (odd i) or b*y3 (even i) at level i-1 for tau <= 0 and -i for
+    tau > 0.  The uncovered families (a*x2 and the high-index b*y1, b*y2) die
+    in homology.
     """
     tau = model.params.tau
     l = model.params.l
     module = build_typed(model, n)
     m = 2 * tau - n
+    sigma = 1 if tau <= 0 else -1
     out: dict[tuple[str, str], tuple[int, int]] = {}
 
     def put(a_name: str, d_name: str, value: tuple[int, int] | None) -> None:
@@ -291,27 +247,17 @@ def closed_form_gradings(model: ThinModel, p: int, n: int) -> dict[tuple[str, st
         if gen.kind in ("x", "y"):
             corner = f"{gen.kind}{gen.index}"
             if gen.kind == "x":
-                put("a", gen.name, _square_at_level(corner, 0, gen.level, l, n, p))
+                put("a", gen.name, _square(corner, 0, gen.level, l, n, p))
             else:
                 for k in range(1, 2 * p - 1):
-                    put(f"b{k}", gen.name, _square_at_level(corner, k, gen.level, l, n, p))
+                    put(f"b{k}", gen.name, _square(corner, k, gen.level, l, n, p))
         elif gen.kind == "u":
-            if tau <= 0:
-                t, odd = divmod(gen.index - 1, 2)
-                corner, level = ("x3", 2 * t) if not odd else ("x3", 2 * t + 1)
-            else:
-                t, odd = divmod(gen.index - 1, 2)
-                corner, level = ("x4", -2 * t - 1) if not odd else ("x3", -2 * t - 1)
-            put("a", gen.name, _square_at_level(corner, 0, level, l, n, p))
+            put("a", gen.name, _square("x3", 0, sigma * (gen.index - 1), l, n, p))
         elif gen.kind == "v":
-            if tau <= 0:
-                t, odd = divmod(gen.index - 1, 2)
-                corner, level = ("y4", 2 * t) if not odd else ("y3", 2 * t + 1)
-            else:
-                t, odd = divmod(gen.index - 1, 2)
-                corner, level = ("y4", -2 * t - 1) if not odd else ("y3", -2 * t - 2)
+            corner = "y4" if gen.index % 2 else "y3"
+            level = gen.index - 1 if tau <= 0 else -gen.index
             for k in range(1, 2 * p - 1):
-                put(f"b{k}", gen.name, _square_at_level(corner, k, level, l, n, p))
+                put(f"b{k}", gen.name, _square(corner, k, level, l, n, p))
         else:  # mu
             for k in range(1, 2 * p - 1):
                 put(f"b{k}", gen.name, _mu_grading(k, gen.index - 1, m, l, n, p))

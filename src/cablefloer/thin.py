@@ -92,7 +92,8 @@ def build_model(delta: LaurentPolynomial, tau: int) -> ThinModel:
     runs downward from c_{g-1} = a'_g.  A negative a'_i or c_i rejects the
     input.  The bottom half is not recomputed: c_i = c_{-i} is checked
     afterwards as an independent consistency condition, as is the total
-    count against s.
+    count against s.  Last, thin signs alternate: every nonzero a_d has sign
+    eps * (-1)^(d - tau) for one global eps.
     """
     params = validate_thin(delta, tau)
     g = params.g
@@ -124,6 +125,11 @@ def build_model(delta: LaurentPolynomial, tau: int) -> ThinModel:
     if total != params.s:
         raise ThinInputError(
             f"square counts sum to {total}, expected s = {params.s}; input is not thin-realizable"
+        )
+    if len({(c > 0) == ((d - tau) % 2 == 0) for d, c in delta.items()}) > 1:
+        raise ThinInputError(
+            f"coefficient signs of {delta} are not one global sign times (-1)^(d - tau) "
+            f"for tau = {tau}; input is not thin-realizable"
         )
     return ThinModel(delta=delta, params=params, square_counts={i: c for i, c in counts.items() if c})
 

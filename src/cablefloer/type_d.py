@@ -5,7 +5,11 @@ contributes generators u_1 .. u_{2|tau|+1} (idempotent i0) and v_1 .. v_{2|tau|}
 (idempotent i1), the c_t square summands at level t are one square of corners
 x_1 .. x_4 (i0) and y_1 .. y_4 (i1) counted c_t times, and the
 framing-dependent unstable chain joins the two staircase ends through extra
-i1 generators mu_j.  Every generator carries a
+i1 generators mu_j.  Every vertical model arrow u -> u' of the staircase and
+the squares becomes the edges u --D1--> v, u' --D123--> v, and every
+horizontal one u --D3--> v, v --D2--> u'.  Every staircase and square
+generator is a level-0 square corner right-multiplied by the shift
+(t/2; 0, t; 0) of its Alexander level t.  Every generator carries a
 right-coset grading; the coset normalizer h depends on m = 2*tau - n.
 """
 
@@ -74,21 +78,18 @@ def unstable_chain(tau: int, n: int) -> tuple[list[str], list[DEdge]]:
     return mus, edges
 
 
-# Square gadget: x1 is the corner with both outgoing model arrows, x2 its
-# horizontal target, x3 its vertical target, x4 the remaining corner.  Each
-# vertical arrow u -> u' becomes u --D1--> v, u' --D123--> v; each horizontal
-# arrow u -> u' becomes u --D3--> v, v --D2--> u'.
-_SQUARE_EDGES = (
-    ("x1", "1", "y4"),
-    ("x3", "123", "y4"),
-    ("x2", "1", "y2"),
-    ("x4", "123", "y2"),
-    ("x1", "3", "y1"),
-    ("y1", "2", "x2"),
-    ("x3", "3", "y3"),
-    ("y3", "2", "x4"),
-)
+def _vertical(u: str, u2: str, v: str) -> list[DEdge]:
+    """The type-D edges of a vertical model arrow u -> u2 through v."""
+    return [DEdge(u, "1", v), DEdge(u2, "123", v)]
 
+
+def _horizontal(u: str, u2: str, v: str) -> list[DEdge]:
+    """The type-D edges of a horizontal model arrow u -> u2 through v."""
+    return [DEdge(u, "3", v), DEdge(v, "2", u2)]
+
+
+# square corners at level 0: x1 has both outgoing model arrows, x2 is its
+# horizontal target, x3 its vertical target and x4 the remaining corner
 _SQUARE_BASE = {
     "x1": ("i0", GradingElement(0, 0, 0, 0)),
     "x2": ("i0", GradingElement(-1, 0, -2, 0)),
@@ -111,36 +112,27 @@ def build_typed(model: ThinModel, n: int) -> TypeDModule:
     gens: list[DGenerator] = []
     edges: list[DEdge] = []
 
-    # staircase gradings; vertical/horizontal arrows originate at odd u's
-    # for tau <= 0 and at even u's for tau > 0
-    if tau <= 0:
-        for k in range(steps + 1):
-            gens.append(DGenerator(f"u{2 * k + 1}", "i0", GradingElement(2 * k, 0, 4 * k, 0), "u", 2 * k + 1))
-        for k in range(1, steps + 1):
-            gens.append(DGenerator(f"u{2 * k}", "i0", GradingElement(2 * k - 1, 0, 4 * k - 2, 0), "u", 2 * k))
-        for k in range(steps):
-            gens.append(DGenerator(f"v{2 * k + 1}", "i1", GradingElement(-1, -1, 4 * k + 1, 0), "v", 2 * k + 1))
-        for k in range(1, steps + 1):
-            gens.append(DGenerator(f"v{2 * k}", "i1", GradingElement(4 * k - 1, 1, 4 * k - 1, 0), "v", 2 * k))
-        for t in range(steps):
-            edges.append(DEdge(f"u{2 * t + 1}", "1", f"v{2 * t + 1}"))
-            edges.append(DEdge(f"u{2 * t + 2}", "123", f"v{2 * t + 1}"))
-            edges.append(DEdge(f"u{2 * t + 3}", "3", f"v{2 * t + 2}"))
-            edges.append(DEdge(f"v{2 * t + 2}", "2", f"u{2 * t + 2}"))
-    else:
-        for k in range(steps + 1):
-            gens.append(DGenerator(f"u{2 * k + 1}", "i0", GradingElement(-2 * k, 0, -4 * k, 0), "u", 2 * k + 1))
-        for k in range(1, steps + 1):
-            gens.append(DGenerator(f"u{2 * k}", "i0", GradingElement(-2 * k + 1, 0, -4 * k + 2, 0), "u", 2 * k))
-        for k in range(steps):
-            gens.append(DGenerator(f"v{2 * k + 1}", "i1", GradingElement(-1, -1, -4 * k - 1, 0), "v", 2 * k + 1))
-        for k in range(1, steps + 1):
-            gens.append(DGenerator(f"v{2 * k}", "i1", GradingElement(-4 * k + 1, 1, -4 * k + 1, 0), "v", 2 * k))
-        for t in range(1, steps + 1):
-            edges.append(DEdge(f"u{2 * t}", "1", f"v{2 * t - 1}"))
-            edges.append(DEdge(f"u{2 * t - 1}", "123", f"v{2 * t - 1}"))
-            edges.append(DEdge(f"u{2 * t}", "3", f"v{2 * t}"))
-            edges.append(DEdge(f"v{2 * t}", "2", f"u{2 * t + 1}"))
+    # every staircase generator is a square corner at a level: u_i is x3 (the
+    # identity) at level sigma*(i - 1), and v_j is y4 (odd j) or y3 (even j)
+    # at level j - 1 for tau <= 0, -j for tau > 0 -- the level of u_j or
+    # u_{j+1}, so each v reuses the shift of the u emitted with it
+    sigma = 1 if tau <= 0 else -1
+    for i in range(1, 2 * steps + 2):
+        level = sigma * (i - 1)
+        shift = GradingElement(level, 0, 2 * level, 0)
+        gens.append(DGenerator(f"u{i}", "i0", shift, "u", i))
+        j = i if tau <= 0 else i - 1
+        if 1 <= j <= 2 * steps:
+            corner = _SQUARE_BASE["y4" if j % 2 else "y3"][1]
+            gens.append(DGenerator(f"v{j}", "i1", corner * shift, "v", j))
+    # step k joins u_k, u_{k+1}, u_{k+2} through v_k, v_{k+1}; its model arrows
+    # leave the odd u's for tau <= 0 and the even u for tau > 0
+    for k in range(1, 2 * steps, 2):
+        lo, mid, hi, v, w = f"u{k}", f"u{k + 1}", f"u{k + 2}", f"v{k}", f"v{k + 1}"
+        if tau <= 0:
+            edges += _vertical(lo, mid, v) + _horizontal(hi, mid, w)
+        else:
+            edges += _vertical(mid, lo, v) + _horizontal(mid, hi, w)
 
     mu_names, chain_edges = unstable_chain(tau, n)
     for j, name in enumerate(mu_names):
@@ -162,8 +154,9 @@ def build_typed(model: ThinModel, n: int) -> TypeDModule:
         tag = f"s{serial}"
         for corner, (idem, base) in _SQUARE_BASE.items():
             gens.append(DGenerator(f"{corner}.{tag}", idem, base * shift, corner[0], int(corner[1]), level=t))
-        for src, label, tgt in _SQUARE_EDGES:
-            edges.append(DEdge(f"{src}.{tag}", label, f"{tgt}.{tag}"))
+        x1, x2, x3, x4, y1, y2, y3, y4 = (f"{corner}.{tag}" for corner in _SQUARE_BASE)
+        edges += _vertical(x1, x3, y4) + _vertical(x2, x4, y2)
+        edges += _horizontal(x1, x2, y1) + _horizontal(x3, x4, y3)
         copies[t] = model.square_counts[i]
 
     return TypeDModule(

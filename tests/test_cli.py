@@ -429,6 +429,16 @@ def test_negated_delta_accepted(capsys):
     assert payload["checks"]["euler"] is True and payload["checks"]["symmetry"] is True
 
 
+@pytest.mark.parametrize("mode", ["hfk", "tau"])
+def test_wrong_thin_signs_exit_one(capsys, mode):
+    # magnitudes fit a tau = 2 staircase, but a_0 = -1 breaks eps * (-1)^(d - tau)
+    code, out, err = run_main(capsys, "--delta=1,-1,-1,-1,1", "--tau", "2", "--p", "2", "--n", "0",
+                              "--mode", mode)
+    assert code == 1
+    assert out == ""
+    assert "not one global sign" in err
+
+
 def test_hfk_mode_rejects_q(capsys):
     assert run_main(capsys, "--delta", "1", "--tau", "0", "--p", "2", "--n", "1",
                     "--q", "3")[0] == 1

@@ -331,9 +331,12 @@ class TestGradings:
 
 
 def test_closed_forms_match_group_arithmetic_everywhere():
-    """Acceptance-grade cross-check on the full grid (criterion 4 backbone)."""
+    """Acceptance-grade cross-check on the full grid (criterion 4 backbone), plus
+    the reference rows: levels down to -20, chains with |m| of 106 and 100, p up to 10."""
+    rows = [(synthesize_delta(tau, counts), tau, p, n)
+            for tau, counts, p, n in (row.values for row in ROW_PARAMS)]
     checked = 0
-    for delta, tau, p, n in thin_grid_cases():
+    for delta, tau, p, n in thin_grid_cases() + rows:
         model = build_model(delta, tau)
         A = build_typea_minus(p)
         D = build_typed(model, n)

@@ -153,3 +153,18 @@ def test_synthesize_roundtrip(tau, counts):
     assert 4 * sum(model.square_counts.values()) + 2 * abs(tau) + 1 == params.a
     assert all(model.square_counts.get(i, 0) == model.square_counts.get(-i, 0)
                for i in range(-params.g, params.g + 1))
+
+
+@given(st.integers(-3, 3), square_configs, st.data())
+def test_thin_signs_alternate(tau, counts, data):
+    """A thin delta is accepted with either global sign; flipping the sign of one
+    pair +-d is refused whenever a nonzero coefficient lies outside that pair."""
+    delta = synthesize_delta(tau, counts)
+    build_model(delta, tau)
+    build_model(-delta, tau)
+    coeffs = dict(delta.items())
+    d = data.draw(st.sampled_from(sorted(d for d in coeffs if d >= 0)))
+    flipped = {e: -c if abs(e) == d else c for e, c in coeffs.items()}
+    if any(abs(e) != d for e in coeffs):
+        with pytest.raises(ThinInputError):
+            build_model(LaurentPolynomial(flipped), tau)

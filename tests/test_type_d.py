@@ -133,6 +133,50 @@ class TestBuild:
         assert case2["v2"].grading == GradingElement.of(-Fraction(3, 2), half, -Fraction(3, 2), 0)
 
 
+def written_out_staircase(tau):
+    """The staircase's doubled gradings and edges, written out for each sign of tau."""
+    steps = abs(tau)
+    gens, edges = {}, set()
+    if tau <= 0:
+        for k in range(steps + 1):
+            gens[f"u{2 * k + 1}"] = GradingElement(2 * k, 0, 4 * k, 0)
+        for k in range(1, steps + 1):
+            gens[f"u{2 * k}"] = GradingElement(2 * k - 1, 0, 4 * k - 2, 0)
+            gens[f"v{2 * k}"] = GradingElement(4 * k - 1, 1, 4 * k - 1, 0)
+        for k in range(steps):
+            gens[f"v{2 * k + 1}"] = GradingElement(-1, -1, 4 * k + 1, 0)
+        for t in range(steps):
+            edges |= {(f"u{2 * t + 1}", "1", f"v{2 * t + 1}"), (f"u{2 * t + 2}", "123", f"v{2 * t + 1}"),
+                      (f"u{2 * t + 3}", "3", f"v{2 * t + 2}"), (f"v{2 * t + 2}", "2", f"u{2 * t + 2}")}
+    else:
+        for k in range(steps + 1):
+            gens[f"u{2 * k + 1}"] = GradingElement(-2 * k, 0, -4 * k, 0)
+        for k in range(1, steps + 1):
+            gens[f"u{2 * k}"] = GradingElement(-2 * k + 1, 0, -4 * k + 2, 0)
+            gens[f"v{2 * k}"] = GradingElement(-4 * k + 1, 1, -4 * k + 1, 0)
+        for k in range(steps):
+            gens[f"v{2 * k + 1}"] = GradingElement(-1, -1, -4 * k - 1, 0)
+        for t in range(1, steps + 1):
+            edges |= {(f"u{2 * t}", "1", f"v{2 * t - 1}"), (f"u{2 * t - 1}", "123", f"v{2 * t - 1}"),
+                      (f"u{2 * t}", "3", f"v{2 * t}"), (f"v{2 * t}", "2", f"u{2 * t + 1}")}
+    return gens, edges
+
+
+@pytest.mark.parametrize("tau", range(-4, 5))
+def test_staircase_matches_written_out_gradings_and_edges(tau):
+    """Every staircase generator and edge, against the two cases written out by hand."""
+    # n = 2*tau + 1, so no D_12 edge joins the staircase ends
+    module = build_typed(build_model(synthesize_delta(tau, {0: 1}), tau), 2 * tau + 1)
+    gens, edges = written_out_staircase(tau)
+    staircase = {g.name: g for g in module.generators if g.kind in ("u", "v")}
+    assert set(staircase) == set(gens)
+    for name, grading in gens.items():
+        gen = staircase[name]
+        assert (gen.idempotent, gen.grading, gen.kind, gen.index, gen.level) == \
+            ("i0" if name[0] == "u" else "i1", grading, name[0], int(name[1:]), None)
+    assert {e for e in module.edges if e.source in staircase and e.target in staircase} == edges
+
+
 def test_h_specialization_at_m_zero():
     # the listed m = 0 value (-l - 1/2; -1, 2l; 0) is the general formula at m = 0
     for l in range(-3, 4):
