@@ -45,7 +45,7 @@ from .thin import (
     validate_thin,
 )
 from .type_a import AOperation, TypeAModule, build_typea_minus, hat_operations
-from .type_d import DEdge, DGenerator, TypeDModule, build_typed, framing_h, unstable_chain
+from .type_d import DEdge, DGenerator, MuChain, TypeDModule, build_typed, framing_h
 
 __version__ = "0.1.0"
 
@@ -60,6 +60,7 @@ __all__ = [
     "GradingError",
     "LAMBDA",
     "LaurentPolynomial",
+    "MuChain",
     "RankTable",
     "TensorGenerator",
     "ThinInputError",
@@ -92,6 +93,5 @@ __all__ = [
     "tensor_differential",
     "tensor_gradings",
     "torus_knot_delta",
-    "unstable_chain",
     "validate_thin",
 ]

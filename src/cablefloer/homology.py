@@ -22,6 +22,13 @@ class RankTable:
     def __post_init__(self):
         object.__setattr__(self, "ranks", {k: v for k, v in self.ranks.items() if v})
 
+    @classmethod
+    def _trusted(cls, ranks: dict[tuple[int, int], int]) -> "RankTable":
+        """Wrap a zero-free dict that the caller hands over, without copying it."""
+        table = cls.__new__(cls)
+        object.__setattr__(table, "ranks", ranks)
+        return table
+
     @property
     def total(self) -> int:
         return sum(self.ranks.values())
@@ -49,7 +56,9 @@ def reduce_complex(complex_: BigradedComplex) -> RankTable:
     the box tensor product is additive over the square summands: an arrow's
     ends are read from the view's cells and subtracted as many times as the
     view lists them.  A count that would go below zero means the counts and
-    the generators disagree, and raises.
+    the generators disagree, and raises.  The table is one copy of the
+    positive counts complex_.bigradings, with every count cancelled to zero
+    deleted; complex_.bigradings stays as it is.
     """
     gens, arrows = complex_.generators, complex_.arrows
     lost: dict[tuple[int, int], int] = {}
@@ -76,5 +85,8 @@ def reduce_complex(complex_: BigradedComplex) -> RankTable:
         if count > counted:
             raise ComplexError(f"bigrading (A={alexander}, M={m}) loses {count} generators "
                                f"to cancellation but counts {counted}")
-        ranks[alexander, m] = counted - count
-    return RankTable(ranks)
+        if count == counted:
+            del ranks[alexander, m]
+        else:
+            ranks[alexander, m] = counted - count
+    return RankTable._trusted(ranks)

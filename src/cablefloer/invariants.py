@@ -229,8 +229,9 @@ def closed_form_gradings(model: ThinModel, p: int, n: int) -> dict[tuple[str, st
     a square corner at an Alexander level.  With sigma = 1 for tau <= 0 and
     -1 for tau > 0, u_i reads off a*x3 at level sigma*(i-1); v_i reads off
     b*y4 (odd i) or b*y3 (even i) at level i-1 for tau <= 0 and -i for
-    tau > 0.  The uncovered families (a*x2 and the high-index b*y1, b*y2) die
-    in homology.
+    tau > 0.  Every b_k*mu_j is covered, the chain end's and those the
+    module's MuChain stands for alike.  The uncovered families (a*x2 and
+    the high-index b*y1, b*y2) die in homology.
     """
     tau = model.params.tau
     l = model.params.l
@@ -261,4 +262,9 @@ def closed_form_gradings(model: ThinModel, p: int, n: int) -> dict[tuple[str, st
         else:  # mu
             for k in range(1, 2 * p - 1):
                 put(f"b{k}", gen.name, _mu_grading(k, gen.index - 1, m, l, n, p))
+    chain = module.chain
+    if chain is not None:
+        for j in range(chain.index, chain.index + chain.length):
+            for k in range(1, 2 * p - 1):
+                put(f"b{k}", f"mu{j}", _mu_grading(k, j - 1, m, l, n, p))
     return out

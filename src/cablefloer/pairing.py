@@ -33,6 +33,14 @@ checks.  The complex is columnar: each complement generator points at its
 row, bigrading counts are rows times copies, and a TensorGenerator record is
 built only when someone reads it.
 
+The unstable chain's interior (type_d.MuChain) has no edge a hat operation
+reads, so it pairs into no arrow, and its gradings step by a constant along
+the chain; the affine maps then step every b_k's row by a constant too.  So
+the chain is one slot of the view, listed like a square's copies but with
+its r-th repetition named mu<index + r> and read at its first row plus r
+step rows, and its bigrading counts are added as one arithmetic progression
+per b_k.  No record, row or name is built per chain generator.
+
 The closed-form grading tables that cross-check this group arithmetic live
 in invariants.py with the other pipeline-independent oracles.
 """
@@ -40,9 +48,10 @@ in invariants.py with the other pipeline-independent oracles.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain as concat, repeat
 from typing import NamedTuple
 
 from .gradings import GradingElement, GradingError, affine_normalization, normalize_double_coset
@@ -73,25 +82,37 @@ class TensorGenerator(NamedTuple):
         return f"{self.a_side} {self.d_side}"
 
 
+class ChainSlot(NamedTuple):
+    """Where the view lists the unstable chain's interior and how it steps."""
+
+    slot: int  # its complement slot
+    index: int  # mu subscript of repetition 0
+    steps: Row  # per A generator, the change of its row entry from one repetition to the next
+
+
 class TensorGenerators(Sequence):
     """Read-only view of the tensor generators in complement-major order.
 
-    Complement generator j pairs with the A generators a_names[j] and stands
-    for copies[j] isomorphic generators (its square's count, 1 off the
-    squares): the view lists its A group copies[j] times in a row from
-    starts[j] on, and every copy reads its gradings at rows[j].  Copy 0 of
-    a*d sits at starts[j] plus the position of a in the group.  A record is
-    built each time an index is read; cell(i) reads generator i's bigrading
-    and copy count without one.  It is the only generator sequence a
-    BigradedComplex holds.
+    Complement slot j pairs with the A generators a_names[j] and its A group
+    is listed copies[j] times in a row from starts[j] on.  Off the chain,
+    slot j is the D generator d_names[j], standing for copies[j] isomorphic
+    generators (its square's count, 1 off the squares), and every copy reads
+    its gradings at rows[j].  The chain's slot lists one repetition per
+    chain generator: repetition r is mu<index + r> and reads rows[j] plus r
+    times its step row.  Repetition 0 of a*d sits at starts[j] plus the
+    position of a in the group.  A record is built each time an index is
+    read; cell(i) reads generator i's bigrading and copy count without one.
+    It is the only generator sequence a BigradedComplex holds.
     """
 
     def __init__(self, d_names: tuple[str, ...], a_names: tuple[tuple[str, ...], ...],
-                 rows: tuple[Row, ...], copies: tuple[int, ...]):
+                 rows: tuple[Row, ...], copies: tuple[int, ...], chain: ChainSlot | None = None):
         self.d_names = d_names
         self.a_names = a_names
         self.rows = rows
         self.copies = copies
+        self.chain = chain
+        self._chain_slot = -1 if chain is None else chain.slot
         self.starts = list(accumulate((len(group) * count for group, count in zip(a_names, copies)),
                                       initial=0))
         self._len = self.starts.pop()
@@ -99,24 +120,31 @@ class TensorGenerators(Sequence):
     def __len__(self) -> int:
         return self._len
 
-    def _locate(self, i: int) -> tuple[int, int]:
-        """(complement generator j, position k in its A group) of index i."""
+    def _locate(self, i: int) -> tuple[int, int, int]:
+        """(slot j, repetition r, position k in its A group) of index i."""
         if i < 0:
             i += self._len
         if not 0 <= i < self._len:
             raise IndexError("tensor generator index out of range")
         j = bisect_right(self.starts, i) - 1
-        return j, (i - self.starts[j]) % len(self.a_names[j])
+        offset, size = i - self.starts[j], len(self.a_names[j])
+        return j, offset // size, offset % size
 
     def __getitem__(self, i: int) -> TensorGenerator:
-        j, k = self._locate(i)
+        j, r, k = self._locate(i)
+        if j == self._chain_slot:
+            values = (v + r * step for v, step in zip(self.rows[j][k], self.chain.steps[k]))
+            return TensorGenerator(self.a_names[j][k], f"mu{self.chain.index + r}", *values)
         return TensorGenerator._make((self.a_names[j][k], self.d_names[j]) + self.rows[j][k])
 
     def cell(self, i: int) -> tuple[int, int, int]:
         """(alexander, maslov, copies) of generator i: its bigrading and how
         many copies of it the view lists, without building its record."""
-        j, k = self._locate(i)
+        j, r, k = self._locate(i)
         _, _, alexander, maslov = self.rows[j][k]
+        if j == self._chain_slot:
+            _, _, alexander_step, maslov_step = self.chain.steps[k]
+            return alexander + r * alexander_step, maslov + r * maslov_step, 1
         return alexander, maslov, self.copies[j]
 
 
@@ -127,7 +155,7 @@ class BigradedComplex:
 
     generators: TensorGenerators
     arrows: tuple[tuple[int, int], ...]  # (source index, target index)
-    bigradings: Mapping[tuple[int, int], int]  # generator count per (alexander, maslov)
+    bigradings: Mapping[tuple[int, int], int]  # positive generator count per (alexander, maslov)
 
 
 def shift_constant(l: int, p: int, n: int) -> int:
@@ -151,7 +179,9 @@ def tensor_differential(A: TypeAModule, D: TypeDModule) -> list[tuple[tuple[str,
     if any, closes the operations of family i, and the walk then steps along
     D_12.  It stops when the path ends or the families run out (i <= p-2),
     which also bounds the D_12 self-loop of the zero-framed unknot at O(p)
-    steps; no hat operation consumes rho_3, rho_23 or rho_123.  A complement
+    steps; no hat operation consumes rho_3, rho_23 or rho_123.  So the walk
+    reads the stored generators only: the chain's interior has no D_1, D_2
+    or D_12 edge, and only those edges lead a path on.  A complement
     generator with two D_1, D_2 or D_12 edges raises ComplexError.
     """
     step: dict[str, dict[str, str]] = {"1": {}, "2": {}, "12": {}}
@@ -188,18 +218,28 @@ def _refusal(y: GradingElement, x: GradingElement) -> Exception:
 
 
 def _rows(A: TypeAModule, D: TypeDModule, c: int, by_idempotent: dict[str, tuple[str, ...]]
-          ) -> tuple[list[tuple[str, ...]], list[Row]]:
-    """Per complement generator in D order, its A generators and its row.
+          ) -> tuple[list[tuple[str, ...]], list[Row], tuple[Row, Row] | None]:
+    """Per complement generator in D order, its A generators and its row,
+    and the chain's first row and step row (None without a chain).
 
     With D.h, A.g and c fixed, a row is two integer dot products per A
     generator, with the affine constants of each (A generator, b slot)
-    normalized once.
+    normalized once.  The chain is met at its place in D order, so it
+    anchors a b slot and meets the group law's checks where its generators
+    would.  Its r-th grading is its first plus r*step in the doubled a and
+    c slots, so each entry's n and m move by fixed steps along the chain and
+    its c parity by step's parity.  Hence the first two entries decide them
+    all: when both pass, step is even and the n, m steps are multiples of
+    4, so every entry passes, and otherwise the first failure is among
+    them.  The step row is the second row minus the first.  On a built
+    chain step is 2 or -2, and A.g's odd a2 and even d2 make the n step
+    step*(2 + 2*y.b2) and the m step -step*g.d2 multiples of 4, so there
+    the first entry alone decides.
     """
     # (idempotent, b slot) -> c parity of its anchor, constants per A generator
     affine: dict[tuple[str, int], tuple[int, list]] = {}
-    groups, rows = [], []
-    for d_gen in D.generators:
-        idempotent, x = d_gen.idempotent, d_gen.grading
+
+    def row(idempotent: str, x: GradingElement) -> Row:
         group = by_idempotent.get(idempotent, ())
         slot = affine.get((idempotent, x.b2))
         if slot is None:  # the first row of this b slot anchors its maps
@@ -216,16 +256,37 @@ def _rows(A: TypeAModule, D: TypeDModule, c: int, by_idempotent: dict[str, tuple
             N, Aprime = n // 4, m // 4
             alexander = Aprime + c
             values.append((N, Aprime, alexander, N + 2 * alexander))
-        groups.append(group)
-        rows.append(tuple(values))
-    return groups, rows
+        return tuple(values)
+
+    chain, progression = D.chain, None
+    order = list(D.generators)
+    if chain is not None:
+        order.insert(chain.at, chain)
+    groups, rows = [], []
+    for d_gen in order:
+        if d_gen is chain:
+            x = chain.grading
+            first = row("i1", x)
+            second = first if chain.length == 1 else row(
+                "i1", GradingElement(x.a2 + chain.step, x.b2, x.c2 + chain.step, x.d2))
+            progression = first, tuple(tuple(b - a for a, b in zip(u, v)) for u, v in zip(first, second))
+        else:
+            groups.append(by_idempotent.get(d_gen.idempotent, ()))
+            rows.append(row(d_gen.idempotent, d_gen.grading))
+    return groups, rows, progression
 
 
 def tensor_gradings(A: TypeAModule, D: TypeDModule, c: int) -> dict[tuple[str, str], tuple[int, int, int, int]]:
-    """(N, A', alexander, maslov) for every tensor generator, complement-major order."""
-    groups, rows = _rows(A, D, c, _by_idempotent(A))
+    """(N, A', alexander, maslov) for every tensor generator on a stored D
+    generator, complement-major order; the chain's interior is not listed."""
+    groups, rows, _ = _rows(A, D, c, _by_idempotent(A))
     return {(a_name, d_gen.name): value
             for d_gen, group, row in zip(D.generators, groups, rows) for a_name, value in zip(group, row)}
+
+
+def _progression(start: int, step: int, length: int):
+    """start, start + step, ..., length terms."""
+    return range(start, start + step * length, step) if step else repeat(start, length)
 
 
 def pair_modules(A: TypeAModule, D: TypeDModule, l: int, n: int) -> BigradedComplex:
@@ -235,22 +296,40 @@ def pair_modules(A: TypeAModule, D: TypeDModule, l: int, n: int) -> BigradedComp
     (complement generator, its A generators, its row, its copy count) that
     lists each A group D.copies[t] times in a row, the index of a*d is the
     start of d plus the position of a in its idempotent group, and the
-    bigrading counts are each row times its copies.  The differential walks
-    D once, so every arrow joins copy-0 generators; the other copies' arrows
-    are the same arrows, which homology.reduce_complex counts through the
-    copy counts of the view's cells instead of reading them.
+    bigrading counts are each row times its copies.  The chain's interior
+    is one more slot of the view, and its counts are one arithmetic
+    progression of (alexander, maslov) per b_k, exact even where cells
+    coincide.  The differential walks D once, so every arrow joins copy-0
+    generators; the other copies' arrows are the same arrows, which
+    homology.reduce_complex counts through the copy counts of the view's
+    cells instead of reading them.
     """
     by_idempotent = _by_idempotent(A)
-    groups, rows = _rows(A, D, shift_constant(l, A.p, n), by_idempotent)
-    copies = tuple(D.copies.get(d_gen.level, 1) for d_gen in D.generators)
-    d_names = tuple(d_gen.name for d_gen in D.generators)
-    generators = TensorGenerators(d_names, tuple(groups), tuple(rows), copies)
+    groups, rows, progression = _rows(A, D, shift_constant(l, A.p, n), by_idempotent)
+    copies = [D.copies.get(d_gen.level, 1) for d_gen in D.generators]
+    d_names = [d_gen.name for d_gen in D.generators]
+    # a plain dict: the row loop below runs about 1.5x slower on a Counter
+    bigradings: dict[tuple[int, int], int] = {}
+    if progression is not None:  # every chain cell, counted in one Counter pass
+        length = D.chain.length
+        bigradings.update(Counter(concat.from_iterable(
+            zip(_progression(alexander, alexander_step, length), _progression(maslov, maslov_step, length))
+            for (_, _, alexander, maslov), (_, _, alexander_step, maslov_step) in zip(*progression))))
+    for row, count in zip(rows, copies):
+        for _, _, alexander, maslov in row:
+            bigradings[alexander, maslov] = bigradings.get((alexander, maslov), 0) + count
+    chain = None
+    if progression is not None:
+        first, steps = progression
+        at = D.chain.at
+        d_names.insert(at, f"mu{D.chain.index}")
+        groups.insert(at, by_idempotent.get("i1", ()))
+        rows.insert(at, first)
+        copies.insert(at, D.chain.length)
+        chain = ChainSlot(at, D.chain.index, steps)
+    generators = TensorGenerators(tuple(d_names), tuple(groups), tuple(rows), tuple(copies), chain)
     start = dict(zip(d_names, generators.starts))
     position = {a_name: k for group in by_idempotent.values() for k, a_name in enumerate(group)}
     arrows = sorted((start[d_src] + position[a_src], start[d_tgt] + position[a_tgt])
                     for (a_src, d_src), (a_tgt, d_tgt) in tensor_differential(A, D))
-    bigradings: dict[tuple[int, int], int] = {}
-    for row, count in zip(rows, copies):
-        for _, _, alexander, maslov in row:
-            bigradings[alexander, maslov] = bigradings.get((alexander, maslov), 0) + count
     return BigradedComplex(generators=generators, arrows=tuple(arrows), bigradings=bigradings)

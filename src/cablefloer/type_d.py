@@ -5,12 +5,16 @@ contributes generators u_1 .. u_{2|tau|+1} (idempotent i0) and v_1 .. v_{2|tau|}
 (idempotent i1), the c_t square summands at level t are one square of corners
 x_1 .. x_4 (i0) and y_1 .. y_4 (i1) counted c_t times, and the
 framing-dependent unstable chain joins the two staircase ends through extra
-i1 generators mu_j.  Every vertical model arrow u -> u' of the staircase and
-the squares becomes the edges u --D1--> v, u' --D123--> v, and every
-horizontal one u --D3--> v, v --D2--> u'.  Every staircase and square
-generator is a level-0 square corner right-multiplied by the shift
-(t/2; 0, t; 0) of its Alexander level t.  Every generator carries a
-right-coset grading; the coset normalizer h depends on m = 2*tau - n.
+i1 generators mu_1 .. mu_|m|, m = 2*tau - n.  Every vertical model arrow
+u -> u' of the staircase and the squares becomes the edges u --D1--> v,
+u' --D123--> v, and every horizontal one u --D3--> v, v --D2--> u'.  Every
+staircase and square generator is a level-0 square corner right-multiplied
+by the shift (t/2; 0, t; 0) of its Alexander level t.  Only one mu, the
+chain's end, has an edge a hat operation reads (D_1 into mu_1 when m > 0,
+D_2 out of mu_|m| when m < 0); it is a generator, and the other |m| - 1 are
+one MuChain, an arithmetic progression of gradings joined by D_23 edges.
+Every generator carries a right-coset grading; the coset normalizer h
+depends on m.
 """
 
 from __future__ import annotations
@@ -39,13 +43,31 @@ class DGenerator:
 
 
 @dataclass(frozen=True)
+class MuChain:
+    """The unstable chain's interior: the i1 generators mu<index> ..
+    mu<index + length - 1>, listed in that order in D order right before
+    generators[at].  The first has grading `grading` and each next one adds
+    `step` to the doubled a and c slots.  Each has one D_23 edge, into its
+    neighbour on the end's side (mu<j - 1> when step > 0, mu<j + 1> when
+    step < 0), and the far one is the target of the edge from the staircase
+    that edges keeps; none has a D_1, D_2 or D_12 edge."""
+
+    index: int
+    grading: GradingElement
+    step: int
+    length: int
+    at: int
+
+
+@dataclass(frozen=True)
 class TypeDModule:
     generators: tuple[DGenerator, ...]
-    edges: tuple[DEdge, ...]
+    edges: tuple[DEdge, ...]  # every edge but the chain's D_23 edges
     h: GradingElement = field(repr=False)
     # square count c_t per level t; a level's square is stored once and
     # stands for its c_t isomorphic copies
     copies: dict[int, int] = field(default_factory=dict)
+    chain: MuChain | None = None
 
 
 def framing_h(l: int, m: int) -> GradingElement:
@@ -53,29 +75,9 @@ def framing_h(l: int, m: int) -> GradingElement:
     return GradingElement(m - 1 - 2 * l, -2, 2 * (m + 2 * l), 0)
 
 
-def unstable_chain(tau: int, n: int) -> tuple[list[str], list[DEdge]]:
-    """Chain of mu generators joining the staircase ends, by the sign of m = 2*tau - n.
-
-    The end u_{2|tau|+1} is the vertical-homology end and u_1 the horizontal
-    one.  m = 0 gives a single D_12 edge (a self-loop when tau = 0); m > 0 a
-    D_1 / D_23-string / D_3 chain; m < 0 a D_123 / D_23-string / D_2 chain.
-    """
-    m = 2 * tau - n
-    top = f"u{2 * abs(tau) + 1}"
-    bottom = "u1"
-    if m == 0:
-        return [], [DEdge(top, "12", bottom)]
-    if m > 0:
-        mus = [f"mu{j}" for j in range(1, m + 1)]
-        edges = [DEdge(top, "1", "mu1")]
-        edges += [DEdge(f"mu{j + 1}", "23", f"mu{j}") for j in range(1, m)]
-        edges.append(DEdge(bottom, "3", f"mu{m}"))
-        return mus, edges
-    mus = [f"mu{j}" for j in range(1, -m + 1)]
-    edges = [DEdge(top, "123", "mu1")]
-    edges += [DEdge(f"mu{j}", "23", f"mu{j + 1}") for j in range(1, -m)]
-    edges.append(DEdge(f"mu{-m}", "2", bottom))
-    return mus, edges
+def _mu(j: int, sign: int, l: int) -> GradingElement:
+    """Grading of mu_j on the chain of m's sign."""
+    return GradingElement(2 * sign * (j - 1) - 1, -1, 2 * sign * (j - 1) + sign + 4 * l, 0)
 
 
 def _vertical(u: str, u2: str, v: str) -> list[DEdge]:
@@ -134,14 +136,26 @@ def build_typed(model: ThinModel, n: int) -> TypeDModule:
         else:
             edges += _vertical(mid, lo, v) + _horizontal(mid, hi, w)
 
-    mu_names, chain_edges = unstable_chain(tau, n)
-    for j, name in enumerate(mu_names):
+    # the unstable chain joins the ends u_top and u_1: m = 0 gives one D_12
+    # edge (a self-loop when tau = 0); m > 0 the edges u_top --D1--> mu_1 and
+    # u_1 --D3--> mu_m, m < 0 u_top --D123--> mu_1 and mu_|m| --D2--> u_1,
+    # with D_23 edges along the mu's towards the end, mu_1 or mu_|m|
+    top, bottom = f"u{2 * steps + 1}", "u1"
+    chain = None
+    if m == 0:
+        edges.append(DEdge(top, "12", bottom))
+    else:
+        sign, length = (1, m) if m > 0 else (-1, -m)
+        end = 1 if m > 0 else length
+        gens.append(DGenerator(f"mu{end}", "i1", _mu(end, sign, l), "mu", end))
         if m > 0:
-            grading = GradingElement(2 * j - 1, -1, 2 * j + 1 + 4 * l, 0)
+            edges += [DEdge(top, "1", "mu1"), DEdge(bottom, "3", f"mu{length}")]
         else:
-            grading = GradingElement(-2 * j - 1, -1, -2 * j - 1 + 4 * l, 0)
-        gens.append(DGenerator(name, "i1", grading, "mu", j + 1))
-    edges.extend(chain_edges)
+            edges += [DEdge(top, "123", "mu1"), DEdge(f"mu{length}", "2", bottom)]
+        if length > 1:
+            index = 2 if m > 0 else 1
+            at = len(gens) if m > 0 else len(gens) - 1
+            chain = MuChain(index, _mu(index, sign, l), 2 * sign, length - 1, at)
 
     # a square whose corner count is c_i lies at level t = i - tau; its
     # gradings are the base square right-multiplied by (t/2; 0, t; 0).  The
@@ -164,4 +178,5 @@ def build_typed(model: ThinModel, n: int) -> TypeDModule:
         edges=tuple(edges),
         h=framing_h(l, m),
         copies=copies,
+        chain=chain,
     )

@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import pytest
 
-from cablefloer import DEdge, LaurentPolynomial, TypeDModule, synthesize_delta
+from cablefloer import DEdge, DGenerator, GradingElement, LaurentPolynomial, TypeDModule, synthesize_delta
 
 # rank of the (5,16)-cable of 11n50 per (alexander, maslov), transcribed
 # from the published listing; totals 181 over 60 lattice points
@@ -173,6 +173,29 @@ def expand_squares(D: TypeDModule) -> TypeDModule:
     edges = [DEdge(copy_name(e.source, k), e.label, copy_name(e.target, k))
              for e in D.edges for k in range(copies[e.source])]
     return replace(D, generators=tuple(gens), edges=tuple(edges), copies={})
+
+
+def expand_chain(D: TypeDModule) -> TypeDModule:
+    """D with the unstable chain's interior written out: one "mu" generator
+    per chain position, in the chain's place in D order, each with its D_23
+    edge into the neighbour on the end's side.  The pairing's record path
+    walks this module generator by generator, as an independent reference
+    for the chain's progression."""
+    chain = D.chain
+    if chain is None:
+        return D
+    x, step = chain.grading, chain.step
+    toward = -1 if step > 0 else 1
+    mus = tuple(DGenerator(f"mu{j}", "i1", GradingElement(x.a2 + r * step, x.b2, x.c2 + r * step, x.d2), "mu", j)
+                for r, j in enumerate(range(chain.index, chain.index + chain.length)))
+    edges = tuple(DEdge(mu.name, "23", f"mu{mu.index + toward}") for mu in mus)
+    return replace(D, generators=D.generators[:chain.at] + mus + D.generators[chain.at:],
+                   edges=D.edges + edges, chain=None)
+
+
+def written_out(D: TypeDModule) -> TypeDModule:
+    """D with the chain's interior and every square copy written out."""
+    return expand_squares(expand_chain(D))
 
 
 def copy_name(name: str, k: int) -> str:

@@ -17,13 +17,12 @@ from cablefloer import (
     build_typed,
     closed_form_gradings,
     compute_cable_hfk,
+    pair_modules,
     parse_delta,
-    shift_constant,
     synthesize_delta,
     table_rank,
     tau_cable,
     tau_pq,
-    tensor_gradings,
 )
 
 from conftest import (
@@ -107,11 +106,10 @@ def test_criterion_4_grading_cross_check():
     compared = 0
     for delta, tau, p, n in thin_grid_cases():
         model = build_model(delta, tau)
-        computed = tensor_gradings(
-            build_typea_minus(p), build_typed(model, n), shift_constant(model.params.l, p, n)
-        )
+        complex_ = pair_modules(build_typea_minus(p), build_typed(model, n), model.params.l, n)
+        computed = {(g.a_side, g.d_side): (g.N, g.Aprime) for g in complex_.generators}
         for pair, expected in closed_form_gradings(model, p, n).items():
-            assert computed[pair][:2] == expected, (tau, p, n, pair)
+            assert computed[pair] == expected, (tau, p, n, pair)
             compared += 1
     report(4, f"{compared} generator gradings agree with the closed forms")
 

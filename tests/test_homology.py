@@ -19,7 +19,7 @@ from cablefloer import (
 )
 from cablefloer.pairing import TensorGenerators
 
-from conftest import DELTA_11N50, DELTA_TREFOIL, ROW_PARAMS, expand_squares
+from conftest import DELTA_11N50, DELTA_TREFOIL, ROW_PARAMS, written_out
 
 
 def gen(a_side, d_side, alexander, maslov):
@@ -50,6 +50,22 @@ class TestRankTable:
 
     def test_zero_entries_dropped(self):
         assert RankTable({(0, 0): 0}).ranks == {}
+
+    def test_caller_mapping_left_alone(self):
+        ranks = {(0, 0): 0, (1, 1): 2}
+        table = RankTable(ranks)
+        assert table.ranks == {(1, 1): 2} and ranks == {(0, 0): 0, (1, 1): 2}
+        assert table.ranks is not ranks
+
+    def test_reduction_copies_the_counts_once_and_keeps_them(self):
+        """The table is a zero-free dict of its own; the complex's counts stay as they were."""
+        complex_ = complex_of((gen("a", "u1", 0, 0), gen("b1", "v1", 1, 3), gen("b2", "v1", 1, 2),
+                               gen("b3", "v1", 1, 1), gen("b4", "v1", 1, 1)), ((2, 3),))
+        before = dict(complex_.bigradings)
+        table = reduce_complex(complex_)
+        assert table.ranks == {(0, 0): 1, (1, 3): 1, (1, 1): 1}
+        assert dict(complex_.bigradings) == before
+        assert table.ranks is not complex_.bigradings and type(table.ranks) is dict
 
 
 class TestGradingFilter:
@@ -155,10 +171,11 @@ def test_symmetry_of_reduced_output():
 ])
 def test_summand_wise_reduction_equals_whole_reduction(tau, counts, p, n):
     """Cancelling each stored square once and weighting its kills by the
-    square count equals cancelling every copy written out."""
+    square count, with the chain counted as a progression, equals cancelling
+    every copy and chain generator written out."""
     model = build_model(synthesize_delta(tau, counts), tau)
     A, D = build_typea_minus(p), build_typed(model, n)
-    whole = reduce_complex(pair_modules(A, expand_squares(D), model.params.l, n))
+    whole = reduce_complex(pair_modules(A, written_out(D), model.params.l, n))
     assert reduce_complex(pair_modules(A, D, model.params.l, n)).ranks == whole.ranks
 
 

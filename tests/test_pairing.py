@@ -20,6 +20,7 @@ from cablefloer import (
     normalize_double_coset,
     pair_modules,
     parse_delta,
+    reduce_complex,
     shift_constant,
     synthesize_delta,
     tensor_differential,
@@ -31,9 +32,10 @@ from conftest import (
     DELTA_11N50,
     DELTA_TREFOIL,
     ROW_PARAMS,
-    expand_squares,
+    expand_chain,
     stored_name,
     thin_grid_cases,
+    written_out,
 )
 
 
@@ -86,7 +88,7 @@ def generator_pairs(delta_text, tau, p, n):
     reference loop over every square copy checked to list the same pairs."""
     A, D, model = modules_for(delta_text, tau, p, n)
     pairs = [(g.a_side, g.d_side) for g in pair_modules(A, D, model.params.l, n).generators]
-    assert pairs == [(a, stored_name(d)) for a, d in reference_pairs(A, expand_squares(D))]
+    assert pairs == [(a, stored_name(d)) for a, d in reference_pairs(A, written_out(D))]
     return pairs
 
 
@@ -150,7 +152,7 @@ class TestDifferential:
                     D = build_typed(model, 2 * tau - m)
                     arrows = tensor_differential(A, D)
                     assert len(arrows) == len(set(arrows)), (tau, counts, m)
-                    assert set(arrows) == reference_differential(A, D), (tau, counts, m)
+                    assert set(arrows) == reference_differential(A, expand_chain(D)), (tau, counts, m)
                     checked += len(arrows)
         assert checked > 0
 
@@ -235,9 +237,9 @@ class TestGradings:
     def test_pair_modules_matches_tensor_gradings(self, delta_text, tau, p, n):
         A, D, model = modules_for(delta_text, tau, p, n)
         complex_ = pair_modules(A, D, model.params.l, n)
-        gradings = tensor_gradings(A, D, shift_constant(model.params.l, p, n))
+        gradings = tensor_gradings(A, expand_chain(D), shift_constant(model.params.l, p, n))
         assert [(g.a_side, g.d_side) for g in complex_.generators] == [
-            (a, stored_name(d)) for a, d in reference_pairs(A, expand_squares(D))]
+            (a, stored_name(d)) for a, d in reference_pairs(A, written_out(D))]
         for g in complex_.generators:
             assert (g.N, g.Aprime, g.alexander, g.maslov) == gradings[(g.a_side, g.d_side)]
 
@@ -259,7 +261,7 @@ class TestGradings:
         the complex keeps the arrows of copy 0, the stored squares."""
         model = build_model(synthesize_delta(tau, counts), tau)
         A, D = build_typea_minus(p), build_typed(model, n)
-        expanded = expand_squares(D)
+        expanded = written_out(D)
         gradings = reference_gradings(A, expanded, shift_constant(model.params.l, p, n))
         pairs = reference_pairs(A, expanded)
         want = [TensorGenerator(a, stored_name(d), *gradings[(a, d)]) for a, d in pairs]
@@ -274,7 +276,7 @@ class TestGradings:
             with pytest.raises(IndexError):
                 generators[i]
         assert complex_.bigradings == Counter((g.alexander, g.maslov) for g in want)
-        copies = {d_gen.name: D.copies.get(d_gen.level, 1) for d_gen in D.generators}
+        copies = {d_gen.name: D.copies.get(d_gen.level, 1) for d_gen in expand_chain(D).generators}
         assert [generators.cell(i) for i in range(len(want))] == [
             (g.alexander, g.maslov, copies[g.d_side]) for g in want]
         index = {pair: i for i, pair in enumerate(pairs)}
@@ -332,7 +334,9 @@ class TestGradings:
 
 def test_closed_forms_match_group_arithmetic_everywhere():
     """Acceptance-grade cross-check on the full grid (criterion 4 backbone), plus
-    the reference rows: levels down to -20, chains with |m| of 106 and 100, p up to 10."""
+    the reference rows: levels down to -20, chains with |m| of 106 and 100, p up to 10.
+    The computed side is the paired complex's generator view, so every
+    b_k*mu_j the chain's progression stands for is compared."""
     rows = [(synthesize_delta(tau, counts), tau, p, n)
             for tau, counts, p, n in (row.values for row in ROW_PARAMS)]
     checked = 0
@@ -340,12 +344,12 @@ def test_closed_forms_match_group_arithmetic_everywhere():
         model = build_model(delta, tau)
         A = build_typea_minus(p)
         D = build_typed(model, n)
-        computed = tensor_gradings(A, D, shift_constant(model.params.l, p, n))
+        complex_ = pair_modules(A, D, model.params.l, n)
+        computed = {(g.a_side, g.d_side): (g.N, g.Aprime) for g in complex_.generators}
         oracle = closed_form_gradings(model, p, n)
         assert oracle, (tau, p, n)
-        for pair, (want_n, want_aprime) in oracle.items():
-            got_n, got_aprime, _, _ = computed[pair]
-            assert (got_n, got_aprime) == (want_n, want_aprime), (tau, p, n, pair)
+        for pair, want in oracle.items():
+            assert computed[pair] == want, (tau, p, n, pair)
             checked += 1
     assert checked > 10_000
 
@@ -358,10 +362,67 @@ def test_closed_forms_cover_every_survivor():
     A = build_typea_minus(p)
     D = build_typed(model, n)
     oracle = closed_form_gradings(model, p, n)
-    missing = {pair for pair in reference_pairs(A, D) if pair not in oracle}
+    missing = {pair for pair in reference_pairs(A, expand_chain(D)) if pair not in oracle}
     for a_name, d_name in missing:
         corner = d_name.split(".")[0]
         assert corner in ("x2", "y1", "y2")
         if corner.startswith("y"):
             k = int(a_name[1:])
             assert k > p if corner == "y1" else k >= p
+
+
+@ROW_CASES
+def test_closed_forms_cover_every_chain_generator(tau, counts, p, n):
+    """The closed forms read the chain record: (2p-2)*|m| keys b_k*mu_j, one
+    per b_k and chain position, as many as the written-out chain pairs to."""
+    model = build_model(synthesize_delta(tau, counts), tau)
+    m = 2 * tau - n
+    keys = {pair for pair in closed_form_gradings(model, p, n) if pair[1].startswith("mu")}
+    assert len(keys) == (2 * p - 2) * abs(m)
+    assert keys == {(f"b{k}", f"mu{j}") for k in range(1, 2 * p - 1) for j in range(1, abs(m) + 1)}
+
+
+def chain_modules(tau, counts, p, m):
+    model = build_model(synthesize_delta(tau, counts), tau)
+    return build_typea_minus(p), build_typed(model, 2 * tau - m), model.params.l, 2 * tau - m
+
+
+@pytest.mark.parametrize("p", [2, 4])
+@pytest.mark.parametrize("counts", [{}, {1: 2, 0: 3, -1: 2}], ids=["staircase", "squares-x2"])
+@pytest.mark.parametrize("m", [0, 1, -1, 2, -2, 7, -7])
+@pytest.mark.parametrize("tau", [-2, 0, 3])
+def test_chain_progression_equals_written_out_chain(tau, m, counts, p):
+    """The chain paired as one progression against the record path on the
+    module with the chain written out: the same generators, cells, counts,
+    arrows and rank table.  tau = 0, m = 0 is the D_12 self-loop, and the
+    squares carry copies > 1 beside the chain."""
+    A, D, l, n = chain_modules(tau, counts, p, m)
+    assert (D.chain is not None) == (abs(m) > 1)
+    stored, written = pair_modules(A, D, l, n), pair_modules(A, expand_chain(D), l, n)
+    size = len(written.generators)
+    assert len(stored.generators) == size
+    assert [stored.generators[i] for i in range(size)] == [written.generators[i] for i in range(size)]
+    assert [stored.generators.cell(i) for i in range(size)] == [written.generators.cell(i) for i in range(size)]
+    assert stored.bigradings == written.bigradings
+    assert stored.arrows == written.arrows
+    assert reduce_complex(stored) == reduce_complex(written)
+
+
+@pytest.mark.parametrize("change", [
+    lambda chain: {"grading": replace(chain.grading, c2=chain.grading.c2 + 1)},  # every entry fails
+    lambda chain: {"step": chain.step + 1},                                       # the second fails
+], ids=["c-parity", "odd-step"])
+@pytest.mark.parametrize("m", [-7, 7])
+@pytest.mark.parametrize("tau", [0, -2])
+def test_chain_off_the_lattice_is_refused_like_written_out_chain(tau, m, change):
+    """A chain whose c slot has the wrong parity, at its first generator or
+    from its second on, fails the pairing with the group law's own error,
+    word for word as on the written-out chain, whether the chain anchors
+    its b slot (tau = 0, m < 0) or meets maps anchored before it."""
+    A, D, l, n = chain_modules(tau, {0: 1}, 3, m)
+    D = replace(D, chain=replace(D.chain, **change(D.chain)))
+    with pytest.raises((ArithmeticError, GradingError)) as written:
+        pair_modules(A, expand_chain(D), l, n)
+    with pytest.raises((ArithmeticError, GradingError)) as stored:
+        pair_modules(A, D, l, n)
+    assert (type(stored.value), str(stored.value)) == (type(written.value), str(written.value))

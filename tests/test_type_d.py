@@ -9,16 +9,23 @@ from cablefloer import (
     framing_h,
     parse_delta,
     synthesize_delta,
-    unstable_chain,
 )
 
-from conftest import DELTA_11N50, DELTA_TREFOIL
+from conftest import DELTA_11N50, DELTA_TREFOIL, expand_chain
 
 half = Fraction(1, 2)
 
 
 def module_for(delta_text, tau, n):
     return build_typed(build_model(parse_delta(delta_text), tau), n)
+
+
+def unstable_chain(tau, n):
+    """The mu names and the chain's edges of the staircase-only module, with
+    the chain's interior written out."""
+    module = expand_chain(build_typed(build_model(synthesize_delta(tau, {}), tau), n))
+    mus = [g.name for g in module.generators if g.kind == "mu"]
+    return mus, [e for e in module.edges if e.label == "12" or "mu" in e.source + e.target]
 
 
 class TestUnstableChain:
@@ -49,6 +56,26 @@ class TestUnstableChain:
         assert ("u1", "123", "mu1") in edges
         assert ("mu1", "23", "mu2") in edges and ("mu2", "23", "mu3") in edges
         assert ("mu3", "2", "u1") in edges
+
+    @pytest.mark.parametrize("m", [-7, -2, -1, 0, 1, 2, 7])
+    @pytest.mark.parametrize("tau", [-2, 0, 3])
+    def test_chain_is_one_record(self, tau, m):
+        """One mu generator, the end arrows reach, and one record for the
+        other |m| - 1, placed in D order where the old list had them."""
+        model = build_model(synthesize_delta(tau, {0: 1}), tau)
+        module = build_typed(model, 2 * tau - m)
+        mus = [(j, g) for j, g in enumerate(module.generators) if g.kind == "mu"]
+        assert [g.name for _, g in mus] == ([] if m == 0 else ["mu1" if m > 0 else f"mu{-m}"])
+        chain = module.chain
+        if abs(m) < 2:
+            assert chain is None
+            return
+        (end, _), = mus
+        assert (chain.index, chain.step, chain.length) == ((2, 2, m - 1) if m > 0 else (1, -2, -m - 1))
+        assert chain.at == (end + 1 if m > 0 else end)
+        assert not [e for e in module.edges if e.label == "23"]
+        names = [g.name for g in expand_chain(module).generators if g.kind == "mu"]
+        assert names == [f"mu{j}" for j in range(1, abs(m) + 1)]
 
 
 class TestBuild:
@@ -88,7 +115,10 @@ class TestBuild:
         i0 = [g for g in module.generators if g.idempotent == "i0"]
         i1 = [g for g in module.generators if g.idempotent == "i1"]
         assert len(i0) == 2 * abs(tau) + 1 + 4 * levels
-        assert len(i1) == 2 * abs(tau) + abs(m) + 4 * levels
+        assert len(i1) == 2 * abs(tau) + (m != 0) + 4 * levels
+        assert (module.chain.length if module.chain else 0) == max(abs(m) - 1, 0)
+        written = [g for g in expand_chain(module).generators if g.idempotent == "i1"]
+        assert len(written) == 2 * abs(tau) + abs(m) + 4 * levels
         assert sum(g.level is not None for g in module.generators) == 8 * levels
         assert sum("." in e.source for e in module.edges) == 8 * levels
         assert module.copies == {i - tau: c for i, c in model.square_counts.items()}
@@ -175,6 +205,18 @@ def test_staircase_matches_written_out_gradings_and_edges(tau):
         assert (gen.idempotent, gen.grading, gen.kind, gen.index, gen.level) == \
             ("i0" if name[0] == "u" else "i1", grading, name[0], int(name[1:]), None)
     assert {e for e in module.edges if e.source in staircase and e.target in staircase} == edges
+
+
+@pytest.mark.parametrize("n", [-20000, 20000])
+def test_chain_is_not_written_out(n):
+    """A chain of 20,000 generators adds one generator and one record to the
+    module: 2|tau|+1 u's, 2|tau| v's, 8 per square level and the chain end."""
+    tau, counts = 0, {1: 1, 0: 2, -1: 1}
+    model = build_model(synthesize_delta(tau, counts), tau)
+    module = build_typed(model, n)
+    levels = len(model.square_counts)
+    assert len(module.generators) == 2 * abs(tau) + 1 + 2 * abs(tau) + 8 * levels + 1
+    assert module.chain.length == abs(2 * tau - n) - 1
 
 
 def test_h_specialization_at_m_zero():
