@@ -5,13 +5,7 @@ for the (p,1) cable in the solid torus with the framed complement module
 that a thin knot's (delta, tau) data determines.
 """
 
-from .gradings import (
-    LAMBDA,
-    GradingElement,
-    GradingError,
-    normalize_double_coset,
-    rho_grading,
-)
+from .gradings import GradingElement, GradingError, normalize_double_coset
 from .homology import ComplexError, RankTable, reduce_complex
 from .invariants import (
     cable_alexander,
@@ -58,7 +52,6 @@ __all__ = [
     "DGenerator",
     "GradingElement",
     "GradingError",
-    "LAMBDA",
     "LaurentPolynomial",
     "MuChain",
     "RankTable",
@@ -84,7 +77,6 @@ __all__ = [
     "pair_modules",
     "parse_delta",
     "reduce_complex",
-    "rho_grading",
     "shift_constant",
     "synthesize_delta",
     "table_rank",

@@ -76,36 +76,34 @@ def _tsv_text(table: RankTable) -> str:
     return "".join(f"{a}\t{m}\t{rank}\n" for a, m, rank in table.entries())
 
 
-def _json_text(result: CableHomology) -> str:
-    """The JSON schema of the README, byte-identical to `json.dumps(payload,
-    indent=2) + "\n"` of its dict payload.
+_JSON_BOOL = {True: "true", False: "false"}
 
-    With `indent`, CPython's encoder runs in pure Python, so only the head
-    (`input`, `tau`, `total_rank`) and the `checks` block go through it.
-    The rank cells are nearly all of the text and are written one f-string
-    each, in the layout indent=2 gives an object two levels deep; an empty
-    table is written `[]`, as json.dumps writes an empty list.
+
+def _json_text(result: CableHomology) -> str:
+    """The JSON schema of the README, written directly and byte-identical to
+    `json.dumps(payload, indent=2) + "\n"` of its dict payload.
+
+    With `indent`, CPython's encoder runs in pure Python, so no part of the
+    text goes through it: every member is an f-string in the layout indent=2
+    gives, each list item on its own line one level deeper than its list
+    (one delta coefficient per line at six spaces, one rank cell per object
+    at four) and the check flags as `true`/`false`.  The delta list always
+    has a coefficient; an empty rank table is written `[]`, as json.dumps
+    writes an empty list.
     """
-    delta, g = result.delta, result.model.params.g
-    head = json.dumps({
-        "input": {
-            "delta": [delta.coeff(d) for d in range(-g, g + 1)],
-            "tau": result.tau,
-            "p": result.p,
-            "n": result.n,
-            "q": result.q,
-        },
-        "tau": result.cable_tau,
-        "total_rank": result.table.total,
-    }, indent=2)
-    # symmetry, euler, table in that order; table also carries its closed form
-    checks = {**result.checks, "table": {"value": result.table_value, "match": result.checks["table"]}}
-    tail = json.dumps({"checks": checks}, indent=2)
+    delta, g, checks = result.delta, result.model.params.g, result.checks
+    coeffs = ",\n".join([f"      {delta.coeff(d)}" for d in range(-g, g + 1)])
     cells = ",\n".join([f'    {{\n      "a": {a},\n      "m": {m},\n      "rank": {rank}\n    }}'
                         for a, m, rank in result.table.entries()])
     ranks = f"[\n{cells}\n  ]" if cells else "[]"
-    # head ends "\n}" and tail opens "{\n": the ranks member goes between them
-    return f'{head[:-2]},\n  "ranks": {ranks},\n{tail[2:]}\n'
+    # symmetry, euler, table in that order; table also carries its closed form
+    return (f'{{\n  "input": {{\n    "delta": [\n{coeffs}\n    ],\n    "tau": {result.tau},\n'
+            f'    "p": {result.p},\n    "n": {result.n},\n    "q": {result.q}\n  }},\n'
+            f'  "tau": {result.cable_tau},\n  "total_rank": {result.table.total},\n  "ranks": {ranks},\n'
+            f'  "checks": {{\n    "symmetry": {_JSON_BOOL[checks["symmetry"]]},\n'
+            f'    "euler": {_JSON_BOOL[checks["euler"]]},\n    "table": {{\n'
+            f'      "value": {result.table_value},\n      "match": {_JSON_BOOL[checks["table"]]}\n'
+            f'    }}\n  }}\n}}\n')
 
 
 def _render(outcome: CableHomology, fmt: str) -> str:

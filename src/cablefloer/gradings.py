@@ -23,16 +23,15 @@ gives that map's integer constants from one normalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 
 class GradingError(ValueError):
     """Raised when a double-coset normalization does not land on integers."""
 
 
-@dataclass(frozen=True)
-class GradingElement:
+class GradingElement(NamedTuple):
     """Quadruple (a; b, c; d) of half-integers, stored as doubled ints.
 
     The two middle slots always share their half-part (b + c is an integer
@@ -47,37 +46,20 @@ class GradingElement:
     d2: int
 
     @classmethod
-    def of(cls, a, b, c, d) -> "GradingElement":
-        """Build from half-integer values given as ints or Fractions."""
-        doubled = []
-        for value in (a, b, c, d):
-            twice = Fraction(value) * 2
-            if twice.denominator != 1:
-                raise ValueError(f"{value} is not a half-integer")
-            doubled.append(int(twice))
-        return cls(*doubled)
-
-    @classmethod
     def identity(cls) -> "GradingElement":
         return cls(0, 0, 0, 0)
 
     def halves(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return tuple(Fraction(v, 2) for v in (self.a2, self.b2, self.c2, self.d2))
+        return tuple(Fraction(v, 2) for v in self)
 
     def __mul__(self, other: "GradingElement") -> "GradingElement":
+        a1, b1, c1, d1 = self
+        a2, b2, c2, d2 = other
         # doubled determinant (b1*c2 - c1*b2)/2 stays doubled after one halving
-        det_quadrupled = self.b2 * other.c2 - self.c2 * other.b2
+        det_quadrupled = b1 * c2 - c1 * b2
         if det_quadrupled % 2:
             raise ArithmeticError("determinant term is not a half-integer")
-        return GradingElement(
-            self.a2 + other.a2 + det_quadrupled // 2,
-            self.b2 + other.b2,
-            self.c2 + other.c2,
-            self.d2 + other.d2,
-        )
-
-    def inverse(self) -> "GradingElement":
-        return GradingElement(-self.a2, -self.b2, -self.c2, -self.d2)
+        return GradingElement(a1 + a2 + det_quadrupled // 2, b1 + b2, c1 + c2, d1 + d2)
 
     def __pow__(self, k: int) -> "GradingElement":
         # x * x has a zero determinant term, so powers scale every slot
@@ -86,26 +68,6 @@ class GradingElement:
     def __str__(self) -> str:
         a, b, c, d = self.halves()
         return f"({a}; {b}, {c}; {d})"
-
-
-#: Central element; commutes with everything since its middle slots vanish.
-LAMBDA = GradingElement(2, 0, 0, 0)
-
-_RHO_SINGLE = {
-    "1": GradingElement(-1, 1, -1, 0),
-    "2": GradingElement(-1, 1, 1, 0),
-    "3": GradingElement(-1, -1, 1, 0),
-}
-
-
-def rho_grading(label: str) -> GradingElement:
-    """Grading of an algebra chord element; composites multiply left to right."""
-    if label not in ("1", "2", "3", "12", "23", "123"):
-        raise ValueError(f"unknown chord label {label!r}")
-    out = GradingElement.identity()
-    for ch in label:
-        out = out * _RHO_SINGLE[ch]
-    return out
 
 
 def normalize_double_coset(

@@ -9,7 +9,9 @@ i1 generators mu_1 .. mu_|m|, m = 2*tau - n.  Every vertical model arrow
 u -> u' of the staircase and the squares becomes the edges u --D1--> v,
 u' --D123--> v, and every horizontal one u --D3--> v, v --D2--> u'.  Every
 staircase and square generator is a level-0 square corner right-multiplied
-by the shift (t/2; 0, t; 0) of its Alexander level t.  Only one mu, the
+by the shift (t/2; 0, t; 0) of its Alexander level t; in doubled slots that
+product takes (a2, b2, c2, d2) to (a2 + t*(1 + b2), b2, c2 + 2t, d2), which
+is written directly instead of multiplied out per corner.  Only one mu, the
 chain's end, has an edge a hat operation reads (D_1 into mu_1 when m > 0,
 D_2 out of mu_|m| when m < 0); it is a generator, and the other |m| - 1 are
 one MuChain, an arithmetic progression of gradings joined by D_23 edges.
@@ -32,8 +34,7 @@ class DEdge(NamedTuple):
     target: str
 
 
-@dataclass(frozen=True)
-class DGenerator:
+class DGenerator(NamedTuple):
     name: str
     idempotent: str  # "i0" or "i1"
     grading: GradingElement
@@ -93,15 +94,25 @@ def _horizontal(u: str, u2: str, v: str) -> list[DEdge]:
 # square corners at level 0: x1 has both outgoing model arrows, x2 is its
 # horizontal target, x3 its vertical target and x4 the remaining corner
 _SQUARE_BASE = {
-    "x1": ("i0", GradingElement(0, 0, 0, 0)),
-    "x2": ("i0", GradingElement(-1, 0, -2, 0)),
-    "x3": ("i0", GradingElement(0, 0, 0, 0)),
-    "x4": ("i0", GradingElement(1, 0, 2, 0)),
-    "y1": ("i1", GradingElement(-1, 1, -1, 0)),
-    "y2": ("i1", GradingElement(-1, -1, -1, 0)),
-    "y3": ("i1", GradingElement(1, 1, 1, 0)),
-    "y4": ("i1", GradingElement(-1, -1, 1, 0)),
+    "x1": GradingElement(0, 0, 0, 0),
+    "x2": GradingElement(-1, 0, -2, 0),
+    "x3": GradingElement(0, 0, 0, 0),
+    "x4": GradingElement(1, 0, 2, 0),
+    "y1": GradingElement(-1, 1, -1, 0),
+    "y2": GradingElement(-1, -1, -1, 0),
+    "y3": GradingElement(1, 1, 1, 0),
+    "y4": GradingElement(-1, -1, 1, 0),
 }
+# (idempotent, kind, index, base grading) of each corner, in _SQUARE_BASE order
+_CORNERS = tuple(("i0" if corner[0] == "x" else "i1", corner[0], int(corner[1]), base)
+                 for corner, base in _SQUARE_BASE.items())
+
+
+def _at_level(base: GradingElement, t: int) -> GradingElement:
+    """The corner of level-0 grading base at level t: base * (t/2; 0, t; 0),
+    in closed form, with no group product."""
+    a2, b2, c2, d2 = base
+    return GradingElement(a2 + t * (1 + b2), b2, c2 + 2 * t, d2)
 
 
 def build_typed(model: ThinModel, n: int) -> TypeDModule:
@@ -121,12 +132,11 @@ def build_typed(model: ThinModel, n: int) -> TypeDModule:
     sigma = 1 if tau <= 0 else -1
     for i in range(1, 2 * steps + 2):
         level = sigma * (i - 1)
-        shift = GradingElement(level, 0, 2 * level, 0)
-        gens.append(DGenerator(f"u{i}", "i0", shift, "u", i))
+        gens.append(DGenerator(f"u{i}", "i0", GradingElement(level, 0, 2 * level, 0), "u", i))
         j = i if tau <= 0 else i - 1
         if 1 <= j <= 2 * steps:
-            corner = _SQUARE_BASE["y4" if j % 2 else "y3"][1]
-            gens.append(DGenerator(f"v{j}", "i1", corner * shift, "v", j))
+            corner = _SQUARE_BASE["y4" if j % 2 else "y3"]
+            gens.append(DGenerator(f"v{j}", "i1", _at_level(corner, level), "v", j))
     # step k joins u_k, u_{k+1}, u_{k+2} through v_k, v_{k+1}; its model arrows
     # leave the odd u's for tau <= 0 and the even u for tau > 0
     for k in range(1, 2 * steps, 2):
@@ -164,11 +174,10 @@ def build_typed(model: ThinModel, n: int) -> TypeDModule:
     copies: dict[int, int] = {}
     for serial, i in enumerate(sorted(model.square_counts)):
         t = i - tau
-        shift = GradingElement(t, 0, 2 * t, 0)
-        tag = f"s{serial}"
-        for corner, (idem, base) in _SQUARE_BASE.items():
-            gens.append(DGenerator(f"{corner}.{tag}", idem, base * shift, corner[0], int(corner[1]), level=t))
-        x1, x2, x3, x4, y1, y2, y3, y4 = (f"{corner}.{tag}" for corner in _SQUARE_BASE)
+        names = [f"{corner}.s{serial}" for corner in _SQUARE_BASE]
+        gens += [DGenerator(name, idem, _at_level(base, t), kind, index, t)
+                 for name, (idem, kind, index, base) in zip(names, _CORNERS)]
+        x1, x2, x3, x4, y1, y2, y3, y4 = names
         edges += _vertical(x1, x3, y4) + _vertical(x2, x4, y2)
         edges += _horizontal(x1, x2, y1) + _horizontal(x3, x4, y3)
         copies[t] = model.square_counts[i]

@@ -4,7 +4,9 @@ The oracles here deliberately avoid the library's own code paths: torus-knot
 Alexander polynomials are recomputed with local dict arithmetic, and
 staircase bigradings follow the standard positive-coefficient-knot pattern
 read off the polynomial alone.  The CLI's JSON text is its dict payload
-through the standard library's encoder.
+through the standard library's encoder.  The grading-group helpers that only
+tests call (half-integer construction, inverses, lambda and the algebra
+chord gradings) live here too.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -57,6 +60,46 @@ ROW_PARAMS = [
     pytest.param(-1, {1: 1, 0: 2, -1: 1}, 2, 1, id="p2-squares"),      # p = 2: squares of 12 generators
     pytest.param(2, {1: 1, 0: 2, -1: 1}, 4, 4, id="m0-squares"),       # m = 0: D_12 joins staircase ends
 ]
+
+
+# ---------------------------------------------------------------------------
+# grading-group helpers
+# ---------------------------------------------------------------------------
+
+#: Central element; commutes with everything since its middle slots vanish.
+LAMBDA = GradingElement(2, 0, 0, 0)
+
+_RHO_SINGLE = {
+    "1": GradingElement(-1, 1, -1, 0),
+    "2": GradingElement(-1, 1, 1, 0),
+    "3": GradingElement(-1, -1, 1, 0),
+}
+
+
+def grading_of(a, b, c, d) -> GradingElement:
+    """Build from half-integer values given as ints or Fractions."""
+    doubled = []
+    for value in (a, b, c, d):
+        twice = Fraction(value) * 2
+        if twice.denominator != 1:
+            raise ValueError(f"{value} is not a half-integer")
+        doubled.append(int(twice))
+    return GradingElement(*doubled)
+
+
+def inverse(x: GradingElement) -> GradingElement:
+    """x^-1, the negated quadruple (powers are linear)."""
+    return GradingElement(-x.a2, -x.b2, -x.c2, -x.d2)
+
+
+def rho_grading(label: str) -> GradingElement:
+    """Grading of an algebra chord element; composites multiply left to right."""
+    if label not in ("1", "2", "3", "12", "23", "123"):
+        raise ValueError(f"unknown chord label {label!r}")
+    out = GradingElement.identity()
+    for ch in label:
+        out = out * _RHO_SINGLE[ch]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +212,7 @@ def expand_squares(D: TypeDModule) -> TypeDModule:
     walks this module in full, as an independent reference for the
     pairing's copy counts."""
     copies = {g.name: D.copies.get(g.level, 1) for g in D.generators}
-    gens = [replace(g, name=copy_name(g.name, k)) for g in D.generators for k in range(copies[g.name])]
+    gens = [g._replace(name=copy_name(g.name, k)) for g in D.generators for k in range(copies[g.name])]
     edges = [DEdge(copy_name(e.source, k), e.label, copy_name(e.target, k))
              for e in D.edges for k in range(copies[e.source])]
     return replace(D, generators=tuple(gens), edges=tuple(edges), copies={})

@@ -133,3 +133,11 @@ def test_result_surface_resolves():
     doc = json.loads(out.getvalue())
     assert {(e["a"], e["m"]): e["rank"] for e in doc["ranks"]} == result.table.ranks
     assert doc["tau"] == result.cable_tau
+
+
+def test_every_export_resolves():
+    """A name left in cablefloer.__all__ after its definition is deleted
+    would break `from cablefloer import *`."""
+    import cablefloer
+
+    assert [name for name in cablefloer.__all__ if not hasattr(cablefloer, name)] == []

@@ -288,7 +288,7 @@ def test_complement_grading_error_exits_two(capsys, monkeypatch):
 
     def odd_c_slot(model, n):
         module = real(model, n)
-        first = replace(module.generators[0], grading=GradingElement(0, 0, 1, 0))
+        first = module.generators[0]._replace(grading=GradingElement(0, 0, 1, 0))
         return replace(module, generators=(first,) + module.generators[1:])
 
     with pytest.raises(GradingError) as raised:

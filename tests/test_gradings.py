@@ -6,23 +6,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cablefloer import (
-    LAMBDA,
     DGenerator,
     GradingElement,
     GradingError,
     TypeDModule,
     build_typea_minus,
     normalize_double_coset,
-    rho_grading,
     tensor_gradings,
 )
 
+from conftest import LAMBDA, grading_of as gel, inverse, rho_grading
+
 F = Fraction
 half = F(1, 2)
-
-
-def gel(a, b, c, d):
-    return GradingElement.of(a, b, c, d)
 
 
 # normalizers of the left-trefoil example: p = 2, framing -2
@@ -44,10 +40,10 @@ class TestGroupLaw:
         assert rho_grading("1") * rho_grading("2") == gel(-half, 1, 0, 0)
 
     def test_inverse_examples(self):
-        assert GradingElement.identity().inverse() == GradingElement.identity()
+        assert inverse(GradingElement.identity()) == GradingElement.identity()
         x = gel(-half, half, -half, 0)
-        assert x.inverse() == gel(half, -half, half, 0)
-        assert x * x.inverse() == GradingElement.identity()
+        assert inverse(x) == gel(half, -half, half, 0)
+        assert x * inverse(x) == GradingElement.identity()
 
     def test_powers(self):
         assert LAMBDA**3 == gel(3, 0, 0, 0)
@@ -58,7 +54,21 @@ class TestGroupLaw:
 
     def test_of_rejects_non_half_integers(self):
         with pytest.raises(ValueError):
-            GradingElement.of(F(1, 3), 0, 0, 0)
+            gel(F(1, 3), 0, 0, 0)
+
+
+    def test_record_contract(self):
+        """An immutable value, equal and hashed by value; refusal messages
+        embed its str and repr, and tests compare them word for word."""
+        x = GradingElement(1, -1, 3, 0)
+        with pytest.raises(AttributeError):
+            x.a2 = 0
+        assert x == GradingElement(1, -1, 3, 0) and hash(x) == hash(GradingElement(1, -1, 3, 0))
+        assert x != GradingElement(1, -1, 3, 2)
+        assert str(x) == "(1/2; -1/2, 3/2; 0)"
+        assert repr(x) == "GradingElement(a2=1, b2=-1, c2=3, d2=0)"
+        with pytest.raises(ArithmeticError, match="determinant term is not a half-integer"):
+            GradingElement(0, 1, 0, 0) * GradingElement(0, 0, 1, 0)
 
 
 class TestRhoGradings:
@@ -117,8 +127,8 @@ def test_associativity(x, y, z):
 
 @given(elements)
 def test_group_inverse(x):
-    assert x * x.inverse() == GradingElement.identity()
-    assert x.inverse() * x == GradingElement.identity()
+    assert x * inverse(x) == GradingElement.identity()
+    assert inverse(x) * x == GradingElement.identity()
 
 
 @given(elements)
@@ -129,7 +139,7 @@ def test_lambda_central(x):
 def iterated_power(x, k):
     out = GradingElement.identity()
     for _ in range(abs(k)):
-        out = out * (x if k > 0 else x.inverse())
+        out = out * (x if k > 0 else inverse(x))
     return out
 
 
@@ -241,7 +251,7 @@ def test_affine_rows_near_a_double_coset(y, N, Aprime, k, sign, g, h, shifts):
     hit every outcome: values, entries that are not integers, and c slots of
     the wrong parity."""
     b2 = sign * (y.b2 % 2)
-    x = y.inverse() * g**k * GradingElement(2 * N, 0, 0, 2 * Aprime) * h ** ((-y.b2 - b2) // 2)
+    x = inverse(y) * g**k * GradingElement(2 * N, 0, 0, 2 * Aprime) * h ** ((-y.b2 - b2) // 2)
     assert x.b2 == b2
     assert affine_rows([y, y, y], [("i0", x)], g, h) == [normalize_double_coset(y * x, g, h)] == [(N, Aprime)]
     xs = [x] + [GradingElement(x.a2 + da, b2, x.c2 + dc, x.d2 + dd) for da, dc, dd in shifts]

@@ -315,7 +315,7 @@ class TestGradings:
         A, D, model = modules_for(DELTA_11N50, 0, 5, 3)
         ks = [j for j, g in enumerate(D.generators) if g.idempotent == idempotent]
         k = ks[0] if first else ks[-1]
-        D = replace(D, generators=D.generators[:k] + (replace(D.generators[k], grading=grading),)
+        D = replace(D, generators=D.generators[:k] + (D.generators[k]._replace(grading=grading),)
                     + D.generators[k + 1:])
         with pytest.raises(error):
             reference_gradings(A, D, 0)
@@ -409,7 +409,7 @@ def test_chain_progression_equals_written_out_chain(tau, m, counts, p):
 
 
 @pytest.mark.parametrize("change", [
-    lambda chain: {"grading": replace(chain.grading, c2=chain.grading.c2 + 1)},  # every entry fails
+    lambda chain: {"grading": chain.grading._replace(c2=chain.grading.c2 + 1)},  # every entry fails
     lambda chain: {"step": chain.step + 1},                                       # the second fails
 ], ids=["c-parity", "odd-step"])
 @pytest.mark.parametrize("m", [-7, 7])

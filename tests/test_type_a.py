@@ -2,14 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from cablefloer import (
-    LAMBDA,
-    AOperation,
-    GradingElement,
-    build_typea_minus,
-    hat_operations,
-    rho_grading,
-)
+from cablefloer import AOperation, GradingElement, build_typea_minus, hat_operations
+
+from conftest import LAMBDA, grading_of, rho_grading
 
 half = Fraction(1, 2)
 
@@ -50,9 +45,9 @@ def test_p3_operations():
 def test_p2_gradings():
     module = build_typea_minus(2)
     assert module.gradings["a"] == GradingElement.identity()
-    assert module.gradings["b2"] == GradingElement.of(-half, half, -half, 0)
-    assert module.gradings["b1"] == GradingElement.of(half, half, -half, -1)
-    assert module.g == GradingElement.of(-half, 0, 1, 2)
+    assert module.gradings["b2"] == grading_of(-half, half, -half, 0)
+    assert module.gradings["b1"] == grading_of(half, half, -half, -1)
+    assert module.g == grading_of(-half, 0, 1, 2)
 
 
 def test_hat_p2():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from cablefloer import (
+    DGenerator,
     GradingElement,
     build_model,
     build_typed,
@@ -10,8 +11,9 @@ from cablefloer import (
     parse_delta,
     synthesize_delta,
 )
+from cablefloer.type_d import _SQUARE_BASE
 
-from conftest import DELTA_11N50, DELTA_TREFOIL, expand_chain
+from conftest import DELTA_11N50, DELTA_TREFOIL, expand_chain, grading_of
 
 half = Fraction(1, 2)
 
@@ -85,18 +87,18 @@ class TestBuild:
         assert set(names) == {"u1", "mu1"}
         assert names["u1"].idempotent == "i0"
         assert names["mu1"].idempotent == "i1"
-        assert module.h == GradingElement.of(-1, -1, -1, 0)
+        assert module.h == grading_of(-1, -1, -1, 0)
 
     def test_left_trefoil(self):
         module = module_for(DELTA_TREFOIL, -1, -2)
         names = {g.name: g for g in module.generators}
-        assert module.h == GradingElement.of(-Fraction(3, 2), -1, 2, 0)
-        assert names["u3"].grading == GradingElement.of(1, 0, 2, 0)
+        assert module.h == grading_of(-Fraction(3, 2), -1, 2, 0)
+        assert names["u3"].grading == grading_of(1, 0, 2, 0)
 
     def test_right_trefoil(self):
         module = module_for(DELTA_TREFOIL, 1, 1)
         names = {g.name: g for g in module.generators}
-        assert names["u3"].grading == GradingElement.of(-1, 0, -2, 0)
+        assert names["u3"].grading == grading_of(-1, 0, -2, 0)
 
     def test_degenerate_staircase_self_loop(self):
         module = module_for("1", 0, 0)
@@ -157,10 +159,60 @@ class TestBuild:
     def test_staircase_and_square_gradings_differ_by_case(self):
         case1 = {g.name: g for g in module_for(DELTA_TREFOIL, -1, 0).generators}
         case2 = {g.name: g for g in module_for(DELTA_TREFOIL, 1, 0).generators}
-        assert case1["v1"].grading == GradingElement.of(-half, -half, half, 0)
-        assert case2["v1"].grading == GradingElement.of(-half, -half, -half, 0)
-        assert case1["v2"].grading == GradingElement.of(Fraction(3, 2), half, Fraction(3, 2), 0)
-        assert case2["v2"].grading == GradingElement.of(-Fraction(3, 2), half, -Fraction(3, 2), 0)
+        assert case1["v1"].grading == grading_of(-half, -half, half, 0)
+        assert case2["v1"].grading == grading_of(-half, -half, -half, 0)
+        assert case1["v2"].grading == grading_of(Fraction(3, 2), half, Fraction(3, 2), 0)
+        assert case2["v2"].grading == grading_of(-Fraction(3, 2), half, -Fraction(3, 2), 0)
+
+
+def test_generator_record_contract():
+    """An immutable value, equal and hashed by value, whose level defaults
+    to None; refusal messages embed its repr word for word."""
+    gen = DGenerator("v1", "i1", GradingElement(1, -1, 3, 0), "v", 1)
+    assert gen.level is None
+    with pytest.raises(AttributeError):
+        gen.name = "v2"
+    same = DGenerator("v1", "i1", GradingElement(1, -1, 3, 0), "v", 1, None)
+    assert gen == same and hash(gen) == hash(same)
+    assert gen != gen._replace(level=0)
+    assert repr(gen) == ("DGenerator(name='v1', idempotent='i1', "
+                         "grading=GradingElement(a2=1, b2=-1, c2=3, d2=0), kind='v', index=1, level=None)")
+
+
+def level_shift(t):
+    """(t/2; 0, t; 0), the right factor that moves a square corner to level t."""
+    return GradingElement(t, 0, 2 * t, 0)
+
+
+def test_square_corners_match_group_product():
+    """Every corner's closed-form grading against the group product it
+    stands for, the level-0 corner times the shift of its level, for all
+    eight corners at every level from -12 to 12."""
+    module = build_typed(build_model(synthesize_delta(0, dict.fromkeys(range(-12, 13), 1)), 0), 1)
+    seen = set()
+    for gen in module.generators:
+        if gen.level is not None:
+            corner = gen.name.split(".")[0]
+            assert gen.grading == _SQUARE_BASE[corner] * level_shift(gen.level)
+            seen.add((corner, gen.level))
+    assert seen == {(corner, t) for corner in _SQUARE_BASE for t in range(-12, 13)}
+
+
+@pytest.mark.parametrize("tau", [-3, 0, 3])
+def test_staircase_corners_match_group_product(tau):
+    """u_i is the x3 corner at level sigma*(i - 1), and v_j the y4 (odd j)
+    or y3 (even j) corner at the level of the u emitted with it, u_j for
+    tau <= 0 and u_{j+1} for tau > 0; each grading equals that group product."""
+    sigma = 1 if tau <= 0 else -1
+    module = build_typed(build_model(synthesize_delta(tau, {}), tau), 2 * tau + 1)
+    staircase = [gen for gen in module.generators if gen.kind in ("u", "v")]
+    assert len(staircase) == 4 * abs(tau) + 1
+    for gen in staircase:
+        if gen.kind == "u":
+            corner, u = "x3", gen.index
+        else:
+            corner, u = "y4" if gen.index % 2 else "y3", gen.index if tau <= 0 else gen.index + 1
+        assert gen.grading == _SQUARE_BASE[corner] * level_shift(sigma * (u - 1))
 
 
 def written_out_staircase(tau):
@@ -222,4 +274,4 @@ def test_chain_is_not_written_out(n):
 def test_h_specialization_at_m_zero():
     # the listed m = 0 value (-l - 1/2; -1, 2l; 0) is the general formula at m = 0
     for l in range(-3, 4):
-        assert framing_h(l, 0) == GradingElement.of(-l - half, -1, 2 * l, 0)
+        assert framing_h(l, 0) == grading_of(-l - half, -1, 2 * l, 0)
