@@ -12,8 +12,10 @@ from .invariants import (
     check_symmetry,
     closed_form_gradings,
     euler_characteristic,
+    euler_holds,
     euler_matches_cable,
     mirror_check,
+    symmetry_holds,
     table_rank,
     tau_cable,
     tau_pq,
@@ -21,7 +23,9 @@ from .invariants import (
 )
 from .laurent import LaurentPolynomial
 from .pairing import (
+    CHAIN_CUTOFF,
     BigradedComplex,
+    Progression,
     TensorGenerator,
     pair_modules,
     shift_constant,
@@ -46,6 +50,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AOperation",
     "BigradedComplex",
+    "CHAIN_CUTOFF",
     "CableHomology",
     "ComplexError",
     "DEdge",
@@ -54,6 +59,7 @@ __all__ = [
     "GradingError",
     "LaurentPolynomial",
     "MuChain",
+    "Progression",
     "RankTable",
     "TensorGenerator",
     "ThinInputError",
@@ -69,6 +75,7 @@ __all__ = [
     "closed_form_gradings",
     "compute_cable_hfk",
     "euler_characteristic",
+    "euler_holds",
     "euler_matches_cable",
     "framing_h",
     "hat_operations",
@@ -78,6 +85,7 @@ __all__ = [
     "parse_delta",
     "reduce_complex",
     "shift_constant",
+    "symmetry_holds",
     "synthesize_delta",
     "table_rank",
     "tau_cable",

@@ -2,31 +2,63 @@
 
 The differential is a matching, so every arrow cancels its two ends on its
 own: each end is subtracted at its bigrading as many times as the generator
-view lists copies of it.
+view lists copies of it.  No arrow touches the unstable chain's interior, so
+a long chain that the complex keeps as progressions survives whole: the
+table merges it into ranks once, and keeps it apart for the checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
+from itertools import chain as concat
 from typing import Mapping
 
-from .pairing import BigradedComplex, ComplexError
+from .pairing import BigradedComplex, ComplexError, Progression
 
 
 @dataclass(frozen=True)
 class RankTable:
-    """Rank per (alexander, maslov) bigrading; zero entries are never stored."""
+    """Rank per (alexander, maslov) bigrading; zero entries are never stored.
+
+    ranks is always the whole table.  A table reduced from a complex that
+    keeps a long chain as progressions also holds its parts: ranks is stored
+    plus one rank per cell of each progression in chain, and the checks in
+    invariants.py read the parts instead of ranks.  Any other table has
+    stored equal to ranks and no chain.
+    """
 
     ranks: Mapping[tuple[int, int], int]
+    stored: Mapping[tuple[int, int], int] = field(init=False, repr=False, compare=False)
+    chain: tuple[Progression, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ranks", {k: v for k, v in self.ranks.items() if v})
+        object.__setattr__(self, "stored", self.ranks)
+        object.__setattr__(self, "chain", ())
 
     @classmethod
     def _trusted(cls, ranks: dict[tuple[int, int], int]) -> "RankTable":
         """Wrap a zero-free dict that the caller hands over, without copying it."""
         table = cls.__new__(cls)
         object.__setattr__(table, "ranks", ranks)
+        object.__setattr__(table, "stored", ranks)
+        object.__setattr__(table, "chain", ())
+        return table
+
+    @classmethod
+    def with_chain(cls, stored: dict[tuple[int, int], int], chain: tuple[Progression, ...]) -> "RankTable":
+        """The zero-free counts stored, handed over without copying, plus one
+        rank per cell of each progression; ranks is merged here, in one
+        Counter pass over the chain's cells."""
+        if not chain:
+            return cls._trusted(stored)
+        ranks = dict(Counter(concat.from_iterable(map(Progression.cells, chain))))
+        for cell, count in stored.items():
+            ranks[cell] = ranks.get(cell, 0) + count
+        table = cls._trusted(ranks)
+        object.__setattr__(table, "stored", stored)
+        object.__setattr__(table, "chain", chain)
         return table
 
     @property
@@ -56,9 +88,12 @@ def reduce_complex(complex_: BigradedComplex) -> RankTable:
     the box tensor product is additive over the square summands: an arrow's
     ends are read from the view's cells and subtracted as many times as the
     view lists them.  A count that would go below zero means the counts and
-    the generators disagree, and raises.  The table is one copy of the
+    the generators disagree, and raises.  The survivors are one copy of the
     positive counts complex_.bigradings, with every count cancelled to zero
-    deleted; complex_.bigradings stays as it is.
+    deleted; complex_.bigradings stays as it is.  The arrows read stored
+    generators only (see pairing.tensor_differential), so the progressions
+    of a long chain, which bigradings does not count, are not reduced: the
+    table merges them with the survivors.
     """
     gens, arrows = complex_.generators, complex_.arrows
     lost: dict[tuple[int, int], int] = {}
@@ -89,4 +124,4 @@ def reduce_complex(complex_: BigradedComplex) -> RankTable:
             del ranks[alexander, m]
         else:
             ranks[alexander, m] = counted - count
-    return RankTable._trusted(ranks)
+    return RankTable.with_chain(ranks, complex_.progressions)

@@ -9,14 +9,23 @@ p = 2 mirror comparison, and the closed-form (N, A') grading tables.  The
 satellite polynomial itself, `cable_alexander` with `torus_knot_delta`, is
 kept for tests, which use it as an oracle, and for the benchmark, which binds
 those names; no run calls it.
+
+A rank table that keeps a long unstable chain as progressions (see
+pairing.CHAIN_CUTOFF) has its symmetry and Euler checks decided one
+progression at a time, by symmetry_holds and euler_holds, with the same
+verdicts as cell by cell.  Every other table goes to the cell-by-cell
+check_symmetry and euler_characteristic, which tests also use as oracles
+on any table, and which the benchmark binds.
 """
 
 from __future__ import annotations
 
+from itertools import chain as concat, repeat
 from math import gcd
 
 from .homology import RankTable
 from .laurent import LaurentPolynomial
+from .pairing import Progression
 from .thin import ThinModel
 from .type_d import build_typed
 
@@ -88,16 +97,85 @@ def table_rank(tau: int, s: int, p: int, n: int) -> int:
 
 
 def check_symmetry(table: RankTable) -> bool:
-    """rank(a, m) == rank(-a, m - 2a) for every entry."""
+    """rank(a, m) == rank(-a, m - 2a) for every entry, cell by cell."""
     return all(table.ranks.get((-a, m - 2 * a)) == r for (a, m), r in table.ranks.items())
 
 
+def _line(progression: Progression, lines: dict, sign: int) -> None:
+    """Add sign times the indicator of the progression's cells to its lattice line.
+
+    A line is every cell base + t*step for integer t, with the step oriented
+    so that its Alexander part is positive (or, at Alexander step 0, its
+    Maslov part); it is keyed by that step, the invariant a*dm - m*da and
+    the residue of a (or m) along the step, and keeps a base cell, its
+    coordinate and the interval ends of its signed indicators."""
+    a, m, da, dm, length = progression
+    if da < 0 or (da == 0 and dm < 0):  # the same cells, walked the other way
+        a, m, da, dm = a + (length - 1) * da, m + (length - 1) * dm, -da, -dm
+    if da:
+        key, t = (da, dm, a * dm - m * da, a % da), a // da
+    else:
+        key, t = (0, dm, a, m % dm), m // dm
+    line = lines.get(key)
+    if line is None:
+        line = lines[key] = (a, m, t, [])
+    line[3].extend(((t, sign), (t + length, -sign)))
+
+
+def symmetry_holds(table: RankTable) -> bool:
+    """check_symmetry's verdict, decided per progression on a table that
+    keeps its chain apart, and by check_symmetry itself on any other.
+
+    sigma(a, m) = (-a, m - 2a) is an involution, and the table is symmetric
+    exactly when f - f o sigma vanishes for its rank function f.  sigma maps
+    the progression from (a, m) by (da, dm) to the one from (-a, m - 2a) by
+    (-da, dm - 2da), so the chain's part of f - f o sigma is a signed sum of
+    progression indicators: each progression with +1, its image with -1.
+    Grouped by lattice line, each line's sum is a step function of the
+    position along the line, read off its sorted interval ends; only the
+    cells where it is nonzero are written out.  The stored survivors add
+    r at (a, m) and -r at sigma(a, m), and the table is symmetric exactly
+    when every cell sums to zero.  The cancelled part is the chain's
+    sigma-invariant part, so the verdict is check_symmetry's exactly.
+    """
+    if not table.chain:
+        return check_symmetry(table)
+    lines: dict = {}
+    leftover: dict[tuple[int, int], int] = {}
+    for progression in table.chain:
+        a, m, da, dm, length = progression
+        if da == 0 and dm == 0:  # one cell, length times
+            for cell, r in (((a, m), length), ((-a, m - 2 * a), -length)):
+                leftover[cell] = leftover.get(cell, 0) + r
+            continue
+        _line(progression, lines, 1)
+        _line(Progression(-a, m - 2 * a, -da, dm - 2 * da, length), lines, -1)
+    for (da, dm, _, _), (a0, m0, t0, ends) in lines.items():
+        ends.sort()
+        value = 0
+        for (t, change), (t_next, _) in zip(ends, ends[1:]):  # the last end brings value back to 0
+            value += change
+            if value:
+                for u in range(t - t0, t_next - t0):
+                    cell = (a0 + u * da, m0 + u * dm)
+                    leftover[cell] = leftover.get(cell, 0) + value
+    for (a, m), r in table.stored.items():
+        leftover[a, m] = leftover.get((a, m), 0) + r
+        leftover[-a, m - 2 * a] = leftover.get((-a, m - 2 * a), 0) - r
+    return not any(leftover.values())
+
+
 def euler_characteristic(table: RankTable) -> LaurentPolynomial:
-    """Alternating-sign rank sum per Alexander grading."""
+    """Alternating-sign rank sum per Alexander grading, cell by cell."""
+    return LaurentPolynomial._trusted(_alternating_sums(table.ranks.items()))  # sums of int ranks
+
+
+def _alternating_sums(cells) -> dict[int, int]:
+    """Sum of (-1)^m * r per a over ((a, m), r) pairs."""
     coeffs: dict[int, int] = {}
-    for (a, m), r in table.ranks.items():
+    for (a, m), r in cells:
         coeffs[a] = coeffs.get(a, 0) + (r if m % 2 == 0 else -r)
-    return LaurentPolynomial._trusted(coeffs)  # sums of int ranks
+    return coeffs
 
 
 def torus_knot_delta(p: int, q: int) -> LaurentPolynomial:
@@ -150,10 +228,52 @@ def euler_matches_cable(euler: LaurentPolynomial, delta: LaurentPolynomial, p: i
     both sides carry the same factor (t^p - 1)(t - 1), so Delta_T = 1 needs
     no branch.
     """
+    return _matches_cable(euler.times_binomial(p), delta, p, q)
+
+
+def _matches_cable(euler_times_binomial: LaurentPolynomial, delta: LaurentPolynomial, p: int, q: int) -> bool:
+    """euler_matches_cable, given euler * (t^p - 1)."""
     q = abs(q)
     shift = (p - 1) * (q - 1) // 2
     inflated = LaurentPolynomial._trusted({p * d - shift: c for d, c in delta.items()})
-    return euler.times_binomial(p).times_binomial(q) == inflated.times_binomial(p * q).times_binomial(1)
+    return euler_times_binomial.times_binomial(q) == inflated.times_binomial(p * q).times_binomial(1)
+
+
+def euler_holds(table: RankTable, delta: LaurentPolynomial, p: int, q: int) -> bool:
+    """euler_matches_cable(euler_characteristic(table), delta, p, q),
+    decided per progression on a table that keeps its chain apart.
+
+    A progression with Alexander step +-p and an even Maslov step has one
+    sign (-1)^m throughout, and its cells' sum of t^a telescopes against
+    t^p - 1: sign * (t^(a_high + p) - t^(a_low)), with a_low and a_high its
+    lowest and highest Alexander grading.  So euler * (t^p - 1) is the
+    stored survivors' alternating sum times the binomial, plus two terms
+    per such progression, and the comparison goes on as in
+    euler_matches_cable.  Any other progression is summed cell by cell with
+    the stored survivors.  A table without a chain goes to
+    euler_characteristic and euler_matches_cable themselves.
+    """
+    if not table.chain:
+        return euler_matches_cable(euler_characteristic(table), delta, p, q)
+    return _matches_cable(_euler_times_binomial(table, p), delta, p, q)
+
+
+def _euler_times_binomial(table: RankTable, p: int) -> LaurentPolynomial:
+    """euler_characteristic(table) * (t^p - 1), from the table's parts."""
+    ends: dict[int, int] = {}
+    cellwise = []
+    for progression in table.chain:
+        a, m, da, dm, length = progression
+        if abs(da) == p and dm % 2 == 0:
+            sign = -1 if m % 2 else 1
+            low, high = sorted((a, a + (length - 1) * da))
+            ends[high + p] = ends.get(high + p, 0) + sign
+            ends[low] = ends.get(low, 0) - sign
+        else:
+            cellwise.append(progression.cells())
+    cells = concat(table.stored.items(), zip(concat.from_iterable(cellwise), repeat(1)))
+    return (LaurentPolynomial._trusted(_alternating_sums(cells)).times_binomial(p)
+            + LaurentPolynomial._trusted(ends))
 
 
 def mirror_check(this: RankTable, that: RankTable) -> bool:

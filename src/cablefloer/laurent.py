@@ -77,18 +77,15 @@ class LaurentPolynomial:
         return sum(abs(c) for c in self._coeffs.values())
 
     def __call__(self, value: int) -> int:
-        """Evaluate at a nonzero integer (exact; negative degrees must divide)."""
+        """Evaluate at a nonzero integer, exactly: the terms are summed over
+        the common denominator value^k, k the lowest negative degree's
+        magnitude, and a total that is not an integer raises ValueError."""
         if value == 0:
             raise ZeroDivisionError("cannot evaluate a Laurent polynomial at 0")
-        total = 0
-        for deg, coeff in self._coeffs.items():
-            if deg >= 0:
-                total += coeff * value**deg
-            else:
-                q, r = divmod(coeff, value ** (-deg))
-                if r:
-                    raise ValueError(f"evaluation at {value} is not integral")
-                total += q
+        k = max(0, -min(self._coeffs, default=0))
+        total, r = divmod(sum(coeff * value ** (deg + k) for deg, coeff in self._coeffs.items()), value**k)
+        if r:
+            raise ValueError(f"evaluation at {value} is not integral")
         return total
 
     # -- arithmetic ----------------------------------------------------

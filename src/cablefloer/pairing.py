@@ -38,8 +38,12 @@ reads, so it pairs into no arrow, and its gradings step by a constant along
 the chain; the affine maps then step every b_k's row by a constant too.  So
 the chain is one slot of the view, listed like a square's copies but with
 its r-th repetition named mu<index + r> and read at its first row plus r
-step rows, and its bigrading counts are added as one arithmetic progression
-per b_k.  No record, row or name is built per chain generator.
+step rows, and its bigradings are one arithmetic progression per b_k.  No
+record, row or name is built per chain generator.  A chain shorter than
+CHAIN_CUTOFF has its progressions counted into bigradings cell by cell; a
+longer one keeps them apart, uncounted, in BigradedComplex.progressions,
+and homology.reduce_complex and the checks in invariants.py read them one
+progression at a time.
 
 The closed-form grading tables that cross-check this group arithmetic live
 in invariants.py with the other pipeline-independent oracles.
@@ -61,6 +65,18 @@ from .type_d import TypeDModule
 # A row: the (N, A', alexander, maslov) of each A generator of one
 # idempotent group, in A order
 Row = tuple[tuple[int, int, int, int], ...]
+
+# A chain of at least this many generators (|m| - 1, m = 2tau - n) is kept
+# as progressions, not counted cell by cell.  Deciding the checks per
+# progression has a fixed cost per cable (grouping the progressions by
+# lattice line and sorting each line's interval ends) that a short chain
+# does not repay.  Timed per cable in process on a 2-core VM (p = 2, 5, 10,
+# 30, with and without a square, both signs of m), the progression path
+# costs 0-5% more up to |m| = 16, breaks even near |m| = 20, and costs 3-24%
+# less at |m| = 32 and 15-43% less at |m| = 64.  So the cutoff sits just
+# above that crossover, and every chain of the small cables
+# (|2tau - n| <= 16) stays counted.
+CHAIN_CUTOFF = 32
 
 
 class ComplexError(RuntimeError):
@@ -88,6 +104,22 @@ class ChainSlot(NamedTuple):
     slot: int  # its complement slot
     index: int  # mu subscript of repetition 0
     steps: Row  # per A generator, the change of its row entry from one repetition to the next
+
+
+class Progression(NamedTuple):
+    """The bigradings (alexander + r*alexander_step, maslov + r*maslov_step)
+    for 0 <= r < length: one b_k's cells along the unstable chain."""
+
+    alexander: int
+    maslov: int
+    alexander_step: int
+    maslov_step: int
+    length: int
+
+    def cells(self):
+        """Its (alexander, maslov) cells in chain order."""
+        return zip(_progression(self.alexander, self.alexander_step, self.length),
+                   _progression(self.maslov, self.maslov_step, self.length))
 
 
 class TensorGenerators(Sequence):
@@ -151,11 +183,14 @@ class TensorGenerators(Sequence):
 @dataclass(frozen=True)
 class BigradedComplex:
     """The paired complex: the generator view, the arrows on its copy-0
-    generators and the generator count per bigrading, copies included."""
+    generators and the generator count per bigrading, copies included.  A
+    chain of at least CHAIN_CUTOFF generators is not counted in bigradings:
+    its cells are the progressions, one per b_k, and no arrow touches them."""
 
     generators: TensorGenerators
     arrows: tuple[tuple[int, int], ...]  # (source index, target index)
     bigradings: Mapping[tuple[int, int], int]  # positive generator count per (alexander, maslov)
+    progressions: tuple[Progression, ...] = ()  # a long chain's cells, counted nowhere else
 
 
 def shift_constant(l: int, p: int, n: int) -> int:
@@ -297,9 +332,11 @@ def pair_modules(A: TypeAModule, D: TypeDModule, l: int, n: int) -> BigradedComp
     lists each A group D.copies[t] times in a row, the index of a*d is the
     start of d plus the position of a in its idempotent group, and the
     bigrading counts are each row times its copies.  The chain's interior
-    is one more slot of the view, and its counts are one arithmetic
+    is one more slot of the view, and its cells are one arithmetic
     progression of (alexander, maslov) per b_k, exact even where cells
-    coincide.  The differential walks D once, so every arrow joins copy-0
+    coincide.  A chain shorter than CHAIN_CUTOFF is counted into bigradings
+    in one Counter pass; a longer one is kept as those progressions.  The
+    differential walks D once, so every arrow joins copy-0
     generators; the other copies' arrows are the same arrows, which
     homology.reduce_complex counts through the copy counts of the view's
     cells instead of reading them.
@@ -310,11 +347,15 @@ def pair_modules(A: TypeAModule, D: TypeDModule, l: int, n: int) -> BigradedComp
     d_names = [d_gen.name for d_gen in D.generators]
     # a plain dict: the row loop below runs about 1.5x slower on a Counter
     bigradings: dict[tuple[int, int], int] = {}
-    if progression is not None:  # every chain cell, counted in one Counter pass
+    progressions: tuple[Progression, ...] = ()
+    if progression is not None:
         length = D.chain.length
-        bigradings.update(Counter(concat.from_iterable(
-            zip(_progression(alexander, alexander_step, length), _progression(maslov, maslov_step, length))
-            for (_, _, alexander, maslov), (_, _, alexander_step, maslov_step) in zip(*progression))))
+        progressions = tuple(Progression(alexander, maslov, alexander_step, maslov_step, length)
+                             for (_, _, alexander, maslov), (_, _, alexander_step, maslov_step)
+                             in zip(*progression))
+        if length < CHAIN_CUTOFF:  # every chain cell, counted in one Counter pass
+            bigradings.update(Counter(concat.from_iterable(map(Progression.cells, progressions))))
+            progressions = ()
     for row, count in zip(rows, copies):
         for _, _, alexander, maslov in row:
             bigradings[alexander, maslov] = bigradings.get((alexander, maslov), 0) + count
@@ -332,4 +373,5 @@ def pair_modules(A: TypeAModule, D: TypeDModule, l: int, n: int) -> BigradedComp
     position = {a_name: k for group in by_idempotent.values() for k, a_name in enumerate(group)}
     arrows = sorted((start[d_src] + position[a_src], start[d_tgt] + position[a_tgt])
                     for (a_src, d_src), (a_tgt, d_tgt) in tensor_differential(A, D))
-    return BigradedComplex(generators=generators, arrows=tuple(arrows), bigradings=bigradings)
+    return BigradedComplex(generators=generators, arrows=tuple(arrows), bigradings=bigradings,
+                           progressions=progressions)

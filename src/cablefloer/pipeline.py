@@ -97,9 +97,8 @@ def compute_cable_hfk(delta: LaurentPolynomial, tau: int, p: int, n: int) -> Cab
         cable_tau=invariants.tau_cable(tau, p, n),
         table_value=table_value,
         checks={
-            "symmetry": invariants.check_symmetry(table),
-            "euler": invariants.euler_matches_cable(invariants.euler_characteristic(table),
-                                                    normalized, p, p * n + 1),
+            "symmetry": invariants.symmetry_holds(table),
+            "euler": invariants.euler_holds(table, normalized, p, p * n + 1),
             "table": table.total == table_value,
         },
     )

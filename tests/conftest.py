@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -239,6 +240,13 @@ def expand_chain(D: TypeDModule) -> TypeDModule:
 def written_out(D: TypeDModule) -> TypeDModule:
     """D with the chain's interior and every square copy written out."""
     return expand_squares(expand_chain(D))
+
+
+def all_bigradings(complex_) -> Counter:
+    """complex_.bigradings plus one count per cell of each progression it
+    keeps apart: the generator count per bigrading of the whole complex."""
+    return Counter(complex_.bigradings) + Counter(
+        cell for progression in complex_.progressions for cell in progression.cells())
 
 
 def copy_name(name: str, k: int) -> str:

@@ -1,25 +1,32 @@
+import importlib.util
 from math import gcd
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cablefloer import (
+    CHAIN_CUTOFF,
     LaurentPolynomial,
+    Progression,
     RankTable,
     cable_alexander,
     check_symmetry,
     compute_cable_hfk,
     euler_characteristic,
+    euler_holds,
     euler_matches_cable,
     mirror_check,
     parse_delta,
+    symmetry_holds,
     synthesize_delta,
     table_rank,
     tau_cable,
     tau_pq,
     torus_knot_delta,
 )
+from cablefloer.invariants import _euler_times_binomial
 
 from conftest import (
     DELTA_11N50,
@@ -207,3 +214,150 @@ class TestMirror:
         this, that = p2_pair(DELTA_TREFOIL, 1, 1)
         assert not mirror_check(this, RankTable({(0, 0): that.total + 1}))
         assert not mirror_check(this, RankTable({(a + 1, m): r for (a, m), r in that.ranks.items()}))
+
+
+# ---------------------------------------------------------------------------
+# checks decided per chain progression against the cell-by-cell oracles
+# ---------------------------------------------------------------------------
+
+WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "cablebench" / "workloads.py"
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("cablebench_workloads", WORKLOADS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+CHAIN_CASES = [pytest.param(case, id=f"seed{seed}-{i}")
+               for seed in (1, 2) for i, case in enumerate(load_workloads().generate("chain", seed))]
+
+
+def sigma(cell):
+    a, m = cell
+    return -a, m - 2 * a
+
+
+def verdicts(table, delta, p, q):
+    """(symmetry, euler) decided from the table's parts."""
+    return symmetry_holds(table), euler_holds(table, delta, p, q)
+
+
+def oracle_verdicts(table, delta, p, q):
+    """(symmetry, euler) decided cell by cell on the merged ranks alone."""
+    merged = RankTable(table.ranks)
+    return check_symmetry(merged), euler_matches_cable(euler_characteristic(merged), delta, p, q)
+
+
+def replaced(chain, i, progression):
+    return chain[:i] + (progression,) + chain[i + 1:]
+
+
+def chain_mutant(table, kind, i=0):
+    """The table with one defect in its parts.
+
+    one-short: progression i loses its last cell.  wrong-step: progression
+    i's Maslov step is 2 more, which keeps every Alexander grading and
+    Maslov parity, so only symmetry can see it.  moved-pair: one rank of a
+    stored cell (a, m) whose partner sigma(a, m) is stored too moves to
+    (a, m + 2), and one rank of the partner to sigma(a, m + 2); at a = 0
+    the cell is its own partner and moves once.  With no such stored cell
+    there is no moved-pair mutant, and the result is None.
+    end-dropped: an end cell of a progression whose partner no chain cell
+    covers, so that it is left over after the chain cancels, is dropped.
+    """
+    chain, stored = table.chain, dict(table.stored)
+    i %= len(chain)
+    if kind == "one-short":
+        chain = replaced(chain, i, chain[i]._replace(length=chain[i].length - 1))
+    elif kind == "wrong-step":
+        chain = replaced(chain, i, chain[i]._replace(maslov_step=chain[i].maslov_step + 2))
+    elif kind == "moved-pair":
+        a, m = next((cell for cell in sorted(stored) if sigma(cell) in stored), (None, None))
+        if a is None:
+            return None
+        for old, new in {(a, m): (a, m + 2), sigma((a, m)): sigma((a, m + 2))}.items():
+            stored[old] -= 1
+            stored[new] = stored.get(new, 0) + 1
+        stored = {cell: r for cell, r in stored.items() if r}
+    else:
+        covered = {cell for progression in chain for cell in progression.cells()}
+        order = chain[i:] + chain[:i]
+        j, end = next(((j, end) for j, progression in enumerate(order)
+                       for end, cell in ((0, progression[:2]), (-1, list(progression.cells())[-1]))
+                       if sigma(cell) not in covered), (0, 0))
+        j = (j + i) % len(chain)
+        a, m, da, dm, length = chain[j]
+        cut = (a + da, m + dm, da, dm, length - 1) if end == 0 else (a, m, da, dm, length - 1)
+        chain = replaced(chain, j, Progression(*cut))
+    return RankTable.with_chain(stored, chain)
+
+
+MUTANTS = ("one-short", "wrong-step", "moved-pair", "end-dropped")
+
+
+@pytest.mark.parametrize("case", CHAIN_CASES)
+def test_progression_checks_agree_on_chain_workload(case):
+    """On every chain workload case at seeds 1 and 2, and on four mutants of
+    each, symmetry and Euler decided per progression give the cell-by-cell
+    verdicts.  The one-short, wrong-step and end-dropped mutants fail at
+    least one check.  The moved-pair mutant passes both, cell by cell as
+    well: it is the gap that a per-cell rank oracle is needed for."""
+    delta = LaurentPolynomial.from_centered_list(list(case.delta))
+    p, q = case.p, case.p * case.n + 1
+    table = compute_cable_hfk(delta, case.tau, p, case.n).table
+    assert table.chain and len(table.chain) == 2 * p - 2
+    assert type(table.ranks) is dict
+    assert verdicts(table, delta, p, q) == oracle_verdicts(table, delta, p, q) == (True, True)
+    for kind in MUTANTS:
+        mutant = chain_mutant(table, kind)
+        want = oracle_verdicts(mutant, delta, p, q)
+        assert verdicts(mutant, delta, p, q) == want, kind
+        assert want == (True, True) if kind == "moved-pair" else not all(want), kind
+
+
+@settings(max_examples=60, deadline=None)
+@given(tau=st.integers(-4, 4), counts=st.sampled_from(({}, {0: 1}, {1: 1, -1: 1}, {2: 2, 0: 1, -2: 2})),
+       p=st.integers(2, 8), size=st.integers(CHAIN_CUTOFF + 1, 3 * CHAIN_CUTOFF), sign=st.sampled_from((1, -1)),
+       kind=st.sampled_from((None,) + MUTANTS), i=st.integers(0, 100))
+def test_progression_checks_agree_on_long_chains(tau, counts, p, size, sign, kind, i):
+    """Any cable with a chain at or over the cutoff, whole or with one mutant
+    defect: the verdicts decided per progression equal the cell-by-cell ones."""
+    delta, n = synthesize_delta(tau, counts), 2 * tau - sign * size
+    table = compute_cable_hfk(delta, tau, p, n).table
+    assert table.chain
+    if kind is not None:
+        table = chain_mutant(table, kind, i)
+        assume(table is not None)
+    assert verdicts(table, delta, p, p * n + 1) == oracle_verdicts(table, delta, p, p * n + 1)
+
+
+progressions = st.builds(Progression, st.integers(-30, 30), st.integers(-60, 60), st.integers(-4, 4),
+                         st.integers(-6, 6), st.integers(1, 12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain=st.lists(progressions, min_size=1, max_size=6),
+       stored=st.dictionaries(st.tuples(st.integers(-30, 30), st.integers(-60, 60)), st.integers(1, 3),
+                              max_size=6),
+       mirrored=st.booleans(), drop=st.integers(0, 20), p=st.integers(1, 4))
+def test_progression_checks_on_any_progressions(chain, stored, mirrored, drop, p):
+    """Progressions of any step, zero and odd steps and steps other than
+    +-p included, on crossing and shared lattice lines.  When mirrored, each
+    progression and stored cell comes with its sigma-image, so the table is
+    symmetric unless drop takes one progression's last cell.  Symmetry
+    agrees with check_symmetry, and euler * (t^p - 1) built from the parts
+    equals the cell-by-cell euler_characteristic times t^p - 1."""
+    chain = tuple(chain)
+    if mirrored:
+        chain += tuple(Progression(-a, m - 2 * a, -da, dm - 2 * da, length) for a, m, da, dm, length in chain)
+        for cell, r in list(stored.items()):
+            stored[sigma(cell)] = stored.get(sigma(cell), 0) + r
+        if drop < len(chain) and chain[drop].length > 1:
+            chain = replaced(chain, drop, chain[drop]._replace(length=chain[drop].length - 1))
+    table = RankTable.with_chain(stored, chain)
+    merged = RankTable(table.ranks)
+    assert sum(table.ranks.values()) == sum(stored.values()) + sum(pr.length for pr in chain)
+    assert symmetry_holds(table) == check_symmetry(merged)
+    assert _euler_times_binomial(table, p) == euler_characteristic(merged).times_binomial(p)

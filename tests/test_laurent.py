@@ -62,6 +62,25 @@ def test_evaluate():
         trefoil(0)
 
 
+@pytest.mark.parametrize("coeffs, value, want", [
+    ({-1: 1, -2: 2}, 2, 1),     # 1/2 + 2/4: neither term is integral alone
+    ({-1: 1, -2: 2}, -2, 0),    # -1/2 + 2/4
+    ({-1: 3, -3: 1, 2: 1}, -1, -3),
+    ({-2: 3, -1: 2, 0: -4}, 3, -3),  # 3/9 + 2/3 - 4
+    ({}, 5, 0),
+], ids=["halves", "halves-negative", "at-minus-one", "thirds", "zero"])
+def test_evaluate_over_common_denominator(coeffs, value, want):
+    """Negative-degree terms are summed over their common denominator, so
+    terms that are not integral on their own may still add to an integer."""
+    assert poly(coeffs)(value) == want
+
+
+@pytest.mark.parametrize("coeffs, value", [({-1: 1, -2: 1}, 2), ({-1: 1, -2: 2}, 3), ({-3: 2}, -2)])
+def test_evaluate_refuses_a_total_that_is_not_integral(coeffs, value):
+    with pytest.raises(ValueError, match="not integral"):
+        poly(coeffs)(value)
+
+
 def test_symmetry_and_degree():
     assert poly({-1: 1, 0: -1, 1: 1}).is_symmetric()
     assert not poly({-1: 2, 1: 1}).is_symmetric()
