@@ -4,13 +4,15 @@ The differential is a matching, so every arrow cancels its two ends on its
 own: each end is subtracted at its bigrading as many times as the generator
 view lists copies of it.  No arrow touches the unstable chain's interior, so
 a long chain that the complex keeps as progressions survives whole: the
-table merges it into ranks once, and keeps it apart for the checks.
+table keeps the survivors and the progressions as its two parts, and merges
+them into ranks only when ranks is read.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain as concat
 from typing import Mapping
 
@@ -19,51 +21,40 @@ from .pairing import BigradedComplex, ComplexError, Progression
 
 @dataclass(frozen=True)
 class RankTable:
-    """Rank per (alexander, maslov) bigrading; zero entries are never stored.
+    """Rank per (alexander, maslov) bigrading, in two parts.
 
-    ranks is always the whole table.  A table reduced from a complex that
-    keeps a long chain as progressions also holds its parts: ranks is stored
-    plus one rank per cell of each progression in chain, and the checks in
-    invariants.py read the parts instead of ranks.  Any other table has
-    stored equal to ranks and no chain.
+    stored holds positive counts only: zero counts are dropped on
+    construction, and a zero-free mapping is kept as handed over, without a
+    copy.  chain holds progressions, one rank per cell of each; only a table
+    reduced from a complex that keeps a long chain apart has any.  ranks is
+    the whole table, merged on its first read; the checks in invariants.py
+    read the parts instead.  Two tables are equal when their ranks are.
     """
 
-    ranks: Mapping[tuple[int, int], int]
-    stored: Mapping[tuple[int, int], int] = field(init=False, repr=False, compare=False)
-    chain: tuple[Progression, ...] = field(init=False, repr=False, compare=False)
+    stored: Mapping[tuple[int, int], int]
+    chain: tuple[Progression, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "ranks", {k: v for k, v in self.ranks.items() if v})
-        object.__setattr__(self, "stored", self.ranks)
-        object.__setattr__(self, "chain", ())
+        if 0 in self.stored.values():
+            object.__setattr__(self, "stored", {k: v for k, v in self.stored.items() if v})
 
-    @classmethod
-    def _trusted(cls, ranks: dict[tuple[int, int], int]) -> "RankTable":
-        """Wrap a zero-free dict that the caller hands over, without copying it."""
-        table = cls.__new__(cls)
-        object.__setattr__(table, "ranks", ranks)
-        object.__setattr__(table, "stored", ranks)
-        object.__setattr__(table, "chain", ())
-        return table
+    def __eq__(self, other):
+        return self.ranks == other.ranks if isinstance(other, RankTable) else NotImplemented
 
-    @classmethod
-    def with_chain(cls, stored: dict[tuple[int, int], int], chain: tuple[Progression, ...]) -> "RankTable":
-        """The zero-free counts stored, handed over without copying, plus one
-        rank per cell of each progression; ranks is merged here, in one
-        Counter pass over the chain's cells."""
-        if not chain:
-            return cls._trusted(stored)
-        ranks = dict(Counter(concat.from_iterable(map(Progression.cells, chain))))
-        for cell, count in stored.items():
+    @cached_property
+    def ranks(self) -> Mapping[tuple[int, int], int]:
+        """stored itself without a chain; else a dict merged in one Counter
+        pass over the chain's cells."""
+        if not self.chain:
+            return self.stored
+        ranks = dict(Counter(concat.from_iterable(map(Progression.cells, self.chain))))
+        for cell, count in self.stored.items():
             ranks[cell] = ranks.get(cell, 0) + count
-        table = cls._trusted(ranks)
-        object.__setattr__(table, "stored", stored)
-        object.__setattr__(table, "chain", chain)
-        return table
+        return ranks
 
     @property
     def total(self) -> int:
-        return sum(self.ranks.values())
+        return sum(self.stored.values()) + sum(progression.length for progression in self.chain)
 
     def entries(self) -> list[tuple[int, int, int]]:
         """(alexander, maslov, rank) triples, descending alexander then maslov."""
@@ -93,7 +84,7 @@ def reduce_complex(complex_: BigradedComplex) -> RankTable:
     deleted; complex_.bigradings stays as it is.  The arrows read stored
     generators only (see pairing.tensor_differential), so the progressions
     of a long chain, which bigradings does not count, are not reduced: the
-    table merges them with the survivors.
+    table holds them next to the survivors.
     """
     gens, arrows = complex_.generators, complex_.arrows
     lost: dict[tuple[int, int], int] = {}
@@ -124,4 +115,4 @@ def reduce_complex(complex_: BigradedComplex) -> RankTable:
             del ranks[alexander, m]
         else:
             ranks[alexander, m] = counted - count
-    return RankTable.with_chain(ranks, complex_.progressions)
+    return RankTable(ranks, complex_.progressions)

@@ -41,9 +41,9 @@ its r-th repetition named mu<index + r> and read at its first row plus r
 step rows, and its bigradings are one arithmetic progression per b_k.  No
 record, row or name is built per chain generator.  A chain shorter than
 CHAIN_CUTOFF has its progressions counted into bigradings cell by cell; a
-longer one keeps them apart, uncounted, in BigradedComplex.progressions,
-and homology.reduce_complex and the checks in invariants.py read them one
-progression at a time.
+longer one keeps them apart, uncounted, in BigradedComplex.progressions:
+homology.reduce_complex hands them to the rank table as its chain, and the
+checks in invariants.py read them one progression at a time.
 
 The closed-form grading tables that cross-check this group arithmetic live
 in invariants.py with the other pipeline-independent oracles.

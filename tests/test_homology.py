@@ -12,12 +12,14 @@ from cablefloer import (
     build_model,
     build_typea_minus,
     build_typed,
+    compute_cable_hfk,
     pair_modules,
     parse_delta,
     reduce_complex,
     synthesize_delta,
 )
-from cablefloer.pairing import TensorGenerators
+from cablefloer.invariants import table_rank
+from cablefloer.pairing import Progression, TensorGenerators
 
 from conftest import DELTA_11N50, DELTA_TREFOIL, ROW_PARAMS, written_out
 
@@ -50,6 +52,11 @@ class TestRankTable:
 
     def test_zero_entries_dropped(self):
         assert RankTable({(0, 0): 0}).ranks == {}
+        chain = (Progression(1, 1, 2, 2, 3),)
+        table = RankTable({(0, 0): 0, (1, 1): 2}, chain)
+        assert table.stored == {(1, 1): 2} and table.chain == chain
+        assert table.ranks == {(1, 1): 3, (3, 3): 1, (5, 5): 1} and table.total == 5
+        assert table == RankTable(table.ranks) != RankTable(table.stored)
 
     def test_caller_mapping_left_alone(self):
         ranks = {(0, 0): 0, (1, 1): 2}
@@ -66,6 +73,17 @@ class TestRankTable:
         assert table.ranks == {(0, 0): 1, (1, 3): 1, (1, 1): 1}
         assert dict(complex_.bigradings) == before
         assert table.ranks is not complex_.bigradings and type(table.ranks) is dict
+
+    def test_long_chain_is_not_merged_until_read(self):
+        """At the budget edge the chain has 998,000 generators; the run reads
+        its parts only, and ranks is merged on the first read."""
+        result = compute_cable_hfk(parse_delta("1"), 0, 2, 499000)
+        table = result.table
+        assert result.consistent and len(table.chain) == 2
+        assert table.total == table_rank(0, 0, 2, 499000) == 998001
+        assert "ranks" not in vars(table)
+        ranks = table.ranks
+        assert type(ranks) is dict and sum(ranks.values()) == table.total
 
 
 class TestGradingFilter:

@@ -291,7 +291,7 @@ def chain_mutant(table, kind, i=0):
         a, m, da, dm, length = chain[j]
         cut = (a + da, m + dm, da, dm, length - 1) if end == 0 else (a, m, da, dm, length - 1)
         chain = replaced(chain, j, Progression(*cut))
-    return RankTable.with_chain(stored, chain)
+    return RankTable(stored, chain)
 
 
 MUTANTS = ("one-short", "wrong-step", "moved-pair", "end-dropped")
@@ -356,8 +356,8 @@ def test_progression_checks_on_any_progressions(chain, stored, mirrored, drop, p
             stored[sigma(cell)] = stored.get(sigma(cell), 0) + r
         if drop < len(chain) and chain[drop].length > 1:
             chain = replaced(chain, drop, chain[drop]._replace(length=chain[drop].length - 1))
-    table = RankTable.with_chain(stored, chain)
+    table = RankTable(stored, chain)
     merged = RankTable(table.ranks)
-    assert sum(table.ranks.values()) == sum(stored.values()) + sum(pr.length for pr in chain)
+    assert sum(table.ranks.values()) == table.total == sum(stored.values()) + sum(pr.length for pr in chain)
     assert symmetry_holds(table) == check_symmetry(merged)
     assert _euler_times_binomial(table, p) == euler_characteristic(merged).times_binomial(p)
