@@ -23,7 +23,6 @@ from .invariants import (
 )
 from .laurent import LaurentPolynomial
 from .pairing import (
-    CHAIN_CUTOFF,
     BigradedComplex,
     Progression,
     TensorGenerator,
@@ -50,7 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AOperation",
     "BigradedComplex",
-    "CHAIN_CUTOFF",
     "CableHomology",
     "ComplexError",
     "DEdge",

@@ -3,7 +3,7 @@
 The differential is a matching, so every arrow cancels its two ends on its
 own: each end is subtracted at its bigrading as many times as the generator
 view lists copies of it.  No arrow touches the unstable chain's interior, so
-a long chain that the complex keeps as progressions survives whole: the
+the chain, which the complex keeps as progressions, survives whole: the
 table keeps the survivors and the progressions as its two parts, and merges
 them into ranks only when ranks is read.
 """
@@ -25,10 +25,11 @@ class RankTable:
 
     stored holds positive counts only: zero counts are dropped on
     construction, and a zero-free mapping is kept as handed over, without a
-    copy.  chain holds progressions, one rank per cell of each; only a table
-    reduced from a complex that keeps a long chain apart has any.  ranks is
-    the whole table, merged on its first read; the checks in invariants.py
-    read the parts instead.  Two tables are equal when their ranks are.
+    copy.  chain holds progressions, one rank per cell of each: a table
+    reduced from a cable with an unstable chain has one per b_k, and stored
+    then holds no chain cell.  ranks is the whole table, merged on its first
+    read; the checks in invariants.py read the parts instead.  Two tables
+    are equal when their ranks are.
     """
 
     stored: Mapping[tuple[int, int], int]
@@ -43,14 +44,13 @@ class RankTable:
 
     @cached_property
     def ranks(self) -> Mapping[tuple[int, int], int]:
-        """stored itself without a chain; else a dict merged in one Counter
-        pass over the chain's cells."""
+        """stored itself without a chain; else a dict, stored counted on by
+        one Counter pass over the chain's cells."""
         if not self.chain:
             return self.stored
-        ranks = dict(Counter(concat.from_iterable(map(Progression.cells, self.chain))))
-        for cell, count in self.stored.items():
-            ranks[cell] = ranks.get(cell, 0) + count
-        return ranks
+        ranks = Counter(self.stored)
+        ranks.update(concat.from_iterable(map(Progression.cells, self.chain)))
+        return dict(ranks)
 
     @property
     def total(self) -> int:
@@ -58,7 +58,8 @@ class RankTable:
 
     def entries(self) -> list[tuple[int, int, int]]:
         """(alexander, maslov, rank) triples, descending alexander then maslov."""
-        return [(a, m, self.ranks[(a, m)]) for a, m in sorted(self.ranks, reverse=True)]
+        ranks = self.ranks
+        return [(a, m, ranks[a, m]) for a, m in sorted(ranks, reverse=True)]
 
     def alexander_multiset(self) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -82,8 +83,8 @@ def reduce_complex(complex_: BigradedComplex) -> RankTable:
     the generators disagree, and raises.  The survivors are one copy of the
     positive counts complex_.bigradings, with every count cancelled to zero
     deleted; complex_.bigradings stays as it is.  The arrows read stored
-    generators only (see pairing.tensor_differential), so the progressions
-    of a long chain, which bigradings does not count, are not reduced: the
+    generators only (see pairing.tensor_differential), so the chain's
+    progressions, which bigradings does not count, are not reduced: the
     table holds them next to the survivors.
     """
     gens, arrows = complex_.generators, complex_.arrows

@@ -10,12 +10,13 @@ satellite polynomial itself, `cable_alexander` with `torus_knot_delta`, is
 kept for tests, which use it as an oracle, and for the benchmark, which binds
 those names; no run calls it.
 
-A rank table that keeps a long unstable chain as progressions (see
-pairing.CHAIN_CUTOFF) has its symmetry and Euler checks decided one
+A rank table keeps its unstable chain as progressions, and every run
+decides the symmetry and Euler checks from the table's two parts, one
 progression at a time, by symmetry_holds and euler_holds, with the same
-verdicts as cell by cell.  Every other table goes to the cell-by-cell
-check_symmetry and euler_characteristic, which tests also use as oracles
-on any table, and which the benchmark binds.
+verdicts as cell by cell.  The cell-by-cell check_symmetry,
+euler_characteristic and euler_matches_cable stay for tests, which use
+them as oracles on any table, and for the benchmark, which binds them; no
+run calls them.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from math import gcd
 
 from .homology import RankTable
 from .laurent import LaurentPolynomial
-from .pairing import Progression
 from .thin import ThinModel
 from .type_d import build_typed
 
@@ -101,68 +101,53 @@ def check_symmetry(table: RankTable) -> bool:
     return all(table.ranks.get((-a, m - 2 * a)) == r for (a, m), r in table.ranks.items())
 
 
-def _line(progression: Progression, lines: dict, sign: int) -> None:
-    """Add sign times the indicator of the progression's cells to its lattice line.
-
-    A line is every cell base + t*step for integer t, with the step oriented
-    so that its Alexander part is positive (or, at Alexander step 0, its
-    Maslov part); it is keyed by that step, the invariant a*dm - m*da and
-    the residue of a (or m) along the step, and keeps a base cell, its
-    coordinate and the interval ends of its signed indicators."""
-    a, m, da, dm, length = progression
-    if da < 0 or (da == 0 and dm < 0):  # the same cells, walked the other way
-        a, m, da, dm = a + (length - 1) * da, m + (length - 1) * dm, -da, -dm
-    if da:
-        key, t = (da, dm, a * dm - m * da, a % da), a // da
-    else:
-        key, t = (0, dm, a, m % dm), m // dm
-    line = lines.get(key)
-    if line is None:
-        line = lines[key] = (a, m, t, [])
-    line[3].extend(((t, sign), (t + length, -sign)))
-
-
 def symmetry_holds(table: RankTable) -> bool:
-    """check_symmetry's verdict, decided per progression on a table that
-    keeps its chain apart, and by check_symmetry itself on any other.
+    """check_symmetry's verdict, decided per progression.
 
     sigma(a, m) = (-a, m - 2a) is an involution, and the table is symmetric
-    exactly when f - f o sigma vanishes for its rank function f.  sigma maps
-    the progression from (a, m) by (da, dm) to the one from (-a, m - 2a) by
-    (-da, dm - 2da), so the chain's part of f - f o sigma is a signed sum of
-    progression indicators: each progression with +1, its image with -1.
-    Grouped by lattice line, each line's sum is a step function of the
-    position along the line, read off its sorted interval ends; only the
-    cells where it is nonzero are written out.  The stored survivors add
-    r at (a, m) and -r at sigma(a, m), and the table is symmetric exactly
-    when every cell sums to zero.  The cancelled part is the chain's
-    sigma-invariant part, so the verdict is check_symmetry's exactly.
+    exactly when its rank function f equals f o sigma.  sigma maps the
+    progression from (a, m) by (da, dm) to the one from (-a, m - 2a) by
+    (-da, dm - 2da), so the chain's part D of f - f o sigma is a signed sum
+    of progression indicators: each progression with +1, its image with -1.
+    On a lattice line, the cells base + t*step with the step oriented so
+    that its Alexander part is positive (or, at Alexander step 0, its
+    Maslov part), an indicator is an interval of t; a zero step is a line
+    of one cell, met once per repetition.  The interval ends of every line
+    are sorted together, and one sweep writes out the cells where the
+    running sum, D, is nonzero.  With S the stored survivors,
+    f - f o sigma = D + S - S o sigma, so the table is symmetric exactly
+    when S(sigma x) = S(x) + D(x) at every cell x: one lookup per stored
+    cell, then one per cell left in D.  Elsewhere S(sigma x) = 0 follows
+    from the check at sigma x, since D o sigma = -D.
     """
-    if not table.chain:
-        return check_symmetry(table)
-    lines: dict = {}
-    leftover: dict[tuple[int, int], int] = {}
-    for progression in table.chain:
-        a, m, da, dm, length = progression
-        if da == 0 and dm == 0:  # one cell, length times
-            for cell, r in (((a, m), length), ((-a, m - 2 * a), -length)):
-                leftover[cell] = leftover.get(cell, 0) + r
-            continue
-        _line(progression, lines, 1)
-        _line(Progression(-a, m - 2 * a, -da, dm - 2 * da, length), lines, -1)
-    for (da, dm, _, _), (a0, m0, t0, ends) in lines.items():
-        ends.sort()
-        value = 0
-        for (t, change), (t_next, _) in zip(ends, ends[1:]):  # the last end brings value back to 0
-            value += change
-            if value:
-                for u in range(t - t0, t_next - t0):
-                    cell = (a0 + u * da, m0 + u * dm)
-                    leftover[cell] = leftover.get(cell, 0) + value
-    for (a, m), r in table.stored.items():
-        leftover[a, m] = leftover.get((a, m), 0) + r
-        leftover[-a, m - 2 * a] = leftover.get((-a, m - 2 * a), 0) - r
-    return not any(leftover.values())
+    ends = []
+    for a, m, da, dm, length in table.chain:
+        if da < 0 or (da == 0 and dm < 0):  # the same cells, walked the other way
+            a, m, da, dm = a + (length - 1) * da, m + (length - 1) * dm, -da, -dm
+        if da:  # the image, walked from sigma of the last cell
+            b, n, dn = -a - (length - 1) * da, m - 2 * a + (length - 1) * (dm - 2 * da), 2 * da - dm
+            t, s = a // da, b // da
+        else:  # sigma keeps a step (0, dm)
+            b, n, dn = -a, m - 2 * a, dm
+            t, s = (m // dm, n // dm) if dm else (0, 0)
+        a, m, b, n = a - t * da, m - t * dm, b - s * da, n - s * dn  # each line's cell at 0
+        ends += ((da, dm, a, m, t, 1), (da, dm, a, m, t + length, -1),
+                 (da, dn, b, n, s, -1), (da, dn, b, n, s + length, 1))
+    ends.sort()
+    leftover: dict[tuple[int, int], int] = {}  # D
+    value = 0
+    for (da, dm, a, m, t, change), following in zip(ends, ends[1:]):
+        value += change
+        if value:  # every line's changes sum to 0, so the following end is on this line
+            for u in range(t, following[4]):
+                cell = (a + u * da, m + u * dm)
+                leftover[cell] = leftover.get(cell, 0) + value
+    rank, pop = table.stored.get, leftover.pop
+    for cell, r in table.stored.items():
+        a, m = cell
+        if rank((-a, m - 2 * a), 0) != r + pop(cell, 0):
+            return False
+    return all(rank((-a, m - 2 * a), 0) == d for (a, m), d in leftover.items())
 
 
 def euler_characteristic(table: RankTable) -> LaurentPolynomial:
@@ -174,7 +159,7 @@ def _alternating_sums(cells) -> dict[int, int]:
     """Sum of (-1)^m * r per a over ((a, m), r) pairs."""
     coeffs: dict[int, int] = {}
     for (a, m), r in cells:
-        coeffs[a] = coeffs.get(a, 0) + (r if m % 2 == 0 else -r)
+        coeffs[a] = coeffs.get(a, 0) + (-r if m & 1 else r)
     return coeffs
 
 
@@ -182,7 +167,7 @@ def torus_knot_delta(p: int, q: int) -> LaurentPolynomial:
     """Symmetrized Alexander polynomial of the (p, q) torus knot.
 
     An oracle for tests and a name the benchmark binds; the run path checks
-    the Euler characteristic with `euler_matches_cable` instead.
+    the Euler characteristic with `euler_holds` instead.
 
     Delta = (1 - t) * sum of t^s over the semigroup S = <p, |q|>, recentred
     by (p-1)(q-1)/2.  The coefficient at k is [k in S] - [k-1 in S].  In the
@@ -212,7 +197,7 @@ def cable_alexander(delta: LaurentPolynomial, p: int, q: int) -> LaurentPolynomi
     """Satellite formula: delta(t^p) times the (p, q) torus-knot polynomial.
 
     An oracle for tests and a name the benchmark binds; the run path checks
-    the Euler characteristic with `euler_matches_cable` instead.
+    the Euler characteristic with `euler_holds` instead.
     """
     return delta.inflate(p) * torus_knot_delta(p, q)
 
@@ -224,7 +209,8 @@ def euler_matches_cable(euler: LaurentPolynomial, delta: LaurentPolynomial, p: i
     Delta_T(p,q) * (t^p - 1)(t^|q| - 1) = t^-shift * (t^(p|q|) - 1)(t - 1).
     Z[t, t^-1] has no zero divisors, so euler equals delta(t^p) * Delta_T(p,q)
     exactly when both sides agree after multiplying by (t^p - 1)(t^|q| - 1):
-    two binomial multiplications a side, linear in the terms.  At |q| = 1
+    two binomial multiplications on the left, and on the right four terms
+    per coefficient of delta, linear in the terms either way.  At |q| = 1
     both sides carry the same factor (t^p - 1)(t - 1), so Delta_T = 1 needs
     no branch.
     """
@@ -232,16 +218,24 @@ def euler_matches_cable(euler: LaurentPolynomial, delta: LaurentPolynomial, p: i
 
 
 def _matches_cable(euler_times_binomial: LaurentPolynomial, delta: LaurentPolynomial, p: int, q: int) -> bool:
-    """euler_matches_cable, given euler * (t^p - 1)."""
+    """euler_matches_cable, given euler * (t^p - 1): the two sides'
+    difference, gathered in one dict, vanishes."""
     q = abs(q)
     shift = (p - 1) * (q - 1) // 2
-    inflated = LaurentPolynomial._trusted({p * d - shift: c for d, c in delta.items()})
-    return euler_times_binomial.times_binomial(q) == inflated.times_binomial(p * q).times_binomial(1)
+    left = euler_times_binomial._coeffs
+    gap = {k + q: c for k, c in left.items()}  # left * (t^q - 1)
+    for k, c in left.items():
+        gap[k] = gap.get(k, 0) - c
+    for d, c in delta._coeffs.items():  # minus t^-shift * delta(t^p) * (t^(pq+1) - t^pq - t + 1)
+        a = p * d - shift
+        for k, s in ((a + p * q + 1, c), (a + p * q, -c), (a + 1, -c), (a, c)):
+            gap[k] = gap.get(k, 0) - s
+    return not any(gap.values())
 
 
 def euler_holds(table: RankTable, delta: LaurentPolynomial, p: int, q: int) -> bool:
     """euler_matches_cable(euler_characteristic(table), delta, p, q),
-    decided per progression on a table that keeps its chain apart.
+    decided per progression.
 
     A progression with Alexander step +-p and an even Maslov step has one
     sign (-1)^m throughout, and its cells' sum of t^a telescopes against
@@ -250,30 +244,28 @@ def euler_holds(table: RankTable, delta: LaurentPolynomial, p: int, q: int) -> b
     stored survivors' alternating sum times the binomial, plus two terms
     per such progression, and the comparison goes on as in
     euler_matches_cable.  Any other progression is summed cell by cell with
-    the stored survivors.  A table without a chain goes to
-    euler_characteristic and euler_matches_cable themselves.
+    the stored survivors.
     """
-    if not table.chain:
-        return euler_matches_cable(euler_characteristic(table), delta, p, q)
     return _matches_cable(_euler_times_binomial(table, p), delta, p, q)
 
 
 def _euler_times_binomial(table: RankTable, p: int) -> LaurentPolynomial:
     """euler_characteristic(table) * (t^p - 1), from the table's parts."""
-    ends: dict[int, int] = {}
-    cellwise = []
+    ends, cellwise = [], []
     for progression in table.chain:
         a, m, da, dm, length = progression
         if abs(da) == p and dm % 2 == 0:
-            sign = -1 if m % 2 else 1
-            low, high = sorted((a, a + (length - 1) * da))
-            ends[high + p] = ends.get(high + p, 0) + sign
-            ends[low] = ends.get(low, 0) - sign
+            sign, past = -1 if m % 2 else 1, a + length * da  # past: the grading after the last
+            ends += ((past, sign), (a, -sign)) if da > 0 else ((a + p, sign), (past + p, -sign))
         else:
             cellwise.append(progression.cells())
-    cells = concat(table.stored.items(), zip(concat.from_iterable(cellwise), repeat(1)))
-    return (LaurentPolynomial._trusted(_alternating_sums(cells)).times_binomial(p)
-            + LaurentPolynomial._trusted(ends))
+    sums = _alternating_sums(concat(table.stored.items(), zip(concat.from_iterable(cellwise), repeat(1))))
+    out = {a + p: c for a, c in sums.items()}
+    for a, c in sums.items():
+        out[a] = out.get(a, 0) - c
+    for a, c in ends:
+        out[a] = out.get(a, 0) + c
+    return LaurentPolynomial._trusted(out)
 
 
 def mirror_check(this: RankTable, that: RankTable) -> bool:

@@ -39,11 +39,11 @@ the chain; the affine maps then step every b_k's row by a constant too.  So
 the chain is one slot of the view, listed like a square's copies but with
 its r-th repetition named mu<index + r> and read at its first row plus r
 step rows, and its bigradings are one arithmetic progression per b_k.  No
-record, row or name is built per chain generator.  A chain shorter than
-CHAIN_CUTOFF has its progressions counted into bigradings cell by cell; a
-longer one keeps them apart, uncounted, in BigradedComplex.progressions:
-homology.reduce_complex hands them to the rank table as its chain, and the
-checks in invariants.py read them one progression at a time.
+record, row or name is built per chain generator, and no chain cell is
+counted: at every length the progressions stay apart in
+BigradedComplex.progressions, homology.reduce_complex hands them to the rank
+table as its chain, and the checks in invariants.py read them one
+progression at a time.
 
 The closed-form grading tables that cross-check this group arithmetic live
 in invariants.py with the other pipeline-independent oracles.
@@ -52,10 +52,9 @@ in invariants.py with the other pipeline-independent oracles.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from itertools import accumulate, chain as concat, repeat
+from itertools import accumulate, repeat
 from typing import NamedTuple
 
 from .gradings import GradingElement, GradingError, affine_normalization, normalize_double_coset
@@ -65,18 +64,6 @@ from .type_d import TypeDModule
 # A row: the (N, A', alexander, maslov) of each A generator of one
 # idempotent group, in A order
 Row = tuple[tuple[int, int, int, int], ...]
-
-# A chain of at least this many generators (|m| - 1, m = 2tau - n) is kept
-# as progressions, not counted cell by cell.  Deciding the checks per
-# progression has a fixed cost per cable (grouping the progressions by
-# lattice line and sorting each line's interval ends) that a short chain
-# does not repay.  Timed per cable in process on a 2-core VM (p = 2, 5, 10,
-# 30, with and without a square, both signs of m), the progression path
-# costs 0-5% more up to |m| = 16, breaks even near |m| = 20, and costs 3-24%
-# less at |m| = 32 and 15-43% less at |m| = 64.  So the cutoff sits just
-# above that crossover, and every chain of the small cables
-# (|2tau - n| <= 16) stays counted.
-CHAIN_CUTOFF = 32
 
 
 class ComplexError(RuntimeError):
@@ -118,8 +105,9 @@ class Progression(NamedTuple):
 
     def cells(self):
         """Its (alexander, maslov) cells in chain order."""
-        return zip(_progression(self.alexander, self.alexander_step, self.length),
-                   _progression(self.maslov, self.maslov_step, self.length))
+        a, m, da, dm, length = self
+        return zip(range(a, a + da * length, da) if da else repeat(a, length),
+                   range(m, m + dm * length, dm) if dm else repeat(m, length))
 
 
 class TensorGenerators(Sequence):
@@ -183,14 +171,14 @@ class TensorGenerators(Sequence):
 @dataclass(frozen=True)
 class BigradedComplex:
     """The paired complex: the generator view, the arrows on its copy-0
-    generators and the generator count per bigrading, copies included.  A
-    chain of at least CHAIN_CUTOFF generators is not counted in bigradings:
-    its cells are the progressions, one per b_k, and no arrow touches them."""
+    generators and the generator count per bigrading, copies included, of
+    every generator off the chain.  The chain's cells are the progressions,
+    one per b_k, which bigradings does not count, and no arrow touches them."""
 
     generators: TensorGenerators
     arrows: tuple[tuple[int, int], ...]  # (source index, target index)
-    bigradings: Mapping[tuple[int, int], int]  # positive generator count per (alexander, maslov)
-    progressions: tuple[Progression, ...] = ()  # a long chain's cells, counted nowhere else
+    bigradings: Mapping[tuple[int, int], int]  # positive count per (alexander, maslov), chain excluded
+    progressions: tuple[Progression, ...] = ()  # the chain's cells, counted nowhere else
 
 
 def shift_constant(l: int, p: int, n: int) -> int:
@@ -319,11 +307,6 @@ def tensor_gradings(A: TypeAModule, D: TypeDModule, c: int) -> dict[tuple[str, s
             for d_gen, group, row in zip(D.generators, groups, rows) for a_name, value in zip(group, row)}
 
 
-def _progression(start: int, step: int, length: int):
-    """start, start + step, ..., length terms."""
-    return range(start, start + step * length, step) if step else repeat(start, length)
-
-
 def pair_modules(A: TypeAModule, D: TypeDModule, l: int, n: int) -> BigradedComplex:
     """Assemble the bigraded complex of the cable from the rows.
 
@@ -334,9 +317,8 @@ def pair_modules(A: TypeAModule, D: TypeDModule, l: int, n: int) -> BigradedComp
     bigrading counts are each row times its copies.  The chain's interior
     is one more slot of the view, and its cells are one arithmetic
     progression of (alexander, maslov) per b_k, exact even where cells
-    coincide.  A chain shorter than CHAIN_CUTOFF is counted into bigradings
-    in one Counter pass; a longer one is kept as those progressions.  The
-    differential walks D once, so every arrow joins copy-0
+    coincide, kept as those progressions and not counted into bigradings.
+    The differential walks D once, so every arrow joins copy-0
     generators; the other copies' arrows are the same arrows, which
     homology.reduce_complex counts through the copy counts of the view's
     cells instead of reading them.
@@ -347,26 +329,20 @@ def pair_modules(A: TypeAModule, D: TypeDModule, l: int, n: int) -> BigradedComp
     d_names = [d_gen.name for d_gen in D.generators]
     # a plain dict: the row loop below runs about 1.5x slower on a Counter
     bigradings: dict[tuple[int, int], int] = {}
-    progressions: tuple[Progression, ...] = ()
-    if progression is not None:
-        length = D.chain.length
-        progressions = tuple(Progression(alexander, maslov, alexander_step, maslov_step, length)
-                             for (_, _, alexander, maslov), (_, _, alexander_step, maslov_step)
-                             in zip(*progression))
-        if length < CHAIN_CUTOFF:  # every chain cell, counted in one Counter pass
-            bigradings.update(Counter(concat.from_iterable(map(Progression.cells, progressions))))
-            progressions = ()
     for row, count in zip(rows, copies):
         for _, _, alexander, maslov in row:
             bigradings[alexander, maslov] = bigradings.get((alexander, maslov), 0) + count
-    chain = None
+    chain, progressions = None, ()
     if progression is not None:
         first, steps = progression
-        at = D.chain.at
+        at, length = D.chain.at, D.chain.length
+        progressions = tuple(Progression(alexander, maslov, alexander_step, maslov_step, length)
+                             for (_, _, alexander, maslov), (_, _, alexander_step, maslov_step)
+                             in zip(first, steps))
         d_names.insert(at, f"mu{D.chain.index}")
         groups.insert(at, by_idempotent.get("i1", ()))
         rows.insert(at, first)
-        copies.insert(at, D.chain.length)
+        copies.insert(at, length)
         chain = ChainSlot(at, D.chain.index, steps)
     generators = TensorGenerators(tuple(d_names), tuple(groups), tuple(rows), tuple(copies), chain)
     start = dict(zip(d_names, generators.starts))

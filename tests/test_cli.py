@@ -147,7 +147,7 @@ def test_failed_check_still_writes_json(monkeypatch):
     """A run that exits 2 writes the same bytes the encoder would."""
     from cablefloer import invariants
 
-    monkeypatch.setattr(invariants, "check_symmetry", lambda table: False)
+    monkeypatch.setattr(invariants, "symmetry_holds", lambda table: False)
     stream = io.StringIO()
     assert run(RunConfig(delta=DELTA_11N50, tau=0, p=5, n=3), stream) == 2
     assert stream.getvalue() == oracle_json_text(compute_cable_hfk(parse_delta(DELTA_11N50), 0, 5, 3))
@@ -163,8 +163,8 @@ def test_trefoil_cable_table_matches(capsys):
 
 
 @pytest.mark.parametrize("name, stage, broken", [
-    ("symmetry", "check_symmetry", lambda real: lambda table: False),
-    ("euler", "euler_characteristic", lambda real: lambda table: -real(table)),
+    ("symmetry", "symmetry_holds", lambda real: lambda table: False),
+    ("euler", "_euler_times_binomial", lambda real: lambda table, p: -real(table, p)),
     ("table", "table_rank", lambda real: lambda *args: real(*args) + 1),
 ], ids=["symmetry", "euler", "table"])
 def test_failed_check_exits_two(capsys, monkeypatch, name, stage, broken):
@@ -206,6 +206,27 @@ def test_run_path_forms_no_satellite_product(monkeypatch):
     # the chain case of record: one square at level 0, tau = 3, |q| = 12001
     result = compute_cable_hfk(synthesize_delta(3, {0: 1}), 3, 60, 200)
     assert result.checks == {"symmetry": True, "euler": True, "table": True}
+
+
+def test_run_path_calls_no_cell_by_cell_check(monkeypatch):
+    """The checks read the chain as progressions at every length: with the
+    cell-by-cell oracles made to raise, cables without a chain, with a short
+    one and with a long one, and golden 11n50, still pass every check."""
+    from cablefloer import compute_cable_hfk, invariants, synthesize_delta
+
+    def unreachable(*args):
+        raise AssertionError("a cell-by-cell check ran on the run path")
+
+    for name in ("check_symmetry", "euler_characteristic", "euler_matches_cable"):
+        monkeypatch.setattr(invariants, name, unreachable)
+    cases = [(synthesize_delta(1, {0: 1}), 1, 3, 2),           # m = 0: no chain
+             (synthesize_delta(-2, {}), -2, 4, 3),             # |m| = 7
+             (synthesize_delta(2, {1: 1, -1: 1}), 2, 5, -96),  # |m| = 100
+             (parse_delta(DELTA_11N50), 0, 5, 3)]              # |m| = 3
+    for delta, tau, p, n in cases:
+        result = compute_cable_hfk(delta, tau, p, n)
+        assert bool(result.table.chain) == (abs(2 * tau - n) > 1)
+        assert result.checks == {"symmetry": True, "euler": True, "table": True}
 
 
 @pytest.mark.parametrize("p, n, message", [

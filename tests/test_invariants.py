@@ -7,7 +7,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cablefloer import (
-    CHAIN_CUTOFF,
     LaurentPolynomial,
     Progression,
     RankTable,
@@ -319,11 +318,14 @@ def test_progression_checks_agree_on_chain_workload(case):
 
 @settings(max_examples=60, deadline=None)
 @given(tau=st.integers(-4, 4), counts=st.sampled_from(({}, {0: 1}, {1: 1, -1: 1}, {2: 2, 0: 1, -2: 2})),
-       p=st.integers(2, 8), size=st.integers(CHAIN_CUTOFF + 1, 3 * CHAIN_CUTOFF), sign=st.sampled_from((1, -1)),
+       p=st.integers(2, 8), size=st.integers(2, 96), sign=st.sampled_from((1, -1)),
        kind=st.sampled_from((None,) + MUTANTS), i=st.integers(0, 100))
+@example(tau=0, counts={}, p=3, size=2, sign=1, kind=None, i=0)
+@example(tau=-2, counts={0: 1}, p=4, size=2, sign=-1, kind="one-short", i=1)
 def test_progression_checks_agree_on_long_chains(tau, counts, p, size, sign, kind, i):
-    """Any cable with a chain at or over the cutoff, whole or with one mutant
-    defect: the verdicts decided per progression equal the cell-by-cell ones."""
+    """Any cable with a chain, from the one-generator chain of |m| = 2 with
+    zero steps on, whole or with one mutant defect: the verdicts decided per
+    progression equal the cell-by-cell ones."""
     delta, n = synthesize_delta(tau, counts), 2 * tau - sign * size
     table = compute_cable_hfk(delta, tau, p, n).table
     assert table.chain
@@ -338,7 +340,7 @@ progressions = st.builds(Progression, st.integers(-30, 30), st.integers(-60, 60)
 
 
 @settings(max_examples=300, deadline=None)
-@given(chain=st.lists(progressions, min_size=1, max_size=6),
+@given(chain=st.lists(progressions, min_size=0, max_size=6),
        stored=st.dictionaries(st.tuples(st.integers(-30, 30), st.integers(-60, 60)), st.integers(1, 3),
                               max_size=6),
        mirrored=st.booleans(), drop=st.integers(0, 20), p=st.integers(1, 4))

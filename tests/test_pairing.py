@@ -4,7 +4,6 @@ from dataclasses import replace
 import pytest
 
 from cablefloer import (
-    CHAIN_CUTOFF,
     ComplexError,
     DEdge,
     DGenerator,
@@ -265,9 +264,8 @@ class TestGradings:
         """The lazy view, the row-times-copies counts and the offset arrow
         indices against one record per generator and an index dict, with
         every square copy written out and walked by the generic matcher;
-        the complex keeps the arrows of copy 0, the stored squares.  A chain
-        of at least CHAIN_CUTOFF generators (the chain-m106 and chain-m-100
-        rows) is counted by its progressions instead of bigradings."""
+        the complex keeps the arrows of copy 0, the stored squares.  Every
+        chain is counted by its progressions instead of bigradings."""
         model = build_model(synthesize_delta(tau, counts), tau)
         A, D = build_typea_minus(p), build_typed(model, n)
         expanded = written_out(D)
@@ -284,8 +282,7 @@ class TestGradings:
         for i in (len(want), -len(want) - 1):
             with pytest.raises(IndexError):
                 generators[i]
-        long_chain = D.chain is not None and D.chain.length >= CHAIN_CUTOFF
-        assert bool(complex_.progressions) == long_chain
+        assert bool(complex_.progressions) == (D.chain is not None)
         assert all_bigradings(complex_) == Counter((g.alexander, g.maslov) for g in want)
         copies = {d_gen.name: D.copies.get(d_gen.level, 1) for d_gen in expand_chain(D).generators}
         assert [generators.cell(i) for i in range(len(want))] == [
@@ -401,16 +398,15 @@ def chain_modules(tau, counts, p, m):
 @pytest.mark.parametrize("p", [2, 4])
 @pytest.mark.parametrize("counts", [{}, {1: 2, 0: 3, -1: 2}], ids=["staircase", "squares-x2"])
 @pytest.mark.parametrize("m", [0, 1, -1, 2, -2, 7, -7] + [
-    sign * size for size in (CHAIN_CUTOFF - 1, CHAIN_CUTOFF, CHAIN_CUTOFF + 1, 3 * CHAIN_CUTOFF)
-    for sign in (1, -1)])
+    sign * size for size in (31, 32, 33, 96) for sign in (1, -1)])
 @pytest.mark.parametrize("tau", [-2, 0, 3])
 def test_chain_progression_equals_written_out_chain(tau, m, counts, p):
     """The chain paired as one progression against the record path on the
     module with the chain written out: the same generators, cells, counts,
     arrows, rank table and check verdicts.  tau = 0, m = 0 is the D_12
     self-loop, and the squares carry copies > 1 beside the chain.  The chain
-    has |m| - 1 generators, so |m| = CHAIN_CUTOFF + 1 and 3 * CHAIN_CUTOFF
-    keep it as progressions and every shorter one is counted."""
+    has |m| - 1 generators, and every chain, from |m| = 2 on, is kept as
+    progressions that bigradings does not count."""
     A, D, l, n = chain_modules(tau, counts, p, m)
     assert (D.chain is not None) == (abs(m) > 1)
     stored, written = pair_modules(A, D, l, n), pair_modules(A, expand_chain(D), l, n)
@@ -418,7 +414,7 @@ def test_chain_progression_equals_written_out_chain(tau, m, counts, p):
     assert len(stored.generators) == size
     assert [stored.generators[i] for i in range(size)] == [written.generators[i] for i in range(size)]
     assert [stored.generators.cell(i) for i in range(size)] == [written.generators.cell(i) for i in range(size)]
-    assert bool(stored.progressions) == (abs(m) - 1 >= CHAIN_CUTOFF)
+    assert bool(stored.progressions) == (abs(m) > 1)
     assert not written.progressions
     assert all_bigradings(stored) == written.bigradings
     assert stored.arrows == written.arrows
