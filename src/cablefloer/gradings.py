@@ -16,9 +16,10 @@ Powers are linear: the determinant term of x * x is b*c - c*b = 0, so
 x^k = (k*a; k*b, k*c; k*d) for every integer k (x^-1 is the negated
 quadruple).  Double-coset normalization therefore reduces to a closed form in
 the doubled integers, which ``normalize_double_coset`` evaluates directly.
-With the left factor y and the b slot of x fixed, normalizing y * x is
-moreover affine in x's remaining doubled slots; ``affine_normalization``
-gives that map's integer constants from one normalization.
+With the left factor y and the b slot of x fixed, the power of h is fixed
+too, so normalizing y * x is moreover linear in x's remaining doubled slots:
+the pairing normalizes once per (y, b slot) and translates that result to
+every other x (see pairing.py).
 """
 
 from __future__ import annotations
@@ -89,41 +90,23 @@ def normalize_double_coset(
     That quadrupled term is 2*beta*(beta*h.c2 + x.c2) once x.b2 = 2*beta,
     so it is always even and the determinant needs no parity check here.
     """
-    if (g.b2, g.c2) != (0, 2):
+    xa2, xb2, xc2, xd2 = x
+    ga2, gb2, gc2, gd2 = g
+    ha2, hb2, hc2, hd2 = h
+    if gb2 or gc2 != 2:
         raise GradingError(f"left normalizer must have middle slots (0, 1), got {g}")
-    if h.b2 != -2:
+    if hb2 != -2:
         raise GradingError(f"right normalizer must have -1 in the b slot, got {h}")
-    if x.b2 % 2:
+    if xb2 % 2:
         raise GradingError(f"b slot of {x} admits no integral right power")
-    beta = x.b2 // 2
-    det_quadrupled = beta * (x.b2 * h.c2 + 2 * x.c2)
-    ya2, yc2, yd2 = x.a2 + beta * h.a2 + det_quadrupled // 2, x.c2 + beta * h.c2, x.d2 + beta * h.d2
+    beta = xb2 // 2
+    det_quadrupled = beta * (xb2 * hc2 + 2 * xc2)
+    ya2, yc2, yd2 = xa2 + beta * ha2 + det_quadrupled // 2, xc2 + beta * hc2, xd2 + beta * hd2
     if yc2 % 2:
         raise GradingError(f"c slot of {GradingElement(ya2, 0, yc2, yd2)} admits no integral left power")
     alpha = -(yc2 // 2)
-    za2, zd2 = ya2 + alpha * g.a2, yd2 + alpha * g.d2
+    za2, zd2 = ya2 + alpha * ga2, yd2 + alpha * gd2
     if za2 % 2 or zd2 % 2:
         raise GradingError(f"normalized entries of {GradingElement(za2, 0, 0, zd2)} are not integers")
     return za2 // 2, zd2 // 2
 
-
-def affine_normalization(
-    y: GradingElement, x: GradingElement, g: GradingElement, N: int, Aprime: int
-) -> tuple[int, int, int, int]:
-    """Constants (n0, nc, m0, mc) of x' -> normalize_double_coset(y * x', g, h)
-    over the x' with x's b slot, anchored at x itself, where y * x
-    normalizes to (N, A').
-
-    With y and the b slot fixed, beta is fixed, and every later step of the
-    product and the normalization is linear in x''s doubled (a2, c2, d2).  So
-    when y * x normalizes, y * x' normalizes exactly when x'.c2 % 2 ==
-    x.c2 % 2 (the one parity that makes both the determinant term and the c
-    slot even) and 4 divides both
-
-        n = n0 + 2*x'.a2 + nc*x'.c2    and    m = m0 + 2*x'.d2 + mc*x'.c2,
-
-    and then to (n // 4, m // 4).  The slopes are closed forms and do not
-    depend on h; the intercepts come from the anchor's (N, A').
-    """
-    nc, mc = 2 * y.b2 + x.b2 - g.a2, -g.d2
-    return 4 * N - 2 * x.a2 - nc * x.c2, nc, 4 * Aprime - 2 * x.d2 - mc * x.c2, mc

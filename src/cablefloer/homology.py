@@ -57,9 +57,9 @@ class RankTable:
         return sum(self.stored.values()) + sum(progression.length for progression in self.chain)
 
     def entries(self) -> list[tuple[int, int, int]]:
-        """(alexander, maslov, rank) triples, descending alexander then maslov."""
-        ranks = self.ranks
-        return [(a, m, ranks[a, m]) for a, m in sorted(ranks, reverse=True)]
+        """(alexander, maslov, rank) triples, descending alexander then maslov:
+        the triples sort as their cells do, since no cell repeats."""
+        return sorted([(a, m, rank) for (a, m), rank in self.ranks.items()], reverse=True)
 
     def alexander_multiset(self) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -77,21 +77,23 @@ def reduce_complex(complex_: BigradedComplex) -> RankTable:
     matching has no 2-path, so d^2 = 0, and each arrow cancels on its own:
     the table does not depend on arrow order.  The generator view lists a
     square's generator once per copy but its arrows on copy 0 only, since
-    the box tensor product is additive over the square summands: an arrow's
-    ends are read from the view's cells and subtracted as many times as the
-    view lists them.  A count that would go below zero means the counts and
-    the generators disagree, and raises.  The survivors are one copy of the
-    positive counts complex_.bigradings, with every count cancelled to zero
-    deleted; complex_.bigradings stays as it is.  The arrows read stored
-    generators only (see pairing.tensor_differential), so the chain's
-    progressions, which bigradings does not count, are not reduced: the
-    table holds them next to the survivors.
+    the box tensor product is additive over the square summands: the ends of
+    every arrow are read in one call to the view's cells and subtracted as
+    many times as the view lists them.  A count that would go below zero
+    means the counts and the generators disagree, and raises.  The
+    survivors are one copy of the positive counts complex_.bigradings, with
+    every count cancelled to zero deleted; complex_.bigradings stays as it
+    is.  The arrows read stored generators only (see
+    pairing.tensor_differential), so the chain's progressions, which
+    bigradings does not count, are not reduced: the table holds them next
+    to the survivors.
     """
     gens, arrows = complex_.generators, complex_.arrows
+    ends = list(concat.from_iterable(arrows))
+    cells = gens.cells(ends)
     lost: dict[tuple[int, int], int] = {}
-    for src, tgt in arrows:
-        alexander, maslov, copies = gens.cell(src)
-        target_alexander, target_maslov, target_copies = gens.cell(tgt)
+    for (src, tgt), (alexander, maslov, copies), (target_alexander, target_maslov, target_copies) in zip(
+            arrows, cells[::2], cells[1::2]):
         if alexander != target_alexander or maslov != target_maslov + 1:
             x, y = gens[src], gens[tgt]
             raise ComplexError(f"mis-graded arrow {x.name} (A={x.alexander}, M={x.maslov}) -> "
@@ -99,7 +101,6 @@ def reduce_complex(complex_: BigradedComplex) -> RankTable:
         source, target = (alexander, maslov), (target_alexander, target_maslov)
         lost[source] = lost.get(source, 0) + copies
         lost[target] = lost.get(target, 0) + target_copies
-    ends = [i for arrow in arrows for i in arrow]
     if len(set(ends)) != len(ends):  # not a matching: name the first shared generator
         seen: set[int] = set()
         for i in ends:

@@ -5,65 +5,59 @@ a1*d1 -> a2*d2 appears for each hat operation on a1 whose chord sequence is
 a label path d1 -> ... -> d2 in the complement module.  Every hat operation
 reads its chord prefix (nothing for a, rho_2 for b_k), then rho_12^i, then
 rho_1, and every complement generator has at most one edge of each of those
-labels, so each chord sequence leads along at most one path and the
-differential is one walk per complement generator along shared prefixes.
-The arrows form a matching, no generator on two of them, which
+labels, so the differential is one walk along shared prefixes, on D
+indices and A positions.  The arrows form a matching, which
 homology.reduce_complex checks.  Bigradings come from the grading group:
 gr(x*y) = gr(x)gr(y) normalized to (N, A'), then A = A' + c and M = N + 2A
 with the shift constant c = l*p - n*p*(p-1)/2.
 
 The complement module stores one square per level with its count c_t.  The
 box tensor product is additive over direct summands, so each level's c_t
-squares pair to c_t copies of that square's part of the complex.  The
-complex is built on the stored module as it is: the differential walks it
-once, so the arrows join first copies only, and the generator view lists
-each complement generator's A group c_t times in a row, every copy under the
-stored D name, so it still counts every tensor generator.  No output names
-a copy, and the view is the only place that knows the copy layout:
-homology.reduce_complex reads each arrow end's bigrading and copy count
-from the view's cell.  A tensor grading depends only on the A generator, the
-idempotent and the grading of the complement generator, and a row needs no
-group arithmetic per generator: with the A generator and the D grading's b
-slot fixed (the doubled b slot is -1, 0 or 1), the power of h is fixed and
-every later step of normalize_double_coset(gr(a) * x) is linear in x's
-doubled (a, c, d) slots.  One normalization per (A generator, b slot), at
-the first row with that b slot, gives that affine map's integer constants,
-and each row entry is two integer dot products plus the group law's parity
-checks.  The complex is columnar: each complement generator points at its
-row, bigrading counts are rows times copies, and a TensorGenerator record is
-built only when someone reads it.
+squares pair to c_t copies of that square's part of the complex: the
+differential walks the stored module once, so the arrows join first copies
+only, and the generator view lists each complement generator's A group c_t
+times in a row under the stored D name.  The view is the only place that
+knows the copy layout; homology.reduce_complex reads the bigrading and copy
+count of every arrow end from its cells.
 
-The unstable chain's interior (type_d.MuChain) has no edge a hat operation
-reads, so it pairs into no arrow, and its gradings step by a constant along
-the chain; the affine maps then step every b_k's row by a constant too.  So
-the chain is one slot of the view, listed like a square's copies but with
-its r-th repetition named mu<index + r> and read at its first row plus r
-step rows, and its bigradings are one arithmetic progression per b_k.  No
-record, row or name is built per chain generator, and no chain cell is
-counted: at every length the progressions stay apart in
-BigradedComplex.progressions, homology.reduce_complex hands them to the rank
-table as its chain, and the checks in invariants.py read them one
-progression at a time.
+A row is the (alexander, maslov) cell of each A generator paired with one
+complement generator; N and A' are derived only where a record is built.
+Powers in the grading group are linear, so with the idempotent and the D
+grading's b slot fixed, every row is one anchor row moved: the first row of
+each (idempotent, b slot) normalizes once per A generator y_k, and a
+grading that differs from the anchor's by (da2, dc2, dd2) moves entry k by
+(dA, dN + 2dA + y_k.b2*dc2/2), with dA = (2dd2 - g.d2*dc2)/4 and
+dN = (2da2 + (b2 - g.a2)*dc2)/4.  The group law refuses it when dc2 is odd
+or either quotient is not an integer, whatever k, so one check decides the
+row.  Rows are tuples of cells, the bigrading keys themselves, so most
+counting is one Counter pass.
 
+The unstable chain's interior (type_d.MuChain) pairs into no arrow, and its
+gradings step by a constant, so every b_k's cell does too.  So the chain is
+one slot of the view, whose r-th repetition is mu<index + r> at its first
+row plus r step rows, and its cells are one arithmetic progression per b_k,
+kept apart in BigradedComplex.progressions and never counted; the rank
+table and the checks in invariants.py read them one progression at a time.
 The closed-form grading tables that cross-check this group arithmetic live
-in invariants.py with the other pipeline-independent oracles.
+in invariants.py.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Mapping, Sequence
+from collections import Counter
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate, chain as concat, repeat
 from typing import NamedTuple
 
-from .gradings import GradingElement, GradingError, affine_normalization, normalize_double_coset
-from .type_a import CHORD_PREFIX, TypeAModule, hat_operations  # noqa: F401 (re-exported)
+from .gradings import GradingElement, GradingError, normalize_double_coset
+from .type_a import TypeAModule, hat_operations  # noqa: F401 (re-exported)
 from .type_d import TypeDModule
 
-# A row: the (N, A', alexander, maslov) of each A generator of one
-# idempotent group, in A order
-Row = tuple[tuple[int, int, int, int], ...]
+# A row: the (alexander, maslov) cell of each A generator of one idempotent
+# group, in A order
+Row = tuple[tuple[int, int], ...]
 
 
 class ComplexError(RuntimeError):
@@ -90,7 +84,7 @@ class ChainSlot(NamedTuple):
 
     slot: int  # its complement slot
     index: int  # mu subscript of repetition 0
-    steps: Row  # per A generator, the change of its row entry from one repetition to the next
+    steps: Row  # per A generator, the change of its cell from one repetition to the next
 
 
 class Progression(NamedTuple):
@@ -117,55 +111,64 @@ class TensorGenerators(Sequence):
     is listed copies[j] times in a row from starts[j] on.  Off the chain,
     slot j is the D generator d_names[j], standing for copies[j] isomorphic
     generators (its square's count, 1 off the squares), and every copy reads
-    its gradings at rows[j].  The chain's slot lists one repetition per
-    chain generator: repetition r is mu<index + r> and reads rows[j] plus r
-    times its step row.  Repetition 0 of a*d sits at starts[j] plus the
-    position of a in the group.  A record is built each time an index is
-    read; cell(i) reads generator i's bigrading and copy count without one.
-    It is the only generator sequence a BigradedComplex holds.
+    its cells at rows[j].  The chain's slot lists one repetition per chain
+    generator: repetition r is mu<index + r> and reads rows[j] plus r times
+    its step row.  Repetition 0 of a*d sits at starts[j] plus the position
+    of a in the group.  A record, with N = M - 2A and A' = A - c, is built
+    each time an index is read; cells(indices) reads bigradings and copy
+    counts without one.  It is the only generator sequence a
+    BigradedComplex holds.
     """
 
     def __init__(self, d_names: tuple[str, ...], a_names: tuple[tuple[str, ...], ...],
-                 rows: tuple[Row, ...], copies: tuple[int, ...], chain: ChainSlot | None = None):
+                 rows: tuple[Row, ...], copies: tuple[int, ...], c: int, chain: ChainSlot | None = None):
         self.d_names = d_names
         self.a_names = a_names
         self.rows = rows
         self.copies = copies
+        self.c = c
         self.chain = chain
         self._chain_slot = -1 if chain is None else chain.slot
-        self.starts = list(accumulate((len(group) * count for group, count in zip(a_names, copies)),
-                                      initial=0))
+        self._sizes = [len(group) for group in a_names]
+        self.starts = list(accumulate((size * count for size, count in zip(self._sizes, copies)), initial=0))
         self._len = self.starts.pop()
 
     def __len__(self) -> int:
         return self._len
 
-    def _locate(self, i: int) -> tuple[int, int, int]:
-        """(slot j, repetition r, position k in its A group) of index i."""
-        if i < 0:
-            i += self._len
-        if not 0 <= i < self._len:
-            raise IndexError("tensor generator index out of range")
-        j = bisect_right(self.starts, i) - 1
-        offset, size = i - self.starts[j], len(self.a_names[j])
-        return j, offset // size, offset % size
-
     def __getitem__(self, i: int) -> TensorGenerator:
-        j, r, k = self._locate(i)
-        if j == self._chain_slot:
-            values = (v + r * step for v, step in zip(self.rows[j][k], self.chain.steps[k]))
-            return TensorGenerator(self.a_names[j][k], f"mu{self.chain.index + r}", *values)
-        return TensorGenerator._make((self.a_names[j][k], self.d_names[j]) + self.rows[j][k])
+        (alexander, maslov, _), = self.cells((i,))  # raises IndexError out of range
+        i %= self._len
+        j = bisect_right(self.starts, i) - 1
+        r, k = divmod(i - self.starts[j], self._sizes[j])
+        d_name = f"mu{self.chain.index + r}" if j == self._chain_slot else self.d_names[j]
+        return TensorGenerator(self.a_names[j][k], d_name, maslov - 2 * alexander, alexander - self.c,
+                               alexander, maslov)
 
     def cell(self, i: int) -> tuple[int, int, int]:
         """(alexander, maslov, copies) of generator i: its bigrading and how
         many copies of it the view lists, without building its record."""
-        j, r, k = self._locate(i)
-        _, _, alexander, maslov = self.rows[j][k]
-        if j == self._chain_slot:
-            _, _, alexander_step, maslov_step = self.chain.steps[k]
-            return alexander + r * alexander_step, maslov + r * maslov_step, 1
-        return alexander, maslov, self.copies[j]
+        return self.cells((i,))[0]
+
+    def cells(self, indices: Iterable[int]) -> list[tuple[int, int, int]]:
+        """cell(i) for each i in indices, in one pass."""
+        starts, sizes, rows, copies, size = self.starts, self._sizes, self.rows, self.copies, self._len
+        chain_slot = self._chain_slot
+        out = []
+        for i in indices:
+            if i < 0:
+                i += size
+            if not 0 <= i < size:
+                raise IndexError("tensor generator index out of range")
+            j = bisect_right(starts, i) - 1
+            r, k = divmod(i - starts[j], sizes[j])
+            alexander, maslov = rows[j][k]
+            if j == chain_slot:
+                alexander_step, maslov_step = self.chain.steps[k]
+                out.append((alexander + r * alexander_step, maslov + r * maslov_step, 1))
+            else:
+                out.append((alexander, maslov, copies[j]))
+        return out
 
 
 @dataclass(frozen=True)
@@ -186,49 +189,43 @@ def shift_constant(l: int, p: int, n: int) -> int:
     return l * p - n * p * (p - 1) // 2
 
 
-def _by_idempotent(A: TypeAModule) -> dict[str, tuple[str, ...]]:
-    """A generators by the complement idempotent they pair with, in A order."""
-    by_idempotent: dict[str, list[str]] = {}
-    for a_name in A.generators:
-        by_idempotent.setdefault(A.pairs_with(a_name), []).append(a_name)
-    return {idempotent: tuple(group) for idempotent, group in by_idempotent.items()}
+def tensor_differential(A: TypeAModule, D: TypeDModule) -> list[tuple[int, int, int, int]]:
+    """Arrows (d_src, a_pos_src, d_tgt, a_pos_tgt) from walking the
+    complement module along the hat-operation chords: D indices, and each
+    end's position in the A group of its idempotent (A.family).
 
-
-def tensor_differential(A: TypeAModule, D: TypeDModule) -> list[tuple[tuple[str, str], tuple[str, str]]]:
-    """Arrows from walking the complement module along the hat-operation chords.
-
-    From each complement generator d the walk follows the label path
-    CHORD_PREFIX rho_12^i one node at a time; the D_1 edge out of that node,
-    if any, closes the operations of family i, and the walk then steps along
-    D_12.  It stops when the path ends or the families run out (i <= p-2),
-    which also bounds the D_12 self-loop of the zero-framed unknot at O(p)
-    steps; no hat operation consumes rho_3, rho_23 or rho_123.  So the walk
-    reads the stored generators only: the chain's interior has no D_1, D_2
-    or D_12 edge, and only those edges lead a path on.  A complement
-    generator with two D_1, D_2 or D_12 edges raises ComplexError.
+    A path starts at an i1 generator's D_2 edge or at an i0 generator with a
+    D_1 or D_12 edge, and goes on one rho_12 at a time; the D_1 edge out of
+    the node reached, if any, closes the operations of family i.  It stops
+    when the path ends or the families run out (i <= p-2), which also bounds
+    the zero-framed unknot's D_12 self-loop at O(p) steps.  The chain's
+    interior has no D_1, D_2 or D_12 edge, so the walk reads stored
+    generators only.  A complement generator with two D_1, D_2 or D_12
+    edges raises ComplexError.
     """
-    step: dict[str, dict[str, str]] = {"1": {}, "2": {}, "12": {}}
+    index = {d_gen.name: j for j, d_gen in enumerate(D.generators)}
+    step: dict[str, dict[int, int]] = {"1": {}, "2": {}, "12": {}}
     for source, label, target in D.edges:
         out = step.get(label)
         if out is None:
             continue
-        if source in out:
+        j = index[source]
+        if j in out:
             raise ComplexError(f"complement generator {source} has two D_{label} edges")
-        out[source] = target
+        out[j] = index[target]
 
+    ones, twos, twelves, gens = step["1"], step["2"], step["12"], D.generators
+    starts = [(j, node, "i1") for j, node in twos.items() if gens[j].idempotent == "i1"]
+    starts += [(j, j, "i0") for j in {**ones, **twelves} if gens[j].idempotent == "i0"]
     arrows = []
-    for d_gen in D.generators:
-        d_name, idempotent = d_gen.name, d_gen.idempotent
-        node = d_name
-        for label in CHORD_PREFIX[idempotent]:
-            node = step[label].get(node)
+    for j, node, idempotent in starts:
         for i in range(A.p - 1):
             if node is None:
                 break
-            hit = step["1"].get(node)
+            hit = ones.get(node)
             if hit is not None:
-                arrows.extend(((a_src, d_name), (a_tgt, hit)) for a_src, a_tgt in A.family(idempotent, i))
-            node = step["12"].get(node)
+                arrows.extend((j, src, hit, tgt) for src, tgt in A.family(idempotent, i))
+            node = twelves.get(node)
     return arrows
 
 
@@ -240,46 +237,50 @@ def _refusal(y: GradingElement, x: GradingElement) -> Exception:
     return GradingError(f"{y} * {x} does not normalize to integers")
 
 
-def _rows(A: TypeAModule, D: TypeDModule, c: int, by_idempotent: dict[str, tuple[str, ...]]
+def _rows(A: TypeAModule, D: TypeDModule, c: int
           ) -> tuple[list[tuple[str, ...]], list[Row], tuple[Row, Row] | None]:
     """Per complement generator in D order, its A generators and its row,
     and the chain's first row and step row (None without a chain).
 
-    With D.h, A.g and c fixed, a row is two integer dot products per A
-    generator, with the affine constants of each (A generator, b slot)
-    normalized once.  The chain is met at its place in D order, so it
-    anchors a b slot and meets the group law's checks where its generators
-    would.  Its r-th grading is its first plus r*step in the doubled a and
-    c slots, so each entry's n and m move by fixed steps along the chain and
-    its c parity by step's parity.  Hence the first two entries decide them
-    all: when both pass, step is even and the n, m steps are multiples of
-    4, so every entry passes, and otherwise the first failure is among
-    them.  The step row is the second row minus the first.  On a built
-    chain step is 2 or -2, and A.g's odd a2 and even d2 make the n step
-    step*(2 + 2*y.b2) and the m step -step*g.d2 multiples of 4, so there
-    the first entry alone decides.
+    The first row of each (idempotent, b slot) is its anchor, normalized
+    once per A generator; every later row is the anchor's cells translated
+    as the module docstring says, after one check for the whole row whose
+    failure is the error the group law raises for the group's first A
+    generator, and a grading met before reuses its row.  The chain is met
+    at its place in D order, so it anchors a b slot and meets the checks
+    where its generators would.  Its r-th grading is its first plus r*step
+    in the doubled a and c slots, so its translation grows linearly in r
+    and its residues repeat with period 2: the first two rows decide every
+    repetition, and the step row is the second row minus the first.
     """
-    # (idempotent, b slot) -> c parity of its anchor, constants per A generator
-    affine: dict[tuple[str, int], tuple[int, list]] = {}
+    g, h, ga2, gd2 = A.g, D.h, A.g.a2, A.g.d2
+    groups_of = {idempotent: A.group(idempotent) for idempotent in ("i0", "i1")}
+    # (idempotent, b slot) -> the anchor's doubled a, c, d slots, its row and the A gradings' b slots
+    anchors: dict[tuple[str, int], tuple[int, int, int, Row, list[int]]] = {}
+    made: dict[tuple[str, GradingElement], Row] = {}
 
     def row(idempotent: str, x: GradingElement) -> Row:
-        group = by_idempotent.get(idempotent, ())
-        slot = affine.get((idempotent, x.b2))
-        if slot is None:  # the first row of this b slot anchors its maps
-            ys = [A.gradings[a_name] for a_name in group]
-            slot = affine[idempotent, x.b2] = (x.c2 % 2, [
-                affine_normalization(y, x, A.g, *normalize_double_coset(y * x, A.g, D.h)) for y in ys])
-        c_parity, maps = slot
-        a2, c2, d2, parity = 2 * x.a2, x.c2, 2 * x.d2, x.c2 % 2
-        values = []
-        for a_name, (n0, nc, m0, mc) in zip(group, maps):
-            n, m = n0 + a2 + nc * c2, m0 + d2 + mc * c2
-            if parity != c_parity or n % 4 or m % 4:
-                raise _refusal(A.gradings[a_name], x)
-            N, Aprime = n // 4, m // 4
-            alexander = Aprime + c
-            values.append((N, Aprime, alexander, N + 2 * alexander))
-        return tuple(values)
+        a2, b2, c2, d2 = x
+        anchor = anchors.get((idempotent, b2))
+        if anchor is None:
+            ys = [A.gradings[a_name] for a_name in groups_of[idempotent]]
+            cells = []
+            for y in ys:
+                N, Aprime = normalize_double_coset(y * x, g, h)
+                cells.append((Aprime + c, N + 2 * (Aprime + c)))
+            anchors[idempotent, b2] = a2, c2, d2, tuple(cells), [y.b2 for y in ys]
+            return tuple(cells)
+        a0, c0, d0, cells, slopes = anchor
+        dc2 = c2 - c0
+        n, m = 2 * (a2 - a0) + (b2 - ga2) * dc2, 2 * (d2 - d0) - gd2 * dc2
+        if dc2 % 2 or n % 4 or m % 4:
+            raise _refusal(A.gradings[groups_of[idempotent][0]], x)
+        da = m // 4
+        dm = n // 4 + 2 * da
+        if not dc2:
+            return tuple([(a + da, mm + dm) for a, mm in cells])
+        half = dc2 // 2
+        return tuple([(a + da, mm + dm + b * half) for (a, mm), b in zip(cells, slopes)])
 
     chain, progression = D.chain, None
     order = list(D.generators)
@@ -292,62 +293,63 @@ def _rows(A: TypeAModule, D: TypeDModule, c: int, by_idempotent: dict[str, tuple
             first = row("i1", x)
             second = first if chain.length == 1 else row(
                 "i1", GradingElement(x.a2 + chain.step, x.b2, x.c2 + chain.step, x.d2))
-            progression = first, tuple(tuple(b - a for a, b in zip(u, v)) for u, v in zip(first, second))
+            progression = first, tuple((a2 - a1, m2 - m1) for (a1, m1), (a2, m2) in zip(first, second))
         else:
-            groups.append(by_idempotent.get(d_gen.idempotent, ()))
-            rows.append(row(d_gen.idempotent, d_gen.grading))
+            idempotent = d_gen.idempotent
+            key = idempotent, d_gen.grading
+            known = made.get(key)
+            if known is None:
+                known = made[key] = row(*key)
+            groups.append(groups_of[idempotent])
+            rows.append(known)
     return groups, rows, progression
 
 
 def tensor_gradings(A: TypeAModule, D: TypeDModule, c: int) -> dict[tuple[str, str], tuple[int, int, int, int]]:
     """(N, A', alexander, maslov) for every tensor generator on a stored D
     generator, complement-major order; the chain's interior is not listed."""
-    groups, rows, _ = _rows(A, D, c, _by_idempotent(A))
-    return {(a_name, d_gen.name): value
-            for d_gen, group, row in zip(D.generators, groups, rows) for a_name, value in zip(group, row)}
+    groups, rows, _ = _rows(A, D, c)
+    return {(a_name, d_gen.name): (maslov - 2 * alexander, alexander - c, alexander, maslov)
+            for d_gen, group, row in zip(D.generators, groups, rows)
+            for a_name, (alexander, maslov) in zip(group, row)}
 
 
 def pair_modules(A: TypeAModule, D: TypeDModule, l: int, n: int) -> BigradedComplex:
     """Assemble the bigraded complex of the cable from the rows.
 
     No per-generator record or index is built: generators is a view over
-    (complement generator, its A generators, its row, its copy count) that
-    lists each A group D.copies[t] times in a row, the index of a*d is the
-    start of d plus the position of a in its idempotent group, and the
-    bigrading counts are each row times its copies.  The chain's interior
-    is one more slot of the view, and its cells are one arithmetic
-    progression of (alexander, maslov) per b_k, exact even where cells
-    coincide, kept as those progressions and not counted into bigradings.
-    The differential walks D once, so every arrow joins copy-0
-    generators; the other copies' arrows are the same arrows, which
-    homology.reduce_complex counts through the copy counts of the view's
-    cells instead of reading them.
+    (complement generator, its A generators, its row, its copy count), and
+    an arrow end's index is its slot's start plus its A position.  The
+    bigrading counts are one Counter pass over the rows listed once, plus
+    each square row's cells counted c_t times; the chain is one more slot,
+    kept as progressions and not counted.  Every arrow joins copy-0
+    generators; homology.reduce_complex weighs its ends by their copies.
     """
-    by_idempotent = _by_idempotent(A)
-    groups, rows, progression = _rows(A, D, shift_constant(l, A.p, n), by_idempotent)
+    c = shift_constant(l, A.p, n)
+    groups, rows, progression = _rows(A, D, c)
     copies = [D.copies.get(d_gen.level, 1) for d_gen in D.generators]
     d_names = [d_gen.name for d_gen in D.generators]
-    # a plain dict: the row loop below runs about 1.5x slower on a Counter
-    bigradings: dict[tuple[int, int], int] = {}
+    bigradings = Counter(concat.from_iterable(row for row, count in zip(rows, copies) if count == 1))
     for row, count in zip(rows, copies):
-        for _, _, alexander, maslov in row:
-            bigradings[alexander, maslov] = bigradings.get((alexander, maslov), 0) + count
+        if count > 1:
+            for cell in row:
+                bigradings[cell] += count
     chain, progressions = None, ()
     if progression is not None:
         first, steps = progression
         at, length = D.chain.at, D.chain.length
         progressions = tuple(Progression(alexander, maslov, alexander_step, maslov_step, length)
-                             for (_, _, alexander, maslov), (_, _, alexander_step, maslov_step)
-                             in zip(first, steps))
+                             for (alexander, maslov), (alexander_step, maslov_step) in zip(first, steps))
         d_names.insert(at, f"mu{D.chain.index}")
-        groups.insert(at, by_idempotent.get("i1", ()))
+        groups.insert(at, A.group("i1"))
         rows.insert(at, first)
         copies.insert(at, length)
         chain = ChainSlot(at, D.chain.index, steps)
-    generators = TensorGenerators(tuple(d_names), tuple(groups), tuple(rows), tuple(copies), chain)
-    start = dict(zip(d_names, generators.starts))
-    position = {a_name: k for group in by_idempotent.values() for k, a_name in enumerate(group)}
-    arrows = sorted((start[d_src] + position[a_src], start[d_tgt] + position[a_tgt])
-                    for (a_src, d_src), (a_tgt, d_tgt) in tensor_differential(A, D))
+    generators = TensorGenerators(tuple(d_names), tuple(groups), tuple(rows), tuple(copies), c, chain)
+    starts = generators.starts  # per D generator: the chain's slot is not one
+    if chain is not None:
+        starts = starts[:chain.slot] + starts[chain.slot + 1:]
+    arrows = sorted((starts[d_src] + a_src, starts[d_tgt] + a_tgt)
+                    for d_src, a_src, d_tgt, a_tgt in tensor_differential(A, D))
     return BigradedComplex(generators=generators, arrows=tuple(arrows), bigradings=bigradings,
                            progressions=progressions)

@@ -47,20 +47,27 @@ class TypeAModule:
         """Idempotent class of complement generators this generator pairs with."""
         return "i0" if name == "a" else "i1"
 
-    def family(self, idempotent: str, i: int) -> list[tuple[str, str]]:
-        """(source, target) of every hat operation with chords CHORD_PREFIX[idempotent] rho_12^i rho_1."""
+    def group(self, idempotent: str) -> tuple[str, ...]:
+        """The generators pairing with idempotent, in A order: a for i0, b_1 .. b_{2p-2} for i1."""
+        return self.generators[:1] if idempotent == "i0" else self.generators[1:]
+
+    def family(self, idempotent: str, i: int) -> list[tuple[int, int]]:
+        """(source, target) of every hat operation with chords CHORD_PREFIX[idempotent] rho_12^i rho_1,
+        each as its position in the group of its idempotent: a is 0, b_k is k - 1."""
         p = self.p
         if idempotent == "i0":
-            return [("a", f"b{2 * p - i - 2}")] if i <= p - 2 else []
-        return [(f"b{k}", f"b{k - i - 1}") for k in range(p + 1 + i, 2 * p - 1)]
+            return [(0, 2 * p - i - 3)] if i <= p - 2 else []
+        return [(k - 1, k - i - 2) for k in range(p + 1 + i, 2 * p - 1)]
 
     @property
     def finite_operations(self) -> Iterator[AOperation]:
         """Both U = 0 families spelled out, derived afresh on every read."""
+        bs = self.group("i1")
         for idempotent, prefix in CHORD_PREFIX.items():
+            sources = self.group(idempotent)
             for i in range(self.p - 1):
                 for source, target in self.family(idempotent, i):
-                    yield AOperation(source, prefix + ("12",) * i + ("1",), target)
+                    yield AOperation(sources[source], prefix + ("12",) * i + ("1",), bs[target])
 
 
 def build_typea_minus(p: int) -> TypeAModule:

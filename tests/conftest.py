@@ -249,6 +249,20 @@ def all_bigradings(complex_) -> Counter:
         cell for progression in complex_.progressions for cell in progression.cells())
 
 
+def named_arrows(A, D) -> list:
+    """tensor_differential(A, D) with every arrow end named: a quad
+    (d_src, a_pos_src, d_tgt, a_pos_tgt) becomes ((a_src, d_src), (a_tgt,
+    d_tgt)), a D index naming its D generator and an A position naming the
+    A generator at that position among those pairing with its idempotent."""
+    from cablefloer import tensor_differential
+
+    def name(d, k):
+        d_gen = D.generators[d]
+        return [a for a in A.generators if A.pairs_with(a) == d_gen.idempotent][k], d_gen.name
+
+    return [(name(d_src, a_src), name(d_tgt, a_tgt)) for d_src, a_src, d_tgt, a_tgt in tensor_differential(A, D)]
+
+
 def copy_name(name: str, k: int) -> str:
     return f"{name}#{k}" if k else name
 

@@ -230,8 +230,9 @@ def affine_rows(ys, xs, g, h):
        st.lists(st.tuples(st.sampled_from(("i0", "i1")), d_gradings), min_size=1, max_size=4),
        left_normalizers, right_normalizers)
 def test_affine_rows_match_group_law(ys, xs, g, h):
-    """Rows from the affine maps of each (A generator, b slot) against one
-    normalize_double_coset(y * x, g, h) per generator, values and first error."""
+    """Rows translated from the anchor row of each (idempotent, b slot)
+    against one normalize_double_coset(y * x, g, h) per generator, values and
+    first error."""
 
     def reference():
         return [normalize_double_coset(y * x, g, h)
@@ -247,9 +248,9 @@ shifts = st.lists(st.tuples(*(st.integers(-2, 2) for _ in range(3))), max_size=4
        left_normalizers, right_normalizers, shifts)
 def test_affine_rows_near_a_double_coset(y, N, Aprime, k, sign, g, h, shifts):
     """An anchor x with y * x = g^k (N; 0, 0; A') h^j normalizes to (N, A');
-    gradings shifted from it in the a, c and d slots then meet its maps and
-    hit every outcome: values, entries that are not integers, and c slots of
-    the wrong parity."""
+    gradings shifted from it in the a, c and d slots are then its row
+    translated, and hit every outcome: values, entries that are not
+    integers, and c slots of the wrong parity."""
     b2 = sign * (y.b2 % 2)
     x = inverse(y) * g**k * GradingElement(2 * N, 0, 0, 2 * Aprime) * h ** ((-y.b2 - b2) // 2)
     assert x.b2 == b2

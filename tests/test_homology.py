@@ -31,9 +31,10 @@ def gen(a_side, d_side, alexander, maslov):
 
 def complex_of(records, arrows):
     """A complex whose view holds one complement generator per record, each
-    listed once, with the records' bigradings counted."""
+    listed once with its cell and shift constant 0 (the records have A' = A),
+    with the records' bigradings counted."""
     generators = TensorGenerators(tuple(g.d_side for g in records), tuple((g.a_side,) for g in records),
-                                  tuple((g[2:],) for g in records), (1,) * len(records))
+                                  tuple(((g.alexander, g.maslov),) for g in records), (1,) * len(records), 0)
     return BigradedComplex(generators=generators, arrows=tuple(arrows),
                            bigradings=Counter((g.alexander, g.maslov) for g in records))
 
@@ -49,6 +50,18 @@ class TestRankTable:
         assert table.total == 4
         assert table.entries() == [(1, 2, 1), (1, 0, 1), (0, -1, 2)]
         assert table.alexander_multiset() == {1: 2, 0: 2}
+
+    @pytest.mark.parametrize("delta_text, tau, p, n", [
+        (DELTA_11N50, 0, 5, 3),      # golden 11n50: a chain of 2
+        (DELTA_TREFOIL, 1, 3, -20),  # a chain of 21
+    ], ids=["golden-11n50", "chain"])
+    def test_entries_sort_like_the_keys(self, delta_text, tau, p, n):
+        """entries sorts (a, m, rank) triples; keys are unique, so the order
+        is the descending key order with each rank looked up."""
+        table = compute_cable_hfk(parse_delta(delta_text), tau, p, n).table
+        assert table.chain and table.stored
+        ranks = table.ranks
+        assert table.entries() == [(a, m, ranks[a, m]) for a, m in sorted(ranks, reverse=True)]
 
     def test_zero_entries_dropped(self):
         assert RankTable({(0, 0): 0}).ranks == {}
@@ -198,7 +211,7 @@ def test_summand_wise_reduction_equals_whole_reduction(tau, counts, p, n):
 
 
 def row(alexander, maslovs):
-    return tuple((m - 2 * alexander, alexander, alexander, m) for m in maslovs)
+    return tuple((alexander, m) for m in maslovs)
 
 
 class TestSummands:
@@ -210,7 +223,7 @@ class TestSummands:
     def complex_with(self, square, low=(1, 0, 0), top=(2, 1, 1)):
         """low and top are the Maslov gradings of a, b1, b2 at levels 0 and 1."""
         gens = TensorGenerators(("g0", "g1", "s0", "s1"), (("a",), ("b1",)) + (("a", "b1", "b2"),) * 2,
-                                (row(5, (1,)), row(5, (0,)), row(0, low), row(1, top)), (1, 1, 1, 2))
+                                (row(5, (1,)), row(5, (0,)), row(0, low), row(1, top)), (1, 1, 1, 2), 0)
         arrows = [(0, 1)] + [(first + src, first + tgt) for first in (2, 5) for src, tgt in square]
         return BigradedComplex(generators=gens, arrows=tuple(sorted(arrows)),
                                bigradings=Counter((g.alexander, g.maslov) for g in gens))

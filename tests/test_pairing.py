@@ -20,6 +20,7 @@ from cablefloer import (
     euler_characteristic,
     euler_holds,
     euler_matches_cable,
+    framing_h,
     hat_operations,
     normalize_double_coset,
     pair_modules,
@@ -28,7 +29,6 @@ from cablefloer import (
     shift_constant,
     symmetry_holds,
     synthesize_delta,
-    tensor_differential,
     tensor_gradings,
 )
 
@@ -39,6 +39,7 @@ from conftest import (
     ROW_PARAMS,
     all_bigradings,
     expand_chain,
+    named_arrows,
     stored_name,
     thin_grid_cases,
     written_out,
@@ -123,12 +124,12 @@ class TestShiftConstant:
 class TestDifferential:
     def test_left_trefoil_p2(self):
         A, D, _ = modules_for(DELTA_TREFOIL, -1, 2, -2)
-        arrows = tensor_differential(A, D)
+        arrows = named_arrows(A, D)
         assert arrows == [(("a", "u1"), ("b2", "v1"))]
 
     def test_square_arrows(self):
         A, D, _ = modules_for("-1,3,-1", 0, 3, 1)
-        arrows = set(tensor_differential(A, D))
+        arrows = set(named_arrows(A, D))
         assert (("a", "x1.s0"), ("b4", "y4.s0")) in arrows
         assert (("a", "x2.s0"), ("b4", "y2.s0")) in arrows
         assert (("b4", "y1.s0"), ("b3", "y2.s0")) in arrows
@@ -136,13 +137,13 @@ class TestDifferential:
     def test_m_zero_long_staircase_arrow_needs_p3(self):
         # u3 --D12--> u1 --D1--> v1 matches an operation only once p >= 3
         A2, D2, _ = modules_for(DELTA_TREFOIL, -1, 2, -2)
-        assert (("a", "u3"), ("b1", "v1")) not in tensor_differential(A2, D2)
+        assert (("a", "u3"), ("b1", "v1")) not in named_arrows(A2, D2)
         A3, D3, _ = modules_for(DELTA_TREFOIL, -1, 3, -2)
-        assert (("a", "u3"), ("b3", "v1")) in tensor_differential(A3, D3)
+        assert (("a", "u3"), ("b3", "v1")) in named_arrows(A3, D3)
 
     def test_positive_m_arrows(self):
         A, D, _ = modules_for(DELTA_TREFOIL, 1, 3, 1)  # m = 1, case tau > 0
-        arrows = set(tensor_differential(A, D))
+        arrows = set(named_arrows(A, D))
         assert (("a", "u3"), ("b4", "mu1")) in arrows        # end of staircase into chain
         assert (("a", "u2"), ("b4", "v1")) in arrows         # vertical staircase arrow
         assert (("b4", "v2"), ("b3", "mu1")) in arrows       # rho_2 rho_1 path
@@ -156,7 +157,7 @@ class TestDifferential:
                 A = build_typea_minus(p)
                 for m in (-2, 0, 2):  # includes the zero-framed unknot's D_12 self-loop
                     D = build_typed(model, 2 * tau - m)
-                    arrows = tensor_differential(A, D)
+                    arrows = named_arrows(A, D)
                     assert len(arrows) == len(set(arrows)), (tau, counts, m)
                     assert set(arrows) == reference_differential(A, expand_chain(D)), (tau, counts, m)
                     checked += len(arrows)
@@ -176,14 +177,14 @@ class TestDifferential:
         ))
         D = TypeDModule(generators=gens, edges=edges, h=GradingElement.identity())
         A = build_typea_minus(p)
-        arrows = tensor_differential(A, D)
+        arrows = named_arrows(A, D)
         assert len(arrows) == len(set(arrows))
         assert set(arrows) == reference_differential(A, D)
         assert arrows
         for label, extra in (("1", [("s", "1", "z"), ("s", "1", "z")]), ("12", [("s", "12", "t")])):
             doubled = replace(D, edges=edges + tuple(DEdge(*e) for e in extra))
             with pytest.raises(ComplexError, match=rf"^complement generator s has two D_{label} edges$"):
-                tensor_differential(A, doubled)
+                named_arrows(A, doubled)
 
     @pytest.mark.parametrize("tau, n, total", [
         (0, 0, 1), (0, 1, 2199), (0, -1, 2197), (1, 2, 4397), (-1, -2, 4395),
@@ -214,7 +215,7 @@ class TestDifferential:
                     expected.add(((f"b{k}", f"y1.{tag}"), (f"b{k - 1}", f"y2.{tag}")))
         if 2 * 0 - n > 0:
             expected.add((("a", "u1"), (f"b{2 * p - 2}", "mu1")))
-        assert set(tensor_differential(A, D)) == expected
+        assert set(named_arrows(A, D)) == expected
 
 
 class TestGradings:
@@ -319,7 +320,7 @@ class TestGradings:
     def test_grading_that_does_not_normalize_raises(self, idempotent, grading, error, first):
         """One hand-made complement grading outside the group's half-integer
         lattice fails the pairing with the group law's own error, whether it
-        anchors its b slot's affine maps or meets maps anchored before it."""
+        anchors its b slot or is translated from a row anchored before it."""
         A, D, model = modules_for(DELTA_11N50, 0, 5, 3)
         ks = [j for j, g in enumerate(D.generators) if g.idempotent == idempotent]
         k = ks[0] if first else ks[-1]
@@ -436,7 +437,7 @@ def test_chain_off_the_lattice_is_refused_like_written_out_chain(tau, m, change)
     """A chain whose c slot has the wrong parity, at its first generator or
     from its second on, fails the pairing with the group law's own error,
     word for word as on the written-out chain, whether the chain anchors
-    its b slot (tau = 0, m < 0) or meets maps anchored before it."""
+    its b slot (tau = 0, m < 0) or is translated from a row anchored before it."""
     A, D, l, n = chain_modules(tau, {0: 1}, 3, m)
     D = replace(D, chain=replace(D.chain, **change(D.chain)))
     with pytest.raises((ArithmeticError, GradingError)) as written:
@@ -444,3 +445,51 @@ def test_chain_off_the_lattice_is_refused_like_written_out_chain(tau, m, change)
     with pytest.raises((ArithmeticError, GradingError)) as stored:
         pair_modules(A, D, l, n)
     assert (type(stored.value), str(stored.value)) == (type(written.value), str(written.value))
+
+
+@pytest.mark.parametrize("idempotent, anchor, shift, error", [
+    ("i1", GradingElement(-1, -1, -1, 0), (0, 1, 1), ArithmeticError),  # odd dc2 alone: odd determinant
+    ("i0", GradingElement(0, 0, 0, 0), (0, 1, 0), GradingError),        # odd dc2, even b slot: c slot
+    ("i1", GradingElement(-1, -1, -1, 0), (1, 2, 0), GradingError),     # 4 does not divide 2*da2 + (b2 - g.a2)*dc2
+    ("i1", GradingElement(-1, -1, -1, 0), (0, 2, 1), GradingError),     # 4 does not divide 2*dd2 - g.d2*dc2
+    ("i1", GradingElement(-1, -1, -1, 0), (2, 2, 2), None),             # every residue passes
+], ids=["odd-dc2-determinant", "odd-dc2-c-slot", "n-residue", "m-residue", "translated"])
+def test_later_row_is_decided_by_one_check(idempotent, anchor, shift, error):
+    """An anchor and one later row in the same (idempotent, b slot): one
+    check on the translation refuses the later row with the error type that
+    normalize_double_coset(y * x) raises for the group's first A generator
+    y, or passes it with the group law's values for every A generator."""
+    A, h = build_typea_minus(3), framing_h(0, -1)
+    da2, dc2, dd2 = shift
+    later = GradingElement(anchor.a2 + da2, anchor.b2, anchor.c2 + dc2, anchor.d2 + dd2)
+    gens = (DGenerator("s", idempotent, anchor, "x", 1), DGenerator("t", idempotent, later, "x", 2))
+    D = TypeDModule(generators=gens, edges=(), h=h)
+    first = A.gradings[next(a_name for a_name in A.generators if A.pairs_with(a_name) == idempotent)]
+    if error is None:
+        normalize_double_coset(first * later, A.g, h)
+        assert list(tensor_gradings(A, D, 0).items()) == list(reference_gradings(A, D, 0).items())
+        return
+    for refused in (lambda: normalize_double_coset(first * later, A.g, h),
+                    lambda: tensor_gradings(A, D, 0), lambda: pair_modules(A, D, 0, -1)):
+        with pytest.raises(error) as got:
+            refused()
+        assert type(got.value) is error
+
+
+@pytest.mark.parametrize("tau, counts, p, n", [
+    pytest.param(-2, {}, 4, 20, id="chain"),                  # m = -24: a chain of 23
+    pytest.param(0, {1: 2, 0: 3, -1: 2}, 3, 1, id="squares"),  # c_t of 2 and 3
+])
+def test_cells_reads_the_view_in_one_pass(tau, counts, p, n):
+    """cells(indices) is cell(i) for each index, read in one pass, on a
+    chain cable and on squares with c_t > 1; an index out of range raises."""
+    model = build_model(synthesize_delta(tau, counts), tau)
+    view = pair_modules(build_typea_minus(p), build_typed(model, n), model.params.l, n).generators
+    cells = view.cells(range(len(view)))
+    assert cells == [view.cell(i) for i in range(len(view))]
+    assert cells == [(g.alexander, g.maslov, copies) for g, (_, _, copies) in zip(view, cells)]
+    assert {copies for _, _, copies in cells} == ({1, 2, 3} if counts else {1})
+    assert view.cells([len(view) - 1, -len(view)]) == [cells[-1], cells[0]]
+    for i in (len(view), -len(view) - 1):
+        with pytest.raises(IndexError):
+            view.cells([0, i])
