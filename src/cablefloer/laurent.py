@@ -61,9 +61,6 @@ class LaurentPolynomial:
         for deg in sorted(self._coeffs):
             yield deg, self._coeffs[deg]
 
-    def support(self) -> list[int]:
-        return sorted(self._coeffs)
-
     @property
     def top_degree(self) -> int:
         """Largest degree with a nonzero coefficient (0 for the zero polynomial)."""
@@ -98,9 +95,6 @@ class LaurentPolynomial:
 
     def __neg__(self) -> "LaurentPolynomial":
         return LaurentPolynomial._trusted({d: -c for d, c in self._coeffs.items()})
-
-    def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        return self + (-other)
 
     def __mul__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         out: dict[int, int] = {}

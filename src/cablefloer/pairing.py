@@ -145,13 +145,10 @@ class TensorGenerators(Sequence):
         return TensorGenerator(self.a_names[j][k], d_name, maslov - 2 * alexander, alexander - self.c,
                                alexander, maslov)
 
-    def cell(self, i: int) -> tuple[int, int, int]:
-        """(alexander, maslov, copies) of generator i: its bigrading and how
-        many copies of it the view lists, without building its record."""
-        return self.cells((i,))[0]
-
     def cells(self, indices: Iterable[int]) -> list[tuple[int, int, int]]:
-        """cell(i) for each i in indices, in one pass."""
+        """(alexander, maslov, copies) of each generator in indices, in one
+        pass: its bigrading and how many copies of it the view lists,
+        without building its record."""
         starts, sizes, rows, copies, size = self.starts, self._sizes, self.rows, self.copies, self._len
         chain_slot = self._chain_slot
         out = []
@@ -199,9 +196,9 @@ def tensor_differential(A: TypeAModule, D: TypeDModule) -> list[tuple[int, int, 
     the node reached, if any, closes the operations of family i.  It stops
     when the path ends or the families run out (i <= p-2), which also bounds
     the zero-framed unknot's D_12 self-loop at O(p) steps.  The chain's
-    interior has no D_1, D_2 or D_12 edge, so the walk reads stored
-    generators only.  A complement generator with two D_1, D_2 or D_12
-    edges raises ComplexError.
+    interior has no edge, so the walk reads stored generators only; an edge
+    of any other label meets no operation and is passed over.  A complement
+    generator with two D_1, D_2 or D_12 edges raises ComplexError.
     """
     index = {d_gen.name: j for j, d_gen in enumerate(D.generators)}
     step: dict[str, dict[int, int]] = {"1": {}, "2": {}, "12": {}}

@@ -5,18 +5,21 @@ contributes generators u_1 .. u_{2|tau|+1} (idempotent i0) and v_1 .. v_{2|tau|}
 (idempotent i1), the c_t square summands at level t are one square of corners
 x_1 .. x_4 (i0) and y_1 .. y_4 (i1) counted c_t times, and the
 framing-dependent unstable chain joins the two staircase ends through extra
-i1 generators mu_1 .. mu_|m|, m = 2*tau - n.  Every vertical model arrow
-u -> u' of the staircase and the squares becomes the edges u --D1--> v,
-u' --D123--> v, and every horizontal one u --D3--> v, v --D2--> u'.  Every
-staircase and square generator is a level-0 square corner right-multiplied
-by the shift (t/2; 0, t; 0) of its Alexander level t; in doubled slots that
-product takes (a2, b2, c2, d2) to (a2 + t*(1 + b2), b2, c2 + 2t, d2), which
-is written directly instead of multiplied out per corner.  Only one mu, the
-chain's end, has an edge a hat operation reads (D_1 into mu_1 when m > 0,
-D_2 out of mu_|m| when m < 0); it is a generator, and the other |m| - 1 are
-one MuChain, an arithmetic progression of gradings joined by D_23 edges.
-Every generator carries a right-coset grading; the coset normalizer h
-depends on m.
+i1 generators mu_1 .. mu_|m|, m = 2*tau - n.  Only the edges a hat operation
+reads are stored: every hat operation's chords are a prefix (nothing or
+rho_2), then rho_12^i, then rho_1, so a D_3, D_23 or D_123 edge never meets
+an operation and adds nothing to the box tensor product.  That leaves one
+edge per model arrow of the staircase and the squares: a vertical arrow
+u -> u' through v stores u --D1--> v, and a horizontal one v --D2--> u'.
+Every staircase and square generator is a level-0 square corner
+right-multiplied by the shift (t/2; 0, t; 0) of its Alexander level t; in
+doubled slots that product takes (a2, b2, c2, d2) to
+(a2 + t*(1 + b2), b2, c2 + 2t, d2), which is written directly instead of
+multiplied out per corner.  The chain stores one edge: D_12 from u_top to
+u_1 when m = 0, else the one at its end, D_1 into mu_1 when m > 0 or D_2
+out of mu_|m| when m < 0.  That end is a generator, and the other |m| - 1
+are one MuChain, an arithmetic progression of gradings.  Every generator
+carries a right-coset grading; the coset normalizer h depends on m.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .thin import ThinModel
 
 class DEdge(NamedTuple):
     source: str
-    label: str  # one of 1, 2, 3, 12, 23, 123
+    label: str  # 1, 2 or 12
     target: str
 
 
@@ -48,10 +51,8 @@ class MuChain:
     """The unstable chain's interior: the i1 generators mu<index> ..
     mu<index + length - 1>, listed in that order in D order right before
     generators[at].  The first has grading `grading` and each next one adds
-    `step` to the doubled a and c slots.  Each has one D_23 edge, into its
-    neighbour on the end's side (mu<j - 1> when step > 0, mu<j + 1> when
-    step < 0), and the far one is the target of the edge from the staircase
-    that edges keeps; none has a D_1, D_2 or D_12 edge."""
+    `step` to the doubled a and c slots.  None has an edge a hat operation
+    reads, so none has a stored edge."""
 
     index: int
     grading: GradingElement
@@ -63,7 +64,7 @@ class MuChain:
 @dataclass(frozen=True)
 class TypeDModule:
     generators: tuple[DGenerator, ...]
-    edges: tuple[DEdge, ...]  # every edge but the chain's D_23 edges
+    edges: tuple[DEdge, ...]  # D_1 and D_2, one per model arrow, and the chain's one edge
     h: GradingElement = field(repr=False)
     # square count c_t per level t; a level's square is stored once and
     # stands for its c_t isomorphic copies
@@ -79,16 +80,6 @@ def framing_h(l: int, m: int) -> GradingElement:
 def _mu(j: int, sign: int, l: int) -> GradingElement:
     """Grading of mu_j on the chain of m's sign."""
     return GradingElement(2 * sign * (j - 1) - 1, -1, 2 * sign * (j - 1) + sign + 4 * l, 0)
-
-
-def _vertical(u: str, u2: str, v: str) -> list[DEdge]:
-    """The type-D edges of a vertical model arrow u -> u2 through v."""
-    return [DEdge(u, "1", v), DEdge(u2, "123", v)]
-
-
-def _horizontal(u: str, u2: str, v: str) -> list[DEdge]:
-    """The type-D edges of a horizontal model arrow u -> u2 through v."""
-    return [DEdge(u, "3", v), DEdge(v, "2", u2)]
 
 
 # square corners at level 0: x1 has both outgoing model arrows, x2 is its
@@ -137,19 +128,20 @@ def build_typed(model: ThinModel, n: int) -> TypeDModule:
         if 1 <= j <= 2 * steps:
             corner = _SQUARE_BASE["y4" if j % 2 else "y3"]
             gens.append(DGenerator(f"v{j}", "i1", _at_level(corner, level), "v", j))
-    # step k joins u_k, u_{k+1}, u_{k+2} through v_k, v_{k+1}; its model arrows
-    # leave the odd u's for tau <= 0 and the even u for tau > 0
+    # step k joins u_k, u_{k+1}, u_{k+2} through v_k, v_{k+1}: a vertical
+    # model arrow through v_k and a horizontal one through v_{k+1}, leaving
+    # the odd u's (lo -> mid, hi -> mid) for tau <= 0 and the even u
+    # (mid -> lo, mid -> hi) for tau > 0
     for k in range(1, 2 * steps, 2):
         lo, mid, hi, v, w = f"u{k}", f"u{k + 1}", f"u{k + 2}", f"v{k}", f"v{k + 1}"
         if tau <= 0:
-            edges += _vertical(lo, mid, v) + _horizontal(hi, mid, w)
+            edges += [DEdge(lo, "1", v), DEdge(w, "2", mid)]
         else:
-            edges += _vertical(mid, lo, v) + _horizontal(mid, hi, w)
+            edges += [DEdge(mid, "1", v), DEdge(w, "2", hi)]
 
     # the unstable chain joins the ends u_top and u_1: m = 0 gives one D_12
-    # edge (a self-loop when tau = 0); m > 0 the edges u_top --D1--> mu_1 and
-    # u_1 --D3--> mu_m, m < 0 u_top --D123--> mu_1 and mu_|m| --D2--> u_1,
-    # with D_23 edges along the mu's towards the end, mu_1 or mu_|m|
+    # edge (a self-loop when tau = 0), m > 0 the edge u_top --D1--> mu_1 and
+    # m < 0 the edge mu_|m| --D2--> u_1
     top, bottom = f"u{2 * steps + 1}", "u1"
     chain = None
     if m == 0:
@@ -158,10 +150,7 @@ def build_typed(model: ThinModel, n: int) -> TypeDModule:
         sign, length = (1, m) if m > 0 else (-1, -m)
         end = 1 if m > 0 else length
         gens.append(DGenerator(f"mu{end}", "i1", _mu(end, sign, l), "mu", end))
-        if m > 0:
-            edges += [DEdge(top, "1", "mu1"), DEdge(bottom, "3", f"mu{length}")]
-        else:
-            edges += [DEdge(top, "123", "mu1"), DEdge(f"mu{length}", "2", bottom)]
+        edges.append(DEdge(top, "1", "mu1") if m > 0 else DEdge(f"mu{length}", "2", bottom))
         if length > 1:
             index = 2 if m > 0 else 1
             at = len(gens) if m > 0 else len(gens) - 1
@@ -177,9 +166,10 @@ def build_typed(model: ThinModel, n: int) -> TypeDModule:
         names = [f"{corner}.s{serial}" for corner in _SQUARE_BASE]
         gens += [DGenerator(name, idem, _at_level(base, t), kind, index, t)
                  for name, (idem, kind, index, base) in zip(names, _CORNERS)]
+        # vertical model arrows x1 -> x3 through y4 and x2 -> x4 through y2,
+        # horizontal ones x1 -> x2 through y1 and x3 -> x4 through y3
         x1, x2, x3, x4, y1, y2, y3, y4 = names
-        edges += _vertical(x1, x3, y4) + _vertical(x2, x4, y2)
-        edges += _horizontal(x1, x2, y1) + _horizontal(x3, x4, y3)
+        edges += [DEdge(x1, "1", y4), DEdge(x2, "1", y2), DEdge(y1, "2", x2), DEdge(y3, "2", x4)]
         copies[t] = model.square_counts[i]
 
     return TypeDModule(

@@ -221,20 +221,17 @@ def expand_squares(D: TypeDModule) -> TypeDModule:
 
 def expand_chain(D: TypeDModule) -> TypeDModule:
     """D with the unstable chain's interior written out: one "mu" generator
-    per chain position, in the chain's place in D order, each with its D_23
-    edge into the neighbour on the end's side.  The pairing's record path
-    walks this module generator by generator, as an independent reference
-    for the chain's progression."""
+    per chain position, in the chain's place in D order, with no edge (the
+    chain's D_23 edges meet no hat operation and are not stored).  The
+    pairing's record path walks this module generator by generator, as an
+    independent reference for the chain's progression."""
     chain = D.chain
     if chain is None:
         return D
     x, step = chain.grading, chain.step
-    toward = -1 if step > 0 else 1
     mus = tuple(DGenerator(f"mu{j}", "i1", GradingElement(x.a2 + r * step, x.b2, x.c2 + r * step, x.d2), "mu", j)
                 for r, j in enumerate(range(chain.index, chain.index + chain.length)))
-    edges = tuple(DEdge(mu.name, "23", f"mu{mu.index + toward}") for mu in mus)
-    return replace(D, generators=D.generators[:chain.at] + mus + D.generators[chain.at:],
-                   edges=D.edges + edges, chain=None)
+    return replace(D, generators=D.generators[:chain.at] + mus + D.generators[chain.at:], chain=None)
 
 
 def written_out(D: TypeDModule) -> TypeDModule:

@@ -236,7 +236,7 @@ class TestSummands:
 
     def test_copies_reduce_once_and_scale(self):
         complex_ = self.complex_with(((0, 1),))
-        assert [complex_.generators.cell(i)[2] for i in range(11)] == [1] * 5 + [2] * 6
+        assert [copies for _, _, copies in complex_.generators.cells(range(11))] == [1] * 5 + [2] * 6
         assert reduce_complex(complex_).ranks == {(0, 0): 1, (1, 1): 2} == reduce_complex(
             self.written_out(complex_)).ranks
 

@@ -149,8 +149,9 @@ class TestEulerMatchesCable:
         exact = LaurentPolynomial(oracle_cable_delta(delta, p, q))
         assert euler_matches_cable(exact, delta, p, q)
         assert not euler_matches_cable(exact + LaurentPolynomial({k: sign}), delta, p, q)
-        degree, coeff = list(exact.items())[flip % len(exact.support())]
-        assert not euler_matches_cable(exact - LaurentPolynomial({degree: 2 * coeff}), delta, p, q)
+        terms = list(exact.items())
+        degree, coeff = terms[flip % len(terms)]
+        assert not euler_matches_cable(exact + -LaurentPolynomial({degree: 2 * coeff}), delta, p, q)
 
 
 class TestCableAlexander:

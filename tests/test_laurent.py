@@ -39,7 +39,7 @@ def test_rejects_non_integer_entries():
 def test_arithmetic():
     trefoil = poly({-1: 1, 0: -1, 1: 1})
     assert trefoil + poly({0: 1}) == poly({-1: 1, 1: 1})
-    assert trefoil - trefoil == LaurentPolynomial()
+    assert trefoil + -trefoil == LaurentPolynomial()
     square = trefoil * trefoil
     assert square == poly({-2: 1, -1: -2, 0: 3, 1: -2, 2: 1})
     assert -trefoil == poly({-1: -1, 0: 1, 1: -1})
@@ -118,7 +118,7 @@ def test_arithmetic_stores_no_zero_coefficients(a, b):
     """Results of arithmetic skip the public constructor's checks but keep its
     invariant, so equality stays dict equality."""
     f, g = poly(a), poly(b)
-    for result in (f + g, -f, f - g, f * g, f.inflate(3), f * -f):
+    for result in (f + g, -f, f + -g, f * g, f.inflate(3), f * -f):
         assert 0 not in dict(result.items()).values()
         assert result == LaurentPolynomial(dict(result.items()))
 
@@ -126,4 +126,4 @@ def test_arithmetic_stores_no_zero_coefficients(a, b):
 @given(coeff_dicts, st.integers(-7, 7))
 def test_times_binomial_is_product(a, k):
     f = poly(a)
-    assert f.times_binomial(k) == f * (poly({k: 1}) - poly({0: 1}))
+    assert f.times_binomial(k) == f * (poly({k: 1}) + -poly({0: 1}))

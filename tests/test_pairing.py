@@ -167,7 +167,8 @@ class TestDifferential:
     def test_walk_matches_reference_on_synthetic_paths(self, p):
         # a D_12 self-loop that feeds a D_1 edge at every depth, and rho_2
         # entries into it (from q) and into a D_1 edge back (z -> w -> z);
-        # a second D_1 or D_12 edge out of s is refused
+        # D_3, D_123 and D_23 edges, two D_3 out of s among them, change
+        # neither side; a second D_1 or D_12 edge out of s is refused
         i0, i1 = ("s", "t", "w"), ("y", "z", "q")
         gens = tuple(DGenerator(name, idem, GradingElement.identity(), "x", j)
                      for idem, names in (("i0", i0), ("i1", i1)) for j, name in enumerate(names))
@@ -181,6 +182,11 @@ class TestDifferential:
         assert len(arrows) == len(set(arrows))
         assert set(arrows) == reference_differential(A, D)
         assert arrows
+        stray = replace(D, edges=edges + tuple(DEdge(*e) for e in (
+            ("s", "3", "y"), ("s", "3", "z"), ("t", "123", "y"), ("q", "23", "z"), ("z", "23", "q"),
+        )))
+        assert named_arrows(A, stray) == arrows
+        assert reference_differential(A, stray) == reference_differential(A, D)
         for label, extra in (("1", [("s", "1", "z"), ("s", "1", "z")]), ("12", [("s", "12", "t")])):
             doubled = replace(D, edges=edges + tuple(DEdge(*e) for e in extra))
             with pytest.raises(ComplexError, match=rf"^complement generator s has two D_{label} edges$"):
@@ -286,7 +292,7 @@ class TestGradings:
         assert bool(complex_.progressions) == (D.chain is not None)
         assert all_bigradings(complex_) == Counter((g.alexander, g.maslov) for g in want)
         copies = {d_gen.name: D.copies.get(d_gen.level, 1) for d_gen in expand_chain(D).generators}
-        assert [generators.cell(i) for i in range(len(want))] == [
+        assert generators.cells(range(len(want))) == [
             (g.alexander, g.maslov, copies[g.d_side]) for g in want]
         index = {pair: i for i, pair in enumerate(pairs)}
         assert complex_.arrows == tuple(sorted(
@@ -414,7 +420,7 @@ def test_chain_progression_equals_written_out_chain(tau, m, counts, p):
     size = len(written.generators)
     assert len(stored.generators) == size
     assert [stored.generators[i] for i in range(size)] == [written.generators[i] for i in range(size)]
-    assert [stored.generators.cell(i) for i in range(size)] == [written.generators.cell(i) for i in range(size)]
+    assert stored.generators.cells(range(size)) == written.generators.cells(range(size))
     assert bool(stored.progressions) == (abs(m) > 1)
     assert not written.progressions
     assert all_bigradings(stored) == written.bigradings
@@ -481,12 +487,13 @@ def test_later_row_is_decided_by_one_check(idempotent, anchor, shift, error):
     pytest.param(0, {1: 2, 0: 3, -1: 2}, 3, 1, id="squares"),  # c_t of 2 and 3
 ])
 def test_cells_reads_the_view_in_one_pass(tau, counts, p, n):
-    """cells(indices) is cell(i) for each index, read in one pass, on a
-    chain cable and on squares with c_t > 1; an index out of range raises."""
+    """cells(indices) reads each index as a one-index call does, in one
+    pass, on a chain cable and on squares with c_t > 1; an index out of
+    range raises."""
     model = build_model(synthesize_delta(tau, counts), tau)
     view = pair_modules(build_typea_minus(p), build_typed(model, n), model.params.l, n).generators
     cells = view.cells(range(len(view)))
-    assert cells == [view.cell(i) for i in range(len(view))]
+    assert cells == [cell for i in range(len(view)) for cell in view.cells([i])]
     assert cells == [(g.alexander, g.maslov, copies) for g, (_, _, copies) in zip(view, cells)]
     assert {copies for _, _, copies in cells} == ({1, 2, 3} if counts else {1})
     assert view.cells([len(view) - 1, -len(view)]) == [cells[-1], cells[0]]

@@ -39,33 +39,32 @@ class TestUnstableChain:
     def test_negative_m_chain(self):
         mus, edges = unstable_chain(0, 1)  # m = -1
         assert mus == ["mu1"]
-        assert edges == [("u1", "123", "mu1"), ("mu1", "2", "u1")]
+        assert edges == [("mu1", "2", "u1")]
 
     def test_positive_m_chain(self):
         mus, edges = unstable_chain(1, 1)  # m = 1
         assert mus == ["mu1"]
-        assert edges == [("u3", "1", "mu1"), ("u1", "3", "mu1")]
+        assert edges == [("u3", "1", "mu1")]
 
     def test_long_chains(self):
+        # the chain's one edge is at its end; its interior has none
         mus, edges = unstable_chain(0, -3)  # m = 3
         assert mus == ["mu1", "mu2", "mu3"]
-        assert ("u1", "1", "mu1") in edges
-        assert ("mu2", "23", "mu1") in edges and ("mu3", "23", "mu2") in edges
-        assert ("u1", "3", "mu3") in edges
+        assert edges == [("u1", "1", "mu1")]
 
         mus, edges = unstable_chain(0, 3)  # m = -3
         assert mus == ["mu1", "mu2", "mu3"]
-        assert ("u1", "123", "mu1") in edges
-        assert ("mu1", "23", "mu2") in edges and ("mu2", "23", "mu3") in edges
-        assert ("mu3", "2", "u1") in edges
+        assert edges == [("mu3", "2", "u1")]
 
     @pytest.mark.parametrize("m", [-7, -2, -1, 0, 1, 2, 7])
     @pytest.mark.parametrize("tau", [-2, 0, 3])
     def test_chain_is_one_record(self, tau, m):
         """One mu generator, the end arrows reach, and one record for the
-        other |m| - 1, placed in D order where the old list had them."""
+        other |m| - 1, placed in D order where the old list had them; only
+        D_1, D_2 and D_12 edges are stored."""
         model = build_model(synthesize_delta(tau, {0: 1}), tau)
         module = build_typed(model, 2 * tau - m)
+        assert {e.label for e in module.edges} <= {"1", "2", "12"}
         mus = [(j, g) for j, g in enumerate(module.generators) if g.kind == "mu"]
         assert [g.name for _, g in mus] == ([] if m == 0 else ["mu1" if m > 0 else f"mu{-m}"])
         chain = module.chain
@@ -75,7 +74,6 @@ class TestUnstableChain:
         (end, _), = mus
         assert (chain.index, chain.step, chain.length) == ((2, 2, m - 1) if m > 0 else (1, -2, -m - 1))
         assert chain.at == (end + 1 if m > 0 else end)
-        assert not [e for e in module.edges if e.label == "23"]
         names = [g.name for g in expand_chain(module).generators if g.kind == "mu"]
         assert names == [f"mu{j}" for j in range(1, abs(m) + 1)]
 
@@ -108,8 +106,9 @@ class TestBuild:
     @pytest.mark.parametrize("tau,n", [(0, 0), (0, 2), (-1, -2), (-2, 1), (1, 1), (2, -3)])
     @pytest.mark.parametrize("counts", [{}, {0: 1}, {1: 1, -1: 1}, {1: 2, 0: 3, -1: 2}])
     def test_generator_counts(self, tau, n, counts):
-        """One square of 8 generators and 8 edges per level, whatever its
-        count, and the counts keyed by level t = i - tau."""
+        """One square of 8 generators and 4 edges per level, whatever its
+        count, and the counts keyed by level t = i - tau; one edge per model
+        arrow (2 per staircase step, 4 per square) plus the chain's one."""
         model = build_model(synthesize_delta(tau, counts), tau)
         module = build_typed(model, n)
         levels = len(model.square_counts)
@@ -122,23 +121,23 @@ class TestBuild:
         written = [g for g in expand_chain(module).generators if g.idempotent == "i1"]
         assert len(written) == 2 * abs(tau) + abs(m) + 4 * levels
         assert sum(g.level is not None for g in module.generators) == 8 * levels
-        assert sum("." in e.source for e in module.edges) == 8 * levels
+        assert sum("." in e.source for e in module.edges) == 4 * levels
+        assert len(module.edges) == 2 * abs(tau) + 4 * levels + 1
         assert module.copies == {i - tau: c for i, c in model.square_counts.items()}
 
     @pytest.mark.parametrize("tau,n", [(0, 1), (0, -2), (-1, -2), (1, 1), (2, 0), (-2, -1)])
     def test_gadget_well_formed(self, tau, n):
-        """Staircase/square i1 generators have one incoming D1-or-D3 edge and
-        one incoming D123 or outgoing D2 edge."""
+        """Each staircase/square i1 generator has exactly one stored edge:
+        an incoming D1 (a vertical model arrow) or an outgoing D2 (a
+        horizontal one)."""
         model = build_model(synthesize_delta(tau, {0: 1, 1: 1, -1: 1}), tau)
         module = build_typed(model, n)
         for gen in module.generators:
             if gen.idempotent != "i1" or gen.kind == "mu":
                 continue
-            into_13 = [e for e in module.edges if e.target == gen.name and e.label in ("1", "3")]
-            into_123 = [e for e in module.edges if e.target == gen.name and e.label == "123"]
-            out_2 = [e for e in module.edges if e.source == gen.name and e.label == "2"]
-            assert len(into_13) == 1
-            assert len(into_123) + len(out_2) == 1
+            touching = [("in" if e.target == gen.name else "out", e.label)
+                        for e in module.edges if gen.name in (e.source, e.target)]
+            assert touching in ([("in", "1")], [("out", "2")])
 
     def test_square_level_shift(self):
         # 11n50 has two squares in each level -1, 0, 1, stored as one square
@@ -216,7 +215,8 @@ def test_staircase_corners_match_group_product(tau):
 
 
 def written_out_staircase(tau):
-    """The staircase's doubled gradings and edges, written out for each sign of tau."""
+    """The staircase's doubled gradings and stored edges (D_1 and D_2, one
+    per model arrow), written out for each sign of tau."""
     steps = abs(tau)
     gens, edges = {}, set()
     if tau <= 0:
@@ -228,8 +228,7 @@ def written_out_staircase(tau):
         for k in range(steps):
             gens[f"v{2 * k + 1}"] = GradingElement(-1, -1, 4 * k + 1, 0)
         for t in range(steps):
-            edges |= {(f"u{2 * t + 1}", "1", f"v{2 * t + 1}"), (f"u{2 * t + 2}", "123", f"v{2 * t + 1}"),
-                      (f"u{2 * t + 3}", "3", f"v{2 * t + 2}"), (f"v{2 * t + 2}", "2", f"u{2 * t + 2}")}
+            edges |= {(f"u{2 * t + 1}", "1", f"v{2 * t + 1}"), (f"v{2 * t + 2}", "2", f"u{2 * t + 2}")}
     else:
         for k in range(steps + 1):
             gens[f"u{2 * k + 1}"] = GradingElement(-2 * k, 0, -4 * k, 0)
@@ -239,8 +238,7 @@ def written_out_staircase(tau):
         for k in range(steps):
             gens[f"v{2 * k + 1}"] = GradingElement(-1, -1, -4 * k - 1, 0)
         for t in range(1, steps + 1):
-            edges |= {(f"u{2 * t}", "1", f"v{2 * t - 1}"), (f"u{2 * t - 1}", "123", f"v{2 * t - 1}"),
-                      (f"u{2 * t}", "3", f"v{2 * t}"), (f"v{2 * t}", "2", f"u{2 * t + 1}")}
+            edges |= {(f"u{2 * t}", "1", f"v{2 * t - 1}"), (f"v{2 * t}", "2", f"u{2 * t + 1}")}
     return gens, edges
 
 
