@@ -13,7 +13,6 @@ from .invariants import (
     closed_form_gradings,
     euler_characteristic,
     euler_holds,
-    euler_matches_cable,
     mirror_check,
     symmetry_holds,
     table_rank,
@@ -74,7 +73,6 @@ __all__ = [
     "compute_cable_hfk",
     "euler_characteristic",
     "euler_holds",
-    "euler_matches_cable",
     "framing_h",
     "hat_operations",
     "mirror_check",

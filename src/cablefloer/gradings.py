@@ -17,8 +17,10 @@ x^k = (k*a; k*b, k*c; k*d) for every integer k (x^-1 is the negated
 quadruple).  Double-coset normalization therefore reduces to a closed form in
 the doubled integers, which ``normalize_double_coset`` evaluates directly.
 With the left factor y and the b slot of x fixed, the power of h is fixed
-too, so normalizing y * x is moreover linear in x's remaining doubled slots:
-the pairing normalizes once per (y, b slot) and translates that result to
+too, so normalizing y * x is moreover linear in x's remaining doubled slots,
+and with x fixed and y affine in an index k, N is quadratic and A' affine
+in k: the pairing normalizes the first three y of each such family once
+per b slot, extends the family by differences, and translates that row to
 every other x (see pairing.py).
 """
 

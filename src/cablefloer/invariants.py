@@ -13,10 +13,9 @@ those names; no run calls it.
 A rank table keeps its unstable chain as progressions, and every run
 decides the symmetry and Euler checks from the table's two parts, one
 progression at a time, by symmetry_holds and euler_holds, with the same
-verdicts as cell by cell.  The cell-by-cell check_symmetry,
-euler_characteristic and euler_matches_cable stay for tests, which use
-them as oracles on any table, and for the benchmark, which binds them; no
-run calls them.
+verdicts as cell by cell.  The cell-by-cell check_symmetry and
+euler_characteristic stay for tests, which use them as oracles on any
+table, and for the benchmark, which binds them; no run calls them.
 """
 
 from __future__ import annotations
@@ -202,24 +201,19 @@ def cable_alexander(delta: LaurentPolynomial, p: int, q: int) -> LaurentPolynomi
     return delta.inflate(p) * torus_knot_delta(p, q)
 
 
-def euler_matches_cable(euler: LaurentPolynomial, delta: LaurentPolynomial, p: int, q: int) -> bool:
-    """euler == cable_alexander(delta, p, q), decided without forming the product.
+def _matches_cable(euler_times_binomial: LaurentPolynomial, delta: LaurentPolynomial, p: int, q: int) -> bool:
+    """euler == cable_alexander(delta, p, q), given euler * (t^p - 1), decided
+    without forming the product.
 
     For coprime p > 1 and q, with shift = (p-1)(|q|-1)/2,
     Delta_T(p,q) * (t^p - 1)(t^|q| - 1) = t^-shift * (t^(p|q|) - 1)(t - 1).
     Z[t, t^-1] has no zero divisors, so euler equals delta(t^p) * Delta_T(p,q)
     exactly when both sides agree after multiplying by (t^p - 1)(t^|q| - 1):
-    two binomial multiplications on the left, and on the right four terms
-    per coefficient of delta, linear in the terms either way.  At |q| = 1
-    both sides carry the same factor (t^p - 1)(t - 1), so Delta_T = 1 needs
-    no branch.
+    one more binomial multiplication on the left, and on the right four
+    terms per coefficient of delta, linear in the terms either way; their
+    difference, gathered in one dict, vanishes.  At |q| = 1 both sides carry
+    the same factor (t^p - 1)(t - 1), so Delta_T = 1 needs no branch.
     """
-    return _matches_cable(euler.times_binomial(p), delta, p, q)
-
-
-def _matches_cable(euler_times_binomial: LaurentPolynomial, delta: LaurentPolynomial, p: int, q: int) -> bool:
-    """euler_matches_cable, given euler * (t^p - 1): the two sides'
-    difference, gathered in one dict, vanishes."""
     q = abs(q)
     shift = (p - 1) * (q - 1) // 2
     left = euler_times_binomial._coeffs
@@ -234,17 +228,16 @@ def _matches_cable(euler_times_binomial: LaurentPolynomial, delta: LaurentPolyno
 
 
 def euler_holds(table: RankTable, delta: LaurentPolynomial, p: int, q: int) -> bool:
-    """euler_matches_cable(euler_characteristic(table), delta, p, q),
-    decided per progression.
+    """euler_characteristic(table) == cable_alexander(delta, p, q), decided
+    per progression.
 
     A progression with Alexander step +-p and an even Maslov step has one
     sign (-1)^m throughout, and its cells' sum of t^a telescopes against
     t^p - 1: sign * (t^(a_high + p) - t^(a_low)), with a_low and a_high its
     lowest and highest Alexander grading.  So euler * (t^p - 1) is the
     stored survivors' alternating sum times the binomial, plus two terms
-    per such progression, and the comparison goes on as in
-    euler_matches_cable.  Any other progression is summed cell by cell with
-    the stored survivors.
+    per such progression, and _matches_cable compares it.  Any other
+    progression is summed cell by cell with the stored survivors.
     """
     return _matches_cable(_euler_times_binomial(table, p), delta, p, q)
 

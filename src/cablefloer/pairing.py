@@ -23,9 +23,13 @@ count of every arrow end from its cells.
 A row is the (alexander, maslov) cell of each A generator paired with one
 complement generator; N and A' are derived only where a record is built.
 Powers in the grading group are linear, so with the idempotent and the D
-grading's b slot fixed, every row is one anchor row moved: the first row of
-each (idempotent, b slot) normalizes once per A generator y_k, and a
-grading that differs from the anchor's by (da2, dc2, dd2) moves entry k by
+grading's b slot fixed, every row is one anchor row moved.  The first row
+of each (idempotent, b slot) is the anchor.  The A gradings y_k fall into
+grading families affine in k (TypeAModule.families), so along a family
+the anchor's alexander is affine and its maslov quadratic in k, with
+constant second difference h.c2: the anchor normalizes the first three
+y_k of each family and extends it.  A grading that differs from the
+anchor's by (da2, dc2, dd2) moves entry k by
 (dA, dN + 2dA + y_k.b2*dc2/2), with dA = (2dd2 - g.d2*dc2)/4 and
 dN = (2da2 + (b2 - g.a2)*dc2)/4.  The group law refuses it when dc2 is odd
 or either quotient is not an integer, whatever k, so one check decides the
@@ -120,7 +124,7 @@ class TensorGenerators(Sequence):
     BigradedComplex holds.
     """
 
-    def __init__(self, d_names: tuple[str, ...], a_names: tuple[tuple[str, ...], ...],
+    def __init__(self, d_names: tuple[str, ...], a_names: tuple[Sequence[str], ...],
                  rows: tuple[Row, ...], copies: tuple[int, ...], c: int, chain: ChainSlot | None = None):
         self.d_names = d_names
         self.a_names = a_names
@@ -129,7 +133,7 @@ class TensorGenerators(Sequence):
         self.c = c
         self.chain = chain
         self._chain_slot = -1 if chain is None else chain.slot
-        self._sizes = [len(group) for group in a_names]
+        self._sizes = [len(row) for row in rows]
         self.starts = list(accumulate((size * count for size, count in zip(self._sizes, copies)), initial=0))
         self._len = self.starts.pop()
 
@@ -194,8 +198,9 @@ def tensor_differential(A: TypeAModule, D: TypeDModule) -> list[tuple[int, int, 
     A path starts at an i1 generator's D_2 edge or at an i0 generator with a
     D_1 or D_12 edge, and goes on one rho_12 at a time; the D_1 edge out of
     the node reached, if any, closes the operations of family i.  It stops
-    when the path ends or the families run out (i <= p-2), which also bounds
-    the zero-framed unknot's D_12 self-loop at O(p) steps.  The chain's
+    when the path ends, when the families run out (i <= p-2), or at a D_12
+    self-loop on a node with no D_1 edge, which would only repeat that node:
+    the zero-framed unknot's walk is one step for every p.  The chain's
     interior has no edge, so the walk reads stored generators only; an edge
     of any other label meets no operation and is passed over.  A complement
     generator with two D_1, D_2 or D_12 edges raises ComplexError.
@@ -222,7 +227,10 @@ def tensor_differential(A: TypeAModule, D: TypeDModule) -> list[tuple[int, int, 
             hit = ones.get(node)
             if hit is not None:
                 arrows.extend((j, src, hit, tgt) for src, tgt in A.family(idempotent, i))
-            node = twelves.get(node)
+            after = twelves.get(node)
+            if after == node and hit is None:  # a D_12 self-loop that closes no family
+                break
+            node = after
     return arrows
 
 
@@ -235,49 +243,81 @@ def _refusal(y: GradingElement, x: GradingElement) -> Exception:
 
 
 def _rows(A: TypeAModule, D: TypeDModule, c: int
-          ) -> tuple[list[tuple[str, ...]], list[Row], tuple[Row, Row] | None]:
+          ) -> tuple[list[Sequence[str]], list[Row], tuple[Row, Row] | None]:
     """Per complement generator in D order, its A generators and its row,
     and the chain's first row and step row (None without a chain).
 
-    The first row of each (idempotent, b slot) is its anchor, normalized
-    once per A generator; every later row is the anchor's cells translated
-    as the module docstring says, after one check for the whole row whose
-    failure is the error the group law raises for the group's first A
-    generator, and a grading met before reuses its row.  The chain is met
-    at its place in D order, so it anchors a b slot and meets the checks
-    where its generators would.  Its r-th grading is its first plus r*step
-    in the doubled a and c slots, so its translation grows linearly in r
-    and its residues repeat with period 2: the first two rows decide every
-    repetition, and the step row is the second row minus the first.
+    The first row of each (idempotent, b slot) is its anchor.  Its cells
+    are affine (alexander) and quadratic (maslov) in the position within
+    each grading family of A.families, and its failure residues repeat
+    with period 2 there, so it normalizes the first three A generators of
+    each family, in group order, and extends each family by its constant
+    second difference: a refused anchor raises at the same first A
+    generator as one normalization per A generator would.  Every later row
+    is the anchor's cells translated as the module docstring says, after
+    one check for the whole row whose failure is the error the group law
+    raises for the group's first A generator, and a grading met before
+    reuses its row.  The chain is met at its place in D order, so it
+    anchors a b slot and meets the checks where its generators would.  Its
+    r-th grading is its first plus r*step in the doubled a and c slots, so
+    its translation grows linearly in r and its residues repeat with
+    period 2: the first two rows decide every repetition, and the step row
+    is the second row minus the first.
     """
     g, h, ga2, gd2 = A.g, D.h, A.g.a2, A.g.d2
     groups_of = {idempotent: A.group(idempotent) for idempotent in ("i0", "i1")}
-    # (idempotent, b slot) -> the anchor's doubled a, c, d slots, its row and the A gradings' b slots
-    anchors: dict[tuple[str, int], tuple[int, int, int, Row, list[int]]] = {}
+    # idempotent -> (size, first three gradings) of each grading family, and the
+    # b slot of every A grading; formed at the idempotent's first anchor
+    sampled: dict[str, tuple[list[tuple[int, list[GradingElement]]], tuple[int, ...]]] = {}
+    # (idempotent, b slot) -> the anchor's doubled a, c, d slots and its row
+    anchors: dict[tuple[str, int], tuple[int, int, int, Row]] = {}
     made: dict[tuple[str, GradingElement], Row] = {}
+
+    def sample(idempotent: str) -> tuple[list[tuple[int, list[GradingElement]]], tuple[int, ...]]:
+        families, slopes = [], []
+        for positions in A.families(idempotent):
+            ys = [A.grading(idempotent, k) for k in positions[:3]]
+            step = ys[1].b2 - ys[0].b2 if len(ys) > 1 else 1  # any step spans a family of one
+            families.append((len(positions), ys))
+            slopes.append(range(ys[0].b2, ys[0].b2 + len(positions) * step, step))
+        return families, tuple(concat.from_iterable(slopes))
+
+    def anchor_row(idempotent: str, x: GradingElement) -> Row:
+        if idempotent not in sampled:
+            sampled[idempotent] = sample(idempotent)
+        cells: list[tuple[int, int]] = []
+        for size, ys in sampled[idempotent][0]:
+            first = []
+            for y in ys:
+                N, Aprime = normalize_double_coset(y * x, g, h)
+                first.append((Aprime + c, N + 2 * (Aprime + c)))
+            if size <= 3:
+                cells += first
+                continue
+            (a0, m0), (a1, m1), (a2, m2) = first
+            da, dm, sa, sm = a1 - a0, m1 - m0, a2 - 2 * a1 + a0, m2 - 2 * m1 + m0
+            cells += [(a0 + k * da + k * (k - 1) // 2 * sa, m0 + k * dm + k * (k - 1) // 2 * sm)
+                      for k in range(size)]
+        return tuple(cells)
 
     def row(idempotent: str, x: GradingElement) -> Row:
         a2, b2, c2, d2 = x
         anchor = anchors.get((idempotent, b2))
         if anchor is None:
-            ys = [A.gradings[a_name] for a_name in groups_of[idempotent]]
-            cells = []
-            for y in ys:
-                N, Aprime = normalize_double_coset(y * x, g, h)
-                cells.append((Aprime + c, N + 2 * (Aprime + c)))
-            anchors[idempotent, b2] = a2, c2, d2, tuple(cells), [y.b2 for y in ys]
-            return tuple(cells)
-        a0, c0, d0, cells, slopes = anchor
+            cells = anchor_row(idempotent, x)
+            anchors[idempotent, b2] = a2, c2, d2, cells
+            return cells
+        a0, c0, d0, cells = anchor
         dc2 = c2 - c0
         n, m = 2 * (a2 - a0) + (b2 - ga2) * dc2, 2 * (d2 - d0) - gd2 * dc2
         if dc2 % 2 or n % 4 or m % 4:
-            raise _refusal(A.gradings[groups_of[idempotent][0]], x)
+            raise _refusal(A.grading(idempotent, 0), x)
         da = m // 4
         dm = n // 4 + 2 * da
         if not dc2:
             return tuple([(a + da, mm + dm) for a, mm in cells])
         half = dc2 // 2
-        return tuple([(a + da, mm + dm + b * half) for (a, mm), b in zip(cells, slopes)])
+        return tuple([(a + da, mm + dm + b * half) for (a, mm), b in zip(cells, sampled[idempotent][1])])
 
     chain, progression = D.chain, None
     order = list(D.generators)

@@ -9,14 +9,23 @@ the whole operation table of HFK-hat:
     m(b_k, rho_2, rho_12^i, rho_1) = b_{k-i-1}        p+1 <= k <= 2p-2, 0 <= i <= k-1-p
 
 No hat operation consumes rho_3, rho_23 or rho_123.  ``family`` states both
-rules once.  The tensor product walks them chord by chord, so building the
-module is O(p); the explicit table (about p^2/2 operations, p^3/6 chord
-letters) is derived only when ``finite_operations`` is read.
+rules once, and the gradings are two affine families in the index:
+
+    gr(b_i)         = ( 1/2; i-1/2, -1/2; i-p)     1 <= i <= p-1
+    gr(b_{2p-i-2})  = (-1/2; i+1/2, -1/2; 0)       0 <= i <= p-2
+
+with gr(a) the identity.  The module holds only p and the left normalizer
+g: a grading is formed from its closed form by position when read, and a
+name only where a record, an operation or an error message needs one, so
+building the module does no work that grows with p.  The tensor product
+walks the rules chord by chord; the explicit table (about p^2/2
+operations, p^3/6 chord letters) is derived only when ``finite_operations``
+is read.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 from .gradings import GradingElement
@@ -35,21 +44,63 @@ class AOperation:
     target: str
 
 
+class Names(Sequence):
+    """The names of the pattern generators at a range of positions, a at 0
+    and b_k at k, each formed when read."""
+
+    __slots__ = ("positions",)
+
+    def __init__(self, positions: range):
+        self.positions = positions
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return Names(self.positions[k])
+        j = self.positions[k]
+        return f"b{j}" if j else "a"
+
+    def __iter__(self) -> Iterator[str]:
+        return (f"b{j}" if j else "a" for j in self.positions)
+
+
 @dataclass(frozen=True)
 class TypeAModule:
     p: int
-    generators: tuple[str, ...]
-    gradings: dict[str, GradingElement] = field(repr=False)
     #: left normalizer of the coset gradings
     g: GradingElement = field(repr=False)
+
+    @property
+    def generators(self) -> Names:
+        """a, b_1 .. b_{2p-2}."""
+        return Names(range(2 * self.p - 1))
 
     def pairs_with(self, name: str) -> str:
         """Idempotent class of complement generators this generator pairs with."""
         return "i0" if name == "a" else "i1"
 
-    def group(self, idempotent: str) -> tuple[str, ...]:
+    def group(self, idempotent: str) -> Names:
         """The generators pairing with idempotent, in A order: a for i0, b_1 .. b_{2p-2} for i1."""
-        return self.generators[:1] if idempotent == "i0" else self.generators[1:]
+        return Names(range(1) if idempotent == "i0" else range(1, 2 * self.p - 1))
+
+    def families(self, idempotent: str) -> tuple[range, ...]:
+        """The group positions of each grading family: a alone, then
+        b_1 .. b_{p-1} and b_p .. b_{2p-2}.  Within a family every doubled
+        slot of the grading is affine in the position."""
+        if idempotent == "i0":
+            return (range(1),)
+        return range(self.p - 1), range(self.p - 1, 2 * self.p - 2)
+
+    def grading(self, idempotent: str, k: int) -> GradingElement:
+        """The grading of the group's generator at position k, from its closed form."""
+        if idempotent == "i0":
+            return GradingElement(0, 0, 0, 0)
+        p = self.p
+        if k < p - 1:  # b_i with i = k + 1
+            return GradingElement(1, 2 * k + 1, -1, 2 * (k + 1 - p))
+        return GradingElement(-1, 4 * p - 5 - 2 * k, -1, 0)  # b_{2p-i-2} with i = 2p - 3 - k
 
     def family(self, idempotent: str, i: int) -> list[tuple[int, int]]:
         """(source, target) of every hat operation with chords CHORD_PREFIX[idempotent] rho_12^i rho_1,
@@ -74,18 +125,7 @@ def build_typea_minus(p: int) -> TypeAModule:
     """Instantiate the U = 0 part of the pattern module for winding number p > 1."""
     if p <= 1:
         raise ValueError(f"pattern requires p > 1, got {p}")
-    generators = ("a",) + tuple(f"b{k}" for k in range(1, 2 * p - 1))
-
-    gradings = {"a": GradingElement.identity()}
-    # gr(b_{2p-i-2}) = (-1/2; i+1/2, -1/2; 0),      0 <= i <= p-2
-    # gr(b_i)       = ( 1/2; i-1/2, -1/2; i-p),     1 <= i <= p-1
-    for i in range(p - 1):
-        gradings[f"b{2 * p - i - 2}"] = GradingElement(-1, 2 * i + 1, -1, 0)
-    for i in range(1, p):
-        gradings[f"b{i}"] = GradingElement(1, 2 * i - 1, -1, 2 * (i - p))
-
-    g = GradingElement(-1, 0, 2, 2 * p)
-    return TypeAModule(p=p, generators=generators, gradings=gradings, g=g)
+    return TypeAModule(p=p, g=GradingElement(-1, 0, 2, 2 * p))
 
 
 def hat_operations(module: TypeAModule) -> dict[tuple[str, tuple[str, ...]], str]:

@@ -6,7 +6,9 @@ staircase bigradings follow the standard positive-coefficient-knot pattern
 read off the polynomial alone.  The CLI's JSON text is its dict payload
 through the standard library's encoder.  The grading-group helpers that only
 tests call (half-integer construction, inverses, lambda and the algebra
-chord gradings) live here too.
+chord gradings) live here too, with the pattern module's per-generator
+grading formulas, a pattern module whose gradings a test injects, and the
+Euler comparison on a whole polynomial.
 """
 
 from __future__ import annotations
@@ -14,12 +16,22 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import pytest
 
-from cablefloer import DEdge, DGenerator, GradingElement, LaurentPolynomial, TypeDModule, synthesize_delta
+from cablefloer import (
+    DEdge,
+    DGenerator,
+    GradingElement,
+    LaurentPolynomial,
+    TypeAModule,
+    TypeDModule,
+    build_typea_minus,
+    synthesize_delta,
+)
+from cablefloer.invariants import _matches_cable
 
 # rank of the (5,16)-cable of 11n50 per (alexander, maslov), transcribed
 # from the published listing; totals 181 over 60 lattice points
@@ -104,6 +116,46 @@ def rho_grading(label: str) -> GradingElement:
 
 
 # ---------------------------------------------------------------------------
+# pattern module gradings
+# ---------------------------------------------------------------------------
+
+def pattern_gradings(p: int) -> dict[str, GradingElement]:
+    """The pattern generators' gradings by name, one formula per generator:
+    the oracle for TypeAModule.grading's closed form by position."""
+    gradings = {"a": GradingElement.identity()}
+    # gr(b_{2p-i-2}) = (-1/2; i+1/2, -1/2; 0),      0 <= i <= p-2
+    # gr(b_i)       = ( 1/2; i-1/2, -1/2; i-p),     1 <= i <= p-1
+    for i in range(p - 1):
+        gradings[f"b{2 * p - i - 2}"] = GradingElement(-1, 2 * i + 1, -1, 0)
+    for i in range(1, p):
+        gradings[f"b{i}"] = GradingElement(1, 2 * i - 1, -1, 2 * (i - p))
+    return gradings
+
+
+def module_gradings(A: TypeAModule) -> dict[str, GradingElement]:
+    """Every grading A forms, keyed by its generator's name, read by group position."""
+    return {name: A.grading(idempotent, k)
+            for idempotent in ("i0", "i1") for k, name in enumerate(A.group(idempotent))}
+
+
+@dataclass(frozen=True)
+class InjectedPattern(TypeAModule):
+    """A p = 2 pattern module whose gradings a test chooses: ys are those of
+    a, b1 and b2.  At p = 2 every grading family has one generator, so the
+    pairing normalizes each of them and never extends a family."""
+
+    ys: tuple[GradingElement, ...] = ()
+
+    def grading(self, idempotent: str, k: int) -> GradingElement:
+        return self.ys[k if idempotent == "i0" else k + 1]
+
+
+def injected_pattern(ys, g: GradingElement | None = None) -> InjectedPattern:
+    """The p = 2 pattern module with gradings ys (a, b1, b2) and left normalizer g."""
+    return InjectedPattern(p=2, g=build_typea_minus(2).g if g is None else g, ys=tuple(ys))
+
+
+# ---------------------------------------------------------------------------
 # independent polynomial arithmetic (dict degree -> coeff, local to tests)
 # ---------------------------------------------------------------------------
 
@@ -172,6 +224,17 @@ def oracle_staircase(delta: dict, mirror: bool = False) -> dict:
     if mirror:
         table = {(-a, -m): r for (a, m), r in table.items()}
     return table
+
+
+# ---------------------------------------------------------------------------
+# Euler characteristic against the satellite formula
+# ---------------------------------------------------------------------------
+
+def euler_matches_cable(euler: LaurentPolynomial, delta: LaurentPolynomial, p: int, q: int) -> bool:
+    """euler == delta(t^p) * Delta_T(p,q), decided by the run path's
+    binomial comparison (invariants._matches_cable) on a polynomial rather
+    than on a table's parts."""
+    return _matches_cable(euler.times_binomial(p), delta, p, q)
 
 
 # ---------------------------------------------------------------------------

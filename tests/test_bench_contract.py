@@ -84,7 +84,8 @@ def test_complex_stays_whole(tau, counts, p, n):
 def test_gradings_rollup_sees_every_normalization(monkeypatch):
     """The tracer's gradings rollup wraps normalize_double_coset on
     cablefloer.pairing: the rows must call it through that name, once per
-    (A generator, b slot) of the complement module."""
+    (b slot of the complement module, A generator among the first three of
+    its grading family): once for a, and 2*min(3, p - 1) times for the b_k."""
     calls = []
     real = pairing.normalize_double_coset
 
@@ -98,7 +99,7 @@ def test_gradings_rollup_sees_every_normalization(monkeypatch):
     module_d = build_typed(model, n)
     pairing.pair_modules(build_typea_minus(p), module_d, model.params.l, n)
     slots = {(g.idempotent, g.grading.b2) for g in module_d.generators}
-    assert len(calls) == sum(1 if idempotent == "i0" else 2 * p - 2 for idempotent, _ in slots)
+    assert len(calls) == sum(1 if idempotent == "i0" else 2 * min(3, p - 1) for idempotent, _ in slots)
 
 
 def test_tensor_generator_record():

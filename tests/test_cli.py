@@ -217,7 +217,7 @@ def test_run_path_calls_no_cell_by_cell_check(monkeypatch):
     def unreachable(*args):
         raise AssertionError("a cell-by-cell check ran on the run path")
 
-    for name in ("check_symmetry", "euler_characteristic", "euler_matches_cable"):
+    for name in ("check_symmetry", "euler_characteristic"):
         monkeypatch.setattr(invariants, name, unreachable)
     cases = [(synthesize_delta(1, {0: 1}), 1, 3, 2),           # m = 0: no chain
              (synthesize_delta(-2, {}), -2, 4, 3),             # |m| = 7

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,7 +14,7 @@ from cablefloer import (
     tensor_gradings,
 )
 
-from conftest import LAMBDA, grading_of as gel, inverse, rho_grading
+from conftest import LAMBDA, grading_of as gel, injected_pattern, inverse, rho_grading
 
 F = Fraction
 half = F(1, 2)
@@ -219,7 +218,7 @@ d_gradings = st.builds(
 def affine_rows(ys, xs, g, h):
     """(N, A') of every tensor generator of a pattern with A gradings ys
     (a, b1, b2) and complement generators xs of (idempotent, grading)."""
-    A = replace(build_typea_minus(2), gradings=dict(zip(("a", "b1", "b2"), ys)), g=g)
+    A = injected_pattern(ys, g)
     gens = tuple(DGenerator(f"x{j}", idem, x, "x", j) for j, (idem, x) in enumerate(xs))
     D = TypeDModule(generators=gens, edges=(), h=h)
     return [value[:2] for value in tensor_gradings(A, D, 0).values()]
@@ -258,3 +257,39 @@ def test_affine_rows_near_a_double_coset(y, N, Aprime, k, sign, g, h, shifts):
     xs = [x] + [GradingElement(x.a2 + da, b2, x.c2 + dc, x.d2 + dd) for da, dc, dd in shifts]
     assert outcome(affine_rows, [y, y, y], [("i0", x) for x in xs], g, h) == outcome(
         lambda: [normalize_double_coset(y * x, g, h) for x in xs])
+
+
+def outcome_and_message(fn, *args):
+    try:
+        return fn(*args)
+    except (GradingError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+
+@settings(max_examples=300)
+@given(st.integers(2, 60), right_normalizers, st.data())
+def test_anchor_row_matches_one_normalization_per_generator(p, h, data):
+    """The anchor row of an i1 complement generator x, which normalizes the
+    first three b_k of each grading family and extends the rest, against
+    one normalize_double_coset(gr(b_k) * x, g, h) per b_k on the real
+    pattern gradings: the same values, or the same first error, type and
+    message.  Half the x are built from a known double-coset representative
+    of a drawn b_k, so that whole rows of values occur."""
+    A = build_typea_minus(p)
+    ys = [A.grading("i1", k) for k in range(2 * p - 2)]
+    if data.draw(st.booleans(), label="from a representative"):
+        y = data.draw(st.sampled_from(ys), label="y")
+        N, Aprime, k = (data.draw(st.integers(-6, 6), label=name) for name in ("N", "A'", "k"))
+        b2 = data.draw(st.sampled_from((-1, 1)), label="b slot")
+        x = inverse(y) * A.g**k * GradingElement(2 * N, 0, 0, 2 * Aprime) * h ** ((-y.b2 - b2) // 2)
+        assert x.b2 == b2
+    else:
+        x = data.draw(d_gradings, label="x")
+    D = TypeDModule(generators=(DGenerator("x", "i1", x, "x", 1),), edges=(), h=h)
+
+    def row():
+        return [value[:2] for value in tensor_gradings(A, D, 0).values()]
+
+    assert outcome_and_message(row) == outcome_and_message(
+        lambda: [normalize_double_coset(y * x, A.g, h) for y in ys])

@@ -15,7 +15,6 @@ from cablefloer import (
     compute_cable_hfk,
     euler_characteristic,
     euler_holds,
-    euler_matches_cable,
     mirror_check,
     parse_delta,
     symmetry_holds,
@@ -32,6 +31,7 @@ from conftest import (
     DELTA_FIG8,
     DELTA_TREFOIL,
     GOLDEN_11N50_5_16,
+    euler_matches_cable,
     oracle_cable_delta,
     oracle_torus_delta,
 )

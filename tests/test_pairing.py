@@ -19,7 +19,6 @@ from cablefloer import (
     compute_cable_hfk,
     euler_characteristic,
     euler_holds,
-    euler_matches_cable,
     framing_h,
     hat_operations,
     normalize_double_coset,
@@ -29,6 +28,7 @@ from cablefloer import (
     shift_constant,
     symmetry_holds,
     synthesize_delta,
+    tensor_differential,
     tensor_gradings,
 )
 
@@ -38,7 +38,10 @@ from conftest import (
     DELTA_TREFOIL,
     ROW_PARAMS,
     all_bigradings,
+    euler_matches_cable,
     expand_chain,
+    injected_pattern,
+    module_gradings,
     named_arrows,
     stored_name,
     thin_grid_cases,
@@ -80,8 +83,9 @@ def reference_gradings(A, D, c):
     """Every tensor generator normalized on its own, complement-major order."""
     out = {}
     grading = {d_gen.name: d_gen.grading for d_gen in D.generators}
+    pattern = module_gradings(A)
     for a_name, d_name in reference_pairs(A, D):
-        N, Aprime = normalize_double_coset(A.gradings[a_name] * grading[d_name], A.g, D.h)
+        N, Aprime = normalize_double_coset(pattern[a_name] * grading[d_name], A.g, D.h)
         alexander = Aprime + c
         out[(a_name, d_name)] = (N, Aprime, alexander, N + 2 * alexander)
     return out
@@ -192,12 +196,45 @@ class TestDifferential:
             with pytest.raises(ComplexError, match=rf"^complement generator s has two D_{label} edges$"):
                 named_arrows(A, doubled)
 
+    @pytest.mark.parametrize("p", [2, 3, 7])
+    def test_self_loop_with_a_d1_edge_closes_every_family(self, p):
+        """A D_12 self-loop on a node that also has a D_1 edge is walked to
+        the end: one arrow a*s -> b_{2p-i-2}*y for every family i <= p - 2.
+        Without the D_1 edge the walk stops at the loop, with no arrow."""
+        gens = (DGenerator("s", "i0", GradingElement.identity(), "x", 1),
+                DGenerator("y", "i1", GradingElement.identity(), "x", 2))
+        D = TypeDModule(generators=gens, edges=(DEdge("s", "12", "s"), DEdge("s", "1", "y")),
+                        h=GradingElement.identity())
+        A = build_typea_minus(p)
+        assert named_arrows(A, D) == [(("a", "s"), (f"b{2 * p - i - 2}", "y")) for i in range(p - 1)]
+        assert set(named_arrows(A, D)) == reference_differential(A, D)
+        bare = replace(D, edges=D.edges[:1])
+        assert named_arrows(A, bare) == [] and reference_differential(A, bare) == set()
+
+    def test_zero_framed_unknot_does_not_grow_with_p(self):
+        """Delta = 1, tau = 0, n = 0 is one tensor generator whatever p: no
+        pattern name or grading per b_k is held, so p = 100,000 peaks well
+        under a megabyte, and the walk ends at the D_12 self-loop, so even
+        p = 10^12 walks one step."""
+        import tracemalloc
+
+        delta = synthesize_delta(0, {})
+        assert tensor_differential(build_typea_minus(10**12), build_typed(build_model(delta, 0), 0)) == []
+        tracemalloc.start()
+        try:
+            result = compute_cable_hfk(delta, 0, 100_000, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.table.ranks == {(0, 0): 1} and result.consistent
+        assert peak < 1_000_000, peak
+
     @pytest.mark.parametrize("tau, n, total", [
         (0, 0, 1), (0, 1, 2199), (0, -1, 2197), (1, 2, 4397), (-1, -2, 4395),
     ])
     def test_p_over_1000_end_to_end(self, tau, n, total):
-        # p = 1100: the zero-framed unknot's D_12 self-loop is walked p - 1
-        # times, and no operation table of about p^3/6 chord letters is built
+        # p = 1100: the zero-framed unknot's D_12 self-loop ends the walk at
+        # once, and no operation table of about p^3/6 chord letters is built
         result = compute_cable_hfk(synthesize_delta(tau, {}), tau, 1100, n)
         assert result.consistent
         assert result.table.total == total
@@ -304,11 +341,7 @@ class TestGradings:
         # t repeats s; a row keyed on the grading alone would give y the
         # single-entry row of s.  The pattern gradings are hand-picked so
         # that one D grading normalizes against both a and the b's.
-        A = replace(build_typea_minus(2), gradings={
-            "a": GradingElement.identity(),
-            "b1": GradingElement(2, 2, 0, 2),
-            "b2": GradingElement(0, 0, 4, -2),
-        })
+        A = injected_pattern((GradingElement.identity(), GradingElement(2, 2, 0, 2), GradingElement(0, 0, 4, -2)))
         shared, other = GradingElement.identity(), GradingElement(0, 2, 0, 4)
         gens = tuple(DGenerator(name, idem, grading, "x", j) for j, (name, idem, grading) in enumerate((
             ("s", "i0", shared), ("y", "i1", shared), ("t", "i0", shared), ("z", "i1", other))))
@@ -470,7 +503,7 @@ def test_later_row_is_decided_by_one_check(idempotent, anchor, shift, error):
     later = GradingElement(anchor.a2 + da2, anchor.b2, anchor.c2 + dc2, anchor.d2 + dd2)
     gens = (DGenerator("s", idempotent, anchor, "x", 1), DGenerator("t", idempotent, later, "x", 2))
     D = TypeDModule(generators=gens, edges=(), h=h)
-    first = A.gradings[next(a_name for a_name in A.generators if A.pairs_with(a_name) == idempotent)]
+    first = A.grading(idempotent, 0)
     if error is None:
         normalize_double_coset(first * later, A.g, h)
         assert list(tensor_gradings(A, D, 0).items()) == list(reference_gradings(A, D, 0).items())

@@ -4,7 +4,7 @@ import pytest
 
 from cablefloer import AOperation, GradingElement, build_typea_minus, hat_operations
 
-from conftest import LAMBDA, grading_of, rho_grading
+from conftest import LAMBDA, grading_of, module_gradings, pattern_gradings, rho_grading
 
 half = Fraction(1, 2)
 
@@ -44,10 +44,27 @@ def test_p3_operations():
 
 def test_p2_gradings():
     module = build_typea_minus(2)
-    assert module.gradings["a"] == GradingElement.identity()
-    assert module.gradings["b2"] == grading_of(-half, half, -half, 0)
-    assert module.gradings["b1"] == grading_of(half, half, -half, -1)
+    gradings = module_gradings(module)
+    assert gradings["a"] == GradingElement.identity()
+    assert gradings["b2"] == grading_of(-half, half, -half, 0)
+    assert gradings["b1"] == grading_of(half, half, -half, -1)
     assert module.g == grading_of(-half, 0, 1, 2)
+
+
+@pytest.mark.parametrize("p", range(2, 13))
+def test_closed_form_gradings_match_per_generator_formulas(p):
+    """The gradings formed by group position equal the per-generator
+    formulas, name for name, and each family of A.families is affine in
+    its position."""
+    module = build_typea_minus(p)
+    gradings = module_gradings(module)
+    assert list(gradings) == list(module.generators)
+    assert gradings == pattern_gradings(p)
+    for idempotent in ("i0", "i1"):
+        for family in module.families(idempotent):
+            ys = [module.grading(idempotent, k) for k in family]
+            steps = {tuple(b - a for a, b in zip(y, z)) for y, z in zip(ys, ys[1:])}
+            assert len(steps) <= 1
 
 
 def test_hat_p2():
@@ -81,11 +98,12 @@ def test_hat_count_and_shapes(p):
 def test_hat_operations_respect_coset_gradings(p):
     """gr(target) = g^k * lambda^(l-1) * gr(source) * gr(inputs) for some integer k."""
     module = build_typea_minus(p)
+    gradings = module_gradings(module)
     for (source, inputs), target in hat_operations(module).items():
-        expected = LAMBDA ** (len(inputs) - 1) * module.gradings[source]
+        expected = LAMBDA ** (len(inputs) - 1) * gradings[source]
         for label in inputs:
             expected = expected * rho_grading(label)
-        got = module.gradings[target]
+        got = gradings[target]
         # the left normalizer has zero b slot, so b slots must agree on the nose
         assert got.b2 == expected.b2
         k2 = got.c2 - expected.c2
