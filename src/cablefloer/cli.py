@@ -130,7 +130,10 @@ def run(config: RunConfig, stream=None) -> int:
             q = config.q if config.q is not None else config.p * config.n + 1
             stream.write(f"{invariants.tau_pq(config.tau, config.p, q)}\n")
             return 0
-        if config.n is None or config.q is not None:
+        if config.q is not None:
+            raise ThinInputError("hfk mode does not take --q (the cable is (p, p*n+1))"
+                                 + ("; give --n" if config.n is None else ""))
+        if config.n is None:
             raise ThinInputError("hfk mode needs --n (the cable is (p, p*n+1))")
         outcome = compute_cable_hfk(delta, config.tau, config.p, config.n)
         text = _render(outcome, config.fmt)

@@ -26,7 +26,7 @@ from math import gcd
 from .homology import RankTable
 from .laurent import LaurentPolynomial
 from .thin import ThinModel
-from .type_d import build_typed
+from .type_d import build_typed, raised
 
 
 def tau_cable(tau: int, p: int, n: int) -> int:
@@ -334,9 +334,13 @@ def closed_form_gradings(model: ThinModel, p: int, n: int) -> dict[tuple[str, st
     a square corner at an Alexander level.  With sigma = 1 for tau <= 0 and
     -1 for tau > 0, u_i reads off a*x3 at level sigma*(i-1); v_i reads off
     b*y4 (odd i) or b*y3 (even i) at level i-1 for tau <= 0 and -i for
-    tau > 0.  Every b_k*mu_j is covered, the chain end's and those the
-    module's MuChain stands for alike.  The uncovered families (a*x2 and
-    the high-index b*y1, b*y2) die in homology.
+    tau > 0.  The module stores one square, which stands for the squares of
+    every level in its copies: each corner is covered at every level t,
+    under the name the pairing gives it there, the stored name raised by
+    the level's position in ascending order (type_d.raised).  Every
+    b_k*mu_j is covered, the chain end's and those the module's MuChain
+    stands for alike.  The uncovered families (a*x2 and the high-index
+    b*y1, b*y2) die in homology.
     """
     tau = model.params.tau
     l = model.params.l
@@ -349,14 +353,17 @@ def closed_form_gradings(model: ThinModel, p: int, n: int) -> dict[tuple[str, st
         if value is not None:
             out[(a_name, d_name)] = value
 
+    levels = list(enumerate(sorted(module.copies)))
     for gen in module.generators:
         if gen.kind in ("x", "y"):
             corner = f"{gen.kind}{gen.index}"
-            if gen.kind == "x":
-                put("a", gen.name, _square(corner, 0, gen.level, l, n, p))
-            else:
-                for k in range(1, 2 * p - 1):
-                    put(f"b{k}", gen.name, _square(corner, k, gen.level, l, n, p))
+            for serial, t in levels:
+                name = raised(gen.name, serial)
+                if gen.kind == "x":
+                    put("a", name, _square(corner, 0, t, l, n, p))
+                else:
+                    for k in range(1, 2 * p - 1):
+                        put(f"b{k}", name, _square(corner, k, t, l, n, p))
         elif gen.kind == "u":
             put("a", gen.name, _square("x3", 0, sigma * (gen.index - 1), l, n, p))
         elif gen.kind == "v":

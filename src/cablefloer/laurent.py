@@ -106,13 +106,6 @@ class LaurentPolynomial:
                 out[d] = get(d, 0) + c1 * c2
         return LaurentPolynomial._trusted(out)
 
-    def times_binomial(self, k: int) -> "LaurentPolynomial":
-        """Multiply by t**k - 1 in one pass over the terms."""
-        out = {deg + k: coeff for deg, coeff in self._coeffs.items()}
-        for deg, coeff in self._coeffs.items():
-            out[deg] = out.get(deg, 0) - coeff
-        return LaurentPolynomial._trusted(out)
-
     def inflate(self, p: int) -> "LaurentPolynomial":
         """Substitute t -> t**p."""
         return LaurentPolynomial._trusted({p * d: c for d, c in self._coeffs.items()})

@@ -11,14 +11,17 @@ homology.reduce_complex checks.  Bigradings come from the grading group:
 gr(x*y) = gr(x)gr(y) normalized to (N, A'), then A = A' + c and M = N + 2A
 with the shift constant c = l*p - n*p*(p-1)/2.
 
-The complement module stores one square per level with its count c_t.  The
-box tensor product is additive over direct summands, so each level's c_t
-squares pair to c_t copies of that square's part of the complex: the
-differential walks the stored module once, so the arrows join first copies
-only, and the generator view lists each complement generator's A group c_t
-times in a row under the stored D name.  The view is the only place that
-knows the copy layout; homology.reduce_complex reads the bigrading and copy
-count of every arrow end from its cells.
+The complement module stores its squares as one square, at the lowest
+level t_0, with the count c_t of every level t.  The box tensor product is
+additive over direct summands, and the squares of every level are that
+square moved by the shift of the level difference, so the stored square
+is paired once, in the same pass as the staircase: the differential walks
+its edges once, and its generators are slots of the view that repeat
+together once per level, listed c_t times at level t under the name
+corner.s<serial>, serial the level's position in ascending order.  Their
+cells at level t are those at t_0 moved by (t - t_0) times a step row (see
+below), and homology.reduce_complex cancels the stored square's arrows once
+and places its survivors at every level.
 
 A row is the (alexander, maslov) cell of each A generator paired with one
 complement generator; N and A' are derived only where a record is built.
@@ -36,14 +39,23 @@ or either quotient is not an integer, whatever k, so one check decides the
 row.  Rows are tuples of cells, the bigrading keys themselves, so most
 counting is one Counter pass.
 
+Moving a square corner of b slot b2 up by dt levels moves its grading by
+(dt*(1 + b2), 0, 2dt, 0) in doubled slots, and the pattern's g is
+(-1; 0, 1; p), (-1, 0, 2, 2p) doubled, so the move has dc2 = 2dt,
+2da2 + (b2 - g.a2)*dc2 = 4dt*(1 + b2) and 2dd2 - g.d2*dc2 = -4p*dt: all
+three pass the group law's check for every dt, so once the row at t_0
+passes, no level can be refused, and the checks and errors are exactly
+those of the stored square.  Entry k moves by dt*(-p, 1 + b2 + y_k.b2 - 2p),
+the step row.
+
 The unstable chain's interior (type_d.MuChain) pairs into no arrow, and its
 gradings step by a constant, so every b_k's cell does too.  So the chain is
-one slot of the view, whose r-th repetition is mu<index + r> at its first
-row plus r step rows, and its cells are one arithmetic progression per b_k,
-kept apart in BigradedComplex.progressions and never counted; the rank
-table and the checks in invariants.py read them one progression at a time.
-The closed-form grading tables that cross-check this group arithmetic live
-in invariants.py.
+one slot of the view repeated once per chain generator: repetition r is
+mu<index + r> at its first row plus r step rows.  Its cells are one
+arithmetic progression per b_k, kept apart in BigradedComplex.progressions
+and never counted; the rank table and the checks in invariants.py read
+them one progression at a time.  The closed-form grading tables that
+cross-check this group arithmetic live in invariants.py.
 """
 
 from __future__ import annotations
@@ -57,7 +69,7 @@ from typing import NamedTuple
 
 from .gradings import GradingElement, GradingError, normalize_double_coset
 from .type_a import TypeAModule, hat_operations  # noqa: F401 (re-exported)
-from .type_d import TypeDModule
+from .type_d import TypeDModule, raised
 
 # A row: the (alexander, maslov) cell of each A generator of one idempotent
 # group, in A order
@@ -83,12 +95,21 @@ class TensorGenerator(NamedTuple):
         return f"{self.a_side} {self.d_side}"
 
 
-class ChainSlot(NamedTuple):
-    """Where the view lists the unstable chain's interior and how it steps."""
+class Repeat(NamedTuple):
+    """How slots of the generator view repeat together: the chain's one
+    slot along the chain, or the square's slots over the levels.
 
-    slot: int  # its complement slot
-    index: int  # mu subscript of repetition 0
-    steps: Row  # per A generator, the change of its cell from one repetition to the next
+    Repetition r reads each slot's row plus offsets[r] times its steps,
+    cell by cell, and lists the slot's A group copy_starts[r + 1] -
+    copy_starts[r] times in a row.  offsets[0] is 0, so the first copy of
+    repetition 0 is the slot's row as stored.  Repetition r is named by the
+    slot's D name raised by r (type_d.raised): mu2 -> mu3 along the chain,
+    x1.s0 -> x1.s1 from one level to the next."""
+
+    slots: tuple[int, ...]
+    steps: tuple[Row, ...]  # per slot and A generator, the change of its cell per unit of offset
+    offsets: Sequence[int]
+    copy_starts: Sequence[int]  # the copies listed before each repetition, then their total
 
 
 class Progression(NamedTuple):
@@ -111,50 +132,45 @@ class Progression(NamedTuple):
 class TensorGenerators(Sequence):
     """Read-only view of the tensor generators in complement-major order.
 
-    Complement slot j pairs with the A generators a_names[j] and its A group
-    is listed copies[j] times in a row from starts[j] on.  Off the chain,
-    slot j is the D generator d_names[j], standing for copies[j] isomorphic
-    generators (its square's count, 1 off the squares), and every copy reads
-    its cells at rows[j].  The chain's slot lists one repetition per chain
-    generator: repetition r is mu<index + r> and reads rows[j] plus r times
-    its step row.  Repetition 0 of a*d sits at starts[j] plus the position
-    of a in the group.  A record, with N = M - 2A and A' = A - c, is built
-    each time an index is read; cells(indices) reads bigradings and copy
-    counts without one.  It is the only generator sequence a
-    BigradedComplex holds.
+    Slot j is the complement generator d_names[j], paired with the A
+    generators a_names[j] at the cells rows[j].  A slot of no Repeat is
+    listed once, from starts[j] on.  A slot of chain or square lists its
+    repetitions one after another, each repetition's copies in a row (see
+    Repeat): the unstable chain's interior repeats once per chain
+    generator, and the square's corners once per level, all by one layout.
+    Copy 0 of repetition 0 of a*d sits at starts[j] plus the position of a
+    in the group.  A record, with N = M - 2A and A' = A - c, is built each
+    time an index is read; cells_at(spots(indices)) reads bigradings
+    without one.  It is the only generator sequence a BigradedComplex
+    holds.
     """
 
     def __init__(self, d_names: tuple[str, ...], a_names: tuple[Sequence[str], ...],
-                 rows: tuple[Row, ...], copies: tuple[int, ...], c: int, chain: ChainSlot | None = None):
+                 rows: tuple[Row, ...], c: int, chain: Repeat | None = None, square: Repeat | None = None):
         self.d_names = d_names
         self.a_names = a_names
         self.rows = rows
-        self.copies = copies
         self.c = c
-        self.chain = chain
-        self._chain_slot = -1 if chain is None else chain.slot
+        self.square = square
+        # per slot: None, or its steps and the Repeat it belongs to
+        self._repeats: list[tuple[Row, Repeat] | None] = [None] * len(rows)
+        for rep in (chain, square):
+            if rep is not None:
+                for j, steps in zip(rep.slots, rep.steps):
+                    self._repeats[j] = steps, rep
         self._sizes = [len(row) for row in rows]
-        self.starts = list(accumulate((size * count for size, count in zip(self._sizes, copies)), initial=0))
+        self.starts = list(accumulate((size if rep is None else size * rep[1].copy_starts[-1]
+                                       for size, rep in zip(self._sizes, self._repeats)), initial=0))
         self._len = self.starts.pop()
 
     def __len__(self) -> int:
         return self._len
 
-    def __getitem__(self, i: int) -> TensorGenerator:
-        (alexander, maslov, _), = self.cells((i,))  # raises IndexError out of range
-        i %= self._len
-        j = bisect_right(self.starts, i) - 1
-        r, k = divmod(i - self.starts[j], self._sizes[j])
-        d_name = f"mu{self.chain.index + r}" if j == self._chain_slot else self.d_names[j]
-        return TensorGenerator(self.a_names[j][k], d_name, maslov - 2 * alexander, alexander - self.c,
-                               alexander, maslov)
-
-    def cells(self, indices: Iterable[int]) -> list[tuple[int, int, int]]:
-        """(alexander, maslov, copies) of each generator in indices, in one
-        pass: its bigrading and how many copies of it the view lists,
-        without building its record."""
-        starts, sizes, rows, copies, size = self.starts, self._sizes, self.rows, self.copies, self._len
-        chain_slot = self._chain_slot
+    def spots(self, indices: Iterable[int]) -> list[tuple[int, int, int]]:
+        """(slot, copy, position) of each generator in indices, in one pass:
+        its slot, which of the slot's listings of its A group holds it,
+        counted over every repetition, and its position in that group."""
+        starts, sizes, size = self.starts, self._sizes, self._len
         out = []
         for i in indices:
             if i < 0:
@@ -162,26 +178,54 @@ class TensorGenerators(Sequence):
             if not 0 <= i < size:
                 raise IndexError("tensor generator index out of range")
             j = bisect_right(starts, i) - 1
-            r, k = divmod(i - starts[j], sizes[j])
-            alexander, maslov = rows[j][k]
-            if j == chain_slot:
-                alexander_step, maslov_step = self.chain.steps[k]
-                out.append((alexander + r * alexander_step, maslov + r * maslov_step, 1))
-            else:
-                out.append((alexander, maslov, copies[j]))
+            copy, k = divmod(i - starts[j], sizes[j])
+            out.append((j, copy, k))
+        return out
+
+    def index(self, j: int, copy: int, k: int) -> int:
+        """The generator at (slot, copy, position): the inverse of spots."""
+        return self.starts[j] + copy * self._sizes[j] + k
+
+    def __getitem__(self, i: int) -> TensorGenerator:
+        (j, copy, k), = spots = self.spots((i,))
+        (alexander, maslov), = self.cells_at(spots)
+        d_name, rep = self.d_names[j], self._repeats[j]
+        r = 0 if rep is None else bisect_right(rep[1].copy_starts, copy) - 1
+        if r:
+            d_name = raised(d_name, r)
+        return TensorGenerator(self.a_names[j][k], d_name, maslov - 2 * alexander, alexander - self.c,
+                               alexander, maslov)
+
+    def cells_at(self, spots: Iterable[tuple[int, int, int]]) -> list[tuple[int, int]]:
+        """The (alexander, maslov) bigrading at each (slot, copy, position)
+        of spots, without building a record."""
+        rows, repeats = self.rows, self._repeats
+        out = []
+        for j, copy, k in spots:
+            cell = rows[j][k]
+            rep = repeats[j]
+            if rep is not None:
+                steps, rep = rep
+                offset = rep.offsets[bisect_right(rep.copy_starts, copy) - 1]
+                alexander_step, maslov_step = steps[k]
+                cell = (cell[0] + offset * alexander_step, cell[1] + offset * maslov_step)
+            out.append(cell)
         return out
 
 
 @dataclass(frozen=True)
 class BigradedComplex:
-    """The paired complex: the generator view, the arrows on its copy-0
-    generators and the generator count per bigrading, copies included, of
-    every generator off the chain.  The chain's cells are the progressions,
-    one per b_k, which bigradings does not count, and no arrow touches them."""
+    """The paired complex: the generator view, the arrows on the first copy
+    of their slots and the generator count per bigrading of every stored
+    generator, each slot's row once.  The other listings are counted
+    elsewhere: the chain's cells are the progressions, one per b_k, and the
+    square's other listings (generators.square) are placed at every level
+    by homology.reduce_complex once its arrows are cancelled.  No arrow
+    touches the chain."""
 
     generators: TensorGenerators
     arrows: tuple[tuple[int, int], ...]  # (source index, target index)
-    bigradings: Mapping[tuple[int, int], int]  # positive count per (alexander, maslov), chain excluded
+    bigradings: Mapping[tuple[int, int], int]  # positive count per (alexander, maslov) of the stored rows
     progressions: tuple[Progression, ...] = ()  # the chain's cells, counted nowhere else
 
 
@@ -243,9 +287,10 @@ def _refusal(y: GradingElement, x: GradingElement) -> Exception:
 
 
 def _rows(A: TypeAModule, D: TypeDModule, c: int
-          ) -> tuple[list[Sequence[str]], list[Row], tuple[Row, Row] | None]:
+          ) -> tuple[list[Sequence[str]], list[Row], dict[int, Row], tuple[Row, Row] | None]:
     """Per complement generator in D order, its A generators and its row,
-    and the chain's first row and step row (None without a chain).
+    the level step row of each square generator, by D index, and the
+    chain's first row and step row (None without a chain).
 
     The first row of each (idempotent, b slot) is its anchor.  Its cells
     are affine (alexander) and quadratic (maslov) in the position within
@@ -262,7 +307,9 @@ def _rows(A: TypeAModule, D: TypeDModule, c: int
     r-th grading is its first plus r*step in the doubled a and c slots, so
     its translation grows linearly in r and its residues repeat with
     period 2: the first two rows decide every repetition, and the step row
-    is the second row minus the first.
+    is the second row minus the first.  A level step row is the same
+    translation for a move of one level, which the group law never refuses
+    (see the module docstring), so it is not checked.
     """
     g, h, ga2, gd2 = A.g, D.h, A.g.a2, A.g.d2
     groups_of = {idempotent: A.group(idempotent) for idempotent in ("i0", "i1")}
@@ -319,6 +366,14 @@ def _rows(A: TypeAModule, D: TypeDModule, c: int
         half = dc2 // 2
         return tuple([(a + da, mm + dm + b * half) for (a, mm), b in zip(cells, sampled[idempotent][1])])
 
+    def level_step(idempotent: str, b2: int) -> Row:
+        """row's translation for one level up, a move by (1 + b2, 2, 0) in
+        the doubled a, c and d slots, which passes its check for every b2."""
+        n, m = 2 * (1 + b2) + (b2 - ga2) * 2, -gd2 * 2
+        da = m // 4
+        dm = n // 4 + 2 * da
+        return tuple([(da, dm + b) for b in sampled[idempotent][1]])
+
     chain, progression = D.chain, None
     order = list(D.generators)
     if chain is not None:
@@ -339,13 +394,21 @@ def _rows(A: TypeAModule, D: TypeDModule, c: int
                 known = made[key] = row(*key)
             groups.append(groups_of[idempotent])
             rows.append(known)
-    return groups, rows, progression
+    steps, level_steps = {}, {}  # the square's corners share three (idempotent, b slot) pairs
+    for j, d_gen in enumerate(D.generators):
+        if d_gen.level is not None:
+            key = d_gen.idempotent, d_gen.grading.b2
+            if key not in level_steps:
+                level_steps[key] = level_step(*key)
+            steps[j] = level_steps[key]
+    return groups, rows, steps, progression
 
 
 def tensor_gradings(A: TypeAModule, D: TypeDModule, c: int) -> dict[tuple[str, str], tuple[int, int, int, int]]:
     """(N, A', alexander, maslov) for every tensor generator on a stored D
-    generator, complement-major order; the chain's interior is not listed."""
-    groups, rows, _ = _rows(A, D, c)
+    generator, complement-major order; the chain's interior and the
+    square's other levels are not listed."""
+    groups, rows, _, _ = _rows(A, D, c)
     return {(a_name, d_gen.name): (maslov - 2 * alexander, alexander - c, alexander, maslov)
             for d_gen, group, row in zip(D.generators, groups, rows)
             for a_name, (alexander, maslov) in zip(group, row)}
@@ -355,37 +418,40 @@ def pair_modules(A: TypeAModule, D: TypeDModule, l: int, n: int) -> BigradedComp
     """Assemble the bigraded complex of the cable from the rows.
 
     No per-generator record or index is built: generators is a view over
-    (complement generator, its A generators, its row, its copy count), and
+    (complement generator, its A generators, its row, how it repeats), and
     an arrow end's index is its slot's start plus its A position.  The
-    bigrading counts are one Counter pass over the rows listed once, plus
-    each square row's cells counted c_t times; the chain is one more slot,
-    kept as progressions and not counted.  Every arrow joins copy-0
-    generators; homology.reduce_complex weighs its ends by their copies.
+    bigrading counts are one Counter pass over the stored rows, the
+    square's at its stored level once.  The square's generators repeat at
+    every level of D.copies, offset by the level difference, and the chain
+    is one more slot repeated along the chain, kept as progressions; their
+    other listings are not counted.  Every arrow joins first copies of the
+    stored generators.
     """
     c = shift_constant(l, A.p, n)
-    groups, rows, progression = _rows(A, D, c)
-    copies = [D.copies.get(d_gen.level, 1) for d_gen in D.generators]
+    groups, rows, steps, progression = _rows(A, D, c)
     d_names = [d_gen.name for d_gen in D.generators]
-    bigradings = Counter(concat.from_iterable(row for row, count in zip(rows, copies) if count == 1))
-    for row, count in zip(rows, copies):
-        if count > 1:
-            for cell in row:
-                bigradings[cell] += count
-    chain, progressions = None, ()
+    square_slots = list(steps)
+    bigradings = Counter(concat.from_iterable(rows))
+    progressions, chain = (), None
     if progression is not None:
-        first, steps = progression
+        first, chain_steps = progression
         at, length = D.chain.at, D.chain.length
         progressions = tuple(Progression(alexander, maslov, alexander_step, maslov_step, length)
-                             for (alexander, maslov), (alexander_step, maslov_step) in zip(first, steps))
+                             for (alexander, maslov), (alexander_step, maslov_step) in zip(first, chain_steps))
         d_names.insert(at, f"mu{D.chain.index}")
         groups.insert(at, A.group("i1"))
         rows.insert(at, first)
-        copies.insert(at, length)
-        chain = ChainSlot(at, D.chain.index, steps)
-    generators = TensorGenerators(tuple(d_names), tuple(groups), tuple(rows), tuple(copies), c, chain)
+        chain = Repeat((at,), (chain_steps,), range(length), range(length + 1))
+        square_slots = [j + (j >= at) for j in square_slots]
+    square = None
+    if steps:
+        levels = sorted(D.copies)  # the square is stored at the lowest, levels[0]
+        square = Repeat(tuple(square_slots), tuple(steps.values()), tuple(t - levels[0] for t in levels),
+                        tuple(accumulate(map(D.copies.__getitem__, levels), initial=0)))
+    generators = TensorGenerators(tuple(d_names), tuple(groups), tuple(rows), c, chain, square)
     starts = generators.starts  # per D generator: the chain's slot is not one
-    if chain is not None:
-        starts = starts[:chain.slot] + starts[chain.slot + 1:]
+    if progression is not None:
+        starts = starts[:at] + starts[at + 1:]
     arrows = sorted((starts[d_src] + a_src, starts[d_tgt] + a_tgt)
                     for d_src, a_src, d_tgt, a_tgt in tensor_differential(A, D))
     return BigradedComplex(generators=generators, arrows=tuple(arrows), bigradings=bigradings,

@@ -2,24 +2,28 @@
 
 Built directly from a :class:`~cablefloer.thin.ThinModel`: the staircase
 contributes generators u_1 .. u_{2|tau|+1} (idempotent i0) and v_1 .. v_{2|tau|}
-(idempotent i1), the c_t square summands at level t are one square of corners
-x_1 .. x_4 (i0) and y_1 .. y_4 (i1) counted c_t times, and the
-framing-dependent unstable chain joins the two staircase ends through extra
-i1 generators mu_1 .. mu_|m|, m = 2*tau - n.  Only the edges a hat operation
-reads are stored: every hat operation's chords are a prefix (nothing or
-rho_2), then rho_12^i, then rho_1, so a D_3, D_23 or D_123 edge never meets
-an operation and adds nothing to the box tensor product.  That leaves one
-edge per model arrow of the staircase and the squares: a vertical arrow
-u -> u' through v stores u --D1--> v, and a horizontal one v --D2--> u'.
-Every staircase and square generator is a level-0 square corner
-right-multiplied by the shift (t/2; 0, t; 0) of its Alexander level t; in
-doubled slots that product takes (a2, b2, c2, d2) to
-(a2 + t*(1 + b2), b2, c2 + 2t, d2), which is written directly instead of
-multiplied out per corner.  The chain stores one edge: D_12 from u_top to
-u_1 when m = 0, else the one at its end, D_1 into mu_1 when m > 0 or D_2
-out of mu_|m| when m < 0.  That end is a generator, and the other |m| - 1
-are one MuChain, an arithmetic progression of gradings.  Every generator
-carries a right-coset grading; the coset normalizer h depends on m.
+(idempotent i1), the squares are one square of corners x_1 .. x_4 (i0) and
+y_1 .. y_4 (i1), stored once at the lowest level t_0 and standing for the
+c_t squares of every level t, and the framing-dependent unstable chain
+joins the two staircase ends through extra i1 generators mu_1 .. mu_|m|,
+m = 2*tau - n.  Only the edges a hat operation reads are stored: every hat
+operation's chords are a prefix (nothing or rho_2), then rho_12^i, then
+rho_1, so a D_3, D_23 or D_123 edge never meets an operation and adds
+nothing to the box tensor product.  That leaves one edge per model arrow of
+the staircase and the square: a vertical arrow u -> u' through v stores
+u --D1--> v, and a horizontal one v --D2--> u'.  Every staircase and square
+generator is a level-0 square corner right-multiplied by the shift
+(t/2; 0, t; 0) of its Alexander level t; in doubled slots that product
+takes (a2, b2, c2, d2) to (a2 + t*(1 + b2), b2, c2 + 2t, d2), which is
+written directly instead of multiplied out per corner.  The squares of
+every level are that one square moved by the shift of the level
+difference, so the pairing places the stored square's part of the complex
+at every level (see pairing.py).  The chain stores one edge: D_12 from
+u_top to u_1 when m = 0, else the one at its end, D_1 into mu_1 when m > 0
+or D_2 out of mu_|m| when m < 0.  That end is a generator, and the other
+|m| - 1 are one MuChain, an arithmetic progression of gradings.  Every
+generator carries a right-coset grading; the coset normalizer h depends on
+m.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ class DGenerator(NamedTuple):
     grading: GradingElement
     kind: str  # "u", "v", "mu", "x", "y"
     index: int  # subscript within its kind
-    level: int | None = None  # diagonal level, squares only
+    level: int | None = None  # diagonal level it is stored at, squares only
 
 
 @dataclass(frozen=True)
@@ -66,8 +70,9 @@ class TypeDModule:
     generators: tuple[DGenerator, ...]
     edges: tuple[DEdge, ...]  # D_1 and D_2, one per model arrow, and the chain's one edge
     h: GradingElement = field(repr=False)
-    # square count c_t per level t; a level's square is stored once and
-    # stands for its c_t isomorphic copies
+    # square count c_t per level t, ascending; the generators with a level
+    # are one square, which stands for the c_t isomorphic squares of every
+    # level t.  Empty, every generator stands for itself once.
     copies: dict[int, int] = field(default_factory=dict)
     chain: MuChain | None = None
 
@@ -75,6 +80,14 @@ class TypeDModule:
 def framing_h(l: int, m: int) -> GradingElement:
     """Right coset normalizer (m/2 - 1/2 - l; -1, m + 2l; 0); valid for every m."""
     return GradingElement(m - 1 - 2 * l, -2, 2 * (m + 2 * l), 0)
+
+
+def raised(name: str, r: int) -> str:
+    """name with its trailing number raised by r: the name of the r-th
+    repetition of a stored generator, mu2 -> mu3 along the chain and
+    x1.s0 -> x1.s<r> from the stored square's level to the r-th level up."""
+    stem = name.rstrip("0123456789")
+    return f"{stem}{int(name[len(stem):]) + r}"
 
 
 def _mu(j: int, sign: int, l: int) -> GradingElement:
@@ -158,19 +171,19 @@ def build_typed(model: ThinModel, n: int) -> TypeDModule:
 
     # a square whose corner count is c_i lies at level t = i - tau; its
     # gradings are the base square right-multiplied by (t/2; 0, t; 0).  The
-    # c_i squares of one level are isomorphic summands, so one square per
-    # level is emitted, from its x1 corner on, and copies[t] counts them.
-    copies: dict[int, int] = {}
-    for serial, i in enumerate(sorted(model.square_counts)):
-        t = i - tau
-        names = [f"{corner}.s{serial}" for corner in _SQUARE_BASE]
+    # squares of all levels are isomorphic summands whose gradings differ by
+    # such shifts, so one square is emitted, at the lowest level, from its
+    # x1 corner on, and copies[t] counts the squares of every level t.
+    copies = {i - tau: model.square_counts[i] for i in sorted(model.square_counts)}
+    if copies:
+        t = next(iter(copies))
+        names = [f"{corner}.s0" for corner in _SQUARE_BASE]
         gens += [DGenerator(name, idem, _at_level(base, t), kind, index, t)
                  for name, (idem, kind, index, base) in zip(names, _CORNERS)]
         # vertical model arrows x1 -> x3 through y4 and x2 -> x4 through y2,
         # horizontal ones x1 -> x2 through y1 and x3 -> x4 through y3
         x1, x2, x3, x4, y1, y2, y3, y4 = names
         edges += [DEdge(x1, "1", y4), DEdge(x2, "1", y2), DEdge(y1, "2", x2), DEdge(y3, "2", x4)]
-        copies[t] = model.square_counts[i]
 
     return TypeDModule(
         generators=tuple(gens),

@@ -32,6 +32,7 @@ from cablefloer import (
     synthesize_delta,
 )
 from cablefloer.invariants import _matches_cable
+from cablefloer.type_d import raised
 
 # rank of the (5,16)-cable of 11n50 per (alexander, maslov), transcribed
 # from the published listing; totals 181 over 60 lattice points
@@ -230,11 +231,19 @@ def oracle_staircase(delta: dict, mirror: bool = False) -> dict:
 # Euler characteristic against the satellite formula
 # ---------------------------------------------------------------------------
 
+def times_binomial(f: LaurentPolynomial, k: int) -> LaurentPolynomial:
+    """f * (t^k - 1) in one pass over the terms."""
+    out = {deg + k: coeff for deg, coeff in f.items()}
+    for deg, coeff in f.items():
+        out[deg] = out.get(deg, 0) - coeff
+    return LaurentPolynomial(out)
+
+
 def euler_matches_cable(euler: LaurentPolynomial, delta: LaurentPolynomial, p: int, q: int) -> bool:
     """euler == delta(t^p) * Delta_T(p,q), decided by the run path's
     binomial comparison (invariants._matches_cable) on a polynomial rather
     than on a table's parts."""
-    return _matches_cable(euler.times_binomial(p), delta, p, q)
+    return _matches_cable(times_binomial(euler, p), delta, p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -265,20 +274,45 @@ def oracle_json_text(result) -> str:
 
 
 # ---------------------------------------------------------------------------
-# complement module with every square copy written out
+# complement module with every square level and copy written out
 # ---------------------------------------------------------------------------
 
-def expand_squares(D: TypeDModule) -> TypeDModule:
-    """D with every square written out D.copies[t] times, each copy its own
-    relabelled square: copy k > 0 of a corner named "x1.s0" is "x1.s0#k".
-    The copies of each stored generator are listed in a row, the order in
-    which the pairing's generator view lists them.  The generic matcher
-    walks this module in full, as an independent reference for the
-    pairing's copy counts."""
-    copies = {g.name: D.copies.get(g.level, 1) for g in D.generators}
-    gens = [g._replace(name=copy_name(g.name, k)) for g in D.generators for k in range(copies[g.name])]
-    edges = [DEdge(copy_name(e.source, k), e.label, copy_name(e.target, k))
-             for e in D.edges for k in range(copies[e.source])]
+def expand_levels(D: TypeDModule) -> TypeDModule:
+    """D with its one square written out at every level of D.copies, one
+    square of corners with no level per level and copy, and copies empty,
+    so that every generator stands for itself once.  Level t's square,
+    serial its position in ascending order, has corners named
+    corner.s<serial> (the stored name raised by serial, type_d.raised), graded
+    by the group product of the stored corner and the shift (dt/2; 0, dt; 0)
+    of the level difference, and copy k > 0 of a corner is named
+    corner.s<serial>#k.  The generators are listed in the order of the
+    pairing's view: corner by corner, every level in turn, the copies of a
+    level in a row.  The generic matcher walks this module in full, as an
+    independent reference for the pairing's translation of the square."""
+    if not D.copies:
+        return D
+    levels = list(enumerate(sorted(D.copies)))
+
+    def written(name: str, level: int) -> list[tuple[str, int]]:
+        """(name, level difference) of every copy of the corner stored as name."""
+        return [(copy_name(raised(name, serial), k), t - level)
+                for serial, t in levels for k in range(D.copies[t])]
+
+    level_of = {g.name: g.level for g in D.generators if g.level is not None}
+    gens = []
+    for g in D.generators:
+        if g.level is None:
+            gens.append(g)
+        else:
+            gens += [g._replace(name=name, level=None, grading=g.grading * GradingElement(dt, 0, 2 * dt, 0))
+                     for name, dt in written(g.name, g.level)]
+    edges = []
+    for e in D.edges:
+        if e.source in level_of:
+            edges += [DEdge(source, e.label, target) for (source, _), (target, _) in zip(
+                written(e.source, level_of[e.source]), written(e.target, level_of[e.target]))]
+        else:
+            edges.append(e)
     return replace(D, generators=tuple(gens), edges=tuple(edges), copies={})
 
 
@@ -298,15 +332,20 @@ def expand_chain(D: TypeDModule) -> TypeDModule:
 
 
 def written_out(D: TypeDModule) -> TypeDModule:
-    """D with the chain's interior and every square copy written out."""
-    return expand_squares(expand_chain(D))
+    """D with the chain's interior and every square level and copy written out."""
+    return expand_levels(expand_chain(D))
 
 
 def all_bigradings(complex_) -> Counter:
     """complex_.bigradings plus one count per cell of each progression it
-    keeps apart: the generator count per bigrading of the whole complex."""
-    return Counter(complex_.bigradings) + Counter(
-        cell for progression in complex_.progressions for cell in progression.cells())
+    keeps apart and per listing of the square's slots at every level but
+    the stored one, which bigradings counts: the generator count per
+    bigrading of the whole complex."""
+    gens, square = complex_.generators, complex_.generators.square
+    listings = [] if square is None else [
+        i for j in square.slots for i in range(gens.index(j, 1, 0), gens.index(j, square.copy_starts[-1], 0))]
+    chain = (cell for progression in complex_.progressions for cell in progression.cells())
+    return Counter(complex_.bigradings) + Counter(chain) + Counter(gens.cells_at(gens.spots(listings)))
 
 
 def named_arrows(A, D) -> list:
@@ -328,7 +367,7 @@ def copy_name(name: str, k: int) -> str:
 
 
 def stored_name(name: str) -> str:
-    """The D name that copy `name` of expand_squares shares in the pairing."""
+    """The name that copy `name` of expand_levels has in the pairing's view."""
     return name.split("#")[0]
 
 

@@ -440,6 +440,26 @@ def test_selfcheck_mode(capsys):
     assert out.count("ok   ") >= 8
 
 
+def test_selfcheck_compares_every_square_level(capsys, monkeypatch):
+    """The module stores each cable's square at its lowest level; a closed
+    form wrong only at level 3, which only the squares at levels 1 and 3
+    (tau = -2) reach, and never as their stored level, still fails the
+    grading check."""
+    from cablefloer import invariants
+
+    real = invariants._square
+
+    def wrong_at_level_three(corner, k, t, *args):
+        value = real(corner, k, t, *args)
+        return (value[0] + 1, value[1]) if corner == "x1" and t == 3 else value
+
+    monkeypatch.setattr(invariants, "_square", wrong_at_level_three)
+    code, out, _ = run_main(capsys, "--mode", "selfcheck")
+    assert code == 2
+    assert [line[5:line.index(":")] for line in out.splitlines() if line.startswith("FAIL ")] == [
+        "closed-form gradings agree"]
+
+
 def test_negated_delta_accepted(capsys):
     # global sign of the polynomial is unconstrained; the homology and its
     # checks come out the same
@@ -463,3 +483,14 @@ def test_wrong_thin_signs_exit_one(capsys, mode):
 def test_hfk_mode_rejects_q(capsys):
     assert run_main(capsys, "--delta", "1", "--tau", "0", "--p", "2", "--n", "1",
                     "--q", "3")[0] == 1
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--n", "0", "--q", "3"), "hfk mode does not take --q (the cable is (p, p*n+1))"),  # --q alone at fault
+    (("--q", "3"), "hfk mode does not take --q (the cable is (p, p*n+1)); give --n"),
+    ((), "hfk mode needs --n (the cable is (p, p*n+1))"),
+])
+def test_hfk_mode_names_the_flag_at_fault(capsys, flags, message):
+    code, out, err = run_main(capsys, "--delta", "1", "--tau", "0", "--p", "2", *flags)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert ("--n" in flags) == ("--n" not in err)  # asks for --n only when it is missing

@@ -19,7 +19,7 @@ from cablefloer import (
     synthesize_delta,
 )
 from cablefloer.invariants import table_rank
-from cablefloer.pairing import Progression, TensorGenerators
+from cablefloer.pairing import Progression, Repeat, TensorGenerators
 
 from conftest import DELTA_11N50, DELTA_TREFOIL, ROW_PARAMS, written_out
 
@@ -34,7 +34,7 @@ def complex_of(records, arrows):
     listed once with its cell and shift constant 0 (the records have A' = A),
     with the records' bigradings counted."""
     generators = TensorGenerators(tuple(g.d_side for g in records), tuple((g.a_side,) for g in records),
-                                  tuple(((g.alexander, g.maslov),) for g in records), (1,) * len(records), 0)
+                                  tuple(((g.alexander, g.maslov),) for g in records), 0)
     return BigradedComplex(generators=generators, arrows=tuple(arrows),
                            bigradings=Counter((g.alexander, g.maslov) for g in records))
 
@@ -201,9 +201,9 @@ def test_symmetry_of_reduced_output():
                  id="tau-neg-m-neg-7-runs"),
 ])
 def test_summand_wise_reduction_equals_whole_reduction(tau, counts, p, n):
-    """Cancelling each stored square once and weighting its kills by the
-    square count, with the chain counted as a progression, equals cancelling
-    every copy and chain generator written out."""
+    """Cancelling the stored square once and placing its survivors at every
+    level, c_t times each, with the chain counted as a progression, equals
+    cancelling every level's copies and chain generator written out."""
     model = build_model(synthesize_delta(tau, counts), tau)
     A, D = build_typea_minus(p), build_typed(model, n)
     whole = reduce_complex(pair_modules(A, written_out(D), model.params.l, n))
@@ -216,27 +216,32 @@ def row(alexander, maslovs):
 
 class TestSummands:
     """A hand-built view: one arrow at Alexander grading 5 on generators
-    0-1, then a square of (a, b1, b2) listed once at level 0 (generators
-    2-4) and twice at level 1 (5-7 and 8-10), its arrows on the first copy
-    only."""
+    0-1, then a square of (a, b1, b2), one slot repeated at two levels:
+    listed once at level 0 (generators 2-4) and twice at level 1 (5-7 and
+    8-10), its arrows on the first copy only; bigradings counts each slot's
+    row once."""
 
     def complex_with(self, square, low=(1, 0, 0), top=(2, 1, 1)):
         """low and top are the Maslov gradings of a, b1, b2 at levels 0 and 1."""
-        gens = TensorGenerators(("g0", "g1", "s0", "s1"), (("a",), ("b1",)) + (("a", "b1", "b2"),) * 2,
-                                (row(5, (1,)), row(5, (0,)), row(0, low), row(1, top)), (1, 1, 1, 2), 0)
-        arrows = [(0, 1)] + [(first + src, first + tgt) for first in (2, 5) for src, tgt in square]
-        return BigradedComplex(generators=gens, arrows=tuple(sorted(arrows)),
-                               bigradings=Counter((g.alexander, g.maslov) for g in gens))
+        steps = tuple((1, t - b) for b, t in zip(low, top))
+        gens = TensorGenerators(("g0", "g1", "s0"), (("a",), ("b1",), ("a", "b1", "b2")),
+                                (row(5, (1,)), row(5, (0,)), row(0, low)), 0,
+                                square=Repeat((2,), (steps,), (0, 1), (0, 1, 3)))
+        return BigradedComplex(generators=gens, arrows=((0, 1),) + tuple((2 + src, 2 + tgt) for src, tgt in square),
+                               bigradings=Counter(row(5, (1,)) + row(5, (0,)) + row(0, low)))
 
     def written_out(self, complex_):
         """The same complex with each copy its own complement generator, every
-        count 1, and the second copy's arrows."""
-        copy = tuple((src + 3, tgt + 3) for src, tgt in complex_.arrows if src >= 5)
-        return complex_of(list(complex_.generators), complex_.arrows + copy)
+        count 1, and every copy's arrows."""
+        copies = tuple((src + shift, tgt + shift) for src, tgt in complex_.arrows if src >= 2 for shift in (3, 6))
+        return complex_of(list(complex_.generators), complex_.arrows + copies)
 
     def test_copies_reduce_once_and_scale(self):
         complex_ = self.complex_with(((0, 1),))
-        assert [copies for _, _, copies in complex_.generators.cells(range(11))] == [1] * 5 + [2] * 6
+        gens = complex_.generators
+        assert [g.d_side for g in gens] == ["g0", "g1"] + ["s0"] * 3 + ["s1"] * 6
+        assert gens.cells_at(gens.spots(range(11))) == \
+            [(5, 1), (5, 0)] + list(row(0, (1, 0, 0))) + list(row(1, (2, 1, 1))) * 2
         assert reduce_complex(complex_).ranks == {(0, 0): 1, (1, 1): 2} == reduce_complex(
             self.written_out(complex_)).ranks
 
@@ -255,8 +260,10 @@ class TestSummands:
             reduce_complex(complex_)
 
     def test_template_kills_over_a_level_count_raise(self):
-        # level 1's two squares kill two generators at (1, 1), which counts one
+        # an arrow on a copy of level 1 would kill that copy's generators
+        # alone, not the square's positions at every level, and an arrow
+        # from g1 into the square would kill its end at level 0 only
         complex_ = self.complex_with(((0, 1),))
-        bigradings = dict(complex_.bigradings) | {(1, 1): 1}
-        with pytest.raises(ComplexError, match=r"bigrading \(A=1, M=1\) loses 2 generators"):
-            reduce_complex(replace(complex_, bigradings=bigradings))
+        for arrow, name in (((5, 6), "a s1 -> b1 s1"), ((8, 9), "a s1 -> b1 s1"), ((1, 2), "b1 g1 -> a s0")):
+            with pytest.raises(ComplexError, match=rf"^arrow {name} does not join stored generators of one summand$"):
+                reduce_complex(replace(complex_, arrows=(arrow,)))

@@ -34,6 +34,7 @@ from conftest import (
     euler_matches_cable,
     oracle_cable_delta,
     oracle_torus_delta,
+    times_binomial,
 )
 
 
@@ -363,4 +364,18 @@ def test_progression_checks_on_any_progressions(chain, stored, mirrored, drop, p
     merged = RankTable(table.ranks)
     assert sum(table.ranks.values()) == table.total == sum(stored.values()) + sum(pr.length for pr in chain)
     assert symmetry_holds(table) == check_symmetry(merged)
-    assert _euler_times_binomial(table, p) == euler_characteristic(merged).times_binomial(p)
+    assert _euler_times_binomial(table, p) == times_binomial(euler_characteristic(merged), p)
+
+
+def test_golden_closed_forms_cover_every_square_level():
+    """Golden 11n50 stores one square for its levels -1, 0 and 1; the closed
+    forms still give their 109 keys, every corner they cover (all but x2,
+    whose a*x2 dies in homology) at all three levels, under the names the
+    pairing's view gives them."""
+    from cablefloer import build_model, closed_form_gradings, synthesize_delta
+
+    model = build_model(synthesize_delta(0, {1: 2, 0: 2, -1: 2}), 0)
+    keys = closed_form_gradings(model, 5, 3)
+    assert len(keys) == 109
+    assert {d for _, d in keys if "." in d} == {f"{corner}.s{serial}" for serial in range(3)
+                                                for corner in ("x1", "x3", "x4", "y1", "y2", "y3", "y4")}

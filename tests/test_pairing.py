@@ -2,6 +2,8 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cablefloer import (
     ComplexError,
@@ -28,6 +30,7 @@ from cablefloer import (
     shift_constant,
     symmetry_holds,
     synthesize_delta,
+    table_rank,
     tensor_differential,
     tensor_gradings,
 )
@@ -40,6 +43,7 @@ from conftest import (
     all_bigradings,
     euler_matches_cable,
     expand_chain,
+    expand_levels,
     injected_pattern,
     module_gradings,
     named_arrows,
@@ -92,6 +96,11 @@ def reference_gradings(A, D, c):
 
 
 ROW_CASES = pytest.mark.parametrize("tau, counts, p, n", ROW_PARAMS)
+
+
+def cells_of(view):
+    """The (alexander, maslov) cell of every generator of a view, in order."""
+    return view.cells_at(view.spots(range(len(view))))
 
 
 def generator_pairs(delta_text, tau, p, n):
@@ -287,7 +296,7 @@ class TestGradings:
     def test_pair_modules_matches_tensor_gradings(self, delta_text, tau, p, n):
         A, D, model = modules_for(delta_text, tau, p, n)
         complex_ = pair_modules(A, D, model.params.l, n)
-        gradings = tensor_gradings(A, expand_chain(D), shift_constant(model.params.l, p, n))
+        gradings = tensor_gradings(A, written_out(D), shift_constant(model.params.l, p, n))
         assert [(g.a_side, g.d_side) for g in complex_.generators] == [
             (a, stored_name(d)) for a, d in reference_pairs(A, written_out(D))]
         for g in complex_.generators:
@@ -305,11 +314,12 @@ class TestGradings:
 
     @ROW_CASES
     def test_generator_view_matches_eager_records(self, tau, counts, p, n):
-        """The lazy view, the row-times-copies counts and the offset arrow
-        indices against one record per generator and an index dict, with
-        every square copy written out and walked by the generic matcher;
-        the complex keeps the arrows of copy 0, the stored squares.  Every
-        chain is counted by its progressions instead of bigradings."""
+        """The lazy view, the counts and the offset arrow indices against
+        one record per generator and an index dict, with every square level
+        and copy written out and walked by the generic matcher; the complex
+        keeps the arrows of the stored square's first copy.  Every chain is
+        counted by its progressions and the square by its levels instead of
+        bigradings."""
         model = build_model(synthesize_delta(tau, counts), tau)
         A, D = build_typea_minus(p), build_typed(model, n)
         expanded = written_out(D)
@@ -328,13 +338,12 @@ class TestGradings:
                 generators[i]
         assert bool(complex_.progressions) == (D.chain is not None)
         assert all_bigradings(complex_) == Counter((g.alexander, g.maslov) for g in want)
-        copies = {d_gen.name: D.copies.get(d_gen.level, 1) for d_gen in expand_chain(D).generators}
-        assert generators.cells(range(len(want))) == [
-            (g.alexander, g.maslov, copies[g.d_side]) for g in want]
+        assert generators.cells_at(generators.spots(range(len(want)))) == [(g.alexander, g.maslov) for g in want]
+        stored = {d_gen.name for d_gen in expand_chain(D).generators}
         index = {pair: i for i, pair in enumerate(pairs)}
         assert complex_.arrows == tuple(sorted(
             (index[src], index[tgt]) for src, tgt in reference_differential(A, expanded)
-            if stored_name(src[1]) == src[1] and stored_name(tgt[1]) == tgt[1]))
+            if src[1] in stored and tgt[1] in stored))
 
     def test_rows_keyed_by_idempotent_and_grading(self):
         # s and y share a grading but pair with different A generators, and
@@ -453,10 +462,10 @@ def test_chain_progression_equals_written_out_chain(tau, m, counts, p):
     size = len(written.generators)
     assert len(stored.generators) == size
     assert [stored.generators[i] for i in range(size)] == [written.generators[i] for i in range(size)]
-    assert stored.generators.cells(range(size)) == written.generators.cells(range(size))
+    assert cells_of(stored.generators) == cells_of(written.generators)
     assert bool(stored.progressions) == (abs(m) > 1)
     assert not written.progressions
-    assert all_bigradings(stored) == written.bigradings
+    assert all_bigradings(stored) == all_bigradings(written)
     assert stored.arrows == written.arrows
     table, want = reduce_complex(stored), reduce_complex(written)
     assert table.ranks == want.ranks and type(table.ranks) is dict
@@ -520,16 +529,82 @@ def test_later_row_is_decided_by_one_check(idempotent, anchor, shift, error):
     pytest.param(0, {1: 2, 0: 3, -1: 2}, 3, 1, id="squares"),  # c_t of 2 and 3
 ])
 def test_cells_reads_the_view_in_one_pass(tau, counts, p, n):
-    """cells(indices) reads each index as a one-index call does, in one
-    pass, on a chain cable and on squares with c_t > 1; an index out of
-    range raises."""
+    """cells_at(spots(indices)) reads each index as a one-index call does,
+    in one pass, on a chain cable and on squares with c_t > 1, where each
+    level's corner is listed c_t times; index inverts spots, and an index
+    out of range raises."""
     model = build_model(synthesize_delta(tau, counts), tau)
     view = pair_modules(build_typea_minus(p), build_typed(model, n), model.params.l, n).generators
-    cells = view.cells(range(len(view)))
-    assert cells == [cell for i in range(len(view)) for cell in view.cells([i])]
-    assert cells == [(g.alexander, g.maslov, copies) for g, (_, _, copies) in zip(view, cells)]
-    assert {copies for _, _, copies in cells} == ({1, 2, 3} if counts else {1})
-    assert view.cells([len(view) - 1, -len(view)]) == [cells[-1], cells[0]]
+    spots = view.spots(range(len(view)))
+    cells = view.cells_at(spots)
+    assert cells == [cell for i in range(len(view)) for cell in view.cells_at(view.spots([i]))]
+    assert cells == [(g.alexander, g.maslov) for g in view]
+    assert [view.index(*spot) for spot in spots] == list(range(len(view)))
+    listed = Counter(g.d_side for g in view if g.d_side.startswith("x1."))
+    assert listed == {f"x1.s{serial}": counts[t] for serial, t in enumerate(sorted(counts))}
+    assert view.cells_at(view.spots([len(view) - 1, -len(view)])) == [cells[-1], cells[0]]
     for i in (len(view), -len(view) - 1):
         with pytest.raises(IndexError):
-            view.cells([0, i])
+            view.spots([0, i])
+
+
+@st.composite
+def square_multisets(draw):
+    """A symmetric square multiset of one to nine levels: the positive
+    levels are reached by gaps of 1 to 4, so adjacent levels and gaps of
+    both parities occur, level 0 is drawn or not, and every level has a
+    count of 1 to 4."""
+    gaps = draw(st.lists(st.integers(1, 4), max_size=4), label="gaps")
+    zero = draw(st.booleans(), label="level 0") or not gaps
+    levels = [0] * zero + [sum(gaps[:i + 1]) for i in range(len(gaps))]
+    counts = {}
+    for i in levels:
+        counts[i] = counts[-i] = draw(st.integers(1, 4), label=f"c_{i}")
+    return counts
+
+
+def paired(A, D, delta, tau, p, n):
+    """The complex, its table and the three check verdicts of the pipeline."""
+    model = build_model(delta, tau)
+    complex_ = pair_modules(A, D, model.params.l, n)
+    table = reduce_complex(complex_)
+    checks = (symmetry_holds(table), euler_holds(table, delta, p, p * n + 1),
+              table.total == table_rank(tau, model.params.s, p, n))
+    return complex_, table, checks
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_multisets(), st.integers(-3, 3), st.sampled_from((-3, -2, -1, 0, 1, 2, 3)), st.integers(2, 9))
+def test_one_square_pairs_as_every_level_written_out(counts, tau, m, p):
+    """The one stored square, placed at every level by translation, against
+    the module with every level's squares written out (expand_levels, each
+    square stored and counted once): the same table parts, total and check
+    verdicts, and a view of the same length listing the same names and
+    cells; also with the chain written out on both sides."""
+    delta, n = synthesize_delta(tau, counts), 2 * tau - m
+    A, D = build_typea_minus(p), build_typed(build_model(delta, tau), n)
+    assert len({g.level for g in D.generators if g.level is not None}) == 1
+    for one_square in (D, expand_chain(D)):
+        every_level = expand_levels(one_square)
+        assert not every_level.copies
+        (complex_, table, checks), (reference, want, want_checks) = (
+            paired(A, module, delta, tau, p, n) for module in (one_square, every_level))
+        assert table.stored == want.stored and table.chain == want.chain
+        assert table.total == want.total and checks == want_checks == (True, True, True)
+        view, listed = complex_.generators, reference.generators
+        assert len(view) == len(listed)
+        assert [(g.a_side, g.d_side) for g in view] == [(g.a_side, stored_name(g.d_side)) for g in listed]
+        assert cells_of(view) == cells_of(listed)
+
+
+def test_rows_do_not_grow_with_the_levels():
+    """211 levels of two squares each, p = 30, n = 10: the view holds one
+    row per stored complement generator and the chain, 11 in all, as for
+    the same cable with one level, and still lists every one of the
+    100,173 tensor generators."""
+    for counts, generators in (({i: 2 for i in range(-105, 106)}, 100_173), ({0: 2}, 1_053)):
+        model = build_model(synthesize_delta(0, counts), 0)
+        s, p, n = model.params.s, 30, 10
+        complex_ = pair_modules(build_typea_minus(p), build_typed(model, n), model.params.l, n)
+        assert len(complex_.generators.rows) == 11
+        assert len(complex_.generators) == generators == (1 + 4 * s) + (2 * p - 2) * (4 * s + n)

@@ -11,7 +11,7 @@ from cablefloer import (
     parse_delta,
     synthesize_delta,
 )
-from cablefloer.type_d import _SQUARE_BASE
+from cablefloer.type_d import _SQUARE_BASE, _at_level
 
 from conftest import DELTA_11N50, DELTA_TREFOIL, expand_chain, grading_of
 
@@ -106,24 +106,28 @@ class TestBuild:
     @pytest.mark.parametrize("tau,n", [(0, 0), (0, 2), (-1, -2), (-2, 1), (1, 1), (2, -3)])
     @pytest.mark.parametrize("counts", [{}, {0: 1}, {1: 1, -1: 1}, {1: 2, 0: 3, -1: 2}])
     def test_generator_counts(self, tau, n, counts):
-        """One square of 8 generators and 4 edges per level, whatever its
-        count, and the counts keyed by level t = i - tau; one edge per model
-        arrow (2 per staircase step, 4 per square) plus the chain's one."""
+        """One square of 8 generators and 4 edges, at the lowest level,
+        whatever the number of levels and their counts, and the counts keyed
+        by level t = i - tau; one edge per model arrow (2 per staircase step,
+        4 for the square) plus the chain's one."""
         model = build_model(synthesize_delta(tau, counts), tau)
         module = build_typed(model, n)
-        levels = len(model.square_counts)
+        square = bool(model.square_counts)
         m = 2 * tau - n
         i0 = [g for g in module.generators if g.idempotent == "i0"]
         i1 = [g for g in module.generators if g.idempotent == "i1"]
-        assert len(i0) == 2 * abs(tau) + 1 + 4 * levels
-        assert len(i1) == 2 * abs(tau) + (m != 0) + 4 * levels
+        assert len(i0) == 2 * abs(tau) + 1 + 4 * square
+        assert len(i1) == 2 * abs(tau) + (m != 0) + 4 * square
         assert (module.chain.length if module.chain else 0) == max(abs(m) - 1, 0)
         written = [g for g in expand_chain(module).generators if g.idempotent == "i1"]
-        assert len(written) == 2 * abs(tau) + abs(m) + 4 * levels
-        assert sum(g.level is not None for g in module.generators) == 8 * levels
-        assert sum("." in e.source for e in module.edges) == 4 * levels
-        assert len(module.edges) == 2 * abs(tau) + 4 * levels + 1
+        assert len(written) == 2 * abs(tau) + abs(m) + 4 * square
+        levels = {g.level for g in module.generators if g.level is not None}
+        assert levels == ({min(module.copies)} if square else set())
+        assert sum(g.level is not None for g in module.generators) == 8 * square
+        assert sum("." in e.source for e in module.edges) == 4 * square
+        assert len(module.edges) == 2 * abs(tau) + 4 * square + 1
         assert module.copies == {i - tau: c for i, c in model.square_counts.items()}
+        assert list(module.copies) == sorted(module.copies)
 
     @pytest.mark.parametrize("tau,n", [(0, 1), (0, -2), (-1, -2), (1, 1), (2, 0), (-2, -1)])
     def test_gadget_well_formed(self, tau, n):
@@ -141,19 +145,16 @@ class TestBuild:
 
     def test_square_level_shift(self):
         # 11n50 has two squares in each level -1, 0, 1, stored as one square
-        # per level; corner gradings are the base square times (t/2; 0, t; 0)
+        # at level -1 with the count of every level; corner gradings are the
+        # base square times (t/2; 0, t; 0)
         module = module_for(DELTA_11N50, 0, 3)
-        squares = {}
-        for gen in module.generators:
-            if gen.level is not None:
-                squares.setdefault(gen.level, []).append(gen)
-        assert {level: len(gens) for level, gens in squares.items()} == {-1: 8, 0: 8, 1: 8}
+        gens = [gen for gen in module.generators if gen.level is not None]
+        assert {gen.level for gen in gens} == {-1}
         assert module.copies == {-1: 2, 0: 2, 1: 2}
-        for level, gens in squares.items():
-            shift = GradingElement(level, 0, 2 * level, 0)
-            x1 = next(gen for gen in gens if gen.kind == "x" and gen.index == 1)
-            assert x1.grading == GradingElement.identity() * shift
-            assert [gen.name.split(".")[0] for gen in gens] == ["x1", "x2", "x3", "x4", "y1", "y2", "y3", "y4"]
+        x1 = next(gen for gen in gens if gen.kind == "x" and gen.index == 1)
+        assert x1.grading == GradingElement.identity() * GradingElement(-1, 0, -2, 0)
+        assert [gen.name for gen in gens] == [f"{corner}.s0" for corner in ("x1", "x2", "x3", "x4",
+                                                                          "y1", "y2", "y3", "y4")]
 
     def test_staircase_and_square_gradings_differ_by_case(self):
         case1 = {g.name: g for g in module_for(DELTA_TREFOIL, -1, 0).generators}
@@ -184,17 +185,19 @@ def level_shift(t):
 
 
 def test_square_corners_match_group_product():
-    """Every corner's closed-form grading against the group product it
-    stands for, the level-0 corner times the shift of its level, for all
-    eight corners at every level from -12 to 12."""
+    """The closed form that places a corner at a level against the group
+    product it stands for, the level-0 corner times the shift of its level,
+    for all eight corners at every level from -12 to 12; the stored square
+    is the one at the lowest level."""
+    for corner, base in _SQUARE_BASE.items():
+        for t in range(-12, 13):
+            assert _at_level(base, t) == base * level_shift(t), (corner, t)
     module = build_typed(build_model(synthesize_delta(0, dict.fromkeys(range(-12, 13), 1)), 0), 1)
-    seen = set()
-    for gen in module.generators:
-        if gen.level is not None:
-            corner = gen.name.split(".")[0]
-            assert gen.grading == _SQUARE_BASE[corner] * level_shift(gen.level)
-            seen.add((corner, gen.level))
-    assert seen == {(corner, t) for corner in _SQUARE_BASE for t in range(-12, 13)}
+    stored = {gen.name.split(".")[0]: gen for gen in module.generators if gen.level is not None}
+    assert set(stored) == set(_SQUARE_BASE)
+    assert all(gen.level == -12 and gen.grading == _SQUARE_BASE[corner] * level_shift(-12)
+               for corner, gen in stored.items())
+    assert module.copies == dict.fromkeys(range(-12, 13), 1)
 
 
 @pytest.mark.parametrize("tau", [-3, 0, 3])
@@ -260,12 +263,12 @@ def test_staircase_matches_written_out_gradings_and_edges(tau):
 @pytest.mark.parametrize("n", [-20000, 20000])
 def test_chain_is_not_written_out(n):
     """A chain of 20,000 generators adds one generator and one record to the
-    module: 2|tau|+1 u's, 2|tau| v's, 8 per square level and the chain end."""
+    module: 2|tau|+1 u's, 2|tau| v's, the 8 corners of the one stored square,
+    whatever its levels, and the chain end."""
     tau, counts = 0, {1: 1, 0: 2, -1: 1}
     model = build_model(synthesize_delta(tau, counts), tau)
     module = build_typed(model, n)
-    levels = len(model.square_counts)
-    assert len(module.generators) == 2 * abs(tau) + 1 + 2 * abs(tau) + 8 * levels + 1
+    assert len(module.generators) == 2 * abs(tau) + 1 + 2 * abs(tau) + 8 + 1
     assert module.chain.length == abs(2 * tau - n) - 1
 
 
