@@ -41,7 +41,7 @@ from .thin import (
     validate_thin,
 )
 from .type_a import AOperation, TypeAModule, build_typea_minus, hat_operations
-from .type_d import DEdge, DGenerator, MuChain, TypeDModule, build_typed, framing_h
+from .type_d import DEdge, DGenerator, TypeDModule, build_typed, framing_h
 
 __version__ = "0.1.0"
 
@@ -55,7 +55,6 @@ __all__ = [
     "GradingElement",
     "GradingError",
     "LaurentPolynomial",
-    "MuChain",
     "Progression",
     "RankTable",
     "TensorGenerator",

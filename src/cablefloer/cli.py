@@ -23,7 +23,6 @@ from . import invariants
 from .gradings import GradingError
 from .homology import ComplexError, RankTable
 from .pipeline import CableHomology, compute_cable_hfk
-from .plot import emit_plot
 from .thin import ThinInputError, build_model, parse_delta, synthesize_delta
 
 
@@ -113,6 +112,8 @@ def _render(outcome: CableHomology, fmt: str) -> str:
         return _tsv_text(outcome.table)
     if fmt == "poly":
         return _poly_text(outcome.table) + "\n"
+    from .plot import emit_plot  # imported only where a plot is rendered
+
     return emit_plot(outcome.table, fmt)
 
 

@@ -28,10 +28,11 @@ class RankTable:
     stored holds positive counts only: zero counts are dropped on
     construction, and a zero-free mapping is kept as handed over, without a
     copy.  chain holds progressions, one rank per cell of each: a table
-    reduced from a cable with an unstable chain has one per b_k, and stored
-    then holds no chain cell.  ranks is the whole table, merged on its first
-    read; the checks in invariants.py read the parts instead.  Two tables
-    are equal when their ranks are.
+    reduced from a cable whose chain entry stands for two or more
+    generators (|m| >= 3) has one per b_k, and stored then holds no chain
+    cell.  ranks is the whole table, merged on its first read; the checks
+    in invariants.py read the parts instead.  Two tables are equal when
+    their ranks are.
     """
 
     stored: Mapping[tuple[int, int], int]

@@ -10,12 +10,13 @@ satellite polynomial itself, `cable_alexander` with `torus_knot_delta`, is
 kept for tests, which use it as an oracle, and for the benchmark, which binds
 those names; no run calls it.
 
-A rank table keeps its unstable chain as progressions, and every run
-decides the symmetry and Euler checks from the table's two parts, one
-progression at a time, by symmetry_holds and euler_holds, with the same
-verdicts as cell by cell.  The cell-by-cell check_symmetry and
-euler_characteristic stay for tests, which use them as oracles on any
-table, and for the benchmark, which binds them; no run calls them.
+A rank table keeps a chain entry of two or more generators (|m| >= 3) as
+progressions, and every run decides the symmetry and Euler checks from the
+table's two parts, one progression at a time, by symmetry_holds and
+euler_holds, with the same verdicts as cell by cell.  The cell-by-cell
+check_symmetry and euler_characteristic stay for tests, which use them as
+oracles on any table, and for the benchmark, which binds them; no run
+calls them.
 """
 
 from __future__ import annotations
@@ -338,8 +339,8 @@ def closed_form_gradings(model: ThinModel, p: int, n: int) -> dict[tuple[str, st
     every level in its copies: each corner is covered at every level t,
     under the name the pairing gives it there, the stored name raised by
     the level's position in ascending order (type_d.raised).  Every
-    b_k*mu_j is covered, the chain end's and those the module's MuChain
-    stands for alike.  The uncovered families (a*x2 and the high-index
+    b_k*mu_j is covered, the chain end's and those the module's chain
+    entry stands for alike.  The uncovered families (a*x2 and the high-index
     b*y1, b*y2) die in homology.
     """
     tau = model.params.tau
@@ -371,12 +372,8 @@ def closed_form_gradings(model: ThinModel, p: int, n: int) -> dict[tuple[str, st
             level = gen.index - 1 if tau <= 0 else -gen.index
             for k in range(1, 2 * p - 1):
                 put(f"b{k}", gen.name, _square(corner, k, level, l, n, p))
-        else:  # mu
-            for k in range(1, 2 * p - 1):
-                put(f"b{k}", gen.name, _mu_grading(k, gen.index - 1, m, l, n, p))
-    chain = module.chain
-    if chain is not None:
-        for j in range(chain.index, chain.index + chain.length):
-            for k in range(1, 2 * p - 1):
-                put(f"b{k}", f"mu{j}", _mu_grading(k, j - 1, m, l, n, p))
+        else:  # mu: the chain end, or the chain entry and every generator it stands for
+            for j in range(gen.index, gen.index + gen.length):
+                for k in range(1, 2 * p - 1):
+                    put(f"b{k}", f"mu{j}", _mu_grading(k, j - 1, m, l, n, p))
     return out

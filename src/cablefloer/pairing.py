@@ -11,17 +11,19 @@ homology.reduce_complex checks.  Bigradings come from the grading group:
 gr(x*y) = gr(x)gr(y) normalized to (N, A'), then A = A' + c and M = N + 2A
 with the shift constant c = l*p - n*p*(p-1)/2.
 
-The complement module stores its squares as one square, at the lowest
-level t_0, with the count c_t of every level t.  The box tensor product is
-additive over direct summands, and the squares of every level are that
-square moved by the shift of the level difference, so the stored square
-is paired once, in the same pass as the staircase: the differential walks
-its edges once, and its generators are slots of the view that repeat
-together once per level, listed c_t times at level t under the name
-corner.s<serial>, serial the level's position in ascending order.  Their
-cells at level t are those at t_0 moved by (t - t_0) times a step row (see
-below), and homology.reduce_complex cancels the stored square's arrows once
-and places its survivors at every level.
+Slot j of the generator view is D entry j, for every module: an entry
+that stands for several generators is one slot listed once per generator
+it stands for, so no layer maps indices between the two.  The complement
+module stores its squares as one square, at the lowest level t_0, with
+the count c_t of every level t.  The box tensor product is additive over
+direct summands, and the squares of every level are that square moved by
+the shift of the level difference, so the stored square is paired once:
+the differential walks its edges once, and its corners are slots that
+repeat together once per level, listed c_t times at level t under the
+name corner.s<serial>, serial the level's position in ascending order.
+Their cells at level t are those at t_0 moved by (t - t_0) times a step
+row (see below), and homology.reduce_complex cancels the stored square's
+arrows once and places its survivors at every level.
 
 A row is the (alexander, maslov) cell of each A generator paired with one
 complement generator; N and A' are derived only where a record is built.
@@ -36,7 +38,8 @@ anchor's by (da2, dc2, dd2) moves entry k by
 (dA, dN + 2dA + y_k.b2*dc2/2), with dA = (2dd2 - g.d2*dc2)/4 and
 dN = (2da2 + (b2 - g.a2)*dc2)/4.  The group law refuses it when dc2 is odd
 or either quotient is not an integer, whatever k, so one check decides the
-row.  Rows are tuples of cells, the bigrading keys themselves, so most
+row.  That one move rule builds every later row and every step row below.
+Rows are tuples of cells, the bigrading keys themselves, so most
 counting is one Counter pass.
 
 Moving a square corner of b slot b2 up by dt levels moves its grading by
@@ -48,10 +51,11 @@ passes, no level can be refused, and the checks and errors are exactly
 those of the stored square.  Entry k moves by dt*(-p, 1 + b2 + y_k.b2 - 2p),
 the step row.
 
-The unstable chain's interior (type_d.MuChain) pairs into no arrow, and its
-gradings step by a constant, so every b_k's cell does too.  So the chain is
-one slot of the view repeated once per chain generator: repetition r is
-mu<index + r> at its first row plus r step rows.  Its cells are one
+The unstable chain's interior is one D entry (type_d.DGenerator with
+length > 1) whose gradings step by (step, step, 0) in the doubled a, c
+and d slots.  It pairs into no arrow, and every b_k's cell steps by a
+constant too, so its slot repeats once per chain generator: repetition r
+is mu<index + r>, its first row plus r step rows.  Its cells are one
 arithmetic progression per b_k, kept apart in BigradedComplex.progressions
 and never counted; the rank table and the checks in invariants.py read
 them one progression at a time.  The closed-form grading tables that
@@ -132,8 +136,8 @@ class Progression(NamedTuple):
 class TensorGenerators(Sequence):
     """Read-only view of the tensor generators in complement-major order.
 
-    Slot j is the complement generator d_names[j], paired with the A
-    generators a_names[j] at the cells rows[j].  A slot of no Repeat is
+    Slot j is D entry j, named d_names[j], paired with the A generators
+    a_names[j] at the cells rows[j].  A slot of no Repeat is
     listed once, from starts[j] on.  A slot of chain or square lists its
     repetitions one after another, each repetition's copies in a row (see
     Repeat): the unstable chain's interior repeats once per chain
@@ -286,11 +290,10 @@ def _refusal(y: GradingElement, x: GradingElement) -> Exception:
     return GradingError(f"{y} * {x} does not normalize to integers")
 
 
-def _rows(A: TypeAModule, D: TypeDModule, c: int
-          ) -> tuple[list[Sequence[str]], list[Row], dict[int, Row], tuple[Row, Row] | None]:
-    """Per complement generator in D order, its A generators and its row,
-    the level step row of each square generator, by D index, and the
-    chain's first row and step row (None without a chain).
+def _rows(A: TypeAModule, D: TypeDModule, c: int) -> tuple[list[Sequence[str]], list[Row], dict[int, Row]]:
+    """Per D entry, its A generators and its row, and, by D index, the step
+    row of each entry that repeats: a square corner's per level up, the
+    chain entry's per chain generator on.
 
     The first row of each (idempotent, b slot) is its anchor.  Its cells
     are affine (alexander) and quadratic (maslov) in the position within
@@ -298,18 +301,18 @@ def _rows(A: TypeAModule, D: TypeDModule, c: int
     with period 2 there, so it normalizes the first three A generators of
     each family, in group order, and extends each family by its constant
     second difference: a refused anchor raises at the same first A
-    generator as one normalization per A generator would.  Every later row
-    is the anchor's cells translated as the module docstring says, after
-    one check for the whole row whose failure is the error the group law
-    raises for the group's first A generator, and a grading met before
-    reuses its row.  The chain is met at its place in D order, so it
-    anchors a b slot and meets the checks where its generators would.  Its
-    r-th grading is its first plus r*step in the doubled a and c slots, so
-    its translation grows linearly in r and its residues repeat with
-    period 2: the first two rows decide every repetition, and the step row
-    is the second row minus the first.  A level step row is the same
-    translation for a move of one level, which the group law never refuses
-    (see the module docstring), so it is not checked.
+    generator as one normalization per A generator would.  One move rule
+    builds everything else.  A grading move (da2, dc2, dd2) at a fixed b
+    slot passes or fails one check for the whole row, whose failure is the
+    error the group law raises for the group's first A generator, and
+    changes every cell as the module docstring says.  A later row is its
+    anchor moved, and a grading met before reuses its row.  A square
+    corner's step row is the move (1 + b2, 2, 0) of one level, which the
+    group law never refuses; the chain entry's is the move (step, step, 0)
+    of one chain generator.  The residues are linear in the move, so once
+    the chain entry's row passes, its step passes exactly when its second
+    generator's row would, and a refused step raises that row's error: the
+    chain meets the checks where its generators would.
     """
     g, h, ga2, gd2 = A.g, D.h, A.g.a2, A.g.d2
     groups_of = {idempotent: A.group(idempotent) for idempotent in ("i0", "i1")}
@@ -319,6 +322,8 @@ def _rows(A: TypeAModule, D: TypeDModule, c: int
     # (idempotent, b slot) -> the anchor's doubled a, c, d slots and its row
     anchors: dict[tuple[str, int], tuple[int, int, int, Row]] = {}
     made: dict[tuple[str, GradingElement], Row] = {}
+    # (idempotent, b slot, da2, dc2) -> step row; the square's corners share three
+    stepped: dict[tuple[str, int, int, int], Row] = {}
 
     def sample(idempotent: str) -> tuple[list[tuple[int, list[GradingElement]]], tuple[int, ...]]:
         families, slopes = [], []
@@ -347,6 +352,15 @@ def _rows(A: TypeAModule, D: TypeDModule, c: int
                       for k in range(size)]
         return tuple(cells)
 
+    def move(idempotent: str, b2: int, da2: int, dc2: int, dd2: int, x: GradingElement) -> tuple[int, int, int]:
+        """(dA, dN + 2dA, dc2/2) of a grading move by (da2, dc2, dd2) at b
+        slot b2; the group law's error for the moved grading x if refused."""
+        n, m = 2 * da2 + (b2 - ga2) * dc2, 2 * dd2 - gd2 * dc2
+        if dc2 % 2 or n % 4 or m % 4:
+            raise _refusal(A.grading(idempotent, 0), x)
+        da = m // 4
+        return da, n // 4 + 2 * da, dc2 // 2
+
     def row(idempotent: str, x: GradingElement) -> Row:
         a2, b2, c2, d2 = x
         anchor = anchors.get((idempotent, b2))
@@ -355,60 +369,38 @@ def _rows(A: TypeAModule, D: TypeDModule, c: int
             anchors[idempotent, b2] = a2, c2, d2, cells
             return cells
         a0, c0, d0, cells = anchor
-        dc2 = c2 - c0
-        n, m = 2 * (a2 - a0) + (b2 - ga2) * dc2, 2 * (d2 - d0) - gd2 * dc2
-        if dc2 % 2 or n % 4 or m % 4:
-            raise _refusal(A.grading(idempotent, 0), x)
-        da = m // 4
-        dm = n // 4 + 2 * da
-        if not dc2:
-            return tuple([(a + da, mm + dm) for a, mm in cells])
-        half = dc2 // 2
+        da, dm, half = move(idempotent, b2, a2 - a0, c2 - c0, d2 - d0, x)
         return tuple([(a + da, mm + dm + b * half) for (a, mm), b in zip(cells, sampled[idempotent][1])])
 
-    def level_step(idempotent: str, b2: int) -> Row:
-        """row's translation for one level up, a move by (1 + b2, 2, 0) in
-        the doubled a, c and d slots, which passes its check for every b2."""
-        n, m = 2 * (1 + b2) + (b2 - ga2) * 2, -gd2 * 2
-        da = m // 4
-        dm = n // 4 + 2 * da
-        return tuple([(da, dm + b) for b in sampled[idempotent][1]])
+    def step_row(idempotent: str, x: GradingElement, da2: int, dc2: int) -> Row:
+        key = idempotent, x.b2, da2, dc2
+        known = stepped.get(key)
+        if known is None:
+            da, dm, half = move(idempotent, x.b2, da2, dc2, 0, x._replace(a2=x.a2 + da2, c2=x.c2 + dc2))
+            known = stepped[key] = tuple([(da, dm + b * half) for b in sampled[idempotent][1]])
+        return known
 
-    chain, progression = D.chain, None
-    order = list(D.generators)
-    if chain is not None:
-        order.insert(chain.at, chain)
-    groups, rows = [], []
-    for d_gen in order:
-        if d_gen is chain:
-            x = chain.grading
-            first = row("i1", x)
-            second = first if chain.length == 1 else row(
-                "i1", GradingElement(x.a2 + chain.step, x.b2, x.c2 + chain.step, x.d2))
-            progression = first, tuple((a2 - a1, m2 - m1) for (a1, m1), (a2, m2) in zip(first, second))
-        else:
-            idempotent = d_gen.idempotent
-            key = idempotent, d_gen.grading
-            known = made.get(key)
-            if known is None:
-                known = made[key] = row(*key)
-            groups.append(groups_of[idempotent])
-            rows.append(known)
-    steps, level_steps = {}, {}  # the square's corners share three (idempotent, b slot) pairs
+    groups, rows, steps = [], [], {}
     for j, d_gen in enumerate(D.generators):
+        idempotent, x = d_gen.idempotent, d_gen.grading
+        known = made.get((idempotent, x))
+        if known is None:
+            known = made[idempotent, x] = row(idempotent, x)
+        groups.append(groups_of[idempotent])
+        rows.append(known)
         if d_gen.level is not None:
-            key = d_gen.idempotent, d_gen.grading.b2
-            if key not in level_steps:
-                level_steps[key] = level_step(*key)
-            steps[j] = level_steps[key]
-    return groups, rows, steps, progression
+            steps[j] = step_row(idempotent, x, 1 + x.b2, 2)
+        elif d_gen.length > 1:
+            steps[j] = step_row(idempotent, x, d_gen.step, d_gen.step)
+    return groups, rows, steps
 
 
 def tensor_gradings(A: TypeAModule, D: TypeDModule, c: int) -> dict[tuple[str, str], tuple[int, int, int, int]]:
-    """(N, A', alexander, maslov) for every tensor generator on a stored D
-    generator, complement-major order; the chain's interior and the
-    square's other levels are not listed."""
-    groups, rows, _, _ = _rows(A, D, c)
+    """(N, A', alexander, maslov) for every tensor generator on a D entry,
+    complement-major order: the chain entry's first generator and the
+    square at its stored level are listed, the chain's later generators
+    and the square's other levels are not."""
+    groups, rows, _ = _rows(A, D, c)
     return {(a_name, d_gen.name): (maslov - 2 * alexander, alexander - c, alexander, maslov)
             for d_gen, group, row in zip(D.generators, groups, rows)
             for a_name, (alexander, maslov) in zip(group, row)}
@@ -418,41 +410,31 @@ def pair_modules(A: TypeAModule, D: TypeDModule, l: int, n: int) -> BigradedComp
     """Assemble the bigraded complex of the cable from the rows.
 
     No per-generator record or index is built: generators is a view over
-    (complement generator, its A generators, its row, how it repeats), and
-    an arrow end's index is its slot's start plus its A position.  The
-    bigrading counts are one Counter pass over the stored rows, the
+    (D entry, its A generators, its row, how it repeats), and an arrow
+    end's index is its D entry's start plus its A position.  The bigrading
+    counts are one Counter pass over every row but the chain entry's, the
     square's at its stored level once.  The square's generators repeat at
     every level of D.copies, offset by the level difference, and the chain
-    is one more slot repeated along the chain, kept as progressions; their
-    other listings are not counted.  Every arrow joins first copies of the
-    stored generators.
+    entry along the chain, kept as progressions; their other listings are
+    not counted.  Every arrow joins first copies of the stored generators.
     """
     c = shift_constant(l, A.p, n)
-    groups, rows, steps, progression = _rows(A, D, c)
-    d_names = [d_gen.name for d_gen in D.generators]
-    square_slots = list(steps)
-    bigradings = Counter(concat.from_iterable(rows))
-    progressions, chain = (), None
-    if progression is not None:
-        first, chain_steps = progression
-        at, length = D.chain.at, D.chain.length
-        progressions = tuple(Progression(alexander, maslov, alexander_step, maslov_step, length)
-                             for (alexander, maslov), (alexander_step, maslov_step) in zip(first, chain_steps))
-        d_names.insert(at, f"mu{D.chain.index}")
-        groups.insert(at, A.group("i1"))
-        rows.insert(at, first)
-        chain = Repeat((at,), (chain_steps,), range(length), range(length + 1))
-        square_slots = [j + (j >= at) for j in square_slots]
-    square = None
+    groups, rows, steps = _rows(A, D, c)
+    counted, progressions, chain, square = rows, (), None, None
+    for j, d_gen in enumerate(D.generators):
+        if d_gen.length > 1:
+            first, chain_steps, length = rows[j], steps.pop(j), d_gen.length
+            progressions = tuple(Progression(*cell, *step, length) for cell, step in zip(first, chain_steps))
+            chain = Repeat((j,), (chain_steps,), range(length), range(length + 1))
+            counted = rows[:j] + rows[j + 1:]
     if steps:
         levels = sorted(D.copies)  # the square is stored at the lowest, levels[0]
-        square = Repeat(tuple(square_slots), tuple(steps.values()), tuple(t - levels[0] for t in levels),
+        square = Repeat(tuple(steps), tuple(steps.values()), tuple(t - levels[0] for t in levels),
                         tuple(accumulate(map(D.copies.__getitem__, levels), initial=0)))
-    generators = TensorGenerators(tuple(d_names), tuple(groups), tuple(rows), c, chain, square)
-    starts = generators.starts  # per D generator: the chain's slot is not one
-    if progression is not None:
-        starts = starts[:at] + starts[at + 1:]
+    generators = TensorGenerators(tuple(d_gen.name for d_gen in D.generators), tuple(groups), tuple(rows), c,
+                                  chain, square)
+    starts = generators.starts
     arrows = sorted((starts[d_src] + a_src, starts[d_tgt] + a_tgt)
                     for d_src, a_src, d_tgt, a_tgt in tensor_differential(A, D))
-    return BigradedComplex(generators=generators, arrows=tuple(arrows), bigradings=bigradings,
-                           progressions=progressions)
+    return BigradedComplex(generators=generators, arrows=tuple(arrows),
+                           bigradings=Counter(concat.from_iterable(counted)), progressions=progressions)

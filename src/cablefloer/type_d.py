@@ -21,9 +21,10 @@ difference, so the pairing places the stored square's part of the complex
 at every level (see pairing.py).  The chain stores one edge: D_12 from
 u_top to u_1 when m = 0, else the one at its end, D_1 into mu_1 when m > 0
 or D_2 out of mu_|m| when m < 0.  That end is a generator, and the other
-|m| - 1 are one MuChain, an arithmetic progression of gradings.  Every
-generator carries a right-coset grading; the coset normalizer h depends on
-m.
+|m| - 1, whose gradings step by a constant, are one more entry of the
+generator list: the chain entry stands for its length translates by its
+step, as the stored square stands for its levels.  Every generator carries
+a right-coset grading; the coset normalizer h depends on m.
 """
 
 from __future__ import annotations
@@ -48,21 +49,12 @@ class DGenerator(NamedTuple):
     kind: str  # "u", "v", "mu", "x", "y"
     index: int  # subscript within its kind
     level: int | None = None  # diagonal level it is stored at, squares only
-
-
-@dataclass(frozen=True)
-class MuChain:
-    """The unstable chain's interior: the i1 generators mu<index> ..
-    mu<index + length - 1>, listed in that order in D order right before
-    generators[at].  The first has grading `grading` and each next one adds
-    `step` to the doubled a and c slots.  None has an edge a hat operation
-    reads, so none has a stored edge."""
-
-    index: int
-    grading: GradingElement
-    step: int
-    length: int
-    at: int
+    # the chain entry stands for mu<index> .. mu<index + length - 1>, each
+    # next one adding step to the doubled a and c slots; none has an edge a
+    # hat operation reads, so none has a stored edge.  Every other generator
+    # stands for itself: length 1.
+    length: int = 1
+    step: int = 0
 
 
 @dataclass(frozen=True)
@@ -74,7 +66,6 @@ class TypeDModule:
     # are one square, which stands for the c_t isomorphic squares of every
     # level t.  Empty, every generator stands for itself once.
     copies: dict[int, int] = field(default_factory=dict)
-    chain: MuChain | None = None
 
 
 def framing_h(l: int, m: int) -> GradingElement:
@@ -154,20 +145,21 @@ def build_typed(model: ThinModel, n: int) -> TypeDModule:
 
     # the unstable chain joins the ends u_top and u_1: m = 0 gives one D_12
     # edge (a self-loop when tau = 0), m > 0 the edge u_top --D1--> mu_1 and
-    # m < 0 the edge mu_|m| --D2--> u_1
+    # m < 0 the edge mu_|m| --D2--> u_1; the chain entry lists the other
+    # |m| - 1 after mu_1 or before mu_|m|, in chain order
     top, bottom = f"u{2 * steps + 1}", "u1"
-    chain = None
     if m == 0:
         edges.append(DEdge(top, "12", bottom))
     else:
         sign, length = (1, m) if m > 0 else (-1, -m)
-        end = 1 if m > 0 else length
-        gens.append(DGenerator(f"mu{end}", "i1", _mu(end, sign, l), "mu", end))
-        edges.append(DEdge(top, "1", "mu1") if m > 0 else DEdge(f"mu{length}", "2", bottom))
+        end, index = (1, 2) if m > 0 else (length, 1)
+        mus = [DGenerator(f"mu{end}", "i1", _mu(end, sign, l), "mu", end)]
         if length > 1:
-            index = 2 if m > 0 else 1
-            at = len(gens) if m > 0 else len(gens) - 1
-            chain = MuChain(index, _mu(index, sign, l), 2 * sign, length - 1, at)
+            interior = DGenerator(f"mu{index}", "i1", _mu(index, sign, l), "mu", index, length=length - 1,
+                                  step=2 * sign)
+            mus.insert(1 if m > 0 else 0, interior)
+        gens += mus
+        edges.append(DEdge(top, "1", "mu1") if m > 0 else DEdge(f"mu{length}", "2", bottom))
 
     # a square whose corner count is c_i lies at level t = i - tau; its
     # gradings are the base square right-multiplied by (t/2; 0, t; 0).  The
@@ -190,5 +182,4 @@ def build_typed(model: ThinModel, n: int) -> TypeDModule:
         edges=tuple(edges),
         h=framing_h(l, m),
         copies=copies,
-        chain=chain,
     )

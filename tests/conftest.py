@@ -23,7 +23,6 @@ import pytest
 
 from cablefloer import (
     DEdge,
-    DGenerator,
     GradingElement,
     LaurentPolynomial,
     TypeAModule,
@@ -317,18 +316,21 @@ def expand_levels(D: TypeDModule) -> TypeDModule:
 
 
 def expand_chain(D: TypeDModule) -> TypeDModule:
-    """D with the unstable chain's interior written out: one "mu" generator
-    per chain position, in the chain's place in D order, with no edge (the
+    """D with the unstable chain's interior written out: the chain entry,
+    which stands for length generators, replaced in its place in D order by
+    one "mu" generator of length 1 per chain position, with no edge (the
     chain's D_23 edges meet no hat operation and are not stored).  The
     pairing's record path walks this module generator by generator, as an
     independent reference for the chain's progression."""
-    chain = D.chain
-    if chain is None:
-        return D
-    x, step = chain.grading, chain.step
-    mus = tuple(DGenerator(f"mu{j}", "i1", GradingElement(x.a2 + r * step, x.b2, x.c2 + r * step, x.d2), "mu", j)
-                for r, j in enumerate(range(chain.index, chain.index + chain.length)))
-    return replace(D, generators=D.generators[:chain.at] + mus + D.generators[chain.at:], chain=None)
+    gens = []
+    for g in D.generators:
+        if g.length == 1:
+            gens.append(g)
+            continue
+        x = g.grading
+        gens += [g._replace(name=f"mu{g.index + r}", grading=x._replace(a2=x.a2 + r * g.step, c2=x.c2 + r * g.step),
+                            index=g.index + r, length=1, step=0) for r in range(g.length)]
+    return replace(D, generators=tuple(gens))
 
 
 def written_out(D: TypeDModule) -> TypeDModule:

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -6,6 +7,8 @@ import re
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cablefloer import RankTable, compute_cable_hfk, parse_delta, synthesize_delta
 from cablefloer.cli import RunConfig, _json_text, main, run
@@ -225,7 +228,7 @@ def test_run_path_calls_no_cell_by_cell_check(monkeypatch):
              (parse_delta(DELTA_11N50), 0, 5, 3)]              # |m| = 3
     for delta, tau, p, n in cases:
         result = compute_cable_hfk(delta, tau, p, n)
-        assert bool(result.table.chain) == (abs(2 * tau - n) > 1)
+        assert bool(result.table.chain) == (abs(2 * tau - n) > 2)
         assert result.checks == {"symmetry": True, "euler": True, "table": True}
 
 
@@ -494,3 +497,98 @@ def test_hfk_mode_names_the_flag_at_fault(capsys, flags, message):
     code, out, err = run_main(capsys, "--delta", "1", "--tau", "0", "--p", "2", *flags)
     assert (code, out, err) == (1, "", f"error: {message}\n")
     assert ("--n" in flags) == ("--n" not in err)  # asks for --n only when it is missing
+
+
+FORMATS = tuple(GOLDEN_DIGESTS)
+
+
+@st.composite
+def thin_argv(draw):
+    """argv of a thin cable under a size cap: tau, a symmetric square
+    multiset, p >= 2 and n, negative n, n = 2*tau and p = 2 included, in
+    any format."""
+    tau = draw(st.integers(-3, 3), label="tau")
+    levels = draw(st.lists(st.integers(0, 3), max_size=2, unique=True), label="levels")
+    counts = {}
+    for i in levels:
+        counts[i] = counts[-i] = draw(st.integers(1, 2), label=f"c_{i}")
+    p = draw(st.integers(2, 5), label="p")
+    n = draw(st.one_of(st.integers(-8, 8), st.just(2 * tau)), label="n")
+    delta = ",".join(map(str, centered(synthesize_delta(tau, counts))))
+    fmt = draw(st.sampled_from(FORMATS), label="format")
+    return [f"--delta={delta}", "--tau", str(tau), "--p", str(p), "--n", str(n), "--format", fmt], True
+
+
+def centered(delta):
+    """delta's coefficient list from degree -g to g."""
+    g = delta.top_degree
+    return [delta.coeff(d) for d in range(-g, g + 1)]
+
+
+@st.composite
+def malformed_argv(draw):
+    """argv of a malformed run: a delta of even length, asymmetric, with
+    |delta(1)| != 1 or with thin signs broken, a value that is no integer,
+    hfk mode given --q, or tau mode given both or neither of --n and --q."""
+    small = st.integers(-4, 4)
+    args = {"--delta": "1,-1,1", "--tau": "-1", "--p": str(draw(st.integers(2, 4), label="p")), "--n": "1"}
+    kind = draw(st.sampled_from(("even", "asymmetric", "delta(1)", "signs", "not-int", "hfk-q", "tau-n-q")),
+                label="kind")
+    if kind == "even":
+        coeffs = draw(st.lists(small, min_size=1, max_size=3)) * 2
+    elif kind == "asymmetric":
+        coeffs = draw(st.lists(small, min_size=3, max_size=7).filter(lambda c: len(c) % 2 and c != c[::-1]))
+    elif kind == "delta(1)":
+        half = draw(st.lists(small, min_size=1, max_size=4))  # the lower half and the centre
+        coeffs = half + half[-2::-1]
+        if abs(sum(coeffs)) == 1:
+            coeffs[len(coeffs) // 2] += 2
+    elif kind == "signs":
+        tau = draw(st.integers(-3, 3), label="tau")
+        coeffs = centered(synthesize_delta(tau, draw(st.sampled_from(({}, {0: 1}, {1: 1, -1: 1})))))
+        d = draw(st.integers(0, len(coeffs) // 2), label="flipped")
+        coeffs[d], coeffs[-d - 1] = -coeffs[d], -coeffs[-d - 1]
+        args["--tau"] = str(tau)
+    else:
+        coeffs = [1, -1, 1]
+    args["--delta"] = ",".join(map(str, coeffs))
+    if kind == "not-int":
+        flag = draw(st.sampled_from(("--delta", "--tau", "--p", "--n")), label="flag")
+        args[flag] = draw(st.sampled_from(("x", "1.5", "", "1,x,1" if flag == "--delta" else "2e1")))
+    elif kind == "hfk-q":
+        args["--q"] = str(draw(small))
+    elif kind == "tau-n-q":
+        args["--mode"] = "tau"
+        if draw(st.booleans(), label="both"):
+            args["--q"] = str(draw(small))
+        else:
+            del args["--n"]
+    return [f"{flag}={value}" for flag, value in args.items()], False
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(thin_argv(), malformed_argv()))
+def test_exit_code_contract(case):
+    """Exit 0 with output, in JSON a document whose checks all hold, or
+    exit 1 with nothing written and one `error:` line or a usage message;
+    never exit 2 and never an exception out of main.  A thin cable under
+    the size cap always exits 0."""
+    argv, thin = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in err
+    if code == 1:
+        assert out == ""
+        lines = err.splitlines()
+        assert (len(lines) == 1 and lines[0].startswith("error: ")) or (
+            lines[0].startswith("usage: ") and ": error: " in lines[-1]), err
+        assert not thin, err
+        return
+    assert code == 0 and out and err == "", (code, err)
+    if "--mode=tau" in argv:
+        assert re.fullmatch(r"-?\d+\n", out)
+    elif "--format" not in argv or argv[argv.index("--format") + 1] == "json":
+        checks = json.loads(out)["checks"]
+        assert checks["symmetry"] is checks["euler"] is checks["table"]["match"] is True

@@ -6,6 +6,9 @@ is skipped.  No linter is needed: the walk is over the modules' syntax trees.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +48,12 @@ def test_detector_sees_unused_and_honours_noqa():
               "__all__ = ['escape']\n"
               "print(sys.argv)\n")
     assert unused_imports(source) == ["os (line 2)", "compile (line 6)"]
+
+
+def test_cli_import_leaves_plot_unimported():
+    """A process that only computes never compiles the plot module: cli
+    imports it where an svg or ascii rendering is asked for."""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    probe = "import sys, cablefloer.cli; print('cablefloer.plot' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"

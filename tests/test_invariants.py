@@ -320,14 +320,14 @@ def test_progression_checks_agree_on_chain_workload(case):
 
 @settings(max_examples=60, deadline=None)
 @given(tau=st.integers(-4, 4), counts=st.sampled_from(({}, {0: 1}, {1: 1, -1: 1}, {2: 2, 0: 1, -2: 2})),
-       p=st.integers(2, 8), size=st.integers(2, 96), sign=st.sampled_from((1, -1)),
+       p=st.integers(2, 8), size=st.integers(3, 96), sign=st.sampled_from((1, -1)),
        kind=st.sampled_from((None,) + MUTANTS), i=st.integers(0, 100))
-@example(tau=0, counts={}, p=3, size=2, sign=1, kind=None, i=0)
-@example(tau=-2, counts={0: 1}, p=4, size=2, sign=-1, kind="one-short", i=1)
+@example(tau=0, counts={}, p=3, size=3, sign=1, kind=None, i=0)
+@example(tau=-2, counts={0: 1}, p=4, size=3, sign=-1, kind="one-short", i=1)
 def test_progression_checks_agree_on_long_chains(tau, counts, p, size, sign, kind, i):
-    """Any cable with a chain, from the one-generator chain of |m| = 2 with
-    zero steps on, whole or with one mutant defect: the verdicts decided per
-    progression equal the cell-by-cell ones."""
+    """Any cable with a chain kept as progressions, from the two-generator
+    chain entry of |m| = 3 on, whole or with one mutant defect: the
+    verdicts decided per progression equal the cell-by-cell ones."""
     delta, n = synthesize_delta(tau, counts), 2 * tau - sign * size
     table = compute_cable_hfk(delta, tau, p, n).table
     assert table.chain

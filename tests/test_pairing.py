@@ -1,5 +1,6 @@
 from collections import Counter
 from dataclasses import replace
+from itertools import chain as concat
 
 import pytest
 from hypothesis import given, settings
@@ -336,7 +337,7 @@ class TestGradings:
         for i in (len(want), -len(want) - 1):
             with pytest.raises(IndexError):
                 generators[i]
-        assert bool(complex_.progressions) == (D.chain is not None)
+        assert bool(complex_.progressions) == any(d_gen.length > 1 for d_gen in D.generators)
         assert all_bigradings(complex_) == Counter((g.alexander, g.maslov) for g in want)
         assert generators.cells_at(generators.spots(range(len(want)))) == [(g.alexander, g.maslov) for g in want]
         stored = {d_gen.name for d_gen in expand_chain(D).generators}
@@ -446,7 +447,7 @@ def chain_modules(tau, counts, p, m):
 
 @pytest.mark.parametrize("p", [2, 4])
 @pytest.mark.parametrize("counts", [{}, {1: 2, 0: 3, -1: 2}], ids=["staircase", "squares-x2"])
-@pytest.mark.parametrize("m", [0, 1, -1, 2, -2, 7, -7] + [
+@pytest.mark.parametrize("m", [0, 1, -1, 2, -2, 3, -3, 7, -7] + [
     sign * size for size in (31, 32, 33, 96) for sign in (1, -1)])
 @pytest.mark.parametrize("tau", [-2, 0, 3])
 def test_chain_progression_equals_written_out_chain(tau, m, counts, p):
@@ -454,22 +455,35 @@ def test_chain_progression_equals_written_out_chain(tau, m, counts, p):
     module with the chain written out: the same generators, cells, counts,
     arrows, rank table and check verdicts.  tau = 0, m = 0 is the D_12
     self-loop, and the squares carry copies > 1 beside the chain.  The chain
-    has |m| - 1 generators, and every chain, from |m| = 2 on, is kept as
-    progressions that bigradings does not count."""
+    has |m| - 1 generators; from |m| = 3 on they are one D entry, kept as
+    progressions that bigradings does not count, and at |m| = 2 the one
+    is a plain stored generator.  On both modules slot j of the view is D
+    entry j, and every arrow end lies in the first copy of the slot of the
+    D index that tensor_differential gives it."""
     A, D, l, n = chain_modules(tau, counts, p, m)
-    assert (D.chain is not None) == (abs(m) > 1)
+    assert any(d_gen.length > 1 for d_gen in D.generators) == (abs(m) > 2)
     stored, written = pair_modules(A, D, l, n), pair_modules(A, expand_chain(D), l, n)
+    for module, complex_ in ((D, stored), (expand_chain(D), written)):
+        view = complex_.generators
+        assert view.d_names == tuple(d_gen.name for d_gen in module.generators)
+        ends = view.spots(concat.from_iterable(complex_.arrows))
+        assert {copy for _, copy, _ in ends} <= {0}
+        assert sorted((j, k, j2, k2) for (j, _, k), (j2, _, k2) in zip(ends[::2], ends[1::2])) == sorted(
+            tensor_differential(A, module))
     size = len(written.generators)
     assert len(stored.generators) == size
     assert [stored.generators[i] for i in range(size)] == [written.generators[i] for i in range(size)]
     assert cells_of(stored.generators) == cells_of(written.generators)
-    assert bool(stored.progressions) == (abs(m) > 1)
+    assert len(stored.progressions) == (2 * p - 2 if abs(m) > 2 else 0)
     assert not written.progressions
     assert all_bigradings(stored) == all_bigradings(written)
     assert stored.arrows == written.arrows
     table, want = reduce_complex(stored), reduce_complex(written)
     assert table.ranks == want.ranks and type(table.ranks) is dict
     assert table.chain == stored.progressions and not want.chain
+    if abs(m) <= 2:
+        assert (table.stored, table.chain) == (want.stored, want.chain)
+        assert stored.bigradings == written.bigradings
     delta, q = synthesize_delta(tau, counts), p * n + 1
     assert symmetry_holds(table) == check_symmetry(want)
     assert euler_holds(table, delta, p, q) == euler_matches_cable(euler_characteristic(want), delta, p, q)
@@ -487,7 +501,8 @@ def test_chain_off_the_lattice_is_refused_like_written_out_chain(tau, m, change)
     word for word as on the written-out chain, whether the chain anchors
     its b slot (tau = 0, m < 0) or is translated from a row anchored before it."""
     A, D, l, n = chain_modules(tau, {0: 1}, 3, m)
-    D = replace(D, chain=replace(D.chain, **change(D.chain)))
+    j, chain = next((j, g) for j, g in enumerate(D.generators) if g.length > 1)
+    D = replace(D, generators=D.generators[:j] + (chain._replace(**change(chain)),) + D.generators[j + 1:])
     with pytest.raises((ArithmeticError, GradingError)) as written:
         pair_modules(A, expand_chain(D), l, n)
     with pytest.raises((ArithmeticError, GradingError)) as stored:

@@ -59,21 +59,20 @@ class TestUnstableChain:
     @pytest.mark.parametrize("m", [-7, -2, -1, 0, 1, 2, 7])
     @pytest.mark.parametrize("tau", [-2, 0, 3])
     def test_chain_is_one_record(self, tau, m):
-        """One mu generator, the end arrows reach, and one record for the
-        other |m| - 1, placed in D order where the old list had them; only
-        D_1, D_2 and D_12 edges are stored."""
+        """One mu generator, the end arrows reach, and one chain entry of
+        length |m| - 1 and step 2*sign(m) for the other |m| - 1, listed
+        next to the end in D order, after mu1 or before mu_|m|; only D_1,
+        D_2 and D_12 edges are stored."""
         model = build_model(synthesize_delta(tau, {0: 1}), tau)
         module = build_typed(model, 2 * tau - m)
         assert {e.label for e in module.edges} <= {"1", "2", "12"}
         mus = [(j, g) for j, g in enumerate(module.generators) if g.kind == "mu"]
-        assert [g.name for _, g in mus] == ([] if m == 0 else ["mu1" if m > 0 else f"mu{-m}"])
-        chain = module.chain
-        if abs(m) < 2:
-            assert chain is None
-            return
-        (end, _), = mus
-        assert (chain.index, chain.step, chain.length) == ((2, 2, m - 1) if m > 0 else (1, -2, -m - 1))
-        assert chain.at == (end + 1 if m > 0 else end)
+        want = [] if m == 0 else [("mu1" if m > 0 else f"mu{-m}", 1, 0)]
+        if abs(m) > 1:
+            want.insert(1 if m > 0 else 0, ("mu2", m - 1, 2) if m > 0 else ("mu1", -m - 1, -2))
+        assert [(g.name, g.length, g.step) for _, g in mus] == want
+        slots = [j for j, _ in mus]
+        assert all(later == slot + 1 for slot, later in zip(slots, slots[1:]))
         names = [g.name for g in expand_chain(module).generators if g.kind == "mu"]
         assert names == [f"mu{j}" for j in range(1, abs(m) + 1)]
 
@@ -117,8 +116,8 @@ class TestBuild:
         i0 = [g for g in module.generators if g.idempotent == "i0"]
         i1 = [g for g in module.generators if g.idempotent == "i1"]
         assert len(i0) == 2 * abs(tau) + 1 + 4 * square
-        assert len(i1) == 2 * abs(tau) + (m != 0) + 4 * square
-        assert (module.chain.length if module.chain else 0) == max(abs(m) - 1, 0)
+        assert len(i1) == 2 * abs(tau) + (m != 0) + (abs(m) > 1) + 4 * square
+        assert sum(g.length for g in module.generators if g.kind == "mu") == abs(m)
         written = [g for g in expand_chain(module).generators if g.idempotent == "i1"]
         assert len(written) == 2 * abs(tau) + abs(m) + 4 * square
         levels = {g.level for g in module.generators if g.level is not None}
@@ -167,16 +166,19 @@ class TestBuild:
 
 def test_generator_record_contract():
     """An immutable value, equal and hashed by value, whose level defaults
-    to None; refusal messages embed its repr word for word."""
+    to None and length and step to a generator that stands for itself;
+    refusal messages embed its repr word for word."""
     gen = DGenerator("v1", "i1", GradingElement(1, -1, 3, 0), "v", 1)
-    assert gen.level is None
+    assert (gen.level, gen.length, gen.step) == (None, 1, 0)
     with pytest.raises(AttributeError):
         gen.name = "v2"
     same = DGenerator("v1", "i1", GradingElement(1, -1, 3, 0), "v", 1, None)
     assert gen == same and hash(gen) == hash(same)
     assert gen != gen._replace(level=0)
-    assert repr(gen) == ("DGenerator(name='v1', idempotent='i1', "
-                         "grading=GradingElement(a2=1, b2=-1, c2=3, d2=0), kind='v', index=1, level=None)")
+    assert repr(gen) == ("DGenerator(name='v1', idempotent='i1', grading=GradingElement(a2=1, b2=-1, c2=3, d2=0), "
+                         "kind='v', index=1, level=None, length=1, step=0)")
+    chain = DGenerator("mu2", "i1", GradingElement(1, -1, 3, 0), "mu", 2, length=5, step=2)
+    assert chain == ("mu2", "i1", GradingElement(1, -1, 3, 0), "mu", 2, None, 5, 2) != chain._replace(step=-2)
 
 
 def level_shift(t):
@@ -262,14 +264,14 @@ def test_staircase_matches_written_out_gradings_and_edges(tau):
 
 @pytest.mark.parametrize("n", [-20000, 20000])
 def test_chain_is_not_written_out(n):
-    """A chain of 20,000 generators adds one generator and one record to the
-    module: 2|tau|+1 u's, 2|tau| v's, the 8 corners of the one stored square,
-    whatever its levels, and the chain end."""
+    """A chain of 20,000 generators adds two entries to the module: 2|tau|+1
+    u's, 2|tau| v's, the 8 corners of the one stored square, whatever its
+    levels, the chain end and one chain entry for the other 19,999."""
     tau, counts = 0, {1: 1, 0: 2, -1: 1}
     model = build_model(synthesize_delta(tau, counts), tau)
     module = build_typed(model, n)
-    assert len(module.generators) == 2 * abs(tau) + 1 + 2 * abs(tau) + 8 + 1
-    assert module.chain.length == abs(2 * tau - n) - 1
+    assert len(module.generators) == 2 * abs(tau) + 1 + 2 * abs(tau) + 8 + 2
+    assert sorted(g.length for g in module.generators if g.kind == "mu") == [1, abs(2 * tau - n) - 1]
 
 
 def test_h_specialization_at_m_zero():
