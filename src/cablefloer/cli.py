@@ -239,7 +239,8 @@ def main(argv: list[str] | None = None) -> int:
             if type(tau) is not int:
                 raise TypeError(f"tau must be a JSON integer, got {tau!r}")
             delta_text = ",".join(map(str, delta))
-        except (OSError, KeyError, TypeError, ValueError) as exc:
+        # json raises RecursionError on nesting deeper than the interpreter's recursion limit
+        except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
             print(f"error: cannot read input file: {exc}", file=sys.stderr)
             return 1
 

@@ -10,8 +10,10 @@ satellite polynomial itself, `cable_alexander` with `torus_knot_delta`, is
 kept for tests, which use it as an oracle, and for the benchmark, which binds
 those names; no run calls it.
 
-A rank table keeps a chain entry of two or more generators (|m| >= 3) as
-progressions, and every run decides the symmetry and Euler checks from the
+A rank table keeps a chain entry of two or more generators (|m| >= 3),
+and the grading families of a pattern wider than pairing.FAMILY_RUN, as
+progressions, the families' with a Maslov grading quadratic in the
+position.  Every run decides the symmetry and Euler checks from the
 table's two parts, one progression at a time, by symmetry_holds and
 euler_holds, with the same verdicts as cell by cell.  The cell-by-cell
 check_symmetry and euler_characteristic stay for tests, which use them as
@@ -21,6 +23,7 @@ calls them.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import chain as concat, repeat
 from math import gcd
 
@@ -106,41 +109,56 @@ def symmetry_holds(table: RankTable) -> bool:
 
     sigma(a, m) = (-a, m - 2a) is an involution, and the table is symmetric
     exactly when its rank function f equals f o sigma.  sigma maps the
-    progression from (a, m) by (da, dm) to the one from (-a, m - 2a) by
-    (-da, dm - 2da), so the chain's part D of f - f o sigma is a signed sum
-    of progression indicators: each progression with +1, its image with -1.
-    On a lattice line, the cells base + t*step with the step oriented so
-    that its Alexander part is positive (or, at Alexander step 0, its
-    Maslov part), an indicator is an interval of t; a zero step is a line
-    of one cell, met once per repetition.  The interval ends of every line
-    are sorted together, and one sweep writes out the cells where the
-    running sum, D, is nonzero.  With S the stored survivors,
-    f - f o sigma = D + S - S o sigma, so the table is symmetric exactly
-    when S(sigma x) = S(x) + D(x) at every cell x: one lookup per stored
-    cell, then one per cell left in D.  Elsewhere S(sigma x) = 0 follows
-    from the check at sigma x, since D o sigma = -D.
+    progression from (a, m) by steps (da, dm) and bend b to the one from
+    (-a, m - 2a) by (-da, dm - 2da) and the same bend, so the
+    progressions' part D of f - f o sigma is a signed sum of progression
+    indicators: each progression with +rank, its image with -rank.
+    Oriented so that its Alexander step da is positive (or, at da = 0 and
+    b = 0, its Maslov step), a progression lies on the curve of cells
+    (a0 + t*da, m0 + t*d0 + t(t-1)/2*b), keyed by da, b and the curve's
+    cell a0, value m0 and first difference d0 at t = 0, and is an interval
+    of t there.  The origin t = 0 is where the Alexander grading lies in
+    [0, da), or at da = 0 where the Maslov grading lies in [0, dm) or,
+    with a bend, where the first difference lies between 0 and b; a zero
+    step is a curve of one cell, met once per repetition.  The interval
+    ends of every curve are sorted together,
+    and one sweep writes out the cells where the running sum, D, is
+    nonzero.  With S the stored survivors, f - f o sigma = D + S - S o
+    sigma, so the table is symmetric exactly when S(sigma x) = S(x) + D(x)
+    at every cell x: one lookup per stored cell, then one per cell left in
+    D.  Elsewhere S(sigma x) = 0 follows from the check at sigma x, since
+    D o sigma = -D.
     """
     ends = []
-    for a, m, da, dm, length in table.chain:
-        if da < 0 or (da == 0 and dm < 0):  # the same cells, walked the other way
-            a, m, da, dm = a + (length - 1) * da, m + (length - 1) * dm, -da, -dm
+    for a, m, da, dm, length, bend, rank in table.progressions:
+        last = length - 1
+        if da < 0 or (da == 0 and dm < 0 and not bend):  # the same cells, walked the other way
+            a, m, da, dm = a + last * da, m + last * dm, -da, -dm
+            if bend:
+                m, dm = m + last * (last - 1) // 2 * bend, dm - (last - 1) * bend
         if da:  # the image, walked from sigma of the last cell
-            b, n, dn = -a - (length - 1) * da, m - 2 * a + (length - 1) * (dm - 2 * da), 2 * da - dm
+            b = -a - last * da
+            n, dn = m + last * dm + 2 * b, 2 * da - dm
+            if bend:
+                n, dn = n + last * (last - 1) // 2 * bend, dn - (last - 1) * bend
             t, s = a // da, b // da
-        else:  # sigma keeps a step (0, dm)
+        else:  # sigma keeps the steps (0, dm) and the bend
             b, n, dn = -a, m - 2 * a, dm
-            t, s = (m // dm, n // dm) if dm else (0, 0)
-        a, m, b, n = a - t * da, m - t * dm, b - s * da, n - s * dn  # each line's cell at 0
-        ends += ((da, dm, a, m, t, 1), (da, dm, a, m, t + length, -1),
-                 (da, dn, b, n, s, -1), (da, dn, b, n, s + length, 1))
+            t, s = (dm // bend, dm // bend) if bend else (m // dm, n // dm) if dm else (0, 0)
+        # each curve's cell, value and first difference at 0
+        a, m, b, n = a - t * da, m - t * dm, b - s * da, n - s * dn
+        if bend:
+            m, dm, n, dn = m + t * (t + 1) // 2 * bend, dm - t * bend, n + s * (s + 1) // 2 * bend, dn - s * bend
+        ends += ((da, a, m, dm, bend, t, rank), (da, a, m, dm, bend, t + length, -rank),
+                 (da, b, n, dn, bend, s, -rank), (da, b, n, dn, bend, s + length, rank))
     ends.sort()
     leftover: dict[tuple[int, int], int] = {}  # D
     value = 0
-    for (da, dm, a, m, t, change), following in zip(ends, ends[1:]):
+    for (da, a, m, dm, bend, t, change), following in zip(ends, ends[1:]):
         value += change
-        if value:  # every line's changes sum to 0, so the following end is on this line
-            for u in range(t, following[4]):
-                cell = (a + u * da, m + u * dm)
+        if value:  # every curve's changes sum to 0, so the following end is on this curve
+            for u in range(t, following[5]):
+                cell = (a + u * da, m + u * dm + u * (u - 1) // 2 * bend)
                 leftover[cell] = leftover.get(cell, 0) + value
     rank, pop = table.stored.get, leftover.pop
     for cell, r in table.stored.items():
@@ -202,64 +220,87 @@ def cable_alexander(delta: LaurentPolynomial, p: int, q: int) -> LaurentPolynomi
     return delta.inflate(p) * torus_knot_delta(p, q)
 
 
-def _matches_cable(euler_times_binomial: LaurentPolynomial, delta: LaurentPolynomial, p: int, q: int) -> bool:
-    """euler == cable_alexander(delta, p, q), given euler * (t^p - 1), decided
-    without forming the product.
+def euler_holds(table: RankTable, delta: LaurentPolynomial, p: int, q: int) -> bool:
+    """euler_characteristic(table) == cable_alexander(delta, p, q), decided
+    per progression, without forming the product.
 
     For coprime p > 1 and q, with shift = (p-1)(|q|-1)/2,
     Delta_T(p,q) * (t^p - 1)(t^|q| - 1) = t^-shift * (t^(p|q|) - 1)(t - 1).
     Z[t, t^-1] has no zero divisors, so euler equals delta(t^p) * Delta_T(p,q)
-    exactly when both sides agree after multiplying by (t^p - 1)(t^|q| - 1):
-    one more binomial multiplication on the left, and on the right four
-    terms per coefficient of delta, linear in the terms either way; their
-    difference, gathered in one dict, vanishes.  At |q| = 1 both sides carry
-    the same factor (t^p - 1)(t - 1), so Delta_T = 1 needs no branch.
+    exactly when both sides agree after multiplying by (t^p - 1)(t^|q| - 1)
+    and by (t^s - 1) for every further step s that _euler_times_binomials
+    telescopes: on the right, four terms per coefficient of delta times
+    those further binomials; their difference, gathered in one dict,
+    vanishes.  At |q| = 1 both sides carry the same factor
+    (t^p - 1)(t - 1), so Delta_T = 1 needs no branch.
     """
+    left, extra = _euler_times_binomials(table, p, q)
     q = abs(q)
     shift = (p - 1) * (q - 1) // 2
-    left = euler_times_binomial._coeffs
-    gap = {k + q: c for k, c in left.items()}  # left * (t^q - 1)
-    for k, c in left.items():
-        gap[k] = gap.get(k, 0) - c
-    for d, c in delta._coeffs.items():  # minus t^-shift * delta(t^p) * (t^(pq+1) - t^pq - t + 1)
+    gap = {} if extra else left  # minus the right side, before the extra binomials
+    for d, c in delta._coeffs.items():  # t^-shift * delta(t^p) * (t^(pq+1) - t^pq - t + 1)
         a = p * d - shift
         for k, s in ((a + p * q + 1, c), (a + p * q, -c), (a + 1, -c), (a, c)):
             gap[k] = gap.get(k, 0) - s
-    return not any(gap.values())
+    if extra:
+        for s in extra:
+            gap = _times_binomial(gap, s)
+        for k, c in gap.items():
+            left[k] = left.get(k, 0) + c
+    return not any(left.values())
 
 
-def euler_holds(table: RankTable, delta: LaurentPolynomial, p: int, q: int) -> bool:
-    """euler_characteristic(table) == cable_alexander(delta, p, q), decided
-    per progression.
+def _euler_times_binomials(table: RankTable, p: int, q: int) -> tuple[dict[int, int], list[int]]:
+    """euler_characteristic(table) times (t^p - 1)(t^|q| - 1) and (t^s - 1)
+    for every s of extra, from the table's parts, and extra: every other
+    step of a telescoping progression, ascending.
 
-    A progression with Alexander step +-p and an even Maslov step has one
-    sign (-1)^m throughout, and its cells' sum of t^a telescopes against
-    t^p - 1: sign * (t^(a_high + p) - t^(a_low)), with a_low and a_high its
-    lowest and highest Alexander grading.  So euler * (t^p - 1) is the
-    stored survivors' alternating sum times the binomial, plus two terms
-    per such progression, and _matches_cable compares it.  Any other
-    progression is summed cell by cell with the stored survivors.
+    A progression with Alexander step +-s != 0 and even Maslov step and
+    bend has one sign (-1)^m throughout, and its cells' sum of t^a
+    telescopes against t^s - 1: sign * rank * (t^(a_high + s) - t^(a_low)),
+    with a_low and a_high its lowest and highest Alexander grading, two
+    terms.  Chain progressions step by p, and grading families by q and
+    1 - q, with |1 - q| = p|n|.  Any other progression is summed cell by
+    cell with the stored survivors.  Their alternating sum is multiplied
+    by the binomials one at a time, and after each the telescoped terms of
+    its step are added, times the binomials already applied: each term
+    ends up times every binomial but its own.
     """
-    return _matches_cable(_euler_times_binomial(table, p), delta, p, q)
-
-
-def _euler_times_binomial(table: RankTable, p: int) -> LaurentPolynomial:
-    """euler_characteristic(table) * (t^p - 1), from the table's parts."""
-    ends, cellwise = [], []
-    for progression in table.chain:
-        a, m, da, dm, length = progression
-        if abs(da) == p and dm % 2 == 0:
-            sign, past = -1 if m % 2 else 1, a + length * da  # past: the grading after the last
-            ends += ((past, sign), (a, -sign)) if da > 0 else ((a + p, sign), (past + p, -sign))
+    telescoped: defaultdict[int, dict[int, int]] = defaultdict(dict)  # step -> its progressions' sum times t^step - 1
+    cellwise = []
+    for progression in table.progressions:
+        a, m, da, dm, length, bend, rank = progression
+        if da and not (dm | bend) & 1:
+            sign, past = -rank if m & 1 else rank, a + length * da  # past: the grading after the last
+            high, low = (past, a) if da > 0 else (a - da, past - da)  # a_high + s, a_low
+            terms = telescoped[abs(da)]
+            terms[high] = terms.get(high, 0) + sign
+            terms[low] = terms.get(low, 0) - sign
         else:
-            cellwise.append(progression.cells())
-    sums = _alternating_sums(concat(table.stored.items(), zip(concat.from_iterable(cellwise), repeat(1))))
-    out = {a + p: c for a, c in sums.items()}
-    for a, c in sums.items():
-        out[a] = out.get(a, 0) - c
-    for a, c in ends:
-        out[a] = out.get(a, 0) + c
-    return LaurentPolynomial._trusted(out)
+            cellwise.append(zip(progression.cells(), repeat(rank)))
+    out = _alternating_sums(concat(table.stored.items(), concat.from_iterable(cellwise)))
+    q = abs(q)
+    extra = sorted(telescoped.keys() - {p, q})
+    applied: list[int] = []
+    for s in [p, q] + extra:
+        out = _times_binomial(out, s)
+        terms = telescoped.pop(s, None)
+        if terms:
+            for r in applied:
+                terms = _times_binomial(terms, r)
+            for k, c in terms.items():
+                out[k] = out.get(k, 0) + c
+            out = {k: c for k, c in out.items() if c}  # most of them cancel
+        applied.append(s)
+    return out, extra
+
+
+def _times_binomial(terms: dict[int, int], s: int) -> dict[int, int]:
+    """The polynomial terms times t^s - 1."""
+    out = {k + s: c for k, c in terms.items()}
+    for k, c in terms.items():
+        out[k] = out.get(k, 0) - c
+    return out
 
 
 def mirror_check(this: RankTable, that: RankTable) -> bool:

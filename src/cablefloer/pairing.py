@@ -58,8 +58,17 @@ constant too, so its slot repeats once per chain generator: repetition r
 is mu<index + r>, its first row plus r step rows.  Its cells are one
 arithmetic progression per b_k, kept apart in BigradedComplex.progressions
 and never counted; the rank table and the checks in invariants.py read
-them one progression at a time.  The closed-form grading tables that
-cross-check this group arithmetic live in invariants.py.
+them one progression at a time.
+
+A grading family of at least FAMILY_RUN positions in a stored row is kept
+the same way.  Along a family a row's alexander is affine and its maslov
+quadratic in the position, so the family is one Progression, read off its
+first three cells, whose maslov_bend is the Maslov second difference.
+BigradedComplex.families holds one per (slot, family), bigradings counts
+none of their cells, and homology.reduce_complex cuts each at the arrow
+ends on it.  The rows stay as they are, so the generator view and the
+arrows do not change.  The closed-form grading tables that cross-check
+this group arithmetic live in invariants.py.
 """
 
 from __future__ import annotations
@@ -78,6 +87,15 @@ from .type_d import TypeDModule, raised
 # A row: the (alexander, maslov) cell of each A generator of one idempotent
 # group, in A order
 Row = tuple[tuple[int, int], ...]
+
+# The length from which a grading family of a stored row is kept as one
+# progression instead of cells.  Families have p - 1 positions.  Measured
+# over whole cables, the progression path is about 12% slower than the
+# cells at 12 and 14 positions (p = 13, 15), ties them from about 16
+# (p = 17..20) and is a third faster at 29 (p = 30 with 420 squares).  So
+# every grid, squares and chain-slot cable below p = 25 takes the cell
+# path, and a wider one the progression path.
+FAMILY_RUN = 24
 
 
 class ComplexError(RuntimeError):
@@ -117,20 +135,34 @@ class Repeat(NamedTuple):
 
 
 class Progression(NamedTuple):
-    """The bigradings (alexander + r*alexander_step, maslov + r*maslov_step)
-    for 0 <= r < length: one b_k's cells along the unstable chain."""
+    """The bigradings (alexander + r*alexander_step, maslov + r*maslov_step
+    + r(r-1)/2*maslov_bend) for 0 <= r < length, each of rank rank: one
+    b_k's cells along the unstable chain (maslov_bend 0), or the cells of
+    one grading family of A generators paired with one complement
+    generator, whose Maslov grading is quadratic in the position; on the
+    square, rank is the number of squares at the level."""
 
     alexander: int
     maslov: int
     alexander_step: int
     maslov_step: int
     length: int
+    maslov_bend: int = 0
+    rank: int = 1
 
     def cells(self):
-        """Its (alexander, maslov) cells in chain order."""
-        a, m, da, dm, length = self
-        return zip(range(a, a + da * length, da) if da else repeat(a, length),
-                   range(m, m + dm * length, dm) if dm else repeat(m, length))
+        """Its (alexander, maslov) cells in order."""
+        a, m, da, dm, length, bend, _ = self
+        alexanders = range(a, a + da * length, da) if da else repeat(a, length)
+        if bend:  # the Maslov first differences are dm, dm + bend, ...
+            return zip(alexanders, accumulate(range(dm, dm + (length - 1) * bend, bend), initial=m))
+        return zip(alexanders, range(m, m + dm * length, dm) if dm else repeat(m, length))
+
+    def part(self, lo: int, hi: int) -> Progression:
+        """Its cells lo .. hi - 1, as a progression."""
+        a, m, da, dm, _, bend, rank = self
+        return Progression(a + lo * da, m + lo * dm + lo * (lo - 1) // 2 * bend, da, dm + lo * bend, hi - lo, bend,
+                           rank)
 
 
 class TensorGenerators(Sequence):
@@ -221,16 +253,21 @@ class TensorGenerators(Sequence):
 class BigradedComplex:
     """The paired complex: the generator view, the arrows on the first copy
     of their slots and the generator count per bigrading of every stored
-    generator, each slot's row once.  The other listings are counted
-    elsewhere: the chain's cells are the progressions, one per b_k, and the
-    square's other listings (generators.square) are placed at every level
-    by homology.reduce_complex once its arrows are cancelled.  No arrow
+    generator, each slot's row once, less its long grading families.  The
+    other listings are counted elsewhere: the chain's cells are the
+    progressions, one per b_k; each long family of a slot's row is one
+    progression in families; and the square's other listings
+    (generators.square) are placed at every level by
+    homology.reduce_complex once its arrows are cancelled.  No arrow
     touches the chain."""
 
     generators: TensorGenerators
     arrows: tuple[tuple[int, int], ...]  # (source index, target index)
     bigradings: Mapping[tuple[int, int], int]  # positive count per (alexander, maslov) of the stored rows
     progressions: tuple[Progression, ...] = ()  # the chain's cells, counted nowhere else
+    # (slot, first position, cells) of every grading family of at least FAMILY_RUN
+    # positions in a stored row, counted nowhere else
+    families: tuple[tuple[int, int, Progression], ...] = ()
 
 
 def shift_constant(l: int, p: int, n: int) -> int:
@@ -413,20 +450,28 @@ def pair_modules(A: TypeAModule, D: TypeDModule, l: int, n: int) -> BigradedComp
     (D entry, its A generators, its row, how it repeats), and an arrow
     end's index is its D entry's start plus its A position.  The bigrading
     counts are one Counter pass over every row but the chain entry's, the
-    square's at its stored level once.  The square's generators repeat at
-    every level of D.copies, offset by the level difference, and the chain
-    entry along the chain, kept as progressions; their other listings are
-    not counted.  Every arrow joins first copies of the stored generators.
+    square's at its stored level once, less the long grading families.
+    The square's generators repeat at every level of D.copies, offset by
+    the level difference, and the chain entry along the chain, kept as
+    progressions; their other listings are not counted.  A grading family
+    of at least FAMILY_RUN positions is one progression per slot, read off
+    its first three cells, and is not counted either.  Every arrow joins
+    first copies of the stored generators.
     """
     c = shift_constant(l, A.p, n)
     groups, rows, steps = _rows(A, D, c)
-    counted, progressions, chain, square = rows, (), None, None
+    counted, progressions, families, chain, square = rows, (), (), None, None
     for j, d_gen in enumerate(D.generators):
         if d_gen.length > 1:
             first, chain_steps, length = rows[j], steps.pop(j), d_gen.length
             progressions = tuple(Progression(*cell, *step, length) for cell, step in zip(first, chain_steps))
             chain = Repeat((j,), (chain_steps,), range(length), range(length + 1))
             counted = rows[:j] + rows[j + 1:]
+    if A.p - 1 >= FAMILY_RUN:  # both i1 families have p - 1 positions and cover the group: only i0 rows count
+        families = tuple((j, positions.start, _family(row[positions.start:positions.stop]))
+                         for j, (d_gen, row) in enumerate(zip(D.generators, rows))
+                         if d_gen.idempotent == "i1" and d_gen.length == 1 for positions in A.families("i1"))
+        counted = [row for d_gen, row in zip(D.generators, rows) if d_gen.idempotent == "i0"]
     if steps:
         levels = sorted(D.copies)  # the square is stored at the lowest, levels[0]
         square = Repeat(tuple(steps), tuple(steps.values()), tuple(t - levels[0] for t in levels),
@@ -437,4 +482,12 @@ def pair_modules(A: TypeAModule, D: TypeDModule, l: int, n: int) -> BigradedComp
     arrows = sorted((starts[d_src] + a_src, starts[d_tgt] + a_tgt)
                     for d_src, a_src, d_tgt, a_tgt in tensor_differential(A, D))
     return BigradedComplex(generators=generators, arrows=tuple(arrows),
-                           bigradings=Counter(concat.from_iterable(counted)), progressions=progressions)
+                           bigradings=Counter(concat.from_iterable(counted)), progressions=progressions,
+                           families=families)
+
+
+def _family(cells: Row) -> Progression:
+    """The cells of one grading family as a progression: its Alexander
+    grading is affine and its Maslov grading quadratic in the position."""
+    (a0, m0), (a1, m1), (_, m2) = cells[:3]
+    return Progression(a0, m0, a1 - a0, m1 - m0, len(cells), m2 - 2 * m1 + m0)

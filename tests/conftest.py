@@ -18,6 +18,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain as concat
 
 import pytest
 
@@ -25,12 +26,14 @@ from cablefloer import (
     DEdge,
     GradingElement,
     LaurentPolynomial,
+    Progression,
+    RankTable,
     TypeAModule,
     TypeDModule,
     build_typea_minus,
+    euler_holds,
     synthesize_delta,
 )
-from cablefloer.invariants import _matches_cable
 from cablefloer.type_d import raised
 
 # rank of the (5,16)-cable of 11n50 per (alexander, maslov), transcribed
@@ -240,9 +243,11 @@ def times_binomial(f: LaurentPolynomial, k: int) -> LaurentPolynomial:
 
 def euler_matches_cable(euler: LaurentPolynomial, delta: LaurentPolynomial, p: int, q: int) -> bool:
     """euler == delta(t^p) * Delta_T(p,q), decided by the run path's
-    binomial comparison (invariants._matches_cable) on a polynomial rather
-    than on a table's parts."""
-    return _matches_cable(times_binomial(euler, p), delta, p, q)
+    binomial comparison (invariants.euler_holds) on a polynomial rather
+    than on a table's parts: a table of no progressions whose cells carry
+    euler's coefficients, a positive one at Maslov grading 0 and a negative
+    one at 1."""
+    return euler_holds(RankTable({(a, 0 if c > 0 else 1): abs(c) for a, c in euler.items()}), delta, p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +345,15 @@ def written_out(D: TypeDModule) -> TypeDModule:
 
 def all_bigradings(complex_) -> Counter:
     """complex_.bigradings plus one count per cell of each progression it
-    keeps apart and per listing of the square's slots at every level but
-    the stored one, which bigradings counts: the generator count per
-    bigrading of the whole complex."""
+    keeps apart (the chain's and the long families') and per listing of
+    the square's slots at every level but the stored one, which bigradings
+    counts: the generator count per bigrading of the whole complex."""
     gens, square = complex_.generators, complex_.generators.square
     listings = [] if square is None else [
         i for j in square.slots for i in range(gens.index(j, 1, 0), gens.index(j, square.copy_starts[-1], 0))]
-    chain = (cell for progression in complex_.progressions for cell in progression.cells())
-    return Counter(complex_.bigradings) + Counter(chain) + Counter(gens.cells_at(gens.spots(listings)))
+    parts = concat(complex_.progressions, (family for _, _, family in complex_.families))
+    return Counter(complex_.bigradings) + Counter(concat.from_iterable(map(Progression.cells, parts))) + \
+        Counter(gens.cells_at(gens.spots(listings)))
 
 
 def named_arrows(A, D) -> list:

@@ -167,7 +167,7 @@ def test_trefoil_cable_table_matches(capsys):
 
 @pytest.mark.parametrize("name, stage, broken", [
     ("symmetry", "symmetry_holds", lambda real: lambda table: False),
-    ("euler", "_euler_times_binomial", lambda real: lambda table, p: -real(table, p)),
+    ("euler", "euler_holds", lambda real: lambda *args: False),
     ("table", "table_rank", lambda real: lambda *args: real(*args) + 1),
 ], ids=["symmetry", "euler", "table"])
 def test_failed_check_exits_two(capsys, monkeypatch, name, stage, broken):
@@ -228,7 +228,7 @@ def test_run_path_calls_no_cell_by_cell_check(monkeypatch):
              (parse_delta(DELTA_11N50), 0, 5, 3)]              # |m| = 3
     for delta, tau, p, n in cases:
         result = compute_cable_hfk(delta, tau, p, n)
-        assert bool(result.table.chain) == (abs(2 * tau - n) > 2)
+        assert bool(result.table.progressions) == (abs(2 * tau - n) > 2)
         assert result.checks == {"symmetry": True, "euler": True, "table": True}
 
 
@@ -392,6 +392,17 @@ def test_input_file_delta_must_be_integer_list(tmp_path, capsys, delta):
     assert code == 1
     assert out == ""
     assert err.startswith("error: cannot read input file")
+
+
+def test_input_file_nested_too_deep(tmp_path, capsys):
+    """JSON nested deeper than the parser's recursion limit is an input file
+    that cannot be read: one error line and exit 1, not a traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run_main(capsys, "--input", str(path), "--p", "2", "--n", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot read input file:") and err.count("\n") == 1
 
 
 def test_output_file(tmp_path, capsys):

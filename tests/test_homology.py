@@ -59,7 +59,7 @@ class TestRankTable:
         """entries sorts (a, m, rank) triples; keys are unique, so the order
         is the descending key order with each rank looked up."""
         table = compute_cable_hfk(parse_delta(delta_text), tau, p, n).table
-        assert table.chain and table.stored
+        assert table.progressions and table.stored
         ranks = table.ranks
         assert table.entries() == [(a, m, ranks[a, m]) for a, m in sorted(ranks, reverse=True)]
 
@@ -67,7 +67,7 @@ class TestRankTable:
         assert RankTable({(0, 0): 0}).ranks == {}
         chain = (Progression(1, 1, 2, 2, 3),)
         table = RankTable({(0, 0): 0, (1, 1): 2}, chain)
-        assert table.stored == {(1, 1): 2} and table.chain == chain
+        assert table.stored == {(1, 1): 2} and table.progressions == chain
         assert table.ranks == {(1, 1): 3, (3, 3): 1, (5, 5): 1} and table.total == 5
         assert table == RankTable(table.ranks) != RankTable(table.stored)
 
@@ -92,7 +92,7 @@ class TestRankTable:
         its parts only, and ranks is merged on the first read."""
         result = compute_cable_hfk(parse_delta("1"), 0, 2, 499000)
         table = result.table
-        assert result.consistent and len(table.chain) == 2
+        assert result.consistent and len(table.progressions) == 2
         assert table.total == table_rank(0, 0, 2, 499000) == 998001
         assert "ranks" not in vars(table)
         ranks = table.ranks

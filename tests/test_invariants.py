@@ -24,7 +24,8 @@ from cablefloer import (
     tau_pq,
     torus_knot_delta,
 )
-from cablefloer.invariants import _euler_times_binomial
+from cablefloer.invariants import _euler_times_binomials
+from cablefloer.pairing import FAMILY_RUN
 
 from conftest import (
     DELTA_11N50,
@@ -255,31 +256,52 @@ def replaced(chain, i, progression):
     return chain[:i] + (progression,) + chain[i + 1:]
 
 
+def taken(chain, stored, cell):
+    """The progressions once one rank of cell is taken off the table's
+    parts: off stored (in place) if it is there, else off the first
+    progression through cell, which is cut into the cells before it, the
+    cell at one rank less and the cells after it."""
+    if stored.get(cell):
+        stored[cell] -= 1
+        return chain
+    j, r = next((j, r) for j, progression in enumerate(chain)
+                for r, at in enumerate(progression.cells()) if at == cell)
+    progression, length = chain[j], chain[j].length
+    pieces = (progression.part(0, r), progression.part(r, r + 1)._replace(rank=progression.rank - 1),
+              progression.part(r + 1, length))
+    return chain[:j] + tuple(piece for piece in pieces if piece.length and piece.rank) + chain[j + 1:]
+
+
 def chain_mutant(table, kind, i=0):
     """The table with one defect in its parts.
 
     one-short: progression i loses its last cell.  wrong-step: progression
     i's Maslov step is 2 more, which keeps every Alexander grading and
     Maslov parity, so only symmetry can see it.  moved-pair: one rank of a
-    stored cell (a, m) whose partner sigma(a, m) is stored too moves to
-    (a, m + 2), and one rank of the partner to sigma(a, m + 2); at a = 0
-    the cell is its own partner and moves once.  With no such stored cell
-    there is no moved-pair mutant, and the result is None.
+    cell (a, m) moves to (a, m + 2), and one rank of its partner
+    sigma(a, m) to sigma(a, m + 2); at a = 0 the cell is its own partner
+    and moves once.  The cell is the first stored one whose partner is
+    stored too, else the first cell of a family piece whose partner is in
+    the table; a progression that gives up a rank is cut around that cell.
+    With neither there is no moved-pair mutant, and the result is None.
     end-dropped: an end cell of a progression whose partner no chain cell
     covers, so that it is left over after the chain cancels, is dropped.
     """
-    chain, stored = table.chain, dict(table.stored)
+    chain, stored = table.progressions, dict(table.stored)
     i %= len(chain)
     if kind == "one-short":
         chain = replaced(chain, i, chain[i]._replace(length=chain[i].length - 1))
     elif kind == "wrong-step":
         chain = replaced(chain, i, chain[i]._replace(maslov_step=chain[i].maslov_step + 2))
     elif kind == "moved-pair":
-        a, m = next((cell for cell in sorted(stored) if sigma(cell) in stored), (None, None))
+        ranks = table.ranks
+        a, m = next((cell for cell in sorted(stored) if sigma(cell) in stored), None) or next(
+            (cell for progression in chain if progression.maslov_bend for cell in progression.cells()
+             if sigma(cell) in ranks), (None, None))
         if a is None:
             return None
         for old, new in {(a, m): (a, m + 2), sigma((a, m)): sigma((a, m + 2))}.items():
-            stored[old] -= 1
+            chain = taken(chain, stored, old)
             stored[new] = stored.get(new, 0) + 1
         stored = {cell: r for cell, r in stored.items() if r}
     else:
@@ -289,9 +311,8 @@ def chain_mutant(table, kind, i=0):
                        for end, cell in ((0, progression[:2]), (-1, list(progression.cells())[-1]))
                        if sigma(cell) not in covered), (0, 0))
         j = (j + i) % len(chain)
-        a, m, da, dm, length = chain[j]
-        cut = (a + da, m + dm, da, dm, length - 1) if end == 0 else (a, m, da, dm, length - 1)
-        chain = replaced(chain, j, Progression(*cut))
+        length = chain[j].length
+        chain = replaced(chain, j, chain[j].part(1, length) if end == 0 else chain[j].part(0, length - 1))
     return RankTable(stored, chain)
 
 
@@ -304,15 +325,19 @@ def test_progression_checks_agree_on_chain_workload(case):
     each, symmetry and Euler decided per progression give the cell-by-cell
     verdicts.  The one-short, wrong-step and end-dropped mutants fail at
     least one check.  The moved-pair mutant passes both, cell by cell as
-    well: it is the gap that a per-cell rank oracle is needed for."""
+    well: it is the gap that a per-cell rank oracle is needed for.  On
+    the case of record (p = 60), whose stored survivors have no partner
+    stored, it moves a cell of a family piece and its partner."""
     delta = LaurentPolynomial.from_centered_list(list(case.delta))
     p, q = case.p, case.p * case.n + 1
     table = compute_cable_hfk(delta, case.tau, p, case.n).table
-    assert table.chain and len(table.chain) == 2 * p - 2
+    assert sum(not progression.maslov_bend for progression in table.progressions) == 2 * p - 2  # the chain's
     assert type(table.ranks) is dict
     assert verdicts(table, delta, p, q) == oracle_verdicts(table, delta, p, q) == (True, True)
     for kind in MUTANTS:
         mutant = chain_mutant(table, kind)
+        # a moved pair cuts a family piece only where the families are progressions
+        assert (mutant.progressions != table.progressions) == (kind != "moved-pair" or p > FAMILY_RUN), kind
         want = oracle_verdicts(mutant, delta, p, q)
         assert verdicts(mutant, delta, p, q) == want, kind
         assert want == (True, True) if kind == "moved-pair" else not all(want), kind
@@ -330,41 +355,57 @@ def test_progression_checks_agree_on_long_chains(tau, counts, p, size, sign, kin
     verdicts decided per progression equal the cell-by-cell ones."""
     delta, n = synthesize_delta(tau, counts), 2 * tau - sign * size
     table = compute_cable_hfk(delta, tau, p, n).table
-    assert table.chain
+    assert table.progressions
     if kind is not None:
         table = chain_mutant(table, kind, i)
         assume(table is not None)
     assert verdicts(table, delta, p, p * n + 1) == oracle_verdicts(table, delta, p, p * n + 1)
 
 
-progressions = st.builds(Progression, st.integers(-30, 30), st.integers(-60, 60), st.integers(-4, 4),
-                         st.integers(-6, 6), st.integers(1, 12))
+# (a, m, alexander step, maslov step, length, maslov bend, rank); a step drawn
+# as a sign and a name is that sign times p, |q| or |q - 1| of the test's cable
+progressions = st.tuples(st.integers(-30, 30), st.integers(-60, 60),
+                         st.one_of(st.integers(-4, 4), st.tuples(st.sampled_from((1, -1)),
+                                                                 st.sampled_from(("p", "q", "q - 1")))),
+                         st.integers(-6, 6), st.integers(1, 12), st.sampled_from((0, 0, 1, -1, 2, -2, 3, -4)),
+                         st.sampled_from((1, 1, 2, 3)))
 
 
 @settings(max_examples=300, deadline=None)
-@given(chain=st.lists(progressions, min_size=0, max_size=6),
+@given(drawn=st.lists(progressions, min_size=0, max_size=6),
        stored=st.dictionaries(st.tuples(st.integers(-30, 30), st.integers(-60, 60)), st.integers(1, 3),
                               max_size=6),
-       mirrored=st.booleans(), drop=st.integers(0, 20), p=st.integers(1, 4))
-def test_progression_checks_on_any_progressions(chain, stored, mirrored, drop, p):
-    """Progressions of any step, zero and odd steps and steps other than
-    +-p included, on crossing and shared lattice lines.  When mirrored, each
-    progression and stored cell comes with its sigma-image, so the table is
-    symmetric unless drop takes one progression's last cell.  Symmetry
-    agrees with check_symmetry, and euler * (t^p - 1) built from the parts
-    equals the cell-by-cell euler_characteristic times t^p - 1."""
-    chain = tuple(chain)
+       mirrored=st.booleans(), drop=st.integers(0, 20), p=st.integers(2, 5), n=st.integers(-3, 3))
+@example(drawn=[(3, 1, (1, "q - 1"), 2, 5, 2, 1)], stored={}, mirrored=True, drop=20, p=3, n=0)  # da = 0, bend 2
+def test_progression_checks_on_any_progressions(drawn, stored, mirrored, drop, p, n):
+    """Progressions of any step, bend and rank, zero and odd steps and
+    bends included, and with steps +-p, +-|q| and +-|q - 1| (0 at n = 0),
+    on crossing and shared lattice lines and curves.  When mirrored, each
+    progression and stored cell comes with its sigma-image, so the table
+    is symmetric unless drop takes one progression's last cell.  Symmetry agrees with
+    check_symmetry, and euler times the binomials of every step built from
+    the parts equals the cell-by-cell euler_characteristic times them."""
+    q = p * n + 1
+    named = {"p": p, "q": abs(q), "q - 1": abs(q - 1)}
+    chain = tuple(Progression(a, m, da if isinstance(da, int) else da[0] * named[da[1]], dm, length, bend, rank)
+                  for a, m, da, dm, length, bend, rank in drawn)
     if mirrored:
-        chain += tuple(Progression(-a, m - 2 * a, -da, dm - 2 * da, length) for a, m, da, dm, length in chain)
+        chain += tuple(Progression(-a, m - 2 * a, -da, dm - 2 * da, length, bend, rank)
+                       for a, m, da, dm, length, bend, rank in chain)
         for cell, r in list(stored.items()):
             stored[sigma(cell)] = stored.get(sigma(cell), 0) + r
         if drop < len(chain) and chain[drop].length > 1:
             chain = replaced(chain, drop, chain[drop]._replace(length=chain[drop].length - 1))
     table = RankTable(stored, chain)
     merged = RankTable(table.ranks)
-    assert sum(table.ranks.values()) == table.total == sum(stored.values()) + sum(pr.length for pr in chain)
+    assert sum(table.ranks.values()) == table.total == sum(stored.values()) + sum(pr.length * pr.rank
+                                                                                  for pr in chain)
     assert symmetry_holds(table) == check_symmetry(merged)
-    assert _euler_times_binomial(table, p) == times_binomial(euler_characteristic(merged), p)
+    left, extra = _euler_times_binomials(table, p, q)
+    want = euler_characteristic(merged)
+    for step in [p, abs(q)] + extra:
+        want = times_binomial(want, step)
+    assert LaurentPolynomial(left) == want
 
 
 def test_golden_closed_forms_cover_every_square_level():

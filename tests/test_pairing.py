@@ -3,7 +3,7 @@ from dataclasses import replace
 from itertools import chain as concat
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cablefloer import (
@@ -12,6 +12,7 @@ from cablefloer import (
     DGenerator,
     GradingElement,
     GradingError,
+    RankTable,
     TensorGenerator,
     TypeDModule,
     build_model,
@@ -35,6 +36,7 @@ from cablefloer import (
     tensor_differential,
     tensor_gradings,
 )
+from cablefloer.pairing import FAMILY_RUN
 
 from conftest import (
     DELTA_5_2,
@@ -480,9 +482,9 @@ def test_chain_progression_equals_written_out_chain(tau, m, counts, p):
     assert stored.arrows == written.arrows
     table, want = reduce_complex(stored), reduce_complex(written)
     assert table.ranks == want.ranks and type(table.ranks) is dict
-    assert table.chain == stored.progressions and not want.chain
+    assert table.progressions == stored.progressions and not want.progressions
     if abs(m) <= 2:
-        assert (table.stored, table.chain) == (want.stored, want.chain)
+        assert (table.stored, table.progressions) == (want.stored, want.progressions)
         assert stored.bigradings == written.bigradings
     delta, q = synthesize_delta(tau, counts), p * n + 1
     assert symmetry_holds(table) == check_symmetry(want)
@@ -604,12 +606,61 @@ def test_one_square_pairs_as_every_level_written_out(counts, tau, m, p):
         assert not every_level.copies
         (complex_, table, checks), (reference, want, want_checks) = (
             paired(A, module, delta, tau, p, n) for module in (one_square, every_level))
-        assert table.stored == want.stored and table.chain == want.chain
+        assert table.stored == want.stored and table.progressions == want.progressions
         assert table.total == want.total and checks == want_checks == (True, True, True)
         view, listed = complex_.generators, reference.generators
         assert len(view) == len(listed)
         assert [(g.a_side, g.d_side) for g in view] == [(g.a_side, stored_name(g.d_side)) for g in listed]
         assert cells_of(view) == cells_of(listed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(counts=st.one_of(st.just({}), square_multisets()), tau=st.integers(-3, 3),
+       n=st.one_of(st.sampled_from((0, 1, -1)), st.integers(-6, 6)), wide=st.integers(1, 8),
+       twice_tau=st.booleans())
+@example(counts={1: 2, -1: 2}, tau=0, n=0, wide=1, twice_tau=False)       # tau = 0, n = 0: steps 1 and 0
+@example(counts={2: 3, 0: 1, -2: 3}, tau=2, n=1, wide=2, twice_tau=False)  # |n| = 1, m = 3
+@example(counts={1: 2, -1: 2}, tau=-2, n=-1, wide=3, twice_tau=False)     # |n| = 1, m = -3
+@example(counts={}, tau=3, n=0, wide=1, twice_tau=True)                   # n = 2tau, no squares
+def test_long_families_pair_as_progressions(counts, tau, n, wide, twice_tau):
+    """A pattern wider than FAMILY_RUN keeps every grading family of a
+    stored row as one progression per slot, cut at arrow ends and placed
+    at every square level with the level's count as its rank.  Against the
+    module with the chain and every square level and copy written out,
+    counted cell by cell (every generator's cell less both ends of every
+    arrow), the rank table is the same, and the two checks decided from
+    the parts give the cell-by-cell verdicts.  A family piece with one
+    cell dropped fails Euler, and one with its bend moved by 2, which keeps
+    every Alexander grading and Maslov parity, fails symmetry."""
+    p = FAMILY_RUN + wide
+    n = 2 * tau if twice_tau else n
+    delta = synthesize_delta(tau, counts)
+    model = build_model(delta, tau)
+    A, D = build_typea_minus(p), build_typed(model, n)
+    complex_, table, checks = paired(A, D, delta, tau, p, n)
+    assert checks == (True, True, True)
+    assume(complex_.families)  # the unknot at n = 0 has no i1 generator
+    assert all(family.length == p - 1 for _, _, family in complex_.families)
+    reference = pair_modules(A, written_out(D), model.params.l, n)
+    written = reference.generators
+    want = Counter(cells_of(written))
+    want.subtract(written.cells_at(written.spots(concat.from_iterable(reference.arrows))))
+    assert table.ranks == {cell: rank for cell, rank in want.items() if rank}
+    q = p * n + 1
+    merged = RankTable(table.ranks)
+    assert euler_matches_cable(euler_characteristic(merged), delta, p, q) and check_symmetry(merged)
+    # the longest of the families' pieces, which follow the chain's
+    j = max(range(len(complex_.progressions), len(table.progressions)), key=lambda j: table.progressions[j].length)
+    longest = table.progressions[j]
+    short = longest._replace(length=longest.length - 1)
+    bent = longest._replace(maslov_bend=longest.maslov_bend + 2)
+    for piece, failing in ((short, "euler"), (bent, "symmetry")):
+        mutant = RankTable(table.stored, table.progressions[:j] + (piece,) + table.progressions[j + 1:])
+        merged = RankTable(mutant.ranks)
+        verdicts = {"symmetry": symmetry_holds(mutant), "euler": euler_holds(mutant, delta, p, q)}
+        assert verdicts == {"symmetry": check_symmetry(merged),
+                            "euler": euler_matches_cable(euler_characteristic(merged), delta, p, q)}
+        assert not verdicts[failing], failing
 
 
 def test_rows_do_not_grow_with_the_levels():
