@@ -28,7 +28,8 @@ from cablefloer import cli
 GOLDEN = ["--delta", "2,-6,9,-6,2", "--tau", "0", "--p", "5", "--n", "3"]
 FORMATS = ("json", "tsv", "poly", "svg", "ascii")
 # (delta, tau, p, n) of wide patterns, whose grading families are long: squares
-# on three to five levels, chains of both signs (m = 2tau - n), n = 0 and |n| = 1
+# on three to five levels, chains of both signs (m = 2tau - n), n = 0 and |n| = 1,
+# and p over 100 with chains of both signs
 WIDE = (("3,-6,7,-6,3", 2, 33, 1),            # squares 2, 1, 2 at levels -1..1; m = 3
         ("-1,5,-9,11,-9,5,-1", 0, 34, 0),     # squares on five levels; n = 0, m = 0
         ("-1,5,-9,11,-9,5,-1", 0, 37, -4),    # the same squares; m = 4
@@ -36,7 +37,9 @@ WIDE = (("3,-6,7,-6,3", 2, 33, 1),            # squares 2, 1, 2 at levels -1..1;
         ("-2,5,-5,5,-2", -1, 36, -1),         # squares 2, 2 at levels -1 and 1; m = -1
         ("-2,5,-5,5,-2", -1, 33, 5),          # the same squares; m = -7
         ("1,-1,2,-3,2,-1,1", 3, 40, 0),       # one square; n = 0, m = 6
-        ("-1,5,-7,5,-1", 1, 33, 2))           # squares 1, 2, 1 at levels -1..1; n = 2tau
+        ("-1,5,-7,5,-1", 1, 33, 2),           # squares 1, 2, 1 at levels -1..1; n = 2tau
+        ("-1,5,-9,11,-9,5,-1", 0, 101, -3),   # squares on five levels; m = 3
+        ("3,-6,7,-6,3", 2, 120, 9))           # squares 2, 1, 2 at levels -1..1; m = -5
 
 
 def workload_argvs() -> list[list[str]]:

@@ -109,13 +109,13 @@ def reduce_complex(complex_: BigradedComplex) -> RankTable:
     arrow kills is then added at every level, as many times as the view
     lists it there, less the stored listing bigradings counts; each piece
     of a long family of the square is placed at every level by the step
-    row (the Alexander step kept, the Maslov step moved by the offset, the
-    bend kept), with rank the number of times the view lists it there.  The
-    survivors are one dict, with every count cancelled to zero deleted;
-    complex_.bigradings stays as it is.  The arrows read stored generators
-    only (see pairing.tensor_differential), so the chain's progressions,
-    which bigradings does not count, are not reduced: the table holds them
-    and the families' pieces next to the survivors.
+    row's part for the family, with rank the number of times the view
+    lists it there.  The survivors are one dict, with every count
+    cancelled to zero deleted; complex_.bigradings stays as it is.  The
+    arrows read stored generators only (see pairing.tensor_differential),
+    so the chain's progressions, which bigradings does not count, are not
+    reduced: the table holds them and the families' pieces next to the
+    survivors.
     """
     gens, arrows, square = complex_.generators, complex_.arrows, complex_.generators.square
     rows = gens.rows
@@ -145,16 +145,14 @@ def reduce_complex(complex_: BigradedComplex) -> RankTable:
                 raise _misgraded(gens[gens.index(j, last, k)], gens[gens.index(j_target, last, k_target)])
             killed.setdefault(j, set()).add(k)
             killed.setdefault(j_target, set()).add(k_target)
-        lost[source] = lost.get(source, 0) + 1
-        lost[target] = lost.get(target, 0) + 1
-    if runs:  # an end on a long family cuts it instead of coming off the counts
-        for j, _, k in spots:
-            if j in runs:
-                killed.setdefault(j, set()).add(k)
-                cell = rows[j][k]
-                lost[cell] -= 1
-                if not lost[cell]:
-                    del lost[cell]
+        if j in runs:  # an end on a long family cuts it instead of coming off the counts
+            killed.setdefault(j, set()).add(k)
+        else:
+            lost[source] = lost.get(source, 0) + 1
+        if j_target in runs:
+            killed.setdefault(j_target, set()).add(k_target)
+        else:
+            lost[target] = lost.get(target, 0) + 1
     if len(set(ends)) != len(ends):  # not a matching: name the first shared generator
         seen: set[int] = set()
         for i in ends:
@@ -189,9 +187,9 @@ def reduce_complex(complex_: BigradedComplex) -> RankTable:
 
 def _family_pieces(complex_: BigradedComplex, killed: dict[int, set[int]], steps_of) -> tuple[Progression, ...]:
     """The runs of each long family that no arrow kills, as progressions:
-    once off the square, and on it at every level, moved by the step row
-    (the Alexander step kept, the Maslov step moved by the offset, the bend
-    kept), with rank the number of squares the view lists there."""
+    once off the square, and on it at every level, moved offset times by
+    the step row's part for the family, with rank the number of squares
+    the view lists there."""
     square, pieces = complex_.generators.square, []
     for j, start, family in complex_.families:
         cuts = sorted(k - start for k in killed.get(j, ()) if 0 <= k - start < family.length)
@@ -200,11 +198,9 @@ def _family_pieces(complex_: BigradedComplex, killed: dict[int, set[int]], steps
         if steps is None:
             pieces += [family.part(lo, hi) for lo, hi in kept]
             continue
-        (da, dm), (_, dm_next) = steps[start:start + 2]  # the step row is affine along the family
-        a, m, _, dm_family, _, _, _ = family
+        step = steps.parts[steps.starts.index(start)]  # a FamilyRow, as the square's row is
         for offset, count in zip(square.offsets, map(sub, square.copy_starts[1:], square.copy_starts)):
-            moved = family._replace(alexander=a + offset * da, maslov=m + offset * dm,
-                                    maslov_step=dm_family + offset * (dm_next - dm), rank=count)
+            moved = family.moved(step, offset, count)
             pieces += [moved.part(lo, hi) for lo, hi in kept]
     return tuple(pieces)
 

@@ -39,8 +39,9 @@ anchor's by (da2, dc2, dd2) moves entry k by
 dN = (2da2 + (b2 - g.a2)*dc2)/4.  The group law refuses it when dc2 is odd
 or either quotient is not an integer, whatever k, so one check decides the
 row.  That one move rule builds every later row and every step row below.
-Rows are tuples of cells, the bigrading keys themselves, so most
-counting is one Counter pass.
+A row is a tuple of cells, the bigrading keys themselves, so most
+counting is one Counter pass; the rows of a wide pattern are their
+grading families instead (see below).
 
 Moving a square corner of b slot b2 up by dt levels moves its grading by
 (dt*(1 + b2), 0, 2dt, 0) in doubled slots, and the pattern's g is
@@ -60,15 +61,20 @@ arithmetic progression per b_k, kept apart in BigradedComplex.progressions
 and never counted; the rank table and the checks in invariants.py read
 them one progression at a time.
 
-A grading family of at least FAMILY_RUN positions in a stored row is kept
-the same way.  Along a family a row's alexander is affine and its maslov
-quadratic in the position, so the family is one Progression, read off its
-first three cells, whose maslov_bend is the Maslov second difference.
-BigradedComplex.families holds one per (slot, family), bigradings counts
-none of their cells, and homology.reduce_complex cuts each at the arrow
-ends on it.  The rows stay as they are, so the generator view and the
-arrows do not change.  The closed-form grading tables that cross-check
-this group arithmetic live in invariants.py.
+A grading family of at least FAMILY_RUN positions is kept the same way.
+Along a family a row's alexander is affine and its maslov quadratic in
+the position, so the family is one Progression whose maslov_bend is the
+Maslov second difference.  An anchor's is read off its first three
+cells; a move adds (dA, dN + 2dA + b0*dc2/2) with Maslov step
+b_step*dc2/2, b0 and b_step being the b slot of the family's first y_k
+and its step.  So every i1 row of such a pattern, and every step row, is
+a FamilyRow: a read-only sequence of its families that forms cell k by
+closed form when read and holds no cell, so the generator view, the
+arrows and every reader of rows[j][k] do not change.
+BigradedComplex.families holds the families of every stored i1 row,
+bigradings counts none of their cells, and homology.reduce_complex cuts
+each at the arrow ends on it.  The closed-form grading tables that
+cross-check this group arithmetic live in invariants.py.
 """
 
 from __future__ import annotations
@@ -85,23 +91,25 @@ from .type_a import TypeAModule, hat_operations  # noqa: F401 (re-exported)
 from .type_d import TypeDModule, raised
 
 # A row: the (alexander, maslov) cell of each A generator of one idempotent
-# group, in A order
-Row = tuple[tuple[int, int], ...]
+# group, in A order; a tuple of cells, or a FamilyRow on a wide pattern's i1 rows
+Row = Sequence[tuple[int, int]]
 
-# The length from which a grading family of a stored row is kept as one
-# progression instead of cells.  Families have p - 1 positions.  Measured
-# over whole cables, the progression path is about 12% slower than the
-# cells at 12 and 14 positions (p = 13, 15), ties them from about 16
-# (p = 17..20) and is a third faster at 29 (p = 30 with 420 squares).  So
-# every grid, squares and chain-slot cable below p = 25 takes the cell
-# path, and a wider one the progression path.
+# The length from which a grading family is kept as one progression
+# instead of cells.  Families have p - 1 positions.  Measured over whole
+# cables in process (seven per p: four chain-slot cables with |m| of 108
+# to 180, one of 50 squares on nine levels, two short ones; medians of
+# nine alternating rounds), the family rows take 1.29x the cell rows' time
+# at p = 13, 1.15x to 1.47x at p = 14..22, 1.06x at 23, 1.03x at 24 and
+# 1.04x at 26, and 0.92x at 30.  So every grid, squares and chain-slot
+# cable below p = 25 takes the cell path, and a wider one the family path.
 FAMILY_RUN = 24
 
 
 class ComplexError(RuntimeError):
     """Structural failure: a complement generator with two edges of one
-    label, a mis-graded arrow, a generator on two arrows, or cancellation
-    killing more generators of a bigrading than it counts."""
+    label, a mis-graded arrow, a generator on two arrows, cancellation
+    killing more generators of a bigrading than it counts, or a long
+    grading family whose Alexander grading is not affine."""
 
 
 class TensorGenerator(NamedTuple):
@@ -139,8 +147,9 @@ class Progression(NamedTuple):
     + r(r-1)/2*maslov_bend) for 0 <= r < length, each of rank rank: one
     b_k's cells along the unstable chain (maslov_bend 0), or the cells of
     one grading family of A generators paired with one complement
-    generator, whose Maslov grading is quadratic in the position; on the
-    square, rank is the number of squares at the level."""
+    generator, whose Maslov grading is quadratic in the position (a part
+    of a FamilyRow, or of a step row); on the square, rank is the number
+    of squares at the level."""
 
     alexander: int
     maslov: int
@@ -149,6 +158,19 @@ class Progression(NamedTuple):
     length: int
     maslov_bend: int = 0
     rank: int = 1
+
+    def cell(self, r: int) -> tuple[int, int]:
+        """Its cell r."""
+        a, m, da, dm, _, bend, _ = self
+        return a + r * da, m + r * dm + r * (r - 1) // 2 * bend
+
+    def moved(self, by: Progression, times: int = 1, rank: int = 1) -> Progression:
+        """Cell by cell, its cells plus times those of by, each of rank
+        rank: a family moved times by a step row's family."""
+        a, m, da, dm, length, bend, _ = self
+        a_by, m_by, da_by, dm_by, _, bend_by, _ = by
+        return Progression(a + times * a_by, m + times * m_by, da + times * da_by, dm + times * dm_by, length,
+                           bend + times * bend_by, rank)
 
     def cells(self):
         """Its (alexander, maslov) cells in order."""
@@ -163,6 +185,33 @@ class Progression(NamedTuple):
         a, m, da, dm, _, bend, rank = self
         return Progression(a + lo * da, m + lo * dm + lo * (lo - 1) // 2 * bend, da, dm + lo * bend, hi - lo, bend,
                            rank)
+
+
+class FamilyRow(Sequence):
+    """A row kept as its grading families: parts[i] is the progression of
+    the cells of family i, which starts at position starts[i], in group
+    order.  Cell k is formed by its family's closed form when read, so the
+    row holds no cell."""
+
+    __slots__ = ("parts", "starts", "_len")
+
+    def __init__(self, parts: tuple[Progression, ...]):
+        self.parts = parts
+        *self.starts, self._len = accumulate((part.length for part in parts), initial=0)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, k: int) -> tuple[int, int]:
+        if k < 0:
+            k += self._len
+        if not 0 <= k < self._len:
+            raise IndexError("row index out of range")
+        i = bisect_right(self.starts, k) - 1
+        return self.parts[i].cell(k - self.starts[i])
+
+    def __iter__(self):
+        return concat.from_iterable(map(Progression.cells, self.parts))
 
 
 class TensorGenerators(Sequence):
@@ -350,44 +399,63 @@ def _rows(A: TypeAModule, D: TypeDModule, c: int) -> tuple[list[Sequence[str]], 
     the chain entry's row passes, its step passes exactly when its second
     generator's row would, and a refused step raises that row's error: the
     chain meets the checks where its generators would.
+
+    When the i1 families have at least FAMILY_RUN positions, every i1 row
+    and step row is a FamilyRow: an anchor's family is the progression of
+    its first three cells, whose Alexander second difference must be 0
+    (else ComplexError), a move is one progression per family, with the
+    family's first b slot and its step in place of the b slot of every
+    position, and a moved row is its anchor's parts plus the move's, so
+    nothing here grows with p.
     """
     g, h, ga2, gd2 = A.g, D.h, A.g.a2, A.g.d2
     groups_of = {idempotent: A.group(idempotent) for idempotent in ("i0", "i1")}
-    # idempotent -> (size, first three gradings) of each grading family, and the
-    # b slot of every A grading; formed at the idempotent's first anchor
-    sampled: dict[str, tuple[list[tuple[int, list[GradingElement]]], tuple[int, ...]]] = {}
+    long = {"i0": False, "i1": A.p - 1 >= FAMILY_RUN}  # whether the idempotent's rows are FamilyRows
+    # idempotent -> (positions, first three gradings, first b slot, b slot step) of
+    # each grading family; formed at the idempotent's first anchor
+    sampled: dict[str, list[tuple[range, list[GradingElement], int, int]]] = {}
+    slopes: dict[str, tuple[int, ...]] = {}  # idempotent -> the b slot of every A grading, for tuple rows
     # (idempotent, b slot) -> the anchor's doubled a, c, d slots and its row
     anchors: dict[tuple[str, int], tuple[int, int, int, Row]] = {}
     made: dict[tuple[str, GradingElement], Row] = {}
     # (idempotent, b slot, da2, dc2) -> step row; the square's corners share three
     stepped: dict[tuple[str, int, int, int], Row] = {}
 
-    def sample(idempotent: str) -> tuple[list[tuple[int, list[GradingElement]]], tuple[int, ...]]:
-        families, slopes = [], []
+    def sample(idempotent: str) -> None:
+        families = sampled[idempotent] = []
         for positions in A.families(idempotent):
             ys = [A.grading(idempotent, k) for k in positions[:3]]
             step = ys[1].b2 - ys[0].b2 if len(ys) > 1 else 1  # any step spans a family of one
-            families.append((len(positions), ys))
-            slopes.append(range(ys[0].b2, ys[0].b2 + len(positions) * step, step))
-        return families, tuple(concat.from_iterable(slopes))
+            families.append((positions, ys, ys[0].b2, step))
+        if not long[idempotent]:
+            slopes[idempotent] = tuple(concat.from_iterable(
+                range(b0, b0 + len(positions) * step, step) for positions, _, b0, step in families))
 
     def anchor_row(idempotent: str, x: GradingElement) -> Row:
         if idempotent not in sampled:
-            sampled[idempotent] = sample(idempotent)
+            sample(idempotent)
         cells: list[tuple[int, int]] = []
-        for size, ys in sampled[idempotent][0]:
+        parts = []
+        for positions, ys, _, _ in sampled[idempotent]:
             first = []
             for y in ys:
                 N, Aprime = normalize_double_coset(y * x, g, h)
                 first.append((Aprime + c, N + 2 * (Aprime + c)))
+            size = len(positions)
             if size <= 3:
                 cells += first
                 continue
             (a0, m0), (a1, m1), (a2, m2) = first
             da, dm, sa, sm = a1 - a0, m1 - m0, a2 - 2 * a1 + a0, m2 - 2 * m1 + m0
+            if long[idempotent]:
+                if sa:
+                    raise ComplexError(f"the alexander gradings of {groups_of[idempotent][positions.start]} * {x} "
+                                       f"and the rest of its family have second difference {sa}, not 0")
+                parts.append(Progression(a0, m0, da, dm, size, sm))
+                continue
             cells += [(a0 + k * da + k * (k - 1) // 2 * sa, m0 + k * dm + k * (k - 1) // 2 * sm)
                       for k in range(size)]
-        return tuple(cells)
+        return FamilyRow(tuple(parts)) if long[idempotent] else tuple(cells)
 
     def move(idempotent: str, b2: int, da2: int, dc2: int, dd2: int, x: GradingElement) -> tuple[int, int, int]:
         """(dA, dN + 2dA, dc2/2) of a grading move by (da2, dc2, dd2) at b
@@ -398,6 +466,13 @@ def _rows(A: TypeAModule, D: TypeDModule, c: int) -> tuple[list[Sequence[str]], 
         da = m // 4
         return da, n // 4 + 2 * da, dc2 // 2
 
+    def moved_by(idempotent: str, da: int, dm: int, half: int) -> Row:
+        """The row a move adds: entry k is (da, dm + y_k.b2*half)."""
+        if long[idempotent]:
+            return FamilyRow(tuple(Progression(da, dm + b0 * half, 0, step * half, len(positions))
+                                   for positions, _, b0, step in sampled[idempotent]))
+        return tuple([(da, dm + b * half) for b in slopes[idempotent]])
+
     def row(idempotent: str, x: GradingElement) -> Row:
         a2, b2, c2, d2 = x
         anchor = anchors.get((idempotent, b2))
@@ -407,14 +482,16 @@ def _rows(A: TypeAModule, D: TypeDModule, c: int) -> tuple[list[Sequence[str]], 
             return cells
         a0, c0, d0, cells = anchor
         da, dm, half = move(idempotent, b2, a2 - a0, c2 - c0, d2 - d0, x)
-        return tuple([(a + da, mm + dm + b * half) for (a, mm), b in zip(cells, sampled[idempotent][1])])
+        if long[idempotent]:
+            return FamilyRow(tuple(map(Progression.moved, cells.parts, moved_by(idempotent, da, dm, half).parts)))
+        return tuple([(a + da, mm + dm + b * half) for (a, mm), b in zip(cells, slopes[idempotent])])
 
     def step_row(idempotent: str, x: GradingElement, da2: int, dc2: int) -> Row:
         key = idempotent, x.b2, da2, dc2
         known = stepped.get(key)
         if known is None:
-            da, dm, half = move(idempotent, x.b2, da2, dc2, 0, x._replace(a2=x.a2 + da2, c2=x.c2 + dc2))
-            known = stepped[key] = tuple([(da, dm + b * half) for b in sampled[idempotent][1]])
+            moved = move(idempotent, x.b2, da2, dc2, 0, x._replace(a2=x.a2 + da2, c2=x.c2 + dc2))
+            known = stepped[key] = moved_by(idempotent, *moved)
         return known
 
     groups, rows, steps = [], [], {}
@@ -453,10 +530,11 @@ def pair_modules(A: TypeAModule, D: TypeDModule, l: int, n: int) -> BigradedComp
     square's at its stored level once, less the long grading families.
     The square's generators repeat at every level of D.copies, offset by
     the level difference, and the chain entry along the chain, kept as
-    progressions; their other listings are not counted.  A grading family
-    of at least FAMILY_RUN positions is one progression per slot, read off
-    its first three cells, and is not counted either.  Every arrow joins
-    first copies of the stored generators.
+    progressions; their other listings are not counted.  When the grading
+    families have at least FAMILY_RUN positions, every i1 row is a
+    FamilyRow, whose parts are the complex's families, taken as they are
+    and not counted either.  Every arrow joins first copies of the stored
+    generators.
     """
     c = shift_constant(l, A.p, n)
     groups, rows, steps = _rows(A, D, c)
@@ -467,10 +545,10 @@ def pair_modules(A: TypeAModule, D: TypeDModule, l: int, n: int) -> BigradedComp
             progressions = tuple(Progression(*cell, *step, length) for cell, step in zip(first, chain_steps))
             chain = Repeat((j,), (chain_steps,), range(length), range(length + 1))
             counted = rows[:j] + rows[j + 1:]
-    if A.p - 1 >= FAMILY_RUN:  # both i1 families have p - 1 positions and cover the group: only i0 rows count
-        families = tuple((j, positions.start, _family(row[positions.start:positions.stop]))
-                         for j, (d_gen, row) in enumerate(zip(D.generators, rows))
-                         if d_gen.idempotent == "i1" and d_gen.length == 1 for positions in A.families("i1"))
+    if A.p - 1 >= FAMILY_RUN:  # every i1 row is a FamilyRow whose parts cover it: only i0 rows count
+        families = tuple((j, start, part) for j, (d_gen, row) in enumerate(zip(D.generators, rows))
+                         if d_gen.idempotent == "i1" and d_gen.length == 1
+                         for start, part in zip(row.starts, row.parts))
         counted = [row for d_gen, row in zip(D.generators, rows) if d_gen.idempotent == "i0"]
     if steps:
         levels = sorted(D.copies)  # the square is stored at the lowest, levels[0]
@@ -485,9 +563,3 @@ def pair_modules(A: TypeAModule, D: TypeDModule, l: int, n: int) -> BigradedComp
                            bigradings=Counter(concat.from_iterable(counted)), progressions=progressions,
                            families=families)
 
-
-def _family(cells: Row) -> Progression:
-    """The cells of one grading family as a progression: its Alexander
-    grading is affine and its Maslov grading quadratic in the position."""
-    (a0, m0), (a1, m1), (_, m2) = cells[:3]
-    return Progression(a0, m0, a1 - a0, m1 - m0, len(cells), m2 - 2 * m1 + m0)

@@ -34,6 +34,7 @@ from cablefloer import (
     euler_holds,
     synthesize_delta,
 )
+from cablefloer.pairing import FAMILY_RUN
 from cablefloer.type_d import raised
 
 # rank of the (5,16)-cable of 11n50 per (alexander, maslov), transcribed
@@ -75,6 +76,15 @@ ROW_PARAMS = [
     pytest.param(-2, {}, 6, 96, id="chain-m-100"),                     # long unstable chain
     pytest.param(-1, {1: 1, 0: 2, -1: 1}, 2, 1, id="p2-squares"),      # p = 2: squares of 12 generators
     pytest.param(2, {1: 1, 0: 2, -1: 1}, 4, 4, id="m0-squares"),       # m = 0: D_12 joins staircase ends
+    # the widest patterns whose rows are tuples of cells (p = FAMILY_RUN) and the
+    # narrowest whose i1 rows are their grading families (p = FAMILY_RUN + 1),
+    # squares on three to five levels, with m of each sign and m = 0
+    pytest.param(1, {1: 1, 0: 2, -1: 1}, FAMILY_RUN, -2, id="run-m-pos"),              # m = 4
+    pytest.param(-1, {2: 1, 0: 1, -2: 1}, FAMILY_RUN, 1, id="run-m-neg"),              # m = -3
+    pytest.param(2, {1: 2, 0: 1, -1: 2}, FAMILY_RUN, 4, id="run-m0"),                  # m = 0
+    pytest.param(1, {1: 1, 0: 2, -1: 1}, FAMILY_RUN + 1, -2, id="wide-m-pos"),         # m = 4
+    pytest.param(-1, {2: 1, 1: 1, 0: 1, -1: 1, -2: 1}, FAMILY_RUN + 1, 1, id="wide-m-neg"),  # m = -3
+    pytest.param(2, {1: 2, 0: 1, -1: 2}, FAMILY_RUN + 1, 4, id="wide-m0"),             # m = 0
 ]
 
 

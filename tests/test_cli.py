@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cablefloer import RankTable, compute_cable_hfk, parse_delta, synthesize_delta
+from cablefloer import RankTable, build_model, compute_cable_hfk, parse_delta, synthesize_delta
 from cablefloer.cli import RunConfig, _json_text, main, run
 
 from conftest import DELTA_11N50, DELTA_TREFOIL, GOLDEN_11N50_5_16, oracle_json_text
@@ -248,6 +248,31 @@ def test_oversized_cable_refused_before_building(capsys, monkeypatch, p, n, mess
     assert code == 1
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("delta, tau, p, n, under, message", [
+    # generator counts are even, so n = 499,998 (1,000,000 generators) is the last one in
+    ("1", 0, 2, 499_999, (2, 499_998), "the (2, 999999)-cable needs 1000002 generators, over the budget of 1000000"),
+    (DELTA_TREFOIL, 1, 1826, 3, (1825, 3), "the (1826, 5479)-cable's satellite polynomial spans 10001002 degrees, "
+                                           "over the budget of 10000000"),
+], ids=["generators", "satellite-degrees"])
+def test_just_over_a_budget_edge_exits_one(tmp_path, capsys, monkeypatch, delta, tau, p, n, under, message):
+    """One step past either edge of the budget a cable exits 1 with one
+    error line, writes no --output file and builds no module; one step
+    back, _check_budget accepts it (and the cable is not run)."""
+    from cablefloer import pipeline
+
+    pipeline._check_budget(build_model(parse_delta(delta), tau).params, *under)
+
+    def unreachable(*args):
+        raise AssertionError("a module was built for a refused cable")
+
+    monkeypatch.setattr(pipeline, "build_typed", unreachable)
+    path = tmp_path / "out.json"
+    code, out, err = run_main(capsys, f"--delta={delta}", "--tau", str(tau), "--p", str(p), "--n", str(n),
+                              "--output", str(path))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert not path.exists()
 
 
 def test_budget_counts_every_generator_and_degree(monkeypatch):
@@ -494,6 +519,17 @@ def test_wrong_thin_signs_exit_one(capsys, mode):
     assert "not one global sign" in err
 
 
+def test_leading_minus_delta_needs_equals(capsys):
+    """argparse reads a separate argument that starts with '-' as an
+    option, so --delta -1,3,-1 is a usage error that exits 1, and
+    --delta=-1,3,-1 runs."""
+    code, out, err = run_main(capsys, "--delta", "-1,3,-1", "--tau", "0", "--p", "2", "--n", "1")
+    lines = err.splitlines()
+    assert (code, out) == (1, "")
+    assert lines[0].startswith("usage: ") and lines[-1].endswith("error: argument --delta: expected one argument")
+    assert run_main(capsys, "--delta=-1,3,-1", "--tau", "0", "--p", "2", "--n", "1")[0] == 0
+
+
 def test_hfk_mode_rejects_q(capsys):
     assert run_main(capsys, "--delta", "1", "--tau", "0", "--p", "2", "--n", "1",
                     "--q", "3")[0] == 1
@@ -603,3 +639,17 @@ def test_exit_code_contract(case):
     elif "--format" not in argv or argv[argv.index("--format") + 1] == "json":
         checks = json.loads(out)["checks"]
         assert checks["symmetry"] is checks["euler"] is checks["table"]["match"] is True
+
+
+@settings(max_examples=25, deadline=None)
+@given(thin_argv())
+def test_tau_mode_agrees_with_json_tau(case):
+    """For the same cable, tau mode prints the value the JSON gives as "tau"."""
+    cable = case[0][:7]  # without --format
+    outputs = []
+    for argv in (cable, cable + ["--mode=tau"]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        outputs.append(out.getvalue())
+    assert outputs[1] == f"{json.loads(outputs[0])['tau']}\n"

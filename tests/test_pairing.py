@@ -36,7 +36,10 @@ from cablefloer import (
     tensor_differential,
     tensor_gradings,
 )
-from cablefloer.pairing import FAMILY_RUN
+from cablefloer import pairing
+from cablefloer.pairing import FAMILY_RUN, FamilyRow, _rows
+from cablefloer.pipeline import _check_budget
+from cablefloer.type_a import TypeAModule
 
 from conftest import (
     DELTA_5_2,
@@ -240,6 +243,27 @@ class TestDifferential:
             tracemalloc.stop()
         assert result.table.ranks == {(0, 0): 1} and result.consistent
         assert peak < 1_000_000, peak
+
+    def test_wide_rows_do_not_grow_with_p(self):
+        """tau = 1, n = 2, p = 2000 is inside both budgets, and its 7,999
+        tensor generators lie on two rows of 3,998 cells each.  Those rows
+        are their grading families and hold no cell, so pairing peaks under
+        100 KB, where rows of cells took 1.2 MB."""
+        import tracemalloc
+
+        tau, n, p = 1, 2, 2000
+        model = build_model(synthesize_delta(tau, {}), tau)
+        _check_budget(model.params, p, n)
+        A, D = build_typea_minus(p), build_typed(model, n)
+        tracemalloc.start()
+        try:
+            complex_ = pair_modules(A, D, model.params.l, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(complex_.generators) == 7999
+        assert reduce_complex(complex_).total == table_rank(tau, 0, p, n)
+        assert peak < 100_000, peak
 
     @pytest.mark.parametrize("tau, n, total", [
         (0, 0, 1), (0, 1, 2199), (0, -1, 2197), (1, 2, 4397), (-1, -2, 4395),
@@ -674,3 +698,82 @@ def test_rows_do_not_grow_with_the_levels():
         complex_ = pair_modules(build_typea_minus(p), build_typed(model, n), model.params.l, n)
         assert len(complex_.generators.rows) == 11
         assert len(complex_.generators) == generators == (1 + 4 * s) + (2 * p - 2) * (4 * s + n)
+
+
+def cell_of(y, x, A, D, c):
+    """The (alexander, maslov) cell of y * x, normalized on its own."""
+    N, Aprime = normalize_double_coset(y * x, A.g, D.h)
+    return Aprime + c, N + 2 * (Aprime + c)
+
+
+@pytest.mark.parametrize("tau, counts, n", [
+    (1, {1: 1, 0: 2, -1: 1}, -2),         # m = 4
+    (-1, {2: 1, 0: 1, -2: 1}, 1),         # m = -3
+], ids=["m-pos", "m-neg"])
+def test_family_rows_read_like_cells(monkeypatch, tau, counts, n):
+    """On a pattern wider than FAMILY_RUN every i1 row and step row is a
+    FamilyRow.  Anchors, rows moved from them, and the step rows of the
+    square's corners and of the chain entry all read as the cells of each
+    A generator normalized on its own (a step row as the difference of the
+    cells one level or one chain generator apart): by len, by index from
+    either end and by iteration, with IndexError one past either end.  The
+    same modules with every row a tuple of cells give the same rows."""
+    p = FAMILY_RUN + 1
+    model = build_model(synthesize_delta(tau, counts), tau)
+    A, D = build_typea_minus(p), build_typed(model, n)
+    c = shift_constant(model.params.l, p, n)
+    _, rows, steps = _rows(A, D, c)
+    ys = [A.grading("i1", k) for k in range(2 * p - 2)]
+    kinds, slots = Counter(), set()
+    for j, (d_gen, row) in enumerate(zip(D.generators, rows)):
+        if d_gen.idempotent == "i0":
+            assert type(row) is tuple
+            continue
+        x = d_gen.grading
+        want = [cell_of(y, x, A, D, c) for y in ys]
+        kinds["moved" if x.b2 in slots else "anchor"] += 1
+        slots.add(x.b2)
+        checked = [(row, want)]
+        if j in steps:
+            da2, dc2, kind = (1 + x.b2, 2, "level") if d_gen.level is not None else (d_gen.step, d_gen.step, "chain")
+            up = [cell_of(y, x._replace(a2=x.a2 + da2, c2=x.c2 + dc2), A, D, c) for y in ys]
+            checked.append((steps[j], [(a1 - a0, m1 - m0) for (a0, m0), (a1, m1) in zip(want, up)]))
+            kinds[kind] += 1
+        for got, cells in checked:
+            assert isinstance(got, FamilyRow) and len(got) == len(cells) == 2 * p - 2
+            assert list(got) == cells
+            assert [got[k] for k in range(len(cells))] == cells
+            assert [got[-k] for k in range(1, len(cells) + 1)] == cells[::-1]
+            for k in (len(cells), -len(cells) - 1):
+                with pytest.raises(IndexError):
+                    got[k]
+    assert set(kinds) == {"anchor", "moved", "level", "chain"}, kinds
+    monkeypatch.setattr(pairing, "FAMILY_RUN", p)  # the i1 families fall short: rows of cells
+    _, cell_rows, cell_steps = _rows(A, D, c)
+    assert all(type(row) is tuple for row in concat(cell_rows, cell_steps.values()))
+    assert list(map(list, rows)) == list(map(list, cell_rows))
+    assert {j: list(row) for j, row in steps.items()} == {j: list(row) for j, row in cell_steps.items()}
+
+
+class BentPattern(TypeAModule):
+    """The pattern module with k^2 added to the d slot of the i1 grading at
+    group position k, so that along each family the Alexander grading of a
+    row is quadratic, not affine."""
+
+    def grading(self, idempotent, k):
+        y = super().grading(idempotent, k)
+        return y._replace(d2=y.d2 + 2 * k * k) if idempotent == "i1" else y
+
+
+def test_family_with_an_alexander_bend_is_refused():
+    """A FamilyRow has no Alexander second difference, so on a pattern
+    wider than FAMILY_RUN an anchor whose family has one raises
+    ComplexError.  A tuple row (p = FAMILY_RUN) extends its first three
+    cells by both second differences, so it carries the bend cell by
+    cell."""
+    model = build_model(synthesize_delta(1, {0: 1}), 1)
+    D, l = build_typed(model, 1), model.params.l
+    narrow, wide = (BentPattern(p=p, g=build_typea_minus(p).g) for p in (FAMILY_RUN, FAMILY_RUN + 1))
+    assert list(tensor_gradings(narrow, D, 0).items()) == list(reference_gradings(narrow, D, 0).items())
+    with pytest.raises(ComplexError, match="have second difference 2, not 0$"):
+        pair_modules(wide, D, l, 1)
