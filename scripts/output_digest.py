@@ -29,7 +29,8 @@ GOLDEN = ["--delta", "2,-6,9,-6,2", "--tau", "0", "--p", "5", "--n", "3"]
 FORMATS = ("json", "tsv", "poly", "svg", "ascii")
 # (delta, tau, p, n) of wide patterns, whose grading families are long: squares
 # on three to five levels, chains of both signs (m = 2tau - n), n = 0 and |n| = 1,
-# and p over 100 with chains of both signs
+# p over 100 with chains of both signs, and chains of both signs at least as
+# long as a family (|m| - 1 >= p - 1)
 WIDE = (("3,-6,7,-6,3", 2, 33, 1),            # squares 2, 1, 2 at levels -1..1; m = 3
         ("-1,5,-9,11,-9,5,-1", 0, 34, 0),     # squares on five levels; n = 0, m = 0
         ("-1,5,-9,11,-9,5,-1", 0, 37, -4),    # the same squares; m = 4
@@ -39,7 +40,9 @@ WIDE = (("3,-6,7,-6,3", 2, 33, 1),            # squares 2, 1, 2 at levels -1..1;
         ("1,-1,2,-3,2,-1,1", 3, 40, 0),       # one square; n = 0, m = 6
         ("-1,5,-7,5,-1", 1, 33, 2),           # squares 1, 2, 1 at levels -1..1; n = 2tau
         ("-1,5,-9,11,-9,5,-1", 0, 101, -3),   # squares on five levels; m = 3
-        ("3,-6,7,-6,3", 2, 120, 9))           # squares 2, 1, 2 at levels -1..1; m = -5
+        ("3,-6,7,-6,3", 2, 120, 9),           # squares 2, 1, 2 at levels -1..1; m = -5
+        ("3,-6,7,-6,3", 2, 26, -30),          # the same squares; m = 34
+        ("-2,5,-5,5,-2", -1, 30, 40))         # squares 2, 2 at levels -1 and 1; m = -42
 
 
 def workload_argvs() -> list[list[str]]:

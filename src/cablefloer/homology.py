@@ -1,14 +1,15 @@
 """Reduction of the bigraded complex over the two-element field.
 
 The differential is a matching, so every arrow cancels its two ends on its
-own.  The stored square is a direct summand that stands for c_t squares at
-every level t, so its arrows are cancelled once and its survivors placed at
-every level, c_t times each.  No arrow touches the unstable chain's
-interior, so the chain, which the complex keeps as progressions, survives
-whole.  An arrow end on a long grading family, which the complex keeps as
-one progression per slot, cuts that progression, and the pieces left
-survive; on the square each piece is placed at every level, with the
-level's count c_t as its rank.  The table keeps the survivors and the
+own, and the table is every slot's row less the positions arrows kill,
+listed as the view lists it: one rule for every summand.  The stored
+square is a direct summand that stands for c_t squares at every level t,
+so its arrows are cancelled once and its survivors placed at every level,
+c_t times each.  No arrow touches the unstable chain's interior, so the
+chain survives whole, as progressions.  A long grading family is one
+progression that the arrow ends on it cut, and the pieces left survive;
+on the square each piece is placed at every level, with the level's count
+c_t as its rank.  The table keeps the counted survivors and the
 progressions as its two parts, and merges them into ranks only when ranks
 is read.
 """
@@ -22,7 +23,7 @@ from itertools import chain as concat
 from operator import sub
 from typing import Mapping
 
-from .pairing import BigradedComplex, ComplexError, Progression
+from .pairing import BigradedComplex, ComplexError, FamilyRow, Progression
 
 
 @dataclass(frozen=True)
@@ -33,12 +34,14 @@ class RankTable:
     construction, and a zero-free mapping is kept as handed over, without a
     copy.  progressions holds progressions, one rank per cell of each: a
     table reduced from a cable whose chain entry stands for two or more
-    generators (|m| >= 3) has one per b_k, and one of p > FAMILY_RUN has
-    the pieces that cancellation leaves of every long grading family, on
-    the square once per level with the level's square count as its rank;
-    stored then holds no cell of either.  ranks is the whole table, merged
-    on its first read; the checks in invariants.py read the parts instead.
-    Two tables are equal when their ranks are.
+    generators (|m| >= 3) has the chain's first, one per b_k or, on a
+    chain shorter than a long grading family, one per family and chain
+    generator; one of p > FAMILY_RUN then has the pieces that cancellation
+    leaves of every long grading family, on the square once per level with
+    the level's square count as its rank.  stored holds no cell of either.
+    ranks is the whole table, merged on its first read; the checks in
+    invariants.py read the parts instead.  Two tables are equal when their
+    ranks are.
     """
 
     stored: Mapping[tuple[int, int], int]
@@ -84,125 +87,119 @@ class RankTable:
 
 
 def reduce_complex(complex_: BigradedComplex) -> RankTable:
-    """The bigrading counts minus both ends of every arrow, plus the
-    square's survivors at every level and the pieces of every long family.
+    """Every slot's row less the positions arrows kill, listed as the view
+    lists it.
 
     Every arrow must join the first copies of two stored generators of one
-    summand, both of the square or neither (a square listed once, with
-    nothing to place, is stored generators like the others), keep the
-    Alexander grading and lower the Maslov grading by one, and no generator
-    may lie on two arrows; a correctly assembled complex always does all
-    three, so any other arrow raises ComplexError.  A matching has no
-    2-path, so d^2 = 0, and each arrow cancels on its own: the table does
-    not depend on arrow order.  Every arrow end off the long families
-    subtracts its cell, read at its stored row, from complex_.bigradings,
-    which counts every stored row once less those families, and a count
-    that would go below zero means the counts and the generators disagree,
-    and raises.  An arrow end on a long family cuts that family's
-    progression at its position instead.  An arrow on the square also
-    kills its ends' positions in the stored square: the box tensor product
-    is additive over the square summands, so the same arrow joins the same
-    positions at every level and in every copy.  That holds only when its
-    ends step alike from level to level, so that it is graded at every
-    level once it is at the stored one; an arrow whose ends step
-    differently raises as mis-graded at the last level.  Each position no
-    arrow kills is then added at every level, as many times as the view
-    lists it there, less the stored listing bigradings counts; each piece
-    of a long family of the square is placed at every level by the step
-    row's part for the family, with rank the number of times the view
-    lists it there.  The survivors are one dict, with every count
-    cancelled to zero deleted; complex_.bigradings stays as it is.  The
-    arrows read stored generators only (see pairing.tensor_differential),
-    so the chain's progressions, which bigradings does not count, are not
-    reduced: the table holds them and the families' pieces next to the
-    survivors.
+    summand, both of the square or neither and neither of the chain, keep
+    the Alexander grading and lower the Maslov grading by one, and no
+    generator may lie on two arrows; a correctly assembled complex always
+    does all three, so any other arrow raises ComplexError.  A matching has
+    no 2-path, so d^2 = 0, and each arrow cancels on its own: the table does
+    not depend on arrow order.  An arrow on the square kills its ends'
+    positions in the stored square: the box tensor product is additive over
+    the square summands, so the same arrow joins the same positions at
+    every level and in every copy.  That holds only when its ends step
+    alike from level to level, so that it is graded at every level once it
+    is at the stored one; an arrow whose ends step differently raises as
+    mis-graded at the last level.
+
+    Then one rule reads each slot: its row less its killed positions, as
+    the view lists it.  The chain slot, which no arrow touches, is
+    progressions: one per b_k, or, when that is fewer pieces, one per
+    grading family and chain generator.  A FamilyRow is its parts cut at
+    the killed positions; on the square each piece is moved to every level
+    by the step row's part, with rank the number of times the view lists
+    it there.  A square row of cells is placed at every level, as many
+    times as the view lists it there.  Any other row is counted once, less
+    its killed cells.  The table keeps the counts as one dict, with no
+    zero, and the progressions, the chain's ahead of the families' pieces.
     """
-    gens, arrows, square = complex_.generators, complex_.arrows, complex_.generators.square
-    rows = gens.rows
-    placed = []  # (offset, count) of the square's listings that bigradings does not count
-    if square is not None:
-        listings = list(map(sub, square.copy_starts[1:], square.copy_starts))
-        listings[0] -= 1  # the stored listing
-        placed = [(offset, count) for offset, count in zip(square.offsets, listings) if count]
-    # square slot -> its steps; a square with nothing to place is stored generators like the others
-    steps_of = dict(zip(square.slots, square.steps)) if placed else {}
-    runs = {j for j, _, _ in complex_.families} if complex_.families else ()  # the slots of long families
+    gens, arrows = complex_.generators, complex_.arrows
+    rows, chain, square = gens.rows, gens.chain, gens.square
+    chain_slot = chain.slots[0] if chain is not None else -1
+    steps_of = dict(zip(square.slots, square.steps)) if square is not None else {}  # square slot -> its steps
     ends = list(concat.from_iterable(arrows))
     spots = gens.spots(ends)
-    lost: dict[tuple[int, int], int] = {}
-    killed: dict[int, set[int]] = {}  # slot -> the positions arrows kill in the stored square or a long family
+    killed: dict[int, set[int]] = {}  # slot -> the positions arrows kill on its first copy
     for (src, tgt), (j, copy, k), (j_target, target_copy, k_target) in zip(arrows, spots[::2], spots[1::2]):
         on_square = j in steps_of
-        if copy or target_copy or on_square != (j_target in steps_of):
+        if copy or target_copy or on_square != (j_target in steps_of) or chain_slot in (j, j_target):
             raise ComplexError(f"arrow {gens[src].name} -> {gens[tgt].name} does not join stored generators "
                                f"of one summand")
         source, target = rows[j][k], rows[j_target][k_target]  # a first copy reads its row as stored
         if source[0] != target[0] or source[1] != target[1] + 1:
             raise _misgraded(gens[src], gens[tgt])
-        if on_square:
-            if len(square.offsets) > 1 and steps_of[j][k] != steps_of[j_target][k_target]:  # mis-graded off t_0
-                last = square.copy_starts[-2]
-                raise _misgraded(gens[gens.index(j, last, k)], gens[gens.index(j_target, last, k_target)])
-            killed.setdefault(j, set()).add(k)
-            killed.setdefault(j_target, set()).add(k_target)
-        if j in runs:  # an end on a long family cuts it instead of coming off the counts
-            killed.setdefault(j, set()).add(k)
-        else:
-            lost[source] = lost.get(source, 0) + 1
-        if j_target in runs:
-            killed.setdefault(j_target, set()).add(k_target)
-        else:
-            lost[target] = lost.get(target, 0) + 1
+        if on_square and len(square.offsets) > 1 and steps_of[j][k] != steps_of[j_target][k_target]:
+            last = square.copy_starts[-2]  # mis-graded off t_0
+            raise _misgraded(gens[gens.index(j, last, k)], gens[gens.index(j_target, last, k_target)])
+        killed.setdefault(j, set()).add(k)
+        killed.setdefault(j_target, set()).add(k_target)
     if len(set(ends)) != len(ends):  # not a matching: name the first shared generator
         seen: set[int] = set()
         for i in ends:
             if i in seen:
                 raise ComplexError(f"generator {gens[i].name} (index {i}) lies on two arrows")
             seen.add(i)
-    ranks = dict(complex_.bigradings)
-    for (alexander, m), count in lost.items():
-        counted = ranks.get((alexander, m), 0)
-        if count > counted:
-            raise ComplexError(f"bigrading (A={alexander}, M={m}) loses {count} generators "
-                               f"to cancellation but counts {counted}")
-        if count == counted:
-            del ranks[alexander, m]
+    levels = list(zip(square.offsets, map(sub, square.copy_starts[1:], square.copy_starts))) if square else []
+    counted, lost, group, chained, pieces = [], [], [], (), []
+    for j, row in enumerate(rows):
+        dead = killed.get(j, ())
+        if j == chain_slot:
+            chained = _chain_pieces(row, chain)
+        elif type(row) is FamilyRow:
+            kept = [(part, _runs(part.length, dead, start)) for part, start in zip(row.parts, row.starts)]
+            if j in steps_of:
+                kept = [(part.moved(step, offset, count), runs) for (part, runs), step in
+                        zip(kept, steps_of[j].parts) for offset, count in levels]
+            pieces += [part.part(lo, hi) for part, runs in kept for lo, hi in runs]
+        elif j in steps_of:
+            stepped = zip(row, steps_of[j])
+            group += [spot for k, spot in enumerate(stepped) if k not in dead] if dead else stepped
         else:
-            ranks[alexander, m] = counted - count
-    if placed:
-        group = []  # (cell, step) of every position no arrow kills, off the long families
-        for j, steps in steps_of.items():
-            if j in runs:
-                continue
-            spots, dead = zip(rows[j], steps), killed.get(j)
-            group += [spot for k, spot in enumerate(spots) if k not in dead] if dead else spots
-        get = ranks.get
-        for offset, count in placed:
-            cells = [(a + offset * da, m + offset * dm) for (a, m), (da, dm) in group] if offset else \
-                [cell for cell, _ in group]
-            for cell in cells:
-                ranks[cell] = get(cell, 0) + count
-    return RankTable(ranks, complex_.progressions + _family_pieces(complex_, killed, steps_of))
+            counted.append(row)
+            if dead:
+                lost += [row[k] for k in dead]
+    # a level listed once is counted with the rows; one listed count > 1 times is added count
+    # at a time, since counting its cells count times grows with the squares, not the levels
+    placed = []
+    for offset, count in levels:
+        cells = [(a + offset * da, m + offset * dm) for (a, m), (da, dm) in group] if offset else \
+            [cell for cell, _ in group]
+        if count == 1:
+            counted.append(cells)
+        else:
+            placed.append((cells, count))
+    ranks = dict(Counter(concat.from_iterable(counted)))
+    for cell in lost:  # a row's cells are counted once and its killed positions are a set: never below zero
+        count = ranks[cell] - 1
+        if count:
+            ranks[cell] = count
+        else:
+            del ranks[cell]
+    get = ranks.get
+    for cells, count in placed:
+        for cell in cells:
+            ranks[cell] = get(cell, 0) + count
+    return RankTable(ranks, chained + tuple(pieces))
 
 
-def _family_pieces(complex_: BigradedComplex, killed: dict[int, set[int]], steps_of) -> tuple[Progression, ...]:
-    """The runs of each long family that no arrow kills, as progressions:
-    once off the square, and on it at every level, moved offset times by
-    the step row's part for the family, with rank the number of squares
-    the view lists there."""
-    square, pieces = complex_.generators.square, []
-    for j, start, family in complex_.families:
-        cuts = sorted(k - start for k in killed.get(j, ()) if 0 <= k - start < family.length)
-        kept = [(lo, hi) for lo, hi in zip([0] + [cut + 1 for cut in cuts], cuts + [family.length]) if lo < hi]
-        steps = steps_of.get(j)
-        if steps is None:
-            pieces += [family.part(lo, hi) for lo, hi in kept]
-            continue
-        step = steps.parts[steps.starts.index(start)]  # a FamilyRow, as the square's row is
-        for offset, count in zip(square.offsets, map(sub, square.copy_starts[1:], square.copy_starts)):
-            moved = family.moved(step, offset, count)
-            pieces += [moved.part(lo, hi) for lo, hi in kept]
-    return tuple(pieces)
+def _runs(length: int, dead, start: int) -> list[tuple[int, int]]:
+    """(lo, hi) of each run of positions start .. start + length - 1 that
+    dead does not hold, relative to start."""
+    cuts = sorted(k - start for k in dead if 0 <= k - start < length)
+    return [(lo, hi) for lo, hi in zip([0] + [cut + 1 for cut in cuts], cuts + [length]) if lo < hi]
+
+
+def _chain_pieces(row, chain) -> tuple[Progression, ...]:
+    """The chain slot's cells as progressions: one per b_k along the chain,
+    or, on a FamilyRow whose families are longer than the chain, one per
+    family and chain generator r, the family moved r times by the step
+    row's part."""
+    steps, length = chain.steps[0], len(chain.offsets)
+    if type(row) is FamilyRow and length * len(row.parts) < len(row):
+        return tuple(part.moved(step, r) for part, step in zip(row.parts, steps.parts) for r in range(length))
+    return tuple(Progression(*cell, *step, length) for cell, step in zip(row, steps))
 
 
 def _misgraded(x, y) -> ComplexError:

@@ -10,12 +10,13 @@ satellite polynomial itself, `cable_alexander` with `torus_knot_delta`, is
 kept for tests, which use it as an oracle, and for the benchmark, which binds
 those names; no run calls it.
 
-A rank table keeps a chain entry of two or more generators (|m| >= 3),
-and the grading families of a pattern wider than pairing.FAMILY_RUN, as
-progressions, the families' with a Maslov grading quadratic in the
-position.  Every run decides the symmetry and Euler checks from the
-table's two parts, one progression at a time, by symmetry_holds and
-euler_holds, with the same verdicts as cell by cell.  The cell-by-cell
+A rank table keeps the survivors of a chain entry of two or more
+generators (|m| >= 3), and of the grading families of a pattern wider
+than pairing.FAMILY_RUN, as progressions, the families' and a chain cut
+along them with a Maslov grading quadratic in the position.  Every run
+decides the symmetry and Euler checks from the table's two parts, one
+progression at a time, by symmetry_holds and euler_holds, with the same
+verdicts as cell by cell.  The cell-by-cell
 check_symmetry and euler_characteristic stay for tests, which use them as
 oracles on any table, and for the benchmark, which binds them; no run
 calls them.

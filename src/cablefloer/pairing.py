@@ -56,10 +56,7 @@ The unstable chain's interior is one D entry (type_d.DGenerator with
 length > 1) whose gradings step by (step, step, 0) in the doubled a, c
 and d slots.  It pairs into no arrow, and every b_k's cell steps by a
 constant too, so its slot repeats once per chain generator: repetition r
-is mu<index + r>, its first row plus r step rows.  Its cells are one
-arithmetic progression per b_k, kept apart in BigradedComplex.progressions
-and never counted; the rank table and the checks in invariants.py read
-them one progression at a time.
+is mu<index + r>, its first row plus r step rows.
 
 A grading family of at least FAMILY_RUN positions is kept the same way.
 Along a family a row's alexander is affine and its maslov quadratic in
@@ -71,17 +68,15 @@ and its step.  So every i1 row of such a pattern, and every step row, is
 a FamilyRow: a read-only sequence of its families that forms cell k by
 closed form when read and holds no cell, so the generator view, the
 arrows and every reader of rows[j][k] do not change.
-BigradedComplex.families holds the families of every stored i1 row,
-bigradings counts none of their cells, and homology.reduce_complex cuts
-each at the arrow ends on it.  The closed-form grading tables that
+homology.reduce_complex reads every survivor off the rows, the chain's
+and the families' as progressions.  The closed-form grading tables that
 cross-check this group arithmetic live in invariants.py.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain as concat, repeat
 from typing import NamedTuple
@@ -107,9 +102,9 @@ FAMILY_RUN = 24
 
 class ComplexError(RuntimeError):
     """Structural failure: a complement generator with two edges of one
-    label, a mis-graded arrow, a generator on two arrows, cancellation
-    killing more generators of a bigrading than it counts, or a long
-    grading family whose Alexander grading is not affine."""
+    label, an arrow that does not join stored generators of one summand, a
+    mis-graded arrow, a generator on two arrows, or a long grading family
+    whose Alexander grading is not affine."""
 
 
 class TensorGenerator(NamedTuple):
@@ -146,7 +141,7 @@ class Progression(NamedTuple):
     """The bigradings (alexander + r*alexander_step, maslov + r*maslov_step
     + r(r-1)/2*maslov_bend) for 0 <= r < length, each of rank rank: one
     b_k's cells along the unstable chain (maslov_bend 0), or the cells of
-    one grading family of A generators paired with one complement
+    one grading family of A generators paired with one complement or chain
     generator, whose Maslov grading is quadratic in the position (a part
     of a FamilyRow, or of a step row); on the square, rank is the number
     of squares at the level."""
@@ -219,10 +214,11 @@ class TensorGenerators(Sequence):
 
     Slot j is D entry j, named d_names[j], paired with the A generators
     a_names[j] at the cells rows[j].  A slot of no Repeat is
-    listed once, from starts[j] on.  A slot of chain or square lists its
-    repetitions one after another, each repetition's copies in a row (see
-    Repeat): the unstable chain's interior repeats once per chain
-    generator, and the square's corners once per level, all by one layout.
+    listed once, from starts[j] on.  A slot of chain or square, the two
+    Repeats or None, lists its repetitions one after another, each
+    repetition's copies in a row (see Repeat): the unstable chain's
+    interior repeats once per chain generator, and the square's corners
+    once per level, all by one layout.
     Copy 0 of repetition 0 of a*d sits at starts[j] plus the position of a
     in the group.  A record, with N = M - 2A and A' = A - c, is built each
     time an index is read; cells_at(spots(indices)) reads bigradings
@@ -236,6 +232,7 @@ class TensorGenerators(Sequence):
         self.a_names = a_names
         self.rows = rows
         self.c = c
+        self.chain = chain
         self.square = square
         # per slot: None, or its steps and the Repeat it belongs to
         self._repeats: list[tuple[Row, Repeat] | None] = [None] * len(rows)
@@ -300,23 +297,12 @@ class TensorGenerators(Sequence):
 
 @dataclass(frozen=True)
 class BigradedComplex:
-    """The paired complex: the generator view, the arrows on the first copy
-    of their slots and the generator count per bigrading of every stored
-    generator, each slot's row once, less its long grading families.  The
-    other listings are counted elsewhere: the chain's cells are the
-    progressions, one per b_k; each long family of a slot's row is one
-    progression in families; and the square's other listings
-    (generators.square) are placed at every level by
-    homology.reduce_complex once its arrows are cancelled.  No arrow
-    touches the chain."""
+    """The paired complex: the generator view and the arrows on the first
+    copy of their slots.  No arrow touches the chain.
+    homology.reduce_complex reads every survivor off the view's rows."""
 
     generators: TensorGenerators
     arrows: tuple[tuple[int, int], ...]  # (source index, target index)
-    bigradings: Mapping[tuple[int, int], int]  # positive count per (alexander, maslov) of the stored rows
-    progressions: tuple[Progression, ...] = ()  # the chain's cells, counted nowhere else
-    # (slot, first position, cells) of every grading family of at least FAMILY_RUN
-    # positions in a stored row, counted nowhere else
-    families: tuple[tuple[int, int, Progression], ...] = ()
 
 
 def shift_constant(l: int, p: int, n: int) -> int:
@@ -525,31 +511,17 @@ def pair_modules(A: TypeAModule, D: TypeDModule, l: int, n: int) -> BigradedComp
 
     No per-generator record or index is built: generators is a view over
     (D entry, its A generators, its row, how it repeats), and an arrow
-    end's index is its D entry's start plus its A position.  The bigrading
-    counts are one Counter pass over every row but the chain entry's, the
-    square's at its stored level once, less the long grading families.
-    The square's generators repeat at every level of D.copies, offset by
-    the level difference, and the chain entry along the chain, kept as
-    progressions; their other listings are not counted.  When the grading
-    families have at least FAMILY_RUN positions, every i1 row is a
-    FamilyRow, whose parts are the complex's families, taken as they are
-    and not counted either.  Every arrow joins first copies of the stored
-    generators.
+    end's index is its D entry's start plus its A position.  The square's
+    generators repeat at every level of D.copies, offset by the level
+    difference, and the chain entry along the chain.  Every arrow joins
+    first copies of the stored generators.
     """
     c = shift_constant(l, A.p, n)
     groups, rows, steps = _rows(A, D, c)
-    counted, progressions, families, chain, square = rows, (), (), None, None
+    chain = square = None
     for j, d_gen in enumerate(D.generators):
         if d_gen.length > 1:
-            first, chain_steps, length = rows[j], steps.pop(j), d_gen.length
-            progressions = tuple(Progression(*cell, *step, length) for cell, step in zip(first, chain_steps))
-            chain = Repeat((j,), (chain_steps,), range(length), range(length + 1))
-            counted = rows[:j] + rows[j + 1:]
-    if A.p - 1 >= FAMILY_RUN:  # every i1 row is a FamilyRow whose parts cover it: only i0 rows count
-        families = tuple((j, start, part) for j, (d_gen, row) in enumerate(zip(D.generators, rows))
-                         if d_gen.idempotent == "i1" and d_gen.length == 1
-                         for start, part in zip(row.starts, row.parts))
-        counted = [row for d_gen, row in zip(D.generators, rows) if d_gen.idempotent == "i0"]
+            chain = Repeat((j,), (steps.pop(j),), range(d_gen.length), range(d_gen.length + 1))
     if steps:
         levels = sorted(D.copies)  # the square is stored at the lowest, levels[0]
         square = Repeat(tuple(steps), tuple(steps.values()), tuple(t - levels[0] for t in levels),
@@ -559,7 +531,4 @@ def pair_modules(A: TypeAModule, D: TypeDModule, l: int, n: int) -> BigradedComp
     starts = generators.starts
     arrows = sorted((starts[d_src] + a_src, starts[d_tgt] + a_tgt)
                     for d_src, a_src, d_tgt, a_tgt in tensor_differential(A, D))
-    return BigradedComplex(generators=generators, arrows=tuple(arrows),
-                           bigradings=Counter(concat.from_iterable(counted)), progressions=progressions,
-                           families=families)
-
+    return BigradedComplex(generators=generators, arrows=tuple(arrows))

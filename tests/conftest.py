@@ -15,10 +15,8 @@ from __future__ import annotations
 
 import json
 import random
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain as concat
 
 import pytest
 
@@ -26,7 +24,6 @@ from cablefloer import (
     DEdge,
     GradingElement,
     LaurentPolynomial,
-    Progression,
     RankTable,
     TypeAModule,
     TypeDModule,
@@ -351,19 +348,6 @@ def expand_chain(D: TypeDModule) -> TypeDModule:
 def written_out(D: TypeDModule) -> TypeDModule:
     """D with the chain's interior and every square level and copy written out."""
     return expand_levels(expand_chain(D))
-
-
-def all_bigradings(complex_) -> Counter:
-    """complex_.bigradings plus one count per cell of each progression it
-    keeps apart (the chain's and the long families') and per listing of
-    the square's slots at every level but the stored one, which bigradings
-    counts: the generator count per bigrading of the whole complex."""
-    gens, square = complex_.generators, complex_.generators.square
-    listings = [] if square is None else [
-        i for j in square.slots for i in range(gens.index(j, 1, 0), gens.index(j, square.copy_starts[-1], 0))]
-    parts = concat(complex_.progressions, (family for _, _, family in complex_.families))
-    return Counter(complex_.bigradings) + Counter(concat.from_iterable(map(Progression.cells, parts))) + \
-        Counter(gens.cells_at(gens.spots(listings)))
 
 
 def named_arrows(A, D) -> list:

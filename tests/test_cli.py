@@ -2,8 +2,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import re
+import tempfile
 from dataclasses import replace
 
 import pytest
@@ -613,19 +615,77 @@ def malformed_argv(draw):
     return [f"{flag}={value}" for flag, value in args.items()], False
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.one_of(thin_argv(), malformed_argv()))
+def not_json(data) -> bool:
+    try:
+        json.loads(data)
+    except ValueError:  # UnicodeDecodeError and JSONDecodeError among them
+        return True
+    return False
+
+
+# a JSON value of each type; an int is the only one that fits tau, a list of ints the only one that fits delta
+JSON_TYPES = {int: st.integers(-3, 3), list: st.lists(st.integers(-3, 3), max_size=3),
+              dict: st.dictionaries(st.text(max_size=3), st.integers()), None: st.one_of(
+                  st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=5))}
+
+
+def json_values(*but) -> st.SearchStrategy:
+    """JSON values of every type but those named."""
+    return st.one_of(*(values for kind, values in JSON_TYPES.items() if kind not in but))
+
+
+@st.composite
+def bad_input_file(draw):
+    """argv of a run whose --input file cannot be read, writing to
+    --output, with the file's bytes: text that is not JSON (or not UTF-8),
+    a top-level value that is no object, an object missing delta or tau,
+    or one whose delta is no list of integers or whose tau is no integer.
+    INPUT and OUTPUT stand for the two paths."""
+    kind = draw(st.sampled_from(("not-json", "not-object", "missing", "delta-type", "tau-type")), label="kind")
+    payload = {"delta": [1, -1, 1], "tau": -1}
+    if kind == "not-json":
+        data = draw(st.one_of(st.text(max_size=12).map(str.encode), st.binary(min_size=1, max_size=6)).filter(not_json))
+    else:
+        if kind == "not-object":
+            payload = draw(json_values(dict))
+        elif kind == "missing":
+            for key in draw(st.sampled_from((["delta"], ["tau"], ["delta", "tau"])), label="missing"):
+                del payload[key]
+        elif kind == "delta-type":
+            payload["delta"] = draw(st.one_of(json_values(list), st.lists(json_values(), min_size=1, max_size=3).filter(
+                lambda values: any(type(value) is not int for value in values))))
+        else:
+            payload["tau"] = draw(json_values(int))
+        data = json.dumps(payload).encode()
+    argv = ["--input", "INPUT", "--p", str(draw(st.integers(2, 4))), "--n", "1", "--output", "OUTPUT"]
+    return argv, False, data
+
+
+@settings(max_examples=225, deadline=None)
+@given(st.one_of(thin_argv(), malformed_argv(), bad_input_file()))
 def test_exit_code_contract(case):
     """Exit 0 with output, in JSON a document whose checks all hold, or
     exit 1 with nothing written and one `error:` line or a usage message;
     never exit 2 and never an exception out of main.  A thin cable under
-    the size cap always exits 0."""
-    argv, thin = case
+    the size cap always exits 0.  An --input file that cannot be read
+    exits 1 with one `error:` line, and no --output file is made."""
+    argv, thin, *data = case
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        if data:
+            paths = {"INPUT": os.path.join(tmp, "input.json"), "OUTPUT": os.path.join(tmp, "out.json")}
+            with open(paths["INPUT"], "wb") as handle:
+                handle.write(data[0])
+            argv = [paths.get(arg, arg) for arg in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        made = os.listdir(tmp)
     out, err = out.getvalue(), err.getvalue()
     assert "Traceback" not in err
+    if data:
+        assert (code, out, made) == (1, "", ["input.json"]), (code, err)
+        assert err.startswith("error: cannot read input file: ") and err.count("\n") == 1, err
+        return
     if code == 1:
         assert out == ""
         lines = err.splitlines()

@@ -1,6 +1,6 @@
 import random
-from collections import Counter
 from dataclasses import replace
+from itertools import chain as concat
 
 import pytest
 
@@ -19,7 +19,7 @@ from cablefloer import (
     synthesize_delta,
 )
 from cablefloer.invariants import table_rank
-from cablefloer.pairing import Progression, Repeat, TensorGenerators
+from cablefloer.pairing import FamilyRow, Progression, Repeat, TensorGenerators
 
 from conftest import DELTA_11N50, DELTA_TREFOIL, ROW_PARAMS, written_out
 
@@ -31,12 +31,10 @@ def gen(a_side, d_side, alexander, maslov):
 
 def complex_of(records, arrows):
     """A complex whose view holds one complement generator per record, each
-    listed once with its cell and shift constant 0 (the records have A' = A),
-    with the records' bigradings counted."""
+    listed once with its cell and shift constant 0 (the records have A' = A)."""
     generators = TensorGenerators(tuple(g.d_side for g in records), tuple((g.a_side,) for g in records),
                                   tuple(((g.alexander, g.maslov),) for g in records), 0)
-    return BigradedComplex(generators=generators, arrows=tuple(arrows),
-                           bigradings=Counter((g.alexander, g.maslov) for g in records))
+    return BigradedComplex(generators=generators, arrows=tuple(arrows))
 
 
 def complex_for(delta_text, tau, p, n):
@@ -78,14 +76,14 @@ class TestRankTable:
         assert table.ranks is not ranks
 
     def test_reduction_copies_the_counts_once_and_keeps_them(self):
-        """The table is a zero-free dict of its own; the complex's counts stay as they were."""
+        """The table is a zero-free dict of its own; the complex's rows stay as they were."""
         complex_ = complex_of((gen("a", "u1", 0, 0), gen("b1", "v1", 1, 3), gen("b2", "v1", 1, 2),
                                gen("b3", "v1", 1, 1), gen("b4", "v1", 1, 1)), ((2, 3),))
-        before = dict(complex_.bigradings)
+        before = complex_.generators.rows
         table = reduce_complex(complex_)
         assert table.ranks == {(0, 0): 1, (1, 3): 1, (1, 1): 1}
-        assert dict(complex_.bigradings) == before
-        assert table.ranks is not complex_.bigradings and type(table.ranks) is dict
+        assert complex_.generators.rows == before == (((0, 0),), ((1, 3),), ((1, 2),), ((1, 1),), ((1, 1),))
+        assert type(table.ranks) is dict and 0 not in table.ranks.values()
 
     def test_long_chain_is_not_merged_until_read(self):
         """At the budget edge the chain has 998,000 generators; the run reads
@@ -166,13 +164,6 @@ class TestReduce:
         with pytest.raises(ComplexError, match=rf"^generator a g{shared} \(index {shared}\) lies on two arrows$"):
             reduce_complex(complex_)
 
-    def test_undercounted_bigrading_raises(self):
-        # the arrow cancels both generators, but the counts hold none at (0, 0)
-        complex_ = replace(complex_of((gen("a", "g0", 0, 1), gen("b1", "g1", 0, 0)), ((0, 1),)),
-                           bigradings={(0, 1): 1})
-        with pytest.raises(ComplexError, match=r"bigrading \(A=0, M=0\)"):
-            reduce_complex(complex_)
-
     def test_unfiltered_cross_grading_arrow_raises(self):
         complex_ = complex_of((gen("a", "g0", 1, 1), gen("b1", "g1", 0, 0)), ((0, 1),))
         with pytest.raises(ComplexError, match=r"a g0 \(A=1, M=1\) -> b1 g1 \(A=0, M=0\)"):
@@ -218,8 +209,7 @@ class TestSummands:
     """A hand-built view: one arrow at Alexander grading 5 on generators
     0-1, then a square of (a, b1, b2), one slot repeated at two levels:
     listed once at level 0 (generators 2-4) and twice at level 1 (5-7 and
-    8-10), its arrows on the first copy only; bigradings counts each slot's
-    row once."""
+    8-10), its arrows on the first copy only."""
 
     def complex_with(self, square, low=(1, 0, 0), top=(2, 1, 1)):
         """low and top are the Maslov gradings of a, b1, b2 at levels 0 and 1."""
@@ -227,8 +217,7 @@ class TestSummands:
         gens = TensorGenerators(("g0", "g1", "s0"), (("a",), ("b1",), ("a", "b1", "b2")),
                                 (row(5, (1,)), row(5, (0,)), row(0, low)), 0,
                                 square=Repeat((2,), (steps,), (0, 1), (0, 1, 3)))
-        return BigradedComplex(generators=gens, arrows=((0, 1),) + tuple((2 + src, 2 + tgt) for src, tgt in square),
-                               bigradings=Counter(row(5, (1,)) + row(5, (0,)) + row(0, low)))
+        return BigradedComplex(generators=gens, arrows=((0, 1),) + tuple((2 + src, 2 + tgt) for src, tgt in square))
 
     def written_out(self, complex_):
         """The same complex with each copy its own complement generator, every
@@ -267,3 +256,61 @@ class TestSummands:
         for arrow, name in (((5, 6), "a s1 -> b1 s1"), ((8, 9), "a s1 -> b1 s1"), ((1, 2), "b1 g1 -> a s0")):
             with pytest.raises(ComplexError, match=rf"^arrow {name} does not join stored generators of one summand$"):
                 reduce_complex(replace(complex_, arrows=(arrow,)))
+
+
+def family_row(*parts):
+    return FamilyRow(tuple(Progression(*part) for part in parts))
+
+
+# the chain slot's row and step row, b1 .. b6: two grading families of three
+# positions each, the second with a Maslov bend, or the same cells as tuples
+FAMILIES = (family_row((5, 0, 1, 2, 3), (6, 1, 1, 2, 3, 1)), family_row((1, -1, 0, 1, 3), (1, 1, 0, 2, 3, 1)))
+CHAIN_ROWS = {"families": FAMILIES, "cells": tuple(map(tuple, FAMILIES))}
+
+
+class TestChainAndSquare:
+    """A hand-built view with both Repeats: the arrow g0 -> g1 at
+    Alexander grading 5, then the chain slot mu1 of (b1 .. b6) repeated
+    twice (generators 2-13, named mu1 and mu2), then the square of
+    (a, b1, b2) of TestSummands, listed once at level 0 (14-16) and twice
+    at level 1 (17-22), with one arrow on its first copy."""
+
+    def complex_with(self, chain_rows, arrows=((0, 1), (15, 16))):
+        chain_row, chain_steps = chain_rows
+        square_steps = ((1, 1), (1, 1), (1, 1))
+        b = tuple(f"b{k}" for k in range(1, 7))
+        gens = TensorGenerators(("g0", "g1", "mu1", "s0"), (("a",), ("b1",), b, ("a", "b1", "b2")),
+                                (row(5, (1,)), row(5, (0,)), chain_row, row(0, (1, 1, 0))), 0,
+                                chain=Repeat((2,), (chain_steps,), range(2), range(3)),
+                                square=Repeat((3,), (square_steps,), (0, 1), (0, 1, 3)))
+        return BigradedComplex(generators=gens, arrows=arrows)
+
+    @pytest.mark.parametrize("kind", CHAIN_ROWS)
+    def test_reduces_as_written_out(self, kind):
+        """The chain survives whole as progressions, and the square's
+        survivors are placed at both levels: the table equals that of the
+        complex with every copy its own generator and every copy of the
+        square's arrow.  A chain of families longer than the chain is one
+        piece per family and chain generator, a chain of cells one per
+        b_k."""
+        complex_ = self.complex_with(CHAIN_ROWS[kind])
+        gens = complex_.generators
+        assert len(gens) == 23
+        assert [g.d_side for g in gens][2:14] == ["mu1"] * 6 + ["mu2"] * 6
+        written = complex_of(list(gens), complex_.arrows + ((18, 19), (21, 22)))
+        table, want = reduce_complex(complex_), reduce_complex(written)
+        assert table == want and table.total == want.total == 23 - 2 * 4
+        chain_cells = gens.cells_at(gens.spots(range(2, 14)))
+        assert sorted(concat.from_iterable(map(Progression.cells, table.progressions))) == sorted(chain_cells)
+        assert [progression.length for progression in table.progressions] == ([2] * 6 if kind == "cells" else [3] * 4)
+        assert table == reduce_complex(self.complex_with(CHAIN_ROWS["cells"]))
+
+    @pytest.mark.parametrize("kind", CHAIN_ROWS)
+    def test_arrow_on_the_chain_raises(self, kind):
+        """No arrow touches the chain: an end on its first copy raises,
+        also when it is graded and its other end is a stored generator."""
+        for arrow, name in (((0, 2), "a g0 -> b1 mu1"), ((3, 2), "b2 mu1 -> b1 mu1"),
+                            ((4, 1), "b3 mu1 -> b1 g1")):
+            complex_ = self.complex_with(CHAIN_ROWS[kind], arrows=(arrow,))
+            with pytest.raises(ComplexError, match=rf"^arrow {name} does not join stored generators of one summand$"):
+                reduce_complex(complex_)

@@ -46,7 +46,6 @@ from conftest import (
     DELTA_11N50,
     DELTA_TREFOIL,
     ROW_PARAMS,
-    all_bigradings,
     euler_matches_cable,
     expand_chain,
     expand_levels,
@@ -265,6 +264,30 @@ class TestDifferential:
         assert reduce_complex(complex_).total == table_rank(tau, 0, p, n)
         assert peak < 100_000, peak
 
+    def test_wide_chain_does_not_grow_with_p(self):
+        """tau = 0, n = -3, p = 2000: a chain of two generators beside
+        patterns of two grading families of 1,999 positions.  The chain's
+        survivors are one progression per family and chain generator, four
+        in all, so pairing and reduction together peak under 50 KB, where
+        one progression per b_k, 3,998 in all, took 870 KB.  The pairing and
+        reduction are measured alone: the cable's satellite polynomial is
+        over the run's degree budget."""
+        import tracemalloc
+
+        tau, n, p = 0, -3, 2000
+        model = build_model(synthesize_delta(tau, {}), tau)
+        A, D = build_typea_minus(p), build_typed(model, n)
+        tracemalloc.start()
+        try:
+            table = reduce_complex(pair_modules(A, D, model.params.l, n))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the chain's four pieces, then the two left of the v row's families by the arrow on it
+        assert [progression.length for progression in table.progressions] == [p - 1] * 5 + [p - 2]
+        assert table.total == table_rank(tau, 0, p, n)
+        assert peak < 50_000, peak
+
     @pytest.mark.parametrize("tau, n, total", [
         (0, 0, 1), (0, 1, 2199), (0, -1, 2197), (1, 2, 4397), (-1, -2, 4395),
     ])
@@ -344,9 +367,9 @@ class TestGradings:
         """The lazy view, the counts and the offset arrow indices against
         one record per generator and an index dict, with every square level
         and copy written out and walked by the generic matcher; the complex
-        keeps the arrows of the stored square's first copy.  Every chain is
-        counted by its progressions and the square by its levels instead of
-        bigradings."""
+        keeps the arrows of the stored square's first copy.  With the arrows
+        left out, the rank table lists every generator's cell once: the
+        chain by its progressions and the square by its levels."""
         model = build_model(synthesize_delta(tau, counts), tau)
         A, D = build_typea_minus(p), build_typed(model, n)
         expanded = written_out(D)
@@ -363,8 +386,8 @@ class TestGradings:
         for i in (len(want), -len(want) - 1):
             with pytest.raises(IndexError):
                 generators[i]
-        assert bool(complex_.progressions) == any(d_gen.length > 1 for d_gen in D.generators)
-        assert all_bigradings(complex_) == Counter((g.alexander, g.maslov) for g in want)
+        assert (generators.chain is not None) == any(d_gen.length > 1 for d_gen in D.generators)
+        assert reduce_complex(replace(complex_, arrows=())) == RankTable(Counter((g.alexander, g.maslov) for g in want))
         assert generators.cells_at(generators.spots(range(len(want)))) == [(g.alexander, g.maslov) for g in want]
         stored = {d_gen.name for d_gen in expand_chain(D).generators}
         index = {pair: i for i, pair in enumerate(pairs)}
@@ -481,9 +504,9 @@ def test_chain_progression_equals_written_out_chain(tau, m, counts, p):
     module with the chain written out: the same generators, cells, counts,
     arrows, rank table and check verdicts.  tau = 0, m = 0 is the D_12
     self-loop, and the squares carry copies > 1 beside the chain.  The chain
-    has |m| - 1 generators; from |m| = 3 on they are one D entry, kept as
-    progressions that bigradings does not count, and at |m| = 2 the one
-    is a plain stored generator.  On both modules slot j of the view is D
+    has |m| - 1 generators; from |m| = 3 on they are one D entry, whose
+    survivors are one progression per b_k, and at |m| = 2 the one is a
+    plain stored generator.  On both modules slot j of the view is D
     entry j, and every arrow end lies in the first copy of the slot of the
     D index that tensor_differential gives it."""
     A, D, l, n = chain_modules(tau, counts, p, m)
@@ -500,16 +523,23 @@ def test_chain_progression_equals_written_out_chain(tau, m, counts, p):
     assert len(stored.generators) == size
     assert [stored.generators[i] for i in range(size)] == [written.generators[i] for i in range(size)]
     assert cells_of(stored.generators) == cells_of(written.generators)
-    assert len(stored.progressions) == (2 * p - 2 if abs(m) > 2 else 0)
-    assert not written.progressions
-    assert all_bigradings(stored) == all_bigradings(written)
+    chain = stored.generators.chain
+    assert (chain is not None) == (abs(m) > 2) and written.generators.chain is None
+    listed, listed_written = (reduce_complex(replace(complex_, arrows=())) for complex_ in (stored, written))
+    assert listed == listed_written == RankTable(Counter(cells_of(written.generators)))
     assert stored.arrows == written.arrows
     table, want = reduce_complex(stored), reduce_complex(written)
     assert table.ranks == want.ranks and type(table.ranks) is dict
-    assert table.progressions == stored.progressions and not want.progressions
-    if abs(m) <= 2:
+    assert not want.progressions
+    if chain is not None:  # one progression per b_k: its cells at mu1, mu2, ... in turn
+        (j,), length = chain.slots, len(chain.offsets)
+        view = stored.generators
+        assert [list(progression.cells()) for progression in table.progressions] == [
+            view.cells_at([(j, r, k) for r in range(length)]) for k in range(2 * p - 2)]
+        assert table.progressions == listed.progressions
+    else:
         assert (table.stored, table.progressions) == (want.stored, want.progressions)
-        assert stored.bigradings == written.bigradings
+        assert listed.stored == listed_written.stored and not listed.progressions
     delta, q = synthesize_delta(tau, counts), p * n + 1
     assert symmetry_holds(table) == check_symmetry(want)
     assert euler_holds(table, delta, p, q) == euler_matches_cable(euler_characteristic(want), delta, p, q)
@@ -646,10 +676,14 @@ def test_one_square_pairs_as_every_level_written_out(counts, tau, m, p):
 @example(counts={2: 3, 0: 1, -2: 3}, tau=2, n=1, wide=2, twice_tau=False)  # |n| = 1, m = 3
 @example(counts={1: 2, -1: 2}, tau=-2, n=-1, wide=3, twice_tau=False)     # |n| = 1, m = -3
 @example(counts={}, tau=3, n=0, wide=1, twice_tau=True)                   # n = 2tau, no squares
+@example(counts={}, tau=1, n=-25, wide=1, twice_tau=False)                # m = 27 >= p: one piece per b_k
+@example(counts={1: 2, -1: 2}, tau=-1, n=25, wide=1, twice_tau=False)     # m = -27
 def test_long_families_pair_as_progressions(counts, tau, n, wide, twice_tau):
     """A pattern wider than FAMILY_RUN keeps every grading family of a
     stored row as one progression per slot, cut at arrow ends and placed
-    at every square level with the level's count as its rank.  Against the
+    at every square level with the level's count as its rank, and the
+    chain's as one progression per family and chain generator, or per b_k
+    when the chain is at least as long as a family.  Against the
     module with the chain and every square level and copy written out,
     counted cell by cell (every generator's cell less both ends of every
     arrow), the rank table is the same, and the two checks decided from
@@ -663,8 +697,15 @@ def test_long_families_pair_as_progressions(counts, tau, n, wide, twice_tau):
     A, D = build_typea_minus(p), build_typed(model, n)
     complex_, table, checks = paired(A, D, delta, tau, p, n)
     assert checks == (True, True, True)
-    assume(complex_.families)  # the unknot at n = 0 has no i1 generator
-    assert all(family.length == p - 1 for _, _, family in complex_.families)
+    view = complex_.generators
+    chain, rows = view.chain, list(view.rows)
+    chained = 0  # the chain's pieces: one per b_k, or one per family and chain generator when that is fewer
+    if chain is not None:
+        row = rows.pop(chain.slots[0])
+        chained = min(len(row), len(row.parts) * len(chain.offsets))
+    families = [part for row in rows if type(row) is FamilyRow for part in row.parts]
+    assume(families)  # the unknot at n = 0 has no i1 generator
+    assert all(family.length == p - 1 for family in families)
     reference = pair_modules(A, written_out(D), model.params.l, n)
     written = reference.generators
     want = Counter(cells_of(written))
@@ -674,7 +715,7 @@ def test_long_families_pair_as_progressions(counts, tau, n, wide, twice_tau):
     merged = RankTable(table.ranks)
     assert euler_matches_cable(euler_characteristic(merged), delta, p, q) and check_symmetry(merged)
     # the longest of the families' pieces, which follow the chain's
-    j = max(range(len(complex_.progressions), len(table.progressions)), key=lambda j: table.progressions[j].length)
+    j = max(range(chained, len(table.progressions)), key=lambda j: table.progressions[j].length)
     longest = table.progressions[j]
     short = longest._replace(length=longest.length - 1)
     bent = longest._replace(maslov_bend=longest.maslov_bend + 2)
