@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import invariants
 from .gradings import GradingError
@@ -26,8 +25,7 @@ from .pipeline import CableHomology, compute_cable_hfk
 from .thin import ThinInputError, build_model, parse_delta, synthesize_delta
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     delta: str
     tau: int
     p: int
@@ -228,6 +226,8 @@ def main(argv: list[str] | None = None) -> int:
     delta_text = args.delta
     tau = args.tau
     if args.input:
+        import json  # loaded only where an input file is read
+
         try:
             with open(args.input, encoding="utf-8") as handle:
                 payload = json.load(handle)

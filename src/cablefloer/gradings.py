@@ -26,7 +26,6 @@ every other x (see pairing.py).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 
@@ -52,7 +51,10 @@ class GradingElement(NamedTuple):
     def identity(cls) -> "GradingElement":
         return cls(0, 0, 0, 0)
 
-    def halves(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    def halves(self) -> tuple:
+        """The four slots as Fractions, read only by printing."""
+        from fractions import Fraction  # loaded only where a grading is printed
+
         return tuple(Fraction(v, 2) for v in self)
 
     def __mul__(self, other: "GradingElement") -> "GradingElement":

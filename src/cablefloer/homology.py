@@ -17,8 +17,6 @@ is read.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain as concat
 from operator import sub
 from typing import Mapping
@@ -26,7 +24,6 @@ from typing import Mapping
 from .pairing import BigradedComplex, ComplexError, FamilyRow, Progression
 
 
-@dataclass(frozen=True)
 class RankTable:
     """Rank per (alexander, maslov) bigrading, in two parts.
 
@@ -39,35 +36,40 @@ class RankTable:
     generator; one of p > FAMILY_RUN then has the pieces that cancellation
     leaves of every long grading family, on the square once per level with
     the level's square count as its rank.  stored holds no cell of either.
-    ranks is the whole table, merged on its first read; the checks in
-    invariants.py read the parts instead.  Two tables are equal when their
-    ranks are.
+    ranks is the whole table, merged on its first read and kept in the
+    _ranks slot, None until then; the checks in invariants.py read the
+    parts instead.  Two tables are equal when their ranks are.
     """
 
-    stored: Mapping[tuple[int, int], int]
-    progressions: tuple[Progression, ...] = ()
+    __slots__ = ("stored", "progressions", "_ranks")
 
-    def __post_init__(self):
-        if 0 in self.stored.values():
-            object.__setattr__(self, "stored", {k: v for k, v in self.stored.items() if v})
+    def __init__(self, stored: Mapping[tuple[int, int], int], progressions: tuple[Progression, ...] = ()):
+        self.stored = {k: v for k, v in stored.items() if v} if 0 in stored.values() else stored
+        self.progressions = progressions
+        self._ranks = None
 
     def __eq__(self, other):
         return self.ranks == other.ranks if isinstance(other, RankTable) else NotImplemented
 
-    @cached_property
+    def __repr__(self) -> str:
+        return f"RankTable(stored={self.stored!r}, progressions={self.progressions!r})"
+
+    @property
     def ranks(self) -> Mapping[tuple[int, int], int]:
         """stored itself without progressions; else a dict, stored counted
         on by one Counter pass over the progressions' cells, and by rank - 1
         more at each cell of a progression of a higher rank."""
         if not self.progressions:
             return self.stored
-        ranks = Counter(self.stored)
-        ranks.update(concat.from_iterable(map(Progression.cells, self.progressions)))
-        for progression in self.progressions:
-            if progression.rank > 1:
-                for cell in progression.cells():
-                    ranks[cell] += progression.rank - 1
-        return dict(ranks)
+        if self._ranks is None:
+            ranks = Counter(self.stored)
+            ranks.update(concat.from_iterable(map(Progression.cells, self.progressions)))
+            for progression in self.progressions:
+                if progression.rank > 1:
+                    for cell in progression.cells():
+                        ranks[cell] += progression.rank - 1
+            self._ranks = dict(ranks)
+        return self._ranks
 
     @property
     def total(self) -> int:

@@ -102,7 +102,8 @@ def table_rank(tau: int, s: int, p: int, n: int) -> int:
 
 def check_symmetry(table: RankTable) -> bool:
     """rank(a, m) == rank(-a, m - 2a) for every entry, cell by cell."""
-    return all(table.ranks.get((-a, m - 2 * a)) == r for (a, m), r in table.ranks.items())
+    ranks = table.ranks  # a property: read once, not per cell
+    return all(ranks.get((-a, m - 2 * a)) == r for (a, m), r in ranks.items())
 
 
 def symmetry_holds(table: RankTable) -> bool:

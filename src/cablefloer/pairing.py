@@ -77,7 +77,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from itertools import accumulate, chain as concat, repeat
 from typing import NamedTuple
 
@@ -295,8 +294,7 @@ class TensorGenerators(Sequence):
         return out
 
 
-@dataclass(frozen=True)
-class BigradedComplex:
+class BigradedComplex(NamedTuple):
     """The paired complex: the generator view and the arrows on the first
     copy of their slots.  No arrow touches the chain.
     homology.reduce_complex reads every survivor off the view's rows."""

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import invariants
 from .homology import RankTable, reduce_complex
 from .laurent import LaurentPolynomial
@@ -20,20 +18,19 @@ MAX_GENERATORS = 10**6  # tensor generators plus the pattern module's 2p - 1
 MAX_SATELLITE_DEGREES = 10**7
 
 
-@dataclass(frozen=True)
 class CableHomology:
-    """Everything one run produces, downstream of a validated input."""
+    """Everything one run produces, downstream of a validated input.  It is
+    not a tuple: a caller that takes both library results and CLI
+    (exit code, text) pairs tells them apart by that."""
 
-    delta: LaurentPolynomial
-    tau: int
-    p: int
-    n: int
-    model: ThinModel
-    complex: BigradedComplex = field(repr=False)
-    table: RankTable
-    cable_tau: int
-    table_value: int
-    checks: dict[str, bool]  # symmetry, euler, table: verdicts in that order
+    __slots__ = ("delta", "tau", "p", "n", "model", "complex", "table", "cable_tau", "table_value", "checks")
+
+    def __init__(self, delta: LaurentPolynomial, tau: int, p: int, n: int, model: ThinModel,
+                 complex: BigradedComplex, table: RankTable, cable_tau: int, table_value: int,
+                 checks: dict[str, bool]):
+        self.delta, self.tau, self.p, self.n, self.model = delta, tau, p, n, model
+        self.complex, self.table, self.cable_tau, self.table_value = complex, table, cable_tau, table_value
+        self.checks = checks  # symmetry, euler, table: verdicts in that order
 
     @property
     def q(self) -> int:

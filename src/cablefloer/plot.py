@@ -27,8 +27,9 @@ def render_ascii(table: RankTable) -> str:
 
     Refuses (ValueError) a bounding box of more than MAX_ASCII_CELLS cells.
     """
-    a_values = [a for a, _ in table.ranks]
-    m_values = [m for _, m in table.ranks]
+    ranks = table.ranks  # a property: read once, not per cell
+    a_values = [a for a, _ in ranks]
+    m_values = [m for _, m in ranks]
     a_min, a_max = min(a_values), max(a_values)
     m_min, m_max = min(m_values), max(m_values)
     cells = (a_max - a_min + 1) * (m_max - m_min + 1)
@@ -39,7 +40,7 @@ def render_ascii(table: RankTable) -> str:
     lines = []
     for m in range(m_max, m_min - 1, -1):
         row = "".join(
-            _rank_char(table.ranks[(a, m)]) if (a, m) in table.ranks else "."
+            _rank_char(ranks[(a, m)]) if (a, m) in ranks else "."
             for a in range(a_min, a_max + 1)
         )
         lines.append(f"{m:>{label_width}} |{row}")

@@ -9,7 +9,7 @@ as a :class:`ThinModel`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .laurent import LaurentPolynomial
 
@@ -37,8 +37,7 @@ def parse_delta(text: str) -> LaurentPolynomial:
     return LaurentPolynomial.from_centered_list(coeffs)
 
 
-@dataclass(frozen=True)
-class ThinParams:
+class ThinParams(NamedTuple):
     """Numerical invariants extracted from a validated (delta, tau) pair.
 
     a is the sum of absolute coefficient values, s = (a - 2|tau| - 1)/4 the
@@ -53,8 +52,7 @@ class ThinParams:
     g: int
 
 
-@dataclass(frozen=True)
-class ThinModel:
+class ThinModel(NamedTuple):
     """Staircase parameters plus the multiset of square summands per level."""
 
     delta: LaurentPolynomial

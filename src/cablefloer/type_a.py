@@ -26,7 +26,7 @@ is read.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .gradings import GradingElement
 
@@ -35,8 +35,7 @@ from .gradings import GradingElement
 CHORD_PREFIX = {"i0": (), "i1": ("2",)}
 
 
-@dataclass(frozen=True)
-class AOperation:
+class AOperation(NamedTuple):
     """m(source, inputs...) = target, with U power zero."""
 
     source: str
@@ -66,11 +65,10 @@ class Names(Sequence):
         return (f"b{j}" if j else "a" for j in self.positions)
 
 
-@dataclass(frozen=True)
-class TypeAModule:
+class TypeAModule(NamedTuple):
     p: int
     #: left normalizer of the coset gradings
-    g: GradingElement = field(repr=False)
+    g: GradingElement
 
     @property
     def generators(self) -> Names:

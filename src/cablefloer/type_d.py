@@ -29,8 +29,8 @@ a right-coset grading; the coset normalizer h depends on m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .gradings import GradingElement
 from .thin import ThinModel
@@ -57,15 +57,15 @@ class DGenerator(NamedTuple):
     step: int = 0
 
 
-@dataclass(frozen=True)
-class TypeDModule:
+class TypeDModule(NamedTuple):
     generators: tuple[DGenerator, ...]
     edges: tuple[DEdge, ...]  # D_1 and D_2, one per model arrow, and the chain's one edge
-    h: GradingElement = field(repr=False)
+    h: GradingElement
     # square count c_t per level t, ascending; the generators with a level
     # are one square, which stands for the c_t isomorphic squares of every
-    # level t.  Empty, every generator stands for itself once.
-    copies: dict[int, int] = field(default_factory=dict)
+    # level t.  Empty, every generator stands for itself once; the empty
+    # default is read-only, as every instance shares it.
+    copies: Mapping[int, int] = MappingProxyType({})
 
 
 def framing_h(l: int, m: int) -> GradingElement:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import pytest
@@ -148,13 +147,16 @@ def module_gradings(A: TypeAModule) -> dict[str, GradingElement]:
             for idempotent in ("i0", "i1") for k, name in enumerate(A.group(idempotent))}
 
 
-@dataclass(frozen=True)
 class InjectedPattern(TypeAModule):
     """A p = 2 pattern module whose gradings a test chooses: ys are those of
-    a, b1 and b2.  At p = 2 every grading family has one generator, so the
-    pairing normalizes each of them and never extends a family."""
+    a, b1 and b2, kept beside the module's fields p and g.  At p = 2 every
+    grading family has one generator, so the pairing normalizes each of
+    them and never extends a family."""
 
-    ys: tuple[GradingElement, ...] = ()
+    def __new__(cls, g: GradingElement, ys):
+        module = super().__new__(cls, 2, g)
+        module.ys = tuple(ys)
+        return module
 
     def grading(self, idempotent: str, k: int) -> GradingElement:
         return self.ys[k if idempotent == "i0" else k + 1]
@@ -162,7 +164,7 @@ class InjectedPattern(TypeAModule):
 
 def injected_pattern(ys, g: GradingElement | None = None) -> InjectedPattern:
     """The p = 2 pattern module with gradings ys (a, b1, b2) and left normalizer g."""
-    return InjectedPattern(p=2, g=build_typea_minus(2).g if g is None else g, ys=tuple(ys))
+    return InjectedPattern(build_typea_minus(2).g if g is None else g, ys)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +326,7 @@ def expand_levels(D: TypeDModule) -> TypeDModule:
                 written(e.source, level_of[e.source]), written(e.target, level_of[e.target]))]
         else:
             edges.append(e)
-    return replace(D, generators=tuple(gens), edges=tuple(edges), copies={})
+    return D._replace(generators=tuple(gens), edges=tuple(edges), copies={})
 
 
 def expand_chain(D: TypeDModule) -> TypeDModule:
@@ -342,7 +344,7 @@ def expand_chain(D: TypeDModule) -> TypeDModule:
         x = g.grading
         gens += [g._replace(name=f"mu{g.index + r}", grading=x._replace(a2=x.a2 + r * g.step, c2=x.c2 + r * g.step),
                             index=g.index + r, length=1, step=0) for r in range(g.length)]
-    return replace(D, generators=tuple(gens))
+    return D._replace(generators=tuple(gens))
 
 
 def written_out(D: TypeDModule) -> TypeDModule:

@@ -136,6 +136,29 @@ def test_result_surface_resolves():
     assert doc["tau"] == result.cable_tau
 
 
+def test_library_result_is_no_tuple():
+    """run.py's Workload.outcome reads any tuple as a CLI (exit code, text)
+    pair, so a library result must be something else."""
+    assert not isinstance(compute_cable_hfk(LaurentPolynomial.from_centered_list([1]), 0, 2, 1), tuple)
+
+
+def test_run_config_builds_by_keyword():
+    """Workload.cli_config builds its configuration by keyword, leaving mode and q to their defaults."""
+    config = cli.RunConfig(delta="1", tau=0, p=2, n=1, fmt="json")
+    assert (config.delta, config.tau, config.p, config.n, config.fmt) == ("1", 0, 2, 1, "json")
+    assert (config.mode, config.q) == ("hfk", None)
+
+
+def test_rank_table_merges_ranks_on_first_read():
+    """The run reads a table's parts only; ranks, which run.py reads, is
+    merged on its first read and the same dict is returned after."""
+    table = compute_cable_hfk(LaurentPolynomial.from_centered_list([1]), 0, 2, 7).table
+    assert table.progressions and table._ranks is None
+    ranks = table.ranks
+    assert type(ranks) is dict and sum(ranks.values()) == table.total
+    assert table._ranks is ranks and table.ranks is ranks
+
+
 def test_every_export_resolves():
     """A name left in cablefloer.__all__ after its definition is deleted
     would break `from cablefloer import *`."""

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from itertools import chain as concat
 
 import pytest
@@ -92,9 +91,10 @@ class TestRankTable:
         table = result.table
         assert result.consistent and len(table.progressions) == 2
         assert table.total == table_rank(0, 0, 2, 499000) == 998001
-        assert "ranks" not in vars(table)
+        assert table._ranks is None
         ranks = table.ranks
         assert type(ranks) is dict and sum(ranks.values()) == table.total
+        assert table._ranks is ranks and table.ranks is ranks
 
 
 class TestGradingFilter:
@@ -178,7 +178,7 @@ def test_reduction_order_invariance(seed):
     rng = random.Random(seed)
     arrows = list(base.arrows)
     rng.shuffle(arrows)
-    shuffled = replace(base, arrows=tuple(arrows))
+    shuffled = base._replace(arrows=tuple(arrows))
     assert reduce_complex(shuffled).ranks == reference.ranks
 
 
@@ -255,7 +255,7 @@ class TestSummands:
         complex_ = self.complex_with(((0, 1),))
         for arrow, name in (((5, 6), "a s1 -> b1 s1"), ((8, 9), "a s1 -> b1 s1"), ((1, 2), "b1 g1 -> a s0")):
             with pytest.raises(ComplexError, match=rf"^arrow {name} does not join stored generators of one summand$"):
-                reduce_complex(replace(complex_, arrows=(arrow,)))
+                reduce_complex(complex_._replace(arrows=(arrow,)))
 
 
 def family_row(*parts):

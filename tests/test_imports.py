@@ -50,10 +50,18 @@ def test_detector_sees_unused_and_honours_noqa():
     assert unused_imports(source) == ["os (line 2)", "compile (line 6)"]
 
 
-def test_cli_import_leaves_plot_unimported():
-    """A process that only computes never compiles the plot module: cli
-    imports it where an svg or ascii rendering is asked for."""
+def test_cli_import_adds_no_unneeded_module():
+    """A process that only computes loads none of: the plot module, which cli
+    imports where an svg or ascii rendering is asked for; dataclasses, with
+    its inspect, ast and dis chain; fractions and decimal, which only the
+    printing of a grading reads; json, which only --input reads.  The
+    interpreter's start-up already loads some modules (site brings
+    collections, re and typing), so one fresh process lists what the import
+    adds to what it had loaded before it."""
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    probe = "import sys, cablefloer.cli; print('cablefloer.plot' in sys.modules)"
+    probe = ("import sys; before = set(sys.modules); import cablefloer.cli; "
+             "print(*sorted(set(sys.modules) - before))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "False\n"
+    added = set(out.stdout.split())
+    assert "cablefloer.cli" in added
+    assert sorted(added & {"cablefloer.plot", "dataclasses", "inspect", "fractions", "decimal", "json"}) == []
