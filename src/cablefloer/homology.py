@@ -92,19 +92,20 @@ def reduce_complex(complex_: BigradedComplex) -> RankTable:
     """Every slot's row less the positions arrows kill, listed as the view
     lists it.
 
-    Every arrow must join the first copies of two stored generators of one
+    Each link is an arrow read as (slot, position) of its two ends, on the
+    first copies of their slots.  It must join two stored generators of one
     summand, both of the square or neither and neither of the chain, keep
     the Alexander grading and lower the Maslov grading by one, and no
     generator may lie on two arrows; a correctly assembled complex always
-    does all three, so any other arrow raises ComplexError.  A matching has
-    no 2-path, so d^2 = 0, and each arrow cancels on its own: the table does
-    not depend on arrow order.  An arrow on the square kills its ends'
-    positions in the stored square: the box tensor product is additive over
-    the square summands, so the same arrow joins the same positions at
-    every level and in every copy.  That holds only when its ends step
-    alike from level to level, so that it is graded at every level once it
-    is at the stored one; an arrow whose ends step differently raises as
-    mis-graded at the last level.
+    does all three, so any other link raises ComplexError, which names its
+    generators.  A matching has no 2-path, so d^2 = 0, and each arrow
+    cancels on its own: the table does not depend on link order.  An arrow
+    on the square kills its ends' positions in the stored square: the box
+    tensor product is additive over the square summands, so the same arrow
+    joins the same positions at every level and in every copy.  That holds
+    only when its ends step alike from level to level, so that it is graded
+    at every level once it is at the stored one; an arrow whose ends step
+    differently raises as mis-graded at the last level.
 
     Then one rule reads each slot: its row less its killed positions, as
     the view lists it.  The chain slot, which no arrow touches, is
@@ -117,32 +118,32 @@ def reduce_complex(complex_: BigradedComplex) -> RankTable:
     its killed cells.  The table keeps the counts as one dict, with no
     zero, and the progressions, the chain's ahead of the families' pieces.
     """
-    gens, arrows = complex_.generators, complex_.arrows
+    gens, links = complex_.generators, complex_.links
     rows, chain, square = gens.rows, gens.chain, gens.square
     chain_slot = chain.slots[0] if chain is not None else -1
     steps_of = dict(zip(square.slots, square.steps)) if square is not None else {}  # square slot -> its steps
-    ends = list(concat.from_iterable(arrows))
-    spots = gens.spots(ends)
-    killed: dict[int, set[int]] = {}  # slot -> the positions arrows kill on its first copy
-    for (src, tgt), (j, copy, k), (j_target, target_copy, k_target) in zip(arrows, spots[::2], spots[1::2]):
+    killed: dict[int, set[int]] = {}  # slot -> the positions links kill on its first copy
+    for j, k, j_target, k_target in links:
         on_square = j in steps_of
-        if copy or target_copy or on_square != (j_target in steps_of) or chain_slot in (j, j_target):
-            raise ComplexError(f"arrow {gens[src].name} -> {gens[tgt].name} does not join stored generators "
-                               f"of one summand")
+        if on_square != (j_target in steps_of) or chain_slot in (j, j_target):
+            raise ComplexError(f"arrow {gens.at(j, 0, k).name} -> {gens.at(j_target, 0, k_target).name} does not "
+                               f"join stored generators of one summand")
         source, target = rows[j][k], rows[j_target][k_target]  # a first copy reads its row as stored
         if source[0] != target[0] or source[1] != target[1] + 1:
-            raise _misgraded(gens[src], gens[tgt])
+            raise _misgraded(gens.at(j, 0, k), gens.at(j_target, 0, k_target))
         if on_square and len(square.offsets) > 1 and steps_of[j][k] != steps_of[j_target][k_target]:
             last = square.copy_starts[-2]  # mis-graded off t_0
-            raise _misgraded(gens[gens.index(j, last, k)], gens[gens.index(j_target, last, k_target)])
+            raise _misgraded(gens.at(j, last, k), gens.at(j_target, last, k_target))
         killed.setdefault(j, set()).add(k)
         killed.setdefault(j_target, set()).add(k_target)
-    if len(set(ends)) != len(ends):  # not a matching: name the first shared generator
-        seen: set[int] = set()
-        for i in ends:
-            if i in seen:
-                raise ComplexError(f"generator {gens[i].name} (index {i}) lies on two arrows")
-            seen.add(i)
+    if sum(map(len, killed.values())) != 2 * len(links):  # not a matching: name the first shared generator
+        seen: set[tuple[int, int]] = set()
+        for end in concat.from_iterable((link[:2], link[2:]) for link in links):
+            if end in seen:
+                j, k = end
+                name = gens.at(j, 0, k).name
+                raise ComplexError(f"generator {name} (index {gens.starts[j] + k}) lies on two arrows")
+            seen.add(end)
     levels = list(zip(square.offsets, map(sub, square.copy_starts[1:], square.copy_starts))) if square else []
     counted, lost, group, chained, pieces = [], [], [], (), []
     for j, row in enumerate(rows):

@@ -13,7 +13,9 @@ with the shift constant c = l*p - n*p*(p-1)/2.
 
 Slot j of the generator view is D entry j, for every module: an entry
 that stands for several generators is one slot listed once per generator
-it stands for, so no layer maps indices between the two.  The complement
+it stands for.  So the differential's (D index, A position) ends are the
+view's (slot, position), and the complex keeps them as they are, from
+tensor_differential to homology.reduce_complex.  The complement
 module stores its squares as one square, at the lowest level t_0, with
 the count c_t of every level t.  The box tensor product is additive over
 direct summands, and the squares of every level are that square moved by
@@ -67,7 +69,7 @@ b_step*dc2/2, b0 and b_step being the b slot of the family's first y_k
 and its step.  So every i1 row of such a pattern, and every step row, is
 a FamilyRow: a read-only sequence of its families that forms cell k by
 closed form when read and holds no cell, so the generator view, the
-arrows and every reader of rows[j][k] do not change.
+links and every reader of rows[j][k] do not change.
 homology.reduce_complex reads every survivor off the rows, the chain's
 and the families' as progressions.  The closed-form grading tables that
 cross-check this group arithmetic live in invariants.py.
@@ -76,7 +78,7 @@ cross-check this group arithmetic live in invariants.py.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from itertools import accumulate, chain as concat, repeat
 from typing import NamedTuple
 
@@ -219,10 +221,10 @@ class TensorGenerators(Sequence):
     interior repeats once per chain generator, and the square's corners
     once per level, all by one layout.
     Copy 0 of repetition 0 of a*d sits at starts[j] plus the position of a
-    in the group.  A record, with N = M - 2A and A' = A - c, is built each
-    time an index is read; cells_at(spots(indices)) reads bigradings
-    without one.  It is the only generator sequence a BigradedComplex
-    holds.
+    in the group.  A record, with N = M - 2A and A' = A - c, is built only
+    when an index or a (slot, copy, position) is read (at); the run reads
+    the rows instead, and records only to name generators in refusals.  It
+    is the only generator sequence a BigradedComplex holds.
     """
 
     def __init__(self, d_names: tuple[str, ...], a_names: tuple[Sequence[str], ...],
@@ -247,60 +249,48 @@ class TensorGenerators(Sequence):
     def __len__(self) -> int:
         return self._len
 
-    def spots(self, indices: Iterable[int]) -> list[tuple[int, int, int]]:
-        """(slot, copy, position) of each generator in indices, in one pass:
-        its slot, which of the slot's listings of its A group holds it,
-        counted over every repetition, and its position in that group."""
-        starts, sizes, size = self.starts, self._sizes, self._len
-        out = []
-        for i in indices:
-            if i < 0:
-                i += size
-            if not 0 <= i < size:
-                raise IndexError("tensor generator index out of range")
-            j = bisect_right(starts, i) - 1
-            copy, k = divmod(i - starts[j], sizes[j])
-            out.append((j, copy, k))
-        return out
-
-    def index(self, j: int, copy: int, k: int) -> int:
-        """The generator at (slot, copy, position): the inverse of spots."""
-        return self.starts[j] + copy * self._sizes[j] + k
-
     def __getitem__(self, i: int) -> TensorGenerator:
-        (j, copy, k), = spots = self.spots((i,))
-        (alexander, maslov), = self.cells_at(spots)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("tensor generator index out of range")
+        j = bisect_right(self.starts, i) - 1
+        copy, k = divmod(i - self.starts[j], self._sizes[j])
+        return self.at(j, copy, k)
+
+    def at(self, j: int, copy: int, k: int) -> TensorGenerator:
+        """The record of the generator at position k of slot j's A group in
+        its listing copy, counted over every repetition."""
+        alexander, maslov = self.rows[j][k]
         d_name, rep = self.d_names[j], self._repeats[j]
-        r = 0 if rep is None else bisect_right(rep[1].copy_starts, copy) - 1
-        if r:
-            d_name = raised(d_name, r)
+        if rep is not None:
+            steps, rep = rep
+            r = bisect_right(rep.copy_starts, copy) - 1
+            if r:
+                (alexander_step, maslov_step), offset = steps[k], rep.offsets[r]
+                alexander, maslov = alexander + offset * alexander_step, maslov + offset * maslov_step
+                d_name = raised(d_name, r)
         return TensorGenerator(self.a_names[j][k], d_name, maslov - 2 * alexander, alexander - self.c,
                                alexander, maslov)
 
-    def cells_at(self, spots: Iterable[tuple[int, int, int]]) -> list[tuple[int, int]]:
-        """The (alexander, maslov) bigrading at each (slot, copy, position)
-        of spots, without building a record."""
-        rows, repeats = self.rows, self._repeats
-        out = []
-        for j, copy, k in spots:
-            cell = rows[j][k]
-            rep = repeats[j]
-            if rep is not None:
-                steps, rep = rep
-                offset = rep.offsets[bisect_right(rep.copy_starts, copy) - 1]
-                alexander_step, maslov_step = steps[k]
-                cell = (cell[0] + offset * alexander_step, cell[1] + offset * maslov_step)
-            out.append(cell)
-        return out
-
 
 class BigradedComplex(NamedTuple):
-    """The paired complex: the generator view and the arrows on the first
-    copy of their slots.  No arrow touches the chain.
-    homology.reduce_complex reads every survivor off the view's rows."""
+    """The paired complex: the generator view and its links, the arrows
+    as tensor_differential gives them, (slot, position) of the source then
+    of the target, ascending.  A link joins the first copies of its slots,
+    and none touches the chain.  homology.reduce_complex reads every
+    survivor off the view's rows."""
 
     generators: TensorGenerators
-    arrows: tuple[tuple[int, int], ...]  # (source index, target index)
+    links: tuple[tuple[int, int, int, int], ...]  # (source slot, position, target slot, position)
+
+    @property
+    def arrows(self) -> tuple[tuple[int, int], ...]:
+        """(source index, target index) of each link in the view, ascending,
+        since an index grows with (slot, position): cablebench's layer
+        counts read it."""
+        starts = self.generators.starts
+        return tuple([(starts[j] + k, starts[j_target] + k_target) for j, k, j_target, k_target in self.links])
 
 
 def shift_constant(l: int, p: int, n: int) -> int:
@@ -508,10 +498,11 @@ def pair_modules(A: TypeAModule, D: TypeDModule, l: int, n: int) -> BigradedComp
     """Assemble the bigraded complex of the cable from the rows.
 
     No per-generator record or index is built: generators is a view over
-    (D entry, its A generators, its row, how it repeats), and an arrow
-    end's index is its D entry's start plus its A position.  The square's
+    (D entry, its A generators, its row, how it repeats), and the links are
+    tensor_differential's arrows, sorted, in its (D entry, A position)
+    coordinates, which are the view's (slot, position).  The square's
     generators repeat at every level of D.copies, offset by the level
-    difference, and the chain entry along the chain.  Every arrow joins
+    difference, and the chain entry along the chain.  Every link joins
     first copies of the stored generators.
     """
     c = shift_constant(l, A.p, n)
@@ -526,7 +517,4 @@ def pair_modules(A: TypeAModule, D: TypeDModule, l: int, n: int) -> BigradedComp
                         tuple(accumulate(map(D.copies.__getitem__, levels), initial=0)))
     generators = TensorGenerators(tuple(d_gen.name for d_gen in D.generators), tuple(groups), tuple(rows), c,
                                   chain, square)
-    starts = generators.starts
-    arrows = sorted((starts[d_src] + a_src, starts[d_tgt] + a_tgt)
-                    for d_src, a_src, d_tgt, a_tgt in tensor_differential(A, D))
-    return BigradedComplex(generators=generators, arrows=tuple(arrows))
+    return BigradedComplex(generators=generators, links=tuple(sorted(tensor_differential(A, D))))

@@ -156,11 +156,13 @@ def test_criterion_7_grading_check_every_run():
     for delta, tau, p, n in thin_grid_cases():
         complex_ = compute_cable_hfk(delta, tau, p, n).complex
         gens = complex_.generators
-        for src, tgt in complex_.arrows:
-            assert gens[src].alexander == gens[tgt].alexander, (tau, p, n, src, tgt)
-            assert gens[src].maslov == gens[tgt].maslov + 1, (tau, p, n, src, tgt)
+        for link in complex_.links:
+            j, k, j_target, k_target = link
+            source, target = gens.at(j, 0, k), gens.at(j_target, 0, k_target)
+            assert source.alexander == target.alexander, (tau, p, n, link)
+            assert source.maslov == target.maslov + 1, (tau, p, n, link)
         runs += 1
-        arrows += len(complex_.arrows)
+        arrows += len(complex_.links)
     assert runs >= 300
     report(7, f"{runs} grid runs pass the grading check ({arrows} arrows)")
 

@@ -66,9 +66,11 @@ def test_complex_stays_whole(tau, counts, p, n):
     """What the benchmark reads off the complex: the generator view, built on
     demand from the rows, still counts every tensor generator for the
     prediction, while the arrows are those of the stored module (one square
-    per level); the arrow and block counts read every arrow's endpoints
-    through the view, and the blocks assume an arrow keeps its Alexander
-    grading."""
+    per level).  The flat arrows are derived from the links, ascending, each
+    end at its slot's start plus its position; the arrow and block counts
+    read every arrow's source through the view, which is the record at
+    that (slot, first copy, position), and the blocks assume an arrow keeps
+    its Alexander grading."""
     s = sum(counts.values())
     model = build_model(synthesize_delta(tau, counts), tau)
     A, D = build_typea_minus(p), build_typed(model, n)
@@ -79,6 +81,11 @@ def test_complex_stays_whole(tau, counts, p, n):
     assert len(complex_.arrows) == len(pairing.tensor_differential(A, D))
     assert all(0 <= i < len(gens) for arrow in complex_.arrows for i in arrow)
     assert all(gens[src].alexander == gens[tgt].alexander for src, tgt in complex_.arrows)
+    arrows, starts = complex_.arrows, gens.starts
+    assert list(arrows) == sorted(arrows)
+    assert arrows == tuple((starts[j] + k, starts[j_target] + k_target)
+                           for j, k, j_target, k_target in complex_.links)
+    assert all(gens[src] == gens.at(j, 0, k) for (src, _), (j, k, _, _) in zip(arrows, complex_.links))
 
 
 def test_gradings_rollup_sees_every_normalization(monkeypatch):

@@ -18,7 +18,7 @@ from cablefloer import (
     synthesize_delta,
 )
 from cablefloer.invariants import table_rank
-from cablefloer.pairing import FamilyRow, Progression, Repeat, TensorGenerators
+from cablefloer.pairing import FAMILY_RUN, FamilyRow, Progression, Repeat, TensorGenerators
 
 from conftest import DELTA_11N50, DELTA_TREFOIL, ROW_PARAMS, written_out
 
@@ -30,10 +30,11 @@ def gen(a_side, d_side, alexander, maslov):
 
 def complex_of(records, arrows):
     """A complex whose view holds one complement generator per record, each
-    listed once with its cell and shift constant 0 (the records have A' = A)."""
+    listed once with its cell and shift constant 0 (the records have A' = A).
+    Record i is slot i, so the arrow (i, t) is the link (i, 0, t, 0)."""
     generators = TensorGenerators(tuple(g.d_side for g in records), tuple((g.a_side,) for g in records),
                                   tuple(((g.alexander, g.maslov),) for g in records), 0)
-    return BigradedComplex(generators=generators, arrows=tuple(arrows))
+    return BigradedComplex(generators=generators, links=tuple((i, 0, t, 0) for i, t in arrows))
 
 
 def complex_for(delta_text, tau, p, n):
@@ -97,7 +98,7 @@ class TestRankTable:
         assert table._ranks is ranks and table.ranks is ranks
 
 
-class TestGradingFilter:
+class TestArrowGrading:
     """reduce_complex refuses any arrow that does not keep the Alexander
     grading and lower the Maslov grading by one."""
 
@@ -114,15 +115,16 @@ class TestGradingFilter:
         # the long-staircase arrow that would break the bigrading does not
         # arise at p = 2 (no matching operation), so the check passes
         complex_ = complex_for(DELTA_TREFOIL, -1, 2, -2)
-        assert len(complex_.arrows) == 1
+        assert len(complex_.links) == 1
         assert reduce_complex(complex_).total == len(complex_.generators) - 2
 
     def test_11n50_strict_clean(self):
         complex_ = complex_for(DELTA_11N50, 0, 5, 3)
         gens = complex_.generators
-        assert complex_.arrows
-        assert all((gens[s].alexander, gens[s].maslov - 1) == (gens[t].alexander, gens[t].maslov)
-                   for s, t in complex_.arrows)
+        assert complex_.links
+        for j, k, j_target, k_target in complex_.links:
+            source, target = gens.at(j, 0, k), gens.at(j_target, 0, k_target)
+            assert (source.alexander, source.maslov - 1) == (target.alexander, target.maslov)
         reduce_complex(complex_)
 
 
@@ -134,7 +136,7 @@ class TestReduce:
     def test_right_trefoil_cable(self):
         complex_ = complex_for(DELTA_TREFOIL, 1, 2, 1)
         assert len(complex_.generators) == 9
-        assert len(complex_.arrows) == 2
+        assert len(complex_.links) == 2
         table = reduce_complex(complex_)
         assert table.total == 5
         assert sorted(table.alexander_multiset()) == [-3, -2, 0, 2, 3]
@@ -172,13 +174,13 @@ class TestReduce:
 
 @pytest.mark.parametrize("seed", range(6))
 def test_reduction_order_invariance(seed):
-    """Shuffling arrow order never changes the reduced table."""
+    """Shuffling link order never changes the reduced table."""
     base = complex_for(DELTA_11N50, 0, 3, -2)
     reference = reduce_complex(base)
     rng = random.Random(seed)
-    arrows = list(base.arrows)
-    rng.shuffle(arrows)
-    shuffled = base._replace(arrows=tuple(arrows))
+    links = list(base.links)
+    rng.shuffle(links)
+    shuffled = base._replace(links=tuple(links))
     assert reduce_complex(shuffled).ranks == reference.ranks
 
 
@@ -201,35 +203,64 @@ def test_summand_wise_reduction_equals_whole_reduction(tau, counts, p, n):
     assert reduce_complex(pair_modules(A, D, model.params.l, n)).ranks == whole.ranks
 
 
+@pytest.mark.parametrize("delta_text, tau, counts, p, n", [
+    pytest.param(DELTA_11N50, 0, None, 5, 3, id="golden-11n50"),
+    pytest.param(None, -2, {1: 2, 0: 3, -1: 2}, 3, -1, id="squares-c3"),    # c_t of 2 and 3
+    pytest.param(None, 3, {0: 1}, 7, -100, id="chain-m106"),
+    pytest.param(None, 2, {1: 2, 0: 1, -1: 2}, FAMILY_RUN + 1, 4, id="wide"),  # i1 rows are FamilyRows
+])
+def test_run_reads_no_flat_index(monkeypatch, delta_text, tau, counts, p, n):
+    """A cable's run reads its links and rows only: with the flat arrows and
+    every generator record refused, it gives the same rank table and check
+    verdicts."""
+    delta = parse_delta(delta_text) if delta_text else synthesize_delta(tau, counts)
+    want = compute_cable_hfk(delta, tau, p, n)
+    assert want.table.total < len(want.complex.generators)  # arrows cancel
+
+    def refused(*_):
+        raise AssertionError("the run read the flat generator view")
+
+    monkeypatch.setattr(BigradedComplex, "arrows", property(refused))
+    for name in ("__getitem__", "at"):
+        monkeypatch.setattr(TensorGenerators, name, refused)
+    got = compute_cable_hfk(delta, tau, p, n)
+    assert got.table.ranks == want.table.ranks and got.checks == want.checks
+
+
 def row(alexander, maslovs):
     return tuple((alexander, m) for m in maslovs)
 
 
 class TestSummands:
     """A hand-built view: one arrow at Alexander grading 5 on generators
-    0-1, then a square of (a, b1, b2), one slot repeated at two levels:
-    listed once at level 0 (generators 2-4) and twice at level 1 (5-7 and
-    8-10), its arrows on the first copy only."""
+    0-1 (slots 0 and 1), then a square of (a, b1, b2), one slot (2)
+    repeated at two levels: listed once at level 0 (generators 2-4) and
+    twice at level 1 (5-7 and 8-10), its arrows on the first copy only."""
 
     def complex_with(self, square, low=(1, 0, 0), top=(2, 1, 1)):
-        """low and top are the Maslov gradings of a, b1, b2 at levels 0 and 1."""
+        """square holds the (source, target) positions of each arrow on the
+        square; low and top are the Maslov gradings of a, b1, b2 at levels 0
+        and 1."""
         steps = tuple((1, t - b) for b, t in zip(low, top))
         gens = TensorGenerators(("g0", "g1", "s0"), (("a",), ("b1",), ("a", "b1", "b2")),
                                 (row(5, (1,)), row(5, (0,)), row(0, low)), 0,
                                 square=Repeat((2,), (steps,), (0, 1), (0, 1, 3)))
-        return BigradedComplex(generators=gens, arrows=((0, 1),) + tuple((2 + src, 2 + tgt) for src, tgt in square))
+        links = ((0, 0, 1, 0),) + tuple((2, k, 2, k_target) for k, k_target in square)
+        return BigradedComplex(generators=gens, links=links)
 
     def written_out(self, complex_):
         """The same complex with each copy its own complement generator, every
-        count 1, and every copy's arrows."""
-        copies = tuple((src + shift, tgt + shift) for src, tgt in complex_.arrows if src >= 2 for shift in (3, 6))
-        return complex_of(list(complex_.generators), complex_.arrows + copies)
+        count 1, and every copy's arrows: generator i is record i."""
+        starts = complex_.generators.starts
+        arrows = tuple((starts[j] + k, starts[j_target] + k_target) for j, k, j_target, k_target in complex_.links)
+        copies = tuple((src + shift, tgt + shift) for src, tgt in arrows if src >= 2 for shift in (3, 6))
+        return complex_of(list(complex_.generators), arrows + copies)
 
     def test_copies_reduce_once_and_scale(self):
         complex_ = self.complex_with(((0, 1),))
         gens = complex_.generators
         assert [g.d_side for g in gens] == ["g0", "g1"] + ["s0"] * 3 + ["s1"] * 6
-        assert gens.cells_at(gens.spots(range(11))) == \
+        assert [(g.alexander, g.maslov) for g in gens] == \
             [(5, 1), (5, 0)] + list(row(0, (1, 0, 0))) + list(row(1, (2, 1, 1))) * 2
         assert reduce_complex(complex_).ranks == {(0, 0): 1, (1, 1): 2} == reduce_complex(
             self.written_out(complex_)).ranks
@@ -249,13 +280,10 @@ class TestSummands:
             reduce_complex(complex_)
 
     def test_template_kills_over_a_level_count_raise(self):
-        # an arrow on a copy of level 1 would kill that copy's generators
-        # alone, not the square's positions at every level, and an arrow
-        # from g1 into the square would kill its end at level 0 only
+        # an arrow from g1 into the square would kill its end at level 0 only
         complex_ = self.complex_with(((0, 1),))
-        for arrow, name in (((5, 6), "a s1 -> b1 s1"), ((8, 9), "a s1 -> b1 s1"), ((1, 2), "b1 g1 -> a s0")):
-            with pytest.raises(ComplexError, match=rf"^arrow {name} does not join stored generators of one summand$"):
-                reduce_complex(complex_._replace(arrows=(arrow,)))
+        with pytest.raises(ComplexError, match=r"^arrow b1 g1 -> a s0 does not join stored generators of one summand$"):
+            reduce_complex(complex_._replace(links=((1, 0, 2, 0),)))
 
 
 def family_row(*parts):
@@ -273,9 +301,10 @@ class TestChainAndSquare:
     Alexander grading 5, then the chain slot mu1 of (b1 .. b6) repeated
     twice (generators 2-13, named mu1 and mu2), then the square of
     (a, b1, b2) of TestSummands, listed once at level 0 (14-16) and twice
-    at level 1 (17-22), with one arrow on its first copy."""
+    at level 1 (17-22), with one arrow on its first copy.  The slots are
+    g0, g1, mu1 and s0."""
 
-    def complex_with(self, chain_rows, arrows=((0, 1), (15, 16))):
+    def complex_with(self, chain_rows, links=((0, 0, 1, 0), (3, 1, 3, 2))):
         chain_row, chain_steps = chain_rows
         square_steps = ((1, 1), (1, 1), (1, 1))
         b = tuple(f"b{k}" for k in range(1, 7))
@@ -283,7 +312,7 @@ class TestChainAndSquare:
                                 (row(5, (1,)), row(5, (0,)), chain_row, row(0, (1, 1, 0))), 0,
                                 chain=Repeat((2,), (chain_steps,), range(2), range(3)),
                                 square=Repeat((3,), (square_steps,), (0, 1), (0, 1, 3)))
-        return BigradedComplex(generators=gens, arrows=arrows)
+        return BigradedComplex(generators=gens, links=links)
 
     @pytest.mark.parametrize("kind", CHAIN_ROWS)
     def test_reduces_as_written_out(self, kind):
@@ -297,10 +326,10 @@ class TestChainAndSquare:
         gens = complex_.generators
         assert len(gens) == 23
         assert [g.d_side for g in gens][2:14] == ["mu1"] * 6 + ["mu2"] * 6
-        written = complex_of(list(gens), complex_.arrows + ((18, 19), (21, 22)))
+        written = complex_of(list(gens), ((0, 1), (15, 16), (18, 19), (21, 22)))
         table, want = reduce_complex(complex_), reduce_complex(written)
         assert table == want and table.total == want.total == 23 - 2 * 4
-        chain_cells = gens.cells_at(gens.spots(range(2, 14)))
+        chain_cells = [(g.alexander, g.maslov) for g in map(gens.__getitem__, range(2, 14))]
         assert sorted(concat.from_iterable(map(Progression.cells, table.progressions))) == sorted(chain_cells)
         assert [progression.length for progression in table.progressions] == ([2] * 6 if kind == "cells" else [3] * 4)
         assert table == reduce_complex(self.complex_with(CHAIN_ROWS["cells"]))
@@ -309,8 +338,8 @@ class TestChainAndSquare:
     def test_arrow_on_the_chain_raises(self, kind):
         """No arrow touches the chain: an end on its first copy raises,
         also when it is graded and its other end is a stored generator."""
-        for arrow, name in (((0, 2), "a g0 -> b1 mu1"), ((3, 2), "b2 mu1 -> b1 mu1"),
-                            ((4, 1), "b3 mu1 -> b1 g1")):
-            complex_ = self.complex_with(CHAIN_ROWS[kind], arrows=(arrow,))
+        for link, name in (((0, 0, 2, 0), "a g0 -> b1 mu1"), ((2, 1, 2, 0), "b2 mu1 -> b1 mu1"),
+                           ((2, 2, 1, 0), "b3 mu1 -> b1 g1")):
+            complex_ = self.complex_with(CHAIN_ROWS[kind], links=(link,))
             with pytest.raises(ComplexError, match=rf"^arrow {name} does not join stored generators of one summand$"):
                 reduce_complex(complex_)

@@ -104,7 +104,22 @@ ROW_CASES = pytest.mark.parametrize("tau, counts, p, n", ROW_PARAMS)
 
 def cells_of(view):
     """The (alexander, maslov) cell of every generator of a view, in order."""
-    return view.cells_at(view.spots(range(len(view))))
+    return [(g.alexander, g.maslov) for g in view]
+
+
+def spots_of(view):
+    """(slot, copy, position) of every generator of a view, in view order,
+    read off the slots' starts and row lengths without a lookup per index."""
+    ends = view.starts[1:] + [len(view)]
+    return [(j, copy, k) for j, (start, end, row) in enumerate(zip(view.starts, ends, view.rows)) if row
+            for copy in range((end - start) // len(row)) for k in range(len(row))]
+
+
+def named_links(complex_):
+    """The (source, target) names of each link of a complex, in link order."""
+    gens = complex_.generators
+    return [(gens.at(j, 0, k).name, gens.at(j_target, 0, k_target).name)
+            for j, k, j_target, k_target in complex_.links]
 
 
 def generator_pairs(delta_text, tau, p, n):
@@ -363,12 +378,13 @@ class TestGradings:
 
     @ROW_CASES
     def test_generator_view_matches_eager_records(self, tau, counts, p, n):
-        """The lazy view, the counts and the offset arrow indices against
-        one record per generator and an index dict, with every square level
-        and copy written out and walked by the generic matcher; the complex
-        keeps the arrows of the stored square's first copy.  With the arrows
-        left out, the rank table lists every generator's cell once: the
-        chain by its progressions and the square by its levels."""
+        """The lazy view, the counts and the links' indices (slot start plus
+        position) against one record per generator and an index dict, with
+        every square level and copy written out and walked by the generic
+        matcher; the complex keeps the arrows of the stored square's first
+        copy.  With the links left out, the rank table lists every
+        generator's cell once: the chain by its progressions and the square
+        by its levels."""
         model = build_model(synthesize_delta(tau, counts), tau)
         A, D = build_typea_minus(p), build_typed(model, n)
         expanded = written_out(D)
@@ -386,11 +402,13 @@ class TestGradings:
             with pytest.raises(IndexError):
                 generators[i]
         assert (generators.chain is not None) == any(d_gen.length > 1 for d_gen in D.generators)
-        assert reduce_complex(complex_._replace(arrows=())) == RankTable(Counter((g.alexander, g.maslov) for g in want))
-        assert generators.cells_at(generators.spots(range(len(want)))) == [(g.alexander, g.maslov) for g in want]
+        assert reduce_complex(complex_._replace(links=())) == RankTable(Counter((g.alexander, g.maslov) for g in want))
+        assert [generators.at(*spot) for spot in spots_of(generators)] == want
         stored = {d_gen.name for d_gen in expand_chain(D).generators}
         index = {pair: i for i, pair in enumerate(pairs)}
-        assert complex_.arrows == tuple(sorted(
+        starts = generators.starts
+        assert tuple((starts[j] + k, starts[j_target] + k_target)
+                     for j, k, j_target, k_target in complex_.links) == tuple(sorted(
             (index[src], index[tgt]) for src, tgt in reference_differential(A, expanded)
             if src[1] in stored and tgt[1] in stored))
 
@@ -432,8 +450,9 @@ class TestGradings:
         for delta_text, tau, p, n in ((DELTA_TREFOIL, 1, 3, 1), ("-1,3,-1", 0, 4, -1)):
             A, D, model = modules_for(delta_text, tau, p, n)
             complex_ = pair_modules(A, D, model.params.l, n)
-            for src, tgt in complex_.arrows:
-                x, y = complex_.generators[src], complex_.generators[tgt]
+            assert complex_.links
+            for j, k, j_target, k_target in complex_.links:
+                x, y = complex_.generators.at(j, 0, k), complex_.generators.at(j_target, 0, k_target)
                 assert x.alexander == y.alexander
                 assert x.maslov == y.maslov + 1
 
@@ -506,27 +525,25 @@ def test_chain_progression_equals_written_out_chain(tau, m, counts, p):
     has |m| - 1 generators; from |m| = 3 on they are one D entry, whose
     survivors are one progression per b_k, and at |m| = 2 the one is a
     plain stored generator.  On both modules slot j of the view is D
-    entry j, and every arrow end lies in the first copy of the slot of the
-    D index that tensor_differential gives it."""
+    entry j, and the links are tensor_differential's arrows, sorted: each
+    end at the position tensor_differential gives it on the first copy of
+    the slot of its D index."""
     A, D, l, n = chain_modules(tau, counts, p, m)
     assert any(d_gen.length > 1 for d_gen in D.generators) == (abs(m) > 2)
     stored, written = pair_modules(A, D, l, n), pair_modules(A, expand_chain(D), l, n)
     for module, complex_ in ((D, stored), (expand_chain(D), written)):
         view = complex_.generators
         assert view.d_names == tuple(d_gen.name for d_gen in module.generators)
-        ends = view.spots(concat.from_iterable(complex_.arrows))
-        assert {copy for _, copy, _ in ends} <= {0}
-        assert sorted((j, k, j2, k2) for (j, _, k), (j2, _, k2) in zip(ends[::2], ends[1::2])) == sorted(
-            tensor_differential(A, module))
+        assert complex_.links == tuple(sorted(tensor_differential(A, module)))
     size = len(written.generators)
     assert len(stored.generators) == size
     assert [stored.generators[i] for i in range(size)] == [written.generators[i] for i in range(size)]
     assert cells_of(stored.generators) == cells_of(written.generators)
     chain = stored.generators.chain
     assert (chain is not None) == (abs(m) > 2) and written.generators.chain is None
-    listed, listed_written = (reduce_complex(complex_._replace(arrows=())) for complex_ in (stored, written))
+    listed, listed_written = (reduce_complex(complex_._replace(links=())) for complex_ in (stored, written))
     assert listed == listed_written == RankTable(Counter(cells_of(written.generators)))
-    assert stored.arrows == written.arrows
+    assert named_links(stored) == named_links(written)
     table, want = reduce_complex(stored), reduce_complex(written)
     assert table.ranks == want.ranks and type(table.ranks) is dict
     assert not want.progressions
@@ -534,7 +551,7 @@ def test_chain_progression_equals_written_out_chain(tau, m, counts, p):
         (j,), length = chain.slots, len(chain.offsets)
         view = stored.generators
         assert [list(progression.cells()) for progression in table.progressions] == [
-            view.cells_at([(j, r, k) for r in range(length)]) for k in range(2 * p - 2)]
+            [(g.alexander, g.maslov) for g in (view.at(j, r, k) for r in range(length))] for k in range(2 * p - 2)]
         assert table.progressions == listed.progressions
     else:
         assert (table.stored, table.progressions) == (want.stored, want.progressions)
@@ -598,24 +615,23 @@ def test_later_row_is_decided_by_one_check(idempotent, anchor, shift, error):
     pytest.param(-2, {}, 4, 20, id="chain"),                  # m = -24: a chain of 23
     pytest.param(0, {1: 2, 0: 3, -1: 2}, 3, 1, id="squares"),  # c_t of 2 and 3
 ])
-def test_cells_reads_the_view_in_one_pass(tau, counts, p, n):
-    """cells_at(spots(indices)) reads each index as a one-index call does,
-    in one pass, on a chain cable and on squares with c_t > 1, where each
-    level's corner is listed c_t times; index inverts spots, and an index
-    out of range raises."""
+def test_at_reads_the_view_as_indices_do(tau, counts, p, n):
+    """at(slot, copy, position) builds the record that reading the index
+    of that spot does, at every index, on a chain cable and on squares with
+    c_t > 1, where each level's corner is listed c_t times; an index out of
+    range raises."""
     model = build_model(synthesize_delta(tau, counts), tau)
     view = pair_modules(build_typea_minus(p), build_typed(model, n), model.params.l, n).generators
-    spots = view.spots(range(len(view)))
-    cells = view.cells_at(spots)
-    assert cells == [cell for i in range(len(view)) for cell in view.cells_at(view.spots([i]))]
-    assert cells == [(g.alexander, g.maslov) for g in view]
-    assert [view.index(*spot) for spot in spots] == list(range(len(view)))
-    listed = Counter(g.d_side for g in view if g.d_side.startswith("x1."))
+    spots = spots_of(view)
+    assert len(spots) == len(view)
+    records = [view.at(*spot) for spot in spots]
+    assert records == [view[i] for i in range(len(view))]
+    listed = Counter(g.d_side for g in records if g.d_side.startswith("x1."))
     assert listed == {f"x1.s{serial}": counts[t] for serial, t in enumerate(sorted(counts))}
-    assert view.cells_at(view.spots([len(view) - 1, -len(view)])) == [cells[-1], cells[0]]
+    assert [view[len(view) - 1], view[-len(view)]] == [records[-1], records[0]]
     for i in (len(view), -len(view) - 1):
         with pytest.raises(IndexError):
-            view.spots([0, i])
+            view[i]
 
 
 @st.composite
@@ -708,7 +724,8 @@ def test_long_families_pair_as_progressions(counts, tau, n, wide, twice_tau):
     reference = pair_modules(A, written_out(D), model.params.l, n)
     written = reference.generators
     want = Counter(cells_of(written))
-    want.subtract(written.cells_at(written.spots(concat.from_iterable(reference.arrows))))
+    want.subtract((g.alexander, g.maslov) for j, k, j_target, k_target in reference.links
+                  for g in (written.at(j, 0, k), written.at(j_target, 0, k_target)))
     assert table.ranks == {cell: rank for cell, rank in want.items() if rank}
     q = p * n + 1
     merged = RankTable(table.ranks)
