@@ -6,8 +6,8 @@ number of runs and one sha256 over each run's argv, stdout, stderr and exit
 code.  Run it against two checkouts (with PYTHONPATH pointing at each one's
 src/) and compare the two lines.
 
-    python3 scripts/output_digest.py              # golden 11n50 and WIDE[0] in all five formats, the
-                                                  # rest of WIDE, --mode selfcheck
+    python3 scripts/output_digest.py              # golden 11n50, SQUARES and WIDE[0] in all five
+                                                  # formats, the rest of WIDE, --mode selfcheck
     python3 scripts/output_digest.py --workloads  # also every benchmark case at seeds 1 and 2
 
 The benchmark cases are read from cablebench/workloads.py of the checkout
@@ -26,6 +26,9 @@ from pathlib import Path
 from cablefloer import cli
 
 GOLDEN = ["--delta", "2,-6,9,-6,2", "--tau", "0", "--p", "5", "--n", "3"]
+# 55 squares on levels -10..10, 19 of them listed more than once: the rank
+# table keeps the square's survivors as lines over those levels
+SQUARES = ("-2,6,-8,10,-12,14,-14,12,-11,13,-13,11,-13,13,-11,12,-14,14,-12,10,-8,6,-2", 10, 10, 30)
 FORMATS = ("json", "tsv", "poly", "svg", "ascii")
 # (delta, tau, p, n) of wide patterns, whose grading families are long: squares
 # on three to five levels, chains of both signs (m = 2tau - n), n = 0 and |n| = 1,
@@ -74,7 +77,7 @@ def digest(argvs: list[list[str]]) -> str:
 
 def main(args: list[str]) -> None:
     wide = [cable_argv(*cable) for cable in WIDE]
-    argvs = [argv + ["--format", fmt] for argv in (GOLDEN, wide[0]) for fmt in FORMATS]
+    argvs = [argv + ["--format", fmt] for argv in (GOLDEN, cable_argv(*SQUARES), wide[0]) for fmt in FORMATS]
     argvs += wide[1:] + [["--mode", "selfcheck"]]
     if "--workloads" in args:
         argvs += workload_argvs()

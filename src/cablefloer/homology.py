@@ -4,14 +4,15 @@ The differential is a matching, so every arrow cancels its two ends on its
 own, and the table is every slot's row less the positions arrows kill,
 listed as the view lists it: one rule for every summand.  The stored
 square is a direct summand that stands for c_t squares at every level t,
-so its arrows are cancelled once and its survivors placed at every level,
-c_t times each.  No arrow touches the unstable chain's interior, so the
-chain survives whole, as progressions.  A long grading family is one
+so its arrows are cancelled once; its survivors are counted at each level
+listed once, and kept once, as lines, over the levels listed more than
+once.  No arrow touches the unstable chain's interior, so the chain
+survives whole, as progressions.  A long grading family is one
 progression that the arrow ends on it cut, and the pieces left survive;
 on the square each piece is placed at every level, with the level's count
-c_t as its rank.  The table keeps the counted survivors and the
-progressions as its two parts, and merges them into ranks only when ranks
-is read.
+c_t as its rank.  The table keeps the counted survivors, the progressions
+and the square's lines as its three parts, and merges them into ranks
+only when ranks is read.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .pairing import BigradedComplex, ComplexError, FamilyRow, Progression
 
 
 class RankTable:
-    """Rank per (alexander, maslov) bigrading, in two parts.
+    """Rank per (alexander, maslov) bigrading, in three parts.
 
     stored holds positive counts only: zero counts are dropped on
     construction, and a zero-free mapping is kept as handed over, without a
@@ -35,31 +36,40 @@ class RankTable:
     chain shorter than a long grading family, one per family and chain
     generator; one of p > FAMILY_RUN then has the pieces that cancellation
     leaves of every long grading family, on the square once per level with
-    the level's square count as its rank.  stored holds no cell of either.
-    ranks is the whole table, merged on its first read and kept in the
-    _ranks slot, None until then; the checks in invariants.py read the
+    the level's square count as its rank.  square is the pair (survivors,
+    levels): the stored square's surviving ((alexander, maslov), (alexander
+    step, maslov step)) pairs at its lowest level, and the (offset, count)
+    of every level the square is listed at more than once.  Each survivor
+    is a line over those levels, its cell plus offset times its step at
+    each, count times.  stored holds no cell of the progressions or the
+    lines.  ranks is the whole table, merged on its first read and kept in
+    the _ranks slot, None until then; the checks in invariants.py read the
     parts instead.  Two tables are equal when their ranks are.
     """
 
-    __slots__ = ("stored", "progressions", "_ranks")
+    __slots__ = ("stored", "progressions", "square", "_ranks")
 
-    def __init__(self, stored: Mapping[tuple[int, int], int], progressions: tuple[Progression, ...] = ()):
+    def __init__(self, stored: Mapping[tuple[int, int], int], progressions: tuple[Progression, ...] = (),
+                 square: tuple = ((), ())):
         self.stored = {k: v for k, v in stored.items() if v} if 0 in stored.values() else stored
         self.progressions = progressions
+        self.square = square
         self._ranks = None
 
     def __eq__(self, other):
         return self.ranks == other.ranks if isinstance(other, RankTable) else NotImplemented
 
     def __repr__(self) -> str:
-        return f"RankTable(stored={self.stored!r}, progressions={self.progressions!r})"
+        return f"RankTable(stored={self.stored!r}, progressions={self.progressions!r}, square={self.square!r})"
 
     @property
     def ranks(self) -> Mapping[tuple[int, int], int]:
-        """stored itself without progressions; else a dict, stored counted
-        on by one Counter pass over the progressions' cells, and by rank - 1
-        more at each cell of a progression of a higher rank."""
-        if not self.progressions:
+        """stored itself without progressions and lines; else a dict, stored
+        counted on by one Counter pass over the progressions' cells, by rank
+        - 1 more at each cell of a progression of a higher rank, and by
+        count at each line's cell on each of its levels."""
+        survivors, levels = self.square
+        if not (self.progressions or levels):
             return self.stored
         if self._ranks is None:
             ranks = Counter(self.stored)
@@ -68,13 +78,20 @@ class RankTable:
                 if progression.rank > 1:
                     for cell in progression.cells():
                         ranks[cell] += progression.rank - 1
-            self._ranks = dict(ranks)
+            ranks = dict(ranks)  # a plain dict: its items are set faster than a Counter's
+            get = ranks.get
+            for offset, count in levels:
+                for (a, m), (da, dm) in survivors:
+                    cell = a + offset * da, m + offset * dm
+                    ranks[cell] = get(cell, 0) + count
+            self._ranks = ranks
         return self._ranks
 
     @property
     def total(self) -> int:
-        return sum(self.stored.values()) + sum(progression.length * progression.rank
-                                               for progression in self.progressions)
+        survivors, levels = self.square
+        return (sum(self.stored.values()) + len(survivors) * sum(count for _, count in levels)
+                + sum(progression.length * progression.rank for progression in self.progressions))
 
     def entries(self) -> list[tuple[int, int, int]]:
         """(alexander, maslov, rank) triples, descending alexander then maslov:
@@ -113,10 +130,12 @@ def reduce_complex(complex_: BigradedComplex) -> RankTable:
     grading family and chain generator.  A FamilyRow is its parts cut at
     the killed positions; on the square each piece is moved to every level
     by the step row's part, with rank the number of times the view lists
-    it there.  A square row of cells is placed at every level, as many
-    times as the view lists it there.  Any other row is counted once, less
-    its killed cells.  The table keeps the counts as one dict, with no
-    zero, and the progressions, the chain's ahead of the families' pieces.
+    it there.  A square row of cells is counted at each level the view
+    lists once; its survivors, each with its step, and the levels listed
+    more than once, with their counts, are the table's square part.  Any
+    other row is counted once, less its killed cells.  The table keeps the
+    counts as one dict, with no zero, the progressions, the chain's ahead
+    of the families' pieces, and the square part.
     """
     gens, links = complex_.generators, complex_.links
     rows, chain, square = gens.rows, gens.chain, gens.square
@@ -163,16 +182,12 @@ def reduce_complex(complex_: BigradedComplex) -> RankTable:
             counted.append(row)
             if dead:
                 lost += [row[k] for k in dead]
-    # a level listed once is counted with the rows; one listed count > 1 times is added count
-    # at a time, since counting its cells count times grows with the squares, not the levels
-    placed = []
+    # a level listed once is counted with the rows; the levels listed more than once are the
+    # square part, whose lines grow with the survivors, not with the counts
     for offset, count in levels:
-        cells = [(a + offset * da, m + offset * dm) for (a, m), (da, dm) in group] if offset else \
-            [cell for cell, _ in group]
         if count == 1:
-            counted.append(cells)
-        else:
-            placed.append((cells, count))
+            counted.append([(a + offset * da, m + offset * dm) for (a, m), (da, dm) in group] if offset else
+                           [cell for cell, _ in group])
     ranks = dict(Counter(concat.from_iterable(counted)))
     for cell in lost:  # a row's cells are counted once and its killed positions are a set: never below zero
         count = ranks[cell] - 1
@@ -180,11 +195,7 @@ def reduce_complex(complex_: BigradedComplex) -> RankTable:
             ranks[cell] = count
         else:
             del ranks[cell]
-    get = ranks.get
-    for cells, count in placed:
-        for cell in cells:
-            ranks[cell] = get(cell, 0) + count
-    return RankTable(ranks, chained + tuple(pieces))
+    return RankTable(ranks, chained + tuple(pieces), (group, tuple(level for level in levels if level[1] > 1)))
 
 
 def _runs(length: int, dead, start: int) -> list[tuple[int, int]]:

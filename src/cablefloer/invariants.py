@@ -13,10 +13,11 @@ those names; no run calls it.
 A rank table keeps the survivors of a chain entry of two or more
 generators (|m| >= 3), and of the grading families of a pattern wider
 than pairing.FAMILY_RUN, as progressions, the families' and a chain cut
-along them with a Maslov grading quadratic in the position.  Every run
-decides the symmetry and Euler checks from the table's two parts, one
-progression at a time, by symmetry_holds and euler_holds, with the same
-verdicts as cell by cell.  The cell-by-cell
+along them with a Maslov grading quadratic in the position, and the
+stored square's survivors as lines over the levels listed more than
+once.  Every run decides the symmetry and Euler checks from the table's
+three parts, one progression or line at a time, by symmetry_holds and
+euler_holds, with the same verdicts as cell by cell.  The cell-by-cell
 check_symmetry and euler_characteristic stay for tests, which use them as
 oracles on any table, and for the benchmark, which binds them; no run
 calls them.
@@ -130,6 +131,12 @@ def symmetry_holds(table: RankTable) -> bool:
     at every cell x: one lookup per stored cell, then one per cell left in
     D.  Elsewhere S(sigma x) = 0 follows from the check at sigma x, since
     D o sigma = -D.
+
+    sigma is linear, so it maps the square's line from cell c by step
+    (da, dm) to the line from sigma(c) by (-da, dm - 2da) over the same
+    levels.  When _lines_invariant finds the lines sigma-invariant, they add
+    nothing to D; otherwise each line's cells go into D with +count and
+    their images with -count.
     """
     ends = []
     for a, m, da, dm, length, bend, rank in table.progressions:
@@ -162,12 +169,34 @@ def symmetry_holds(table: RankTable) -> bool:
             for u in range(t, following[5]):
                 cell = (a + u * da, m + u * dm + u * (u - 1) // 2 * bend)
                 leftover[cell] = leftover.get(cell, 0) + value
+    survivors, levels = table.square
+    if levels and not _lines_invariant(survivors, levels):
+        for offset, count in levels:
+            for (a, m), (da, dm) in survivors:
+                a, m = a + offset * da, m + offset * dm
+                leftover[a, m] = leftover.get((a, m), 0) + count
+                leftover[-a, m - 2 * a] = leftover.get((-a, m - 2 * a), 0) - count
     rank, pop = table.stored.get, leftover.pop
     for cell, r in table.stored.items():
         a, m = cell
         if rank((-a, m - 2 * a), 0) != r + pop(cell, 0):
             return False
     return all(rank((-a, m - 2 * a), 0) == d for (a, m), d in leftover.items())
+
+
+def _lines_invariant(survivors, levels) -> bool:
+    """Whether the lines are sigma-invariant by their keys, (cell at t_0,
+    step): the level vector reads the same reversed, so the image of the
+    line (c, (da, dm)) is also the line (sigma(c) + (first + last) * (-da,
+    dm - 2da), (da, 2da - dm)), walked the other way, and the lines are, as
+    a multiset, those images.  Equal keys give equal lines, so True is
+    exact; False decides nothing."""
+    first, last = levels[0][0], levels[-1][0]
+    if levels != tuple((first + last - offset, count) for offset, count in reversed(levels)):
+        return False
+    both = first + last
+    return sorted([(a, m, da, dm) for (a, m), (da, dm) in survivors]) == sorted(
+        [(-a - both * da, m - 2 * a + both * (dm - 2 * da), da, 2 * da - dm) for (a, m), (da, dm) in survivors])
 
 
 def euler_characteristic(table: RankTable) -> LaurentPolynomial:
@@ -266,7 +295,10 @@ def _euler_times_binomials(table: RankTable, p: int, q: int) -> tuple[dict[int, 
     cell with the stored survivors.  Their alternating sum is multiplied
     by the binomials one at a time, and after each the telescoped terms of
     its step are added, times the binomials already applied: each term
-    ends up times every binomial but its own.
+    ends up times every binomial but its own.  The square's lines of one
+    step class (da, dm mod 2) add their alternating sum at t_0 times every
+    binomial, times the sum over the levels of
+    count * (-1)^(offset dm) * t^(offset da): exact for any steps.
     """
     telescoped: defaultdict[int, dict[int, int]] = defaultdict(dict)  # step -> its progressions' sum times t^step - 1
     cellwise = []
@@ -294,6 +326,19 @@ def _euler_times_binomials(table: RankTable, p: int, q: int) -> tuple[dict[int, 
                 out[k] = out.get(k, 0) + c
             out = {k: c for k, c in out.items() if c}  # most of them cancel
         applied.append(s)
+    survivors, levels = table.square
+    classes = {}  # step class (da, dm mod 2) -> its lines' alternating sum at t_0
+    for (a, m), (da, dm) in survivors if levels else ():
+        sums = classes.setdefault((da, dm & 1), {})
+        sums[a] = sums.get(a, 0) + (-1 if m & 1 else 1)
+    for (da, odd), sums in classes.items():
+        for s in applied:  # one square's survivors sum to a multiple of Delta_T(p, q): few terms are left
+            sums = _times_binomial(sums, s)
+        sums = [(a, c) for a, c in sums.items() if c]
+        for offset, count in levels:  # times the sum over the levels of count (-1)^(offset dm) t^(offset da)
+            shift, count = offset * da, -count if odd and offset & 1 else count
+            for a, c in sums:
+                out[a + shift] = out.get(a + shift, 0) + count * c
     return out, extra
 
 

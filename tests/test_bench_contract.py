@@ -21,8 +21,11 @@ from cablefloer import (
     cli,
     compute_cable_hfk,
     pairing,
+    reduce_complex,
     synthesize_delta,
 )
+
+from conftest import written_out
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "cablebench" / "tracer.py"
 REMOVED = {("cablefloer.pipeline", "grading_filter")}  # repair mode is gone; its layer reads 0
@@ -164,6 +167,22 @@ def test_rank_table_merges_ranks_on_first_read():
     ranks = table.ranks
     assert type(ranks) is dict and sum(ranks.values()) == table.total
     assert table._ranks is ranks and table.ranks is ranks
+
+
+def test_outcome_reads_a_table_with_square_lines():
+    """What Workload.outcome and LayerCounts read off a table that keeps the
+    square's survivors as lines: ranks is a dict, equal to the table of the
+    module with every level's squares and the chain written out, and total
+    is the sum of its ranks."""
+    tau, counts, p, n = 1, {1: 2, 0: 3, -1: 2}, 4, 6
+    delta = synthesize_delta(tau, counts)
+    table = compute_cable_hfk(delta, tau, p, n).table
+    assert table.square[1] and table.progressions
+    model = build_model(delta, tau)
+    want = reduce_complex(pairing.pair_modules(build_typea_minus(p), written_out(build_typed(model, n)),
+                                               model.params.l, n))
+    assert type(table.ranks) is dict and dict(table.ranks) == want.ranks
+    assert table.total == sum(table.ranks.values()) == want.total
 
 
 def test_every_export_resolves():

@@ -69,6 +69,15 @@ class TestRankTable:
         assert table.ranks == {(1, 1): 3, (3, 3): 1, (5, 5): 1} and table.total == 5
         assert table == RankTable(table.ranks) != RankTable(table.stored)
 
+    def test_square_lines_count_on_their_levels(self):
+        """Each survivor of the square part is its cell plus offset times its
+        step at each level, count times, in ranks and total alike."""
+        square = ([((0, 0), (-2, -3)), ((1, 1), (-2, -1))], ((0, 2), (3, 3)))
+        table = RankTable({(0, 0): 1}, (), square)
+        assert table.ranks == {(0, 0): 3, (1, 1): 2, (-6, -9): 3, (-5, -2): 3} and table.total == 11
+        assert table == RankTable(table.ranks) != RankTable(table.stored)
+        assert repr(table).endswith(f"square={square!r})")
+
     def test_caller_mapping_left_alone(self):
         ranks = {(0, 0): 0, (1, 1): 2}
         table = RankTable(ranks)
@@ -203,6 +212,31 @@ def test_summand_wise_reduction_equals_whole_reduction(tau, counts, p, n):
     assert reduce_complex(pair_modules(A, D, model.params.l, n)).ranks == whole.ranks
 
 
+@pytest.mark.parametrize("tau, counts, p, n", [
+    pytest.param(0, {1: 2, 0: 2, -1: 2}, 5, 3, id="golden-11n50"),
+    pytest.param(-2, {2: 1, 1: 2, 0: 3, -1: 2, -2: 1}, 4, 1, id="chain-m-5"),
+    pytest.param(3, {1: 1, -1: 1}, 6, 4, id="two-levels"),
+    pytest.param(1, {3: 1, 0: 2, -3: 1}, 3, 2, id="gapped-levels-n-2tau"),
+])
+def test_square_part_scales_with_the_counts(tau, counts, p, n):
+    """Every c_t times k, so that every level is listed more than once: the
+    stored survivors, the progressions and the square's survivors are
+    those at k = 2, only the square part's counts scale, and the total is
+    the total-rank table's."""
+    tables = []
+    for k in (2, 3, 7):
+        delta = synthesize_delta(tau, {t: k * c for t, c in counts.items()})
+        result = compute_cable_hfk(delta, tau, p, n)
+        table = result.table
+        assert result.consistent and table.total == table_rank(tau, result.model.params.s, p, n)
+        assert table.square[1] == tuple((t - min(counts), k * c) for t, c in sorted(counts.items()))
+        tables.append(table)
+    first = tables[0]
+    for table in tables[1:]:
+        assert table.stored == first.stored
+        assert table.progressions == first.progressions and table.square[0] == first.square[0]
+
+
 @pytest.mark.parametrize("delta_text, tau, counts, p, n", [
     pytest.param(DELTA_11N50, 0, None, 5, 3, id="golden-11n50"),
     pytest.param(None, -2, {1: 2, 0: 3, -1: 2}, 3, -1, id="squares-c3"),    # c_t of 2 and 3
@@ -262,8 +296,10 @@ class TestSummands:
         assert [g.d_side for g in gens] == ["g0", "g1"] + ["s0"] * 3 + ["s1"] * 6
         assert [(g.alexander, g.maslov) for g in gens] == \
             [(5, 1), (5, 0)] + list(row(0, (1, 0, 0))) + list(row(1, (2, 1, 1))) * 2
-        assert reduce_complex(complex_).ranks == {(0, 0): 1, (1, 1): 2} == reduce_complex(
-            self.written_out(complex_)).ranks
+        table = reduce_complex(complex_)
+        assert table.ranks == {(0, 0): 1, (1, 1): 2} == reduce_complex(self.written_out(complex_)).ranks
+        # level 0, listed once, is counted; level 1, listed twice, is the square part's one level
+        assert table.stored == {(0, 0): 1} and table.square == ([((0, 0), (1, 1))], ((1, 2),))
 
     def test_template_misgraded_at_second_level_raises(self):
         # a -> b2 lowers the Maslov grading by one at level 0 and by two at level 1

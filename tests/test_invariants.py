@@ -1,4 +1,5 @@
 import importlib.util
+from itertools import accumulate
 from math import gcd
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from cablefloer import (
     tau_pq,
     torus_knot_delta,
 )
-from cablefloer.invariants import _euler_times_binomials
+from cablefloer.invariants import _euler_times_binomials, _lines_invariant
 from cablefloer.pairing import FAMILY_RUN
 
 from conftest import (
@@ -313,7 +314,7 @@ def chain_mutant(table, kind, i=0):
         j = (j + i) % len(chain)
         length = chain[j].length
         chain = replaced(chain, j, chain[j].part(1, length) if end == 0 else chain[j].part(0, length - 1))
-    return RankTable(stored, chain)
+    return RankTable(stored, chain, table.square)
 
 
 MUTANTS = ("one-short", "wrong-step", "moved-pair", "end-dropped")
@@ -420,3 +421,142 @@ def test_golden_closed_forms_cover_every_square_level():
     assert len(keys) == 109
     assert {d for _, d in keys if "." in d} == {f"{corner}.s{serial}" for serial in range(3)
                                                 for corner in ("x1", "x3", "x4", "y1", "y2", "y3", "y4")}
+
+
+# ---------------------------------------------------------------------------
+# checks decided on the square's lines against the cell-by-cell oracles
+# ---------------------------------------------------------------------------
+
+SQUARES_CASES = [pytest.param(case, id=f"seed{seed}-{i}")
+                 for seed in (1, 2) for i, case in enumerate(load_workloads().generate("squares", seed))]
+LINE_MUTANTS = ("count-raised", "mirrored-counts-raised", "moved-by-two", "step-changed", "survivor-dropped")
+
+
+def line_mutant(table, kind):
+    """The table with one defect in its square part.
+
+    count-raised: the first level's count is one more.
+    mirrored-counts-raised: the first and the last level's counts are one
+    more (one level, once).  moved-by-two: the first survivor's Maslov
+    grading is two more, which keeps its parity.  step-changed: the first
+    survivor's Maslov step is two more.  survivor-dropped: the first
+    survivor is gone."""
+    survivors, levels = table.square
+    survivors, levels = list(survivors), list(levels)
+    (a, m), (da, dm) = survivors[0]
+    if kind == "count-raised":
+        levels[0] = (levels[0][0], levels[0][1] + 1)
+    elif kind == "mirrored-counts-raised":
+        for i in {0, len(levels) - 1}:
+            levels[i] = (levels[i][0], levels[i][1] + 1)
+    elif kind == "moved-by-two":
+        survivors[0] = ((a, m + 2), (da, dm))
+    elif kind == "step-changed":
+        survivors[0] = ((a, m), (da, dm + 2))
+    else:
+        del survivors[0]
+    return RankTable(table.stored, table.progressions, (survivors, tuple(levels)))
+
+
+@pytest.mark.parametrize("case", SQUARES_CASES)
+def test_line_checks_agree_on_squares_workload(case):
+    """On every squares workload case at seeds 1 and 2, the table keeps the
+    square's survivors once, as lines over the levels listed more than
+    once, the lines are found sigma-invariant by their keys unless the
+    pattern is wider than FAMILY_RUN, and symmetry and Euler decided on
+    the lines give the cell-by-cell verdicts, on the table and on five
+    mutants of its lines, each of which fails a check cell by cell."""
+    delta = LaurentPolynomial.from_centered_list(list(case.delta))
+    p, q = case.p, case.p * case.n + 1
+    result = compute_cable_hfk(delta, case.tau, p, case.n)
+    table = result.table
+    survivors, levels = table.square
+    assert survivors and [count for _, count in levels] == [
+        count for _, count in sorted(result.model.square_counts.items()) if count > 1]
+    # the fast case decides every table but those of p > FAMILY_RUN, whose a*x survivors pair with family pieces
+    assert _lines_invariant(survivors, levels) == (p <= FAMILY_RUN)
+    assert verdicts(table, delta, p, q) == oracle_verdicts(table, delta, p, q) == (True, True)
+    for kind in LINE_MUTANTS:
+        mutant = line_mutant(table, kind)
+        want = oracle_verdicts(mutant, delta, p, q)
+        assert verdicts(mutant, delta, p, q) == want, kind
+        assert not all(want), kind
+
+
+@st.composite
+def level_vectors(draw):
+    """(offset, count) pairs at ascending offsets from any first one: read
+    the same reversed when palindromic, else drawn freely."""
+    palindromic = draw(st.booleans(), label="palindromic")
+    gaps = draw(st.lists(st.integers(1, 3), max_size=3), label="gaps")
+    counts = draw(st.lists(st.integers(1, 4), min_size=len(gaps) + 1, max_size=len(gaps) + 1), label="counts")
+    if palindromic:
+        gaps, counts = gaps + gaps[::-1], counts + counts[-2::-1]
+    return tuple(zip(accumulate(gaps, initial=draw(st.integers(-3, 3), label="first")), counts))
+
+
+# ((a, m), (alexander step, maslov step)); a step drawn as a sign and a name
+# is that sign times p or |q| of the test's cable
+lines = st.tuples(st.tuples(st.integers(-20, 20), st.integers(-40, 40)),
+                  st.tuples(st.one_of(st.integers(-4, 4), st.tuples(st.sampled_from((1, -1)),
+                                                                    st.sampled_from(("p", "q")))),
+                            st.integers(-6, 6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=st.lists(lines, min_size=1, max_size=6), levels=level_vectors(),
+       stored=st.dictionaries(st.tuples(st.integers(-20, 20), st.integers(-40, 40)), st.integers(1, 3),
+                              max_size=4),
+       chain=st.lists(progressions, max_size=2),
+       mirrored=st.sampled_from((None, "reversed", "straight")), shift=st.sampled_from((0, 0, 0, -2, -1, 1, 2)),
+       defect=st.sampled_from((None, "count", "drop")), i=st.integers(0, 20), p=st.integers(2, 5),
+       n=st.integers(-3, 3))
+@example(drawn=[((3, 1), (-3, 1))], levels=((0, 2), (1, 3), (2, 2)), stored={}, chain=[], mirrored="reversed",
+         shift=0, defect=None, i=0, p=3, n=1)  # the fast case
+@example(drawn=[((3, 1), (-3, 1))], levels=((1, 2), (2, 2)), stored={}, chain=[], mirrored="reversed",
+         shift=-1, defect=None, i=0, p=3, n=1)  # keys paired as if the levels started at 0: not symmetric
+@example(drawn=[((3, 1), (0, 2))], levels=((0, 2), (2, 2)), stored={}, chain=[], mirrored="straight",
+         shift=0, defect=None, i=0, p=3, n=1)  # da = 0, the fallback
+def test_line_checks_on_any_lines(drawn, levels, stored, chain, mirrored, shift, defect, i, p, n):
+    """Lines of any steps, da = 0 and mixed step classes included, over
+    level vectors that read the same reversed and ones that do not, beside
+    stored cells and progressions.  When mirrored, each line, stored cell
+    and progression comes with its sigma-image: the image line walked from
+    its last cell (reversed), as the squares' lines pair, or from its first
+    (straight); a reversed one may start shift steps off, which pairs the
+    lines' keys as some other level vector would and breaks the symmetry.
+    Then one count may change or one line go.  Symmetry
+    agrees with check_symmetry on the merged table, and euler times the
+    binomials built from the parts equals the cell-by-cell
+    euler_characteristic times them."""
+    q = p * n + 1
+    named = {"p": p, "q": abs(q), "q - 1": abs(q - 1)}
+    survivors = [(cell, (da if isinstance(da, int) else da[0] * named[da[1]], dm)) for cell, (da, dm) in drawn]
+    chain = tuple(Progression(a, m, da if isinstance(da, int) else da[0] * named[da[1]], dm, length, bend, rank)
+                  for a, m, da, dm, length, bend, rank in chain)
+    if mirrored:
+        both = levels[0][0] + levels[-1][0] + shift
+        for (a, m), (da, dm) in list(survivors):
+            image, step = sigma((a, m)), (-da, dm - 2 * da)
+            if mirrored == "reversed":  # the same cells, walked from sigma of the line's last one
+                image, step = (image[0] + both * step[0], image[1] + both * step[1]), (da, 2 * da - dm)
+            survivors.append((image, step))
+        chain += tuple(Progression(-a, m - 2 * a, -da, dm - 2 * da, length, bend, rank)
+                       for a, m, da, dm, length, bend, rank in chain)
+        for cell, r in list(stored.items()):
+            stored[sigma(cell)] = stored.get(sigma(cell), 0) + r
+    if defect == "count":
+        j = i % len(levels)
+        levels = levels[:j] + ((levels[j][0], levels[j][1] + 1),) + levels[j + 1:]
+    elif defect == "drop":
+        del survivors[i % len(survivors)]
+    table = RankTable(stored, chain, (survivors, levels))
+    merged = RankTable(table.ranks)
+    assert sum(table.ranks.values()) == table.total == (sum(stored.values()) + sum(pr.length * pr.rank for pr in chain)
+                                                        + len(survivors) * sum(count for _, count in levels))
+    assert symmetry_holds(table) == check_symmetry(merged)
+    left, extra = _euler_times_binomials(table, p, q)
+    want = euler_characteristic(merged)
+    for step in [p, abs(q)] + extra:
+        want = times_binomial(want, step)
+    assert LaurentPolynomial(left) == want

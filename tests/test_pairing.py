@@ -664,9 +664,11 @@ def paired(A, D, delta, tau, p, n):
 def test_one_square_pairs_as_every_level_written_out(counts, tau, m, p):
     """The one stored square, placed at every level by translation, against
     the module with every level's squares written out (expand_levels, each
-    square stored and counted once): the same table parts, total and check
-    verdicts, and a view of the same length listing the same names and
-    cells; also with the chain written out on both sides."""
+    square stored and counted once): the same ranks, progressions, total
+    and check verdicts, the stored survivors with the square's lines placed
+    at the levels listed more than once making up the written-out table's
+    stored survivors, and a view of the same length listing the same names
+    and cells; also with the chain written out on both sides."""
     delta, n = synthesize_delta(tau, counts), 2 * tau - m
     A, D = build_typea_minus(p), build_typed(build_model(delta, tau), n)
     assert len({g.level for g in D.generators if g.level is not None}) == 1
@@ -675,7 +677,9 @@ def test_one_square_pairs_as_every_level_written_out(counts, tau, m, p):
         assert not every_level.copies
         (complex_, table, checks), (reference, want, want_checks) = (
             paired(A, module, delta, tau, p, n) for module in (one_square, every_level))
-        assert table.stored == want.stored and table.progressions == want.progressions
+        assert table.ranks == want.ranks and table.progressions == want.progressions
+        assert RankTable(table.stored, (), table.square).ranks == want.stored and not want.square[1]
+        assert [count for _, count in table.square[1]] == [count for _, count in sorted(counts.items()) if count > 1]
         assert table.total == want.total and checks == want_checks == (True, True, True)
         view, listed = complex_.generators, reference.generators
         assert len(view) == len(listed)
@@ -736,7 +740,8 @@ def test_long_families_pair_as_progressions(counts, tau, n, wide, twice_tau):
     short = longest._replace(length=longest.length - 1)
     bent = longest._replace(maslov_bend=longest.maslov_bend + 2)
     for piece, failing in ((short, "euler"), (bent, "symmetry")):
-        mutant = RankTable(table.stored, table.progressions[:j] + (piece,) + table.progressions[j + 1:])
+        mutant = RankTable(table.stored, table.progressions[:j] + (piece,) + table.progressions[j + 1:],
+                           table.square)
         merged = RankTable(mutant.ranks)
         verdicts = {"symmetry": symmetry_holds(mutant), "euler": euler_holds(mutant, delta, p, q)}
         assert verdicts == {"symmetry": check_symmetry(merged),
