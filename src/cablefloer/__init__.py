@@ -8,17 +8,13 @@ that a thin knot's (delta, tau) data determines.
 from .gradings import GradingElement, GradingError, normalize_double_coset
 from .homology import ComplexError, RankTable, reduce_complex
 from .invariants import (
-    cable_alexander,
-    check_symmetry,
     closed_form_gradings,
-    euler_characteristic,
     euler_holds,
     mirror_check,
     symmetry_holds,
     table_rank,
     tau_cable,
     tau_pq,
-    torus_knot_delta,
 )
 from .laurent import LaurentPolynomial
 from .pairing import (
@@ -66,11 +62,8 @@ __all__ = [
     "build_model",
     "build_typea_minus",
     "build_typed",
-    "cable_alexander",
-    "check_symmetry",
     "closed_form_gradings",
     "compute_cable_hfk",
-    "euler_characteristic",
     "euler_holds",
     "framing_h",
     "hat_operations",
@@ -87,6 +80,5 @@ __all__ = [
     "tau_pq",
     "tensor_differential",
     "tensor_gradings",
-    "torus_knot_delta",
     "validate_thin",
 ]

@@ -5,10 +5,7 @@ tau formulas and the total-rank table (closed forms in tau, s, p, n), the
 bigraded symmetry, the graded Euler characteristic against the classical
 satellite formula for the cable Alexander polynomial (decided by
 cross-multiplying the torus knot's binomials, so no product is formed), the
-p = 2 mirror comparison, and the closed-form (N, A') grading tables.  The
-satellite polynomial itself, `cable_alexander` with `torus_knot_delta`, is
-kept for tests, which use it as an oracle, and for the benchmark, which binds
-those names; no run calls it.
+p = 2 mirror comparison, and the closed-form (N, A') grading tables.
 
 A rank table keeps the survivors of a chain entry of two or more
 generators (|m| >= 3), and of the grading families of a pattern wider
@@ -17,10 +14,7 @@ along them with a Maslov grading quadratic in the position, and the
 stored square's survivors as lines over the levels listed more than
 once.  Every run decides the symmetry and Euler checks from the table's
 three parts, one progression or line at a time, by symmetry_holds and
-euler_holds, with the same verdicts as cell by cell.  The cell-by-cell
-check_symmetry and euler_characteristic stay for tests, which use them as
-oracles on any table, and for the benchmark, which binds them; no run
-calls them.
+euler_holds, with the same verdicts as cell by cell.
 """
 
 from __future__ import annotations
@@ -101,14 +95,9 @@ def table_rank(tau: int, s: int, p: int, n: int) -> int:
     return s * (6 * p - 4) + cell
 
 
-def check_symmetry(table: RankTable) -> bool:
-    """rank(a, m) == rank(-a, m - 2a) for every entry, cell by cell."""
-    ranks = table.ranks  # a property: read once, not per cell
-    return all(ranks.get((-a, m - 2 * a)) == r for (a, m), r in ranks.items())
-
-
 def symmetry_holds(table: RankTable) -> bool:
-    """check_symmetry's verdict, decided per progression.
+    """Whether rank(a, m) == rank(-a, m - 2a) in every cell, decided per
+    progression.
 
     sigma(a, m) = (-a, m - 2a) is an involution, and the table is symmetric
     exactly when its rank function f equals f o sigma.  sigma maps the
@@ -199,11 +188,6 @@ def _lines_invariant(survivors, levels) -> bool:
         [(-a - both * da, m - 2 * a + both * (dm - 2 * da), da, 2 * da - dm) for (a, m), (da, dm) in survivors])
 
 
-def euler_characteristic(table: RankTable) -> LaurentPolynomial:
-    """Alternating-sign rank sum per Alexander grading, cell by cell."""
-    return LaurentPolynomial._trusted(_alternating_sums(table.ranks.items()))  # sums of int ranks
-
-
 def _alternating_sums(cells) -> dict[int, int]:
     """Sum of (-1)^m * r per a over ((a, m), r) pairs."""
     coeffs: dict[int, int] = {}
@@ -212,48 +196,11 @@ def _alternating_sums(cells) -> dict[int, int]:
     return coeffs
 
 
-def torus_knot_delta(p: int, q: int) -> LaurentPolynomial:
-    """Symmetrized Alexander polynomial of the (p, q) torus knot.
-
-    An oracle for tests and a name the benchmark binds; the run path checks
-    the Euler characteristic with `euler_holds` instead.
-
-    Delta = (1 - t) * sum of t^s over the semigroup S = <p, |q|>, recentred
-    by (p-1)(q-1)/2.  The coefficient at k is [k in S] - [k-1 in S].  In the
-    residue class of b*q mod p (0 <= b < p), S holds exactly the integers
-    >= b*q, and k-1 lies in the class of b'*q with b' = b - q^-1 mod p, so
-    the class contributes +1 at each of its points in [b*q, b'*q + 1) and
-    -1 at each in [b'*q + 1, b*q).  Mirrors (q < 0) share the polynomial of
-    |q|.
-    """
-    if p <= 1:
-        raise ValueError(f"torus knot requires p > 1, got {p}")
-    q = abs(q)
-    if gcd(p, q) != 1:
-        raise ValueError(f"torus knot parameters must be coprime, got ({p}, {q})")
-    shift = (p - 1) * (q - 1) // 2
-    step = pow(q, -1, p)
-    coeffs: dict[int, int] = {}
-    for b in range(p):
-        start, below = b * q, (b - step) % p * q + 1
-        sign = 1 if start < below else -1
-        for k in range(min(start, below), max(start, below), p):
-            coeffs[k - shift] = sign
-    return LaurentPolynomial._trusted(coeffs)  # every coefficient is +1 or -1
-
-
-def cable_alexander(delta: LaurentPolynomial, p: int, q: int) -> LaurentPolynomial:
-    """Satellite formula: delta(t^p) times the (p, q) torus-knot polynomial.
-
-    An oracle for tests and a name the benchmark binds; the run path checks
-    the Euler characteristic with `euler_holds` instead.
-    """
-    return delta.inflate(p) * torus_knot_delta(p, q)
-
-
 def euler_holds(table: RankTable, delta: LaurentPolynomial, p: int, q: int) -> bool:
-    """euler_characteristic(table) == cable_alexander(delta, p, q), decided
-    per progression, without forming the product.
+    """Whether the table's graded Euler characteristic, the alternating sum
+    of its ranks per Alexander grading, equals the satellite formula
+    delta(t^p) * Delta_T(p,q), decided per progression, without forming
+    the product.
 
     For coprime p > 1 and q, with shift = (p-1)(|q|-1)/2,
     Delta_T(p,q) * (t^p - 1)(t^|q| - 1) = t^-shift * (t^(p|q|) - 1)(t - 1).
@@ -282,7 +229,7 @@ def euler_holds(table: RankTable, delta: LaurentPolynomial, p: int, q: int) -> b
 
 
 def _euler_times_binomials(table: RankTable, p: int, q: int) -> tuple[dict[int, int], list[int]]:
-    """euler_characteristic(table) times (t^p - 1)(t^|q| - 1) and (t^s - 1)
+    """The table's Euler characteristic times (t^p - 1)(t^|q| - 1) and (t^s - 1)
     for every s of extra, from the table's parts, and extra: every other
     step of a telescoping progression, ascending.
 

@@ -1,9 +1,8 @@
 """Exact integer Laurent polynomials.
 
-These carry symmetrized Alexander polynomials and graded Euler
-characteristics.  Coefficients are plain Python ints indexed by integer
-degree; zero coefficients are never stored, so equality of the underlying
-dicts is equality of polynomials.
+These carry symmetrized Alexander polynomials.  Coefficients are plain
+Python ints indexed by integer degree; zero coefficients are never stored,
+so equality of the underlying dicts is equality of polynomials.
 """
 
 from __future__ import annotations
@@ -87,28 +86,8 @@ class LaurentPolynomial:
 
     # -- arithmetic ----------------------------------------------------
 
-    def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        out = dict(self._coeffs)
-        for deg, coeff in other._coeffs.items():
-            out[deg] = out.get(deg, 0) + coeff
-        return LaurentPolynomial._trusted(out)
-
     def __neg__(self) -> "LaurentPolynomial":
         return LaurentPolynomial._trusted({d: -c for d, c in self._coeffs.items()})
-
-    def __mul__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        out: dict[int, int] = {}
-        get = out.get
-        terms = other._coeffs.items()
-        for d1, c1 in self._coeffs.items():
-            for d2, c2 in terms:
-                d = d1 + d2
-                out[d] = get(d, 0) + c1 * c2
-        return LaurentPolynomial._trusted(out)
-
-    def inflate(self, p: int) -> "LaurentPolynomial":
-        """Substitute t -> t**p."""
-        return LaurentPolynomial._trusted({p * d: c for d, c in self._coeffs.items()})
 
     # -- comparisons / display -----------------------------------------
 

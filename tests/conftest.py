@@ -7,8 +7,9 @@ read off the polynomial alone.  The CLI's JSON text is its dict payload
 through the standard library's encoder.  The grading-group helpers that only
 tests call (half-integer construction, inverses, lambda and the algebra
 chord gradings) live here too, with the pattern module's per-generator
-grading formulas, a pattern module whose gradings a test injects, and the
-Euler comparison on a whole polynomial.
+grading formulas, a pattern module whose gradings a test injects, the
+cell-by-cell symmetry and Euler characteristic of a rank table, which read
+its merged ranks only, and the Euler comparison on a whole polynomial.
 """
 
 from __future__ import annotations
@@ -236,6 +237,25 @@ def oracle_staircase(delta: dict, mirror: bool = False) -> dict:
     if mirror:
         table = {(-a, -m): r for (a, m), r in table.items()}
     return table
+
+
+# ---------------------------------------------------------------------------
+# cell-by-cell checks on a table's merged ranks, the references of the run
+# path's symmetry_holds and euler_holds
+# ---------------------------------------------------------------------------
+
+def check_symmetry(table: RankTable) -> bool:
+    """rank(a, m) == rank(-a, m - 2a) for every entry, cell by cell."""
+    ranks = table.ranks  # a property: read once, not per cell
+    return all(ranks.get((-a, m - 2 * a)) == r for (a, m), r in ranks.items())
+
+
+def euler_characteristic(table: RankTable) -> LaurentPolynomial:
+    """Alternating-sign rank sum per Alexander grading, cell by cell."""
+    coeffs: dict[int, int] = {}
+    for (a, m), r in table.ranks.items():
+        coeffs[a] = coeffs.get(a, 0) + (-r if m & 1 else r)
+    return LaurentPolynomial(coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,14 @@ from cablefloer import (
 from conftest import written_out
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "cablebench" / "tracer.py"
-REMOVED = {("cablefloer.pipeline", "grading_filter")}  # repair mode is gone; its layer reads 0
+REMOVED = {
+    ("cablefloer.pipeline", "grading_filter"),  # repair mode is gone; its layer reads 0
+    # the cell-by-cell checks and the satellite polynomial, which no run
+    # calls, moved to the tests as oracles; their spans read 0 already
+    ("cablefloer.invariants", "check_symmetry"),
+    ("cablefloer.invariants", "euler_characteristic"),
+    ("cablefloer.invariants", "cable_alexander"),
+}
 
 
 def load_tracer():
@@ -41,10 +48,27 @@ def load_tracer():
 TRACER = load_tracer()
 
 
-@pytest.mark.parametrize("module_name, attr, layer", [
-    entry for entry in TRACER.SPANS + TRACER.ROLLUPS if entry[:2] not in REMOVED])
+@pytest.mark.parametrize("module_name, attr, layer", TRACER.SPANS + TRACER.ROLLUPS)
 def test_traced_name_resolves(module_name, attr, layer):
-    assert callable(getattr(importlib.import_module(module_name), attr, None)), layer
+    """A live traced name resolves to a callable; a REMOVED one resolves nowhere."""
+    found = getattr(importlib.import_module(module_name), attr, None)
+    if (module_name, attr) in REMOVED:
+        assert found is None, layer
+    else:
+        assert callable(found), layer
+
+
+def test_removed_names_are_traced_and_gone():
+    """Every REMOVED entry is still a traced name and resolves nowhere in the
+    package, so the set can neither hide a live rename nor outlive the
+    tracer's entry."""
+    import cablefloer
+
+    traced = {entry[:2] for entry in TRACER.SPANS + TRACER.ROLLUPS}
+    for module_name, attr in sorted(REMOVED):
+        assert (module_name, attr) in traced, attr
+        assert not hasattr(importlib.import_module(module_name), attr), attr
+        assert not hasattr(cablefloer, attr), attr
 
 
 def test_counted_names_resolve():

@@ -1,6 +1,5 @@
 import importlib.util
 from itertools import accumulate
-from math import gcd
 from pathlib import Path
 
 import pytest
@@ -11,10 +10,7 @@ from cablefloer import (
     LaurentPolynomial,
     Progression,
     RankTable,
-    cable_alexander,
-    check_symmetry,
     compute_cable_hfk,
-    euler_characteristic,
     euler_holds,
     mirror_check,
     parse_delta,
@@ -23,7 +19,6 @@ from cablefloer import (
     table_rank,
     tau_cable,
     tau_pq,
-    torus_knot_delta,
 )
 from cablefloer.invariants import _euler_times_binomials, _lines_invariant
 from cablefloer.pairing import FAMILY_RUN
@@ -33,6 +28,8 @@ from conftest import (
     DELTA_FIG8,
     DELTA_TREFOIL,
     GOLDEN_11N50_5_16,
+    check_symmetry,
+    euler_characteristic,
     euler_matches_cable,
     oracle_cable_delta,
     oracle_torus_delta,
@@ -130,7 +127,7 @@ class TestChecks:
 
     def test_euler_golden_is_cable_polynomial(self):
         golden = euler_characteristic(RankTable(GOLDEN_11N50_5_16))
-        assert golden == cable_alexander(parse_delta(DELTA_11N50), 5, 16)
+        assert golden == LaurentPolynomial(oracle_cable_delta(parse_delta(DELTA_11N50), 5, 16))
 
 
 class TestEulerMatchesCable:
@@ -149,51 +146,37 @@ class TestEulerMatchesCable:
         one coefficient's sign flipped, fails."""
         delta = LaurentPolynomial({0: center, **{d: c for i, c in enumerate(sides, 1) for d in (i, -i)}})
         q = p * n + 1
-        exact = LaurentPolynomial(oracle_cable_delta(delta, p, q))
-        assert euler_matches_cable(exact, delta, p, q)
-        assert not euler_matches_cable(exact + LaurentPolynomial({k: sign}), delta, p, q)
-        terms = list(exact.items())
-        degree, coeff = terms[flip % len(terms)]
-        assert not euler_matches_cable(exact + -LaurentPolynomial({degree: 2 * coeff}), delta, p, q)
+        exact = oracle_cable_delta(delta, p, q)
+        assert euler_matches_cable(LaurentPolynomial(exact), delta, p, q)
+        assert not euler_matches_cable(LaurentPolynomial({**exact, k: exact.get(k, 0) + sign}), delta, p, q)
+        degree, coeff = sorted(exact.items())[flip % len(exact)]
+        assert not euler_matches_cable(LaurentPolynomial({**exact, degree: -coeff}), delta, p, q)
 
 
 class TestCableAlexander:
+    """Known values of the tests' satellite polynomial, oracle_cable_delta,
+    and its torus-knot factor."""
+
     def test_torus_23(self):
-        assert torus_knot_delta(2, 3) == LaurentPolynomial({1: 1, 0: -1, -1: 1})
+        assert LaurentPolynomial(oracle_torus_delta(2, 3)) == LaurentPolynomial({1: 1, 0: -1, -1: 1})
 
     def test_torus_34(self):
-        assert torus_knot_delta(3, 4) == LaurentPolynomial({3: 1, 2: -1, 0: 1, -2: -1, -3: 1})
+        assert LaurentPolynomial(oracle_torus_delta(3, 4)) == LaurentPolynomial({3: 1, 2: -1, 0: 1, -2: -1, -3: 1})
 
     def test_mirror_shares_polynomial(self):
-        assert torus_knot_delta(2, -3) == torus_knot_delta(2, 3)
+        assert oracle_torus_delta(2, -3) == oracle_torus_delta(2, 3)
 
     def test_cable_pattern_only(self):
         unknot = LaurentPolynomial({0: 1})
-        assert cable_alexander(unknot, 2, 3) == torus_knot_delta(2, 3)
+        assert oracle_cable_delta(unknot, 2, 3) == oracle_torus_delta(2, 3)
 
     def test_trefoil_cable(self):
-        got = cable_alexander(parse_delta(DELTA_TREFOIL), 2, 3)
+        got = LaurentPolynomial(oracle_cable_delta(parse_delta(DELTA_TREFOIL), 2, 3))
         assert got == LaurentPolynomial({3: 1, 2: -1, 0: 1, -2: -1, -3: 1})
 
     def test_p1_cable_inflates(self):
         delta = parse_delta(DELTA_TREFOIL)
-        assert cable_alexander(delta, 3, 1) == delta.inflate(3)
-
-    def test_rejects_common_factor(self):
-        with pytest.raises(ValueError):
-            torus_knot_delta(2, 4)
-
-    def test_semigroup_matches_long_division(self):
-        for p in range(2, 13):
-            for q in range(1, 201):
-                if gcd(p, q) == 1:
-                    expected = LaurentPolynomial(oracle_torus_delta(p, q))
-                    assert torus_knot_delta(p, q) == expected, (p, q)
-                    assert torus_knot_delta(p, -q) == expected, (p, -q)
-
-    @pytest.mark.parametrize("p, q", [(60, 12001), (20, 4881)])
-    def test_semigroup_large(self, p, q):
-        assert torus_knot_delta(p, q) == LaurentPolynomial(oracle_torus_delta(p, q))
+        assert oracle_cable_delta(delta, 3, 1) == {3 * d: c for d, c in delta.items()}
 
 
 def p2_pair(delta_text, tau, n):

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from cablefloer import LaurentPolynomial
 
-from conftest import times_binomial
+from conftest import poly_mul, times_binomial
 
 
 def poly(d):
@@ -40,17 +40,7 @@ def test_rejects_non_integer_entries():
 
 def test_arithmetic():
     trefoil = poly({-1: 1, 0: -1, 1: 1})
-    assert trefoil + poly({0: 1}) == poly({-1: 1, 1: 1})
-    assert trefoil + -trefoil == LaurentPolynomial()
-    square = trefoil * trefoil
-    assert square == poly({-2: 1, -1: -2, 0: 3, 1: -2, 2: 1})
     assert -trefoil == poly({-1: -1, 0: 1, 1: -1})
-
-
-def test_inflate_and_shift():
-    trefoil = poly({-1: 1, 0: -1, 1: 1})
-    assert trefoil.inflate(2) == poly({-2: 1, 0: -1, 2: 1})
-    assert trefoil * poly({3: 1}) == poly({2: 1, 3: -1, 4: 1})
 
 
 def test_evaluate():
@@ -100,32 +90,16 @@ def test_display():
 coeff_dicts = st.dictionaries(st.integers(-6, 6), st.integers(-9, 9), max_size=6)
 
 
-@given(coeff_dicts, coeff_dicts, coeff_dicts)
-def test_ring_laws(a, b, c):
-    f, g, h = poly(a), poly(b), poly(c)
-    assert f * g == g * f
-    assert (f * g) * h == f * (g * h)
-    assert f * (g + h) == f * g + f * h
-
-
-@given(coeff_dicts, st.integers(2, 5))
-def test_inflate_multiplicative(a, p):
-    f = poly(a)
-    assert (f * f).inflate(p) == f.inflate(p) * f.inflate(p)
-    assert f.inflate(p)(1) == f(1)
-
-
-@given(coeff_dicts, coeff_dicts)
-def test_arithmetic_stores_no_zero_coefficients(a, b):
+@given(coeff_dicts)
+def test_arithmetic_stores_no_zero_coefficients(a):
     """Results of arithmetic skip the public constructor's checks but keep its
     invariant, so equality stays dict equality."""
-    f, g = poly(a), poly(b)
-    for result in (f + g, -f, f + -g, f * g, f.inflate(3), f * -f):
-        assert 0 not in dict(result.items()).values()
-        assert result == LaurentPolynomial(dict(result.items()))
+    result = -poly(a)
+    assert 0 not in dict(result.items()).values()
+    assert result == LaurentPolynomial(dict(result.items()))
 
 
 @given(coeff_dicts, st.integers(-7, 7))
 def test_times_binomial_is_product(a, k):
-    f = poly(a)
-    assert times_binomial(f, k) == f * (poly({k: 1}) + -poly({0: 1}))
+    binomial = dict(LaurentPolynomial([(k, 1), (0, -1)]).items())  # t^k - 1, zero at k = 0
+    assert times_binomial(poly(a), k) == LaurentPolynomial(poly_mul(a, binomial))

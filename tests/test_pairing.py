@@ -17,10 +17,8 @@ from cablefloer import (
     build_model,
     build_typea_minus,
     build_typed,
-    check_symmetry,
     closed_form_gradings,
     compute_cable_hfk,
-    euler_characteristic,
     euler_holds,
     framing_h,
     hat_operations,
@@ -45,6 +43,8 @@ from conftest import (
     DELTA_11N50,
     DELTA_TREFOIL,
     ROW_PARAMS,
+    check_symmetry,
+    euler_characteristic,
     euler_matches_cable,
     expand_chain,
     expand_levels,
