@@ -19,9 +19,10 @@ the doubled integers, which ``normalize_double_coset`` evaluates directly.
 With the left factor y and the b slot of x fixed, the power of h is fixed
 too, so normalizing y * x is moreover linear in x's remaining doubled slots,
 and with x fixed and y affine in an index k, N is quadratic and A' affine
-in k: the pairing normalizes the first three y of each such family once
-per b slot, extends the family by differences, and translates that row to
-every other x (see pairing.py).
+in k.  And x * h^beta lies in the double coset of x, so it moves x to any
+b slot of the same parity.  The pairing normalizes the first three y of
+each such family once per idempotent, extends the family by differences,
+and translates that row to every other x (see pairing.py).
 """
 
 from __future__ import annotations

@@ -30,12 +30,15 @@ arrows once and places its survivors at every level.
 A row is the (alexander, maslov) cell of each A generator paired with one
 complement generator; N and A' are derived only where a record is built.
 Powers in the grading group are linear, so with the idempotent and the D
-grading's b slot fixed, every row is one anchor row moved.  The first row
-of each (idempotent, b slot) is the anchor.  The A gradings y_k fall into
-grading families affine in k (TypeAModule.families), so along a family
-the anchor's alexander is affine and its maslov quadratic in k, with
-constant second difference h.c2: the anchor normalizes the first three
-y_k of each family and extends it.  A grading that differs from the
+grading's b slot fixed, every row is one anchor row moved.  And a D
+grading x and x * h^beta lie in one double coset, so they have one row;
+with beta = (b2 - b0)/2, x * h^beta has the b slot b0 of any grading whose
+b slot has x's parity.  So the first row of each idempotent is the anchor,
+and a later grading is first moved onto its b slot.  The A gradings y_k
+fall into grading families affine in k (TypeAModule.families), so along a
+family the anchor's alexander is affine and its maslov quadratic in k,
+with constant second difference h.c2: the anchor normalizes the first
+three y_k of each family and extends it.  A grading that differs from the
 anchor's by (da2, dc2, dd2) moves entry k by
 (dA, dN + 2dA + y_k.b2*dc2/2), with dA = (2dd2 - g.d2*dc2)/4 and
 dN = (2da2 + (b2 - g.a2)*dc2)/4.  The group law refuses it when dc2 is odd
@@ -78,13 +81,14 @@ cross-check this group arithmetic live in invariants.py.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from functools import cached_property
 from itertools import accumulate, chain as concat, repeat
 from typing import NamedTuple
 
 from .gradings import GradingElement, GradingError, normalize_double_coset
 from .type_a import TypeAModule, hat_operations  # noqa: F401 (re-exported)
-from .type_d import TypeDModule, raised
+from .type_d import ComplexError, TypeDModule, raised
 
 # A row: the (alexander, maslov) cell of each A generator of one idempotent
 # group, in A order; a tuple of cells, or a FamilyRow on a wide pattern's i1 rows
@@ -99,13 +103,6 @@ Row = Sequence[tuple[int, int]]
 # 1.04x at 26, and 0.92x at 30.  So every grid, squares and chain-slot
 # cable below p = 25 takes the cell path, and a wider one the family path.
 FAMILY_RUN = 24
-
-
-class ComplexError(RuntimeError):
-    """Structural failure: a complement generator with two edges of one
-    label, an arrow that does not join stored generators of one summand, a
-    mis-graded arrow, a generator on two arrows, or a long grading family
-    whose Alexander grading is not affine."""
 
 
 class TensorGenerator(NamedTuple):
@@ -223,51 +220,53 @@ class TensorGenerators(Sequence):
     Copy 0 of repetition 0 of a*d sits at starts[j] plus the position of a
     in the group.  A record, with N = M - 2A and A' = A - c, is built only
     when an index or a (slot, copy, position) is read (at); the run reads
-    the rows instead, and records only to name generators in refusals.  It
-    is the only generator sequence a BigradedComplex holds.
+    the rows instead, and records only to name generators in refusals, so
+    the D names (from the function names, called once) and the starts are
+    formed on their first read.  It is the only generator sequence a
+    BigradedComplex holds.
     """
 
-    def __init__(self, d_names: tuple[str, ...], a_names: tuple[Sequence[str], ...],
+    def __init__(self, names: Callable[[], Sequence[str]], a_names: tuple[Sequence[str], ...],
                  rows: tuple[Row, ...], c: int, chain: Repeat | None = None, square: Repeat | None = None):
-        self.d_names = d_names
-        self.a_names = a_names
-        self.rows = rows
-        self.c = c
-        self.chain = chain
-        self.square = square
-        # per slot: None, or its steps and the Repeat it belongs to
-        self._repeats: list[tuple[Row, Repeat] | None] = [None] * len(rows)
-        for rep in (chain, square):
-            if rep is not None:
-                for j, steps in zip(rep.slots, rep.steps):
-                    self._repeats[j] = steps, rep
-        self._sizes = [len(row) for row in rows]
-        self.starts = list(accumulate((size if rep is None else size * rep[1].copy_starts[-1]
-                                       for size, rep in zip(self._sizes, self._repeats)), initial=0))
-        self._len = self.starts.pop()
+        self._names, self.a_names, self.rows = names, a_names, rows
+        self.c, self.chain, self.square = c, chain, square
+
+    @cached_property
+    def d_names(self) -> tuple[str, ...]:
+        return tuple(self._names())
+
+    def _repeat(self, j: int) -> Repeat | None:
+        """The Repeat slot j belongs to, or None."""
+        return next((rep for rep in (self.chain, self.square) if rep is not None and j in rep.slots), None)
+
+    @cached_property
+    def _bounds(self) -> list[int]:
+        """The start of every slot, then the total."""
+        return list(accumulate((len(row) * (1 if rep is None else rep.copy_starts[-1])
+                                for row, rep in zip(self.rows, map(self._repeat, range(len(self.rows))))), initial=0))
+
+    @property
+    def starts(self) -> list[int]:
+        return self._bounds[:-1]
 
     def __len__(self) -> int:
-        return self._len
+        return self._bounds[-1]
 
     def __getitem__(self, i: int) -> TensorGenerator:
-        if i < 0:
-            i += self._len
-        if not 0 <= i < self._len:
-            raise IndexError("tensor generator index out of range")
-        j = bisect_right(self.starts, i) - 1
-        copy, k = divmod(i - self.starts[j], self._sizes[j])
+        i = range(len(self))[i]  # counted from the end if negative; IndexError out of range
+        j = bisect_right(self._bounds, i) - 1
+        copy, k = divmod(i - self._bounds[j], len(self.rows[j]))
         return self.at(j, copy, k)
 
     def at(self, j: int, copy: int, k: int) -> TensorGenerator:
         """The record of the generator at position k of slot j's A group in
         its listing copy, counted over every repetition."""
         alexander, maslov = self.rows[j][k]
-        d_name, rep = self.d_names[j], self._repeats[j]
+        d_name, rep = self.d_names[j], self._repeat(j)
         if rep is not None:
-            steps, rep = rep
             r = bisect_right(rep.copy_starts, copy) - 1
             if r:
-                (alexander_step, maslov_step), offset = steps[k], rep.offsets[r]
+                (alexander_step, maslov_step), offset = rep.steps[rep.slots.index(j)][k], rep.offsets[r]
                 alexander, maslov = alexander + offset * alexander_step, maslov + offset * maslov_step
                 d_name = raised(d_name, r)
         return TensorGenerator(self.a_names[j][k], d_name, maslov - 2 * alexander, alexander - self.c,
@@ -309,24 +308,12 @@ def tensor_differential(A: TypeAModule, D: TypeDModule) -> list[tuple[int, int, 
     when the path ends, when the families run out (i <= p-2), or at a D_12
     self-loop on a node with no D_1 edge, which would only repeat that node:
     the zero-framed unknot's walk is one step for every p.  The chain's
-    interior has no edge, so the walk reads stored generators only; an edge
-    of any other label meets no operation and is passed over.  A complement
-    generator with two D_1, D_2 or D_12 edges raises ComplexError.
+    interior has no edge, so the walk reads stored generators only.  The
+    module's successor maps are the walk's steps, in D indices.
     """
-    index = {d_gen.name: j for j, d_gen in enumerate(D.generators)}
-    step: dict[str, dict[int, int]] = {"1": {}, "2": {}, "12": {}}
-    for source, label, target in D.edges:
-        out = step.get(label)
-        if out is None:
-            continue
-        j = index[source]
-        if j in out:
-            raise ComplexError(f"complement generator {source} has two D_{label} edges")
-        out[j] = index[target]
-
-    ones, twos, twelves, gens = step["1"], step["2"], step["12"], D.generators
-    starts = [(j, node, "i1") for j, node in twos.items() if gens[j].idempotent == "i1"]
-    starts += [(j, j, "i0") for j in {**ones, **twelves} if gens[j].idempotent == "i0"]
+    ones, twos, twelves, entries = D.ones, D.twos, D.twelves, D.entries
+    starts = [(j, node, "i1") for j, node in twos.items() if entries[j][0] == "i1"]
+    starts += [(j, j, "i0") for j in {**ones, **twelves} if entries[j][0] == "i0"]
     arrows = []
     for j, node, idempotent in starts:
         for i in range(A.p - 1):
@@ -342,37 +329,36 @@ def tensor_differential(A: TypeAModule, D: TypeDModule) -> list[tuple[int, int, 
     return arrows
 
 
-def _refusal(y: GradingElement, x: GradingElement) -> Exception:
-    """The group law's error for a y * x that does not normalize: an odd
-    determinant term fails the product, before any normalization check."""
-    if (y.b2 * x.c2 - y.c2 * x.b2) % 2:
-        return ArithmeticError(f"determinant term of {y} * {x} is not a half-integer")
-    return GradingError(f"{y} * {x} does not normalize to integers")
-
-
 def _rows(A: TypeAModule, D: TypeDModule, c: int) -> tuple[list[Sequence[str]], list[Row], dict[int, Row]]:
     """Per D entry, its A generators and its row, and, by D index, the step
     row of each entry that repeats: a square corner's per level up, the
     chain entry's per chain generator on.
 
-    The first row of each (idempotent, b slot) is its anchor.  Its cells
-    are affine (alexander) and quadratic (maslov) in the position within
-    each grading family of A.families, and its failure residues repeat
-    with period 2 there, so it normalizes the first three A generators of
-    each family, in group order, and extends each family by its constant
-    second difference: a refused anchor raises at the same first A
-    generator as one normalization per A generator would.  One move rule
-    builds everything else.  A grading move (da2, dc2, dd2) at a fixed b
-    slot passes or fails one check for the whole row, whose failure is the
+    The first row of each idempotent, per parity of the b slot, is its
+    anchor.  Its cells are affine (alexander) and quadratic (maslov) in the
+    position within each grading family of A.families, and its failure
+    residues repeat with period 2 there, so it normalizes the first three A
+    generators of each family, in group order, and extends each family by
+    its constant second difference: a refused anchor raises at the same
+    first A generator as one normalization per A generator would.  One move
+    rule builds everything else.  A grading move (da2, dc2, dd2) at a fixed
+    b slot passes or fails one check for the whole row, whose failure is the
     error the group law raises for the group's first A generator, and
-    changes every cell as the module docstring says.  A later row is its
-    anchor moved, and a grading met before reuses its row.  A square
-    corner's step row is the move (1 + b2, 2, 0) of one level, which the
-    group law never refuses; the chain entry's is the move (step, step, 0)
-    of one chain generator.  The residues are linear in the move, so once
-    the chain entry's row passes, its step passes exactly when its second
-    generator's row would, and a refused step raises that row's error: the
-    chain meets the checks where its generators would.
+    changes every cell as the module docstring says.  A later grading x of
+    another b slot is first moved onto the anchor's by x * h^beta, which
+    keeps its double coset, so a later row is its anchor moved, and a
+    grading met before reuses its row.  A refusal is raised from x itself,
+    as when each b slot had its own anchor: on a b slot where no row was
+    made before, x's own anchor row raises its normalization's error, else
+    the one check's error stands.  Every module grading of one idempotent
+    shares its b slot's parity; one of the other parity keeps an anchor of
+    its own, which the group law refuses.  A square corner's step row is the
+    move (1 + b2, 2, 0) of one level, which the group law never refuses; the
+    chain entry's is the move (step, step, 0) of one chain generator.  The
+    residues are linear in the move, so once the chain entry's row passes,
+    its step passes exactly when its second generator's row would, and a
+    refused step raises that row's error: the chain meets the checks where
+    its generators would.
 
     When the i1 families have at least FAMILY_RUN positions, every i1 row
     and step row is a FamilyRow: an anchor's family is the progression of
@@ -389,8 +375,8 @@ def _rows(A: TypeAModule, D: TypeDModule, c: int) -> tuple[list[Sequence[str]], 
     # each grading family; formed at the idempotent's first anchor
     sampled: dict[str, list[tuple[range, list[GradingElement], int, int]]] = {}
     slopes: dict[str, tuple[int, ...]] = {}  # idempotent -> the b slot of every A grading, for tuple rows
-    # (idempotent, b slot) -> the anchor's doubled a, c, d slots and its row
-    anchors: dict[tuple[str, int], tuple[int, int, int, Row]] = {}
+    # (idempotent, parity of the b slot) -> the anchor's grading and its row
+    anchors: dict[tuple[str, int], tuple[GradingElement, Row]] = {}
     made: dict[tuple[str, GradingElement], Row] = {}
     # (idempotent, b slot, da2, dc2) -> step row; the square's corners share three
     stepped: dict[tuple[str, int, int, int], Row] = {}
@@ -399,8 +385,8 @@ def _rows(A: TypeAModule, D: TypeDModule, c: int) -> tuple[list[Sequence[str]], 
         families = sampled[idempotent] = []
         for positions in A.families(idempotent):
             ys = [A.grading(idempotent, k) for k in positions[:3]]
-            step = ys[1].b2 - ys[0].b2 if len(ys) > 1 else 1  # any step spans a family of one
-            families.append((positions, ys, ys[0].b2, step))
+            # any b slot step spans a family of one
+            families.append((positions, ys, ys[0].b2, ys[1].b2 - ys[0].b2 if len(ys) > 1 else 1))
         if not long[idempotent]:
             slopes[idempotent] = tuple(concat.from_iterable(
                 range(b0, b0 + len(positions) * step, step) for positions, _, b0, step in families))
@@ -408,13 +394,10 @@ def _rows(A: TypeAModule, D: TypeDModule, c: int) -> tuple[list[Sequence[str]], 
     def anchor_row(idempotent: str, x: GradingElement) -> Row:
         if idempotent not in sampled:
             sample(idempotent)
-        cells: list[tuple[int, int]] = []
-        parts = []
+        cells, parts = [], []  # the row's cells, or its families' progressions
         for positions, ys, _, _ in sampled[idempotent]:
-            first = []
-            for y in ys:
-                N, Aprime = normalize_double_coset(y * x, g, h)
-                first.append((Aprime + c, N + 2 * (Aprime + c)))
+            first = [(Aprime + c, N + 2 * (Aprime + c))
+                     for N, Aprime in (normalize_double_coset(y * x, g, h) for y in ys)]
             size = len(positions)
             if size <= 3:
                 cells += first
@@ -435,8 +418,11 @@ def _rows(A: TypeAModule, D: TypeDModule, c: int) -> tuple[list[Sequence[str]], 
         """(dA, dN + 2dA, dc2/2) of a grading move by (da2, dc2, dd2) at b
         slot b2; the group law's error for the moved grading x if refused."""
         n, m = 2 * da2 + (b2 - ga2) * dc2, 2 * dd2 - gd2 * dc2
-        if dc2 % 2 or n % 4 or m % 4:
-            raise _refusal(A.grading(idempotent, 0), x)
+        if dc2 % 2 or n % 4 or m % 4:  # refused: the group law's error for y * x, y the group's first
+            y = A.grading(idempotent, 0)
+            if (y.b2 * x.c2 - y.c2 * x.b2) % 2:  # an odd determinant term fails the product first
+                raise ArithmeticError(f"determinant term of {y} * {x} is not a half-integer")
+            raise GradingError(f"{y} * {x} does not normalize to integers")
         da = m // 4
         return da, n // 4 + 2 * da, dc2 // 2
 
@@ -449,13 +435,20 @@ def _rows(A: TypeAModule, D: TypeDModule, c: int) -> tuple[list[Sequence[str]], 
 
     def row(idempotent: str, x: GradingElement) -> Row:
         a2, b2, c2, d2 = x
-        anchor = anchors.get((idempotent, b2))
+        anchor = anchors.get((idempotent, b2 % 2))
         if anchor is None:
             cells = anchor_row(idempotent, x)
-            anchors[idempotent, b2] = a2, c2, d2, cells
+            anchors[idempotent, b2 % 2] = x, cells
             return cells
-        a0, c0, d0, cells = anchor
-        da, dm, half = move(idempotent, b2, a2 - a0, c2 - c0, d2 - d0, x)
+        (a0, b0, c0, d0), cells = anchor
+        beta = (b2 - b0) // 2  # x * h^beta: x's double coset, so x's row, at the anchor's b slot
+        try:
+            da, dm, half = move(idempotent, b0, a2 + beta * h.a2 + beta * (b2 * h.c2 + 2 * c2) // 2 - a0,
+                                c2 + beta * h.c2 - c0, d2 + beta * h.d2 - d0, x)
+        except (ArithmeticError, GradingError):
+            if all((made_at, z.b2) != (idempotent, b2) for made_at, z in made):
+                anchor_row(idempotent, x)  # the first row on its b slot: x raises as that slot's anchor
+            raise
         if long[idempotent]:
             return FamilyRow(tuple(map(Progression.moved, cells.parts, moved_by(idempotent, da, dm, half).parts)))
         return tuple([(a + da, mm + dm + b * half) for (a, mm), b in zip(cells, slopes[idempotent])])
@@ -469,17 +462,16 @@ def _rows(A: TypeAModule, D: TypeDModule, c: int) -> tuple[list[Sequence[str]], 
         return known
 
     groups, rows, steps = [], [], {}
-    for j, d_gen in enumerate(D.generators):
-        idempotent, x = d_gen.idempotent, d_gen.grading
+    for j, (idempotent, x, _, _, level, length, step) in enumerate(D.entries):
         known = made.get((idempotent, x))
         if known is None:
             known = made[idempotent, x] = row(idempotent, x)
         groups.append(groups_of[idempotent])
         rows.append(known)
-        if d_gen.level is not None:
+        if level is not None:
             steps[j] = step_row(idempotent, x, 1 + x.b2, 2)
-        elif d_gen.length > 1:
-            steps[j] = step_row(idempotent, x, d_gen.step, d_gen.step)
+        elif length > 1:
+            steps[j] = step_row(idempotent, x, step, step)
     return groups, rows, steps
 
 
@@ -508,13 +500,13 @@ def pair_modules(A: TypeAModule, D: TypeDModule, l: int, n: int) -> BigradedComp
     c = shift_constant(l, A.p, n)
     groups, rows, steps = _rows(A, D, c)
     chain = square = None
-    for j, d_gen in enumerate(D.generators):
-        if d_gen.length > 1:
-            chain = Repeat((j,), (steps.pop(j),), range(d_gen.length), range(d_gen.length + 1))
+    for j, (_, _, _, _, _, length, _) in enumerate(D.entries):
+        if length > 1:
+            chain = Repeat((j,), (steps.pop(j),), range(length), range(length + 1))
     if steps:
         levels = sorted(D.copies)  # the square is stored at the lowest, levels[0]
         square = Repeat(tuple(steps), tuple(steps.values()), tuple(t - levels[0] for t in levels),
                         tuple(accumulate(map(D.copies.__getitem__, levels), initial=0)))
-    generators = TensorGenerators(tuple(d_gen.name for d_gen in D.generators), tuple(groups), tuple(rows), c,
+    generators = TensorGenerators(lambda: [gen.name for gen in D.generators], tuple(groups), tuple(rows), c,
                                   chain, square)
     return BigradedComplex(generators=generators, links=tuple(sorted(tensor_differential(A, D))))

@@ -25,6 +25,16 @@ or D_2 out of mu_|m| when m < 0.  That end is a generator, and the other
 generator list: the chain entry stands for its length translates by its
 step, as the stored square stands for its levels.  Every generator carries
 a right-coset grading; the coset normalizer h depends on m.
+
+The module is built in index coordinates: each entry is a plain tuple of
+its idempotent, grading, kind, index, level, length and step, and the D_1,
+D_2 and D_12 edges are successor maps from entry index to entry index,
+which the pairing walks as they are.  Names (u3, x1.s0, mu2) and the
+DGenerator and DEdge records are formed only where something reads them:
+refusals, the closed-form cross-check, the self-check, the tests and the
+benchmark's counts.  TypeDModule.from_edges builds a module from named
+records and an edge list, and refuses a generator with two edges of one
+label.
 """
 
 from __future__ import annotations
@@ -36,6 +46,13 @@ from .gradings import GradingElement
 from .thin import ThinModel
 
 
+class ComplexError(RuntimeError):
+    """Structural failure: a complement generator with two edges of one
+    label, an arrow that does not join stored generators of one summand, a
+    mis-graded arrow, a generator on two arrows, or a long grading family
+    whose Alexander grading is not affine."""
+
+
 class DEdge(NamedTuple):
     source: str
     label: str  # 1, 2 or 12
@@ -43,6 +60,8 @@ class DEdge(NamedTuple):
 
 
 class DGenerator(NamedTuple):
+    """A stored entry with its name: TypeDModule.generators forms it when read."""
+
     name: str
     idempotent: str  # "i0" or "i1"
     grading: GradingElement
@@ -58,14 +77,54 @@ class DGenerator(NamedTuple):
 
 
 class TypeDModule(NamedTuple):
-    generators: tuple[DGenerator, ...]
-    edges: tuple[DEdge, ...]  # D_1 and D_2, one per model arrow, and the chain's one edge
+    """The module in index coordinates.  Entry j is the tuple (idempotent,
+    grading, kind, index, level, length, step) of DGenerator without its
+    name, and ones, twos and twelves map an entry to the target of its D_1,
+    D_2 or D_12 edge, at most one of each.  An entry is named by its kind
+    and index (u3, mu2), with ".s0" on a square corner (x1.s0), unless the
+    module was built from named generators (from_edges); generators and
+    edges form the records on each read."""
+
+    entries: tuple[tuple, ...]
+    ones: Mapping[int, int]
+    twos: Mapping[int, int]
+    twelves: Mapping[int, int]
     h: GradingElement
-    # square count c_t per level t, ascending; the generators with a level
+    # square count c_t per level t, ascending; the entries with a level
     # are one square, which stands for the c_t isomorphic squares of every
-    # level t.  Empty, every generator stands for itself once; the empty
+    # level t.  Empty, every entry stands for itself once; the empty
     # default is read-only, as every instance shares it.
     copies: Mapping[int, int] = MappingProxyType({})
+    names: tuple[str, ...] | None = None
+
+    @classmethod
+    def from_edges(cls, generators: tuple[DGenerator, ...], edges, h: GradingElement,
+                   copies: Mapping[int, int] = MappingProxyType({})) -> TypeDModule:
+        """The module of these generators and edges; an edge of a label
+        other than 1, 2 and 12 meets no hat operation and is dropped, and a
+        generator with two edges of one of those labels raises ComplexError."""
+        index = {gen.name: j for j, gen in enumerate(generators)}
+        out = {"1": {}, "2": {}, "12": {}}
+        for source, label, target in edges:
+            step = out.get(label, {})
+            if index[source] in step:
+                raise ComplexError(f"complement generator {source} has two D_{label} edges")
+            step[index[source]] = index[target]
+        # out's values are the ones, twos and twelves, in field order
+        return cls(tuple(gen[1:] for gen in generators), *out.values(), h, copies, tuple(gen[0] for gen in generators))
+
+    @property
+    def generators(self) -> tuple[DGenerator, ...]:
+        names = self.names or [f"{kind}{index}" if level is None else f"{kind}{index}.s0"
+                               for _, _, kind, index, level, _, _ in self.entries]
+        return tuple(DGenerator(name, *entry) for name, entry in zip(names, self.entries))
+
+    @property
+    def edges(self) -> tuple[DEdge, ...]:
+        """Every stored edge, the D_1 edges first, then D_2, then D_12."""
+        names = [gen.name for gen in self.generators]
+        return tuple(DEdge(names[j], label, names[target]) for label, step in
+                     (("1", self.ones), ("2", self.twos), ("12", self.twelves)) for j, target in step.items())
 
 
 def framing_h(l: int, m: int) -> GradingElement:
@@ -112,13 +171,12 @@ def _at_level(base: GradingElement, t: int) -> GradingElement:
 
 def build_typed(model: ThinModel, n: int) -> TypeDModule:
     """Assemble the complement module for framing n."""
-    tau = model.params.tau
-    l = model.params.l
+    tau, l = model.params.tau, model.params.l
     steps = abs(tau)
     m = 2 * tau - n
 
-    gens: list[DGenerator] = []
-    edges: list[DEdge] = []
+    entries: list[tuple] = []
+    ones, twos, twelves = {}, {}, {}  # entry -> the target of its D_1, D_2, D_12 edge
 
     # every staircase generator is a square corner at a level: u_i is x3 (the
     # identity) at level sigma*(i - 1), and v_j is y4 (odd j) or y3 (even j)
@@ -127,39 +185,40 @@ def build_typed(model: ThinModel, n: int) -> TypeDModule:
     sigma = 1 if tau <= 0 else -1
     for i in range(1, 2 * steps + 2):
         level = sigma * (i - 1)
-        gens.append(DGenerator(f"u{i}", "i0", GradingElement(level, 0, 2 * level, 0), "u", i))
+        entries.append(("i0", GradingElement(level, 0, 2 * level, 0), "u", i, None, 1, 0))
         j = i if tau <= 0 else i - 1
         if 1 <= j <= 2 * steps:
-            corner = _SQUARE_BASE["y4" if j % 2 else "y3"]
-            gens.append(DGenerator(f"v{j}", "i1", _at_level(corner, level), "v", j))
+            entries.append(("i1", _at_level(_SQUARE_BASE["y4" if j % 2 else "y3"], level), "v", j, None, 1, 0))
     # step k joins u_k, u_{k+1}, u_{k+2} through v_k, v_{k+1}: a vertical
     # model arrow through v_k and a horizontal one through v_{k+1}, leaving
     # the odd u's (lo -> mid, hi -> mid) for tau <= 0 and the even u
-    # (mid -> lo, mid -> hi) for tau > 0
-    for k in range(1, 2 * steps, 2):
-        lo, mid, hi, v, w = f"u{k}", f"u{k + 1}", f"u{k + 2}", f"v{k}", f"v{k + 1}"
-        if tau <= 0:
-            edges += [DEdge(lo, "1", v), DEdge(w, "2", mid)]
-        else:
-            edges += [DEdge(mid, "1", v), DEdge(w, "2", hi)]
+    # (mid -> lo, mid -> hi) for tau > 0.  The entries run u_1, v_1, u_2,
+    # v_2, .. for tau <= 0 and u_1, u_2, v_1, u_3, v_2, .. for tau > 0, so
+    # the vertical arrow's D_1 edge joins entry e = 2k - 2 + late to e + 1,
+    # and the horizontal one's D_2 edge e + 3 to e + 2
+    late = int(tau > 0)
+    for e in range(late, 4 * steps - 2 + late, 4):
+        ones[e], twos[e + 3] = e + 1, e + 2
 
-    # the unstable chain joins the ends u_top and u_1: m = 0 gives one D_12
-    # edge (a self-loop when tau = 0), m > 0 the edge u_top --D1--> mu_1 and
-    # m < 0 the edge mu_|m| --D2--> u_1; the chain entry lists the other
-    # |m| - 1 after mu_1 or before mu_|m|, in chain order
-    top, bottom = f"u{2 * steps + 1}", "u1"
+    # the unstable chain joins the ends u_top (the last u) and u_1 (entry
+    # 0): m = 0 gives one D_12 edge (a self-loop when tau = 0), m > 0 the
+    # edge u_top --D1--> mu_1 and m < 0 the edge mu_|m| --D2--> u_1; the
+    # chain entry lists the other |m| - 1 after mu_1 or before mu_|m|, in
+    # chain order
+    top = len(entries) - 1 - late
     if m == 0:
-        edges.append(DEdge(top, "12", bottom))
+        twelves[top] = 0
     else:
         sign, length = (1, m) if m > 0 else (-1, -m)
         end, index = (1, 2) if m > 0 else (length, 1)
-        mus = [DGenerator(f"mu{end}", "i1", _mu(end, sign, l), "mu", end)]
+        mus = [("i1", _mu(end, sign, l), "mu", end, None, 1, 0)]
         if length > 1:
-            interior = DGenerator(f"mu{index}", "i1", _mu(index, sign, l), "mu", index, length=length - 1,
-                                  step=2 * sign)
-            mus.insert(1 if m > 0 else 0, interior)
-        gens += mus
-        edges.append(DEdge(top, "1", "mu1") if m > 0 else DEdge(f"mu{length}", "2", bottom))
+            mus.insert(1 if m > 0 else 0, ("i1", _mu(index, sign, l), "mu", index, None, length - 1, 2 * sign))
+        if m > 0:
+            ones[top] = len(entries)
+        else:
+            twos[len(entries) + len(mus) - 1] = 0
+        entries += mus
 
     # a square whose corner count is c_i lies at level t = i - tau; its
     # gradings are the base square right-multiplied by (t/2; 0, t; 0).  The
@@ -169,17 +228,10 @@ def build_typed(model: ThinModel, n: int) -> TypeDModule:
     copies = {i - tau: model.square_counts[i] for i in sorted(model.square_counts)}
     if copies:
         t = next(iter(copies))
-        names = [f"{corner}.s0" for corner in _SQUARE_BASE]
-        gens += [DGenerator(name, idem, _at_level(base, t), kind, index, t)
-                 for name, (idem, kind, index, base) in zip(names, _CORNERS)]
+        x1 = len(entries)  # the corners follow in _SQUARE_BASE order, x1 .. x4 then y1 .. y4
+        entries += [(idem, _at_level(base, t), kind, index, t, 1, 0) for idem, kind, index, base in _CORNERS]
         # vertical model arrows x1 -> x3 through y4 and x2 -> x4 through y2,
         # horizontal ones x1 -> x2 through y1 and x3 -> x4 through y3
-        x1, x2, x3, x4, y1, y2, y3, y4 = names
-        edges += [DEdge(x1, "1", y4), DEdge(x2, "1", y2), DEdge(y1, "2", x2), DEdge(y3, "2", x4)]
+        ones[x1], ones[x1 + 1], twos[x1 + 4], twos[x1 + 6] = x1 + 7, x1 + 5, x1 + 1, x1 + 3
 
-    return TypeDModule(
-        generators=tuple(gens),
-        edges=tuple(edges),
-        h=framing_h(l, m),
-        copies=copies,
-    )
+    return TypeDModule(tuple(entries), ones, twos, twelves, framing_h(l, m), copies)

@@ -346,7 +346,13 @@ def expand_levels(D: TypeDModule) -> TypeDModule:
                 written(e.source, level_of[e.source]), written(e.target, level_of[e.target]))]
         else:
             edges.append(e)
-    return D._replace(generators=tuple(gens), edges=tuple(edges), copies={})
+    return TypeDModule.from_edges(tuple(gens), edges, D.h)
+
+
+def with_generators(D: TypeDModule, generators) -> TypeDModule:
+    """D with its generators replaced by these named records, its edges and
+    copies kept: a hand-made module for a test that injects a generator."""
+    return TypeDModule.from_edges(tuple(generators), D.edges, D.h, D.copies)
 
 
 def expand_chain(D: TypeDModule) -> TypeDModule:
@@ -364,7 +370,7 @@ def expand_chain(D: TypeDModule) -> TypeDModule:
         x = g.grading
         gens += [g._replace(name=f"mu{g.index + r}", grading=x._replace(a2=x.a2 + r * g.step, c2=x.c2 + r * g.step),
                             index=g.index + r, length=1, step=0) for r in range(g.length)]
-    return D._replace(generators=tuple(gens))
+    return with_generators(D, gens)
 
 
 def written_out(D: TypeDModule) -> TypeDModule:
@@ -379,8 +385,10 @@ def named_arrows(A, D) -> list:
     A generator at that position among those pairing with its idempotent."""
     from cablefloer import tensor_differential
 
+    gens = D.generators
+
     def name(d, k):
-        d_gen = D.generators[d]
+        d_gen = gens[d]
         return [a for a in A.generators if A.pairs_with(a) == d_gen.idempotent][k], d_gen.name
 
     return [(name(d_src, a_src), name(d_tgt, a_tgt)) for d_src, a_src, d_tgt, a_tgt in tensor_differential(A, D)]

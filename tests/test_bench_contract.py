@@ -118,8 +118,11 @@ def test_complex_stays_whole(tau, counts, p, n):
 def test_gradings_rollup_sees_every_normalization(monkeypatch):
     """The tracer's gradings rollup wraps normalize_double_coset on
     cablefloer.pairing: the rows must call it through that name, once per
-    (b slot of the complement module, A generator among the first three of
-    its grading family): once for a, and 2*min(3, p - 1) times for the b_k."""
+    anchor and A generator among the first three of its grading family.
+    There is one anchor per idempotent present and parity of the b slot:
+    once for a when any i0 entry exists, and 2*min(3, p - 1) times for the
+    b_k when any i1 entry exists.  A b slot of the other parity would take
+    one more anchor's worth, and build_typed makes none."""
     calls = []
     real = pairing.normalize_double_coset
 
@@ -132,8 +135,10 @@ def test_gradings_rollup_sees_every_normalization(monkeypatch):
     model = build_model(synthesize_delta(3, {0: 1}), 3)
     module_d = build_typed(model, n)
     pairing.pair_modules(build_typea_minus(p), module_d, model.params.l, n)
-    slots = {(g.idempotent, g.grading.b2) for g in module_d.generators}
-    assert len(calls) == sum(1 if idempotent == "i0" else 2 * min(3, p - 1) for idempotent, _ in slots)
+    anchors = {(g.idempotent, g.grading.b2 % 2) for g in module_d.generators}
+    assert anchors == {("i0", 0), ("i1", 1)}
+    assert len({g.grading.b2 for g in module_d.generators if g.idempotent == "i1"}) > 1  # i1 b slots share an anchor
+    assert len(calls) == 1 + 2 * min(3, p - 1)
 
 
 def test_tensor_generator_record():

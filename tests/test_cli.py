@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from cablefloer import CableHomology, RankTable, build_model, compute_cable_hfk, parse_delta, synthesize_delta
 from cablefloer.cli import RunConfig, _json_text, main, run
 
-from conftest import DELTA_11N50, DELTA_TREFOIL, GOLDEN_11N50_5_16, oracle_cable_delta, oracle_json_text
+from conftest import (DELTA_11N50, DELTA_TREFOIL, GOLDEN_11N50_5_16, oracle_cable_delta, oracle_json_text,
+                      with_generators)
 
 # sha256 of golden 11n50's (5,16) CLI output in each format; any change to a
 # renderer that is not byte-identical shows here
@@ -339,7 +340,7 @@ def test_complement_grading_error_exits_two(capsys, monkeypatch):
     def odd_c_slot(model, n):
         module = real(model, n)
         first = module.generators[0]._replace(grading=GradingElement(0, 0, 1, 0))
-        return module._replace(generators=(first,) + module.generators[1:])
+        return with_generators(module, (first,) + module.generators[1:])
 
     with pytest.raises(GradingError) as raised:
         pair_modules(build_typea_minus(2), odd_c_slot(build_model(parse_delta("1"), 0), 1), 0, 1)

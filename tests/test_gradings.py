@@ -220,7 +220,7 @@ def affine_rows(ys, xs, g, h):
     (a, b1, b2) and complement generators xs of (idempotent, grading)."""
     A = injected_pattern(ys, g)
     gens = tuple(DGenerator(f"x{j}", idem, x, "x", j) for j, (idem, x) in enumerate(xs))
-    D = TypeDModule(generators=gens, edges=(), h=h)
+    D = TypeDModule.from_edges(gens, (), h)
     return [value[:2] for value in tensor_gradings(A, D, 0).values()]
 
 
@@ -286,7 +286,7 @@ def test_anchor_row_matches_one_normalization_per_generator(p, h, data):
         assert x.b2 == b2
     else:
         x = data.draw(d_gradings, label="x")
-    D = TypeDModule(generators=(DGenerator("x", "i1", x, "x", 1),), edges=(), h=h)
+    D = TypeDModule.from_edges((DGenerator("x", "i1", x, "x", 1),), (), h)
 
     def row():
         return [value[:2] for value in tensor_gradings(A, D, 0).values()]

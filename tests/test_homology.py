@@ -32,7 +32,7 @@ def complex_of(records, arrows):
     """A complex whose view holds one complement generator per record, each
     listed once with its cell and shift constant 0 (the records have A' = A).
     Record i is slot i, so the arrow (i, t) is the link (i, 0, t, 0)."""
-    generators = TensorGenerators(tuple(g.d_side for g in records), tuple((g.a_side,) for g in records),
+    generators = TensorGenerators(lambda: [g.d_side for g in records], tuple((g.a_side,) for g in records),
                                   tuple(((g.alexander, g.maslov),) for g in records), 0)
     return BigradedComplex(generators=generators, links=tuple((i, 0, t, 0) for i, t in arrows))
 
@@ -276,7 +276,7 @@ class TestSummands:
         square; low and top are the Maslov gradings of a, b1, b2 at levels 0
         and 1."""
         steps = tuple((1, t - b) for b, t in zip(low, top))
-        gens = TensorGenerators(("g0", "g1", "s0"), (("a",), ("b1",), ("a", "b1", "b2")),
+        gens = TensorGenerators(lambda: ("g0", "g1", "s0"), (("a",), ("b1",), ("a", "b1", "b2")),
                                 (row(5, (1,)), row(5, (0,)), row(0, low)), 0,
                                 square=Repeat((2,), (steps,), (0, 1), (0, 1, 3)))
         links = ((0, 0, 1, 0),) + tuple((2, k, 2, k_target) for k, k_target in square)
@@ -344,7 +344,7 @@ class TestChainAndSquare:
         chain_row, chain_steps = chain_rows
         square_steps = ((1, 1), (1, 1), (1, 1))
         b = tuple(f"b{k}" for k in range(1, 7))
-        gens = TensorGenerators(("g0", "g1", "mu1", "s0"), (("a",), ("b1",), b, ("a", "b1", "b2")),
+        gens = TensorGenerators(lambda: ("g0", "g1", "mu1", "s0"), (("a",), ("b1",), b, ("a", "b1", "b2")),
                                 (row(5, (1,)), row(5, (0,)), chain_row, row(0, (1, 1, 0))), 0,
                                 chain=Repeat((2,), (chain_steps,), range(2), range(3)),
                                 square=Repeat((3,), (square_steps,), (0, 1), (0, 1, 3)))

@@ -53,6 +53,7 @@ from conftest import (
     named_arrows,
     stored_name,
     thin_grid_cases,
+    with_generators,
     written_out,
 )
 
@@ -62,10 +63,11 @@ def modules_for(delta_text, tau, p, n):
     return build_typea_minus(p), build_typed(model, n), model
 
 
-def reference_differential(A, D):
-    """Generic matcher: every hat operation against every complement label path, mod 2."""
+def reference_differential(A, D, edges=None):
+    """Generic matcher: every hat operation against every complement label
+    path, mod 2; the paths follow edges, D's stored edges by default."""
     outgoing = {}
-    for edge in D.edges:
+    for edge in D.edges if edges is None else edges:
         outgoing.setdefault(edge.source, []).append(edge)
     parity = {}
     for (a_src, labels), a_tgt in hat_operations(A).items():
@@ -208,21 +210,21 @@ class TestDifferential:
             ("s", "12", "s"), ("s", "1", "y"), ("t", "1", "q"),
             ("q", "2", "s"), ("z", "2", "w"), ("w", "1", "z"),
         ))
-        D = TypeDModule(generators=gens, edges=edges, h=GradingElement.identity())
+        D = TypeDModule.from_edges(gens, edges, GradingElement.identity())
         A = build_typea_minus(p)
         arrows = named_arrows(A, D)
         assert len(arrows) == len(set(arrows))
         assert set(arrows) == reference_differential(A, D)
         assert arrows
-        stray = D._replace(edges=edges + tuple(DEdge(*e) for e in (
+        stray_edges = edges + tuple(DEdge(*e) for e in (
             ("s", "3", "y"), ("s", "3", "z"), ("t", "123", "y"), ("q", "23", "z"), ("z", "23", "q"),
-        )))
+        ))
+        stray = TypeDModule.from_edges(gens, stray_edges, GradingElement.identity())
         assert named_arrows(A, stray) == arrows
-        assert reference_differential(A, stray) == reference_differential(A, D)
+        assert reference_differential(A, stray, stray_edges) == reference_differential(A, D)
         for label, extra in (("1", [("s", "1", "z"), ("s", "1", "z")]), ("12", [("s", "12", "t")])):
-            doubled = D._replace(edges=edges + tuple(DEdge(*e) for e in extra))
             with pytest.raises(ComplexError, match=rf"^complement generator s has two D_{label} edges$"):
-                named_arrows(A, doubled)
+                TypeDModule.from_edges(gens, edges + tuple(DEdge(*e) for e in extra), GradingElement.identity())
 
     @pytest.mark.parametrize("p", [2, 3, 7])
     def test_self_loop_with_a_d1_edge_closes_every_family(self, p):
@@ -231,12 +233,12 @@ class TestDifferential:
         Without the D_1 edge the walk stops at the loop, with no arrow."""
         gens = (DGenerator("s", "i0", GradingElement.identity(), "x", 1),
                 DGenerator("y", "i1", GradingElement.identity(), "x", 2))
-        D = TypeDModule(generators=gens, edges=(DEdge("s", "12", "s"), DEdge("s", "1", "y")),
-                        h=GradingElement.identity())
+        loop = DEdge("s", "12", "s")
+        D = TypeDModule.from_edges(gens, (loop, DEdge("s", "1", "y")), GradingElement.identity())
         A = build_typea_minus(p)
         assert named_arrows(A, D) == [(("a", "s"), (f"b{2 * p - i - 2}", "y")) for i in range(p - 1)]
         assert set(named_arrows(A, D)) == reference_differential(A, D)
-        bare = D._replace(edges=D.edges[:1])
+        bare = TypeDModule.from_edges(gens, (loop,), GradingElement.identity())
         assert named_arrows(A, bare) == [] and reference_differential(A, bare) == set()
 
     def test_zero_framed_unknot_does_not_grow_with_p(self):
@@ -421,7 +423,7 @@ class TestGradings:
         shared, other = GradingElement.identity(), GradingElement(0, 2, 0, 4)
         gens = tuple(DGenerator(name, idem, grading, "x", j) for j, (name, idem, grading) in enumerate((
             ("s", "i0", shared), ("y", "i1", shared), ("t", "i0", shared), ("z", "i1", other))))
-        D = TypeDModule(generators=gens, edges=(), h=GradingElement(0, -2, 0, 0))
+        D = TypeDModule.from_edges(gens, (), GradingElement(0, -2, 0, 0))
         gradings = tensor_gradings(A, D, 7)
         assert list(gradings.items()) == list(reference_gradings(A, D, 7).items())
         assert list(gradings) == [("a", "s"), ("b1", "y"), ("b2", "y"), ("a", "t"), ("b1", "z"), ("b2", "z")]
@@ -439,8 +441,8 @@ class TestGradings:
         A, D, model = modules_for(DELTA_11N50, 0, 5, 3)
         ks = [j for j, g in enumerate(D.generators) if g.idempotent == idempotent]
         k = ks[0] if first else ks[-1]
-        D = D._replace(generators=D.generators[:k] + (D.generators[k]._replace(grading=grading),)
-                    + D.generators[k + 1:])
+        D = with_generators(D, D.generators[:k] + (D.generators[k]._replace(grading=grading),)
+                            + D.generators[k + 1:])
         with pytest.raises(error):
             reference_gradings(A, D, 0)
         with pytest.raises(error):
@@ -574,7 +576,7 @@ def test_chain_off_the_lattice_is_refused_like_written_out_chain(tau, m, change)
     its b slot (tau = 0, m < 0) or is translated from a row anchored before it."""
     A, D, l, n = chain_modules(tau, {0: 1}, 3, m)
     j, chain = next((j, g) for j, g in enumerate(D.generators) if g.length > 1)
-    D = D._replace(generators=D.generators[:j] + (chain._replace(**change(chain)),) + D.generators[j + 1:])
+    D = with_generators(D, D.generators[:j] + (chain._replace(**change(chain)),) + D.generators[j + 1:])
     with pytest.raises((ArithmeticError, GradingError)) as written:
         pair_modules(A, expand_chain(D), l, n)
     with pytest.raises((ArithmeticError, GradingError)) as stored:
@@ -598,7 +600,7 @@ def test_later_row_is_decided_by_one_check(idempotent, anchor, shift, error):
     da2, dc2, dd2 = shift
     later = GradingElement(anchor.a2 + da2, anchor.b2, anchor.c2 + dc2, anchor.d2 + dd2)
     gens = (DGenerator("s", idempotent, anchor, "x", 1), DGenerator("t", idempotent, later, "x", 2))
-    D = TypeDModule(generators=gens, edges=(), h=h)
+    D = TypeDModule.from_edges(gens, (), h)
     first = A.grading(idempotent, 0)
     if error is None:
         normalize_double_coset(first * later, A.g, h)
@@ -609,6 +611,76 @@ def test_later_row_is_decided_by_one_check(idempotent, anchor, shift, error):
         with pytest.raises(error) as got:
             refused()
         assert type(got.value) is error
+
+
+@pytest.mark.parametrize("shift, error", [
+    ((0, 1, 1), ArithmeticError),  # odd dc2 alone: odd determinant
+    ((1, 2, 0), GradingError),     # 4 does not divide 2*da2 + (b2 - g.a2)*dc2
+    ((0, 2, 1), GradingError),     # 4 does not divide 2*dd2 - g.d2*dc2
+    ((2, 2, 2), None),             # every residue passes
+], ids=["odd-dc2-determinant", "n-residue", "m-residue", "translated"])
+@pytest.mark.parametrize("units", [2, 4, -2, -4])
+@pytest.mark.parametrize("slot_seen", [False, True], ids=["fresh-b-slot", "b-slot-seen"])
+def test_later_row_at_another_b_slot(shift, error, units, slot_seen):
+    """One anchor serves every b slot of its parity: a later i1 grading
+    units doubled b slot units from the anchor, in the double coset of the
+    anchor moved by shift, is moved to the anchor's b slot by a power of h
+    and then as at a fixed b slot.  It passes with reference_gradings'
+    values for every A generator, or raises the error type that
+    normalize_double_coset(first * later) raises for the group's first A
+    generator.  On a b slot no row was made at before, the error is that
+    normalization's own, message and all, as when such a grading anchored
+    its b slot; after a row that passed on the same b slot, it is the one
+    check's."""
+    A, h = build_typea_minus(3), framing_h(0, -1)
+    anchor = GradingElement(-1, -1, -1, 0)
+
+    def at_slot(da2, dc2, dd2):
+        """The anchor moved by (da2, dc2, dd2), then right-multiplied by a power of h onto the later b slot."""
+        return GradingElement(anchor.a2 + da2, anchor.b2, anchor.c2 + dc2, anchor.d2 + dd2) * h ** (-units // 2)
+
+    later = at_slot(*shift)
+    assert later.b2 == anchor.b2 + units
+    gens = [DGenerator("s", "i1", anchor, "x", 1)] + [DGenerator("r", "i1", at_slot(2, 2, 2), "x", 2)] * slot_seen
+    D = TypeDModule.from_edges(tuple(gens) + (DGenerator("t", "i1", later, "x", 3),), (), h)
+    first = A.grading("i1", 0)
+    if error is None:
+        normalize_double_coset(first * later, A.g, h)
+        assert list(tensor_gradings(A, D, 0).items()) == list(reference_gradings(A, D, 0).items())
+        return
+    with pytest.raises(error) as want:
+        normalize_double_coset(first * later, A.g, h)
+    for refused in (lambda: tensor_gradings(A, D, 0), lambda: pair_modules(A, D, 0, -1)):
+        with pytest.raises(error) as got:
+            refused()
+        assert type(got.value) is error
+        if not slot_seen:
+            assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("even, error, message", [
+    (GradingElement(0, 0, 0, 0), GradingError, "b slot of (1/2; 1/2, -1/2; -2) admits no integral right power"),
+    (GradingElement(0, 2, 0, 0), GradingError, "b slot of (1; 3/2, -1/2; -2) admits no integral right power"),
+    # b and c half-parts differ; moved from the odd anchor, this one would pass the one check
+    (GradingElement(1, 0, 1, 0), ArithmeticError, "determinant term is not a half-integer"),
+], ids=["b0", "b2", "b0-odd-c"])
+def test_even_b_slot_after_odd_ones_is_refused(even, error, message):
+    """i1 gradings of odd b slots -1 and 1 share one anchor; a later one of
+    even b slot is of the other parity, so it takes its own anchor, which
+    raises the group law's error for the group's first A generator, word
+    for word as before one anchor served several b slots.  Moved from the
+    odd anchor instead, the last one would get a row."""
+    A, h = build_typea_minus(3), framing_h(0, -1)
+    gens = tuple(DGenerator(name, "i1", grading, "x", j) for j, (name, grading) in enumerate((
+        ("s", GradingElement(-1, -1, -1, 0)), ("t", GradingElement(-1, 1, 1, 0)), ("u", even))))
+    odd = TypeDModule.from_edges(gens[:2], (), h)
+    assert list(tensor_gradings(A, odd, 0).items()) == list(reference_gradings(A, odd, 0).items())
+    D = TypeDModule.from_edges(gens, (), h)
+    for refused in (lambda: reference_gradings(A, D, 0), lambda: tensor_gradings(A, D, 0),
+                    lambda: pair_modules(A, D, 0, -1)):
+        with pytest.raises(error) as got:
+            refused()
+        assert (type(got.value), str(got.value)) == (error, message)
 
 
 @pytest.mark.parametrize("tau, counts, p, n", [
