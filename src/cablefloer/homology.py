@@ -2,23 +2,23 @@
 
 The differential is a matching, so every arrow cancels its two ends on its
 own, and the table is every slot's row less the positions arrows kill,
-listed as the view lists it: one rule for every summand.  The stored
-square is a direct summand that stands for c_t squares at every level t,
-so its arrows are cancelled once; its survivors are counted at each level
-listed once, and kept once, as lines, over the levels listed more than
-once.  No arrow touches the unstable chain's interior, so the chain
-survives whole, as progressions.  A long grading family is one
-progression that the arrow ends on it cut, and the pieces left survive;
-on the square each piece is placed at every level, with the level's count
-c_t as its rank.  The table keeps the counted survivors, the progressions
-and the square's lines as its three parts, and merges them into ranks
-only when ranks is read.
+listed as the view lists it: one rule for every summand.  A Repeat of
+the view is a stored summand that stands for its copies at every
+repetition, so its arrows are cancelled once, on the first copy, and its
+survivors are placed at every repetition.  Along the unstable chain each
+survivor is one progression; over the square's levels the survivors are
+counted at each level listed once, and kept once, as lines, over the
+levels listed more than once.  A long grading family is one progression
+that the arrow ends on it cut, and each piece left is placed at every
+repetition, with the repetition's count as its rank.  The table keeps the
+counted survivors, the progressions and the square's lines as its three
+parts, and merges them into ranks only when ranks is read.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain as concat
+from itertools import chain as concat, repeat
 from operator import sub
 from typing import Mapping
 
@@ -30,13 +30,13 @@ class RankTable:
 
     stored holds positive counts only: zero counts are dropped on
     construction, and a zero-free mapping is kept as handed over, without a
-    copy.  progressions holds progressions, one rank per cell of each: a
-    table reduced from a cable whose chain entry stands for two or more
-    generators (|m| >= 3) has the chain's first, one per b_k or, on a
-    chain shorter than a long grading family, one per family and chain
-    generator; one of p > FAMILY_RUN then has the pieces that cancellation
-    leaves of every long grading family, on the square once per level with
-    the level's square count as its rank.  square is the pair (survivors,
+    copy.  progressions holds progressions, one rank per cell of each, in
+    slot order: a table reduced from a cable whose chain entry stands for
+    two or more generators (|m| >= 3) has the chain's, one per b_k or, on
+    a chain shorter than a long grading family, one per family piece and
+    chain generator; one of p > FAMILY_RUN has the pieces that
+    cancellation leaves of every long grading family, on the square once
+    per level with the level's square count as its rank.  square is the pair (survivors,
     levels): the stored square's surviving ((alexander, maslov), (alexander
     step, maslov step)) pairs at its lowest level, and the (offset, count)
     of every level the square is listed at more than once.  Each survivor
@@ -110,48 +110,50 @@ def reduce_complex(complex_: BigradedComplex) -> RankTable:
     lists it.
 
     Each link is an arrow read as (slot, position) of its two ends, on the
-    first copies of their slots.  It must join two stored generators of one
-    summand, both of the square or neither and neither of the chain, keep
-    the Alexander grading and lower the Maslov grading by one, and no
-    generator may lie on two arrows; a correctly assembled complex always
-    does all three, so any other link raises ComplexError, which names its
-    generators.  A matching has no 2-path, so d^2 = 0, and each arrow
-    cancels on its own: the table does not depend on link order.  An arrow
-    on the square kills its ends' positions in the stored square: the box
-    tensor product is additive over the square summands, so the same arrow
-    joins the same positions at every level and in every copy.  That holds
-    only when its ends step alike from level to level, so that it is graded
-    at every level once it is at the stored one; an arrow whose ends step
-    differently raises as mis-graded at the last level.
+    first copies of their slots.  One rule holds for every Repeat: a link
+    must join two stored generators of one summand, both on one Repeat or
+    both on none, keep the Alexander grading and lower the Maslov grading
+    by one, and no generator may lie on two arrows; a correctly assembled
+    complex always does all three, so any other link raises ComplexError,
+    which names its generators.  A matching has no 2-path, so d^2 = 0, and
+    each arrow cancels on its own: the table does not depend on link order.
+    An arrow on a Repeat kills its ends' positions in the stored summand:
+    the box tensor product is additive over direct summands, so the same
+    arrow joins the same positions at every repetition and in every copy.
+    That holds only when its ends step alike, so that it is graded at every
+    repetition once it is at the first; on a Repeat of more than one
+    repetition an arrow whose ends step differently raises as mis-graded
+    at the last repetition.
 
     Then one rule reads each slot: its row less its killed positions, as
-    the view lists it.  The chain slot, which no arrow touches, is
-    progressions: one per b_k, or, when that is fewer pieces, one per
-    grading family and chain generator.  A FamilyRow is its parts cut at
-    the killed positions; on the square each piece is moved to every level
-    by the step row's part, with rank the number of times the view lists
-    it there.  A square row of cells is counted at each level the view
-    lists once; its survivors, each with its step, and the levels listed
-    more than once, with their counts, are the table's square part.  Any
-    other row is counted once, less its killed cells.  The table keeps the
-    counts as one dict, with no zero, the progressions, the chain's ahead
-    of the families' pieces, and the square part.
+    the view lists it, a slot of no Repeat as one repetition at offset 0
+    listed once.  A FamilyRow is its parts cut at the killed positions,
+    each piece moved to every repetition by the step row's part, with rank
+    the number of times the view lists it there; on an along Repeat (see
+    pairing.Repeat) that is done only when it gives fewer pieces than the
+    row has positions.  Cells, a tuple row's or else an along FamilyRow's,
+    take the shape of their Repeat: along, each survivor is one
+    progression over the repetitions; over explicit levels (the square's,
+    the one Repeat of that shape), they are counted at each level the view
+    lists once, and the survivors, each with its step, and the levels
+    listed more than once, with their counts, are the table's square part;
+    with no Repeat, they are counted once.  The table keeps the counts as one dict, with no zero, the
+    progressions in slot order, and the square part.
     """
     gens, links = complex_.generators, complex_.links
-    rows, chain, square = gens.rows, gens.chain, gens.square
-    chain_slot = chain.slots[0] if chain is not None else -1
-    steps_of = dict(zip(square.slots, square.steps)) if square is not None else {}  # square slot -> its steps
+    rows, repeat_of = gens.rows, gens.repeat_of
     killed: dict[int, set[int]] = {}  # slot -> the positions links kill on its first copy
     for j, k, j_target, k_target in links:
-        on_square = j in steps_of
-        if on_square != (j_target in steps_of) or chain_slot in (j, j_target):
+        rep, steps = repeat_of.get(j, (None, None))
+        rep_target, steps_target = repeat_of.get(j_target, (None, None))
+        if rep is not rep_target:
             raise ComplexError(f"arrow {gens.at(j, 0, k).name} -> {gens.at(j_target, 0, k_target).name} does not "
                                f"join stored generators of one summand")
         source, target = rows[j][k], rows[j_target][k_target]  # a first copy reads its row as stored
         if source[0] != target[0] or source[1] != target[1] + 1:
             raise _misgraded(gens.at(j, 0, k), gens.at(j_target, 0, k_target))
-        if on_square and len(square.offsets) > 1 and steps_of[j][k] != steps_of[j_target][k_target]:
-            last = square.copy_starts[-2]  # mis-graded off t_0
+        if rep is not None and len(rep.offsets) > 1 and steps[k] != steps_target[k_target]:
+            last = rep.copy_starts[-2]  # mis-graded at the last repetition
             raise _misgraded(gens.at(j, last, k), gens.at(j_target, last, k_target))
         killed.setdefault(j, set()).add(k)
         killed.setdefault(j_target, set()).add(k_target)
@@ -163,25 +165,32 @@ def reduce_complex(complex_: BigradedComplex) -> RankTable:
                 name = gens.at(j, 0, k).name
                 raise ComplexError(f"generator {name} (index {gens.starts[j] + k}) lies on two arrows")
             seen.add(end)
-    levels = list(zip(square.offsets, map(sub, square.copy_starts[1:], square.copy_starts))) if square else []
-    counted, lost, group, chained, pieces = [], [], [], (), []
+    # (offset, count) of each level of each Repeat but an along one (offsets a range), once per Repeat
+    levels_of = {id(rep): list(zip(rep.offsets, map(sub, rep.copy_starts[1:], rep.copy_starts)))
+                 for rep in gens.repeats if type(rep.offsets) is not range}
+    counted, lost, pieces, group, levels = [], [], [], [], []
     for j, row in enumerate(rows):
         dead = killed.get(j, ())
-        if j == chain_slot:
-            chained = _chain_pieces(row, chain)
-        elif type(row) is FamilyRow:
-            kept = [(part, _runs(part.length, dead, start)) for part, start in zip(row.parts, row.starts)]
-            if j in steps_of:
-                kept = [(part.moved(step, offset, count), runs) for (part, runs), step in
-                        zip(kept, steps_of[j].parts) for offset, count in levels]
-            pieces += [part.part(lo, hi) for part, runs in kept for lo, hi in runs]
-        elif j in steps_of:
-            stepped = zip(row, steps_of[j])
-            group += [spot for k, spot in enumerate(stepped) if k not in dead] if dead else stepped
-        else:
+        rep, steps = repeat_of.get(j, (None, None))
+        if rep is None and type(row) is not FamilyRow:  # cells of no Repeat: counted once
             counted.append(row)
             if dead:
                 lost += [row[k] for k in dead]
+            continue
+        # no Repeat: one level, offset 0, listed once, where a part stays as stored; None along
+        at = ((0, 1),) if rep is None else levels_of.get(id(rep))
+        if type(row) is FamilyRow and (at or len(row.parts) * len(rep.offsets) < len(row)):
+            pieces += [(part.moved(step, offset, count) if offset or count > 1 else part).part(lo, hi)
+                       for part, step, start in zip(row.parts, (steps or row).parts, row.starts)
+                       for lo, hi in _runs(part.length, dead, start)
+                       for offset, count in at or zip(rep.offsets, repeat(1))]
+        elif at is None:  # cells along: each survivor one progression over the repetitions
+            pieces += [Progression(*cell, *step, len(rep.offsets))
+                       for k, (cell, step) in enumerate(zip(row, steps)) if k not in dead]
+        else:  # cells over explicit levels
+            levels = at
+            stepped = zip(row, steps)
+            group += [spot for k, spot in enumerate(stepped) if k not in dead] if dead else stepped
     # a level listed once is counted with the rows; the levels listed more than once are the
     # square part, whose lines grow with the survivors, not with the counts
     for offset, count in levels:
@@ -195,7 +204,7 @@ def reduce_complex(complex_: BigradedComplex) -> RankTable:
             ranks[cell] = count
         else:
             del ranks[cell]
-    return RankTable(ranks, chained + tuple(pieces), (group, tuple(level for level in levels if level[1] > 1)))
+    return RankTable(ranks, tuple(pieces), (group, tuple(level for level in levels if level[1] > 1)))
 
 
 def _runs(length: int, dead, start: int) -> list[tuple[int, int]]:
@@ -203,17 +212,6 @@ def _runs(length: int, dead, start: int) -> list[tuple[int, int]]:
     dead does not hold, relative to start."""
     cuts = sorted(k - start for k in dead if 0 <= k - start < length)
     return [(lo, hi) for lo, hi in zip([0] + [cut + 1 for cut in cuts], cuts + [length]) if lo < hi]
-
-
-def _chain_pieces(row, chain) -> tuple[Progression, ...]:
-    """The chain slot's cells as progressions: one per b_k along the chain,
-    or, on a FamilyRow whose families are longer than the chain, one per
-    family and chain generator r, the family moved r times by the step
-    row's part."""
-    steps, length = chain.steps[0], len(chain.offsets)
-    if type(row) is FamilyRow and length * len(row.parts) < len(row):
-        return tuple(part.moved(step, r) for part, step in zip(row.parts, steps.parts) for r in range(length))
-    return tuple(Progression(*cell, *step, length) for cell, step in zip(row, steps))
 
 
 def _misgraded(x, y) -> ComplexError:

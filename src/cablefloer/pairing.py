@@ -15,17 +15,22 @@ Slot j of the generator view is D entry j, for every module: an entry
 that stands for several generators is one slot listed once per generator
 it stands for.  So the differential's (D index, A position) ends are the
 view's (slot, position), and the complex keeps them as they are, from
-tensor_differential to homology.reduce_complex.  The complement
-module stores its squares as one square, at the lowest level t_0, with
-the count c_t of every level t.  The box tensor product is additive over
-direct summands, and the squares of every level are that square moved by
-the shift of the level difference, so the stored square is paired once:
-the differential walks its edges once, and its corners are slots that
-repeat together once per level, listed c_t times at level t under the
-name corner.s<serial>, serial the level's position in ascending order.
-Their cells at level t are those at t_0 moved by (t - t_0) times a step
-row (see below), and homology.reduce_complex cancels the stored square's
-arrows once and places its survivors at every level.
+tensor_differential to homology.reduce_complex.  The box tensor product
+is additive over direct summands, so a summand whose copies differ by a
+grading shift is paired once, as stored, and the view repeats its slots:
+one Repeat per such summand, which moves the stored cells by offset
+times a step row (see below).  The complement module stores its squares
+as one square, at the lowest level t_0, with the count c_t of every
+level t: its corners are slots that repeat together once per level,
+listed c_t times at level t under the name corner.s<serial>, serial the
+level's position in ascending order, at offset t - t_0.  The unstable
+chain's interior is one D entry (type_d.DGenerator with length > 1)
+whose gradings step by (step, step, 0) in the doubled a, c and d slots,
+so every b_k's cell steps by a constant too: its slot repeats along the
+chain, once per chain generator at offsets 0, 1, ..., and repetition r
+is mu<index + r>.  The differential walks the stored edges once, so
+every link joins first copies, and homology.reduce_complex reads every
+Repeat by one rule.
 
 A row is the (alexander, maslov) cell of each A generator paired with one
 complement generator; N and A' are derived only where a record is built.
@@ -38,7 +43,8 @@ and a later grading is first moved onto its b slot.  The A gradings y_k
 fall into grading families affine in k (TypeAModule.families), so along a
 family the anchor's alexander is affine and its maslov quadratic in k,
 with constant second difference h.c2: the anchor normalizes the first
-three y_k of each family and extends it.  A grading that differs from the
+three y_k of each family and extends it.  An Alexander second difference,
+which no module build_typed makes has, is refused with ComplexError.  A grading that differs from the
 anchor's by (da2, dc2, dd2) moves entry k by
 (dA, dN + 2dA + y_k.b2*dc2/2), with dA = (2dd2 - g.d2*dc2)/4 and
 dN = (2da2 + (b2 - g.a2)*dc2)/4.  The group law refuses it when dc2 is odd
@@ -55,13 +61,8 @@ Moving a square corner of b slot b2 up by dt levels moves its grading by
 three pass the group law's check for every dt, so once the row at t_0
 passes, no level can be refused, and the checks and errors are exactly
 those of the stored square.  Entry k moves by dt*(-p, 1 + b2 + y_k.b2 - 2p),
-the step row.
-
-The unstable chain's interior is one D entry (type_d.DGenerator with
-length > 1) whose gradings step by (step, step, 0) in the doubled a, c
-and d slots.  It pairs into no arrow, and every b_k's cell steps by a
-constant too, so its slot repeats once per chain generator: repetition r
-is mu<index + r>, its first row plus r step rows.
+the step row.  The chain entry's step row is the move (step, step, 0) of
+one chain generator.
 
 A grading family of at least FAMILY_RUN positions is kept the same way.
 Along a family a row's alexander is affine and its maslov quadratic in
@@ -73,8 +74,8 @@ and its step.  So every i1 row of such a pattern, and every step row, is
 a FamilyRow: a read-only sequence of its families that forms cell k by
 closed form when read and holds no cell, so the generator view, the
 links and every reader of rows[j][k] do not change.
-homology.reduce_complex reads every survivor off the rows, the chain's
-and the families' as progressions.  The closed-form grading tables that
+homology.reduce_complex reads every survivor off the rows, those along
+the chain and the families' as progressions.  The closed-form grading tables that
 cross-check this group arithmetic live in invariants.py.
 """
 
@@ -119,15 +120,18 @@ class TensorGenerator(NamedTuple):
 
 
 class Repeat(NamedTuple):
-    """How slots of the generator view repeat together: the chain's one
-    slot along the chain, or the square's slots over the levels.
+    """How slots of the generator view repeat together: a stored summand
+    moved by a step row, once per repetition.
 
     Repetition r reads each slot's row plus offsets[r] times its steps,
     cell by cell, and lists the slot's A group copy_starts[r + 1] -
     copy_starts[r] times in a row.  offsets[0] is 0, so the first copy of
     repetition 0 is the slot's row as stored.  Repetition r is named by the
     slot's D name raised by r (type_d.raised): mu2 -> mu3 along the chain,
-    x1.s0 -> x1.s1 from one level to the next."""
+    x1.s0 -> x1.s1 from one level to the next.  offsets is a range when
+    the repetitions are listed once each at offsets 0 .. L - 1 (along, as
+    the unstable chain's, whose copy_starts is range(L + 1)), and an
+    explicit level vector otherwise (the square's)."""
 
     slots: tuple[int, ...]
     steps: tuple[Row, ...]  # per slot and A generator, the change of its cell per unit of offset
@@ -211,12 +215,12 @@ class TensorGenerators(Sequence):
     """Read-only view of the tensor generators in complement-major order.
 
     Slot j is D entry j, named d_names[j], paired with the A generators
-    a_names[j] at the cells rows[j].  A slot of no Repeat is
-    listed once, from starts[j] on.  A slot of chain or square, the two
-    Repeats or None, lists its repetitions one after another, each
-    repetition's copies in a row (see Repeat): the unstable chain's
-    interior repeats once per chain generator, and the square's corners
-    once per level, all by one layout.
+    a_names[j] at the cells rows[j].  A slot of no Repeat is listed once,
+    from starts[j] on.  A slot of one of the repeats lists its repetitions
+    one after another, each repetition's copies in a row (see Repeat): the
+    unstable chain's interior repeats once per chain generator, and the
+    square's corners once per level, all by one layout.  repeat_of maps
+    each slot of a Repeat to its Repeat and its steps, built once.
     Copy 0 of repetition 0 of a*d sits at starts[j] plus the position of a
     in the group.  A record, with N = M - 2A and A' = A - c, is built only
     when an index or a (slot, copy, position) is read (at); the run reads
@@ -227,23 +231,21 @@ class TensorGenerators(Sequence):
     """
 
     def __init__(self, names: Callable[[], Sequence[str]], a_names: tuple[Sequence[str], ...],
-                 rows: tuple[Row, ...], c: int, chain: Repeat | None = None, square: Repeat | None = None):
-        self._names, self.a_names, self.rows = names, a_names, rows
-        self.c, self.chain, self.square = c, chain, square
+                 rows: tuple[Row, ...], c: int, repeats: tuple[Repeat, ...] = ()):
+        self._names, self.a_names, self.rows, self.c, self.repeats = names, a_names, rows, c, repeats
+        # slot -> its Repeat and its steps, for every slot of a Repeat
+        self.repeat_of = {j: (rep, steps) for rep in repeats for j, steps in zip(rep.slots, rep.steps)}
 
     @cached_property
     def d_names(self) -> tuple[str, ...]:
         return tuple(self._names())
 
-    def _repeat(self, j: int) -> Repeat | None:
-        """The Repeat slot j belongs to, or None."""
-        return next((rep for rep in (self.chain, self.square) if rep is not None and j in rep.slots), None)
-
     @cached_property
     def _bounds(self) -> list[int]:
         """The start of every slot, then the total."""
-        return list(accumulate((len(row) * (1 if rep is None else rep.copy_starts[-1])
-                                for row, rep in zip(self.rows, map(self._repeat, range(len(self.rows))))), initial=0))
+        repeat_of = self.repeat_of
+        return list(accumulate((len(row) * (repeat_of[j][0].copy_starts[-1] if j in repeat_of else 1)
+                                for j, row in enumerate(self.rows)), initial=0))
 
     @property
     def starts(self) -> list[int]:
@@ -262,11 +264,12 @@ class TensorGenerators(Sequence):
         """The record of the generator at position k of slot j's A group in
         its listing copy, counted over every repetition."""
         alexander, maslov = self.rows[j][k]
-        d_name, rep = self.d_names[j], self._repeat(j)
-        if rep is not None:
+        d_name = self.d_names[j]
+        if copy:  # a later copy: its slot is in a Repeat
+            rep, steps = self.repeat_of[j]
             r = bisect_right(rep.copy_starts, copy) - 1
             if r:
-                (alexander_step, maslov_step), offset = rep.steps[rep.slots.index(j)][k], rep.offsets[r]
+                (alexander_step, maslov_step), offset = steps[k], rep.offsets[r]
                 alexander, maslov = alexander + offset * alexander_step, maslov + offset * maslov_step
                 d_name = raised(d_name, r)
         return TensorGenerator(self.a_names[j][k], d_name, maslov - 2 * alexander, alexander - self.c,
@@ -276,9 +279,9 @@ class TensorGenerators(Sequence):
 class BigradedComplex(NamedTuple):
     """The paired complex: the generator view and its links, the arrows
     as tensor_differential gives them, (slot, position) of the source then
-    of the target, ascending.  A link joins the first copies of its slots,
-    and none touches the chain.  homology.reduce_complex reads every
-    survivor off the view's rows."""
+    of the target, ascending.  A link joins the first copies of its slots
+    and stands for the same arrow on every copy of a Repeat's slots.
+    homology.reduce_complex reads every survivor off the view's rows."""
 
     generators: TensorGenerators
     links: tuple[tuple[int, int, int, int], ...]  # (source slot, position, target slot, position)
@@ -329,18 +332,21 @@ def tensor_differential(A: TypeAModule, D: TypeDModule) -> list[tuple[int, int, 
     return arrows
 
 
-def _rows(A: TypeAModule, D: TypeDModule, c: int) -> tuple[list[Sequence[str]], list[Row], dict[int, Row]]:
-    """Per D entry, its A generators and its row, and, by D index, the step
-    row of each entry that repeats: a square corner's per level up, the
-    chain entry's per chain generator on.
+def _rows(A: TypeAModule, D: TypeDModule, c: int) -> tuple[list[Sequence[str]], list[Row], tuple[Repeat, ...]]:
+    """Per D entry, its A generators and its row, and the Repeats of the
+    entries that repeat, built in the same pass from their step rows: the
+    chain entry's along the chain, a step row per chain generator on, and
+    the square corners' together over the levels, a step row per level up.
 
     The first row of each idempotent, per parity of the b slot, is its
     anchor.  Its cells are affine (alexander) and quadratic (maslov) in the
     position within each grading family of A.families, and its failure
     residues repeat with period 2 there, so it normalizes the first three A
     generators of each family, in group order, and extends each family by
-    its constant second difference: a refused anchor raises at the same
-    first A generator as one normalization per A generator would.  One move
+    its constant Maslov second difference: a refused anchor raises at the
+    same first A generator as one normalization per A generator would.  An
+    Alexander second difference is refused with ComplexError, on either
+    row shape.  One move
     rule builds everything else.  A grading move (da2, dc2, dd2) at a fixed
     b slot passes or fails one check for the whole row, whose failure is the
     error the group law raises for the group's first A generator, and
@@ -362,8 +368,7 @@ def _rows(A: TypeAModule, D: TypeDModule, c: int) -> tuple[list[Sequence[str]], 
 
     When the i1 families have at least FAMILY_RUN positions, every i1 row
     and step row is a FamilyRow: an anchor's family is the progression of
-    its first three cells, whose Alexander second difference must be 0
-    (else ComplexError), a move is one progression per family, with the
+    its first three cells, a move is one progression per family, with the
     family's first b slot and its step in place of the b slot of every
     position, and a moved row is its anchor's parts plus the move's, so
     nothing here grows with p.
@@ -404,14 +409,13 @@ def _rows(A: TypeAModule, D: TypeDModule, c: int) -> tuple[list[Sequence[str]], 
                 continue
             (a0, m0), (a1, m1), (a2, m2) = first
             da, dm, sa, sm = a1 - a0, m1 - m0, a2 - 2 * a1 + a0, m2 - 2 * m1 + m0
+            if sa:
+                raise ComplexError(f"the alexander gradings of {groups_of[idempotent][positions.start]} * {x} "
+                                   f"and the rest of its family have second difference {sa}, not 0")
             if long[idempotent]:
-                if sa:
-                    raise ComplexError(f"the alexander gradings of {groups_of[idempotent][positions.start]} * {x} "
-                                       f"and the rest of its family have second difference {sa}, not 0")
                 parts.append(Progression(a0, m0, da, dm, size, sm))
                 continue
-            cells += [(a0 + k * da + k * (k - 1) // 2 * sa, m0 + k * dm + k * (k - 1) // 2 * sm)
-                      for k in range(size)]
+            cells += [(a0 + k * da, m0 + k * dm + k * (k - 1) // 2 * sm) for k in range(size)]
         return FamilyRow(tuple(parts)) if long[idempotent] else tuple(cells)
 
     def move(idempotent: str, b2: int, da2: int, dc2: int, dd2: int, x: GradingElement) -> tuple[int, int, int]:
@@ -461,7 +465,7 @@ def _rows(A: TypeAModule, D: TypeDModule, c: int) -> tuple[list[Sequence[str]], 
             known = stepped[key] = moved_by(idempotent, *moved)
         return known
 
-    groups, rows, steps = [], [], {}
+    groups, rows, repeats, corners = [], [], [], []
     for j, (idempotent, x, _, _, level, length, step) in enumerate(D.entries):
         known = made.get((idempotent, x))
         if known is None:
@@ -469,10 +473,14 @@ def _rows(A: TypeAModule, D: TypeDModule, c: int) -> tuple[list[Sequence[str]], 
         groups.append(groups_of[idempotent])
         rows.append(known)
         if level is not None:
-            steps[j] = step_row(idempotent, x, 1 + x.b2, 2)
-        elif length > 1:
-            steps[j] = step_row(idempotent, x, step, step)
-    return groups, rows, steps
+            corners.append((j, step_row(idempotent, x, 1 + x.b2, 2)))
+        elif length > 1:  # along the chain, each chain generator listed once
+            repeats.append(Repeat((j,), (step_row(idempotent, x, step, step),), range(length), range(length + 1)))
+    if corners:  # over the square's levels; it is stored at the lowest, levels[0]
+        levels = sorted(D.copies)
+        repeats.append(Repeat(*zip(*corners), tuple([t - levels[0] for t in levels]),
+                              tuple(accumulate(map(D.copies.__getitem__, levels), initial=0))))
+    return groups, rows, tuple(repeats)
 
 
 def tensor_gradings(A: TypeAModule, D: TypeDModule, c: int) -> dict[tuple[str, str], tuple[int, int, int, int]]:
@@ -498,15 +506,7 @@ def pair_modules(A: TypeAModule, D: TypeDModule, l: int, n: int) -> BigradedComp
     first copies of the stored generators.
     """
     c = shift_constant(l, A.p, n)
-    groups, rows, steps = _rows(A, D, c)
-    chain = square = None
-    for j, (_, _, _, _, _, length, _) in enumerate(D.entries):
-        if length > 1:
-            chain = Repeat((j,), (steps.pop(j),), range(length), range(length + 1))
-    if steps:
-        levels = sorted(D.copies)  # the square is stored at the lowest, levels[0]
-        square = Repeat(tuple(steps), tuple(steps.values()), tuple(t - levels[0] for t in levels),
-                        tuple(accumulate(map(D.copies.__getitem__, levels), initial=0)))
+    groups, rows, repeats = _rows(A, D, c)
     generators = TensorGenerators(lambda: [gen.name for gen in D.generators], tuple(groups), tuple(rows), c,
-                                  chain, square)
+                                  repeats)
     return BigradedComplex(generators=generators, links=tuple(sorted(tensor_differential(A, D))))

@@ -48,9 +48,10 @@ from .thin import ThinModel
 
 class ComplexError(RuntimeError):
     """Structural failure: a complement generator with two edges of one
-    label, an arrow that does not join stored generators of one summand, a
-    mis-graded arrow, a generator on two arrows, or a long grading family
-    whose Alexander grading is not affine."""
+    label, an arrow that does not join stored generators of one summand
+    (the two ends on different Repeats of the generator view, or one on a
+    Repeat and one on none), a mis-graded arrow, a generator on two arrows,
+    or a grading family whose Alexander grading is not affine."""
 
 
 class DEdge(NamedTuple):

@@ -278,7 +278,7 @@ class TestSummands:
         steps = tuple((1, t - b) for b, t in zip(low, top))
         gens = TensorGenerators(lambda: ("g0", "g1", "s0"), (("a",), ("b1",), ("a", "b1", "b2")),
                                 (row(5, (1,)), row(5, (0,)), row(0, low)), 0,
-                                square=Repeat((2,), (steps,), (0, 1), (0, 1, 3)))
+                                (Repeat((2,), (steps,), (0, 1), (0, 1, 3)),))
         links = ((0, 0, 1, 0),) + tuple((2, k, 2, k_target) for k, k_target in square)
         return BigradedComplex(generators=gens, links=links)
 
@@ -346,8 +346,8 @@ class TestChainAndSquare:
         b = tuple(f"b{k}" for k in range(1, 7))
         gens = TensorGenerators(lambda: ("g0", "g1", "mu1", "s0"), (("a",), ("b1",), b, ("a", "b1", "b2")),
                                 (row(5, (1,)), row(5, (0,)), chain_row, row(0, (1, 1, 0))), 0,
-                                chain=Repeat((2,), (chain_steps,), range(2), range(3)),
-                                square=Repeat((3,), (square_steps,), (0, 1), (0, 1, 3)))
+                                (Repeat((2,), (chain_steps,), range(2), range(3)),
+                                 Repeat((3,), (square_steps,), (0, 1), (0, 1, 3))))
         return BigradedComplex(generators=gens, links=links)
 
     @pytest.mark.parametrize("kind", CHAIN_ROWS)
@@ -372,10 +372,56 @@ class TestChainAndSquare:
 
     @pytest.mark.parametrize("kind", CHAIN_ROWS)
     def test_arrow_on_the_chain_raises(self, kind):
-        """No arrow touches the chain: an end on its first copy raises,
-        also when it is graded and its other end is a stored generator."""
-        for link, name in (((0, 0, 2, 0), "a g0 -> b1 mu1"), ((2, 1, 2, 0), "b2 mu1 -> b1 mu1"),
-                           ((2, 2, 1, 0), "b3 mu1 -> b1 g1")):
+        """An arrow with one end on the chain's first copy and the other off
+        the chain joins two summands and raises.  One inside the chain slot
+        is read as the same arrow on every chain generator: it raises as
+        mis-graded on the first copy when it is, and at the last chain
+        generator when its ends step differently."""
+        for link, message in (((0, 0, 2, 0), "arrow a g0 -> b1 mu1 does not join stored generators of one summand"),
+                              ((2, 2, 1, 0), "arrow b3 mu1 -> b1 g1 does not join stored generators of one summand"),
+                              ((2, 1, 2, 0), r"mis-graded arrow b2 mu1 \(A=6, M=2\) -> b1 mu1 \(A=5, M=0\)"),
+                              ((2, 1, 2, 3), r"mis-graded arrow b2 mu2 \(A=7, M=2\) -> b4 mu2 \(A=7, M=2\)")):
             complex_ = self.complex_with(CHAIN_ROWS[kind], links=(link,))
-            with pytest.raises(ComplexError, match=rf"^arrow {name} does not join stored generators of one summand$"):
+            with pytest.raises(ComplexError, match=rf"^{message}$"):
                 reduce_complex(complex_)
+
+    @pytest.mark.parametrize("kind", CHAIN_ROWS)
+    def test_arrow_inside_the_chain_reduces_as_written_out(self, kind):
+        """A graded arrow b2 -> b4 on the chain's first copy, whose ends step
+        alike, kills b2 and b4 at both chain generators: the table equals
+        that of the complex with every copy its own generator and the arrow
+        on every copy of mu1 and of the square."""
+        chain_row, chain_steps = CHAIN_ROWS[kind]
+        steps = family_row((1, -1, 0, 1, 3), (1, 0, 0, 2, 3, 1))  # b4 steps as b2 does, by (1, 0)
+        complex_ = self.complex_with((chain_row, steps if kind == "families" else tuple(steps)),
+                                     links=((0, 0, 1, 0), (2, 1, 2, 3), (3, 1, 3, 2)))
+        written = complex_of(list(complex_.generators), ((0, 1), (3, 5), (9, 11), (15, 16), (18, 19), (21, 22)))
+        table = reduce_complex(complex_)
+        assert table == reduce_complex(written) and table.total == 23 - 2 * 6
+        # cut at b2 and b4, the families are three pieces per chain generator; the cells one per b_k left
+        assert sorted(progression.length for progression in table.progressions) == \
+            ([1, 1, 1, 1, 2, 2] if kind == "families" else [2] * 4)
+
+
+@pytest.mark.parametrize("kind", ("families", "cells"))
+def test_arrow_on_an_along_repeat_reduces_as_written_out(kind):
+    """A hand-built Repeat of two slots, w1 of (a, b1, b2, b3) and z1 of
+    (b1 .. b4), listed once each along three repetitions (offsets a range,
+    every count 1), after a plain slot g0: the arrow a w1 -> b1 z1 on the
+    first copy, whose ends step alike, is the same arrow on every
+    repetition.  The table equals that of the complex written out, with
+    every copy its own generator and carrying the arrow; each slot's
+    survivors are three progressions of length 3, one per family piece and
+    repetition or one per position."""
+    rows = (family_row((3, 2, 1, 1, 4)), family_row((3, 1, 0, 2, 4)))
+    steps = (family_row((1, 1, 0, 1, 4)), family_row((1, 1, 1, 0, 4)))  # a w1 and b1 z1 both step by (1, 1)
+    if kind == "cells":
+        rows, steps = tuple(map(tuple, rows)), tuple(map(tuple, steps))
+    gens = TensorGenerators(lambda: ("g0", "w1", "z1"), (("a",), ("a", "b1", "b2", "b3"), ("b1", "b2", "b3", "b4")),
+                            (row(9, (0,)),) + rows, 0, (Repeat((1, 2), steps, range(3), range(4)),))
+    complex_ = BigradedComplex(generators=gens, links=((1, 0, 2, 0),))
+    assert len(gens) == 25 and [g.d_side for g in gens][1:5] == ["w1"] * 4 and gens[24].d_side == "z3"
+    written = complex_of(list(gens), tuple((1 + 4 * r, 13 + 4 * r) for r in range(3)))
+    table = reduce_complex(complex_)
+    assert table == reduce_complex(written) and table.total == 25 - 2 * 3
+    assert [progression.length for progression in table.progressions] == [3] * 6

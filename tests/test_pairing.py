@@ -34,7 +34,7 @@ from cablefloer import (
     tensor_gradings,
 )
 from cablefloer import pairing
-from cablefloer.pairing import FAMILY_RUN, FamilyRow, _rows
+from cablefloer.pairing import FAMILY_RUN, FamilyRow, Progression, _rows
 from cablefloer.pipeline import _check_budget
 from cablefloer.type_a import TypeAModule
 
@@ -115,6 +115,17 @@ def spots_of(view):
     ends = view.starts[1:] + [len(view)]
     return [(j, copy, k) for j, (start, end, row) in enumerate(zip(view.starts, ends, view.rows)) if row
             for copy in range((end - start) // len(row)) for k in range(len(row))]
+
+
+def along(view):
+    """The view's Repeat listed once each along offsets 0, 1, ... (a range):
+    the unstable chain's, or None."""
+    return next((rep for rep in view.repeats if type(rep.offsets) is range), None)
+
+
+def steps_by_slot(repeats):
+    """slot -> its step row, over every Repeat."""
+    return {j: steps for rep in repeats for j, steps in zip(rep.slots, rep.steps)}
 
 
 def named_links(complex_):
@@ -299,8 +310,8 @@ class TestDifferential:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the chain's four pieces, then the two left of the v row's families by the arrow on it
-        assert [progression.length for progression in table.progressions] == [p - 1] * 5 + [p - 2]
+        # in slot order: the two left of mu1's families by the arrow on it, then the chain's four
+        assert [progression.length for progression in table.progressions] == [p - 1, p - 2] + [p - 1] * 4
         assert table.total == table_rank(tau, 0, p, n)
         assert peak < 50_000, peak
 
@@ -403,7 +414,8 @@ class TestGradings:
         for i in (len(want), -len(want) - 1):
             with pytest.raises(IndexError):
                 generators[i]
-        assert (generators.chain is not None) == any(d_gen.length > 1 for d_gen in D.generators)
+        assert [len(rep.offsets) for rep in generators.repeats if type(rep.offsets) is range] == \
+            [d_gen.length for d_gen in D.generators if d_gen.length > 1]
         assert reduce_complex(complex_._replace(links=())) == RankTable(Counter((g.alexander, g.maslov) for g in want))
         assert [generators.at(*spot) for spot in spots_of(generators)] == want
         stored = {d_gen.name for d_gen in expand_chain(D).generators}
@@ -541,8 +553,8 @@ def test_chain_progression_equals_written_out_chain(tau, m, counts, p):
     assert len(stored.generators) == size
     assert [stored.generators[i] for i in range(size)] == [written.generators[i] for i in range(size)]
     assert cells_of(stored.generators) == cells_of(written.generators)
-    chain = stored.generators.chain
-    assert (chain is not None) == (abs(m) > 2) and written.generators.chain is None
+    chain = along(stored.generators)
+    assert (chain is not None) == (abs(m) > 2) and along(written.generators) is None
     listed, listed_written = (reduce_complex(complex_._replace(links=())) for complex_ in (stored, written))
     assert listed == listed_written == RankTable(Counter(cells_of(written.generators)))
     assert named_links(stored) == named_links(written)
@@ -789,11 +801,15 @@ def test_long_families_pair_as_progressions(counts, tau, n, wide, twice_tau):
     complex_, table, checks = paired(A, D, delta, tau, p, n)
     assert checks == (True, True, True)
     view = complex_.generators
-    chain, rows = view.chain, list(view.rows)
-    chained = 0  # the chain's pieces: one per b_k, or one per family and chain generator when that is fewer
+    chain, rows = along(view), list(view.rows)
+    chained = []  # the chain's pieces: one per b_k, or one per family and chain generator when that is fewer
     if chain is not None:
+        (steps,), length = chain.steps, len(chain.offsets)
         row = rows.pop(chain.slots[0])
-        chained = min(len(row), len(row.parts) * len(chain.offsets))
+        chained = ([part.moved(step, r) for part, step in zip(row.parts, steps.parts) for r in range(length)]
+                   if len(row.parts) * length < len(row) else
+                   [Progression(*cell, *step, length) for cell, step in zip(row, steps)])
+        assert not Counter(chained) - Counter(table.progressions)
     families = [part for row in rows if type(row) is FamilyRow for part in row.parts]
     assume(families)  # the unknot at n = 0 has no i1 generator
     assert all(family.length == p - 1 for family in families)
@@ -806,8 +822,9 @@ def test_long_families_pair_as_progressions(counts, tau, n, wide, twice_tau):
     q = p * n + 1
     merged = RankTable(table.ranks)
     assert euler_matches_cable(euler_characteristic(merged), delta, p, q) and check_symmetry(merged)
-    # the longest of the families' pieces, which follow the chain's
-    j = max(range(chained, len(table.progressions)), key=lambda j: table.progressions[j].length)
+    # the longest of the families' pieces, the chain's left out
+    j = max((j for j, piece in enumerate(table.progressions) if piece not in chained),
+            key=lambda j: table.progressions[j].length)
     longest = table.progressions[j]
     short = longest._replace(length=longest.length - 1)
     bent = longest._replace(maslov_bend=longest.maslov_bend + 2)
@@ -856,7 +873,8 @@ def test_family_rows_read_like_cells(monkeypatch, tau, counts, n):
     model = build_model(synthesize_delta(tau, counts), tau)
     A, D = build_typea_minus(p), build_typed(model, n)
     c = shift_constant(model.params.l, p, n)
-    _, rows, steps = _rows(A, D, c)
+    _, rows, repeats = _rows(A, D, c)
+    steps = steps_by_slot(repeats)
     ys = [A.grading("i1", k) for k in range(2 * p - 2)]
     kinds, slots = Counter(), set()
     for j, (d_gen, row) in enumerate(zip(D.generators, rows)):
@@ -883,7 +901,8 @@ def test_family_rows_read_like_cells(monkeypatch, tau, counts, n):
                     got[k]
     assert set(kinds) == {"anchor", "moved", "level", "chain"}, kinds
     monkeypatch.setattr(pairing, "FAMILY_RUN", p)  # the i1 families fall short: rows of cells
-    _, cell_rows, cell_steps = _rows(A, D, c)
+    _, cell_rows, cell_repeats = _rows(A, D, c)
+    cell_steps = steps_by_slot(cell_repeats)
     assert all(type(row) is tuple for row in concat(cell_rows, cell_steps.values()))
     assert list(map(list, rows)) == list(map(list, cell_rows))
     assert {j: list(row) for j, row in steps.items()} == {j: list(row) for j, row in cell_steps.items()}
@@ -900,14 +919,14 @@ class BentPattern(TypeAModule):
 
 
 def test_family_with_an_alexander_bend_is_refused():
-    """A FamilyRow has no Alexander second difference, so on a pattern
-    wider than FAMILY_RUN an anchor whose family has one raises
-    ComplexError.  A tuple row (p = FAMILY_RUN) extends its first three
-    cells by both second differences, so it carries the bend cell by
-    cell."""
+    """No module build_typed makes has an Alexander second difference along
+    a grading family, so an anchor whose family has one raises
+    ComplexError, as a tuple row (p = FAMILY_RUN) and as a FamilyRow
+    (p = FAMILY_RUN + 1) alike."""
     model = build_model(synthesize_delta(1, {0: 1}), 1)
     D, l = build_typed(model, 1), model.params.l
     narrow, wide = (BentPattern(p=p, g=build_typea_minus(p).g) for p in (FAMILY_RUN, FAMILY_RUN + 1))
-    assert list(tensor_gradings(narrow, D, 0).items()) == list(reference_gradings(narrow, D, 0).items())
-    with pytest.raises(ComplexError, match="have second difference 2, not 0$"):
-        pair_modules(wide, D, l, 1)
+    for refused in (lambda: tensor_gradings(narrow, D, 0), lambda: pair_modules(narrow, D, l, 1),
+                    lambda: pair_modules(wide, D, l, 1)):
+        with pytest.raises(ComplexError, match="have second difference 2, not 0$"):
+            refused()
